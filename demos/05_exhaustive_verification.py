@@ -1,9 +1,9 @@
 """Machine-check every proven inequality over all functions of a small arity.
 
 The scan vectorizes the measure computations across the whole function space,
-runs the transform constructions through the ordinary per-function code path
-for every single function, cross-checks the two routes on a subsample, and
-tracks extremal statistics.  A proven-statement failure would raise; the
+builds every transform construction for every single function with batch
+kernels over the function axis, cross-checks both against the per-function
+API on a subsample, and tracks extremal statistics.  A proven-statement failure would raise; the
 empirical-constant ratios are only recorded.
 """
 

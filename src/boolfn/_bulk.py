@@ -2,11 +2,12 @@
 
 The exhaustive verification suites need all measures of all 2**(2**n)
 functions for n <= 4.  Calling the per-function API that many times would
-dominate the runtime, so this module recomputes the same quantities with the
+dominate the runtime, so this module computes the same quantities with the
 function axis vectorized: tables become rows of one matrix and each measure
-becomes a handful of numpy passes.  The scan cross-checks these arrays
-against the per-function API on a deterministic subsample, so the two routes
-cannot drift apart silently.
+is a row kernel of a handful of numpy passes.  The scan reuses the
+sensitivity and sparsity kernels on the transformed tables g, and
+cross-checks these arrays against the per-function API on a deterministic
+subsample, so the two routes cannot drift apart silently.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._bitops import popcounts, table_size
-from .measures import _dt_table, _packing_lut
+from .measures import _dt_table, _packing_lut, _pointwise_sensitivity
 
 MAX_BULK_ARITY = 4
 
@@ -26,39 +27,22 @@ def _tables(n: int, lo: int, hi: int) -> np.ndarray:
     return ((ids[:, None] >> cols[None, :]) & 1).astype(np.uint8)
 
 
-def measure_arrays(n: int, lo: int, hi: int, primes=(2, 3)) -> dict:
-    """Every scalar measure for each function id in [lo, hi), as 1-D arrays."""
-    if n > MAX_BULK_ARITY:
-        raise ValueError(f"bulk engine supports arity <= {MAX_BULK_ARITY}")
-    size = table_size(n)
-    t = _tables(n, lo, hi)
-    m = t.shape[0]
+def _block_patterns(t: np.ndarray) -> np.ndarray:
+    """Sensitive-block pattern at every input (bit B-1 set = block B flips f)."""
+    m, size = t.shape
     idx = np.arange(size)
-    out: dict = {"ids": np.arange(lo, hi, dtype=np.int64)}
-
-    # sensitivity and variable relevance
-    s_pt = np.zeros((m, size), dtype=np.int16)
-    depends_all = np.ones(m, dtype=bool)
-    for i in range(n):
-        diff = t != t[:, idx ^ (1 << i)]
-        s_pt += diff
-        depends_all &= diff.any(axis=1)
-    out["s"] = s_pt.max(axis=1).astype(np.int64)
-    out["depends_on_all"] = depends_all
-
-    # block sensitivity through the packing table
-    lut, _ = _packing_lut(n)
     pattern = np.zeros((m, size), dtype=np.uint32)
     for block in range(1, size):
         diff = t != t[:, idx ^ block]
         pattern |= diff.astype(np.uint32) << (block - 1)
-    bs_pt = lut[pattern]
-    bs_all = bs_pt.max(axis=1)
-    out["bs"] = bs_all.astype(np.int64)
-    out["bs0"] = bs_pt[:, 0].astype(np.int64)
-    out["bs_argmax"] = np.argmax(bs_pt == bs_all[:, None], axis=1).astype(np.int64)
+    return pattern
 
-    # certificate complexity via the constant-subcube DP
+
+def _certificate_sizes(t: np.ndarray) -> np.ndarray:
+    """Certificate complexity of every row via the constant-subcube DP."""
+    m, size = t.shape
+    n = size.bit_length() - 1
+    idx = np.arange(size)
     pc = popcounts(n)
     mins: list[np.ndarray] = [t] * size
     maxs: list[np.ndarray] = [t] * size
@@ -75,9 +59,14 @@ def measure_arrays(n: int, lo: int, hi: int, primes=(2, 3)) -> dict:
         np.maximum(
             best_free, np.where(const, np.int8(pc[v]), np.int8(0)), out=best_free
         )
-    out["C"] = n - best_free.astype(np.int64).min(axis=1)
+    return n - best_free.astype(np.int64).min(axis=1)
 
-    # alternation of every shift; column b of the DP result is alt(f XOR b)
+
+def _alternation_by_shift(t: np.ndarray) -> np.ndarray:
+    """Column b of the result is alt(f XOR b), by one ascending DP per shift."""
+    m, size = t.shape
+    n = size.bit_length() - 1
+    idx = np.arange(size)
     steps = [
         (x, x ^ (1 << i))
         for x in range(1, size)
@@ -93,36 +82,82 @@ def measure_arrays(n: int, lo: int, hi: int, primes=(2, 3)) -> dict:
             cand = best[:, px] + (tb[:, x] != tb[:, px])
             np.maximum(best[:, x], cand, out=best[:, x])
         alt_by_shift[:, b] = best[:, size - 1]
-    out["alt"] = alt_by_shift[:, 0].astype(np.int64)
-    out["salt"] = alt_by_shift.min(axis=1).astype(np.int64)
-    out["salt_argmin"] = np.argmin(alt_by_shift, axis=1).astype(np.int64)
+    return alt_by_shift
 
-    # degrees from the exact coefficient butterflies
-    def butterfly_degree(modulus: int | None) -> np.ndarray:
-        a = t.astype(np.int16)
-        for i in range(n):
-            step = 1 << i
-            view = a.reshape(m, -1, 2, step)
-            view[:, :, 1, :] -= view[:, :, 0, :]
-            if modulus is not None:
-                view[:, :, 1, :] %= modulus
-        nz = a != 0
-        return (nz * pc[None, :].astype(np.int64)).max(axis=1)
 
-    out["deg"] = butterfly_degree(None)
-    for p in primes:
-        out[f"deg_{p}"] = butterfly_degree(p)
-
-    # Fourier sparsity of the +-1 view
-    chi = 1 - 2 * t.astype(np.int32)
+def _butterfly_degree(t: np.ndarray, modulus: int | None) -> np.ndarray:
+    """Degree of every row from its exact (or mod-p) coefficient butterfly."""
+    m, size = t.shape
+    n = size.bit_length() - 1
+    a = t.astype(np.int16)
     for i in range(n):
+        step = 1 << i
+        view = a.reshape(m, -1, 2, step)
+        view[:, :, 1, :] -= view[:, :, 0, :]
+        if modulus is not None:
+            view[:, :, 1, :] %= modulus
+    nz = a != 0
+    return (nz * popcounts(n)[None, :].astype(np.int64)).max(axis=1)
+
+
+def _walsh_sparsity(t: np.ndarray) -> np.ndarray:
+    """Fourier sparsity of the +-1 view of every row."""
+    m, size = t.shape
+    chi = 1 - 2 * t.astype(np.int32)
+    for i in range(size.bit_length() - 1):
         step = 1 << i
         view = chi.reshape(m, -1, 2, step)
         lo_half = view[:, :, 0, :].copy()
         hi_half = view[:, :, 1, :].copy()
         view[:, :, 0, :] = lo_half + hi_half
         view[:, :, 1, :] = lo_half - hi_half
-    out["sparsity"] = (chi != 0).sum(axis=1).astype(np.int64)
+    return (chi != 0).sum(axis=1).astype(np.int64)
+
+
+def measure_arrays(n: int, lo: int, hi: int, primes=(2, 3)) -> dict:
+    """Every scalar measure for each function id in [lo, hi), as 1-D arrays.
+
+    Also returns the sensitive-block patterns at the all-zero input
+    (``pattern0``) and at the smallest block-sensitivity maximizer
+    (``pattern_argmax``), from which the transforms take their block families.
+    """
+    if n > MAX_BULK_ARITY:
+        raise ValueError(f"bulk engine supports arity <= {MAX_BULK_ARITY}")
+    t = _tables(n, lo, hi)
+    rows = np.arange(t.shape[0])
+    out: dict = {"ids": np.arange(lo, hi, dtype=np.int64)}
+
+    out["s"] = _pointwise_sensitivity(t).max(axis=1).astype(np.int64)
+
+    # block sensitivity through the packing table; a variable is relevant iff
+    # its singleton block is sensitive somewhere
+    lut, _ = _packing_lut(n)
+    pattern = _block_patterns(t)
+    seen = np.bitwise_or.reduce(pattern, axis=1)
+    singles = sum(1 << ((1 << i) - 1) for i in range(n))
+    out["depends_on_all"] = (seen & singles) == singles
+    bs_pt = lut[pattern]
+    bs_all = bs_pt.max(axis=1)
+    argmax = np.argmax(bs_pt == bs_all[:, None], axis=1)
+    out["bs"] = bs_all.astype(np.int64)
+    out["bs0"] = bs_pt[:, 0].astype(np.int64)
+    out["bs_argmax"] = argmax.astype(np.int64)
+    out["pattern0"] = pattern[:, 0].copy()
+    out["pattern_argmax"] = pattern[rows, argmax]
+    del pattern, bs_pt
+
+    out["C"] = _certificate_sizes(t)
+
+    alt_by_shift = _alternation_by_shift(t)
+    out["alt"] = alt_by_shift[:, 0].astype(np.int64)
+    out["salt"] = alt_by_shift.min(axis=1).astype(np.int64)
+    out["salt_argmin"] = np.argmin(alt_by_shift, axis=1).astype(np.int64)
+
+    out["deg"] = _butterfly_degree(t, None)
+    for p in primes:
+        out[f"deg_{p}"] = _butterfly_degree(t, p)
+
+    out["sparsity"] = _walsh_sparsity(t)
 
     # decision-tree depth straight from the all-functions table
     out["DT"] = _dt_table(n)[out["ids"]].astype(np.int64)

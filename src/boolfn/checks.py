@@ -23,10 +23,11 @@ import numpy as np
 from . import _bulk
 from ._bitops import pack, point_to_str, table_mask, table_size
 from .commlb import submatrix_witness
-from .core import TruthTable, tt_parse, tt_serialize
+from .core import TruthTable, is_invertible, tt_parse, tt_serialize
 from .families import and_, gip, maj, or_compose, parity, rubinstein, rubinstein_row, tree_function
 from .measures import (
     ArityLimitError,
+    _packing_lut,
     alternation,
     block_sensitivity,
     certificate,
@@ -37,7 +38,14 @@ from .measures import (
     shift_invariant_alternation,
     sparsity,
 )
-from .transforms import alt_to_s_linear, bs_to_s_affine, sherstov_linear
+from .transforms import (
+    _alt2s_rows,
+    _bs2s_rows,
+    _sherstov_rows,
+    alt_to_s_linear,
+    bs_to_s_affine,
+    sherstov_linear,
+)
 
 __all__ = [
     "Check",
@@ -331,11 +339,9 @@ def inequality_suite(f: TruthTable, primes=(2, 3), limits: dict | None = None) -
 # exhaustive scans over every function of a small arity
 
 
-_SCAN_VECTOR_CHECKS = (
-    ("s_le_bs", "s(f) <= bs(f)", "s", "bs"),
-    ("bs_le_C", "bs(f) <= C(f)", "bs", "C"),
-    ("deg_le_dt", "deg(f) <= DT(f)", "deg", "DT"),
-)
+# rows per batch of the transform stage; keeps its arrays far below the
+# measure arrays' footprint
+_TRANSFORM_SLICE = 4096
 
 
 def _scan_chunk(args) -> dict:
@@ -408,7 +414,7 @@ def _scan_chunk(args) -> dict:
         track("s_over_sqrt_sparsity", a["s"] / np.sqrt(a["sparsity"].astype(float)),
               np.ones(m, bool))
 
-    # per-function transform constructions (the real code path, not the arrays)
+    # the transform constructions, batched over the function axis in slices
     findings: list = []
     eq_names = ("bs2s_equality_at_zero", "bs2s_equality_at_argmax",
                 "alt_le_2sg_plus_1", "sparsity_linear_invariance")
@@ -425,47 +431,75 @@ def _scan_chunk(args) -> dict:
                           {"statement": "f(u&y) == g(u&y) on W x W", "holds": 0,
                            "fails": 0, "hypothesis_not_met": 0})
     sherstov_best = None
-    for row, fid in enumerate(ids):
-        f = TruthTable(n, int(fid))
-        tr0 = bs_to_s_affine(f, 0)
-        ok0 = tr0.certificate["equality_holds"]
-        if tr0.certificate["block_sensitivity"] != int(a["bs0"][row]):
-            raise RuntimeError(f"bulk bs0 mismatch at function {fid}")
-        amax = int(a["bs_argmax"][row])
-        tr1 = bs_to_s_affine(f, amax)
-        ok1 = tr1.certificate["equality_holds"]
-        if tr1.certificate["block_sensitivity"] != int(a["bs"][row]):
-            raise RuntimeError(f"bulk bs mismatch at function {fid}")
-        tra = alt_to_s_linear(f)
-        ok2 = tra.certificate["holds"] and tra.certificate["invertible"]
-        if tra.certificate["alt"] != int(a["alt"][row]):
-            raise RuntimeError(f"bulk alt mismatch at function {fid}")
-        sp_g = sparsity(tra.g)
-        ok3 = sp_g == int(a["sparsity"][row])
-        for name, ok in zip(eq_names, (ok0, ok1, ok2, ok3)):
-            key = "holds" if ok else "fails"
-            counts[name][key] += 1
-            if not ok and len(violations) < 8:
-                violations.append({"check": name, "function": tt_serialize(f)})
-        sh = sherstov_linear(f)
-        cert = sh.certificate
-        if not cert["factor4_holds"]:
-            if len(findings) < 20:
-                findings.append({"check": "sherstov_factor4",
-                                 "function": tt_serialize(f),
-                                 "bs": cert["block_sensitivity"], "s_g": cert["s_g"]})
-        ratio = cert["ratio_bs_over_s_g_sq"]
-        if ratio is not None:
-            cand = (float(ratio), int(fid))
+    _, families = _packing_lut(n)
+    for start in range(0, m, _TRANSFORM_SLICE):
+        stop = min(m, start + _TRANSFORM_SLICE)
+        t = _bulk._tables(n, lo + start, lo + stop)
+        amax = a["bs_argmax"][start:stop]
+        fam_max = families[a["pattern_argmax"][start:stop]]
+        tr0 = _bs2s_rows(t, np.zeros(stop - start, dtype=np.int64),
+                         families[a["pattern0"][start:stop]], "block-index")
+        tr1 = _bs2s_rows(t, amax, fam_max, "block-index")
+        tra = _alt2s_rows(t)
+        bad_alt = np.flatnonzero(tra.cert["alt"] != a["alt"][start:stop])
+        if bad_alt.size:
+            raise RuntimeError(f"bulk alt mismatch at function {int(ids[start + bad_alt[0]])}")
+        sh = _sherstov_rows(t, amax, fam_max)
+        ok = np.stack([
+            tr0.cert["equality_holds"],
+            tr1.cert["equality_holds"],
+            tra.cert["holds"] & tra.cert["invertible"],
+            _bulk._walsh_sparsity(tra.g) == a["sparsity"][start:stop],
+        ], axis=1)
+        for j, name in enumerate(eq_names):
+            held = int(ok[:, j].sum())
+            counts[name]["holds"] += held
+            counts[name]["fails"] += ok.shape[0] - held
+        for row, j in np.argwhere(~ok)[: max(0, 8 - len(violations))]:
+            fid = int(ids[start + row])
+            violations.append({"check": eq_names[j],
+                               "function": tt_serialize(TruthTable(n, fid))})
+        c = sh.cert
+        for row in np.flatnonzero(~c["factor4_holds"])[: max(0, 20 - len(findings))]:
+            findings.append({"check": "sherstov_factor4",
+                             "function": tt_serialize(TruthTable(n, int(ids[start + row]))),
+                             "bs": int(c["block_sensitivity"][row]),
+                             "s_g": int(c["s_g"][row])})
+        rated = c["s_g"] > 0
+        if rated.any():
+            pos = int(np.argmax(np.where(rated, c["ratio_bs_over_s_g_sq"], -np.inf)))
+            cand = (float(c["ratio_bs_over_s_g_sq"][pos]), int(ids[start + pos]))
             if sherstov_best is None or (cand[0], -cand[1]) > (
                 sherstov_best[0], -sherstov_best[1]
             ):
                 sherstov_best = cand
-        if include_submatrix:
-            submatrix_witness(f)  # raises VerificationError on any mismatch
-            counts["submatrix_identity"]["holds"] += 1
+
+        # cross-check the batched rows against the per-function constructions
+        for row in range(-(-start // stride) * stride, stop, stride):
+            local = row - start
+            f = TruthTable(n, int(ids[row]))
+            tr_alt = alt_to_s_linear(f)
+            pairs = (
+                (tr0, bs_to_s_affine(f, 0)),
+                (tr1, bs_to_s_affine(f, int(amax[local]))),
+                (tra, tr_alt),
+                (sh, sherstov_linear(f)),
+            )
+            for batch, want in pairs:
+                got = batch.result(local, f)
+                if (got.map, got.g, got.certificate) != (want.map, want.g, want.certificate):
+                    raise RuntimeError(
+                        f"batched {want.kind} mismatch at function {int(ids[row])}: "
+                        f"batch={got.to_json_dict()} api={want.to_json_dict()}"
+                    )
+            if bool(tra.cert["invertible"][local]) != is_invertible(tr_alt.map):
+                raise RuntimeError(f"batched invertibility mismatch at function {int(ids[row])}")
     if sherstov_best is not None:
         extremal["bs_over_sherstov_s2"] = sherstov_best
+    if include_submatrix:
+        for fid in ids:
+            submatrix_witness(TruthTable(n, int(fid)))  # raises VerificationError on any mismatch
+            counts["submatrix_identity"]["holds"] += 1
 
     # cross-check the vectorized arrays against the per-function API
     for row in range(0, m, max(1, stride)):
@@ -510,11 +544,13 @@ def exhaustive_scan(
 ) -> CheckReport:
     """Run every check on every function of arity n (n <= 4).
 
-    Measure values come from the array engine; the transform constructions
-    run through the ordinary per-function code for every single function; a
+    Measure values come from the array engine, and the transform
+    constructions from their batch kernels, which build the map, tabulate g
+    and check every equality and bound for every single function.  A
     deterministic subsample is recomputed with the per-function measure API
-    and compared.  ``workers`` > 1 partitions the function space; the merge
-    is order-deterministic either way.
+    and the per-function transforms, and compared field by field.
+    ``workers`` > 1 partitions the function space; the merge is
+    order-deterministic either way.
     """
     if not 0 <= n <= _bulk.MAX_BULK_ARITY:
         raise ValueError(f"exhaustive scan supports 0 <= n <= {_bulk.MAX_BULK_ARITY}")
@@ -753,9 +789,6 @@ STATISTICS = {
     "bs_over_sherstov_s2": _stat_bs_over_sherstov_s2,
 }
 
-_BULK_STATS = {"salt_minus_s", "salt_over_s", "bs_over_salt2_s", "s_over_sqrt_sparsity"}
-
-
 @lru_cache(maxsize=None)
 def _perm_index_maps(n: int) -> tuple[np.ndarray, ...]:
     size = table_size(n)
@@ -808,8 +841,9 @@ def extremal_search(
         raise ValueError(f"unknown statistic {statistic!r}; known: {sorted(STATISTICS)}")
     stat_fn = STATISTICS[statistic]
     candidates: list[tuple[float, int]] = []
-    if n <= _bulk.MAX_BULK_ARITY and statistic in _BULK_STATS:
-        a = _bulk.measure_arrays(n, 0, 1 << (1 << n))
+    if n <= _bulk.MAX_BULK_ARITY:
+        total = 1 << (1 << n)
+        a = _bulk.measure_arrays(n, 0, total)
         with np.errstate(divide="ignore", invalid="ignore"):
             if statistic == "salt_minus_s":
                 vals = (a["salt"] - a["s"]).astype(float)
@@ -820,9 +854,15 @@ def extremal_search(
             elif statistic == "bs_over_salt2_s":
                 vals = a["bs"] / (a["salt"].astype(float) ** 2 * a["s"])
                 mask = a["s"] > 0
-            else:
+            elif statistic == "s_over_sqrt_sparsity":
                 vals = a["s"] / np.sqrt(a["sparsity"].astype(float))
                 mask = np.ones(vals.size, bool)
+            else:
+                _, families = _packing_lut(n)
+                cert = _sherstov_rows(_bulk._tables(n, 0, total), a["bs_argmax"],
+                                      families[a["pattern_argmax"]]).cert
+                vals = cert["ratio_bs_over_s_g_sq"]
+                mask = cert["s_g"] > 0
         vals = np.where(mask & np.isfinite(vals), vals, -np.inf)
         order = np.argsort(-vals, kind="stable")
         seen: set[int] = set()
@@ -837,14 +877,9 @@ def extremal_search(
             if len(candidates) >= top:
                 break
     else:
-        if n <= _bulk.MAX_BULK_ARITY:
-            pool = range(1 << (1 << n))
-        else:
-            rng = np.random.default_rng(seed)
-            size = table_size(n)
-            pool = [
-                pack(rng.integers(0, 2, size, dtype=np.uint8)) for _ in range(budget)
-            ]
+        rng = np.random.default_rng(seed)
+        size = table_size(n)
+        pool = [pack(rng.integers(0, 2, size, dtype=np.uint8)) for _ in range(budget)]
         seen = set()
         scored: list[tuple[float, int]] = []
         for bits in pool:

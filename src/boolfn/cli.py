@@ -31,15 +31,23 @@ from .transforms import alt_to_s_linear, bs_to_s_affine, sherstov_linear
 _MEASURE_CSV_ORDER = ("s", "bs", "C", "alt", "salt", "deg", "sparsity", "DT")
 
 
-def _load_source(text: str) -> TruthTable:
+def _load_source(text: str, in_file: bool = False) -> TruthTable:
+    """Parse a source; a file path is followed once, and its content must be
+    a tt:/anf:/fam: source itself."""
     text = text.strip()
     if text.startswith("fam:"):
         return from_family_spec(text)
     if text.startswith(("tt:", "anf:")):
         return tt_parse(text)
+    if in_file:
+        raise FormatError(f"file content is not a tt:/anf:/fam: source: {text[:60]!r}")
     if os.path.isfile(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            return _load_source(fh.read())
+        try:
+            with open(text, "r", encoding="utf-8") as fh:
+                content = fh.read()
+        except OSError as e:
+            raise FormatError(f"cannot read source file {text!r}: {e.strerror}")
+        return _load_source(content, in_file=True)
     raise FormatError(
         f"not a function source: {text[:60]!r} (expected tt:/anf:/fam: or a file path)"
     )

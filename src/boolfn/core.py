@@ -199,24 +199,31 @@ def evaluate(f: TruthTable, x: int) -> int:
     return f.value_at(x)
 
 
+def affine_images(n: int, columns, shifts) -> np.ndarray:
+    """Image tables of m affine maps: entry (r, x) is A_r(x).
+
+    ``columns`` is (m, n) and ``shifts`` is (m,).  The table doubles over the
+    columns: the images of the inputs in [2**i, 2**(i+1)) are those of the
+    inputs below 2**i XOR column i.  Entries use the narrowest unsigned type
+    that holds 2**n - 1.
+    """
+    dtype = np.min_scalar_type(table_size(n) - 1)
+    shifts = np.asarray(shifts)
+    cols = np.asarray(columns, dtype=dtype).reshape(shifts.size, n)
+    img = np.empty((shifts.size, table_size(n)), dtype=dtype)
+    img[:, 0] = shifts
+    for i in range(n):
+        half = 1 << i
+        np.bitwise_xor(img[:, :half], cols[:, i : i + 1], out=img[:, half : 2 * half])
+    return img
+
+
 def apply_affine(f: TruthTable, a: AffineMap) -> TruthTable:
-    """The function g(x) = f(a(x)), tabulated by a Gray-code walk."""
+    """The function g(x) = f(a(x)), gathered through the map's image table."""
     if a.n != f.n:
         raise ValueError(f"arity mismatch: function {f.n}, map {a.n}")
-    n = f.n
-    size = table_size(n)
-    src = f.bits
-    image = a.shift
-    bits = (src >> image) & 1
-    gray_prev = 0
-    for x in range(1, size):
-        gray = x ^ (x >> 1)
-        i = (gray ^ gray_prev).bit_length() - 1
-        gray_prev = gray
-        image ^= a.columns[i]
-        if (src >> image) & 1:
-            bits |= 1 << gray
-    return TruthTable(n, bits)
+    img = affine_images(f.n, [a.columns], [a.shift])[0]
+    return TruthTable(f.n, pack(f.to_array()[img]))
 
 
 def shift(f: TruthTable, b: int) -> TruthTable:

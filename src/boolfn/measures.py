@@ -106,11 +106,24 @@ class Chain:
 # sensitivity
 
 
-def _direction_diffs(f: TruthTable) -> list[int]:
-    """Packed masks, one per variable: where flipping that variable flips f."""
-    from ._bitops import xor_shift
+def _sensitive_mask(f: TruthTable, x: int) -> int:
+    """Mask of the coordinates whose flip changes f at x."""
+    v = f.value_at(x)
+    return sum(1 << i for i in range(f.n) if f.value_at(x ^ (1 << i)) != v)
 
-    return [f.bits ^ xor_shift(f.bits, f.n, i) for i in range(f.n)]
+
+def _pointwise_sensitivity(tables: np.ndarray) -> np.ndarray:
+    """Sensitivity at every input of every row of an (m, 2**n) table matrix."""
+    m, size = tables.shape
+    counts = np.zeros((m, size), dtype=np.int8)
+    for i in range(size.bit_length() - 1):
+        step = 1 << i
+        halves = tables.reshape(m, -1, 2, step)
+        diff = halves[:, :, 0, :] != halves[:, :, 1, :]
+        view = counts.reshape(m, -1, 2, step)
+        view[:, :, 0, :] += diff
+        view[:, :, 1, :] += diff
+    return counts
 
 
 def sensitivity(f: TruthTable, at: int | None = None, witness: bool = False):
@@ -119,30 +132,20 @@ def sensitivity(f: TruthTable, at: int | None = None, witness: bool = False):
     Witness: (point, mask of sensitive coordinates).
     """
     n = f.n
-    diffs = _direction_diffs(f)
     if at is not None:
         if not 0 <= at < table_size(n):
             raise ValueError(f"assignment {at} out of range for arity {n}")
-        mask = 0
-        for i, d in enumerate(diffs):
-            if (d >> at) & 1:
-                mask |= 1 << i
+        mask = _sensitive_mask(f, at)
         val = mask.bit_count()
         return (val, (at, mask)) if witness else val
     if n == 0:
         return (0, (0, 0)) if witness else 0
-    counts = np.zeros(table_size(n), dtype=np.int16)
-    for d in diffs:
-        counts += unpack(d, n)
+    counts = _pointwise_sensitivity(f.to_array()[None, :])[0]
     val = int(counts.max())
     if not witness:
         return val
     point = int(np.argmax(counts == val))
-    mask = 0
-    for i, d in enumerate(diffs):
-        if (d >> point) & 1:
-            mask |= 1 << i
-    return val, (point, mask)
+    return val, (point, _sensitive_mask(f, point))
 
 
 # ---------------------------------------------------------------------------
@@ -175,37 +178,49 @@ def _minimal_blocks(sens: np.ndarray, n: int) -> list[int]:
 
 
 _PACK_LUT_CEILING = 4
-_pack_luts: dict[int, tuple[np.ndarray, list[int]]] = {}
-_pattern_families: dict[tuple[int, int], tuple[int, ...]] = {}
+_pack_luts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _packing_lut(n: int) -> tuple[np.ndarray, list[int]]:
+def _packing_lut(n: int) -> tuple[np.ndarray, np.ndarray]:
     """For n <= 4: maximum disjoint packing of every sensitive-block pattern.
 
     A pattern is a bitmask over the 2**n - 1 nonempty blocks (pattern bit
-    B-1 marks block B sensitive); entry p of the table is the size of the
-    largest disjoint subfamily.  ``disj[b]`` masks the blocks disjoint from
-    block b+1.
+    B-1 marks block B sensitive).  Entry p of the first table is the size of
+    the largest disjoint subfamily; row p of the second lists the
+    lexicographically smallest such family, ascending and zero-padded to n
+    blocks.  Both fold from the lowest block b of p: a best packing either
+    skips b (pattern p without b) or takes b plus a best packing of the
+    blocks of p disjoint from b, and the family takes b whenever that
+    reaches the maximum.  Both sub-patterns have fewer bits, so the tables
+    fill level by level of popcount.
     """
     got = _pack_luts.get(n)
     if got is not None:
         return got
     nblocks = table_size(n) - 1
-    disj = []
-    for b in range(nblocks):
-        mask = 0
-        for c in range(nblocks):
-            if (b + 1) & (c + 1) == 0:
-                mask |= 1 << c
-        disj.append(mask)
-    lut = np.zeros(1 << nblocks, dtype=np.uint8)
-    for p in range(1, 1 << nblocks):
-        b = (p & -p).bit_length() - 1
-        skip = lut[p & (p - 1)]
-        take = 1 + lut[p & disj[b]]
-        lut[p] = max(skip, take)
-    _pack_luts[n] = (lut, disj)
-    return lut, disj
+    blocks = np.arange(1, nblocks + 1)
+    disj = ((blocks[:, None] & blocks[None, :]) == 0).astype(np.int64) @ (
+        np.int64(1) << np.arange(nblocks, dtype=np.int64)
+    )
+    pats = np.arange(1 << nblocks, dtype=np.int64)
+    low = np.bitwise_count((pats & -pats) - 1)
+    level = np.bitwise_count(pats)
+    lut = np.zeros(pats.size, dtype=np.uint8)
+    fams = np.zeros((pats.size, n), dtype=np.min_scalar_type(nblocks))
+    for w in range(1, nblocks + 1):
+        p = pats[level == w]
+        b = low[p]
+        skip = p & (p - 1)
+        rest = p & disj[b]
+        take = lut[rest] + 1
+        taken = take >= lut[skip]
+        lut[p] = np.where(taken, take, lut[skip])
+        fams[p] = fams[skip]
+        p, rest = p[taken], rest[taken]
+        fams[p, 0] = b[taken] + 1
+        fams[p, 1:] = fams[rest, :-1]
+    _pack_luts[n] = (lut, fams)
+    return lut, fams
 
 
 def _pattern_at(f: TruthTable, a: int) -> int:
@@ -214,33 +229,6 @@ def _pattern_at(f: TruthTable, a: int) -> int:
     if ta & 1:
         ta ^= table_mask(f.n)
     return ta >> 1
-
-
-def _family_from_pattern(n: int, pattern: int) -> tuple[int, ...]:
-    """Lexicographically smallest maximum disjoint family for a pattern."""
-    got = _pattern_families.get((n, pattern))
-    if got is not None:
-        return got
-    lut, disj = _packing_lut(n)
-    chosen: list[int] = []
-    target = int(lut[pattern])
-    avail = pattern
-    while target:
-        probe = avail
-        while probe:
-            b = (probe & -probe).bit_length() - 1
-            rest = avail & disj[b]
-            if int(lut[rest]) == target - 1:
-                chosen.append(b + 1)
-                avail = rest
-                target -= 1
-                break
-            probe &= probe - 1
-        else:
-            raise AssertionError("pattern packing reconstruction failed")
-    fam = tuple(chosen)
-    _pattern_families[(n, pattern)] = fam
-    return fam
 
 
 def _make_packer(cands: list[int]):
@@ -310,11 +298,11 @@ def _bs_point_generic(
 def _bs_point(f: TruthTable, a: int, want_witness: bool) -> tuple[int, BlockFamily | None]:
     if f.n <= _PACK_LUT_CEILING:
         pattern = _pattern_at(f, a)
-        lut, _ = _packing_lut(f.n)
+        lut, fams = _packing_lut(f.n)
         val = int(lut[pattern])
         fam = None
         if want_witness:
-            fam = BlockFamily(a, _family_from_pattern(f.n, pattern))
+            fam = BlockFamily(a, tuple(int(b) for b in fams[pattern, :val]))
         return val, fam
     return _bs_point_generic(f, a, want_witness)
 
@@ -416,19 +404,13 @@ def certificate(
 # alternation and shift-invariant alternation
 
 
-def alternation(f: TruthTable, witness: bool = False):
-    """Maximum number of value changes along a maximal monotone chain.
-
-    Layered DP over the hypercube; the witness is the lexicographically
-    smallest chain achieving the maximum.
-    """
-    n = f.n
-    if n == 0:
-        return (0, Chain((0,))) if witness else 0
-    arr = f.to_array()
-    size = table_size(n)
+def _alternation_down(tables: np.ndarray) -> np.ndarray:
+    """Layered DP for every row of an (m, 2**n) table matrix: entry (r, x) is
+    the most value changes along a monotone path from x up to 1^n."""
+    m, size = tables.shape
+    n = size.bit_length() - 1
     layers = weight_layers(n)
-    down = np.zeros(size, dtype=np.int8)
+    down = np.zeros((m, size), dtype=np.int8)
     for w in range(n - 1, -1, -1):
         pts = layers[w]
         for i in range(n):
@@ -436,23 +418,46 @@ def alternation(f: TruthTable, witness: bool = False):
             if sel.size == 0:
                 continue
             nxt = sel | (1 << i)
-            cand = down[nxt] + (arr[nxt] != arr[sel])
-            down[sel] = np.maximum(down[sel], cand)
-    alt = int(down[0])
+            cand = down[:, nxt] + (tables[:, nxt] != tables[:, sel])
+            down[:, sel] = np.maximum(down[:, sel], cand)
+    return down
+
+
+def _best_chains(tables: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """Lexicographically smallest maximum-alternation chain of every row.
+
+    Returns the (m, n + 1) chain points; each step sets the smallest free
+    variable that keeps the row on an optimal path of ``down``.
+    """
+    m, size = tables.shape
+    n = size.bit_length() - 1
+    rows = np.arange(m)[:, None]
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    points = np.zeros((m, n + 1), dtype=np.int64)
+    x = points[:, :1]
+    for step in range(1, n + 1):
+        y = x | bits
+        here = tables[rows, x]
+        ok = (y != x) & (down[rows, y] + (tables[rows, y] != here) == down[rows, x])
+        x = y[rows, np.argmax(ok, axis=1)[:, None]]
+        points[:, step : step + 1] = x
+    return points
+
+
+def alternation(f: TruthTable, witness: bool = False):
+    """Maximum number of value changes along a maximal monotone chain.
+
+    Layered DP over the hypercube; the witness is the lexicographically
+    smallest chain achieving the maximum.
+    """
+    if f.n == 0:
+        return (0, Chain((0,))) if witness else 0
+    table = f.to_array()[None, :]
+    down = _alternation_down(table)
+    alt = int(down[0, 0])
     if not witness:
         return alt
-    points = [0]
-    x = 0
-    for _ in range(n):
-        for i in range(n):
-            if (x >> i) & 1:
-                continue
-            y = x | (1 << i)
-            if int(down[y]) + (arr[y] != arr[x]) == int(down[x]):
-                x = y
-                points.append(x)
-                break
-    return alt, Chain(tuple(points))
+    return alt, Chain(tuple(int(p) for p in _best_chains(table, down)[0]))
 
 
 def alternation_under_shifts(f: TruthTable) -> np.ndarray:
@@ -698,9 +703,6 @@ def validate_decision_tree(f: TruthTable, tree: dict, claimed_depth: int) -> boo
 
 # ---------------------------------------------------------------------------
 # combined report
-
-_MEASURE_ORDER = ("s", "bs", "C", "alt", "salt", "deg", "sparsity", "DT")
-
 
 @dataclass
 class MeasureReport:

@@ -17,9 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._bitops import mask_indices, point_to_str
-from .core import AffineMap, TruthTable, apply_affine, is_invertible, tt_serialize
-from .measures import alternation, block_sensitivity, sensitivity
+import numpy as np
+
+from ._bitops import mask_indices, pack, point_to_str, table_size
+from .core import AffineMap, TruthTable, affine_images, tt_serialize
+from .measures import (
+    _alternation_down,
+    _best_chains,
+    _pointwise_sensitivity,
+    block_sensitivity,
+)
 
 __all__ = [
     "TransformResult",
@@ -66,6 +73,77 @@ class TransformResult:
         }
 
 
+# ---------------------------------------------------------------------------
+# batch kernels: each transform built for every row of an (m, 2**n) table
+# matrix; the per-function constructions below are their m = 1 case
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """One construction for every row: map columns, shifts, the tables of g,
+    and each certificate field as a per-row array (or one shared value)."""
+
+    kind: str
+    columns: np.ndarray
+    shifts: np.ndarray
+    g: np.ndarray
+    cert: dict
+
+    def result(self, row: int, f: TruthTable) -> TransformResult:
+        n = f.n
+        amap = AffineMap(n, _ints(self.columns[row]), int(self.shifts[row]))
+        g = TruthTable(n, pack(self.g[row]))
+        return TransformResult(self.kind, f, amap, g, _CERTIFICATE_ROW[self.kind](self, row))
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
+def _block_rows(n: int, blocks) -> np.ndarray:
+    """One family as a (1, n) block row, zero-padded."""
+    row = np.zeros((1, n), dtype=np.min_scalar_type(table_size(n) - 1))
+    row[0, : len(blocks)] = blocks
+    return row
+
+
+def _place_on_low_bit(cols: np.ndarray, parts: np.ndarray) -> None:
+    """Write each nonzero part onto the column of its smallest member."""
+    rows = np.arange(parts.shape[0])
+    for j in range(parts.shape[1]):
+        live = parts[:, j] != 0
+        part = parts[live, j].astype(np.int64)
+        cols[rows[live], np.bitwise_count((part & -part) - 1)] = part
+
+
+def _gather(tables: np.ndarray, columns: np.ndarray, shifts) -> tuple[np.ndarray, np.ndarray]:
+    """Image tables of the maps and the tables of g(x) = f(A(x))."""
+    img = affine_images(columns.shape[1], columns, shifts)
+    return img, np.take_along_axis(tables, img, axis=1)
+
+
+def _bs2s_rows(tables, points, blocks, placement: str) -> _Batch:
+    if placement == "block-index":
+        cols = blocks.copy()
+    elif placement == "min-in-block":
+        cols = np.zeros_like(blocks)
+        _place_on_low_bit(cols, blocks)
+    else:
+        raise ValueError(f"unknown placement {placement!r}")
+    _, g = _gather(tables, cols, points)
+    k = np.count_nonzero(blocks, axis=1)
+    sg0 = _pointwise_sensitivity(g)[:, 0]
+    cert = {
+        "point": points,
+        "block_sensitivity": k,
+        "s_g_at_zero": sg0,
+        "equality_holds": sg0 == k,
+        "blocks": blocks,
+        "placement": placement,
+    }
+    return _Batch("bs2s", cols, points, g, cert)
+
+
 def _substitution_record(columns, n: int) -> tuple:
     """Which input variable drives each output coordinate (0 = held constant)."""
     sources = [0] * n
@@ -76,6 +154,115 @@ def _substitution_record(columns, n: int) -> tuple:
             sources[t] = j + 1
             b &= b - 1
     return tuple(sources)
+
+
+def _bs2s_certificate(batch: _Batch, r: int) -> dict:
+    c = batch.cert
+    k = int(c["block_sensitivity"][r])
+    return {
+        "point": int(c["point"][r]),
+        "block_sensitivity": k,
+        "s_g_at_zero": int(c["s_g_at_zero"][r]),
+        "equality_holds": bool(c["equality_holds"][r]),
+        "blocks": _ints(c["blocks"][r, :k]),
+        "placement": c["placement"],
+        "substitution": _substitution_record(_ints(batch.columns[r]), batch.columns.shape[1]),
+    }
+
+
+def _alt2s_rows(tables) -> _Batch:
+    m, size = tables.shape
+    down = _alternation_down(tables)
+    alt = down[:, 0]
+    chains = _best_chains(tables, down)
+    shifts = np.zeros(m, dtype=np.int64)
+    img, g = _gather(tables, chains[:, 1:], shifts)
+    # a linear map is invertible iff its image table is a permutation
+    invertible = (np.sort(img, axis=1) == np.arange(size)).all(axis=1)
+    s_pt = _pointwise_sensitivity(g)
+    sg0 = s_pt[:, 0].astype(np.int64)
+    bound = 2 * sg0 + 1
+    cert = {
+        "alt": alt,
+        "s_g_at_zero": sg0,
+        "s_g": s_pt.max(axis=1),
+        "bound": bound,
+        "holds": alt <= bound,
+        "invertible": invertible,
+        "chain": chains,
+    }
+    return _Batch("alt2s", chains[:, 1:], shifts, g, cert)
+
+
+def _alt2s_certificate(batch: _Batch, r: int) -> dict:
+    c = batch.cert
+    return {
+        "alt": int(c["alt"][r]),
+        "s_g_at_zero": int(c["s_g_at_zero"][r]),
+        "s_g": int(c["s_g"][r]),
+        "bound": int(c["bound"][r]),
+        "holds": bool(c["holds"][r]),
+        "invertible": bool(c["invertible"][r]),
+        "chain": _ints(c["chain"][r]),
+    }
+
+
+def _sherstov_rows(tables, z, blocks) -> _Batch:
+    m, n = blocks.shape
+    k = np.count_nonzero(blocks, axis=1)
+    wide = blocks.astype(np.int64)
+    z64 = np.asarray(z, dtype=np.int64)[:, None]
+    zeros, ones = wide & ~z64, wide & z64
+    union = np.bitwise_or.reduce(wide, axis=1)
+    unit = np.int64(1) << np.arange(n, dtype=np.int64)
+    cols = np.where((union[:, None] & unit) == 0, unit, 0)
+    _place_on_low_bit(cols, zeros)
+    _place_on_low_bit(cols, ones)
+    shifts = np.zeros(m, dtype=np.int64)
+    _, g = _gather(tables, cols, shifts)
+    sg = _pointwise_sensitivity(g).max(axis=1).astype(np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = k / (sg * sg)
+    cert = {
+        "z": z,
+        "block_sensitivity": k,
+        "blocks": blocks,
+        "a_sets": zeros,
+        "b_sets": ones,
+        "split_blocks": (zeros != 0) & (ones != 0),
+        "s_g": sg,
+        "ratio_bs_over_s_g_sq": ratio,
+        "factor4_holds": 4 * sg * sg >= k,
+    }
+    return _Batch("sherstov", cols, shifts, g, cert)
+
+
+def _sherstov_certificate(batch: _Batch, r: int) -> dict:
+    c = batch.cert
+    k = int(c["block_sensitivity"][r])
+    sg = int(c["s_g"][r])
+    return {
+        "z": int(c["z"][r]),
+        "block_sensitivity": k,
+        "blocks": _ints(c["blocks"][r, :k]),
+        "a_sets": _ints(c["a_sets"][r, :k]),
+        "b_sets": _ints(c["b_sets"][r, :k]),
+        "split_blocks": [int(i) + 1 for i in np.flatnonzero(c["split_blocks"][r, :k])],
+        "s_g": sg,
+        "ratio_bs_over_s_g_sq": float(c["ratio_bs_over_s_g_sq"][r]) if sg else None,
+        "factor4_holds": bool(c["factor4_holds"][r]),
+    }
+
+
+_CERTIFICATE_ROW = {
+    "bs2s": _bs2s_certificate,
+    "alt2s": _alt2s_certificate,
+    "sherstov": _sherstov_certificate,
+}
+
+
+# ---------------------------------------------------------------------------
+# per-function constructions
 
 
 def bs_to_s_affine(
@@ -95,31 +282,9 @@ def bs_to_s_affine(
     input variable indexed by that block's smallest member, which is the
     form the submatrix certificate construction needs.
     """
-    n = f.n
-    k, fam = block_sensitivity(f, at=a, witness=True, limit=limit)
-    cols = [0] * n
-    if placement == "block-index":
-        for j, block in enumerate(fam.blocks):
-            cols[j] = block
-    elif placement == "min-in-block":
-        for block in fam.blocks:
-            rep = (block & -block).bit_length() - 1
-            cols[rep] = block
-    else:
-        raise ValueError(f"unknown placement {placement!r}")
-    amap = AffineMap(n, tuple(cols), a)
-    g = apply_affine(f, amap)
-    sg0 = sensitivity(g, at=0)
-    certificate = {
-        "point": a,
-        "block_sensitivity": k,
-        "s_g_at_zero": sg0,
-        "equality_holds": sg0 == k,
-        "blocks": fam.blocks,
-        "placement": placement,
-        "substitution": _substitution_record(cols, n),
-    }
-    return TransformResult("bs2s", f, amap, g, certificate)
+    _, fam = block_sensitivity(f, at=a, witness=True, limit=limit)
+    blocks = _block_rows(f.n, fam.blocks)
+    return _bs2s_rows(f.to_array()[None, :], np.array([a]), blocks, placement).result(0, f)
 
 
 def alt_to_s_linear(f: TruthTable) -> TransformResult:
@@ -129,23 +294,7 @@ def alt_to_s_linear(f: TruthTable) -> TransformResult:
     Column supports strictly increase along the chain, which makes the map
     invertible; this is verified and recorded rather than assumed.
     """
-    n = f.n
-    alt, chain = alternation(f, witness=True)
-    lmap = AffineMap(n, tuple(chain.points[1:]), 0)
-    invertible = is_invertible(lmap)
-    g = apply_affine(f, lmap)
-    sg0 = sensitivity(g, at=0)
-    sg = sensitivity(g)
-    certificate = {
-        "alt": alt,
-        "s_g_at_zero": sg0,
-        "s_g": sg,
-        "bound": 2 * sg0 + 1,
-        "holds": alt <= 2 * sg0 + 1,
-        "invertible": invertible,
-        "chain": chain.points,
-    }
-    return TransformResult("alt2s", f, lmap, g, certificate)
+    return _alt2s_rows(f.to_array()[None, :]).result(0, f)
 
 
 def sherstov_linear(f: TruthTable, limit: int | None = None) -> TransformResult:
@@ -158,37 +307,6 @@ def sherstov_linear(f: TruthTable, limit: int | None = None) -> TransformResult:
     columns of untouched variables stay themselves; every other column is
     zero.
     """
-    n = f.n
-    k, fam = block_sensitivity(f, witness=True, limit=limit)
-    z = fam.point
-    union = 0
-    for block in fam.blocks:
-        union |= block
-    cols = [(1 << j) if not (union >> j) & 1 else 0 for j in range(n)]
-    a_sets, b_sets, both = [], [], []
-    for i, block in enumerate(fam.blocks):
-        zeros = block & ~z
-        ones = block & z
-        a_sets.append(zeros)
-        b_sets.append(ones)
-        if zeros and ones:
-            both.append(i + 1)
-        if zeros:
-            cols[(zeros & -zeros).bit_length() - 1] = zeros
-        if ones:
-            cols[(ones & -ones).bit_length() - 1] = ones
-    lmap = AffineMap(n, tuple(cols), 0)
-    g = apply_affine(f, lmap)
-    sg = sensitivity(g)
-    certificate = {
-        "z": z,
-        "block_sensitivity": k,
-        "blocks": fam.blocks,
-        "a_sets": tuple(a_sets),
-        "b_sets": tuple(b_sets),
-        "split_blocks": both,
-        "s_g": sg,
-        "ratio_bs_over_s_g_sq": (k / (sg * sg)) if sg else None,
-        "factor4_holds": 4 * sg * sg >= k,
-    }
-    return TransformResult("sherstov", f, lmap, g, certificate)
+    _, fam = block_sensitivity(f, witness=True, limit=limit)
+    blocks = _block_rows(f.n, fam.blocks)
+    return _sherstov_rows(f.to_array()[None, :], np.array([fam.point]), blocks).result(0, f)

@@ -5,6 +5,7 @@ exact integer arithmetic; sampled steps carry fixed seeds.  The k=4 shift
 scan is marked ``long`` (it runs by default; deselect with -m 'not long').
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -31,6 +32,26 @@ from boolfn.families import gip, rubinstein, tree_function
 @pytest.fixture(scope="module")
 def scan4():
     return exhaustive_scan(4)
+
+
+# sha256 of each scan's canonical JSON: a changed count, tie-break or
+# witness anywhere in the report changes its digest
+SCAN_DIGESTS = {
+    2: "731252a32f267a826051406374183ca6a117dec9a4727ecc00a274f66fcc3b16",
+    3: "6ae535e6432282051e3b424fc0117e24b22d6158565f0371efabe43ada4f9cb0",
+    4: "bb52a52e5ae1de036a7e9273e825311ecd35d15b0ef46b5ec2a76c23fe02c45e",
+}
+
+
+def _scan_digest(report):
+    text = json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_exhaustive_scan_golden_digests(scan4):
+    got = {2: _scan_digest(exhaustive_scan(2)), 3: _scan_digest(exhaustive_scan(3))}
+    got[4] = _scan_digest(scan4)
+    assert got == SCAN_DIGESTS
 
 
 def test_criterion_1_exhaustive_small_arities(scan4):

@@ -1,0 +1,113 @@
+"""The batch transform kernels against the per-function constructions and the
+brute-force oracles."""
+
+import json
+
+import numpy as np
+import pytest
+
+from boolfn import (
+    AffineMap,
+    TruthTable,
+    alt_to_s_linear,
+    apply_affine,
+    bs_to_s_affine,
+    sherstov_linear,
+)
+from boolfn._bulk import _block_patterns, _tables
+from boolfn.measures import _alternation_down, _best_chains, _packing_lut
+from boolfn.transforms import _alt2s_rows, _bs2s_rows, _sherstov_rows
+
+from oracles import (
+    naive_best_chain,
+    naive_block_sensitivity,
+    naive_sensitivity,
+    random_table,
+)
+
+
+def _batch_inputs(n, tables):
+    """Block families at 0 and at the smallest bs maximizer of every row."""
+    lut, families = _packing_lut(n)
+    pattern = _block_patterns(tables)
+    bs_pt = lut[pattern]
+    amax = np.argmax(bs_pt == bs_pt.max(axis=1, keepdims=True), axis=1)
+    rows = np.arange(tables.shape[0])
+    return amax, families[pattern[:, 0]], families[pattern[rows, amax]]
+
+
+def _same(got, want):
+    assert got.kind == want.kind
+    assert got.map == want.map
+    assert got.g == want.g
+    assert got.certificate == want.certificate
+    # plain Python values only: json refuses numpy scalars
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+
+def _check_rows(n, functions):
+    t = np.stack([f.to_array() for f in functions])
+    amax, fam0, fam_max = _batch_inputs(n, t)
+    zero = np.zeros(len(functions), dtype=np.int64)
+    batches = (
+        _bs2s_rows(t, zero, fam0, "block-index"),
+        _bs2s_rows(t, amax, fam_max, "block-index"),
+        _bs2s_rows(t, amax, fam_max, "min-in-block"),
+        _alt2s_rows(t),
+        _sherstov_rows(t, amax, fam_max),
+    )
+    for r, f in enumerate(functions):
+        a = int(amax[r])
+        wants = (
+            bs_to_s_affine(f, 0),
+            bs_to_s_affine(f, a),
+            bs_to_s_affine(f, a, placement="min-in-block"),
+            alt_to_s_linear(f),
+            sherstov_linear(f),
+        )
+        for batch, want in zip(batches, wants):
+            _same(batch.result(r, f), want)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_batched_rows_match_per_function_exhaustive(n):
+    _check_rows(n, [TruthTable(n, bits) for bits in range(1 << (1 << n))])
+
+
+def test_batched_rows_match_per_function_sampled_n4():
+    rng = np.random.default_rng(44)
+    _check_rows(4, [TruthTable(4, random_table(rng, 4)) for _ in range(64)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_block_transform_against_oracles(n):
+    t = _tables(n, 0, 1 << (1 << n))
+    amax, fam0, fam_max = _batch_inputs(n, t)
+    zero = np.zeros(t.shape[0], dtype=np.int64)
+    at_zero = _bs2s_rows(t, zero, fam0, "block-index")
+    at_max = _bs2s_rows(t, amax, fam_max, "block-index")
+    for r in range(t.shape[0]):
+        f = TruthTable(n, r)
+        for batch, a in ((at_zero, 0), (at_max, int(amax[r]))):
+            g = batch.result(r, f).g
+            assert naive_sensitivity(g, 0) == naive_block_sensitivity(f, a)
+        assert naive_block_sensitivity(f, int(amax[r])) == naive_block_sensitivity(f)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_alternation_chains_against_oracle(n):
+    t = _tables(n, 0, 1 << (1 << n))
+    chains = _best_chains(t, _alternation_down(t))
+    for r in range(t.shape[0]):
+        assert tuple(int(p) for p in chains[r]) == naive_best_chain(TruthTable(n, r))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 9, 12])
+def test_apply_affine_matches_pointwise(n):
+    rng = np.random.default_rng(100 + n)
+    f = TruthTable(n, random_table(rng, n))
+    for _ in range(3):
+        cols = tuple(int(c) for c in rng.integers(0, 1 << n, n))
+        a = AffineMap(n, cols, int(rng.integers(0, 1 << n)))
+        g = apply_affine(f, a)
+        assert all(g.value_at(x) == f.value_at(a.apply(x)) for x in range(1 << n))

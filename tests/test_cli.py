@@ -59,6 +59,22 @@ def test_measures_from_file(tmp_path, capsys):
     assert json.loads(out)["function"] == "tt:2:6"
 
 
+def test_source_file_must_hold_a_source(tmp_path, capsys):
+    # a file whose content is its own path, or another file's path, is a
+    # usage error (exit 2), not a followed reference
+    own = tmp_path / "self.txt"
+    own.write_text(str(own))
+    other = tmp_path / "other.txt"
+    other.write_text(str(tmp_path / "fn.txt"))
+    (tmp_path / "fn.txt").write_text("tt:2:8")
+    binary = tmp_path / "binary.bin"
+    binary.write_bytes(bytes([0xFF, 0xFE, 0x00]))
+    for path in (own, other, binary):
+        code, out, err = run_cli(capsys, "measures", str(path))
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+
+
 def test_transform_bs2s(capsys):
     code, out, _ = run_cli(capsys, "transform", "bs2s", "fam:or:n=3", "--at", "000")
     assert code == 0
