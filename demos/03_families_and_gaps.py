@@ -28,7 +28,7 @@ for k in ks:
         f"  k={k} ({f.n:>2} vars): salt = {shift_invariant_alternation(f):>2}"
         f"  (floor 2**(k-2) = {2 ** (k - 2)}),  s = {sensitivity(f)} <= {k}"
     )
-print("  (set DEMO_LONG=1 to include k=4: 32768 shifts of a 15-variable table)")
+print("  (set DEMO_LONG=1 to include k=4: salt of a 15-variable table, about 10 s)")
 print()
 
 print("row-detector grids")

@@ -87,24 +87,6 @@ def weight_layers(n: int) -> tuple[np.ndarray, ...]:
     return tuple(np.flatnonzero(pc == w).astype(np.int64) for w in range(n + 1))
 
 
-@lru_cache(maxsize=None)
-def ascent_steps(n: int) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
-    """(direction, points, predecessors) triples for the layered chain DP.
-
-    Layers are emitted in ascending weight, so a DP that consumes the triples
-    in order always reads finalized predecessor values.
-    """
-    layers = weight_layers(n)
-    steps = []
-    for w in range(1, n + 1):
-        for i in range(n):
-            pts = layers[w]
-            sel = pts[(pts >> i) & 1 == 1]
-            if sel.size:
-                steps.append((i, sel, sel ^ (1 << i)))
-    return tuple(steps)
-
-
 def point_to_str(x: int, n: int) -> str:
     """Assignment as a bitstring, x1 first: '110' means x1=1, x2=1, x3=0."""
     return "".join("1" if (x >> i) & 1 else "0" for i in range(n))

@@ -4,10 +4,15 @@ The exhaustive verification suites need all measures of all 2**(2**n)
 functions for n <= 4.  Calling the per-function API that many times would
 dominate the runtime, so this module computes the same quantities with the
 function axis vectorized: tables become rows of one matrix and each measure
-is a row kernel of a handful of numpy passes.  The scan reuses the
-sensitivity and sparsity kernels on the transformed tables g, and
-cross-checks these arrays against the per-function API on a deterministic
-subsample, so the two routes cannot drift apart silently.
+is a row kernel of a handful of numpy passes.  Where ``measures`` already
+has a row kernel (pointwise sensitivity, the layered alternation DP, the
+block-packing table, the decision-tree table) this module runs it instead
+of a copy; the certificate DP walks the rows in slices to bound memory.
+The scan reuses the sensitivity and sparsity kernels on the transformed
+tables g, and cross-checks these arrays against the per-function API on a
+deterministic subsample.  For salt that compares two algorithms: the
+layered DP over the shifts here and the level-set kernel of
+``shift_invariant_alternation``.
 """
 
 from __future__ import annotations
@@ -15,9 +20,15 @@ from __future__ import annotations
 import numpy as np
 
 from ._bitops import popcounts, table_size
-from .measures import _dt_table, _packing_lut, _pointwise_sensitivity
+from .measures import (
+    _alternation_down,
+    _dt_table,
+    _packing_lut,
+    _pointwise_sensitivity,
+)
 
 MAX_BULK_ARITY = 4
+_ROW_SLICE = 4096
 
 
 def _tables(n: int, lo: int, hi: int) -> np.ndarray:
@@ -39,50 +50,45 @@ def _block_patterns(t: np.ndarray) -> np.ndarray:
 
 
 def _certificate_sizes(t: np.ndarray) -> np.ndarray:
-    """Certificate complexity of every row via the constant-subcube DP."""
+    """Certificate complexity of every row via the constant-subcube DP.
+
+    Subcube (V, x) is constant iff, for any variable i in V, both halves
+    (V - i, x) and (V - i, x XOR e_i) are constant and f(x) == f(x XOR e_i).
+    The rows go through in slices, so the 2**n boolean tables stay small.
+    """
     m, size = t.shape
     n = size.bit_length() - 1
     idx = np.arange(size)
-    pc = popcounts(n)
-    mins: list[np.ndarray] = [t] * size
-    maxs: list[np.ndarray] = [t] * size
-    best_free = np.zeros((m, size), dtype=np.int8)
-    for v in range(1, size):
-        i = (v & -v).bit_length() - 1
-        vp = v & (v - 1)
-        flip = idx ^ (1 << i)
-        mn = np.minimum(mins[vp], mins[vp][:, flip])
-        mx = np.maximum(maxs[vp], maxs[vp][:, flip])
-        mins[v] = mn
-        maxs[v] = mx
-        const = mn == mx
-        np.maximum(
-            best_free, np.where(const, np.int8(pc[v]), np.int8(0)), out=best_free
-        )
-    return n - best_free.astype(np.int64).min(axis=1)
+    pc = popcounts(n).astype(np.int8)
+    out = np.empty(m, dtype=np.int64)
+    for start in range(0, m, _ROW_SLICE):
+        ts = t[start : start + _ROW_SLICE]
+        same = [ts == ts[:, idx ^ (1 << i)] for i in range(n)]
+        const: list[np.ndarray] = [np.ones(ts.shape, dtype=bool)] * size
+        best_free = np.zeros(ts.shape, dtype=np.int8)
+        for v in range(1, size):
+            i = (v & -v).bit_length() - 1
+            vp = v & (v - 1)
+            const[v] = const[vp] & const[vp][:, idx ^ (1 << i)] & same[i]
+            np.maximum(best_free, np.where(const[v], pc[v], np.int8(0)), out=best_free)
+        out[start : start + _ROW_SLICE] = n - best_free.min(axis=1)
+    return out
 
 
 def _alternation_by_shift(t: np.ndarray) -> np.ndarray:
-    """Column b of the result is alt(f XOR b), by one ascending DP per shift."""
+    """Column b of the result is alt(f XOR b), for the shifts b < 2**(n-1).
+
+    Runs the layered DP of ``measures._alternation_down`` on each shifted
+    table.  The upper shifts are left out because alt(f XOR b) equals
+    alt(f XOR b XOR 1^n): the minimum over these columns and its smallest
+    argmin are those over all shifts.  At n = 0 the one shift 0 is kept.
+    """
     m, size = t.shape
-    n = size.bit_length() - 1
     idx = np.arange(size)
-    steps = [
-        (x, x ^ (1 << i))
-        for x in range(1, size)
-        for i in range(n)
-        if (x >> i) & 1
-    ]
-    alt_by_shift = np.zeros((m, size), dtype=np.int8)
-    best = np.zeros((m, size), dtype=np.int8)
-    for b in range(size):
-        tb = t[:, idx ^ b]
-        best[:] = 0
-        for x, px in steps:
-            cand = best[:, px] + (tb[:, x] != tb[:, px])
-            np.maximum(best[:, x], cand, out=best[:, x])
-        alt_by_shift[:, b] = best[:, size - 1]
-    return alt_by_shift
+    out = np.empty((m, max(1, size >> 1)), dtype=np.int8)
+    for b in range(out.shape[1]):
+        out[:, b] = _alternation_down(t[:, idx ^ b])[:, 0]
+    return out
 
 
 def _butterfly_degree(t: np.ndarray, modulus: int | None) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._bitops import (
-    ascent_steps,
+    low_half_mask,
     mask_indices,
     pack,
     point_to_str,
@@ -26,6 +26,7 @@ from ._bitops import (
     table_size,
     unpack,
     weight_layers,
+    xor_shift,
     xor_shuffle,
 )
 from .core import TruthTable, tt_serialize
@@ -460,40 +461,78 @@ def alternation(f: TruthTable, witness: bool = False):
     return alt, Chain(tuple(int(p) for p in _best_chains(table, down)[0]))
 
 
+def _alternation_at_shift(diffs: list[int], n: int, b: int, cap: int) -> int:
+    """min(alt(x -> f(x XOR b)), cap), by level sets of packed point sets.
+
+    Works in the frame of f, so no table is shifted: bit x of ``diffs[i]``
+    says f(x) != f(x XOR e_i), and a chain of the shifted function steps
+    along direction i from x to x XOR e_i wherever bit i of x equals bit i
+    of b.  Level k is the set of points that some chain from the bottom
+    point b reaches with at least k value changes: the points one changing
+    step above level k-1, closed upward along the chain order.  So every
+    nonempty level holds the top point, alt is the last nonempty level, and
+    the levels stop at ``cap``.
+    """
+    moves = [(1 << i, low_half_mask(n, i), (b >> i) & 1, d) for i, d in enumerate(diffs)]
+    level = table_mask(n)
+    for k in range(cap):
+        nxt = 0
+        for s, m, down, d in moves:
+            nxt |= (((level >> s) & m) if down else ((level & m) << s)) & d
+        if not nxt:
+            return k
+        if k + 1 == cap:
+            break
+        for s, m, down, _ in moves:
+            nxt |= ((nxt >> s) & m) if down else ((nxt & m) << s)
+        level = nxt
+    return cap
+
+
+def _direction_diffs(f: TruthTable) -> list[int]:
+    """Packed tables of f(x) XOR f(x XOR e_i), one per direction i."""
+    return [f.bits ^ xor_shift(f.bits, f.n, i) for i in range(f.n)]
+
+
 def alternation_under_shifts(f: TruthTable) -> np.ndarray:
     """Alternation of every shifted function x -> f(x XOR b), indexed by b.
 
-    One layered DP per shift; the inner loop runs array-parallel across each
-    weight layer, and the per-direction change tables are shared by all
-    shifts.
+    Runs the level-set kernel of ``shift_invariant_alternation`` without a
+    cap on the shifts b < 2**(n-1) and mirrors them into the top half:
+    alt(f XOR b) == alt(f XOR b XOR 1^n), because complementing the shift
+    walks every chain in reverse.
     """
     n = f.n
-    size = table_size(n)
-    out = np.zeros(size, dtype=np.int16)
     if n == 0:
-        return out
-    arr = f.to_array()
-    idx = np.arange(size)
-    change = [(arr != arr[idx ^ (1 << i)]).astype(np.int8) for i in range(n)]
-    steps = ascent_steps(n)
-    best = np.empty(size, dtype=np.int8)
-    for b in range(size):
-        best[:] = 0
-        for i, pts, prev in steps:
-            cand = best[prev] + change[i][prev ^ b]
-            best[pts] = np.maximum(best[pts], cand)
-        out[b] = best[size - 1]
-    return out
+        return np.zeros(1, dtype=np.int16)
+    diffs = _direction_diffs(f)
+    half = np.array(
+        [_alternation_at_shift(diffs, n, b, n) for b in range(table_size(n) >> 1)],
+        dtype=np.int16,
+    )
+    return np.concatenate([half, half[::-1]])
 
 
 def shift_invariant_alternation(
     f: TruthTable, witness: bool = False, limit: int | None = None
 ):
-    """Minimum alternation over all XOR shifts of the input; witness is an argmin shift."""
+    """Minimum alternation over all XOR shifts of the input; witness is an argmin shift.
+
+    Visits only the shifts b < 2**(n-1), since alt(f XOR b) equals
+    alt(f XOR b XOR 1^n) (the chain runs in reverse), in ascending order.
+    Each shift builds its level sets (see ``_alternation_at_shift``) only up
+    to the smallest alternation found so far, and replaces it only when
+    strictly smaller, so the witness is the smallest argmin shift.
+    """
     _ensure_limit("salt", f.n, limit)
-    alts = alternation_under_shifts(f)
-    val = int(alts.min())
-    return (val, int(alts.argmin())) if witness else val
+    n = f.n
+    diffs = _direction_diffs(f)
+    best, best_shift = n, 0
+    for b in range(table_size(n) >> 1):
+        alt = _alternation_at_shift(diffs, n, b, best)
+        if alt < best:
+            best, best_shift = alt, b
+    return (best, best_shift) if witness else best
 
 
 # ---------------------------------------------------------------------------

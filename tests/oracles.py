@@ -103,6 +103,11 @@ def naive_salt(f):
     return best
 
 
+def naive_shift_alternations(f):
+    """alt(x -> f(x XOR b)) for every shift b, by brute force over chains."""
+    return [naive_alternation(_shifted(f, b)) for b in range(2**f.n)]
+
+
 class _PointFn:
     """Minimal function-like wrapper so oracles can feed each other."""
 

@@ -1,0 +1,59 @@
+"""Property tests: shift-invariant alternation under the symmetries that
+must leave it unchanged."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from boolfn import (
+    AffineMap,
+    TruthTable,
+    alternation_under_shifts,
+    apply_affine,
+    shift,
+    shift_invariant_alternation,
+)
+from boolfn._bitops import table_mask
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def functions(draw, max_n=6):
+    n = draw(st.integers(0, max_n))
+    return TruthTable(n, draw(st.integers(0, table_mask(n))))
+
+
+@st.composite
+def function_and_shift(draw):
+    f = draw(functions())
+    return f, draw(st.integers(0, 2**f.n - 1))
+
+
+@PROPERTY_SETTINGS
+@given(function_and_shift())
+def test_salt_invariant_under_xor_shift(case):
+    f, b = case
+    assert shift_invariant_alternation(shift(f, b)) == shift_invariant_alternation(f)
+
+
+@PROPERTY_SETTINGS
+@given(functions())
+def test_salt_invariant_under_complement(f):
+    g = TruthTable(f.n, f.bits ^ table_mask(f.n))
+    assert shift_invariant_alternation(g) == shift_invariant_alternation(f)
+
+
+@PROPERTY_SETTINGS
+@given(functions().flatmap(lambda f: st.tuples(st.just(f), st.permutations(range(f.n)))))
+def test_salt_invariant_under_variable_permutation(case):
+    f, perm = case
+    g = apply_affine(f, AffineMap(f.n, tuple(1 << p for p in perm)))
+    assert shift_invariant_alternation(g) == shift_invariant_alternation(f)
+
+
+@PROPERTY_SETTINGS
+@given(functions())
+def test_alternation_symmetric_under_complemented_shift(f):
+    alts = alternation_under_shifts(f)
+    full = 2**f.n - 1
+    assert all(alts[b] == alts[b ^ full] for b in range(2**f.n))
