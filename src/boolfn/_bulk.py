@@ -6,8 +6,9 @@ dominate the runtime, so this module computes the same quantities with the
 function axis vectorized: tables become rows of one matrix and each measure
 is a row kernel of a handful of numpy passes.  Where ``measures`` already
 has a row kernel (pointwise sensitivity, the layered alternation DP, the
-block-packing table, the decision-tree table) this module runs it instead
-of a copy; the certificate DP walks the rows in slices to bound memory.
+block-packing table, the subcube lattice behind certificate complexity and
+decision-tree depth) this module runs it instead of a copy; the lattice
+walks the rows in slices to bound memory.
 The scan reuses the sensitivity and sparsity kernels on the transformed
 tables g, and cross-checks these arrays against the per-function API on a
 deterministic subsample.  For salt that compares two algorithms: the
@@ -22,9 +23,10 @@ import numpy as np
 from ._bitops import popcounts, table_size
 from .measures import (
     _alternation_down,
-    _dt_table,
+    _largest_constant_subcubes,
     _packing_lut,
     _pointwise_sensitivity,
+    _subcube_lattice,
 )
 
 MAX_BULK_ARITY = 4
@@ -39,40 +41,38 @@ def _tables(n: int, lo: int, hi: int) -> np.ndarray:
 
 
 def _block_patterns(t: np.ndarray) -> np.ndarray:
-    """Sensitive-block pattern at every input (bit B-1 set = block B flips f)."""
+    """Sensitive-block pattern at every input (bit B-1 set = block B flips f).
+
+    One uint32 buffer takes each block's bit in place, so the loop allocates
+    no pattern-sized temporaries.
+    """
     m, size = t.shape
     idx = np.arange(size)
     pattern = np.zeros((m, size), dtype=np.uint32)
+    bit = np.empty_like(pattern)
     for block in range(1, size):
-        diff = t != t[:, idx ^ block]
-        pattern |= diff.astype(np.uint32) << (block - 1)
+        np.not_equal(t, t[:, idx ^ block], out=bit)
+        bit <<= block - 1
+        pattern |= bit
     return pattern
 
 
-def _certificate_sizes(t: np.ndarray) -> np.ndarray:
-    """Certificate complexity of every row via the constant-subcube DP.
+def _certificate_and_depth(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Certificate complexity and decision-tree depth of every row.
 
-    Subcube (V, x) is constant iff, for any variable i in V, both halves
-    (V - i, x) and (V - i, x XOR e_i) are constant and f(x) == f(x XOR e_i).
-    The rows go through in slices, so the 2**n boolean tables stay small.
+    Both come from ``measures._subcube_lattice``, run over slices of the
+    rows so that its 4**n bytes per row stay small.
     """
     m, size = t.shape
     n = size.bit_length() - 1
-    idx = np.arange(size)
-    pc = popcounts(n).astype(np.int8)
-    out = np.empty(m, dtype=np.int64)
+    c = np.empty(m, dtype=np.int64)
+    dt = np.empty(m, dtype=np.int64)
     for start in range(0, m, _ROW_SLICE):
-        ts = t[start : start + _ROW_SLICE]
-        same = [ts == ts[:, idx ^ (1 << i)] for i in range(n)]
-        const: list[np.ndarray] = [np.ones(ts.shape, dtype=bool)] * size
-        best_free = np.zeros(ts.shape, dtype=np.int8)
-        for v in range(1, size):
-            i = (v & -v).bit_length() - 1
-            vp = v & (v - 1)
-            const[v] = const[vp] & const[vp][:, idx ^ (1 << i)] & same[i]
-            np.maximum(best_free, np.where(const[v], pc[v], np.int8(0)), out=best_free)
-        out[start : start + _ROW_SLICE] = n - best_free.min(axis=1)
-    return out
+        lattice = _subcube_lattice(t[start : start + _ROW_SLICE])
+        best_free, _ = _largest_constant_subcubes(lattice)
+        c[start : start + _ROW_SLICE] = n - best_free.min(axis=0)
+        dt[start : start + _ROW_SLICE] = lattice[size - 1, 0]
+    return c, dt
 
 
 def _alternation_by_shift(t: np.ndarray) -> np.ndarray:
@@ -152,8 +152,6 @@ def measure_arrays(n: int, lo: int, hi: int, primes=(2, 3)) -> dict:
     out["pattern_argmax"] = pattern[rows, argmax]
     del pattern, bs_pt
 
-    out["C"] = _certificate_sizes(t)
-
     alt_by_shift = _alternation_by_shift(t)
     out["alt"] = alt_by_shift[:, 0].astype(np.int64)
     out["salt"] = alt_by_shift.min(axis=1).astype(np.int64)
@@ -165,6 +163,5 @@ def measure_arrays(n: int, lo: int, hi: int, primes=(2, 3)) -> dict:
 
     out["sparsity"] = _walsh_sparsity(t)
 
-    # decision-tree depth straight from the all-functions table
-    out["DT"] = _dt_table(n)[out["ids"]].astype(np.int64)
+    out["C"], out["DT"] = _certificate_and_depth(t)
     return out

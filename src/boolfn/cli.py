@@ -181,12 +181,8 @@ def _cmd_check(args) -> int:
             report = exhaustive_scan(n, primes=primes, workers=args.workers)
         elif suite == "family":
             report = family_suite(include_long=args.long, seed=args.seed)
-        elif suite == "search":
-            return _cmd_search(args)
         else:
-            raise FormatError(
-                f"unknown suite {suite!r} (function, exhaustive:N, family, search)"
-            )
+            raise FormatError(f"unknown suite {suite!r} (function, exhaustive:N, family)")
     except ProvenCheckError as e:
         print(f"proven-statement failure: {e}", file=sys.stderr)
         if e.report is not None:
@@ -311,13 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_transform)
 
     p = sub.add_parser("check", help="verification suites")
-    p.add_argument("suite", help="function | exhaustive:N | family | search")
+    p.add_argument("suite", help="function | exhaustive:N | family")
     p.add_argument("source", nargs="?")
     p.add_argument("--long", action="store_true", help="include the long family checks")
-    p.add_argument("--n", type=int, default=3, help="arity for suite=search")
-    p.add_argument("--statistic", default="salt_minus_s")
-    p.add_argument("--budget", type=int, default=10000)
-    p.add_argument("--top", type=int, default=10)
     _add_common(p)
     p.set_defaults(fn=_cmd_check)
 

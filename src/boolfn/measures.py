@@ -19,7 +19,6 @@ import numpy as np
 from ._bitops import (
     low_half_mask,
     mask_indices,
-    pack,
     point_to_str,
     popcounts,
     table_mask,
@@ -336,42 +335,69 @@ def block_sensitivity(
 
 
 # ---------------------------------------------------------------------------
-# certificate complexity
+# the subcube lattice: certificate complexity and decision-tree depth
 
 
-def _certificate_tables(f: TruthTable) -> tuple[np.ndarray, np.ndarray]:
-    """Per input: size of the best constant free-subcube, and its free mask.
+def _flip_max(table: np.ndarray, i: int, out: np.ndarray | None = None) -> np.ndarray:
+    """max(table[x], table[x XOR e_i]) for every input x of a (2**n, m) table."""
+    a = table.reshape(-1, 2, table.shape[1] << i)
+    if out is not None:
+        out = out.reshape(a.shape)
+    return np.maximum(a, a[:, ::-1], out=out).reshape(table.shape)
 
-    Runs the subcube DP over all 2**n free-variable sets; subcube (V, a) is
-    constant iff its min equals its max, and those fold from the two child
-    subcubes of any variable in V.
+
+def _subcube_lattice(tables: np.ndarray) -> np.ndarray:
+    """Decision-tree depth of every subcube of every row of an (m, 2**n) matrix.
+
+    Entry [V, x, r] is the optimal depth of row r restricted to the subcube
+    whose free variables are the set V and whose fixed variables take their
+    values from x.  A tree that queries i in V first needs 1 + the larger
+    depth of the halves (V - i, x) and (V - i, x XOR e_i); the entry is the
+    least of these over i, or 0 where the subcube is constant, which holds
+    exactly when, for the lowest variable of V, both halves are constant
+    and f(x) == f(x XOR e_low).  So each set folds
+    from its predecessors in ascending order: n * 2**(n-1) folds of 2**n
+    entries per row, into one int8 array of m * 4**n bytes.  The rows sit on
+    the last axis, so a flip of x is a contiguous half swap.
     """
-    n = f.n
-    size = table_size(n)
-    arr = f.to_array()
-    pc = popcounts(n)
-    idx = np.arange(size)
-    mins: list[np.ndarray | None] = [None] * size
-    maxs: list[np.ndarray | None] = [None] * size
-    mins[0] = arr
-    maxs[0] = arr
-    best_free = np.zeros(size, dtype=np.int8)
-    best_v = np.zeros(size, dtype=np.int64)
+    m, size = tables.shape
+    n = size.bit_length() - 1
+    t = np.ascontiguousarray(tables.T)
+    diff = []
+    for i in range(n):
+        halves = t.reshape(-1, 2, m << i)
+        diff.append((halves != halves[:, ::-1]).reshape(size, m))
+    dt = np.empty((size, size, m), dtype=np.int8)
+    dt[0] = 0
     for v in range(1, size):
-        i = (v & -v).bit_length() - 1
-        vp = v & (v - 1)
-        flip = idx ^ (1 << i)
-        mn = np.minimum(mins[vp], mins[vp][flip])
-        mx = np.maximum(maxs[vp], maxs[vp][flip])
-        mins[v] = mn
-        maxs[v] = mx
-        const = mn == mx
-        pcv = int(pc[v])
-        gain = const & (pcv > best_free)
-        best_free[gain] = pcv
-        best_v[gain] = v
-        tie = const & (pcv == best_free) & (v > best_v)
-        best_v[tie] = v
+        low = (v & -v).bit_length() - 1
+        cur = _flip_max(dt[v ^ (1 << low)], low, out=dt[v])
+        split = (cur != 0) | diff[low]
+        rest = v & (v - 1)
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            np.minimum(cur, _flip_max(dt[v ^ (1 << i)], i), out=cur)
+            rest &= rest - 1
+        cur += split
+    return dt
+
+
+def _largest_constant_subcubes(dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per input and row: size and free mask of the largest constant subcube.
+
+    Among constant free sets of the largest size the largest mask wins: the
+    sets are visited in ascending order, and a later set of equal size
+    replaces an earlier one.
+    """
+    size = dt.shape[0]
+    pc = popcounts(size.bit_length() - 1)
+    best_free = np.zeros(dt.shape[1:], dtype=np.int8)
+    best_v = np.zeros(dt.shape[1:], dtype=np.min_scalar_type(size - 1))
+    for v in range(1, size):
+        pcv = pc[v]
+        take = (dt[v] == 0) & (best_free <= pcv)
+        np.copyto(best_free, pcv, where=take, casting="unsafe")
+        np.copyto(best_v, v, where=take, casting="unsafe")
     return best_free, best_v
 
 
@@ -380,13 +406,21 @@ def certificate(
 ):
     """Smallest set of coordinates that, fixed as in the input, pins f constant.
 
+    Reads constancy off the subcube lattice that ``dt_depth`` also uses
+    (depth 0 means constant; 4**n bytes, n * 2**(n-1) folds of 2**n
+    entries).  At each input the fixed set is the complement of the largest
+    constant subcube through it, so it is the smallest mask among the
+    smallest certificates.  Unpointed, the witness point is the smallest
+    input of maximum certificate size.
+
     Witness: (point, mask of the fixed set).
     """
     n = f.n
     _ensure_limit("C", n, limit)
     if n == 0:
         return (0, (0, 0)) if witness else 0
-    best_free, best_v = _certificate_tables(f)
+    best_free, best_v = _largest_constant_subcubes(_subcube_lattice(f.to_array()[None, :]))
+    best_free, best_v = best_free[:, 0], best_v[:, 0]
     full = table_size(n) - 1
     if at is not None:
         if not 0 <= at < table_size(n):
@@ -399,6 +433,45 @@ def certificate(
         return val
     point = int(np.argmax(c_pt == val))
     return val, (point, full ^ int(best_v[point]))
+
+
+def _dt_witness(f: TruthTable, dt: np.ndarray, v: int, x: int) -> dict:
+    """Optimal tree of the subcube (v, x) of the lattice, smallest variable first."""
+    depth = dt[v, x, 0]
+    if depth == 0:
+        return {"value": f.value_at(x)}
+    rest = v
+    while rest:
+        bit = rest & -rest
+        sub = dt[v ^ bit, :, 0]
+        if 1 + max(sub[x & ~bit], sub[x | bit]) == depth:
+            return {
+                "var": bit.bit_length(),
+                "low": _dt_witness(f, dt, v ^ bit, x & ~bit),
+                "high": _dt_witness(f, dt, v ^ bit, x | bit),
+            }
+        rest ^= bit
+    raise AssertionError("decision-tree reconstruction failed")
+
+
+def dt_depth(f: TruthTable, witness: bool = False, limit: int | None = None):
+    """Depth of an optimal decision tree, read off the subcube lattice.
+
+    The lattice (see ``_subcube_lattice``, shared with ``certificate``)
+    holds the optimal depth of every subcube in 4**n bytes, built by
+    n * 2**(n-1) folds of 2**n entries; DT(f) is its entry for the whole
+    cube.  The witness tree queries 1-based variables ('var', 'low', 'high'
+    nodes, 'value' leaves): it walks down from the whole cube, queries at
+    each subcube the smallest variable whose two halves reach the optimum,
+    and ends in a leaf wherever the subcube is constant.
+    """
+    _ensure_limit("DT", f.n, limit)
+    dt = _subcube_lattice(f.to_array()[None, :])
+    full = table_size(f.n) - 1
+    val = int(dt[full, 0, 0])
+    if not witness:
+        return val
+    return val, _dt_witness(f, dt, full, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -571,109 +644,6 @@ def sparsity(f: TruthTable, witness: bool = False):
     rep = spectrum(f, WALSH)
     val = rep.nonzero_count()
     return (val, rep) if witness else val
-
-
-# ---------------------------------------------------------------------------
-# decision-tree depth
-
-_DT_TABLE_CEILING = 4
-
-
-def _all_tables_as_bits(m: int) -> np.ndarray:
-    ids = np.arange(1 << (1 << m), dtype=np.uint32)
-    return ((ids[:, None] >> np.arange(1 << m)[None, :]) & 1).astype(np.uint8)
-
-
-_dt_tables: dict[int, np.ndarray] = {}
-
-
-def _dt_table(m: int) -> np.ndarray:
-    """Optimal decision-tree depth of every m-variable function, m <= 4."""
-    if m in _dt_tables:
-        return _dt_tables[m]
-    if m == 0:
-        table = np.zeros(2, dtype=np.uint8)
-    else:
-        prev = _dt_table(m - 1)
-        size = 1 << m
-        bits = _all_tables_as_bits(m)
-        pow2 = (1 << np.arange(size // 2, dtype=np.uint32)).astype(np.uint32)
-        depth = np.full(bits.shape[0], m, dtype=np.uint8)
-        idx = np.arange(size)
-        for i in range(m):
-            lo = bits[:, idx[((idx >> i) & 1) == 0]] @ pow2
-            hi = bits[:, idx[((idx >> i) & 1) == 1]] @ pow2
-            cand = 1 + np.maximum(prev[lo], prev[hi]).astype(np.uint8)
-            depth = np.minimum(depth, cand)
-        depth[0] = 0
-        depth[-1] = 0
-        table = depth
-    _dt_tables[m] = table
-    return table
-
-
-def _split_table(bits: int, n: int, i: int) -> tuple[int, int]:
-    """Restrict variable i to 0 and 1, renumbering the remaining variables."""
-    if i == n - 1:
-        half = 1 << (n - 1)
-        return bits & ((1 << half) - 1), bits >> half
-    arr = unpack(bits, n)
-    idx = np.arange(1 << n)
-    sel = (idx >> i) & 1
-    return pack(arr[idx[sel == 0]]), pack(arr[idx[sel == 1]])
-
-
-def _dt_value(n: int, bits: int, memo: dict) -> int:
-    if n <= _DT_TABLE_CEILING:
-        return int(_dt_table(n)[bits])
-    if bits == 0 or bits == table_mask(n):
-        return 0
-    key = (n, bits)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    best = n
-    for i in range(n):
-        lo, hi = _split_table(bits, n, i)
-        d = 1 + max(_dt_value(n - 1, lo, memo), _dt_value(n - 1, hi, memo))
-        if d < best:
-            best = d
-            if best == 1:
-                break
-    memo[key] = best
-    return best
-
-
-def _dt_tree(n: int, bits: int, varmap: tuple[int, ...], memo: dict) -> dict:
-    if bits == 0:
-        return {"value": 0}
-    if bits == table_mask(n):
-        return {"value": 1}
-    depth = _dt_value(n, bits, memo)
-    for i in range(n):
-        lo, hi = _split_table(bits, n, i)
-        if 1 + max(_dt_value(n - 1, lo, memo), _dt_value(n - 1, hi, memo)) == depth:
-            sub_map = varmap[:i] + varmap[i + 1 :]
-            return {
-                "var": varmap[i] + 1,
-                "low": _dt_tree(n - 1, lo, sub_map, memo),
-                "high": _dt_tree(n - 1, hi, sub_map, memo),
-            }
-    raise AssertionError("decision-tree reconstruction failed")
-
-
-def dt_depth(f: TruthTable, witness: bool = False, limit: int | None = None):
-    """Depth of an optimal decision tree, by memoized minimax over restrictions.
-
-    The witness tree queries 1-based variables ('var', 'low', 'high' nodes,
-    'value' leaves) and always picks the smallest optimal variable.
-    """
-    _ensure_limit("DT", f.n, limit)
-    memo: dict = {}
-    val = _dt_value(f.n, f.bits, memo)
-    if not witness:
-        return val
-    return val, _dt_tree(f.n, f.bits, tuple(range(f.n)), memo)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,17 @@ def naive_certificate(f, a=None):
     raise AssertionError("unreachable")
 
 
+def naive_certificate_set(f, a):
+    """Smallest mask among the smallest sets of variables that, fixed as in
+    ``a``, make f constant."""
+    n = f.n
+    for mask in sorted(range(2**n), key=lambda m: (m.bit_count(), m)):
+        values = {f.value_at((a & mask) | (y & ~mask)) for y in range(2**n)}
+        if len(values) == 1:
+            return mask
+    raise AssertionError("unreachable")
+
+
 def chain_points(order):
     pts = [0]
     x = 0
@@ -121,6 +132,13 @@ class _PointFn:
 
 def _shifted(f, b):
     return _PointFn(f.n, lambda x: f.value_at(x ^ b))
+
+
+def restrict(f, fixed_mask, fixed_vals):
+    """f with the variables in ``fixed_mask`` pinned to their bits in
+    ``fixed_vals``; the arity stays n and the pinned variables become
+    irrelevant."""
+    return _PointFn(f.n, lambda x: f.value_at((x & ~fixed_mask) | (fixed_vals & fixed_mask)))
 
 
 def naive_moebius(f):

@@ -124,11 +124,15 @@ def test_check_family(capsys):
 
 
 def test_check_search_suite(capsys):
-    code, out, _ = run_cli(capsys, "check", "search", "--n", "2",
+    # extremal search is the `search` subcommand; `check` has no search suite
+    code, out, _ = run_cli(capsys, "search", "--n", "2",
                            "--statistic", "s_over_sqrt_sparsity")
     assert code == 0
     data = json.loads(out)
     assert data[0]["value"] == 2.0
+    code, out, err = run_cli(capsys, "check", "search")
+    assert code == 2 and out == ""
+    assert "unknown suite" in err
 
 
 def test_comm_and2(capsys):

@@ -1,0 +1,110 @@
+"""Certificate complexity and decision-tree depth, which share one subcube
+lattice in the library and in the bulk arrays, against the brute-force
+oracles."""
+
+import numpy as np
+
+from boolfn import (
+    TruthTable,
+    certificate,
+    dt_depth,
+    validate_certificate_set,
+    validate_decision_tree,
+)
+from boolfn._bulk import measure_arrays
+
+from oracles import naive_certificate, naive_certificate_set, naive_dt, random_table, restrict
+
+
+def _every_function(n):
+    return [TruthTable(n, bits) for bits in range(2 ** (2**n))]
+
+
+def test_certificate_matches_oracle_exhaustive():
+    for n in range(4):
+        for f in _every_function(n):
+            assert certificate(f) == naive_certificate(f)
+            for a in range(2**n):
+                val, (point, mask) = certificate(f, at=a, witness=True)
+                assert val == naive_certificate(f, a)
+                assert point == a and mask == naive_certificate_set(f, a)
+                assert validate_certificate_set(f, point, mask)
+
+
+def test_certificate_witness_matches_oracles_exhaustive():
+    # the witness point is the smallest input of maximum certificate size
+    for n in range(4):
+        for f in _every_function(n):
+            val, (point, mask) = certificate(f, witness=True)
+            pointwise = [naive_certificate(f, a) for a in range(2**n)]
+            assert point == pointwise.index(val)
+            assert mask == naive_certificate_set(f, point)
+            assert validate_certificate_set(f, point, mask)
+
+
+def test_certificate_witness_matches_oracles_sampled():
+    rng = np.random.default_rng(40)
+    for k in range(12):
+        n = 4 + k % 2
+        f = TruthTable(n, random_table(rng, n))
+        for a in range(2**n):
+            val, (_, mask) = certificate(f, at=a, witness=True)
+            assert val == naive_certificate(f, a)
+            assert mask == naive_certificate_set(f, a)
+
+
+def _check_tree(f, tree, fixed_mask, fixed_vals):
+    """Every node of a witness tree queries the smallest optimal variable."""
+    depth = naive_dt(restrict(f, fixed_mask, fixed_vals))
+    if "value" in tree:
+        assert depth == 0
+        assert tree["value"] == f.value_at(fixed_vals)
+        return
+    best = None
+    for i in range(f.n):
+        bit = 1 << i
+        if fixed_mask & bit:
+            continue
+        lo = naive_dt(restrict(f, fixed_mask | bit, fixed_vals))
+        hi = naive_dt(restrict(f, fixed_mask | bit, fixed_vals | bit))
+        if 1 + max(lo, hi) == depth:
+            best = i
+            break
+    assert tree["var"] == best + 1
+    bit = 1 << best
+    _check_tree(f, tree["low"], fixed_mask | bit, fixed_vals)
+    _check_tree(f, tree["high"], fixed_mask | bit, fixed_vals | bit)
+
+
+def test_dt_and_witness_match_oracles_exhaustive():
+    for n in range(4):
+        for f in _every_function(n):
+            val, tree = dt_depth(f, witness=True)
+            assert val == dt_depth(f) == naive_dt(f)
+            assert validate_decision_tree(f, tree, val)
+            _check_tree(f, tree, 0, 0)
+
+
+def test_dt_witness_matches_oracles_sampled():
+    rng = np.random.default_rng(41)
+    for k in range(12):
+        n = 4 + k % 2
+        f = TruthTable(n, random_table(rng, n))
+        val, tree = dt_depth(f, witness=True)
+        assert val == naive_dt(f)
+        assert validate_decision_tree(f, tree, val)
+        _check_tree(f, tree, 0, 0)
+
+
+def test_bulk_certificate_and_dt_match_oracles():
+    for n in range(4):
+        a = measure_arrays(n, 0, 2 ** (2**n))
+        for f in _every_function(n):
+            assert a["C"][f.bits] == naive_certificate(f)
+            assert a["DT"][f.bits] == naive_dt(f)
+    a = measure_arrays(4, 0, 2**16)
+    rng = np.random.default_rng(42)
+    for bits in rng.integers(0, 2**16, 64):
+        f = TruthTable(4, int(bits))
+        assert a["C"][bits] == naive_certificate(f)
+        assert a["DT"][bits] == naive_dt(f)

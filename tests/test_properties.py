@@ -1,5 +1,5 @@
-"""Property tests: shift-invariant alternation under the symmetries that
-must leave it unchanged."""
+"""Property tests: measures under the symmetries that must leave them
+unchanged."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +9,13 @@ from boolfn import (
     TruthTable,
     alternation_under_shifts,
     apply_affine,
+    block_sensitivity,
+    certificate,
+    dt_depth,
+    sensitivity,
     shift,
     shift_invariant_alternation,
+    sparsity,
 )
 from boolfn._bitops import table_mask
 
@@ -57,3 +62,29 @@ def test_alternation_symmetric_under_complemented_shift(f):
     alts = alternation_under_shifts(f)
     full = 2**f.n - 1
     assert all(alts[b] == alts[b ^ full] for b in range(2**f.n))
+
+
+def _invariants(f):
+    return (sensitivity(f), block_sensitivity(f), certificate(f), dt_depth(f), sparsity(f))
+
+
+@PROPERTY_SETTINGS
+@given(function_and_shift())
+def test_measures_invariant_under_xor_shift(case):
+    f, b = case
+    assert _invariants(shift(f, b)) == _invariants(f)
+
+
+@PROPERTY_SETTINGS
+@given(functions())
+def test_measures_invariant_under_complement(f):
+    g = TruthTable(f.n, f.bits ^ table_mask(f.n))
+    assert _invariants(g) == _invariants(f)
+
+
+@PROPERTY_SETTINGS
+@given(functions().flatmap(lambda f: st.tuples(st.just(f), st.permutations(range(f.n)))))
+def test_measures_invariant_under_variable_permutation(case):
+    f, perm = case
+    g = apply_affine(f, AffineMap(f.n, tuple(1 << p for p in perm)))
+    assert _invariants(g) == _invariants(f)
