@@ -4,23 +4,30 @@ The exhaustive verification suites need all measures of all 2**(2**n)
 functions for n <= 4.  Calling the per-function API that many times would
 dominate the runtime, so this module computes the same quantities with the
 function axis vectorized: tables become rows of one matrix and each measure
-is a row kernel of a handful of numpy passes.  Where ``measures`` already
-has a row kernel (pointwise sensitivity, the layered alternation DP, the
-block-packing table, the subcube lattice behind certificate complexity and
-decision-tree depth) this module runs it instead of a copy; the lattice
-walks the rows in slices to bound memory.
+is a row kernel of a handful of numpy passes.  Every kernel but the
+block-pattern scan is the one the per-function API runs:
+
+* ``measures``: pointwise sensitivity, the layered alternation DP, the
+  block-packing table, and the subcube lattice behind certificate
+  complexity and decision-tree depth (walked over row slices to bound
+  memory);
+* ``spectral``: the Moebius and Walsh butterflies, run here in int16 and
+  int32, and the degree and sparsity kernels; ``deg`` and every ``deg_p``
+  are read from one Moebius matrix.
+
 The scan reuses the sensitivity and sparsity kernels on the transformed
 tables g, and cross-checks these arrays against the per-function API on a
-deterministic subsample.  For salt that compares two algorithms: the
-layered DP over the shifts here and the level-set kernel of
-``shift_invariant_alternation``.
+deterministic subsample.  Since both routes share the kernels, that only
+compares two algorithms for salt: the layered DP over the shifts here and
+the level-set kernel of ``shift_invariant_alternation``; the tests check
+the arrays against brute-force oracles.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._bitops import popcounts, table_size
+from ._bitops import table_size
 from .measures import (
     _alternation_down,
     _largest_constant_subcubes,
@@ -28,6 +35,7 @@ from .measures import (
     _pointwise_sensitivity,
     _subcube_lattice,
 )
+from .spectral import _degrees, _moebius_rows, _sparsities, _walsh_rows
 
 MAX_BULK_ARITY = 4
 _ROW_SLICE = 4096
@@ -91,35 +99,6 @@ def _alternation_by_shift(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _butterfly_degree(t: np.ndarray, modulus: int | None) -> np.ndarray:
-    """Degree of every row from its exact (or mod-p) coefficient butterfly."""
-    m, size = t.shape
-    n = size.bit_length() - 1
-    a = t.astype(np.int16)
-    for i in range(n):
-        step = 1 << i
-        view = a.reshape(m, -1, 2, step)
-        view[:, :, 1, :] -= view[:, :, 0, :]
-        if modulus is not None:
-            view[:, :, 1, :] %= modulus
-    nz = a != 0
-    return (nz * popcounts(n)[None, :].astype(np.int64)).max(axis=1)
-
-
-def _walsh_sparsity(t: np.ndarray) -> np.ndarray:
-    """Fourier sparsity of the +-1 view of every row."""
-    m, size = t.shape
-    chi = 1 - 2 * t.astype(np.int32)
-    for i in range(size.bit_length() - 1):
-        step = 1 << i
-        view = chi.reshape(m, -1, 2, step)
-        lo_half = view[:, :, 0, :].copy()
-        hi_half = view[:, :, 1, :].copy()
-        view[:, :, 0, :] = lo_half + hi_half
-        view[:, :, 1, :] = lo_half - hi_half
-    return (chi != 0).sum(axis=1).astype(np.int64)
-
-
 def measure_arrays(n: int, lo: int, hi: int, primes=(2, 3)) -> dict:
     """Every scalar measure for each function id in [lo, hi), as 1-D arrays.
 
@@ -157,11 +136,15 @@ def measure_arrays(n: int, lo: int, hi: int, primes=(2, 3)) -> dict:
     out["salt"] = alt_by_shift.min(axis=1).astype(np.int64)
     out["salt_argmin"] = np.argmin(alt_by_shift, axis=1).astype(np.int64)
 
-    out["deg"] = _butterfly_degree(t, None)
+    # |coefficients| <= 2**(n-1), so int16 holds them; the mod-p coefficients
+    # are these reduced mod p
+    coeffs = _moebius_rows(t, np.int16)
+    out["deg"] = _degrees(coeffs).astype(np.int64)
     for p in primes:
-        out[f"deg_{p}"] = _butterfly_degree(t, p)
+        out[f"deg_{p}"] = _degrees(coeffs % p).astype(np.int64)
+    del coeffs
 
-    out["sparsity"] = _walsh_sparsity(t)
+    out["sparsity"] = _sparsities(_walsh_rows(t, np.int32))
 
     out["C"], out["DT"] = _certificate_and_depth(t)
     return out

@@ -38,6 +38,7 @@ from .measures import (
     shift_invariant_alternation,
     sparsity,
 )
+from .spectral import _sparsities, _walsh_rows
 from .transforms import (
     _alt2s_rows,
     _bs2s_rows,
@@ -449,7 +450,7 @@ def _scan_chunk(args) -> dict:
             tr0.cert["equality_holds"],
             tr1.cert["equality_holds"],
             tra.cert["holds"] & tra.cert["invertible"],
-            _bulk._walsh_sparsity(tra.g) == a["sparsity"][start:stop],
+            _sparsities(_walsh_rows(tra.g, np.int32)) == a["sparsity"][start:stop],
         ], axis=1)
         for j, name in enumerate(eq_names):
             held = int(ok[:, j].sum())

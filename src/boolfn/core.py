@@ -20,6 +20,7 @@ import numpy as np
 
 from ._bitops import (
     MAX_ARITY,
+    butterfly,
     mask_indices,
     pack,
     point_from_str,
@@ -79,12 +80,9 @@ class TruthTable:
         n = max(len(vals) - 1, 0).bit_length()
         if len(vals) != table_size(n):
             raise ValueError(f"table length {len(vals)} is not a power of two")
-        bits = 0
-        for x, v in enumerate(vals):
-            if v not in (0, 1):
-                raise ValueError("table entries must be 0 or 1")
-            bits |= v << x
-        return cls(n, bits)
+        if any(v not in (0, 1) for v in vals):
+            raise ValueError("table entries must be 0 or 1")
+        return cls(n, pack(np.array(vals, dtype=np.uint8)))
 
     @classmethod
     def from_callable(cls, fn, n: int) -> "TruthTable":
@@ -105,10 +103,6 @@ class TruthTable:
     def to_array(self) -> np.ndarray:
         """Outputs as a uint8 array of length 2**n."""
         return unpack(self.bits, self.n)
-
-    def signs(self) -> np.ndarray:
-        """The +-1 view 1 - 2*f as int64."""
-        return 1 - 2 * self.to_array().astype(np.int64)
 
     def is_constant(self) -> bool:
         return self.bits in (0, table_mask(self.n))
@@ -306,14 +300,9 @@ def _parse_anf_poly(poly: str, n: int) -> int:
     return coeffs
 
 
-def _anf_transform(arr: np.ndarray, n: int) -> np.ndarray:
-    """In-place XOR butterfly; its own inverse over GF(2)."""
-    a = arr.copy()
-    for i in range(n):
-        step = 1 << i
-        view = a.reshape(-1, 2, step)
-        view[:, 1, :] ^= view[:, 0, :]
-    return a
+def _xor(lo: np.ndarray, hi: np.ndarray) -> None:
+    """Step of the ANF butterfly; the transform is its own inverse over GF(2)."""
+    hi ^= lo
 
 
 def tt_parse(text: str) -> TruthTable:
@@ -341,8 +330,7 @@ def tt_parse(text: str) -> TruthTable:
         n = int(m.group(1))
         _check_arity(n)
         coeffs = _parse_anf_poly(m.group(2), n)
-        arr = unpack(coeffs, n)
-        return TruthTable(n, pack(_anf_transform(arr, n)))
+        return TruthTable(n, pack(butterfly(unpack(coeffs, n), _xor)))
     raise FormatError(f"unrecognized function format: {text[:40]!r}")
 
 
@@ -351,7 +339,7 @@ def tt_serialize(f: TruthTable, form: str = "tt") -> str:
     if form == "tt":
         return f"tt:{f.n}:{f.bits:0{_hex_width(f.n)}x}"
     if form == "anf":
-        coeffs = pack(_anf_transform(f.to_array(), f.n))
+        coeffs = pack(butterfly(f.to_array(), _xor))
         if coeffs == 0:
             poly = "0"
         else:

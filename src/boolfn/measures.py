@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._bitops import (
+    butterfly,
     low_half_mask,
     mask_indices,
     point_to_str,
@@ -31,7 +32,8 @@ from ._bitops import (
 from .core import TruthTable, tt_serialize
 from .spectral import (
     WALSH,
-    is_prime,
+    _degrees,
+    _subset_sum,
     moebius_coefficients,
     moebius_coefficients_mod,
     spectrum,
@@ -161,20 +163,14 @@ def _sensitive_profile(f: TruthTable, a: int) -> np.ndarray:
     return sens
 
 
-def _minimal_blocks(sens: np.ndarray, n: int) -> list[int]:
-    """Sensitive blocks with no sensitive proper subset, ascending."""
-    z = sens.copy()
-    for i in range(n):
-        step = 1 << i
-        view = z.reshape(-1, 2, step)
-        view[:, 1, :] |= view[:, 0, :]
-    strict = np.zeros_like(sens)
-    for i in range(n):
-        step = 1 << i
-        sv = strict.reshape(-1, 2, step)
-        zv = z.reshape(-1, 2, step)
-        sv[:, 1, :] |= zv[:, 0, :]
-    return [int(b) for b in np.flatnonzero(sens & ~strict)]
+def _minimal_blocks(sens: np.ndarray) -> list[int]:
+    """Sensitive blocks with no sensitive proper subset, ascending.
+
+    Subset sums count the sensitive subsets of every block, itself included,
+    so a sensitive block is minimal where its count is 1.
+    """
+    below = butterfly(sens.astype(np.int32), _subset_sum)
+    return [int(b) for b in np.flatnonzero(sens & (below == 1))]
 
 
 _PACK_LUT_CEILING = 4
@@ -286,7 +282,7 @@ def _bs_point_generic(
     sens = _sensitive_profile(f, a)
     if not sens.any():
         return 0, (BlockFamily(a, ()) if want_witness else None)
-    cands = _minimal_blocks(sens, f.n)
+    cands = _minimal_blocks(sens)
     best = _make_packer(cands)
     val = best(table_size(f.n) - 1)
     fam = None
@@ -612,15 +608,12 @@ def shift_invariant_alternation(
 # polynomial degrees and Fourier sparsity
 
 
-def _degree_of(coeffs: np.ndarray, n: int, witness: bool):
-    nz = np.flatnonzero(coeffs)
-    if nz.size == 0:
-        return (0, 0) if witness else 0
-    pc = popcounts(n)[nz]
-    deg = int(pc.max())
+def _degree_of(coeffs: np.ndarray, witness: bool):
+    deg = int(_degrees(coeffs))
     if not witness:
         return deg
-    return deg, int(nz[pc == deg].min())
+    top = (coeffs != 0) & (popcounts(coeffs.size.bit_length() - 1) == deg)
+    return deg, int(np.argmax(top))
 
 
 def real_degree(f: TruthTable, witness: bool = False):
@@ -629,14 +622,12 @@ def real_degree(f: TruthTable, witness: bool = False):
     Computed from exact integer coefficients; the witness is the smallest
     maximal-degree monomial mask.
     """
-    return _degree_of(moebius_coefficients(f), f.n, witness)
+    return _degree_of(moebius_coefficients(f), witness)
 
 
 def modp_degree(f: TruthTable, p: int, witness: bool = False):
     """Degree of the multilinear polynomial for f over the p-element field."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _degree_of(moebius_coefficients_mod(f, p), f.n, witness)
+    return _degree_of(moebius_coefficients_mod(f, p), witness)
 
 
 def sparsity(f: TruthTable, witness: bool = False):

@@ -1,9 +1,17 @@
 """Exact polynomial and Fourier coefficient tables for packed truth tables.
 
-All transforms run over int64 with no normalization, so every coefficient
-is an exact integer: a zero test is a genuine zero test.  Coefficient index
-S (a bitmask of variables) addresses the monomial prod_{i in S} x_i for the
-multilinear bases, and the character (-1)^<S,x> for the Walsh basis.
+The public coefficient arrays are int64 with no normalization, so every
+coefficient is an exact integer: a zero test is a genuine zero test.
+Coefficient index S (a bitmask of variables) addresses the monomial
+prod_{i in S} x_i for the multilinear bases, and the character
+(-1)^<S,x> for the Walsh basis.
+
+Every transform is ``_bitops.butterfly`` with its own in-place step.  The
+row kernels (``_moebius_rows``, ``_walsh_rows``) take a matrix of table
+rows and a dtype; ``_bulk`` runs them in int16 and int32 over every
+function of arity <= 4, where the coefficients fit.  ``_degrees`` and
+``_sparsities`` read the degree and the number of nonzero coefficients of
+each row; ``measures``, ``SpectrumRep`` and ``_bulk`` all use them.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._bitops import pack, popcounts
+from ._bitops import butterfly, pack, popcounts
 from .core import TruthTable
 
 __all__ = [
@@ -43,54 +51,60 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _moebius(arr: np.ndarray, n: int) -> np.ndarray:
-    """Finite-difference butterfly: table values -> multilinear coefficients."""
-    a = arr.astype(np.int64).copy()
-    for i in range(n):
-        step = 1 << i
-        view = a.reshape(-1, 2, step)
-        view[:, 1, :] -= view[:, 0, :]
-    return a
+def _difference(lo: np.ndarray, hi: np.ndarray) -> None:
+    hi -= lo
 
 
-def _zeta(arr: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of the finite-difference butterfly (subset sums)."""
-    a = arr.astype(np.int64).copy()
-    for i in range(n):
-        step = 1 << i
-        view = a.reshape(-1, 2, step)
-        view[:, 1, :] += view[:, 0, :]
-    return a
+def _subset_sum(lo: np.ndarray, hi: np.ndarray) -> None:
+    hi += lo
+
+
+def _walsh_step(lo: np.ndarray, hi: np.ndarray) -> None:
+    """(lo, hi) -> (lo + hi, lo - hi) without copying either half."""
+    lo += hi
+    hi *= -2
+    hi += lo
+
+
+def _moebius_rows(t: np.ndarray, dtype) -> np.ndarray:
+    """Multilinear coefficients over the integers of every 0/1 table row."""
+    return butterfly(t.astype(dtype), _difference)
+
+
+def _walsh_rows(t: np.ndarray, dtype) -> np.ndarray:
+    """Walsh-Hadamard coefficients of the +-1 view 1 - 2t of every 0/1 table row."""
+    a = t.astype(dtype)
+    a *= -2
+    a += 1
+    return butterfly(a, _walsh_step)
+
+
+def _degrees(coeffs: np.ndarray) -> np.ndarray:
+    """Largest popcount of an index with a nonzero coefficient, per row (0 if none)."""
+    weights = (coeffs != 0) * popcounts(coeffs.shape[-1].bit_length() - 1)
+    return weights.max(axis=-1)
+
+
+def _sparsities(coeffs: np.ndarray) -> np.ndarray:
+    """Number of nonzero coefficients per row."""
+    return np.count_nonzero(coeffs, axis=-1)
 
 
 def moebius_coefficients(f: TruthTable) -> np.ndarray:
     """Coefficients of the unique multilinear polynomial for f over the integers."""
-    return _moebius(f.to_array(), f.n)
+    return _moebius_rows(f.to_array(), np.int64)
 
 
 def moebius_coefficients_mod(f: TruthTable, p: int) -> np.ndarray:
     """Multilinear coefficients reduced modulo the prime p."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    a = f.to_array().astype(np.int64)
-    for i in range(f.n):
-        step = 1 << i
-        view = a.reshape(-1, 2, step)
-        view[:, 1, :] = (view[:, 1, :] - view[:, 0, :]) % p
-    return a
+    return moebius_coefficients(f) % p
 
 
 def walsh_coefficients(f: TruthTable) -> np.ndarray:
     """Unnormalized Walsh-Hadamard coefficients of the +-1 view 1 - 2f."""
-    a = f.signs()
-    for i in range(f.n):
-        step = 1 << i
-        view = a.reshape(-1, 2, step)
-        lo = view[:, 0, :].copy()
-        hi = view[:, 1, :].copy()
-        view[:, 0, :] = lo + hi
-        view[:, 1, :] = lo - hi
-    return a
+    return _walsh_rows(f.to_array(), np.int64)
 
 
 @dataclass(frozen=True)
@@ -103,38 +117,26 @@ class SpectrumRep:
     p: int | None = field(default=None)
 
     def nonzero_count(self) -> int:
-        return int(np.count_nonzero(self.coeffs))
+        return int(_sparsities(self.coeffs))
 
     def support(self) -> tuple[int, ...]:
         """Subset masks with a nonzero coefficient, ascending."""
         return tuple(int(s) for s in np.flatnonzero(self.coeffs))
 
     def degree(self) -> int:
-        nz = np.flatnonzero(self.coeffs)
-        if nz.size == 0:
-            return 0
-        return int(popcounts(self.n)[nz].max())
+        return int(_degrees(self.coeffs))
 
     def inverse_table(self) -> TruthTable:
         """Reconstruct the 0/1 table; exact by construction."""
-        if self.basis == MOEBIUS_Z:
-            vals = _zeta(self.coeffs, self.n)
-        elif self.basis == MOEBIUS_MOD_P:
-            assert self.p is not None
-            vals = _zeta(self.coeffs, self.n) % self.p
-        elif self.basis == WALSH:
-            a = self.coeffs.astype(np.int64).copy()
-            for i in range(self.n):
-                step = 1 << i
-                view = a.reshape(-1, 2, step)
-                lo = view[:, 0, :].copy()
-                hi = view[:, 1, :].copy()
-                view[:, 0, :] = lo + hi
-                view[:, 1, :] = lo - hi
-            chi = a >> self.n  # self-inverse up to the factor 2**n
-            vals = (1 - chi) // 2
-        else:
+        if self.basis not in (MOEBIUS_Z, MOEBIUS_MOD_P, WALSH):
             raise ValueError(f"unknown basis {self.basis!r}")
+        step = _walsh_step if self.basis == WALSH else _subset_sum
+        vals = butterfly(self.coeffs.astype(np.int64), step)
+        if self.basis == MOEBIUS_MOD_P:
+            assert self.p is not None
+            vals %= self.p
+        elif self.basis == WALSH:
+            vals = (1 - (vals >> self.n)) // 2  # self-inverse up to the factor 2**n
         if not np.isin(vals, (0, 1)).all():
             raise ValueError("coefficient table is not the spectrum of a 0/1 function")
         return TruthTable(self.n, pack(vals))

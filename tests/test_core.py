@@ -186,6 +186,24 @@ def test_table_validation():
         TruthTable.from_values([0, 1, 1])
 
 
+def test_from_values_numpy_input_matches_list():
+    rng = np.random.default_rng(3)
+    for n in (0, 3, 7, 10):
+        vals = rng.integers(0, 2, 2**n)
+        f = TruthTable.from_values(vals.tolist())
+        assert type(f.bits) is int
+        for dtype in (np.int64, np.uint8, np.bool_):
+            g = TruthTable.from_values(vals.astype(dtype))
+            assert g == f and type(g.bits) is int
+    assert TruthTable.from_values(np.ones(128, dtype=np.uint8)).bits == 2**128 - 1
+    with pytest.raises(ValueError):
+        TruthTable.from_values(np.array([0, 1, 2, 1]))
+    with pytest.raises(ValueError):
+        TruthTable.from_values(np.array([0, -1]))
+    with pytest.raises(ValueError):
+        TruthTable.from_values(np.ones(6, dtype=np.int64))
+
+
 def test_relevant_variables():
     f = tt_parse("anf:3:x2")
     assert f.relevant_variables() == (1,)

@@ -6,15 +6,25 @@ from boolfn import (
     MOEBIUS_Z,
     WALSH,
     TruthTable,
+    modp_degree,
     moebius_coefficients,
     moebius_coefficients_mod,
     spectrum,
     walsh_coefficients,
 )
+from boolfn._bitops import butterfly
+from boolfn._bulk import measure_arrays
 from boolfn.families import and_, maj, parity
 from boolfn.spectral import is_prime
 
-from oracles import naive_moebius, naive_wht, random_table
+from oracles import (
+    naive_degree,
+    naive_modp_degree,
+    naive_moebius,
+    naive_sparsity,
+    naive_wht,
+    random_table,
+)
 
 
 def test_moebius_matches_oracle():
@@ -37,6 +47,8 @@ def test_moebius_mod_p_matches_oracle():
 def test_modp_rejects_composite():
     with pytest.raises(ValueError):
         moebius_coefficients_mod(parity(2), 4)
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        modp_degree(parity(2), 4)
 
 
 def test_walsh_matches_oracle_and_named_values():
@@ -76,3 +88,41 @@ def test_spectrum_support_and_degree():
 
 def test_is_prime():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_butterfly_rows_are_independent():
+    # a batch of rows transforms as each row alone; the input must be a
+    # contiguous buffer, since the halves are updated in place
+    rng = np.random.default_rng(15)
+    fs = [TruthTable(3, random_table(rng, 3)) for _ in range(6)]
+    rows = np.stack([f.to_array() for f in fs]).astype(np.int64).reshape(2, 3, 8)
+
+    def difference(lo, hi):
+        hi -= lo
+
+    out = butterfly(rows, difference)
+    assert out is rows
+    assert out.reshape(6, 8).tolist() == [naive_moebius(f) for f in fs]
+    with pytest.raises(ValueError):
+        butterfly(np.zeros((8, 4), dtype=np.int64).T, difference)
+
+
+def _every_function(n):
+    return [TruthTable(n, bits) for bits in range(2 ** (2**n))]
+
+
+def test_bulk_degrees_and_sparsity_match_oracles():
+    def check(a, f):
+        assert a["deg"][f.bits] == naive_degree(f)
+        assert a["deg_2"][f.bits] == naive_modp_degree(f, 2)
+        assert a["deg_3"][f.bits] == naive_modp_degree(f, 3)
+        assert a["sparsity"][f.bits] == naive_sparsity(f)
+
+    for n in range(4):
+        a = measure_arrays(n, 0, 2 ** (2**n))
+        for f in _every_function(n):
+            check(a, f)
+    a = measure_arrays(4, 0, 2**16)
+    rng = np.random.default_rng(43)
+    for bits in rng.integers(0, 2**16, 64):
+        check(a, TruthTable(4, int(bits)))
