@@ -47,6 +47,7 @@ from .measures import (
     ArityLimitError,
     BlockFamily,
     Chain,
+    LatticeBudgetError,
     MeasureReport,
     alternation,
     alternation_under_shifts,

@@ -27,6 +27,7 @@ from .core import TruthTable, is_invertible, tt_parse, tt_serialize
 from .families import and_, gip, maj, or_compose, parity, rubinstein, rubinstein_row, tree_function
 from .measures import (
     ArityLimitError,
+    _LatticeMeasures,
     _packing_lut,
     alternation,
     block_sensitivity,
@@ -198,17 +199,22 @@ def inequality_suite(f: TruthTable, primes=(2, 3), limits: dict | None = None) -
         except ArityLimitError as e:
             skips[name] = str(e)
 
+    lattice = _LatticeMeasures(f, limits)
     compute("s", lambda: sensitivity(f))
-    compute("bs", lambda: block_sensitivity(f, limit=limits.get("bs")))
+    compute("bs", lambda: lattice.block_sensitivity(witness=True))
+    bs_argmax = 0  # where bs is skipped, the transform raises the same skip at any point
+    if "bs" in vals:
+        vals["bs"], fam = vals["bs"]
+        bs_argmax = fam.point
     compute("bs0", lambda: block_sensitivity(f, at=0, limit=limits.get("bs")))
-    compute("C", lambda: certificate(f, limit=limits.get("C")))
+    compute("C", lambda: lattice.certificate(witness=False))
     compute("alt", lambda: alternation(f))
     compute("salt", lambda: shift_invariant_alternation(f, limit=limits.get("salt")))
     vals["deg"] = real_degree(f)
     for p in primes:
         vals[f"deg_{p}"] = modp_degree(f, p)
     vals["sparsity"] = sparsity(f)
-    compute("DT", lambda: dt_depth(f, limit=limits.get("DT")))
+    compute("DT", lambda: lattice.dt_depth(witness=False))
     depends_all = len(f.relevant_variables()) == n
 
     def comparison(name, statement, needs, left_fn, right_fn, kind="proven", gate=True):
@@ -258,9 +264,8 @@ def inequality_suite(f: TruthTable, primes=(2, 3), limits: dict | None = None) -
         )
 
     # block-packing transform: equality at the all-zero input and at an argmax
-    def bs2s_check(name, point_fn):
+    def bs2s_check(name, a):
         try:
-            a = point_fn()
             tr = bs_to_s_affine(f, a, limit=limits.get("bs"))
         except ArityLimitError as e:
             report.checks.append(
@@ -276,13 +281,8 @@ def inequality_suite(f: TruthTable, primes=(2, 3), limits: dict | None = None) -
                   {"point": point_to_str(cert["point"], n) if n else ""})
         )
 
-    bs2s_check("bs2s_equality_at_zero", lambda: 0)
-
-    def argmax_point():
-        _, fam = block_sensitivity(f, witness=True, limit=limits.get("bs"))
-        return fam.point
-
-    bs2s_check("bs2s_equality_at_argmax", argmax_point)
+    bs2s_check("bs2s_equality_at_zero", 0)
+    bs2s_check("bs2s_equality_at_argmax", bs_argmax)
 
     tr_alt = alt_to_s_linear(f)
     cert = tr_alt.certificate

@@ -44,6 +44,7 @@ __all__ = [
     "ArityLimitError",
     "BlockFamily",
     "Chain",
+    "LatticeBudgetError",
     "MeasureReport",
     "sensitivity",
     "block_sensitivity",
@@ -80,8 +81,12 @@ class ArityLimitError(ValueError):
         )
 
 
+def _ceiling(measure: str, limit: int | None) -> int:
+    return DEFAULT_LIMITS[measure] if limit is None else limit
+
+
 def _ensure_limit(measure: str, arity: int, limit: int | None) -> None:
-    ceiling = DEFAULT_LIMITS[measure] if limit is None else limit
+    ceiling = _ceiling(measure, limit)
     if arity > ceiling:
         raise ArityLimitError(measure, arity, ceiling)
 
@@ -303,6 +308,40 @@ def _bs_point(f: TruthTable, a: int, want_witness: bool) -> tuple[int, BlockFami
     return _bs_point_generic(f, a, want_witness)
 
 
+def _sensitivity_bound(f: TruthTable) -> np.ndarray:
+    """u(x) = s(f,x) + (n - s(f,x)) // 2, an upper bound on bs(f,x) at every x.
+
+    A maximum disjoint family of sensitive blocks stays one when each block
+    shrinks to a minimal sensitive block.  The minimal singletons are the
+    sensitive coordinates; every other minimal block has two or more
+    coordinates, none of them sensitive.
+    """
+    s = _pointwise_sensitivity(f.to_array()[None, :])[0]
+    return s + (f.n - s) // 2
+
+
+def _bs_search(f: TruthTable, bound: np.ndarray, witness: bool):
+    """Maximum pointwise block sensitivity under an upper bound per input.
+
+    Visits the inputs by descending bound, then ascending input, and stops
+    at the first input that can neither beat the best value nor tie it at a
+    smaller input.  A tie replaces the best only at a smaller input, so the
+    witness is the smallest maximizing input, as in a scan of every input.
+    """
+    order = np.argsort(-bound, kind="stable")
+    best, best_at = -1, 0
+    for x, b in zip(order.tolist(), bound[order].tolist()):
+        if b < best or (b == best and x > best_at):
+            break
+        v, _ = _bs_point(f, x, False)
+        if v > best or (v == best and x < best_at):
+            best, best_at = v, x
+    if not witness:
+        return best
+    _, fam = _bs_point(f, best_at, True)
+    return best, fam
+
+
 def block_sensitivity(
     f: TruthTable, at: int | None = None, witness: bool = False, limit: int | None = None
 ):
@@ -310,7 +349,11 @@ def block_sensitivity(
 
     Pointwise at ``at`` when given, else maximized over all inputs.  The
     witness ``BlockFamily`` is the lexicographically smallest maximum family,
-    at ``at`` or at the smallest maximizing input.
+    at ``at`` or at the smallest maximizing input.  Unpointed, a packing
+    search runs at each input in order of the bound s(f,x) + (n - s(f,x)) // 2
+    and stops once no input left can beat the best (see ``_bs_search``), so
+    its cost is the number of inputs whose bound reaches bs(f): one on most
+    random functions, every input where the bound is loose everywhere.
     """
     n = f.n
     _ensure_limit("bs", n, limit)
@@ -319,19 +362,30 @@ def block_sensitivity(
             raise ValueError(f"assignment {at} out of range for arity {n}")
         val, fam = _bs_point(f, at, witness)
         return (val, fam) if witness else val
-    best_val, best_at = 0, 0
-    for a in range(table_size(n)):
-        v, _ = _bs_point(f, a, False)
-        if v > best_val:
-            best_val, best_at = v, a
-    if not witness:
-        return best_val
-    _, fam = _bs_point(f, best_at, True)
-    return best_val, fam
+    return _bs_search(f, _sensitivity_bound(f), witness)
 
 
 # ---------------------------------------------------------------------------
 # the subcube lattice: certificate complexity and decision-tree depth
+
+
+# Bytes the int8 subcube lattice of one function may take (4**n): n <= 14.
+# Above it C and DT are skipped even under an explicit limit.
+_LATTICE_BUDGET = 1 << 28
+
+
+class LatticeBudgetError(ArityLimitError):
+    """The subcube lattice behind C and DT would exceed its fixed byte budget."""
+
+    def __init__(self, measure: str, arity: int):
+        self.measure = measure
+        self.arity = arity
+        self.limit = (_LATTICE_BUDGET.bit_length() - 1) // 2
+        ValueError.__init__(
+            self,
+            f"{measure} skipped: arity {arity} needs a {table_size(arity) ** 2}-byte "
+            f"subcube lattice, over the fixed budget of {_LATTICE_BUDGET} bytes",
+        )
 
 
 def _flip_max(table: np.ndarray, i: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -354,7 +408,9 @@ def _subcube_lattice(tables: np.ndarray) -> np.ndarray:
     and f(x) == f(x XOR e_low).  So each set folds
     from its predecessors in ascending order: n * 2**(n-1) folds of 2**n
     entries per row, into one int8 array of m * 4**n bytes.  The rows sit on
-    the last axis, so a flip of x is a contiguous half swap.
+    the last axis, so a flip of x is a contiguous half swap.  Per-function
+    callers go through ``_LatticeMeasures``, which checks the byte budget
+    before this allocates anything.
     """
     m, size = tables.shape
     n = size.bit_length() - 1
@@ -397,40 +453,6 @@ def _largest_constant_subcubes(dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best_free, best_v
 
 
-def certificate(
-    f: TruthTable, at: int | None = None, witness: bool = False, limit: int | None = None
-):
-    """Smallest set of coordinates that, fixed as in the input, pins f constant.
-
-    Reads constancy off the subcube lattice that ``dt_depth`` also uses
-    (depth 0 means constant; 4**n bytes, n * 2**(n-1) folds of 2**n
-    entries).  At each input the fixed set is the complement of the largest
-    constant subcube through it, so it is the smallest mask among the
-    smallest certificates.  Unpointed, the witness point is the smallest
-    input of maximum certificate size.
-
-    Witness: (point, mask of the fixed set).
-    """
-    n = f.n
-    _ensure_limit("C", n, limit)
-    if n == 0:
-        return (0, (0, 0)) if witness else 0
-    best_free, best_v = _largest_constant_subcubes(_subcube_lattice(f.to_array()[None, :]))
-    best_free, best_v = best_free[:, 0], best_v[:, 0]
-    full = table_size(n) - 1
-    if at is not None:
-        if not 0 <= at < table_size(n):
-            raise ValueError(f"assignment {at} out of range for arity {n}")
-        val = n - int(best_free[at])
-        return (val, (at, full ^ int(best_v[at]))) if witness else val
-    c_pt = n - best_free.astype(np.int16)
-    val = int(c_pt.max())
-    if not witness:
-        return val
-    point = int(np.argmax(c_pt == val))
-    return val, (point, full ^ int(best_v[point]))
-
-
 def _dt_witness(f: TruthTable, dt: np.ndarray, v: int, x: int) -> dict:
     """Optimal tree of the subcube (v, x) of the lattice, smallest variable first."""
     depth = dt[v, x, 0]
@@ -450,24 +472,116 @@ def _dt_witness(f: TruthTable, dt: np.ndarray, v: int, x: int) -> dict:
     raise AssertionError("decision-tree reconstruction failed")
 
 
+class _LatticeMeasures:
+    """bs, C and DT of one function, from at most one subcube lattice.
+
+    The lattice is built on first use by a measure that fits its arity
+    ceiling (``limits``, else ``DEFAULT_LIMITS``) and the byte budget; C and
+    DT read it, and once it exists the bs search runs under the tighter
+    bound min(u(x), C(f,x)), since bs(f,x) <= C(f,x).
+    """
+
+    def __init__(self, f: TruthTable, limits: dict):
+        self.f = f
+        self.limits = limits
+        self._dt: np.ndarray | None = None
+        self._subcubes: tuple[np.ndarray, np.ndarray] | None = None
+
+    def _skip(self, measure: str) -> ArityLimitError | None:
+        """The skip that keeps ``measure`` off the lattice: ceiling, then budget."""
+        n = self.f.n
+        ceiling = _ceiling(measure, self.limits.get(measure))
+        if n > ceiling:
+            return ArityLimitError(measure, n, ceiling)
+        if table_size(n) ** 2 > _LATTICE_BUDGET:
+            return LatticeBudgetError(measure, n)
+        return None
+
+    def _lattice(self, measure: str) -> np.ndarray:
+        skip = self._skip(measure)
+        if skip is not None:
+            raise skip
+        if self._dt is None:
+            self._dt = _subcube_lattice(self.f.to_array()[None, :])
+        return self._dt
+
+    def _constant_subcubes(self, measure: str) -> tuple[np.ndarray, np.ndarray]:
+        """Per input: size and free mask of the largest constant subcube."""
+        dt = self._lattice(measure)
+        if self._subcubes is None:
+            best_free, best_v = _largest_constant_subcubes(dt)
+            self._subcubes = best_free[:, 0], best_v[:, 0]
+        return self._subcubes
+
+    def block_sensitivity(self, witness: bool):
+        f = self.f
+        _ensure_limit("bs", f.n, self.limits.get("bs"))
+        bound = _sensitivity_bound(f)
+        shared = next((k for k in ("C", "DT") if self._skip(k) is None), None)
+        if shared is not None:
+            best_free, _ = self._constant_subcubes(shared)
+            np.minimum(bound, f.n - best_free, out=bound)
+        return _bs_search(f, bound, witness)
+
+    def certificate(self, witness: bool, at: int | None = None):
+        n = self.f.n
+        best_free, best_v = self._constant_subcubes("C")
+        if n == 0:
+            return (0, (0, 0)) if witness else 0
+        full = table_size(n) - 1
+        if at is not None:
+            if not 0 <= at < table_size(n):
+                raise ValueError(f"assignment {at} out of range for arity {n}")
+            val = n - int(best_free[at])
+            return (val, (at, full ^ int(best_v[at]))) if witness else val
+        c_pt = n - best_free.astype(np.int16)
+        val = int(c_pt.max())
+        if not witness:
+            return val
+        point = int(np.argmax(c_pt == val))
+        return val, (point, full ^ int(best_v[point]))
+
+    def dt_depth(self, witness: bool):
+        dt = self._lattice("DT")
+        full = table_size(self.f.n) - 1
+        val = int(dt[full, 0, 0])
+        if not witness:
+            return val
+        return val, _dt_witness(self.f, dt, full, 0)
+
+
+def certificate(
+    f: TruthTable, at: int | None = None, witness: bool = False, limit: int | None = None
+):
+    """Smallest set of coordinates that, fixed as in the input, pins f constant.
+
+    Reads constancy off the subcube lattice that ``dt_depth`` also uses
+    (depth 0 means constant; 4**n bytes, n * 2**(n-1) folds of 2**n
+    entries).  At each input the fixed set is the complement of the largest
+    constant subcube through it, so it is the smallest mask among the
+    smallest certificates.  Unpointed, the witness point is the smallest
+    input of maximum certificate size.  Above the lattice's byte budget
+    (n > 14) it raises ``LatticeBudgetError`` whatever ``limit`` says.
+
+    Witness: (point, mask of the fixed set).
+    """
+    return _LatticeMeasures(f, {"C": limit}).certificate(witness, at)
+
+
 def dt_depth(f: TruthTable, witness: bool = False, limit: int | None = None):
     """Depth of an optimal decision tree, read off the subcube lattice.
 
     The lattice (see ``_subcube_lattice``, shared with ``certificate``)
     holds the optimal depth of every subcube in 4**n bytes, built by
     n * 2**(n-1) folds of 2**n entries; DT(f) is its entry for the whole
-    cube.  The witness tree queries 1-based variables ('var', 'low', 'high'
-    nodes, 'value' leaves): it walks down from the whole cube, queries at
-    each subcube the smallest variable whose two halves reach the optimum,
-    and ends in a leaf wherever the subcube is constant.
+    cube.  Above the lattice's byte budget (n > 14) it raises
+    ``LatticeBudgetError`` whatever ``limit`` says.  The witness tree
+    queries 1-based variables ('var', 'low', 'high' nodes, 'value' leaves):
+    it walks down from the whole cube, queries at each subcube the smallest
+    variable whose two halves reach the optimum, and ends in a leaf
+    wherever the subcube is constant.
     """
-    _ensure_limit("DT", f.n, limit)
-    dt = _subcube_lattice(f.to_array()[None, :])
-    full = table_size(f.n) - 1
-    val = int(dt[full, 0, 0])
-    if not witness:
-        return val
-    return val, _dt_witness(f, dt, full, 0)
+    return _LatticeMeasures(f, {"DT": limit}).dt_depth(witness)
 
 
 # ---------------------------------------------------------------------------
@@ -764,9 +878,16 @@ def measure_report(
     limits: dict | None = None,
     witnesses: bool = True,
 ) -> MeasureReport:
-    """Compute every measure that fits its arity ceiling; skips are explicit."""
+    """Compute every measure that fits its arity ceiling; skips are explicit.
+
+    bs, C and DT share one subcube lattice, built once when C or DT fits its
+    ceiling; the bs search then runs under min(u(x), C(f,x)) (see
+    ``_LatticeMeasures``), which on most functions leaves one packing
+    search, so the lattice sets the cost of a report.
+    """
     limits = limits or {}
     rep = MeasureReport(f, tuple(primes))
+    lattice = _LatticeMeasures(f, limits)
 
     def run(name: str, fn, *, limited: str | None = None):
         try:
@@ -783,8 +904,8 @@ def measure_report(
 
     w = witnesses
     run("s", lambda: sensitivity(f, witness=w))
-    run("bs", lambda: block_sensitivity(f, witness=w, limit=limits.get("bs")))
-    run("C", lambda: certificate(f, witness=w, limit=limits.get("C")))
+    run("bs", lambda: lattice.block_sensitivity(w))
+    run("C", lambda: lattice.certificate(w))
     run("alt", lambda: alternation(f, witness=w))
     run(
         "salt",
@@ -794,5 +915,5 @@ def measure_report(
     for p in primes:
         run(f"deg_{p}", lambda p=p: modp_degree(f, p, witness=w))
     run("sparsity", lambda: sparsity(f, witness=w))
-    run("DT", lambda: dt_depth(f, witness=w, limit=limits.get("DT")))
+    run("DT", lambda: lattice.dt_depth(w))
     return rep

@@ -183,6 +183,15 @@ def test_measures_over_ceiling_skips_but_succeeds(capsys):
     assert data["measures"]["alt"] == 8
 
 
+def test_measures_override_ceilings_over_lattice_budget(capsys):
+    code, out, err = run_cli(capsys, "measures", "fam:and:n=16", "--override-ceilings")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert [s["measure"] for s in data["skipped"]] == ["C", "DT"]
+    assert all("budget" in s["reason"] and s["limit"] == 14 for s in data["skipped"])
+    assert data["measures"]["bs"] == 16
+
+
 def test_usage_errors(capsys):
     assert run_cli(capsys, "measures", "garbage")[0] == 2
     assert run_cli(capsys, "measures", "tt:2:99")[0] == 2

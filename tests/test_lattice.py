@@ -3,8 +3,11 @@ lattice in the library and in the bulk arrays, against the brute-force
 oracles."""
 
 import numpy as np
+import pytest
 
 from boolfn import (
+    ArityLimitError,
+    LatticeBudgetError,
     TruthTable,
     certificate,
     dt_depth,
@@ -12,6 +15,7 @@ from boolfn import (
     validate_decision_tree,
 )
 from boolfn._bulk import measure_arrays
+from boolfn.families import and_
 
 from oracles import naive_certificate, naive_certificate_set, naive_dt, random_table, restrict
 
@@ -108,3 +112,17 @@ def test_bulk_certificate_and_dt_match_oracles():
         f = TruthTable(4, int(bits))
         assert a["C"][bits] == naive_certificate(f)
         assert a["DT"][bits] == naive_dt(f)
+
+
+def test_lattice_over_budget_skips_under_explicit_limit():
+    # 4**16 bytes would be 4 GiB: both measures refuse before allocating
+    f = and_(16)
+    for measure, run in (("C", certificate), ("DT", dt_depth)):
+        with pytest.raises(LatticeBudgetError) as exc:
+            run(f, limit=16)
+        assert isinstance(exc.value, ArityLimitError)
+        assert exc.value.measure == measure and exc.value.limit == 14
+        assert "budget of 268435456 bytes" in str(exc.value)
+    # the ceiling still comes first without a limit
+    with pytest.raises(ArityLimitError, match="exceeds limit 12"):
+        certificate(f)
