@@ -8,15 +8,24 @@ raising ``ProvenCheckError``) or ``empirical`` (a failure is a recorded
 finding: the statement's constant is not pinned down, so the suite logs the
 observed ratio instead of asserting it).  All comparisons run in exact
 integer arithmetic; ratios appear only inside recorded findings.
+
+The paper's inequalities and extremal statistics are stated once, as rows of
+``_INEQUALITIES`` and ``_STATISTICS`` over a dict ``v`` of measure values.
+Two evaluators read them: one on a function's ints (``inequality_suite``,
+``STATISTICS[name](f)``), one on the int64 arrays of ``_bulk.measure_arrays``
+(``exhaustive_scan``, ``extremal_search`` at n <= 4).  To add an inequality,
+append a row: its name (``{p}`` makes it per-prime, reading ``v["deg_p"]``),
+both statement strings, ``needs``, ``left`` <= ``right`` and an optional
+``hypothesis``, each written so it evaluates on ints and on arrays alike.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +39,7 @@ from .measures import (
     _LatticeMeasures,
     _packing_lut,
     alternation,
+    alternation_under_shifts,
     block_sensitivity,
     certificate,
     dt_depth,
@@ -43,6 +53,7 @@ from .spectral import _sparsities, _walsh_rows
 from .transforms import (
     _alt2s_rows,
     _bs2s_rows,
+    _sherstov_from_family,
     _sherstov_rows,
     alt_to_s_linear,
     bs_to_s_affine,
@@ -182,6 +193,123 @@ def _raise_if_broken(report: CheckReport) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
+# the statement table: each inequality and extremal statistic, stated once
+
+
+@dataclass(frozen=True)
+class _Inequality:
+    """The proven statement left(v) <= right(v), where hypothesis(v) holds."""
+
+    name: str
+    statement: str  # as inequality_suite words it
+    scan_statement: str  # as exhaustive_scan words it
+    needs: tuple[str, ...]  # the measures read; the suite skips the row if one is skipped
+    left: Callable
+    right: Callable
+    hypothesis: Callable = lambda v: True
+
+
+@dataclass(frozen=True)
+class _Statistic:
+    """An extremal statistic: value(v), where defined(v) holds."""
+
+    name: str
+    needs: tuple[str, ...]
+    value: Callable
+    defined: Callable = lambda v: True
+
+
+_INEQUALITIES = (
+    _Inequality("s_le_bs", "s(f) <= bs(f)", "s(f) <= bs(f)", ("s", "bs"),
+                lambda v: v["s"], lambda v: v["bs"]),
+    _Inequality("bs_le_C", "bs(f) <= C(f)", "bs(f) <= C(f)", ("bs", "C"),
+                lambda v: v["bs"], lambda v: v["C"]),
+    _Inequality("deg{p}_le_deg", "deg_{p}(f) <= deg(f)", "deg_{p} <= deg", ("deg_p", "deg"),
+                lambda v: v["deg_p"], lambda v: v["deg"]),
+    _Inequality("deg_le_dt", "deg(f) <= DT(f)", "deg <= DT", ("deg", "DT"),
+                lambda v: v["deg"], lambda v: v["DT"]),
+    _Inequality("dt_le_bs_cubed", "DT(f) <= bs(f)**3", "DT <= bs**3", ("DT", "bs"),
+                lambda v: v["DT"], lambda v: v["bs"] ** 3),
+    _Inequality("bs_le_2deg_sq", "bs(f) <= 2*deg(f)**2", "bs <= 2*deg**2", ("bs", "deg"),
+                lambda v: v["bs"], lambda v: 2 * v["deg"] ** 2),
+    _Inequality("dt_le_bs0_deg{p}_sq", "DT(f) <= bs(f,0)*deg_{p}(f)**2",
+                "DT <= bs(f,0)*deg_{p}**2", ("DT", "bs0", "deg_p"),
+                lambda v: v["DT"], lambda v: v["bs0"] * v["deg_p"] ** 2),
+    _Inequality("deg_lb_from_deg{p}", "deg(f)*2**deg_{p}(f) >= n (f depends on all variables)",
+                "deg*2**deg_{p} >= n", ("n", "deg", "deg_p", "depends_on_all"),
+                lambda v: v["n"], lambda v: v["deg"] * 2 ** v["deg_p"],
+                hypothesis=lambda v: v["depends_on_all"]),
+)
+
+_STATISTICS = {row.name: row for row in (
+    _Statistic("salt_minus_s", ("salt", "s"), lambda v: v["salt"] - v["s"]),
+    _Statistic("salt_over_s", ("s", "salt"), lambda v: v["salt"] / v["s"],
+               lambda v: v["s"] > 0),
+    _Statistic("bs_over_salt2_s", ("s", "salt", "bs"),
+               lambda v: v["bs"] / (v["salt"] ** 2 * v["s"]), lambda v: v["s"] > 0),
+    _Statistic("s_over_sqrt_sparsity", ("s", "sparsity"),
+               lambda v: v["s"] / np.sqrt(v["sparsity"])),
+    # the certificate of the Sherstov map at the smallest bs maximizer
+    _Statistic("bs_over_sherstov_s2", ("sherstov",),
+               lambda v: v["sherstov"]["block_sensitivity"] / v["sherstov"]["s_g"] ** 2,
+               lambda v: v["sherstov"]["s_g"] > 0),
+)}
+
+# the statistics the exhaustive scan reports; its pinned JSON has no salt_over_s
+_SCAN_STATISTICS = tuple(row for name, row in _STATISTICS.items() if name != "salt_over_s")
+
+
+def _rows(v: dict, primes, by_prime: bool):
+    """(row, prime, values) in output order, ``deg_p`` bound to the prime's degree.
+
+    The suite runs each per-prime row over all primes; the scan (``by_prime``)
+    runs all the per-prime rows prime by prime, at the place of the first one.
+    """
+    prime_rows = [row for row in _INEQUALITIES if "{p}" in row.name]
+
+    def at(row, p):
+        return row, p, {**v, "deg_p": v[f"deg_{p}"]}
+
+    for row in _INEQUALITIES:
+        if "{p}" not in row.name:
+            yield row, None, v
+        elif not by_prime:
+            yield from (at(row, p) for p in primes)
+        elif row is prime_rows[0]:
+            yield from (at(r, p) for p in primes for r in prime_rows)
+
+
+# each measure a statistic row may need, on one function
+_FUNCTION_MEASURES = {
+    "s": sensitivity,
+    "bs": block_sensitivity,
+    "salt": shift_invariant_alternation,
+    "sparsity": sparsity,
+    "sherstov": lambda f: sherstov_linear(f).certificate,
+}
+
+
+def _statistic_value(row: _Statistic, v: dict):
+    """The row's value on one function's ints, None where undefined."""
+    return float(row.value(v)) if row.defined(v) else None
+
+
+def _statistic_of(row: _Statistic, f: TruthTable):
+    return _statistic_value(row, {k: _FUNCTION_MEASURES[k](f) for k in row.needs})
+
+
+# name -> the statistic of one function, None where it is undefined
+STATISTICS = {name: partial(_statistic_of, row) for name, row in _STATISTICS.items()}
+
+
+def _statistic_array(row: _Statistic, v: dict) -> np.ndarray:
+    """The row's value for every function of the arrays v, -inf where undefined."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.asarray(row.value(v), dtype=float)
+    return np.where(row.defined(v) & np.isfinite(vals), vals, -np.inf)
+
+
+# ---------------------------------------------------------------------------
 # per-function inequality suite
 
 
@@ -190,7 +318,7 @@ def inequality_suite(f: TruthTable, primes=(2, 3), limits: dict | None = None) -
     limits = limits or {}
     n = f.n
     report = CheckReport("function", tt_serialize(f))
-    vals: dict = {}
+    vals: dict = {"n": n, "depends_on_all": len(f.relevant_variables()) == n}
     skips: dict = {}
 
     def compute(name, fn):
@@ -202,66 +330,30 @@ def inequality_suite(f: TruthTable, primes=(2, 3), limits: dict | None = None) -
     lattice = _LatticeMeasures(f, limits)
     compute("s", lambda: sensitivity(f))
     compute("bs", lambda: lattice.block_sensitivity(witness=True))
-    bs_argmax = 0  # where bs is skipped, the transform raises the same skip at any point
+    fam = None  # where bs is skipped, the transforms raise the same skip
     if "bs" in vals:
         vals["bs"], fam = vals["bs"]
-        bs_argmax = fam.point
     compute("bs0", lambda: block_sensitivity(f, at=0, limit=limits.get("bs")))
     compute("C", lambda: lattice.certificate(witness=False))
-    compute("alt", lambda: alternation(f))
     compute("salt", lambda: shift_invariant_alternation(f, limit=limits.get("salt")))
     vals["deg"] = real_degree(f)
     for p in primes:
         vals[f"deg_{p}"] = modp_degree(f, p)
     vals["sparsity"] = sparsity(f)
     compute("DT", lambda: lattice.dt_depth(witness=False))
-    depends_all = len(f.relevant_variables()) == n
 
-    def comparison(name, statement, needs, left_fn, right_fn, kind="proven", gate=True):
-        missing = [k for k in needs if k not in vals]
+    for row, p, v in _rows(vals, primes, by_prime=False):
+        missing = [k for k in row.needs if k not in v]
+        left = right = witness = None
         if missing:
-            report.checks.append(
-                Check(name, statement, kind, None, None, "skipped",
-                      {"reason": "; ".join(skips[k] for k in missing)})
-            )
-            return
-        if not gate:
-            report.checks.append(
-                Check(name, statement, kind, None, None, "hypothesis-not-met", None)
-            )
-            return
-        left, right = left_fn(), right_fn()
-        verdict = "holds" if left <= right else "fails"
-        report.checks.append(Check(name, statement, kind, left, right, verdict))
-
-    comparison("s_le_bs", "s(f) <= bs(f)", ["s", "bs"], lambda: vals["s"], lambda: vals["bs"])
-    comparison("bs_le_C", "bs(f) <= C(f)", ["bs", "C"], lambda: vals["bs"], lambda: vals["C"])
-    for p in primes:
-        comparison(
-            f"deg{p}_le_deg", f"deg_{p}(f) <= deg(f)", [f"deg_{p}"],
-            lambda p=p: vals[f"deg_{p}"], lambda: vals["deg"],
-        )
-    comparison("deg_le_dt", "deg(f) <= DT(f)", ["DT"], lambda: vals["deg"], lambda: vals["DT"])
-    comparison(
-        "dt_le_bs_cubed", "DT(f) <= bs(f)**3", ["DT", "bs"],
-        lambda: vals["DT"], lambda: vals["bs"] ** 3,
-    )
-    comparison(
-        "bs_le_2deg_sq", "bs(f) <= 2*deg(f)**2", ["bs"],
-        lambda: vals["bs"], lambda: 2 * vals["deg"] ** 2,
-    )
-    for p in primes:
-        comparison(
-            f"dt_le_bs0_deg{p}_sq", f"DT(f) <= bs(f,0)*deg_{p}(f)**2", ["DT", "bs0"],
-            lambda: vals["DT"], lambda p=p: vals["bs0"] * vals[f"deg_{p}"] ** 2,
-        )
-    for p in primes:
-        comparison(
-            f"deg_lb_from_deg{p}", f"deg(f)*2**deg_{p}(f) >= n (f depends on all variables)",
-            [f"deg_{p}"],
-            lambda: n, lambda p=p: vals["deg"] * (1 << vals[f"deg_{p}"]),
-            gate=depends_all and n > 0,
-        )
+            verdict, witness = "skipped", {"reason": "; ".join(skips[k] for k in missing)}
+        elif not row.hypothesis(v):
+            verdict = "hypothesis-not-met"
+        else:
+            left, right = row.left(v), row.right(v)
+            verdict = "holds" if left <= right else "fails"
+        report.checks.append(Check(row.name.format(p=p), row.statement.format(p=p), "proven",
+                                   left, right, verdict, witness))
 
     # block-packing transform: equality at the all-zero input and at an argmax
     def bs2s_check(name, a):
@@ -282,7 +374,7 @@ def inequality_suite(f: TruthTable, primes=(2, 3), limits: dict | None = None) -
         )
 
     bs2s_check("bs2s_equality_at_zero", 0)
-    bs2s_check("bs2s_equality_at_argmax", bs_argmax)
+    bs2s_check("bs2s_equality_at_argmax", fam.point if fam else 0)
 
     tr_alt = alt_to_s_linear(f)
     cert = tr_alt.certificate
@@ -302,37 +394,30 @@ def inequality_suite(f: TruthTable, primes=(2, 3), limits: dict | None = None) -
 
     # empirical-constant records (never hard assertions)
     if "salt" in vals and "bs" in vals:
-        nonconst = not f.is_constant()
-        ratio = (
-            vals["bs"] / (vals["salt"] ** 2 * vals["s"])
-            if nonconst and vals["s"]
-            else None
-        )
+        ratio = _statistic_value(_STATISTICS["bs_over_salt2_s"], vals)
         report.checks.append(
             Check("bs_vs_salt2_s_ratio", "record bs/(salt**2 * s); constant unspecified",
-                  "empirical", vals["bs"] if nonconst else None,
+                  "empirical", None if ratio is None else vals["bs"],
                   None, "holds", {"ratio": ratio})
         )
-    try:
-        tr_sh = sherstov_linear(f, limit=limits.get("bs"))
-        cert = tr_sh.certificate
+    if fam is None:
+        report.checks.append(
+            Check("sherstov_factor4", "4*s(g)**2 >= bs(f)", "empirical",
+                  None, None, "skipped", {"reason": skips["bs"]})
+        )
+    else:
+        cert = _sherstov_from_family(f, fam).certificate
         verdict = "holds" if cert["factor4_holds"] else "fails"
-        check = Check(
+        report.checks.append(Check(
             "sherstov_factor4", "4*s(g)**2 >= bs(f) for the split-block map (empirical factor)",
             "empirical", cert["block_sensitivity"], 4 * cert["s_g"] ** 2, verdict,
             {"ratio": cert["ratio_bs_over_s_g_sq"]},
-        )
-        report.checks.append(check)
+        ))
         if verdict == "fails":
             report.findings.append(
                 {"check": "sherstov_factor4", "function": tt_serialize(f),
                  "bs": cert["block_sensitivity"], "s_g": cert["s_g"]}
             )
-    except ArityLimitError as e:
-        report.checks.append(
-            Check("sherstov_factor4", "4*s(g)**2 >= bs(f)", "empirical",
-                  None, None, "skipped", {"reason": str(e)})
-        )
     return _raise_if_broken(report)
 
 
@@ -347,91 +432,44 @@ _TRANSFORM_SLICE = 4096
 
 def _scan_chunk(args) -> dict:
     n, lo, hi, primes, stride, include_submatrix = args
-    arrays = _bulk.measure_arrays(n, lo, hi, primes)
-    ids = arrays["ids"]
+    a = _bulk.measure_arrays(n, lo, hi, primes)
+    a["n"] = n
+    ids = a["ids"]
     m = ids.size
     counts: dict = {}
     worst: dict = {}
     violations: list = []
 
-    def record(name, statement, ok_mask, margin, hyp_mask=None):
-        applicable = np.ones(m, bool) if hyp_mask is None else hyp_mask
-        ok = int((ok_mask & applicable).sum())
-        bad = (~ok_mask) & applicable
-        fails = int(bad.sum())
-        hyp = int((~applicable).sum())
-        entry = counts.setdefault(name, {"statement": statement, "holds": 0, "fails": 0,
-                                         "hypothesis_not_met": 0})
-        entry["holds"] += ok
-        entry["fails"] += fails
-        entry["hypothesis_not_met"] += hyp
+    for row, p, v in _rows(a, primes, by_prime=True):
+        name = row.name.format(p=p)
+        left, right = row.left(v), row.right(v)
+        applicable = np.broadcast_to(row.hypothesis(v), (m,))
+        bad = (left > right) & applicable
+        fails, covered = int(bad.sum()), int(applicable.sum())
+        counts[name] = {"statement": row.scan_statement.format(p=p), "holds": covered - fails,
+                        "fails": fails, "hypothesis_not_met": m - covered}
         if fails and len(violations) < 8:
             fid = int(ids[np.argmax(bad)])
             violations.append({"check": name, "function": tt_serialize(TruthTable(n, fid))})
-        if applicable.any() and margin is not None:
-            margin_vals = margin[applicable]
-            pos = int(np.argmin(margin_vals))
-            fid = int(ids[np.flatnonzero(applicable)[pos]])
-            cand = (int(margin_vals[pos]), fid)
-            if name not in worst or cand < worst[name][:2]:
-                worst[name] = (cand[0], fid)
-
-    a = arrays
-    record("s_le_bs", "s(f) <= bs(f)", a["s"] <= a["bs"], a["bs"] - a["s"])
-    record("bs_le_C", "bs(f) <= C(f)", a["bs"] <= a["C"], a["C"] - a["bs"])
-    for p in primes:
-        dp = a[f"deg_{p}"]
-        record(f"deg{p}_le_deg", f"deg_{p} <= deg", dp <= a["deg"], a["deg"] - dp)
-        rhs = a["bs0"] * dp * dp
-        record(f"dt_le_bs0_deg{p}_sq", f"DT <= bs(f,0)*deg_{p}**2", a["DT"] <= rhs,
-               rhs - a["DT"])
-        lhs = a["deg"] * (1 << dp.astype(np.int64))
-        record(f"deg_lb_from_deg{p}", f"deg*2**deg_{p} >= n", lhs >= n, lhs - n,
-               hyp_mask=a["depends_on_all"])
-    record("deg_le_dt", "deg <= DT", a["deg"] <= a["DT"], a["DT"] - a["deg"])
-    record("dt_le_bs_cubed", "DT <= bs**3", a["DT"] <= a["bs"] ** 3, a["bs"] ** 3 - a["DT"])
-    record("bs_le_2deg_sq", "bs <= 2*deg**2", a["bs"] <= 2 * a["deg"] ** 2,
-           2 * a["deg"] ** 2 - a["bs"])
-
-    # extremal statistics over this chunk
-    extremal: dict = {}
-    nonconst = a["s"] > 0
-
-    def track(stat, values, mask):
-        if not mask.any():
-            return
-        vals = np.where(mask, values, -np.inf)
-        pos = int(np.argmax(vals))
-        cand = (float(vals[pos]), int(ids[pos]))
-        if stat not in extremal or (cand[0], -cand[1]) > (
-            extremal[stat][0], -extremal[stat][1]
-        ):
-            extremal[stat] = cand
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        track("bs_over_salt2_s",
-              a["bs"] / (a["salt"].astype(float) ** 2 * a["s"]), nonconst)
-        track("salt_minus_s", (a["salt"] - a["s"]).astype(float), np.ones(m, bool))
-        track("s_over_sqrt_sparsity", a["s"] / np.sqrt(a["sparsity"].astype(float)),
-              np.ones(m, bool))
+        if applicable.any():
+            margin = (right - left)[applicable]
+            pos = int(np.argmin(margin))
+            worst[name] = (int(margin[pos]), int(ids[np.flatnonzero(applicable)[pos]]))
 
     # the transform constructions, batched over the function axis in slices
     findings: list = []
-    eq_names = ("bs2s_equality_at_zero", "bs2s_equality_at_argmax",
-                "alt_le_2sg_plus_1", "sparsity_linear_invariance")
-    for name, statement in (
-        (eq_names[0], "s(g,0) == bs(f,0) under the block transform"),
-        (eq_names[1], "s(g,0) == bs(f,argmax) under the block transform"),
-        (eq_names[2], "alt <= 2*s(g,0)+1 with invertible chain map"),
-        (eq_names[3], "sparsity invariant under the invertible chain map"),
-    ):
-        counts.setdefault(name, {"statement": statement, "holds": 0, "fails": 0,
-                                 "hypothesis_not_met": 0})
+    eq_checks = {
+        "bs2s_equality_at_zero": "s(g,0) == bs(f,0) under the block transform",
+        "bs2s_equality_at_argmax": "s(g,0) == bs(f,argmax) under the block transform",
+        "alt_le_2sg_plus_1": "alt <= 2*s(g,0)+1 with invertible chain map",
+        "sparsity_linear_invariance": "sparsity invariant under the invertible chain map",
+    }
+    eq_names = tuple(eq_checks)
     if include_submatrix:
-        counts.setdefault("submatrix_identity",
-                          {"statement": "f(u&y) == g(u&y) on W x W", "holds": 0,
-                           "fails": 0, "hypothesis_not_met": 0})
-    sherstov_best = None
+        eq_checks["submatrix_identity"] = "f(u&y) == g(u&y) on W x W"
+    for name, statement in eq_checks.items():
+        counts[name] = {"statement": statement, "holds": 0, "fails": 0, "hypothesis_not_met": 0}
+    sherstov = {"block_sensitivity": np.empty(m, np.int64), "s_g": np.empty(m, np.int64)}
     _, families = _packing_lut(n)
     for start in range(0, m, _TRANSFORM_SLICE):
         stop = min(m, start + _TRANSFORM_SLICE)
@@ -442,9 +480,17 @@ def _scan_chunk(args) -> dict:
                          families[a["pattern0"][start:stop]], "block-index")
         tr1 = _bs2s_rows(t, amax, fam_max, "block-index")
         tra = _alt2s_rows(t)
-        bad_alt = np.flatnonzero(tra.cert["alt"] != a["alt"][start:stop])
-        if bad_alt.size:
-            raise RuntimeError(f"bulk alt mismatch at function {int(ids[start + bad_alt[0]])}")
+        # each chain sets one new bit per step from 0, so it ends at 1^n, and
+        # it changes value alt(f) times
+        chain = tra.cert["chain"]
+        along = np.take_along_axis(t, chain, axis=1)
+        steps = ((chain[:, 1:] > chain[:, :-1])
+                 & (np.bitwise_count(chain[:, 1:] ^ chain[:, :-1]) == 1))
+        chain_ok = ((chain[:, 0] == 0) & steps.all(axis=1)
+                    & ((along[:, 1:] != along[:, :-1]).sum(axis=1) == a["alt"][start:stop]))
+        if not chain_ok.all():
+            fid = int(ids[start + np.argmin(chain_ok)])
+            raise RuntimeError(f"bulk alt does not match its chain at function {fid}")
         sh = _sherstov_rows(t, amax, fam_max)
         ok = np.stack([
             tr0.cert["equality_holds"],
@@ -466,14 +512,8 @@ def _scan_chunk(args) -> dict:
                              "function": tt_serialize(TruthTable(n, int(ids[start + row]))),
                              "bs": int(c["block_sensitivity"][row]),
                              "s_g": int(c["s_g"][row])})
-        rated = c["s_g"] > 0
-        if rated.any():
-            pos = int(np.argmax(np.where(rated, c["ratio_bs_over_s_g_sq"], -np.inf)))
-            cand = (float(c["ratio_bs_over_s_g_sq"][pos]), int(ids[start + pos]))
-            if sherstov_best is None or (cand[0], -cand[1]) > (
-                sherstov_best[0], -sherstov_best[1]
-            ):
-                sherstov_best = cand
+        for key, col in sherstov.items():
+            col[start:stop] = c[key]
 
         # cross-check the batched rows against the per-function constructions
         for row in range(-(-start // stride) * stride, stop, stride):
@@ -495,8 +535,6 @@ def _scan_chunk(args) -> dict:
                     )
             if bool(tra.cert["invertible"][local]) != is_invertible(tr_alt.map):
                 raise RuntimeError(f"batched invertibility mismatch at function {int(ids[row])}")
-    if sherstov_best is not None:
-        extremal["bs_over_sherstov_s2"] = sherstov_best
     if include_submatrix:
         for fid in ids:
             submatrix_witness(TruthTable(n, int(fid)))  # raises VerificationError on any mismatch
@@ -510,7 +548,7 @@ def _scan_chunk(args) -> dict:
             "bs": block_sensitivity(f),
             "bs0": block_sensitivity(f, at=0),
             "C": certificate(f),
-            "alt": alternation(f),
+            "alt": int(alternation_under_shifts(f)[0]),  # the level-set kernel, not the DP
             "salt": shift_invariant_alternation(f),
             "deg": real_degree(f),
             "sparsity": sparsity(f),
@@ -526,9 +564,18 @@ def _scan_chunk(args) -> dict:
                     f"bulk={got} api={want}"
                 )
 
+    # extremal statistics over this chunk
+    a["sherstov"] = sherstov
+    extremal: dict = {}
+    for stat in _SCAN_STATISTICS:
+        vals = _statistic_array(stat, a)
+        pos = int(np.argmax(vals))
+        if vals[pos] > -np.inf:
+            extremal[stat.name] = (float(vals[pos]), int(ids[pos]))
+
     return {
         "counts": counts,
-        "worst": {k: (int(v[0]), int(v[1])) for k, v in worst.items()},
+        "worst": worst,
         "extremal": extremal,
         "findings": findings,
         "violations": violations,
@@ -583,19 +630,15 @@ def exhaustive_scan(
         findings.extend(chunk["findings"])
         violations.extend(chunk["violations"])
         for name, entry in chunk["counts"].items():
-            agg = counts.setdefault(
-                name, {"statement": entry["statement"], "holds": 0, "fails": 0,
-                       "hypothesis_not_met": 0}
-            )
+            agg = counts.setdefault(name, dict(entry, holds=0, fails=0, hypothesis_not_met=0))
             for key in ("holds", "fails", "hypothesis_not_met"):
                 agg[key] += entry[key]
         for name, cand in chunk["worst"].items():
             if name not in worst or cand < worst[name]:
                 worst[name] = cand
         for stat, cand in chunk["extremal"].items():
-            if stat not in extremal or (cand[0], -cand[1]) > (
-                extremal[stat][0], -extremal[stat][1]
-            ):
+            best = extremal.get(stat)  # the larger value wins, a tie the smaller id
+            if best is None or (cand[0], -cand[1]) > (best[0], -best[1]):
                 extremal[stat] = cand
 
     report = CheckReport("exhaustive", f"exhaustive:{n}")
@@ -757,39 +800,6 @@ def family_suite(
 # extremal search
 
 
-def _stat_salt_minus_s(f: TruthTable):
-    return float(shift_invariant_alternation(f) - sensitivity(f))
-
-
-def _stat_salt_over_s(f: TruthTable):
-    s = sensitivity(f)
-    return float(shift_invariant_alternation(f)) / s if s else None
-
-
-def _stat_bs_over_salt2_s(f: TruthTable):
-    s = sensitivity(f)
-    if s == 0:
-        return None
-    salt = shift_invariant_alternation(f)
-    return block_sensitivity(f) / (salt * salt * s)
-
-
-def _stat_s_over_sqrt_sparsity(f: TruthTable):
-    return sensitivity(f) / math.sqrt(sparsity(f))
-
-
-def _stat_bs_over_sherstov_s2(f: TruthTable):
-    return sherstov_linear(f).certificate["ratio_bs_over_s_g_sq"]
-
-
-STATISTICS = {
-    "salt_minus_s": _stat_salt_minus_s,
-    "salt_over_s": _stat_salt_over_s,
-    "bs_over_salt2_s": _stat_bs_over_salt2_s,
-    "s_over_sqrt_sparsity": _stat_s_over_sqrt_sparsity,
-    "bs_over_sherstov_s2": _stat_bs_over_sherstov_s2,
-}
-
 @lru_cache(maxsize=None)
 def _perm_index_maps(n: int) -> tuple[np.ndarray, ...]:
     size = table_size(n)
@@ -840,64 +850,34 @@ def extremal_search(
     """
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}; known: {sorted(STATISTICS)}")
-    stat_fn = STATISTICS[statistic]
-    candidates: list[tuple[float, int]] = []
     if n <= _bulk.MAX_BULK_ARITY:
         total = 1 << (1 << n)
         a = _bulk.measure_arrays(n, 0, total)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if statistic == "salt_minus_s":
-                vals = (a["salt"] - a["s"]).astype(float)
-                mask = np.ones(vals.size, bool)
-            elif statistic == "salt_over_s":
-                vals = a["salt"] / a["s"].astype(float)
-                mask = a["s"] > 0
-            elif statistic == "bs_over_salt2_s":
-                vals = a["bs"] / (a["salt"].astype(float) ** 2 * a["s"])
-                mask = a["s"] > 0
-            elif statistic == "s_over_sqrt_sparsity":
-                vals = a["s"] / np.sqrt(a["sparsity"].astype(float))
-                mask = np.ones(vals.size, bool)
-            else:
-                _, families = _packing_lut(n)
-                cert = _sherstov_rows(_bulk._tables(n, 0, total), a["bs_argmax"],
-                                      families[a["pattern_argmax"]]).cert
-                vals = cert["ratio_bs_over_s_g_sq"]
-                mask = cert["s_g"] > 0
-        vals = np.where(mask & np.isfinite(vals), vals, -np.inf)
-        order = np.argsort(-vals, kind="stable")
-        seen: set[int] = set()
-        for pos in order:
-            if not np.isfinite(vals[pos]):
-                continue
-            key = _canonical_key(n, int(pos))
-            if key in seen:
-                continue
-            seen.add(key)
-            candidates.append((float(vals[pos]), int(pos)))
-            if len(candidates) >= top:
-                break
+        row = _STATISTICS[statistic]
+        if "sherstov" in row.needs:
+            _, families = _packing_lut(n)
+            a["sherstov"] = _sherstov_rows(_bulk._tables(n, 0, total), a["bs_argmax"],
+                                           families[a["pattern_argmax"]]).cert
+        vals = _statistic_array(row, a)
+        ranked = ((float(vals[pos]), int(pos)) for pos in np.argsort(-vals, kind="stable")
+                  if vals[pos] > -np.inf)
     else:
         rng = np.random.default_rng(seed)
         size = table_size(n)
         pool = [pack(rng.integers(0, 2, size, dtype=np.uint8)) for _ in range(budget)]
-        seen = set()
-        scored: list[tuple[float, int]] = []
-        for bits in pool:
-            f = TruthTable(n, bits)
-            v = stat_fn(f)
-            if v is None:
-                continue
-            scored.append((float(v), bits))
-        scored.sort(key=lambda t: (-t[0], t[1]))
-        for v, bits in scored:
-            key = _canonical_key(n, bits)
-            if key in seen:
-                continue
-            seen.add(key)
-            candidates.append((v, bits))
-            if len(candidates) >= top:
-                break
+        scored = [(STATISTICS[statistic](TruthTable(n, bits)), bits) for bits in pool]
+        ranked = sorted(((v, bits) for v, bits in scored if v is not None),
+                        key=lambda t: (-t[0], t[1]))
+    candidates: list[tuple[float, int]] = []
+    seen: set[int] = set()
+    for value, bits in ranked:
+        key = _canonical_key(n, bits)
+        if key in seen:
+            continue
+        seen.add(key)
+        candidates.append((value, bits))
+        if len(candidates) >= top:
+            break
     return [
         ExtremalRecord(tt_serialize(TruthTable(n, bits)), statistic, value, n)
         for value, bits in candidates

@@ -22,7 +22,7 @@ from .checks import (
     family_suite,
     inequality_suite,
 )
-from .commlb import VerificationError, and_matrix, bound_summary, det_upper_bound, submatrix_witness
+from .commlb import VerificationError, and_matrix, bound_summary, submatrix_witness
 from .core import FormatError, TruthTable, parse_point, tt_parse, tt_serialize
 from .families import from_family_spec
 from .measures import ArityLimitError, measure_report
@@ -203,14 +203,13 @@ def _cmd_comm(args) -> int:
         payload["certificate"] = cert.to_json_dict()
     except ArityLimitError as e:
         payload["certificate"] = {"skipped": str(e)}
-    try:
-        payload["det_upper_bound"] = det_upper_bound(
-            f, limit=(limits or {}).get("DT") if limits else None
-        )
-    except ArityLimitError as e:
-        payload["det_upper_bound"] = None
-        payload.setdefault("skipped", []).append(str(e))
-    payload["bound_summary"] = bound_summary(f, primes=primes, limits=limits)
+    # the summary's DT is det_upper_bound's, with the same skip
+    summary = bound_summary(f, primes=primes, limits=limits)
+    payload["det_upper_bound"] = summary["comm_upper_2dt"]
+    dt_skips = [s["reason"] for s in summary["skipped"] if s["quantity"] == "DT"]
+    if dt_skips:
+        payload["skipped"] = dt_skips
+    payload["bound_summary"] = summary
     if args.export_matrix:
         matrix = and_matrix(f)
         if args.export_matrix.endswith(".pbm"):

@@ -22,6 +22,7 @@ import numpy as np
 from ._bitops import mask_indices, pack, point_to_str, table_size
 from .core import AffineMap, TruthTable, affine_images, tt_serialize
 from .measures import (
+    BlockFamily,
     _alternation_down,
     _best_chains,
     _pointwise_sensitivity,
@@ -308,5 +309,10 @@ def sherstov_linear(f: TruthTable, limit: int | None = None) -> TransformResult:
     zero.
     """
     _, fam = block_sensitivity(f, witness=True, limit=limit)
+    return _sherstov_from_family(f, fam)
+
+
+def _sherstov_from_family(f: TruthTable, fam: BlockFamily) -> TransformResult:
+    """``sherstov_linear`` on a witness family already found by a bs search."""
     blocks = _block_rows(f.n, fam.blocks)
     return _sherstov_rows(f.to_array()[None, :], np.array([fam.point]), blocks).result(0, f)
