@@ -8,19 +8,21 @@ is a row kernel of a handful of numpy passes.  Every kernel but the
 block-pattern scan is the one the per-function API runs:
 
 * ``measures``: pointwise sensitivity, the layered alternation DP, the
-  block-packing table, and the subcube lattice behind certificate
-  complexity and decision-tree depth (walked over row slices to bound
-  memory);
+  block-packing table, and the ternary subcube table
+  (``measures._subcube_table``) behind certificate complexity and
+  decision-tree depth, built over row slices to bound memory;
 * ``spectral``: the Moebius and Walsh butterflies, run here in int16 and
   int32, and the degree and sparsity kernels; ``deg`` and every ``deg_p``
   are read from one Moebius matrix.
 
 The scan reuses the sensitivity and sparsity kernels on the transformed
 tables g, and cross-checks these arrays against the per-function API on a
-deterministic subsample.  Since both routes share the kernels, that only
-compares two algorithms for salt: the layered DP over the shifts here and
-the level-set kernel of ``shift_invariant_alternation``; the tests check
-the arrays against brute-force oracles.
+deterministic subsample.  Since both routes share most kernels, that
+guards the batching (row slices, dtypes) and compares two algorithms only
+for alt and salt: the layered DP over the shifts here and the level-set
+kernel of ``shift_invariant_alternation``.  The scan also checks each
+alternation chain of its transforms against its alt value, and the tests
+check the arrays against brute-force oracles.
 """
 
 from __future__ import annotations
@@ -30,10 +32,9 @@ import numpy as np
 from ._bitops import table_size
 from .measures import (
     _alternation_down,
-    _largest_constant_subcubes,
     _packing_lut,
     _pointwise_sensitivity,
-    _subcube_lattice,
+    _subcube_table,
 )
 from .spectral import _degrees, _moebius_rows, _sparsities, _walsh_rows
 
@@ -68,18 +69,19 @@ def _block_patterns(t: np.ndarray) -> np.ndarray:
 def _certificate_and_depth(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Certificate complexity and decision-tree depth of every row.
 
-    Both come from ``measures._subcube_lattice``, run over slices of the
-    rows so that its 4**n bytes per row stay small.
+    Both come from ``measures._subcube_table``, run over slices of the rows
+    so that its 3**n states per row (81 at n = 4) stay small.  C is n minus
+    the smallest free set of a largest constant subcube through a point;
+    the key of that subcube orders by the size of its free set first.
     """
     m, size = t.shape
     n = size.bit_length() - 1
     c = np.empty(m, dtype=np.int64)
     dt = np.empty(m, dtype=np.int64)
     for start in range(0, m, _ROW_SLICE):
-        lattice = _subcube_lattice(t[start : start + _ROW_SLICE])
-        best_free, _ = _largest_constant_subcubes(lattice)
-        c[start : start + _ROW_SLICE] = n - best_free.min(axis=0)
-        dt[start : start + _ROW_SLICE] = lattice[size - 1, 0]
+        _, depth, key = _subcube_table(t[start : start + _ROW_SLICE])
+        c[start : start + _ROW_SLICE] = n - (key.min(axis=0) >> n)
+        dt[start : start + _ROW_SLICE] = depth[(2,) * n]
     return c, dt
 
 

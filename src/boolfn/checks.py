@@ -52,6 +52,7 @@ from .measures import (
 from .spectral import _sparsities, _walsh_rows
 from .transforms import (
     _alt2s_rows,
+    _bs2s_from_family,
     _bs2s_rows,
     _sherstov_from_family,
     _sherstov_rows,
@@ -327,20 +328,21 @@ def inequality_suite(f: TruthTable, primes=(2, 3), limits: dict | None = None) -
         except ArityLimitError as e:
             skips[name] = str(e)
 
-    lattice = _LatticeMeasures(f, limits)
+    subcubes = _LatticeMeasures(f, limits)
     compute("s", lambda: sensitivity(f))
-    compute("bs", lambda: lattice.block_sensitivity(witness=True))
-    fam = None  # where bs is skipped, the transforms raise the same skip
-    if "bs" in vals:
-        vals["bs"], fam = vals["bs"]
-    compute("bs0", lambda: block_sensitivity(f, at=0, limit=limits.get("bs")))
-    compute("C", lambda: lattice.certificate(witness=False))
+    compute("bs", lambda: subcubes.block_sensitivity(witness=True))
+    compute("bs0", lambda: block_sensitivity(f, at=0, witness=True, limit=limits.get("bs")))
+    fams = {}  # the witness families the transforms are built from
+    for k in ("bs", "bs0"):
+        if k in vals:
+            vals[k], fams[k] = vals[k]
+    compute("C", lambda: subcubes.certificate(witness=False))
     compute("salt", lambda: shift_invariant_alternation(f, limit=limits.get("salt")))
     vals["deg"] = real_degree(f)
     for p in primes:
         vals[f"deg_{p}"] = modp_degree(f, p)
     vals["sparsity"] = sparsity(f)
-    compute("DT", lambda: lattice.dt_depth(witness=False))
+    compute("DT", lambda: subcubes.dt_depth(witness=False))
 
     for row, p, v in _rows(vals, primes, by_prime=False):
         missing = [k for k in row.needs if k not in v]
@@ -356,25 +358,18 @@ def inequality_suite(f: TruthTable, primes=(2, 3), limits: dict | None = None) -
                                    left, right, verdict, witness))
 
     # block-packing transform: equality at the all-zero input and at an argmax
-    def bs2s_check(name, a):
-        try:
-            tr = bs_to_s_affine(f, a, limit=limits.get("bs"))
-        except ArityLimitError as e:
-            report.checks.append(
-                Check(name, "s(g,0) == bs(f,a) under the block transform", "proven",
-                      None, None, "skipped", {"reason": str(e)})
-            )
-            return
-        cert = tr.certificate
-        verdict = "holds" if cert["equality_holds"] else "fails"
+    statement = "s(g,0) == bs(f,a) under the block transform"
+    for name, k in (("bs2s_equality_at_zero", "bs0"), ("bs2s_equality_at_argmax", "bs")):
+        if k not in fams:
+            report.checks.append(Check(name, statement, "proven", None, None, "skipped",
+                                       {"reason": skips[k]}))
+            continue
+        cert = _bs2s_from_family(f, fams[k]).certificate
         report.checks.append(
-            Check(name, "s(g,0) == bs(f,a) under the block transform", "proven",
-                  cert["s_g_at_zero"], cert["block_sensitivity"], verdict,
+            Check(name, statement, "proven", cert["s_g_at_zero"], cert["block_sensitivity"],
+                  "holds" if cert["equality_holds"] else "fails",
                   {"point": point_to_str(cert["point"], n) if n else ""})
         )
-
-    bs2s_check("bs2s_equality_at_zero", 0)
-    bs2s_check("bs2s_equality_at_argmax", fam.point if fam else 0)
 
     tr_alt = alt_to_s_linear(f)
     cert = tr_alt.certificate
@@ -400,13 +395,13 @@ def inequality_suite(f: TruthTable, primes=(2, 3), limits: dict | None = None) -
                   "empirical", None if ratio is None else vals["bs"],
                   None, "holds", {"ratio": ratio})
         )
-    if fam is None:
+    if "bs" not in fams:
         report.checks.append(
             Check("sherstov_factor4", "4*s(g)**2 >= bs(f)", "empirical",
                   None, None, "skipped", {"reason": skips["bs"]})
         )
     else:
-        cert = _sherstov_from_family(f, fam).certificate
+        cert = _sherstov_from_family(f, fams["bs"]).certificate
         verdict = "holds" if cert["factor4_holds"] else "fails"
         report.checks.append(Check(
             "sherstov_factor4", "4*s(g)**2 >= bs(f) for the split-block map (empirical factor)",

@@ -25,7 +25,13 @@ from .checks import (
 from .commlb import VerificationError, and_matrix, bound_summary, submatrix_witness
 from .core import FormatError, TruthTable, parse_point, tt_parse, tt_serialize
 from .families import from_family_spec
-from .measures import ArityLimitError, measure_report
+from .measures import (
+    ArityLimitError,
+    _LatticeMeasures,
+    _measure_report,
+    block_sensitivity,
+    sensitivity,
+)
 from .transforms import alt_to_s_linear, bs_to_s_affine, sherstov_linear
 
 _MEASURE_CSV_ORDER = ("s", "bs", "C", "alt", "salt", "deg", "sparsity", "DT")
@@ -76,20 +82,18 @@ def _emit(payload) -> None:
 def _cmd_measures(args) -> int:
     f = _load_source(args.source)
     primes = _parse_primes(args.primes)
-    rep = measure_report(f, primes=primes, limits=_limits_for(f, args.override_ceilings))
+    subcubes = _LatticeMeasures(f, _limits_for(f, args.override_ceilings) or {})
+    rep = _measure_report(subcubes, primes, witnesses=True)
     if args.at is not None:
-        # pointwise values for the point-dependent measures, appended as extras
-        from .measures import block_sensitivity, certificate, sensitivity
-
+        # pointwise values for the point-dependent measures, appended as extras;
+        # C reads the report's subcube table
         at = parse_point(args.at, f.n)
         rep.measures["s_at"] = sensitivity(f, at=at)
         try:
             rep.measures["bs_at"] = block_sensitivity(
                 f, at=at, limit=f.n if args.override_ceilings else None
             )
-            rep.measures["C_at"] = certificate(
-                f, at=at, limit=f.n if args.override_ceilings else None
-            )
+            rep.measures["C_at"] = subcubes.certificate(False, at)
         except ArityLimitError as e:
             rep.skipped.append({"measure": "pointwise", "reason": str(e)})
     data = rep.to_json_dict()

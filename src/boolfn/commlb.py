@@ -262,7 +262,7 @@ def bound_summary(f: TruthTable, primes=(2, 3), limits: dict | None = None) -> d
                     "right": bs0 * dp * dp,
                     "holds": dt <= bs0 * dp * dp,
                 }
-        if summary["depends_on_all"] and n > 0:
+        if summary["depends_on_all"]:
             entry["deg_lower_bound"] = {
                 "left": deg * (1 << dp),
                 "right": n,

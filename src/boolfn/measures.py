@@ -366,152 +366,181 @@ def block_sensitivity(
 
 
 # ---------------------------------------------------------------------------
-# the subcube lattice: certificate complexity and decision-tree depth
+# the ternary subcube table: certificate complexity and decision-tree depth
 
 
-# Bytes the int8 subcube lattice of one function may take (4**n): n <= 14.
-# Above it C and DT are skipped even under an explicit limit.
+# Bytes the subcube table of one function may take (see ``_table_bytes``):
+# n <= 15.  Above it C and DT are skipped even under an explicit limit.
 _LATTICE_BUDGET = 1 << 28
 
 
+def _key_dtype(n: int) -> np.dtype:
+    """Smallest unsigned type holding the subcube key (|V| << n) | V."""
+    return np.min_scalar_type((n << n) | (table_size(n) - 1))
+
+
+def _table_bytes(n: int) -> int:
+    """Peak bytes of ``_subcube_table`` on one function of arity n.
+
+    Per state: val and dt (one byte each) and a key, all held at once, plus
+    one byte for the (3**(n-1))-entry work buffer and fold masks.  The
+    constant covers numpy's iteration buffers (8192 elements per operand),
+    which the in-place passes take because their operands interleave.
+    """
+    return 3**n * (3 + _key_dtype(n).itemsize) + (1 << 17)
+
+
+def _table_limit() -> int:
+    """Largest arity whose subcube table fits the byte budget."""
+    n = 0
+    while _table_bytes(n + 1) <= _LATTICE_BUDGET:
+        n += 1
+    return n
+
+
 class LatticeBudgetError(ArityLimitError):
-    """The subcube lattice behind C and DT would exceed its fixed byte budget."""
+    """The subcube table behind C and DT would exceed its fixed byte budget."""
 
     def __init__(self, measure: str, arity: int):
         self.measure = measure
         self.arity = arity
-        self.limit = (_LATTICE_BUDGET.bit_length() - 1) // 2
+        self.limit = _table_limit()
         ValueError.__init__(
             self,
-            f"{measure} skipped: arity {arity} needs a {table_size(arity) ** 2}-byte "
-            f"subcube lattice, over the fixed budget of {_LATTICE_BUDGET} bytes",
+            f"{measure} skipped: arity {arity} needs a {_table_bytes(arity)}-byte "
+            f"subcube table, over the fixed budget of {_LATTICE_BUDGET} bytes",
         )
 
 
-def _flip_max(table: np.ndarray, i: int, out: np.ndarray | None = None) -> np.ndarray:
-    """max(table[x], table[x XOR e_i]) for every input x of a (2**n, m) table."""
-    a = table.reshape(-1, 2, table.shape[1] << i)
-    if out is not None:
-        out = out.reshape(a.shape)
-    return np.maximum(a, a[:, ::-1], out=out).reshape(table.shape)
+def _subcube_table(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Constancy, decision-tree depth and certificates of every subcube of every
+    row of an (m, 2**n) table matrix.
 
+    A subcube is a ternary state t in {0, 1, *}**n: variable i is free where
+    t_i = * (digit 2) and fixed to t_i elsewhere.  The first two arrays have
+    shape (3,) * n + (m,), with the rows on the last axis and variable i on
+    axis n - 1 - i, so the flat index of t is sum(t_i * 3**i) per row:
 
-def _subcube_lattice(tables: np.ndarray) -> np.ndarray:
-    """Decision-tree depth of every subcube of every row of an (m, 2**n) matrix.
+    * ``val``: the constant value of the row on t, or 2 where it is not
+      constant.  It folds in n per-axis passes from the points; each pass
+      ORs the value sets (bit 0: a 0 seen, bit 1: a 1 seen) of the halves
+      t_i = 0 and t_i = 1 into t_i = *.
+    * ``dt``: the optimal depth on t: 0 where ``val != 2``, else
+      1 + min over free i of max(dt[t_i = 0], dt[t_i = 1]).  Sweeps of n
+      per-axis relaxations, in place, lower an upper bound to it.  They
+      stop after a sweep that changes nothing, which only the exact depths
+      survive, or after sweep d once the whole cube's depth is at most d,
+      since sweep d makes every state of depth <= d exact: at most n**2
+      passes of 3**(n-1) entries, and a few sweeps on most functions.
 
-    Entry [V, x, r] is the optimal depth of row r restricted to the subcube
-    whose free variables are the set V and whose fixed variables take their
-    values from x.  A tree that queries i in V first needs 1 + the larger
-    depth of the halves (V - i, x) and (V - i, x XOR e_i); the entry is the
-    least of these over i, or 0 where the subcube is constant, which holds
-    exactly when, for the lowest variable of V, both halves are constant
-    and f(x) == f(x XOR e_low).  So each set folds
-    from its predecessors in ascending order: n * 2**(n-1) folds of 2**n
-    entries per row, into one int8 array of m * 4**n bytes.  The rows sit on
-    the last axis, so a flip of x is a contiguous half swap.  Per-function
-    callers go through ``_LatticeMeasures``, which checks the byte budget
-    before this allocates anything.
+    The third, shape (2**n, m), is indexed by point: the key (|V| << n) | V
+    of the largest constant subcube through the point, V its free set, the
+    largest mask among the largest.  The key of each constant subcube adds
+    up along the folds, and n max-passes push it from t_i = * down into
+    t_i = 0 and t_i = 1.  Per-function callers go through
+    ``_LatticeMeasures``, which checks the byte budget first.
     """
     m, size = tables.shape
     n = size.bit_length() - 1
-    t = np.ascontiguousarray(tables.T)
-    diff = []
-    for i in range(n):
-        halves = t.reshape(-1, 2, m << i)
-        diff.append((halves != halves[:, ::-1]).reshape(size, m))
-    dt = np.empty((size, size, m), dtype=np.int8)
-    dt[0] = 0
-    for v in range(1, size):
-        low = (v & -v).bit_length() - 1
-        cur = _flip_max(dt[v ^ (1 << low)], low, out=dt[v])
-        split = (cur != 0) | diff[low]
-        rest = v & (v - 1)
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            np.minimum(cur, _flip_max(dt[v ^ (1 << i)], i), out=cur)
-            rest &= rest - 1
-        cur += split
-    return dt
+    shape = (3,) * n + (m,)
+    points = (slice(0, 2),) * n
+    val = np.empty(shape, dtype=np.uint8)
+    key = np.zeros(shape, dtype=_key_dtype(n))
+    np.add(tables.T.reshape((2,) * n + (m,)), 1, out=val[points])
+    for k in reversed(range(n)):
+        lead = (slice(0, 2),) * k
+        v_free, k_free = val[lead + (2,)], key[lead + (2,)]
+        np.bitwise_or(val[lead + (0,)], val[lead + (1,)], out=v_free)
+        np.add(key[lead + (0,)], (1 << n) | (1 << (n - 1 - k)), out=k_free)
+        k_free *= v_free != 3
+    val -= 1
+
+    # dt fills the front of a zeroed array of 4-byte words; its entries only
+    # fall, so the exact sum of the words is unchanged only after a sweep
+    # that changed nothing
+    words = np.zeros(-(-val.size // 4), dtype=np.uint32)
+    dt = words.view(np.int8)[: val.size].reshape(shape)
+    np.equal(val, 2, out=dt.view(np.bool_))
+    dt *= n
+    buf = np.empty(dt.size // 3, dtype=np.int8)
+    total = None
+    for sweep in range(1, n + 1):
+        for k in range(n):
+            d, out = dt.reshape(3**k, 3, -1), buf.reshape(3**k, -1)
+            views, order = (d[:, 0], d[:, 1], d[:, 2], out), "K"
+            if out.shape[1] < 16:
+                # short contiguous runs: iterate down the long strided axis
+                views, order = tuple(a.T for a in views), "C"
+            low, high, free, out = views
+            np.maximum(low, high, out=out, order=order)
+            out += 1
+            np.minimum(free, out, out=free, order=order)
+        before, total = total, int(words.sum(dtype=np.uint64))
+        if total == before or dt[(2,) * n].max() <= sweep:
+            break
+
+    for k in range(n):
+        lead = (slice(0, 2),) * k
+        free = key[lead + (2,)]
+        for b in (0, 1):
+            np.maximum(key[lead + (b,)], free, out=key[lead + (b,)])
+    return val, dt, key[points].reshape(size, m)
 
 
-def _largest_constant_subcubes(dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per input and row: size and free mask of the largest constant subcube.
-
-    Among constant free sets of the largest size the largest mask wins: the
-    sets are visited in ascending order, and a later set of equal size
-    replaces an earlier one.
-    """
-    size = dt.shape[0]
-    pc = popcounts(size.bit_length() - 1)
-    best_free = np.zeros(dt.shape[1:], dtype=np.int8)
-    best_v = np.zeros(dt.shape[1:], dtype=np.min_scalar_type(size - 1))
-    for v in range(1, size):
-        pcv = pc[v]
-        take = (dt[v] == 0) & (best_free <= pcv)
-        np.copyto(best_free, pcv, where=take, casting="unsafe")
-        np.copyto(best_v, v, where=take, casting="unsafe")
-    return best_free, best_v
-
-
-def _dt_witness(f: TruthTable, dt: np.ndarray, v: int, x: int) -> dict:
-    """Optimal tree of the subcube (v, x) of the lattice, smallest variable first."""
-    depth = dt[v, x, 0]
+def _dt_witness(val: np.ndarray, dt: np.ndarray, n: int, s: int) -> dict:
+    """Optimal tree of the ternary state s of one row's flat tables, smallest
+    variable first."""
+    depth = dt[s]
     if depth == 0:
-        return {"value": f.value_at(x)}
-    rest = v
-    while rest:
-        bit = rest & -rest
-        sub = dt[v ^ bit, :, 0]
-        if 1 + max(sub[x & ~bit], sub[x | bit]) == depth:
-            return {
-                "var": bit.bit_length(),
-                "low": _dt_witness(f, dt, v ^ bit, x & ~bit),
-                "high": _dt_witness(f, dt, v ^ bit, x | bit),
-            }
-        rest ^= bit
+        return {"value": int(val[s])}
+    stride = 1
+    for i in range(n):
+        if s // stride % 3 == 2:
+            low, high = s - 2 * stride, s - stride
+            if 1 + max(dt[low], dt[high]) == depth:
+                return {
+                    "var": i + 1,
+                    "low": _dt_witness(val, dt, n, low),
+                    "high": _dt_witness(val, dt, n, high),
+                }
+        stride *= 3
     raise AssertionError("decision-tree reconstruction failed")
 
 
 class _LatticeMeasures:
-    """bs, C and DT of one function, from at most one subcube lattice.
+    """bs, C and DT of one function, from at most one ternary subcube table.
 
-    The lattice is built on first use by a measure that fits its arity
-    ceiling (``limits``, else ``DEFAULT_LIMITS``) and the byte budget; C and
-    DT read it, and once it exists the bs search runs under the tighter
-    bound min(u(x), C(f,x)), since bs(f,x) <= C(f,x).
+    The table (``_subcube_table``: 3**n states, n**2 * 3**(n-1) DT work) is
+    built on first use by a measure that fits its arity ceiling (``limits``,
+    else ``DEFAULT_LIMITS``) and the byte budget; C and DT read it, and once
+    it exists the bs search runs under the tighter bound min(u(x), C(f,x)),
+    since bs(f,x) <= C(f,x).
     """
 
     def __init__(self, f: TruthTable, limits: dict):
         self.f = f
         self.limits = limits
-        self._dt: np.ndarray | None = None
-        self._subcubes: tuple[np.ndarray, np.ndarray] | None = None
+        self._table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def _skip(self, measure: str) -> ArityLimitError | None:
-        """The skip that keeps ``measure`` off the lattice: ceiling, then budget."""
+        """The skip that keeps ``measure`` off the table: ceiling, then budget."""
         n = self.f.n
         ceiling = _ceiling(measure, self.limits.get(measure))
         if n > ceiling:
             return ArityLimitError(measure, n, ceiling)
-        if table_size(n) ** 2 > _LATTICE_BUDGET:
+        if _table_bytes(n) > _LATTICE_BUDGET:
             return LatticeBudgetError(measure, n)
         return None
 
-    def _lattice(self, measure: str) -> np.ndarray:
+    def _subcubes(self, measure: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """val and dt as flat arrays over the states, and the key per point."""
         skip = self._skip(measure)
         if skip is not None:
             raise skip
-        if self._dt is None:
-            self._dt = _subcube_lattice(self.f.to_array()[None, :])
-        return self._dt
-
-    def _constant_subcubes(self, measure: str) -> tuple[np.ndarray, np.ndarray]:
-        """Per input: size and free mask of the largest constant subcube."""
-        dt = self._lattice(measure)
-        if self._subcubes is None:
-            best_free, best_v = _largest_constant_subcubes(dt)
-            self._subcubes = best_free[:, 0], best_v[:, 0]
-        return self._subcubes
+        if self._table is None:
+            val, dt, key = _subcube_table(self.f.to_array()[None, :])
+            self._table = val.reshape(-1), dt.reshape(-1), key[:, 0]
+        return self._table
 
     def block_sensitivity(self, witness: bool):
         f = self.f
@@ -519,35 +548,33 @@ class _LatticeMeasures:
         bound = _sensitivity_bound(f)
         shared = next((k for k in ("C", "DT") if self._skip(k) is None), None)
         if shared is not None:
-            best_free, _ = self._constant_subcubes(shared)
-            np.minimum(bound, f.n - best_free, out=bound)
+            key = self._subcubes(shared)[2]
+            np.minimum(bound, f.n - (key >> f.n), out=bound, casting="unsafe")
         return _bs_search(f, bound, witness)
 
     def certificate(self, witness: bool, at: int | None = None):
         n = self.f.n
-        best_free, best_v = self._constant_subcubes("C")
+        key = self._subcubes("C")[2]
         if n == 0:
             return (0, (0, 0)) if witness else 0
         full = table_size(n) - 1
         if at is not None:
             if not 0 <= at < table_size(n):
                 raise ValueError(f"assignment {at} out of range for arity {n}")
-            val = n - int(best_free[at])
-            return (val, (at, full ^ int(best_v[at]))) if witness else val
-        c_pt = n - best_free.astype(np.int16)
-        val = int(c_pt.max())
-        if not witness:
-            return val
-        point = int(np.argmax(c_pt == val))
-        return val, (point, full ^ int(best_v[point]))
+            point = at
+        else:
+            point = int(np.argmin(key >> n))
+        k = int(key[point])
+        val = n - (k >> n)
+        return (val, (point, full ^ (k & full))) if witness else val
 
     def dt_depth(self, witness: bool):
-        dt = self._lattice("DT")
-        full = table_size(self.f.n) - 1
-        val = int(dt[full, 0, 0])
+        val, dt, _ = self._subcubes("DT")
+        n = self.f.n
+        depth = int(dt[-1])
         if not witness:
-            return val
-        return val, _dt_witness(self.f, dt, full, 0)
+            return depth
+        return depth, _dt_witness(val, dt, n, 3**n - 1)
 
 
 def certificate(
@@ -555,13 +582,14 @@ def certificate(
 ):
     """Smallest set of coordinates that, fixed as in the input, pins f constant.
 
-    Reads constancy off the subcube lattice that ``dt_depth`` also uses
-    (depth 0 means constant; 4**n bytes, n * 2**(n-1) folds of 2**n
-    entries).  At each input the fixed set is the complement of the largest
-    constant subcube through it, so it is the smallest mask among the
-    smallest certificates.  Unpointed, the witness point is the smallest
-    input of maximum certificate size.  Above the lattice's byte budget
-    (n > 14) it raises ``LatticeBudgetError`` whatever ``limit`` says.
+    Reads constancy off the ternary subcube table that ``dt_depth`` also
+    uses (``_subcube_table``: 3**n states, n**2 * 3**(n-1) entries of DT
+    work, about 7 bytes per state).  At each input the fixed set is the
+    complement of the largest constant subcube through it, so it is the
+    smallest mask among the smallest certificates.  Unpointed, the witness
+    point is the smallest input of maximum certificate size.  Above the
+    table's byte budget (n > 15) it raises ``LatticeBudgetError`` whatever
+    ``limit`` says.
 
     Witness: (point, mask of the fixed set).
     """
@@ -569,12 +597,12 @@ def certificate(
 
 
 def dt_depth(f: TruthTable, witness: bool = False, limit: int | None = None):
-    """Depth of an optimal decision tree, read off the subcube lattice.
+    """Depth of an optimal decision tree, read off the ternary subcube table.
 
-    The lattice (see ``_subcube_lattice``, shared with ``certificate``)
-    holds the optimal depth of every subcube in 4**n bytes, built by
-    n * 2**(n-1) folds of 2**n entries; DT(f) is its entry for the whole
-    cube.  Above the lattice's byte budget (n > 14) it raises
+    The table (see ``_subcube_table``, shared with ``certificate``) holds
+    the optimal depth of each of the 3**n subcubes, lowered by relaxation
+    sweeps of at most n**2 * 3**(n-1) entries; DT(f) is its entry for the
+    whole cube.  Above the table's byte budget (n > 15) it raises
     ``LatticeBudgetError`` whatever ``limit`` says.  The witness tree
     queries 1-based variables ('var', 'low', 'high' nodes, 'value' leaves):
     it walks down from the whole cube, queries at each subcube the smallest
@@ -880,16 +908,20 @@ def measure_report(
 ) -> MeasureReport:
     """Compute every measure that fits its arity ceiling; skips are explicit.
 
-    bs, C and DT share one subcube lattice, built once when C or DT fits its
-    ceiling; the bs search then runs under min(u(x), C(f,x)) (see
+    bs, C and DT share one ternary subcube table, built once when C or DT
+    fits its ceiling; the bs search then runs under min(u(x), C(f,x)) (see
     ``_LatticeMeasures``), which on most functions leaves one packing
-    search, so the lattice sets the cost of a report.
+    search.
     """
-    limits = limits or {}
-    rep = MeasureReport(f, tuple(primes))
-    lattice = _LatticeMeasures(f, limits)
+    return _measure_report(_LatticeMeasures(f, limits or {}), primes, witnesses)
 
-    def run(name: str, fn, *, limited: str | None = None):
+
+def _measure_report(subcubes: _LatticeMeasures, primes, witnesses: bool) -> MeasureReport:
+    """``measure_report`` on a caller's subcube table, which it may read further."""
+    f, limits = subcubes.f, subcubes.limits
+    rep = MeasureReport(f, tuple(primes))
+
+    def run(name: str, fn):
         try:
             out = fn()
         except ArityLimitError as e:
@@ -904,8 +936,8 @@ def measure_report(
 
     w = witnesses
     run("s", lambda: sensitivity(f, witness=w))
-    run("bs", lambda: lattice.block_sensitivity(w))
-    run("C", lambda: lattice.certificate(w))
+    run("bs", lambda: subcubes.block_sensitivity(w))
+    run("C", lambda: subcubes.certificate(w))
     run("alt", lambda: alternation(f, witness=w))
     run(
         "salt",
@@ -915,5 +947,5 @@ def measure_report(
     for p in primes:
         run(f"deg_{p}", lambda p=p: modp_degree(f, p, witness=w))
     run("sparsity", lambda: sparsity(f, witness=w))
-    run("DT", lambda: lattice.dt_depth(w))
+    run("DT", lambda: subcubes.dt_depth(w))
     return rep

@@ -284,8 +284,15 @@ def bs_to_s_affine(
     form the submatrix certificate construction needs.
     """
     _, fam = block_sensitivity(f, at=a, witness=True, limit=limit)
+    return _bs2s_from_family(f, fam, placement)
+
+
+def _bs2s_from_family(
+    f: TruthTable, fam: BlockFamily, placement: str = "block-index"
+) -> TransformResult:
+    """``bs_to_s_affine`` at ``fam.point`` on a witness family already found."""
     blocks = _block_rows(f.n, fam.blocks)
-    return _bs2s_rows(f.to_array()[None, :], np.array([a]), blocks, placement).result(0, f)
+    return _bs2s_rows(f.to_array()[None, :], np.array([fam.point]), blocks, placement).result(0, f)
 
 
 def alt_to_s_linear(f: TruthTable) -> TransformResult:

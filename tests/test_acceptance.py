@@ -16,7 +16,9 @@ from boolfn import (
     alternation,
     block_sensitivity,
     bound_summary,
+    certificate,
     exhaustive_scan,
+    measure_report,
     or_compose,
     sensitivity,
     shift_invariant_alternation,
@@ -154,6 +156,40 @@ def test_extremal_search_golden_digests():
             records = extremal_search(n, stat, budget=200)  # the budget applies at n = 6
             got[f"{stat}@{n}"] = _json_digest([r.to_json_dict() for r in records])
     assert got == SEARCH_DIGESTS
+
+
+# sha256 of each measure_report(f, witnesses=True) JSON, key order kept, and
+# of certificate(f, at=x, witness=True) at every x of random(10): these pin
+# the C-mask and DT-witness tie-breaks at the arities the benchmark runs
+REPORT_DIGESTS = {
+    "random(5)": "e134f08a3eb6b3babe6be2f7d0b62e9f476e85f85fa39648819086561b790152",
+    "random(6)": "271200e6db6f68d8498241542bbf816902d080c3bb994acf9a4ef41e34e7e56a",
+    "random(7)": "1c455d49f54618e89b52e859c0edb275f9fe3c530dffbac3dfb79840a24efebd",
+    "random(8)": "36b8718c14205f3105da9b77a9e58e25003926482cac1d2723b8016c1c19071e",
+    "random(9)": "eb2c52898acc94d3efb544d6e7159a4b28cd4238f000e4f7011c06e4e2e7f290",
+    "random(10)": "7e55a5e4c5e32ea16ebd14c8c605f1089e7d3a0287a48bda5055022ec90b6986",
+    "random(11)": "5f3f8703112bd35faa4e77610fc15ce6c5345f37f62dd9c01f469ec61b7af91a",
+    "random(12)": "d2351802811765dd5548ed1e8fe9c12a6991bc0b49921473b024b808fcb9f5f7",
+    "random(13)": "0548b1165aec876473f0adb12fdd0c4d49855c3d58366b594f0f2c063c64b062",
+    "rubinstein(3,4)": "5feb6478dac5671d0614429ac6103ca467cf2e4cbf6e85452d48de174e3d4cce",
+    "maj(11)": "c05647d6d6776b8f479455daef0dff7f576665f0be638b92df1bc803dd658533",
+    "tree_function(3)": "44420edbb7fdfd1d06208bcc6d04d1373b759ca087b8e7a40238939e25b22071",
+    "gip(3,3)": "83740e64d44c0f60b57ddfffc68cc778f2da3a0d7ff4b4b104f094c33464e6ac",
+    "C_at_every_point(random(10))": "ed9d05ccde2297b0ef48a837697fe1521c3869d29abb8fb7e748ecd223facb14",
+}
+
+
+def test_measure_report_golden_digests():
+    fs = {f"random({n})": _seeded(n) for n in range(5, 14)}
+    fs.update({"rubinstein(3,4)": rubinstein(3, 4), "maj(11)": maj(11),
+               "tree_function(3)": tree_function(3), "gip(3,3)": gip(3, 3)})
+    got = {label: _json_digest(measure_report(f, witnesses=True).to_json_dict())
+           for label, f in fs.items()}
+    f = fs["random(10)"]
+    got["C_at_every_point(random(10))"] = _json_digest(
+        [certificate(f, at=x, witness=True) for x in range(table_size(f.n))]
+    )
+    assert got == REPORT_DIGESTS
 
 
 def test_criterion_1_exhaustive_small_arities(scan4):

@@ -153,6 +153,21 @@ def test_comm_gip_bound_summary(capsys):
     assert summary["per_prime"]["2"]["dt_le_bs0_degp_sq"]["holds"] is True
 
 
+def test_comm_at_arity_zero_agrees_with_check_function(capsys):
+    # f vacuously depends on all of its 0 variables, and deg * 2**deg_p >= 0
+    for source in ("tt:0:0", "tt:0:1"):
+        code, out, _ = run_cli(capsys, "comm", source)
+        assert code == 0
+        per_prime = json.loads(out)["bound_summary"]["per_prime"]
+        for entry in per_prime.values():
+            bound = entry["deg_lower_bound"]
+            assert (bound["left"], bound["right"], bound["holds"]) == (0, 0, True)
+        code, out, _ = run_cli(capsys, "check", "function", source)
+        assert code == 0
+        verdicts = {c["name"]: c["verdict"] for c in json.loads(out)["checks"]}
+        assert all(verdicts[f"deg_lb_from_deg{p}"] == "holds" for p in per_prime)
+
+
 def test_comm_export_matrix(tmp_path, capsys):
     pbm = tmp_path / "m.pbm"
     code, out, _ = run_cli(capsys, "comm", "fam:and:n=1", "--export-matrix", str(pbm))
@@ -188,7 +203,7 @@ def test_measures_override_ceilings_over_lattice_budget(capsys):
     assert code == 0 and err == ""
     data = json.loads(out)
     assert [s["measure"] for s in data["skipped"]] == ["C", "DT"]
-    assert all("budget" in s["reason"] and s["limit"] == 14 for s in data["skipped"])
+    assert all("budget" in s["reason"] and s["limit"] == 15 for s in data["skipped"])
     assert data["measures"]["bs"] == 16
 
 

@@ -2,6 +2,8 @@
 lattice in the library and in the bulk arrays, against the brute-force
 oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from boolfn import (
     validate_decision_tree,
 )
 from boolfn._bulk import measure_arrays
+from boolfn.measures import _table_bytes
 from boolfn.families import and_
 
 from oracles import naive_certificate, naive_certificate_set, naive_dt, random_table, restrict
@@ -115,14 +118,31 @@ def test_bulk_certificate_and_dt_match_oracles():
 
 
 def test_lattice_over_budget_skips_under_explicit_limit():
-    # 4**16 bytes would be 4 GiB: both measures refuse before allocating
+    # the subcube table at n = 16 would exceed the byte budget: both measures
+    # refuse before allocating
     f = and_(16)
     for measure, run in (("C", certificate), ("DT", dt_depth)):
         with pytest.raises(LatticeBudgetError) as exc:
             run(f, limit=16)
         assert isinstance(exc.value, ArityLimitError)
-        assert exc.value.measure == measure and exc.value.limit == 14
+        assert exc.value.measure == measure and exc.value.limit == 15
         assert "budget of 268435456 bytes" in str(exc.value)
     # the ceiling still comes first without a limit
     with pytest.raises(ArityLimitError, match="exceeds limit 12"):
         certificate(f)
+
+
+def test_subcube_table_peak_memory_within_budget_estimate():
+    # the byte budget guards memory, not just arity: the estimate it checks
+    # bounds what C and DT really allocate
+    rng = np.random.default_rng(43)
+    for n in range(8, 13):
+        f = TruthTable(n, random_table(rng, n))
+        for run in (certificate, dt_depth):
+            tracemalloc.start()
+            try:
+                run(f)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= _table_bytes(n), (run.__name__, n, peak)
