@@ -20,7 +20,9 @@ tables g, and cross-checks these arrays against the per-function API on a
 deterministic subsample.  Since both routes share most kernels, that
 guards the batching (row slices, dtypes) and compares two algorithms only
 for alt and salt: the layered DP over the shifts here and the level-set
-kernel of ``shift_invariant_alternation``.  The scan also checks each
+kernel of ``shift_invariant_alternation``, which at these arities runs one
+shift at a time on packed ints (``measures._alternation_at_shift``; its
+batched numpy form serves n >= 8 only).  The scan also checks each
 alternation chain of its transforms against its alt value, and the tests
 check the arrays against brute-force oracles.
 """

@@ -487,23 +487,22 @@ def _subcube_table(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return val, dt, key[points].reshape(size, m)
 
 
-def _dt_witness(val: np.ndarray, dt: np.ndarray, n: int, s: int) -> dict:
+def _dt_witness(val: np.ndarray, dt: np.ndarray, s: int, free: list) -> dict:
     """Optimal tree of the ternary state s of one row's flat tables, smallest
-    variable first."""
-    depth = dt[s]
+    variable first; ``free`` lists the pairs (i, 3**i) of the free variables
+    i of s, ascending, and each query hands its children the rest."""
+    depth = dt.item(s)
     if depth == 0:
-        return {"value": int(val[s])}
-    stride = 1
-    for i in range(n):
-        if s // stride % 3 == 2:
-            low, high = s - 2 * stride, s - stride
-            if 1 + max(dt[low], dt[high]) == depth:
-                return {
-                    "var": i + 1,
-                    "low": _dt_witness(val, dt, n, low),
-                    "high": _dt_witness(val, dt, n, high),
-                }
-        stride *= 3
+        return {"value": val.item(s)}
+    for j, (i, stride) in enumerate(free):
+        low, high = s - 2 * stride, s - stride
+        if 1 + max(dt.item(low), dt.item(high)) == depth:
+            rest = free[:j] + free[j + 1 :]
+            return {
+                "var": i + 1,
+                "low": _dt_witness(val, dt, low, rest),
+                "high": _dt_witness(val, dt, high, rest),
+            }
     raise AssertionError("decision-tree reconstruction failed")
 
 
@@ -574,7 +573,7 @@ class _LatticeMeasures:
         depth = int(dt[-1])
         if not witness:
             return depth
-        return depth, _dt_witness(val, dt, n, 3**n - 1)
+        return depth, _dt_witness(val, dt, 3**n - 1, [(i, 3**i) for i in range(n)])
 
 
 def certificate(
@@ -672,55 +671,216 @@ def alternation(f: TruthTable, witness: bool = False):
     return alt, Chain(tuple(int(p) for p in _best_chains(table, down)[0]))
 
 
-def _alternation_at_shift(diffs: list[int], n: int, b: int, cap: int) -> int:
+# Arity up to which salt runs per shift on packed Python ints: there all
+# 2**(n-1) shifts fit in one 64-bit word, and the batched kernel's fixed
+# numpy cost per pass outweighs the Python loop over the shifts.
+_PER_SHIFT_MAX_ARITY = 7
+
+# Bytes one block of the batched level-set kernel may take: the current and
+# next level sets and a scratch, each 2**n rows of one uint64 word per 64
+# shifts (see ``_shift_block_alternations``).  A block has at least one word.
+_SHIFT_BLOCK_BUDGET = 1 << 20
+
+
+def _alternation_at_shift(moves: list, full: int, b: int, cap: int) -> int:
     """min(alt(x -> f(x XOR b)), cap), by level sets of packed point sets.
 
-    Works in the frame of f, so no table is shifted: bit x of ``diffs[i]``
-    says f(x) != f(x XOR e_i), and a chain of the shifted function steps
-    along direction i from x to x XOR e_i wherever bit i of x equals bit i
-    of b.  Level k is the set of points that some chain from the bottom
-    point b reaches with at least k value changes: the points one changing
-    step above level k-1, closed upward along the chain order.  So every
-    nonempty level holds the top point, alt is the last nonempty level, and
-    the levels stop at ``cap``.
+    Works in the frame of f, so no table is shifted: ``moves`` holds per
+    direction i the triple (1 << i, ``low_half_mask(n, i)``, d), bit x of d
+    saying f(x) != f(x XOR e_i), and ``full`` is the mask of all 2**n
+    points.  A chain of the shifted function steps along direction i from x
+    to x XOR e_i wherever bit i of x equals bit i of b.  Level k is the set
+    of points that some chain from the bottom point b reaches with at least
+    k value changes: the points one changing step above level k-1, closed
+    upward along the chain order.  So every nonempty level holds the top
+    point, alt is the last nonempty level, and the levels stop at ``cap``.
     """
-    moves = [(1 << i, low_half_mask(n, i), (b >> i) & 1, d) for i, d in enumerate(diffs)]
-    level = table_mask(n)
+    level = full
     for k in range(cap):
         nxt = 0
-        for s, m, down, d in moves:
-            nxt |= (((level >> s) & m) if down else ((level & m) << s)) & d
+        for s, m, d in moves:
+            nxt |= (((level >> s) & m) if b & s else ((level & m) << s)) & d
         if not nxt:
             return k
         if k + 1 == cap:
             break
-        for s, m, down, _ in moves:
-            nxt |= ((nxt >> s) & m) if down else ((nxt & m) << s)
+        for s, m, _ in moves:
+            nxt |= ((nxt >> s) & m) if b & s else ((nxt & m) << s)
         level = nxt
     return cap
 
 
-def _direction_diffs(f: TruthTable) -> list[int]:
-    """Packed tables of f(x) XOR f(x XOR e_i), one per direction i."""
-    return [f.bits ^ xor_shift(f.bits, f.n, i) for i in range(f.n)]
+def _shift_moves(f: TruthTable) -> list[tuple[int, int, int]]:
+    """Per direction i: (1 << i, its low-half mask, f(x) XOR f(x XOR e_i) packed)."""
+    n = f.n
+    return [
+        (1 << i, low_half_mask(n, i), f.bits ^ xor_shift(f.bits, n, i)) for i in range(n)
+    ]
+
+
+def _direction_columns(f: TruthTable) -> list[np.ndarray]:
+    """Per direction i: f(x) != f(x XOR e_i) over the pairs {x, x XOR e_i}, as
+    all-ones or zero uint64 words of shape (2**(n-1-i), 2**i, 1), which
+    broadcast against either half of a level set along direction i."""
+    t = f.to_array()
+    cols = []
+    for i in range(f.n):
+        pairs = t.reshape(-1, 2, 1 << i)
+        diff = (pairs[:, 0] != pairs[:, 1]).astype(np.uint64)
+        cols.append(np.negative(diff, out=diff)[:, :, None])
+    return cols
+
+
+def _shift_words(bits: np.ndarray) -> np.ndarray:
+    """Bool array over 64 * w shifts -> w uint64 words, shift j at bit j % 64."""
+    return np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64)
+
+
+def _word_shifts(words: np.ndarray) -> np.ndarray:
+    """Inverse of ``_shift_words``."""
+    return np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little").astype(bool)
+
+
+def _apply(ufunc, x: np.ndarray, y, out: np.ndarray, order: str | None) -> None:
+    """ufunc(x, y, out=out), iterated innermost along the last axis (None),
+    the one before it ("swap") or the first ("flip"): numpy runs its inner
+    loop along the last axis, which is slow where that axis is short."""
+    if order == "swap":
+        x, y, out = (np.swapaxes(a, -1, -2) for a in (x, y, out))
+    elif order == "flip":
+        x, y, out = x.T, y.T, out.T
+    ufunc(x, y, out=out, order="C")
+
+
+def _shift_block_alternations(
+    cols: list[np.ndarray], b0: int, count: int, cap: int, first: bool
+) -> np.ndarray:
+    """min(alt(x -> f(x XOR b)), cap) for the shifts b0 <= b < b0 + count, all
+    below 2**(n-1), by the level sets of ``_alternation_at_shift`` run for
+    every shift of the block at once.
+
+    Level sets are a (2**n, words) uint64 array in the frame of f: row x,
+    bit j of word w is shift b0 + 64w + j.  A move along direction i runs
+    x_i = 0 -> 1 for the shifts with b_i = 0 and x_i = 1 -> 0 for those with
+    b_i = 1: each ANDs one half with the direction's column ``cols[i]`` (see
+    ``_direction_columns``) and a mask of those shifts, then ORs it into the
+    other half, so no bit is shifted.  The upward closure ORs the same
+    halves under the masks alone, and a shift's alternation is k when the
+    OR of level k + 1 over the rows clears its bit.  With ``first`` the
+    levels stop at the first one that clears a bit, and the shifts still
+    live read ``cap``; else they stop once every shift's level is empty.
+    """
+    n = len(cols)
+    words = -(-count // 64)
+    shifts = b0 + np.arange(64 * words)
+    live = _shift_words(shifts < b0 + count)
+    steps = []
+    for i in range(n):
+        # iteration orders (see ``_apply``): "plain" for operands of one
+        # shape, whose contiguous runs are 2**i * words long; "spread" for
+        # those broadcast along the words (the column, a mask row), whose
+        # runs are the words alone, so reordered where a row is one or two
+        # words and the level set large enough (measured) for that to pay
+        plain = None if (words << i) >= 16 else "flip"
+        spread = plain
+        if words < 4 and words << n >= 1 << 14:
+            spread = "swap" if (1 << i) >= 16 else "flip"
+        # (source half, target half, mask, order of its AND) of the shifts
+        # moving up and of those moving down.  The mask is None where it
+        # keeps every live shift, and a scalar where every word has the same
+        # one (bits i < 6, or one word), which numpy broadcasts far faster
+        # than a row; a move whose mask keeps no shift is left out.
+        moves = []
+        for a, z in ((0, 1), (1, 0)):
+            mask = live & _shift_words((shifts >> i) & 1 == a)
+            if not mask.any():
+                continue
+            if np.array_equal(mask, live):
+                moves.append((a, z, None, None))
+            elif (mask == mask[0]).all():
+                moves.append((a, z, mask[0], plain))
+            else:
+                moves.append((a, z, mask.reshape(1, 1, words), spread))
+        steps.append((plain, spread, moves))
+
+    alts = np.full(64 * words, cap, dtype=np.int16)
+    alive = live.copy()
+    level = np.empty((1 << n, words), dtype=np.uint64)
+    level[:] = live
+    nxt = np.empty_like(level)
+    scratch = np.empty_like(level)
+    for k in range(cap):
+        nxt.fill(0)
+        for i, (plain, spread, moves) in enumerate(steps):
+            src, dst = level.reshape(-1, 2, 1 << i, words), nxt.reshape(-1, 2, 1 << i, words)
+            tmp = scratch.reshape(-1, 2, 1 << i, words)
+            if len(moves) == 2:  # both halves move: AND the column in at once
+                _apply(np.bitwise_and, src, cols[i][:, None], tmp, spread)
+            else:
+                a = moves[0][0]
+                _apply(np.bitwise_and, src[:, a], cols[i], tmp[:, a], spread)
+            for a, z, mask, order in moves:
+                if mask is not None:
+                    _apply(np.bitwise_and, tmp[:, a], mask, tmp[:, a], order)
+                _apply(np.bitwise_or, dst[:, z], tmp[:, a], dst[:, z], plain)
+        reached = np.bitwise_or.reduce(nxt, axis=0)
+        emptied = alive & ~reached
+        if emptied.any():
+            alts[_word_shifts(emptied)] = k
+            alive &= reached
+            if first or not alive.any():
+                break
+        if k + 1 == cap:
+            break
+        for i, (plain, _, moves) in enumerate(steps):
+            halves = nxt.reshape(-1, 2, 1 << i, words)
+            tmp = scratch.reshape(-1, 2, 1 << i, words)[:, 0]
+            for a, z, mask, order in moves:
+                src = halves[:, a]
+                if mask is not None:
+                    _apply(np.bitwise_and, src, mask, tmp, order)
+                    src = tmp
+                _apply(np.bitwise_or, halves[:, z], src, halves[:, z], plain)
+        level, nxt = nxt, level
+    return alts[:count]
+
+
+def _shift_blocks(n: int) -> list[tuple[int, int]]:
+    """(b0, count) blocks of the shifts b < 2**(n-1), ascending: the most
+    64-shift words, a power of two, whose three level-set arrays fit
+    ``_SHIFT_BLOCK_BUDGET``, and one word where none fits."""
+    total = table_size(n) >> 1
+    per_word = 3 * 8 * table_size(n)
+    words = 1
+    while 2 * words * per_word <= _SHIFT_BLOCK_BUDGET and 64 * words < total:
+        words *= 2
+    step = 64 * words
+    return [(b0, min(step, total - b0)) for b0 in range(0, total, step)]
 
 
 def alternation_under_shifts(f: TruthTable) -> np.ndarray:
     """Alternation of every shifted function x -> f(x XOR b), indexed by b.
 
-    Runs the level-set kernel of ``shift_invariant_alternation`` without a
-    cap on the shifts b < 2**(n-1) and mirrors them into the top half:
-    alt(f XOR b) == alt(f XOR b XOR 1^n), because complementing the shift
-    walks every chain in reverse.
+    Runs the level-set kernel of ``shift_invariant_alternation``, per shift
+    for n <= 7 and in blocks above, without a cap on the shifts b < 2**(n-1):
+    a block runs until the level sets of all its shifts are empty.  The
+    values are mirrored into the top half: alt(f XOR b) == alt(f XOR b XOR
+    1^n), because complementing the shift walks every chain in reverse.
     """
     n = f.n
     if n == 0:
         return np.zeros(1, dtype=np.int16)
-    diffs = _direction_diffs(f)
-    half = np.array(
-        [_alternation_at_shift(diffs, n, b, n) for b in range(table_size(n) >> 1)],
-        dtype=np.int16,
-    )
+    if n <= _PER_SHIFT_MAX_ARITY:
+        moves, full = _shift_moves(f), table_mask(n)
+        half = np.array(
+            [_alternation_at_shift(moves, full, b, n) for b in range(table_size(n) >> 1)],
+            dtype=np.int16,
+        )
+    else:
+        cols = _direction_columns(f)
+        half = np.concatenate(
+            [_shift_block_alternations(cols, b0, c, n, False) for b0, c in _shift_blocks(n)]
+        )
     return np.concatenate([half, half[::-1]])
 
 
@@ -730,19 +890,33 @@ def shift_invariant_alternation(
     """Minimum alternation over all XOR shifts of the input; witness is an argmin shift.
 
     Visits only the shifts b < 2**(n-1), since alt(f XOR b) equals
-    alt(f XOR b XOR 1^n) (the chain runs in reverse), in ascending order.
-    Each shift builds its level sets (see ``_alternation_at_shift``) only up
-    to the smallest alternation found so far, and replaces it only when
-    strictly smaller, so the witness is the smallest argmin shift.
+    alt(f XOR b XOR 1^n) (the chain runs in reverse), in ascending order,
+    and keeps a best value that is replaced only when strictly smaller, so
+    the witness is the smallest argmin shift.  Each shift builds its level
+    sets only up to the best value so far: 2**(n-1) shifts x <= salt levels
+    x n moves over 2**n points.  For n <= 7 the shifts run one at a time on
+    packed ints (``_alternation_at_shift``).  Above, they run in ascending
+    blocks of 64 shifts per uint64 word, about 1 MiB of level sets per
+    block, through one numpy kernel (``_shift_block_alternations``); it
+    stops a block at the first level that empties any of its shifts, whose
+    smallest is the block's witness.
     """
     _ensure_limit("salt", f.n, limit)
     n = f.n
-    diffs = _direction_diffs(f)
     best, best_shift = n, 0
-    for b in range(table_size(n) >> 1):
-        alt = _alternation_at_shift(diffs, n, b, best)
-        if alt < best:
-            best, best_shift = alt, b
+    if n <= _PER_SHIFT_MAX_ARITY:
+        moves, full = _shift_moves(f), table_mask(n)
+        for b in range(table_size(n) >> 1):
+            alt = _alternation_at_shift(moves, full, b, best)
+            if alt < best:
+                best, best_shift = alt, b
+    else:
+        cols = _direction_columns(f)
+        for b0, count in _shift_blocks(n):
+            alts = _shift_block_alternations(cols, b0, count, best, True)
+            j = int(np.argmin(alts))
+            if alts[j] < best:
+                best, best_shift = int(alts[j]), b0 + j
     return (best, best_shift) if witness else best
 
 
