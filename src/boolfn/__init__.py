@@ -25,7 +25,6 @@ from .core import (
     Restriction,
     TruthTable,
     apply_affine,
-    evaluate,
     is_invertible,
     restrict,
     shift,

@@ -130,12 +130,3 @@ def mask_indices(mask: int) -> tuple[int, ...]:
         mask >>= 1
         i += 1
     return tuple(out)
-
-
-def indices_mask(indices) -> int:
-    m = 0
-    for i in indices:
-        if i < 1:
-            raise ValueError("variable indices are 1-based")
-        m |= 1 << (i - 1)
-    return m

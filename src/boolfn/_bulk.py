@@ -4,13 +4,17 @@ The exhaustive verification suites need all measures of all 2**(2**n)
 functions for n <= 4.  Calling the per-function API that many times would
 dominate the runtime, so this module computes the same quantities with the
 function axis vectorized: tables become rows of one matrix and each measure
-is a row kernel of a handful of numpy passes.  Every kernel but the
-block-pattern scan is the one the per-function API runs:
+is a row kernel of a handful of numpy passes.  Callers walk the function
+ids in the fixed slices of ``_slices`` (``_SLICE`` ids each: n <= 3 is one
+slice, n = 4 is four) and pass one slice at a time to ``measure_arrays``,
+which bounds the memory of every kernel, the block patterns and the
+subcube table included.  Every kernel but the block-pattern scan is the one
+the per-function API runs:
 
 * ``measures``: pointwise sensitivity, the layered alternation DP, the
   block-packing table, and the ternary subcube table
   (``measures._subcube_table``) behind certificate complexity and
-  decision-tree depth, built over row slices to bound memory;
+  decision-tree depth;
 * ``spectral``: the Moebius and Walsh butterflies, run here in int16 and
   int32, and the degree and sparsity kernels; ``deg`` and every ``deg_p``
   are read from one Moebius matrix.
@@ -18,7 +22,7 @@ block-pattern scan is the one the per-function API runs:
 The scan reuses the sensitivity and sparsity kernels on the transformed
 tables g, and cross-checks these arrays against the per-function API on a
 deterministic subsample.  Since both routes share most kernels, that
-guards the batching (row slices, dtypes) and compares two algorithms only
+guards the batching (dtypes, the row axis) and compares two algorithms only
 for alt and salt: the layered DP over the shifts here and the level-set
 kernel of ``shift_invariant_alternation``, which at these arities runs one
 shift at a time on packed ints (``measures._alternation_at_shift``; its
@@ -41,7 +45,13 @@ from .measures import (
 from .spectral import _degrees, _moebius_rows, _sparsities, _walsh_rows
 
 MAX_BULK_ARITY = 4
-_ROW_SLICE = 4096
+_SLICE = 16384  # function ids per slice
+
+
+def _slices(n: int) -> list[tuple[int, int]]:
+    """The [lo, hi) ranges of function ids, in order, that cover arity n."""
+    total = 1 << table_size(n)
+    return [(lo, min(lo + _SLICE, total)) for lo in range(0, total, _SLICE)]
 
 
 def _tables(n: int, lo: int, hi: int) -> np.ndarray:
@@ -68,25 +78,6 @@ def _block_patterns(t: np.ndarray) -> np.ndarray:
     return pattern
 
 
-def _certificate_and_depth(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Certificate complexity and decision-tree depth of every row.
-
-    Both come from ``measures._subcube_table``, run over slices of the rows
-    so that its 3**n states per row (81 at n = 4) stay small.  C is n minus
-    the smallest free set of a largest constant subcube through a point;
-    the key of that subcube orders by the size of its free set first.
-    """
-    m, size = t.shape
-    n = size.bit_length() - 1
-    c = np.empty(m, dtype=np.int64)
-    dt = np.empty(m, dtype=np.int64)
-    for start in range(0, m, _ROW_SLICE):
-        _, depth, key = _subcube_table(t[start : start + _ROW_SLICE])
-        c[start : start + _ROW_SLICE] = n - (key.min(axis=0) >> n)
-        dt[start : start + _ROW_SLICE] = depth[(2,) * n]
-    return c, dt
-
-
 def _alternation_by_shift(t: np.ndarray) -> np.ndarray:
     """Column b of the result is alt(f XOR b), for the shifts b < 2**(n-1).
 
@@ -105,6 +96,8 @@ def _alternation_by_shift(t: np.ndarray) -> np.ndarray:
 
 def measure_arrays(n: int, lo: int, hi: int, primes=(2, 3)) -> dict:
     """Every scalar measure for each function id in [lo, hi), as 1-D arrays.
+
+    All rows are measured at once, so callers pass one slice of ``_slices``.
 
     Also returns the sensitive-block patterns at the all-zero input
     (``pattern0``) and at the smallest block-sensitivity maximizer
@@ -150,5 +143,9 @@ def measure_arrays(n: int, lo: int, hi: int, primes=(2, 3)) -> dict:
 
     out["sparsity"] = _sparsities(_walsh_rows(t, np.int32))
 
-    out["C"], out["DT"] = _certificate_and_depth(t)
+    # C is n minus the smallest free set of a largest constant subcube through
+    # a point; the key of that subcube orders by the size of its free set first
+    _, depth, key = _subcube_table(t)
+    out["C"] = (n - (key.min(axis=0) >> n)).astype(np.int64)
+    out["DT"] = depth[(2,) * n].astype(np.int64)
     return out

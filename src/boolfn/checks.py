@@ -420,20 +420,39 @@ def inequality_suite(f: TruthTable, primes=(2, 3), limits: dict | None = None) -
 # exhaustive scans over every function of a small arity
 
 
-# rows per batch of the transform stage; keeps its arrays far below the
-# measure arrays' footprint
-_TRANSFORM_SLICE = 4096
+# about this many evenly spaced functions of each arity are recomputed with
+# the per-function API
+_CROSSCHECK_SAMPLES = 24
+# up to this arity, every function's submatrix identity is checked entrywise
+_SUBMATRIX_MAX_ARITY = 3
+# a report keeps its first findings and violations, in id order, up to these
+_MAX_FINDINGS = 20
+_MAX_VIOLATIONS = 8
+
+_EQ_CHECKS = {
+    "bs2s_equality_at_zero": "s(g,0) == bs(f,0) under the block transform",
+    "bs2s_equality_at_argmax": "s(g,0) == bs(f,argmax) under the block transform",
+    "alt_le_2sg_plus_1": "alt <= 2*s(g,0)+1 with invertible chain map",
+    "sparsity_linear_invariance": "sparsity invariant under the invertible chain map",
+}
 
 
-def _scan_chunk(args) -> dict:
-    n, lo, hi, primes, stride, include_submatrix = args
+def _sherstov_of_slice(n: int, t: np.ndarray, a: dict):
+    """The batched Sherstov map of each row at its smallest bs maximizer."""
+    _, families = _packing_lut(n)
+    return _sherstov_rows(t, a["bs_argmax"], families[a["pattern_argmax"]])
+
+
+def _scan_slice(args) -> dict:
+    """Every check on the function ids [lo, hi) of arity n, one slice of ``_bulk._slices``."""
+    n, lo, hi, primes = args
     a = _bulk.measure_arrays(n, lo, hi, primes)
     a["n"] = n
     ids = a["ids"]
     m = ids.size
     counts: dict = {}
     worst: dict = {}
-    violations: list = []
+    first_fail: dict = {}  # inequality -> its smallest failing id
 
     for row, p, v in _rows(a, primes, by_prime=True):
         name = row.name.format(p=p)
@@ -443,101 +462,61 @@ def _scan_chunk(args) -> dict:
         fails, covered = int(bad.sum()), int(applicable.sum())
         counts[name] = {"statement": row.scan_statement.format(p=p), "holds": covered - fails,
                         "fails": fails, "hypothesis_not_met": m - covered}
-        if fails and len(violations) < 8:
-            fid = int(ids[np.argmax(bad)])
-            violations.append({"check": name, "function": tt_serialize(TruthTable(n, fid))})
+        if fails:
+            first_fail[name] = int(ids[np.argmax(bad)])
         if applicable.any():
             margin = (right - left)[applicable]
             pos = int(np.argmin(margin))
             worst[name] = (int(margin[pos]), int(ids[np.flatnonzero(applicable)[pos]]))
 
-    # the transform constructions, batched over the function axis in slices
-    findings: list = []
-    eq_checks = {
-        "bs2s_equality_at_zero": "s(g,0) == bs(f,0) under the block transform",
-        "bs2s_equality_at_argmax": "s(g,0) == bs(f,argmax) under the block transform",
-        "alt_le_2sg_plus_1": "alt <= 2*s(g,0)+1 with invertible chain map",
-        "sparsity_linear_invariance": "sparsity invariant under the invertible chain map",
-    }
-    eq_names = tuple(eq_checks)
-    if include_submatrix:
-        eq_checks["submatrix_identity"] = "f(u&y) == g(u&y) on W x W"
-    for name, statement in eq_checks.items():
-        counts[name] = {"statement": statement, "holds": 0, "fails": 0, "hypothesis_not_met": 0}
-    sherstov = {"block_sensitivity": np.empty(m, np.int64), "s_g": np.empty(m, np.int64)}
+    # the transform constructions, batched over the function axis
+    t = _bulk._tables(n, lo, hi)
     _, families = _packing_lut(n)
-    for start in range(0, m, _TRANSFORM_SLICE):
-        stop = min(m, start + _TRANSFORM_SLICE)
-        t = _bulk._tables(n, lo + start, lo + stop)
-        amax = a["bs_argmax"][start:stop]
-        fam_max = families[a["pattern_argmax"][start:stop]]
-        tr0 = _bs2s_rows(t, np.zeros(stop - start, dtype=np.int64),
-                         families[a["pattern0"][start:stop]], "block-index")
-        tr1 = _bs2s_rows(t, amax, fam_max, "block-index")
-        tra = _alt2s_rows(t)
-        # each chain sets one new bit per step from 0, so it ends at 1^n, and
-        # it changes value alt(f) times
-        chain = tra.cert["chain"]
-        along = np.take_along_axis(t, chain, axis=1)
-        steps = ((chain[:, 1:] > chain[:, :-1])
-                 & (np.bitwise_count(chain[:, 1:] ^ chain[:, :-1]) == 1))
-        chain_ok = ((chain[:, 0] == 0) & steps.all(axis=1)
-                    & ((along[:, 1:] != along[:, :-1]).sum(axis=1) == a["alt"][start:stop]))
-        if not chain_ok.all():
-            fid = int(ids[start + np.argmin(chain_ok)])
-            raise RuntimeError(f"bulk alt does not match its chain at function {fid}")
-        sh = _sherstov_rows(t, amax, fam_max)
-        ok = np.stack([
-            tr0.cert["equality_holds"],
-            tr1.cert["equality_holds"],
-            tra.cert["holds"] & tra.cert["invertible"],
-            _sparsities(_walsh_rows(tra.g, np.int32)) == a["sparsity"][start:stop],
-        ], axis=1)
-        for j, name in enumerate(eq_names):
-            held = int(ok[:, j].sum())
-            counts[name]["holds"] += held
-            counts[name]["fails"] += ok.shape[0] - held
-        for row, j in np.argwhere(~ok)[: max(0, 8 - len(violations))]:
-            fid = int(ids[start + row])
-            violations.append({"check": eq_names[j],
-                               "function": tt_serialize(TruthTable(n, fid))})
-        c = sh.cert
-        for row in np.flatnonzero(~c["factor4_holds"])[: max(0, 20 - len(findings))]:
-            findings.append({"check": "sherstov_factor4",
-                             "function": tt_serialize(TruthTable(n, int(ids[start + row]))),
-                             "bs": int(c["block_sensitivity"][row]),
-                             "s_g": int(c["s_g"][row])})
-        for key, col in sherstov.items():
-            col[start:stop] = c[key]
-
-        # cross-check the batched rows against the per-function constructions
-        for row in range(-(-start // stride) * stride, stop, stride):
-            local = row - start
-            f = TruthTable(n, int(ids[row]))
-            tr_alt = alt_to_s_linear(f)
-            pairs = (
-                (tr0, bs_to_s_affine(f, 0)),
-                (tr1, bs_to_s_affine(f, int(amax[local]))),
-                (tra, tr_alt),
-                (sh, sherstov_linear(f)),
-            )
-            for batch, want in pairs:
-                got = batch.result(local, f)
-                if (got.map, got.g, got.certificate) != (want.map, want.g, want.certificate):
-                    raise RuntimeError(
-                        f"batched {want.kind} mismatch at function {int(ids[row])}: "
-                        f"batch={got.to_json_dict()} api={want.to_json_dict()}"
-                    )
-            if bool(tra.cert["invertible"][local]) != is_invertible(tr_alt.map):
-                raise RuntimeError(f"batched invertibility mismatch at function {int(ids[row])}")
-    if include_submatrix:
+    tr0 = _bs2s_rows(t, np.zeros(m, dtype=np.int64), families[a["pattern0"]], "block-index")
+    tr1 = _bs2s_rows(t, a["bs_argmax"], families[a["pattern_argmax"]], "block-index")
+    tra = _alt2s_rows(t)
+    sh = _sherstov_of_slice(n, t, a)
+    # each chain sets one new bit per step from 0, so it ends at 1^n, and
+    # it changes value alt(f) times
+    chain = tra.cert["chain"]
+    along = np.take_along_axis(t, chain, axis=1)
+    steps = ((chain[:, 1:] > chain[:, :-1])
+             & (np.bitwise_count(chain[:, 1:] ^ chain[:, :-1]) == 1))
+    chain_ok = ((chain[:, 0] == 0) & steps.all(axis=1)
+                & ((along[:, 1:] != along[:, :-1]).sum(axis=1) == a["alt"]))
+    if not chain_ok.all():
+        fid = int(ids[np.argmin(chain_ok)])
+        raise RuntimeError(f"bulk alt does not match its chain at function {fid}")
+    ok = np.stack([
+        tr0.cert["equality_holds"],
+        tr1.cert["equality_holds"],
+        tra.cert["holds"] & tra.cert["invertible"],
+        _sparsities(_walsh_rows(tra.g, np.int32)) == a["sparsity"],
+    ], axis=1)
+    for j, (name, statement) in enumerate(_EQ_CHECKS.items()):
+        held = int(ok[:, j].sum())
+        counts[name] = {"statement": statement, "holds": held, "fails": m - held,
+                        "hypothesis_not_met": 0}
+    eq_names = list(_EQ_CHECKS)
+    violations = [{"check": eq_names[j], "function": tt_serialize(TruthTable(n, int(ids[r])))}
+                  for r, j in np.argwhere(~ok)[:_MAX_VIOLATIONS]]
+    c = sh.cert
+    findings = [{"check": "sherstov_factor4",
+                 "function": tt_serialize(TruthTable(n, int(ids[r]))),
+                 "bs": int(c["block_sensitivity"][r]), "s_g": int(c["s_g"][r])}
+                for r in np.flatnonzero(~c["factor4_holds"])[:_MAX_FINDINGS]]
+    if n <= _SUBMATRIX_MAX_ARITY:
         for fid in ids:
             submatrix_witness(TruthTable(n, int(fid)))  # raises VerificationError on any mismatch
-            counts["submatrix_identity"]["holds"] += 1
+        counts["submatrix_identity"] = {"statement": "f(u&y) == g(u&y) on W x W", "holds": m,
+                                        "fails": 0, "hypothesis_not_met": 0}
 
-    # cross-check the vectorized arrays against the per-function API
-    for row in range(0, m, max(1, stride)):
-        f = TruthTable(n, int(ids[row]))
+    # cross-check the batched rows against the per-function API on the ids
+    # that are multiples of the stride
+    stride = max(1, (1 << table_size(n)) // _CROSSCHECK_SAMPLES)
+    for fid in range(-(-lo // stride) * stride, hi, stride):
+        row = fid - lo
+        f = TruthTable(n, fid)
         expect = {
             "s": sensitivity(f),
             "bs": block_sensitivity(f),
@@ -554,13 +533,26 @@ def _scan_chunk(args) -> dict:
         for key, want in expect.items():
             got = int(a[key][row])
             if got != want:
+                raise RuntimeError(f"bulk/{key} mismatch at function {fid}: bulk={got} api={want}")
+        tr_alt = alt_to_s_linear(f)
+        pairs = (
+            (tr0, bs_to_s_affine(f, 0)),
+            (tr1, bs_to_s_affine(f, int(a["bs_argmax"][row]))),
+            (tra, tr_alt),
+            (sh, sherstov_linear(f)),
+        )
+        for batch, want in pairs:
+            got = batch.result(row, f)
+            if (got.map, got.g, got.certificate) != (want.map, want.g, want.certificate):
                 raise RuntimeError(
-                    f"bulk/{key} mismatch at function {int(ids[row])}: "
-                    f"bulk={got} api={want}"
+                    f"batched {want.kind} mismatch at function {fid}: "
+                    f"batch={got.to_json_dict()} api={want.to_json_dict()}"
                 )
+        if bool(tra.cert["invertible"][row]) != is_invertible(tr_alt.map):
+            raise RuntimeError(f"batched invertibility mismatch at function {fid}")
 
-    # extremal statistics over this chunk
-    a["sherstov"] = sherstov
+    # extremal statistics over this slice
+    a["sherstov"] = c
     extremal: dict = {}
     for stat in _SCAN_STATISTICS:
         vals = _statistic_array(stat, a)
@@ -571,6 +563,7 @@ def _scan_chunk(args) -> dict:
     return {
         "counts": counts,
         "worst": worst,
+        "first_fail": first_fail,
         "extremal": extremal,
         "findings": findings,
         "violations": violations,
@@ -578,52 +571,41 @@ def _scan_chunk(args) -> dict:
     }
 
 
-def exhaustive_scan(
-    n: int,
-    primes=(2, 3),
-    workers: int = 1,
-    crosscheck: int = 24,
-    include_submatrix: bool | None = None,
-) -> CheckReport:
+def exhaustive_scan(n: int, primes=(2, 3), workers: int = 1) -> CheckReport:
     """Run every check on every function of arity n (n <= 4).
 
-    Measure values come from the array engine, and the transform
-    constructions from their batch kernels, which build the map, tabulate g
-    and check every equality and bound for every single function.  A
-    deterministic subsample is recomputed with the per-function measure API
-    and the per-function transforms, and compared field by field.
-    ``workers`` > 1 partitions the function space; the merge is
-    order-deterministic either way.
+    The function ids are walked in the fixed slices of ``_bulk._slices``
+    (n <= 3 is one slice).  On each slice, measure values come from the
+    array engine, and the transform constructions from their batch kernels,
+    which build the map, tabulate g and check every equality and bound for
+    every single function.  About ``_CROSSCHECK_SAMPLES`` evenly spaced
+    functions are recomputed with the per-function measure API and the
+    per-function transforms and compared field by field, and at
+    n <= ``_SUBMATRIX_MAX_ARITY`` every function's submatrix identity is
+    checked.  ``workers`` > 1 measures the slices in a process pool.  The
+    slice results merge in id order and the findings are capped after the
+    merge, so the report does not depend on the slices or the workers.
     """
     if not 0 <= n <= _bulk.MAX_BULK_ARITY:
         raise ValueError(f"exhaustive scan supports 0 <= n <= {_bulk.MAX_BULK_ARITY}")
-    if include_submatrix is None:
-        include_submatrix = n <= 3
-    total = 1 << (1 << n)
-    workers = max(1, min(workers, total))
-    stride = max(1, total // max(crosscheck, 1))
-    bounds = np.linspace(0, total, workers + 1, dtype=np.int64)
-    args = [
-        (n, int(bounds[i]), int(bounds[i + 1]), tuple(primes), stride, include_submatrix)
-        for i in range(workers)
-        if bounds[i] < bounds[i + 1]
-    ]
-    if len(args) == 1:
-        chunks = [_scan_chunk(args[0])]
+    args = [(n, lo, hi, tuple(primes)) for lo, hi in _bulk._slices(n)]
+    if workers > 1 and len(args) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
+            chunks = list(pool.map(_scan_slice, args))
     else:
-        with ProcessPoolExecutor(max_workers=len(args)) as pool:
-            chunks = list(pool.map(_scan_chunk, args))
+        chunks = [_scan_slice(arg) for arg in args]
 
     counts: dict = {}
     worst: dict = {}
+    first_fail: dict = {}
     extremal: dict = {}
     findings: list = []
-    violations: list = []
+    eq_violations: list = []
     functions = 0
     for chunk in chunks:
         functions += chunk["functions"]
         findings.extend(chunk["findings"])
-        violations.extend(chunk["violations"])
+        eq_violations.extend(chunk["violations"])
         for name, entry in chunk["counts"].items():
             agg = counts.setdefault(name, dict(entry, holds=0, fails=0, hypothesis_not_met=0))
             for key in ("holds", "fails", "hypothesis_not_met"):
@@ -631,10 +613,14 @@ def exhaustive_scan(
         for name, cand in chunk["worst"].items():
             if name not in worst or cand < worst[name]:
                 worst[name] = cand
+        for name, fid in chunk["first_fail"].items():
+            first_fail.setdefault(name, fid)
         for stat, cand in chunk["extremal"].items():
             best = extremal.get(stat)  # the larger value wins, a tie the smaller id
             if best is None or (cand[0], -cand[1]) > (best[0], -best[1]):
                 extremal[stat] = cand
+    violations = [{"check": name, "function": tt_serialize(TruthTable(n, first_fail[name]))}
+                  for name in counts if name in first_fail] + eq_violations
 
     report = CheckReport("exhaustive", f"exhaustive:{n}")
     for name, entry in counts.items():
@@ -659,9 +645,8 @@ def exhaustive_scan(
         report.extremal.append(
             ExtremalRecord(tt_serialize(TruthTable(n, fid)), stat, value, n)
         )
-    report.findings.extend(findings)
-    if violations:
-        report.findings.extend(violations)
+    report.findings.extend(findings[:_MAX_FINDINGS])
+    report.findings.extend(violations[:_MAX_VIOLATIONS])
     return _raise_if_broken(report)
 
 
@@ -846,14 +831,14 @@ def extremal_search(
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}; known: {sorted(STATISTICS)}")
     if n <= _bulk.MAX_BULK_ARITY:
-        total = 1 << (1 << n)
-        a = _bulk.measure_arrays(n, 0, total)
         row = _STATISTICS[statistic]
-        if "sherstov" in row.needs:
-            _, families = _packing_lut(n)
-            a["sherstov"] = _sherstov_rows(_bulk._tables(n, 0, total), a["bs_argmax"],
-                                           families[a["pattern_argmax"]]).cert
-        vals = _statistic_array(row, a)
+        parts = []
+        for lo, hi in _bulk._slices(n):
+            a = _bulk.measure_arrays(n, lo, hi)
+            if "sherstov" in row.needs:
+                a["sherstov"] = _sherstov_of_slice(n, _bulk._tables(n, lo, hi), a).cert
+            parts.append(_statistic_array(row, a))
+        vals = np.concatenate(parts)
         ranked = ((float(vals[pos]), int(pos)) for pos in np.argsort(-vals, kind="stable")
                   if vals[pos] > -np.inf)
     else:

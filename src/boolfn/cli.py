@@ -266,21 +266,24 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """``--format``, plus the listed shared options the subcommand reads."""
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    parser.add_argument("--primes", default="2,3", help="comma-separated primes (default 2,3)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=int(os.environ.get("BOOLFN_WORKERS", "1")),
-        help="parallel workers for scans (default $BOOLFN_WORKERS or 1)",
-    )
-    parser.add_argument(
-        "--override-ceilings",
-        action="store_true",
-        help="lift per-measure arity ceilings to the function's arity",
-    )
+    options = {
+        "--primes": dict(default="2,3", help="comma-separated primes (default 2,3)"),
+        "--seed": dict(type=int, default=0),
+        "--workers": dict(
+            type=int,
+            default=int(os.environ.get("BOOLFN_WORKERS", "1")),
+            help="parallel workers for scans (default $BOOLFN_WORKERS or 1)",
+        ),
+        "--override-ceilings": dict(
+            action="store_true",
+            help="lift per-measure arity ceilings to the function's arity",
+        ),
+    }
+    for flag in flags:
+        parser.add_argument(flag, **options[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measures", help="full measure report for one function")
     p.add_argument("source")
     p.add_argument("--at", help="also report pointwise values at this assignment")
-    _add_common(p)
+    _add_common(p, "--primes", "--override-ceilings")
     p.set_defaults(fn=_cmd_measures)
 
     p = sub.add_parser("transform", help="run one of the constructive transforms")
@@ -306,20 +309,20 @@ def build_parser() -> argparse.ArgumentParser:
         default="block-index",
         help="column placement for bs2s",
     )
-    _add_common(p)
+    _add_common(p, "--override-ceilings")
     p.set_defaults(fn=_cmd_transform)
 
     p = sub.add_parser("check", help="verification suites")
     p.add_argument("suite", help="function | exhaustive:N | family")
     p.add_argument("source", nargs="?")
     p.add_argument("--long", action="store_true", help="include the long family checks")
-    _add_common(p)
+    _add_common(p, "--primes", "--seed", "--workers", "--override-ceilings")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("comm", help="communication-bound certificates for f(x AND y)")
     p.add_argument("source")
     p.add_argument("--export-matrix", help="write the AND-matrix (.pbm text, else raw)")
-    _add_common(p)
+    _add_common(p, "--primes", "--seed", "--override-ceilings")
     p.set_defaults(fn=_cmd_comm)
 
     p = sub.add_parser("search", help="extremal search by a named statistic")
@@ -327,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--statistic", required=True)
     p.add_argument("--budget", type=int, default=10000)
     p.add_argument("--top", type=int, default=10)
-    _add_common(p)
+    _add_common(p, "--seed")
     p.set_defaults(fn=_cmd_search)
     return parser
 

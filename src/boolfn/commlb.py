@@ -156,54 +156,40 @@ def submatrix_witness(
     blocks = transform.certificate["blocks"]
     k = transform.certificate["block_sensitivity"]
     g = transform.g
-    w_points = []
-    for a in range(1 << k):
-        u = 0
-        for j in range(k):
-            if (a >> j) & 1:
-                u ^= blocks[j]
-        w_points.append(u)
-    w_points = tuple(sorted(w_points))
+    # W doubles with each block: the points so far, then each XOR the block
+    w = np.zeros(1, dtype=np.int64)
+    for b in blocks:
+        w = np.concatenate([w, w ^ b])
+    w.sort()
 
-    farr = f.to_array()
-    garr = g.to_array()
-    w_arr = np.array(w_points, dtype=np.int64)
-    if n <= AND_MATRIX_MAX_ARITY and w_arr.size * w_arr.size <= _FULL_PAIR_BUDGET:
-        grid = w_arr[:, None] & w_arr[None, :]
-        mism = np.nonzero(farr[grid] != garr[grid])
+    if n <= AND_MATRIX_MAX_ARITY and w.size * w.size <= _FULL_PAIR_BUDGET:
         mode = "exhaustive"
-        pairs = int(w_arr.size) ** 2
-        if mism[0].size:
-            u = int(w_arr[mism[0][0]])
-            y = int(w_arr[mism[1][0]])
-            raise VerificationError(
-                f"submatrix identity failed for {tt_serialize(f)} at "
-                f"u={point_to_str(u, n)} y={point_to_str(y, n)}: "
-                f"f={f.value_at(u & y)} g={g.value_at(u & y)}"
-            )
+        us, ys = w[:, None], w[None, :]  # the grid, by broadcasting
     else:
-        rng = np.random.default_rng(seed)
-        us = w_arr[rng.integers(0, w_arr.size, sample_pairs)]
-        ys = w_arr[rng.integers(0, w_arr.size, sample_pairs)]
-        meet = us & ys
-        bad = np.nonzero(farr[meet] != garr[meet])[0]
         mode = "sampled"
-        pairs = sample_pairs
-        if bad.size:
-            u, y = int(us[bad[0]]), int(ys[bad[0]])
-            raise VerificationError(
-                f"submatrix identity failed for {tt_serialize(f)} at "
-                f"u={point_to_str(u, n)} y={point_to_str(y, n)}"
-            )
+        rng = np.random.default_rng(seed)
+        us = w[rng.integers(0, w.size, sample_pairs)]
+        ys = w[rng.integers(0, w.size, sample_pairs)]
+    meet = us & ys
+    farr, garr = f.to_array(), g.to_array()
+    bad = np.argwhere(farr[meet] != garr[meet])
+    if bad.size:
+        at = tuple(bad[0])
+        u, y = (int(np.broadcast_to(v, meet.shape)[at]) for v in (us, ys))
+        raise VerificationError(
+            f"submatrix identity failed for {tt_serialize(f)} at "
+            f"u={point_to_str(u, n)} y={point_to_str(y, n)}: "
+            f"f={f.value_at(u & y)} g={g.value_at(u & y)}"
+        )
     return LowerBoundCertificate(
         function=f,
         k=k,
         blocks=blocks,
-        w_points=w_points,
+        w_points=tuple(w.tolist()),
         g=g,
         verified=True,
         verification_mode=mode,
-        pairs_checked=pairs,
+        pairs_checked=int(meet.size),
     )
 
 

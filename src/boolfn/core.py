@@ -24,7 +24,6 @@ from ._bitops import (
     mask_indices,
     pack,
     point_from_str,
-    point_to_str,
     table_mask,
     table_size,
     unpack,
@@ -37,7 +36,6 @@ __all__ = [
     "AffineMap",
     "Restriction",
     "FormatError",
-    "evaluate",
     "apply_affine",
     "shift",
     "restrict",
@@ -186,11 +184,6 @@ class Restriction:
                     x |= 1 << i
                 j += 1
         return x
-
-
-def evaluate(f: TruthTable, x: int) -> int:
-    """f at the packed assignment x."""
-    return f.value_at(x)
 
 
 def affine_images(n: int, columns, shifts) -> np.ndarray:
@@ -363,7 +356,3 @@ def parse_point(text: str, n: int) -> int:
     if m != n:
         raise ValueError(f"assignment {text!r} has {m} bits, expected {n}")
     return x
-
-
-def format_point(x: int, n: int) -> str:
-    return point_to_str(x, n)

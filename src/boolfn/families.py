@@ -7,8 +7,10 @@ The text grammar ``fam:<name>:<k>=<v>,...`` (for example ``fam:tree:k=3`` or
 
 from __future__ import annotations
 
+import numpy as np
+
 from .core import MAX_ARITY, FormatError, TruthTable
-from ._bitops import table_size
+from ._bitops import pack, table_size
 
 __all__ = [
     "tree_function",
@@ -79,20 +81,12 @@ def or_compose(fs) -> TruthTable:
     fs = list(fs)
     total = sum(f.n for f in fs)
     _guard_arity(total)
-
-    def value(x: int) -> int:
-        off = 0
-        for f in fs:
-            if f.value_at((x >> off) & (table_size(f.n) - 1)):
-                return 1
-            off += f.n
-        return 0
-
-    bits = 0
-    for x in range(table_size(total)):
-        if value(x):
-            bits |= 1 << x
-    return TruthTable(total, bits)
+    # the inputs of each new piece sit above those already composed, so its
+    # index is the outer (major) axis
+    table = np.zeros(1, dtype=np.uint8)
+    for f in fs:
+        table = (f.to_array()[:, None] | table[None, :]).reshape(-1)
+    return TruthTable(total, pack(table))
 
 
 def rubinstein(m: int, n: int) -> TruthTable:

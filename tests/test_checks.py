@@ -15,6 +15,7 @@ from boolfn import (
     revalidate_record,
     tt_parse,
 )
+from boolfn import _bulk, checks
 from boolfn._bulk import measure_arrays
 from boolfn.checks import STATISTICS, _raise_if_broken
 from boolfn.families import parity, rubinstein
@@ -122,6 +123,44 @@ def test_exhaustive_scan_workers_agree():
     solo = exhaustive_scan(3, workers=1).to_json_dict()
     duo = exhaustive_scan(3, workers=2).to_json_dict()
     assert json.dumps(solo) == json.dumps(duo)
+
+
+@pytest.mark.parametrize("size", [16, 100])
+def test_exhaustive_scan_independent_of_slices(monkeypatch, size):
+    """Small slices split n = 3 (256 ids) unevenly across workers; the JSON stays."""
+    default = json.dumps(exhaustive_scan(3).to_json_dict())
+    monkeypatch.setattr(_bulk, "_SLICE", size)
+    assert len(_bulk._slices(3)) > 2
+    for workers in (1, 2):
+        assert json.dumps(exhaustive_scan(3, workers=workers).to_json_dict()) == default
+
+
+def test_exhaustive_scan_failure_report_independent_of_slices(monkeypatch):
+    """A proven row failing from id 100 on reports its smallest failing id under any slicing."""
+    row = checks._Inequality("id_le_99", "id <= 99", "id <= 99", ("ids",),
+                             lambda v: v["ids"], lambda v: 99)
+    monkeypatch.setattr(checks, "_INEQUALITIES", checks._INEQUALITIES + (row,))
+
+    def failure():
+        with pytest.raises(ProvenCheckError) as exc:
+            exhaustive_scan(3)
+        return exc.value.report.to_json_dict()
+
+    default = failure()
+    assert {"check": "id_le_99", "function": "tt:3:64"} in default["findings"]
+    monkeypatch.setattr(_bulk, "_SLICE", 16)
+    assert failure() == default
+
+
+@pytest.mark.parametrize("n, size", [(3, 16), (4, 1000)])
+def test_extremal_search_independent_of_slices(monkeypatch, n, size):
+    def records():
+        return {stat: [r.to_json_dict() for r in extremal_search(n, stat)] for stat in STATISTICS}
+
+    default = records()
+    monkeypatch.setattr(_bulk, "_SLICE", size)
+    assert len(_bulk._slices(n)) > 2
+    assert records() == default
 
 
 def test_exhaustive_scan_rejects_large_arity():

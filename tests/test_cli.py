@@ -221,6 +221,17 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["measures", "fam:parity:n=3", "--workers", "2"],
+    ["search", "--n", "2", "--statistic", "salt_minus_s", "--primes", "2"],
+])
+def test_option_a_subcommand_does_not_read_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_stdout_is_pure_payload(capsys):
     code, out, err = run_cli(capsys, "measures", "fam:parity:n=3")
     assert code == 0 and err == ""

@@ -7,14 +7,14 @@ from boolfn import (
     Restriction,
     TruthTable,
     apply_affine,
-    evaluate,
     is_invertible,
     restrict,
     shift,
     tt_parse,
     tt_serialize,
 )
-from boolfn.core import parse_point, format_point
+from boolfn._bitops import point_to_str
+from boolfn.core import parse_point
 from boolfn.families import and_, maj, or_, parity
 
 from oracles import random_table
@@ -22,16 +22,16 @@ from oracles import random_table
 
 def test_evaluate_named_points():
     and2 = tt_parse("tt:2:8")
-    assert evaluate(and2, 0b11) == 1
-    assert evaluate(and2, 0b01) == 0
+    assert and2.value_at(0b11) == 1
+    assert and2.value_at(0b01) == 0
     p3 = parity(3)
-    assert evaluate(p3, 0b101) == 0  # x1=1, x2=0, x3=1
-    assert evaluate(maj(3), 0b011) == 1  # x1=1, x2=1, x3=0
+    assert p3.value_at(0b101) == 0  # x1=1, x2=0, x3=1
+    assert maj(3).value_at(0b011) == 1  # x1=1, x2=1, x3=0
 
 
 def test_evaluate_range_check():
     with pytest.raises(ValueError):
-        evaluate(parity(2), 4)
+        parity(2).value_at(4)
 
 
 def test_apply_affine_identity_and_shift():
@@ -212,7 +212,7 @@ def test_relevant_variables():
 
 def test_point_strings():
     assert parse_point("110", 3) == 0b011
-    assert format_point(0b011, 3) == "110"
+    assert point_to_str(0b011, 3) == "110"
     with pytest.raises(ValueError):
         parse_point("10", 3)
     with pytest.raises(ValueError):
