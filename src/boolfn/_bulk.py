@@ -23,12 +23,15 @@ The scan reuses the sensitivity and sparsity kernels on the transformed
 tables g, and cross-checks these arrays against the per-function API on a
 deterministic subsample.  Since both routes share most kernels, that
 guards the batching (dtypes, the row axis) and compares two algorithms only
-for alt and salt: the layered DP over the shifts here and the level-set
-kernel of ``shift_invariant_alternation``, which at these arities runs one
-shift at a time on packed ints (``measures._alternation_at_shift``; its
-batched numpy form serves n >= 8 only).  The scan also checks each
-alternation chain of its transforms against its alt value, and the tests
-check the arrays against brute-force oracles.
+for alt and salt: here the layered DP (``measures._alternation_down``) of
+the function and of each shift, there the packed level sets of
+``measures._level_sets``, which ``alternation`` sums into the same path
+maxima and the salt search runs one shift at a time at these arities.  On
+16,384 rows at n = 4 the layered DP took 1.2 ms against 20.1 ms for level
+sets on bool arrays (best of 7, 2-core Xeon VM), so the batched route keeps
+it.  The scan also checks
+each alternation chain of its transforms against its alt value, and the
+tests check the arrays against brute-force oracles.
 """
 
 from __future__ import annotations

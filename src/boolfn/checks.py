@@ -39,7 +39,6 @@ from .measures import (
     _LatticeMeasures,
     _packing_lut,
     alternation,
-    alternation_under_shifts,
     block_sensitivity,
     certificate,
     dt_depth,
@@ -522,7 +521,7 @@ def _scan_slice(args) -> dict:
             "bs": block_sensitivity(f),
             "bs0": block_sensitivity(f, at=0),
             "C": certificate(f),
-            "alt": int(alternation_under_shifts(f)[0]),  # the level-set kernel, not the DP
+            "alt": alternation(f),  # level sets here, the layered DP in _bulk
             "salt": shift_invariant_alternation(f),
             "deg": real_degree(f),
             "sparsity": sparsity(f),

@@ -658,32 +658,45 @@ def _best_chains(tables: np.ndarray, down: np.ndarray) -> np.ndarray:
 def alternation(f: TruthTable, witness: bool = False):
     """Maximum number of value changes along a maximal monotone chain.
 
-    Layered DP over the hypercube; the witness is the lexicographically
-    smallest chain achieving the maximum.
+    Runs the level sets of ``_level_sets`` down from 1^n: level k is then
+    the set of inputs x with a monotone path from x up to 1^n of at least k
+    changes, so their indicators sum to that path maximum at every input,
+    and alt is the number of nonempty levels.  The witness is the
+    lexicographically smallest chain achieving the maximum, read off those
+    sums by ``_best_chains``.
     """
-    if f.n == 0:
+    n = f.n
+    if n == 0:
         return (0, Chain((0,))) if witness else 0
-    table = f.to_array()[None, :]
-    down = _alternation_down(table)
-    alt = int(down[0, 0])
+    down = np.zeros(table_size(n), dtype=np.uint8)
+    top = table_size(n) - 1
+    for level in _level_sets(_shift_moves(f), table_mask(n), top, n + 1):
+        down += unpack(level, n)
+    alt = int(down[0])
     if not witness:
         return alt
-    return alt, Chain(tuple(int(p) for p in _best_chains(table, down)[0]))
+    chain = _best_chains(f.to_array()[None, :], down[None, :])[0]
+    return alt, Chain(tuple(int(p) for p in chain))
 
 
-# Arity up to which salt runs per shift on packed Python ints: there all
-# 2**(n-1) shifts fit in one 64-bit word, and the batched kernel's fixed
-# numpy cost per pass outweighs the Python loop over the shifts.
-_PER_SHIFT_MAX_ARITY = 7
+# Arity up to which the salt search evaluates its shifts one at a time on
+# packed Python ints; above it, 64 shifts per uint64 word through one numpy
+# kernel.  Best of 3 over three random functions, maj(n), a sparse function
+# and a padded tree_function(3), per shift against by words: 283 against
+# 308 ms in all at n = 13, 1840 against 1798 at n = 14, and on
+# tree_function(4) at n = 15, which visits 1,641 shifts, 1307 against 762.
+_PER_SHIFT_MAX_ARITY = 13
 
 # Bytes one block of the batched level-set kernel may take: the current and
 # next level sets and a scratch, each 2**n rows of one uint64 word per 64
-# shifts (see ``_shift_block_alternations``).  A block has at least one word.
+# shifts, and numpy's iteration buffers (see ``_shift_blocks``).  A block has
+# at least one word.
 _SHIFT_BLOCK_BUDGET = 1 << 20
 
 
-def _alternation_at_shift(moves: list, full: int, b: int, cap: int) -> int:
-    """min(alt(x -> f(x XOR b)), cap), by level sets of packed point sets.
+def _level_sets(moves: list, full: int, b: int, cap: int):
+    """Yield the level sets 1, 2, ... of the shift b, up to ``cap``, as packed
+    point sets; alt(x -> f(x XOR b)) is the number of nonempty ones.
 
     Works in the frame of f, so no table is shifted: ``moves`` holds per
     direction i the triple (1 << i, ``low_half_mask(n, i)``, d), bit x of d
@@ -693,21 +706,26 @@ def _alternation_at_shift(moves: list, full: int, b: int, cap: int) -> int:
     of points that some chain from the bottom point b reaches with at least
     k value changes: the points one changing step above level k-1, closed
     upward along the chain order.  So every nonempty level holds the top
-    point, alt is the last nonempty level, and the levels stop at ``cap``.
+    point, and the levels stop at the first empty one.  The level at ``cap``
+    is only tested for emptiness, so it is yielded unclosed.
     """
     level = full
-    for k in range(cap):
+    for k in range(1, cap + 1):
         nxt = 0
         for s, m, d in moves:
             nxt |= (((level >> s) & m) if b & s else ((level & m) << s)) & d
         if not nxt:
-            return k
-        if k + 1 == cap:
-            break
-        for s, m, _ in moves:
-            nxt |= ((nxt >> s) & m) if b & s else ((nxt & m) << s)
+            return
+        if k < cap:
+            for s, m, _ in moves:
+                nxt |= ((nxt >> s) & m) if b & s else ((nxt & m) << s)
+        yield nxt
         level = nxt
-    return cap
+
+
+def _alternation_at_shift(moves: list, full: int, b: int, cap: int) -> int:
+    """min(alt(x -> f(x XOR b)), cap), by the level sets of ``_level_sets``."""
+    return sum(1 for _ in _level_sets(moves, full, b, cap))
 
 
 def _shift_moves(f: TruthTable) -> list[tuple[int, int, int]]:
@@ -716,6 +734,51 @@ def _shift_moves(f: TruthTable) -> list[tuple[int, int, int]]:
     return [
         (1 << i, low_half_mask(n, i), f.bits ^ xor_shift(f.bits, n, i)) for i in range(n)
     ]
+
+
+def _chain_bound(f: TruthTable) -> np.ndarray:
+    """A lower bound on alt(f XOR b) for every shift b < 2**(n-1).
+
+    In the frame of f a maximal chain of x -> f(x XOR b) runs from b to
+    ~b, flipping every direction once, and any one chain's value changes
+    are at most the maximum.  A greedy chain flips at each step the
+    smallest free direction that changes f, else the smallest free one.
+    The bound is the most changes of four greedy chains: from b and, since
+    alt(f XOR b) == alt(f XOR ~b), from ~b, each with the directions taken
+    smallest or largest first.  Every count has the parity of f(b) XOR
+    f(~b), as every chain's does.  Largest first is smallest first with the
+    variables reversed, so all four walk at once, with all shifts: n
+    gathers from the per-point masks of sensitive directions of f and of
+    f reversed, stacked in one table.
+    """
+    n = f.n
+    size = table_size(n)
+    t = f.to_array()
+    points = np.arange(size, dtype=np.int32)
+    sens = np.zeros_like(points)
+    rev = np.zeros_like(points)  # the bit reversal of every point and mask
+    for i in range(n):
+        pairs = t.reshape(-1, 2, 1 << i)
+        flips = (pairs[:, 0] != pairs[:, 1]).astype(np.int32) << i
+        view = sens.reshape(-1, 2, 1 << i)
+        view[:, 0] |= flips
+        view[:, 1] |= flips
+        rev |= ((points >> i) & 1) << (n - 1 - i)
+    table = np.concatenate([sens, rev[sens[rev]]])
+    half = points[: size >> 1]
+    # rows: b, ~b, and both reversed, which read the second half of the table
+    x = np.concatenate([half, half ^ (size - 1), rev[half] | size, rev[half ^ (size - 1)] | size])
+    free = np.full_like(x, size - 1)
+    count = np.zeros_like(x)
+    for _ in range(n):
+        step = table[x] & free
+        changes = step != 0
+        count += changes
+        step = np.where(changes, step, free)
+        step &= -step
+        x ^= step
+        free ^= step
+    return count.reshape(4, -1).max(axis=0)
 
 
 def _direction_columns(f: TruthTable) -> list[np.ndarray]:
@@ -753,27 +816,29 @@ def _apply(ufunc, x: np.ndarray, y, out: np.ndarray, order: str | None) -> None:
 
 
 def _shift_block_alternations(
-    cols: list[np.ndarray], b0: int, count: int, cap: int, first: bool
+    cols: list[np.ndarray], shifts: np.ndarray, cap: int, first: bool
 ) -> np.ndarray:
-    """min(alt(x -> f(x XOR b)), cap) for the shifts b0 <= b < b0 + count, all
-    below 2**(n-1), by the level sets of ``_alternation_at_shift`` run for
-    every shift of the block at once.
+    """min(alt(x -> f(x XOR b)), cap) for each shift b of ``shifts``, all
+    below 2**(n-1), by the level sets of ``_level_sets`` run for every
+    shift of the block at once.
 
     Level sets are a (2**n, words) uint64 array in the frame of f: row x,
-    bit j of word w is shift b0 + 64w + j.  A move along direction i runs
-    x_i = 0 -> 1 for the shifts with b_i = 0 and x_i = 1 -> 0 for those with
-    b_i = 1: each ANDs one half with the direction's column ``cols[i]`` (see
-    ``_direction_columns``) and a mask of those shifts, then ORs it into the
-    other half, so no bit is shifted.  The upward closure ORs the same
-    halves under the masks alone, and a shift's alternation is k when the
-    OR of level k + 1 over the rows clears its bit.  With ``first`` the
+    bit j of word w is shift ``shifts[64w + j]``.  A move along direction i
+    runs x_i = 0 -> 1 for the shifts with b_i = 0 and x_i = 1 -> 0 for those
+    with b_i = 1: each ANDs one half with the direction's column ``cols[i]``
+    (see ``_direction_columns``) and a mask of those shifts, then ORs it
+    into the other half, so no bit is shifted.  The upward closure ORs the
+    same halves under the masks alone, and a shift's alternation is k when
+    the OR of level k + 1 over the rows clears its bit.  With ``first`` the
     levels stop at the first one that clears a bit, and the shifts still
     live read ``cap``; else they stop once every shift's level is empty.
     """
     n = len(cols)
+    count = len(shifts)
     words = -(-count // 64)
-    shifts = b0 + np.arange(64 * words)
-    live = _shift_words(shifts < b0 + count)
+    padded = np.zeros(64 * words, dtype=np.int64)
+    padded[:count] = shifts
+    live = _shift_words(np.arange(64 * words) < count)
     steps = []
     for i in range(n):
         # iteration orders (see ``_apply``): "plain" for operands of one
@@ -788,11 +853,12 @@ def _shift_block_alternations(
         # (source half, target half, mask, order of its AND) of the shifts
         # moving up and of those moving down.  The mask is None where it
         # keeps every live shift, and a scalar where every word has the same
-        # one (bits i < 6, or one word), which numpy broadcasts far faster
-        # than a row; a move whose mask keeps no shift is left out.
+        # one (a contiguous block at bits i < 6, or one word), which numpy
+        # broadcasts far faster than a row; a move whose mask keeps no shift
+        # is left out.
         moves = []
         for a, z in ((0, 1), (1, 0)):
-            mask = live & _shift_words((shifts >> i) & 1 == a)
+            mask = live & _shift_words((padded >> i) & 1 == a)
             if not mask.any():
                 continue
             if np.array_equal(mask, live):
@@ -848,29 +914,102 @@ def _shift_block_alternations(
 def _shift_blocks(n: int) -> list[tuple[int, int]]:
     """(b0, count) blocks of the shifts b < 2**(n-1), ascending: the most
     64-shift words, a power of two, whose three level-set arrays fit
-    ``_SHIFT_BLOCK_BUDGET``, and one word where none fits."""
+    ``_SHIFT_BLOCK_BUDGET``, and one word where none fits.  The budget also
+    holds numpy's iteration buffers, 8192 elements (64 KiB of uint64) for
+    each of the up to three operands of a call that interleave."""
     total = table_size(n) >> 1
     per_word = 3 * 8 * table_size(n)
+    buffers = 3 * 8 * 8192
     words = 1
-    while 2 * words * per_word <= _SHIFT_BLOCK_BUDGET and 64 * words < total:
+    while 2 * words * per_word + buffers <= _SHIFT_BLOCK_BUDGET and 64 * words < total:
         words *= 2
     step = 64 * words
     return [(b0, min(step, total - b0)) for b0 in range(0, total, step)]
 
 
+def _block_best(cols: list[np.ndarray], shifts: np.ndarray, best: tuple[int, int]):
+    """min(best, (alt(f XOR b), b) over ``shifts``), by one block of
+    ``_shift_block_alternations``.  The block is capped at best + 1 when one
+    of its shifts lies below best's, so that a tie there shows."""
+    cap = min(best[0] + (int(shifts.min()) < best[1]), len(cols))
+    alts = _shift_block_alternations(cols, shifts, cap, True)
+    j = int(np.lexsort((shifts, alts))[0])
+    return min(best, (int(alts[j]), int(shifts[j])))
+
+
+def _salt_search(f: TruthTable) -> tuple[int, int, int]:
+    """(salt(f), its smallest argmin shift b < 2**(n-1), shifts evaluated).
+
+    Visits the shifts by ascending (``_chain_bound``, b) and stops at the
+    first that can neither beat the best value nor tie it at a smaller
+    shift; the best is replaced on a smaller value, or on an equal one at a
+    smaller shift, so the result is that of a scan of every shift.  A shift
+    runs its level sets only up to the best value, or one more when it lies
+    below the best shift.  Up to ``_PER_SHIFT_MAX_ARITY`` a shift runs alone
+    (``_alternation_at_shift``), above it a word of the next 64 candidates
+    runs in ``_shift_block_alternations``.
+
+    Where the bound is loose, most shifts are visited anyway, and a sweep
+    of the contiguous ``_shift_blocks`` costs less per shift than words of
+    scattered ones.  So once 64 shifts are visited, if more than half of all
+    shifts are left with a bound two or more below the best value, which
+    only a lower best value could skip (the bound has alt's parity), the
+    search ends with that sweep over the blocks that hold a shift left.
+    """
+    n = f.n
+    if n == 0:
+        return 0, 0, 0
+    half = table_size(n) >> 1
+    keys = (_chain_bound(f).astype(np.int64) << (n - 1)) | np.arange(half)
+    order = np.sort(keys)
+    best = (n, half)  # (value, shift); no shift is at half
+    if n <= _PER_SHIFT_MAX_ARITY:
+        moves, full, cols = _shift_moves(f), table_mask(n), None
+    else:
+        cols = _direction_columns(f)
+    pos = 0
+    while True:
+        limit = int(np.searchsorted(order, (best[0] << (n - 1)) + best[1]))
+        if pos >= limit:
+            break
+        if pos >= 64 and int(np.searchsorted(order, (best[0] - 1) << (n - 1))) - pos > half // 2:
+            # a block whose shifts were all visited holds no candidate
+            keys[order[:pos] & (half - 1)] = (n + 1) << (n - 1)
+            cols = cols or _direction_columns(f)
+            swept = 0
+            for b0, count in _shift_blocks(n):
+                if keys[b0 : b0 + count].min() < (best[0] << (n - 1)) + best[1]:
+                    best = _block_best(cols, np.arange(b0, b0 + count), best)
+                    swept += count
+            return best[0], best[1], pos + swept
+        if cols is None:
+            b = int(order[pos]) & (half - 1)
+            cap = min(best[0] + (b < best[1]), n)
+            best = min(best, (_alternation_at_shift(moves, full, b, cap), b))
+            pos += 1
+        else:
+            shifts = order[pos : min(pos + 64, limit)] & (half - 1)
+            best = _block_best(cols, shifts, best)
+            pos += len(shifts)
+    return best[0], best[1], pos
+
+
 def alternation_under_shifts(f: TruthTable) -> np.ndarray:
     """Alternation of every shifted function x -> f(x XOR b), indexed by b.
 
-    Runs the level-set kernel of ``shift_invariant_alternation``, per shift
-    for n <= 7 and in blocks above, without a cap on the shifts b < 2**(n-1):
-    a block runs until the level sets of all its shifts are empty.  The
-    values are mirrored into the top half: alt(f XOR b) == alt(f XOR b XOR
-    1^n), because complementing the shift walks every chain in reverse.
+    Needs every value, so it takes no bound and prunes nothing.  It runs
+    the level sets of ``_level_sets`` on the shifts b < 2**(n-1) without a
+    cap: one shift at a time while they all fit one 64-shift word (n <= 7),
+    where the batched kernel's fixed numpy cost per pass outweighs the
+    Python loop, else in the contiguous blocks of ``_shift_blocks``, each
+    run until the level sets of all its shifts are empty.  The values are
+    mirrored into the top half: alt(f XOR b) == alt(f XOR b XOR 1^n),
+    because complementing the shift walks every chain in reverse.
     """
     n = f.n
     if n == 0:
         return np.zeros(1, dtype=np.int16)
-    if n <= _PER_SHIFT_MAX_ARITY:
+    if table_size(n) >> 1 <= 64:
         moves, full = _shift_moves(f), table_mask(n)
         half = np.array(
             [_alternation_at_shift(moves, full, b, n) for b in range(table_size(n) >> 1)],
@@ -879,7 +1018,10 @@ def alternation_under_shifts(f: TruthTable) -> np.ndarray:
     else:
         cols = _direction_columns(f)
         half = np.concatenate(
-            [_shift_block_alternations(cols, b0, c, n, False) for b0, c in _shift_blocks(n)]
+            [
+                _shift_block_alternations(cols, np.arange(b0, b0 + c), n, False)
+                for b0, c in _shift_blocks(n)
+            ]
         )
     return np.concatenate([half, half[::-1]])
 
@@ -887,36 +1029,22 @@ def alternation_under_shifts(f: TruthTable) -> np.ndarray:
 def shift_invariant_alternation(
     f: TruthTable, witness: bool = False, limit: int | None = None
 ):
-    """Minimum alternation over all XOR shifts of the input; witness is an argmin shift.
+    """Minimum alternation over all XOR shifts of the input; witness is the
+    smallest argmin shift.
 
     Visits only the shifts b < 2**(n-1), since alt(f XOR b) equals
-    alt(f XOR b XOR 1^n) (the chain runs in reverse), in ascending order,
-    and keeps a best value that is replaced only when strictly smaller, so
-    the witness is the smallest argmin shift.  Each shift builds its level
-    sets only up to the best value so far: 2**(n-1) shifts x <= salt levels
-    x n moves over 2**n points.  For n <= 7 the shifts run one at a time on
-    packed ints (``_alternation_at_shift``).  Above, they run in ascending
-    blocks of 64 shifts per uint64 word, about 1 MiB of level sets per
-    block, through one numpy kernel (``_shift_block_alternations``); it
-    stops a block at the first level that empties any of its shifts, whose
-    smallest is the block's witness.
+    alt(f XOR b XOR 1^n) (the chain runs in reverse).  Four greedy chains
+    between b and ~b bound each alt(f XOR b) from below (``_chain_bound``),
+    and the search (``_salt_search``) visits the shifts by that bound, skips
+    those that cannot win, and runs each only up to the best value so far:
+    at most 2**(n-1) shifts x salt levels x n moves over 2**n points, and on
+    most functions a few dozen shifts.  The shifts run one at a time on
+    packed ints for n <= ``_PER_SHIFT_MAX_ARITY`` and 64 per uint64 word
+    through one numpy kernel above; where the bound prunes little, the
+    search ends in a sweep of contiguous blocks of shifts.
     """
     _ensure_limit("salt", f.n, limit)
-    n = f.n
-    best, best_shift = n, 0
-    if n <= _PER_SHIFT_MAX_ARITY:
-        moves, full = _shift_moves(f), table_mask(n)
-        for b in range(table_size(n) >> 1):
-            alt = _alternation_at_shift(moves, full, b, best)
-            if alt < best:
-                best, best_shift = alt, b
-    else:
-        cols = _direction_columns(f)
-        for b0, count in _shift_blocks(n):
-            alts = _shift_block_alternations(cols, b0, count, best, True)
-            j = int(np.argmin(alts))
-            if alts[j] < best:
-                best, best_shift = int(alts[j]), b0 + j
+    best, best_shift, _ = _salt_search(f)
     return (best, best_shift) if witness else best
 
 

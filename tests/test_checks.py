@@ -91,10 +91,11 @@ def test_bulk_arrays_match_api_exhaustively_n2():
         assert a["DT"][bits] == dt_depth(f)
 
 
-def test_bulk_arrays_match_api_sampled_n4():
-    a = measure_arrays(4, 0, 1 << 16)
+def test_bulk_arrays_match_api_sampled_n4(bulk_n4_rows):
     rng = np.random.default_rng(70)
-    for bits in rng.integers(0, 1 << 16, 25):
+    sample = rng.integers(0, 1 << 16, 25)
+    a = bulk_n4_rows(sample)
+    for bits in sample:
         f = TruthTable(4, int(bits))
         assert a["s"][bits] == sensitivity(f)
         assert a["bs"][bits] == block_sensitivity(f)

@@ -1,10 +1,13 @@
 """Property tests: measures under the symmetries that must leave them
-unchanged."""
+unchanged, and the round trips of the text forms and the spectra."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolfn import (
+    MOEBIUS_MOD_P,
+    MOEBIUS_Z,
+    WALSH,
     AffineMap,
     TruthTable,
     alternation_under_shifts,
@@ -16,6 +19,9 @@ from boolfn import (
     shift,
     shift_invariant_alternation,
     sparsity,
+    spectrum,
+    tt_parse,
+    tt_serialize,
 )
 from boolfn._bitops import table_mask
 
@@ -88,3 +94,20 @@ def test_measures_invariant_under_variable_permutation(case):
     f, perm = case
     g = apply_affine(f, AffineMap(f.n, tuple(1 << p for p in perm)))
     assert _invariants(g) == _invariants(f)
+
+
+@PROPERTY_SETTINGS
+@given(functions(max_n=8), st.sampled_from(["tt", "anf"]))
+def test_text_form_round_trip(f, form):
+    assert tt_parse(tt_serialize(f, form)) == f
+
+
+@PROPERTY_SETTINGS
+@given(
+    functions(max_n=8),
+    st.sampled_from([(MOEBIUS_Z, None), (WALSH, None)])
+    | st.sampled_from([2, 3, 5, 7, 11]).map(lambda p: (MOEBIUS_MOD_P, p)),
+)
+def test_spectrum_inverse_round_trip(f, basis_and_prime):
+    basis, p = basis_and_prime
+    assert spectrum(f, basis, p=p).inverse_table() == f

@@ -1,8 +1,13 @@
 """Shift-invariant alternation: the per-shift and batched level-set kernels
 and the bulk arrays against the brute-force oracles, each other and the
-single-function alternation."""
+single-function alternation; the greedy chain bound and the search it
+orders."""
+
+import tracemalloc
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolfn import (
     TruthTable,
@@ -14,10 +19,12 @@ from boolfn import (
 )
 from boolfn._bitops import table_mask
 from boolfn._bulk import measure_arrays
-from boolfn.families import and_, parity
+from boolfn.families import and_, gip, maj, parity, tree_function
 from boolfn.measures import (
     _alternation_at_shift,
+    _chain_bound,
     _direction_columns,
+    _salt_search,
     _shift_block_alternations,
     _shift_moves,
 )
@@ -67,26 +74,28 @@ def _per_shift(f):
     return [_alternation_at_shift(moves, full, b, f.n) for b in range(2 ** f.n // 2)]
 
 
-def _assert_block(f, expected, b0, count):
-    """Both modes of the batched kernel on one block, against per-shift values."""
+def _assert_block(f, expected, shifts):
+    """Both modes of the batched kernel on one block of shifts, against
+    per-shift values."""
     cols = _direction_columns(f)
     n = f.n
-    want = expected[b0 : b0 + count]
-    assert _shift_block_alternations(cols, b0, count, n, False).tolist() == want
+    shifts = np.asarray(shifts)
+    want = [expected[b] for b in shifts.tolist()]
+    assert _shift_block_alternations(cols, shifts, n, False).tolist() == want
     # stopped at the first emptied level: the shifts of the minimum read it,
     # every other shift reads the cap
     low = min(want)
-    first = _shift_block_alternations(cols, b0, count, n, True).tolist()
+    first = _shift_block_alternations(cols, shifts, n, True).tolist()
     assert first == [a if a == low else n for a in want]
     # under a cap at or below the minimum, every shift reads the cap
-    assert _shift_block_alternations(cols, b0, count, low, True).tolist() == [low] * count
+    assert _shift_block_alternations(cols, shifts, low, True).tolist() == [low] * len(want)
 
 
 def test_block_kernel_matches_oracles_exhaustive():
     for n in range(1, 4):
         for f in _every_function(n):
             half = naive_shift_alternations(f)[: 2 ** (n - 1)]
-            _assert_block(f, half, 0, len(half))
+            _assert_block(f, half, range(len(half)))
 
 
 def test_block_kernel_matches_per_shift_seeded():
@@ -96,10 +105,12 @@ def test_block_kernel_matches_per_shift_seeded():
             f = TruthTable(n, random_table(rng, n))
             alts = _per_shift(f)
             total = len(alts)
-            _assert_block(f, alts, 0, total)
+            _assert_block(f, alts, range(total))
             # a block that starts and ends inside a word
             b0 = int(rng.integers(0, total))
-            _assert_block(f, alts, b0, int(rng.integers(1, total - b0 + 1)))
+            _assert_block(f, alts, range(b0, b0 + int(rng.integers(1, total - b0 + 1))))
+            # an arbitrary set of shifts in an arbitrary order
+            _assert_block(f, alts, rng.permutation(total)[: int(rng.integers(1, total + 1))])
 
 
 def _salt_functions(rng, n):
@@ -139,3 +150,96 @@ def test_alternation_under_shifts_above_one_block_arity():
             alts = alternation_under_shifts(f)
             for b in rng.integers(0, 2**n, size=12).tolist():
                 assert alts[b] == alternation(shift(f, b))
+
+
+def test_shift_block_fits_its_byte_budget():
+    # the level sets and numpy's iteration buffers of the largest block
+    for n in (11, 13):
+        f = maj(n)
+        cols = _direction_columns(f)
+        b0, count = measures._shift_blocks(n)[0]
+        tracemalloc.start()
+        try:
+            _shift_block_alternations(cols, np.arange(b0, b0 + count), n, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= measures._SHIFT_BLOCK_BUDGET
+
+
+def _assert_chain_bound(f):
+    """The greedy chain bound is at most alt(f XOR b) at every shift b below
+    2**(n-1), and has the parity f(b) XOR f(~b) of alt(f XOR b)."""
+    alts = alternation_under_shifts(f)
+    top = 2**f.n - 1
+    bound = _chain_bound(f).tolist()
+    assert len(bound) == 2**f.n // 2
+    for b, low in enumerate(bound):
+        assert low <= alts[b]
+        assert low % 2 == f.value_at(b) ^ f.value_at(b ^ top)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.builds(TruthTable, st.just(n), st.integers(0, table_mask(n)))))
+def test_chain_bound_below_alternation_property(f):
+    _assert_chain_bound(f)
+
+
+def test_chain_bound_below_alternation_seeded_and_families():
+    rng = np.random.default_rng(37)
+    for n in (10, 11, 12):
+        _assert_chain_bound(TruthTable(n, random_table(rng, n)))
+    for f in (tree_function(3), gip(3, 3), maj(11)):
+        _assert_chain_bound(f)
+
+
+def test_search_visits_one_word_on_majority():
+    for n in (11, 15):
+        val, b, visited = _salt_search(maj(n))
+        assert (val, b) == (1, 0)
+        assert visited <= 64
+
+
+# (salt, smallest argmin shift) of _salt_functions(default_rng(29), n) for
+# n = 8..12, as the ascending scan of every shift gives them
+_SCANNED_SALT = {
+    8: [(7, 0), (7, 8), (7, 0), (8, 0), (0, 0), (1, 68)],
+    9: [(8, 0), (8, 2), (7, 150), (9, 0), (0, 0), (1, 223)],
+    10: [(8, 224), (8, 13), (9, 3), (10, 0), (0, 0), (1, 494)],
+    11: [(10, 3), (9, 354), (9, 42), (11, 0), (0, 0), (1, 1010)],
+    12: [(11, 0), (10, 1759), (11, 1), (12, 0), (0, 0), (1, 1993)],
+}
+
+
+def test_salt_search_matches_scan_of_every_shift(monkeypatch):
+    rng = np.random.default_rng(29)
+    cases = {n: _salt_functions(rng, n) for n in range(8, 13)}
+    for n, fs in cases.items():
+        got = [shift_invariant_alternation(f, witness=True) for f in fs]
+        assert got == _SCANNED_SALT[n]
+        for f, (val, b) in zip(fs, got):
+            alts = alternation_under_shifts(f)
+            assert (val, b) == (int(alts.min()), int(alts.argmin()))
+    # the same search with every word through the other kernel
+    for per_shift_max in (0, 12):
+        monkeypatch.setattr(measures, "_PER_SHIFT_MAX_ARITY", per_shift_max)
+        for n, fs in cases.items():
+            assert [shift_invariant_alternation(f, witness=True) for f in fs] == _SCANNED_SALT[n]
+
+
+def test_salt_search_ends_in_sweep_where_bound_is_loose(monkeypatch):
+    # functions with a few ones: most shifts keep a bound two below salt, so
+    # the search ends in the sweep of contiguous blocks, which evaluates
+    # shifts it visited before and so counts more than there are
+    rng = np.random.default_rng(0)
+    cases = []
+    for n, ones in ((10, 3), (11, 16)):
+        f = TruthTable(n, sum(1 << int(x) for x in rng.choice(2**n, ones, replace=False)))
+        alts = alternation_under_shifts(f)
+        cases.append((f, (int(alts.min()), int(alts.argmin()))))
+    for per_shift_max in (measures._PER_SHIFT_MAX_ARITY, 0):
+        monkeypatch.setattr(measures, "_PER_SHIFT_MAX_ARITY", per_shift_max)
+        for f, want in cases:
+            val, b, visited = _salt_search(f)
+            assert (val, b) == want
+            assert visited > 2 ** (f.n - 1)

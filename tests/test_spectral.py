@@ -111,7 +111,7 @@ def _every_function(n):
     return [TruthTable(n, bits) for bits in range(2 ** (2**n))]
 
 
-def test_bulk_degrees_and_sparsity_match_oracles():
+def test_bulk_degrees_and_sparsity_match_oracles(bulk_n4_rows):
     def check(a, f):
         assert a["deg"][f.bits] == naive_degree(f)
         assert a["deg_2"][f.bits] == naive_modp_degree(f, 2)
@@ -122,7 +122,8 @@ def test_bulk_degrees_and_sparsity_match_oracles():
         a = measure_arrays(n, 0, 2 ** (2**n))
         for f in _every_function(n):
             check(a, f)
-    a = measure_arrays(4, 0, 2**16)
     rng = np.random.default_rng(43)
-    for bits in rng.integers(0, 2**16, 64):
+    sample = rng.integers(0, 2**16, 64)
+    a = bulk_n4_rows(sample)
+    for bits in sample:
         check(a, TruthTable(4, int(bits)))
