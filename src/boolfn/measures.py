@@ -12,6 +12,7 @@ encoding, which makes every output deterministic and diffable.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -681,11 +682,20 @@ def alternation(f: TruthTable, witness: bool = False):
 
 # Arity up to which the salt search evaluates its shifts one at a time on
 # packed Python ints; above it, 64 shifts per uint64 word through one numpy
-# kernel.  Best of 3 over three random functions, maj(n), a sparse function
-# and a padded tree_function(3), per shift against by words: 283 against
-# 308 ms in all at n = 13, 1840 against 1798 at n = 14, and on
-# tree_function(4) at n = 15, which visits 1,641 shifts, 1307 against 762.
-_PER_SHIFT_MAX_ARITY = 13
+# kernel.  Best of 3 over three random functions, maj(n), functions with 20,
+# 100 and 300 ones and a padded tree_function(3), per shift against by
+# words: 38 against 58 ms in all at n = 11, 143-156 against 161-205 at
+# n = 12, and 869 against 734 at n = 13, where the sparse functions, whose
+# bound prunes little, take most of the time.
+_PER_SHIFT_MAX_ARITY = 12
+
+# Arity from which the salt search orders its shifts by ``_chain_bound``.
+# Below it the bound's fixed cost, about 7n + 20 numpy calls, is more than
+# it saves, and the shifts run in ascending order, as under a zero bound:
+# mean per call over 20 random functions, best of 15, ascending against
+# ordered: 102-107 against 108-141 us at n = 5, 300-435 against 143-248 us
+# at n = 6.
+_BOUND_MIN_ARITY = 6
 
 # Bytes one block of the batched level-set kernel may take: the current and
 # next level sets and a scratch, each 2**n rows of one uint64 word per 64
@@ -725,7 +735,10 @@ def _level_sets(moves: list, full: int, b: int, cap: int):
 
 def _alternation_at_shift(moves: list, full: int, b: int, cap: int) -> int:
     """min(alt(x -> f(x XOR b)), cap), by the level sets of ``_level_sets``."""
-    return sum(1 for _ in _level_sets(moves, full, b, cap))
+    alt = 0
+    for _ in _level_sets(moves, full, b, cap):
+        alt += 1
+    return alt
 
 
 def _shift_moves(f: TruthTable) -> list[tuple[int, int, int]]:
@@ -916,7 +929,10 @@ def _shift_blocks(n: int) -> list[tuple[int, int]]:
     64-shift words, a power of two, whose three level-set arrays fit
     ``_SHIFT_BLOCK_BUDGET``, and one word where none fits.  The budget also
     holds numpy's iteration buffers, 8192 elements (64 KiB of uint64) for
-    each of the up to three operands of a call that interleave."""
+    each of the up to three operands of a call that interleave.  The arrays
+    take 3 * 2**k bytes, at most 3/4 of the power-of-two budget, so the
+    buffers fit its slack and change the layout at no n; they are counted
+    so that the sum stays true for any budget."""
     total = table_size(n) >> 1
     per_word = 3 * 8 * table_size(n)
     buffers = 3 * 8 * 8192
@@ -940,57 +956,45 @@ def _block_best(cols: list[np.ndarray], shifts: np.ndarray, best: tuple[int, int
 def _salt_search(f: TruthTable) -> tuple[int, int, int]:
     """(salt(f), its smallest argmin shift b < 2**(n-1), shifts evaluated).
 
-    Visits the shifts by ascending (``_chain_bound``, b) and stops at the
-    first that can neither beat the best value nor tie it at a smaller
-    shift; the best is replaced on a smaller value, or on an equal one at a
-    smaller shift, so the result is that of a scan of every shift.  A shift
-    runs its level sets only up to the best value, or one more when it lies
-    below the best shift.  Up to ``_PER_SHIFT_MAX_ARITY`` a shift runs alone
+    Visits the shifts by ascending (``_chain_bound``, b), or by ascending b
+    below ``_BOUND_MIN_ARITY``, and stops at the first that can neither
+    beat the best value nor tie it at a smaller shift; the best is replaced
+    on a smaller value, or on an equal one at a smaller shift, so the result
+    is that of a scan of every shift.  A shift runs its level sets only up
+    to the best value, or one more when it lies below the best shift.  Up
+    to ``_PER_SHIFT_MAX_ARITY`` a shift runs alone
     (``_alternation_at_shift``), above it a word of the next 64 candidates
     runs in ``_shift_block_alternations``.
-
-    Where the bound is loose, most shifts are visited anyway, and a sweep
-    of the contiguous ``_shift_blocks`` costs less per shift than words of
-    scattered ones.  So once 64 shifts are visited, if more than half of all
-    shifts are left with a bound two or more below the best value, which
-    only a lower best value could skip (the bound has alt's parity), the
-    search ends with that sweep over the blocks that hold a shift left.
     """
     n = f.n
     if n == 0:
         return 0, 0, 0
     half = table_size(n) >> 1
-    keys = (_chain_bound(f).astype(np.int64) << (n - 1)) | np.arange(half)
-    order = np.sort(keys)
+    # the keys (bound, b) as bound << (n - 1) | b, sorted; below
+    # _BOUND_MIN_ARITY every bound reads 0
+    if n >= _BOUND_MIN_ARITY:
+        order = np.sort((_chain_bound(f).astype(np.int64) << (n - 1)) | np.arange(half)).tolist()
+    else:
+        order = range(half)
     best = (n, half)  # (value, shift); no shift is at half
     if n <= _PER_SHIFT_MAX_ARITY:
-        moves, full, cols = _shift_moves(f), table_mask(n), None
+        moves, full = _shift_moves(f), table_mask(n)
     else:
         cols = _direction_columns(f)
-    pos = 0
-    while True:
-        limit = int(np.searchsorted(order, (best[0] << (n - 1)) + best[1]))
-        if pos >= limit:
-            break
-        if pos >= 64 and int(np.searchsorted(order, (best[0] - 1) << (n - 1))) - pos > half // 2:
-            # a block whose shifts were all visited holds no candidate
-            keys[order[:pos] & (half - 1)] = (n + 1) << (n - 1)
-            cols = cols or _direction_columns(f)
-            swept = 0
-            for b0, count in _shift_blocks(n):
-                if keys[b0 : b0 + count].min() < (best[0] << (n - 1)) + best[1]:
-                    best = _block_best(cols, np.arange(b0, b0 + count), best)
-                    swept += count
-            return best[0], best[1], pos + swept
-        if cols is None:
-            b = int(order[pos]) & (half - 1)
-            cap = min(best[0] + (b < best[1]), n)
-            best = min(best, (_alternation_at_shift(moves, full, b, cap), b))
+    pos, limit = 0, half  # every key lies below best's
+    while pos < limit:
+        if n <= _PER_SHIFT_MAX_ARITY:
+            b = order[pos] & (half - 1)
             pos += 1
+            cap = min(best[0] + (b < best[1]), n)
+            found = (_alternation_at_shift(moves, full, b, cap), b)
         else:
-            shifts = order[pos : min(pos + 64, limit)] & (half - 1)
-            best = _block_best(cols, shifts, best)
+            shifts = np.array(order[pos : min(pos + 64, limit)]) & (half - 1)
             pos += len(shifts)
+            found = _block_best(cols, shifts, best)
+        if found < best:
+            best = found
+            limit = bisect_left(order, (best[0] << (n - 1)) + best[1])
     return best[0], best[1], pos
 
 
@@ -1040,8 +1044,8 @@ def shift_invariant_alternation(
     at most 2**(n-1) shifts x salt levels x n moves over 2**n points, and on
     most functions a few dozen shifts.  The shifts run one at a time on
     packed ints for n <= ``_PER_SHIFT_MAX_ARITY`` and 64 per uint64 word
-    through one numpy kernel above; where the bound prunes little, the
-    search ends in a sweep of contiguous blocks of shifts.
+    through one numpy kernel above.  For n < ``_BOUND_MIN_ARITY`` the bound
+    costs more than it saves, and the shifts run in ascending order.
     """
     _ensure_limit("salt", f.n, limit)
     best, best_shift, _ = _salt_search(f)

@@ -46,6 +46,18 @@ def test_salt_and_witness_match_oracles_exhaustive():
             assert alternation_under_shifts(f).tolist() == alts
 
 
+def test_bound_ordered_search_matches_oracles_at_small_arity(monkeypatch):
+    # below _BOUND_MIN_ARITY the search runs in ascending order; the same
+    # search ordered by the bound, every function to n = 3, then sampled
+    monkeypatch.setattr(measures, "_BOUND_MIN_ARITY", 1)
+    rng = np.random.default_rng(41)
+    fs = [f for n in range(1, 4) for f in _every_function(n)]
+    fs += [TruthTable(n, random_table(rng, n)) for n in (4, 5) for _ in range(100)]
+    for f in fs:
+        alts = naive_shift_alternations(f)
+        assert shift_invariant_alternation(f, witness=True) == (min(alts), alts.index(min(alts)))
+
+
 def test_alternation_under_shifts_matches_shifted_alternation():
     rng = np.random.default_rng(31)
     for k in range(64):
@@ -134,6 +146,8 @@ def test_salt_in_one_word_blocks_matches_default(monkeypatch):
             assert (val, b) == (int(alts.min()), int(alts.argmin()))
             cases.append((f, alts, val, b))
     assert len(measures._shift_blocks(10)) == 1
+    # the blocks are those of alternation_under_shifts; salt at these n
+    # runs per shift and reads none (its 64-shift words are tested below)
     monkeypatch.setattr(measures, "_SHIFT_BLOCK_BUDGET", 0)
     assert measures._shift_blocks(8) == [(0, 64), (64, 64)]
     assert len(measures._shift_blocks(10)) == 8
@@ -153,7 +167,8 @@ def test_alternation_under_shifts_above_one_block_arity():
 
 
 def test_shift_block_fits_its_byte_budget():
-    # the level sets and numpy's iteration buffers of the largest block
+    # the level sets and numpy's iteration buffers of the largest block; the
+    # buffers fit the budget's slack, so this guards against numpy growing them
     for n in (11, 13):
         f = maj(n)
         cols = _direction_columns(f)
@@ -220,20 +235,22 @@ def test_salt_search_matches_scan_of_every_shift(monkeypatch):
         for f, (val, b) in zip(fs, got):
             alts = alternation_under_shifts(f)
             assert (val, b) == (int(alts.min()), int(alts.argmin()))
-    # the same search with every word through the other kernel
-    for per_shift_max in (0, 12):
+    # the same search with every word through the other kernel, and in
+    # ascending order as without the bound
+    for per_shift_max, bound_min in ((0, 0), (12, 0), (12, 13), (0, 13)):
         monkeypatch.setattr(measures, "_PER_SHIFT_MAX_ARITY", per_shift_max)
+        monkeypatch.setattr(measures, "_BOUND_MIN_ARITY", bound_min)
         for n, fs in cases.items():
             assert [shift_invariant_alternation(f, witness=True) for f in fs] == _SCANNED_SALT[n]
 
 
-def test_salt_search_ends_in_sweep_where_bound_is_loose(monkeypatch):
-    # functions with a few ones: most shifts keep a bound two below salt, so
-    # the search ends in the sweep of contiguous blocks, which evaluates
-    # shifts it visited before and so counts more than there are
+def test_salt_search_where_bound_is_loose(monkeypatch):
+    # functions with a few ones: the bound prunes little, so the search
+    # visits most shifts, through up to 20 words of 64; both kernels
+    # against the scan of every shift
     rng = np.random.default_rng(0)
     cases = []
-    for n, ones in ((10, 3), (11, 16)):
+    for n, ones in ((10, 3), (11, 16), (12, 40)):
         f = TruthTable(n, sum(1 << int(x) for x in rng.choice(2**n, ones, replace=False)))
         alts = alternation_under_shifts(f)
         cases.append((f, (int(alts.min()), int(alts.argmin()))))
@@ -242,4 +259,23 @@ def test_salt_search_ends_in_sweep_where_bound_is_loose(monkeypatch):
         for f, want in cases:
             val, b, visited = _salt_search(f)
             assert (val, b) == want
-            assert visited > 2 ** (f.n - 1)
+            assert visited > 2 ** (f.n - 2)
+
+
+# functions whose search finds the salt value first at a shift above the
+# smallest argmin, which holds a bound equal to salt and so is visited after
+_LATE_TIES = [  # (n, the inputs where f is 1, (salt, smallest argmin))
+    (7, (9, 18, 23, 30, 32, 39, 64, 91, 104, 121, 127), (4, 3)),
+    (8, (14, 15, 46, 47, 85, 117, 142, 143, 174, 175), (2, 0)),
+    (9, (140, 157, 240, 314, 425, 434, 444, 470), (2, 16)),
+]
+
+
+def test_salt_search_keeps_ties_below_best_shift(monkeypatch):
+    for per_shift_max in (measures._PER_SHIFT_MAX_ARITY, 0):
+        monkeypatch.setattr(measures, "_PER_SHIFT_MAX_ARITY", per_shift_max)
+        for n, ones, want in _LATE_TIES:
+            f = TruthTable(n, sum(1 << x for x in ones))
+            alts = alternation_under_shifts(f)
+            assert want == (int(alts.min()), int(alts.argmin()))
+            assert _salt_search(f)[:2] == want
