@@ -825,10 +825,14 @@ def extremal_search(
 
     Exhaustive over all functions when n <= 4, otherwise a seeded sample of
     ``budget`` random tables.  Results deduplicate by complement and (n <= 5)
-    variable relabeling, and are deterministic for fixed inputs.
+    variable relabeling, and are deterministic for fixed inputs.  Raises
+    ``ValueError`` for an unknown statistic or a negative n, budget or top.
     """
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}; known: {sorted(STATISTICS)}")
+    for name, value in (("n", n), ("budget", budget), ("top", top)):
+        if value < 0:
+            raise ValueError(f"{name} must be at least 0, got {value}")
     if n <= _bulk.MAX_BULK_ARITY:
         row = _STATISTICS[statistic]
         parts = []
@@ -850,13 +854,13 @@ def extremal_search(
     candidates: list[tuple[float, int]] = []
     seen: set[int] = set()
     for value, bits in ranked:
+        if len(candidates) == top:
+            break
         key = _canonical_key(n, bits)
         if key in seen:
             continue
         seen.add(key)
         candidates.append((value, bits))
-        if len(candidates) >= top:
-            break
     return [
         ExtremalRecord(tt_serialize(TruthTable(n, bits)), statistic, value, n)
         for value, bits in candidates

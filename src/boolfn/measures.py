@@ -680,15 +680,6 @@ def alternation(f: TruthTable, witness: bool = False):
     return alt, Chain(tuple(int(p) for p in chain))
 
 
-# Arity up to which the salt search evaluates its shifts one at a time on
-# packed Python ints; above it, 64 shifts per uint64 word through one numpy
-# kernel.  Best of 3 over three random functions, maj(n), functions with 20,
-# 100 and 300 ones and a padded tree_function(3), per shift against by
-# words: 38 against 58 ms in all at n = 11, 143-156 against 161-205 at
-# n = 12, and 869 against 734 at n = 13, where the sparse functions, whose
-# bound prunes little, take most of the time.
-_PER_SHIFT_MAX_ARITY = 12
-
 # Arity from which the salt search orders its shifts by ``_chain_bound``.
 # Below it the bound's fixed cost, about 7n + 20 numpy calls, is more than
 # it saves, and the shifts run in ascending order, as under a zero bound:
@@ -696,12 +687,6 @@ _PER_SHIFT_MAX_ARITY = 12
 # ordered: 102-107 against 108-141 us at n = 5, 300-435 against 143-248 us
 # at n = 6.
 _BOUND_MIN_ARITY = 6
-
-# Bytes one block of the batched level-set kernel may take: the current and
-# next level sets and a scratch, each 2**n rows of one uint64 word per 64
-# shifts, and numpy's iteration buffers (see ``_shift_blocks``).  A block has
-# at least one word.
-_SHIFT_BLOCK_BUDGET = 1 << 20
 
 
 def _level_sets(moves: list, full: int, b: int, cap: int):
@@ -762,7 +747,10 @@ def _chain_bound(f: TruthTable) -> np.ndarray:
     f(~b), as every chain's does.  Largest first is smallest first with the
     variables reversed, so all four walk at once, with all shifts: n
     gathers from the per-point masks of sensitive directions of f and of
-    f reversed, stacked in one table.
+    f reversed, stacked in one table.  Where all four count 0, f(b) ==
+    f(~b) and no greedy step changes f; the bound is then 2 unless f is
+    constant, since some chain from b to ~b passes a point where f differs
+    from f(b) and must change back.
     """
     n = f.n
     size = table_size(n)
@@ -791,166 +779,10 @@ def _chain_bound(f: TruthTable) -> np.ndarray:
         step &= -step
         x ^= step
         free ^= step
-    return count.reshape(4, -1).max(axis=0)
-
-
-def _direction_columns(f: TruthTable) -> list[np.ndarray]:
-    """Per direction i: f(x) != f(x XOR e_i) over the pairs {x, x XOR e_i}, as
-    all-ones or zero uint64 words of shape (2**(n-1-i), 2**i, 1), which
-    broadcast against either half of a level set along direction i."""
-    t = f.to_array()
-    cols = []
-    for i in range(f.n):
-        pairs = t.reshape(-1, 2, 1 << i)
-        diff = (pairs[:, 0] != pairs[:, 1]).astype(np.uint64)
-        cols.append(np.negative(diff, out=diff)[:, :, None])
-    return cols
-
-
-def _shift_words(bits: np.ndarray) -> np.ndarray:
-    """Bool array over 64 * w shifts -> w uint64 words, shift j at bit j % 64."""
-    return np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64)
-
-
-def _word_shifts(words: np.ndarray) -> np.ndarray:
-    """Inverse of ``_shift_words``."""
-    return np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little").astype(bool)
-
-
-def _apply(ufunc, x: np.ndarray, y, out: np.ndarray, order: str | None) -> None:
-    """ufunc(x, y, out=out), iterated innermost along the last axis (None),
-    the one before it ("swap") or the first ("flip"): numpy runs its inner
-    loop along the last axis, which is slow where that axis is short."""
-    if order == "swap":
-        x, y, out = (np.swapaxes(a, -1, -2) for a in (x, y, out))
-    elif order == "flip":
-        x, y, out = x.T, y.T, out.T
-    ufunc(x, y, out=out, order="C")
-
-
-def _shift_block_alternations(
-    cols: list[np.ndarray], shifts: np.ndarray, cap: int, first: bool
-) -> np.ndarray:
-    """min(alt(x -> f(x XOR b)), cap) for each shift b of ``shifts``, all
-    below 2**(n-1), by the level sets of ``_level_sets`` run for every
-    shift of the block at once.
-
-    Level sets are a (2**n, words) uint64 array in the frame of f: row x,
-    bit j of word w is shift ``shifts[64w + j]``.  A move along direction i
-    runs x_i = 0 -> 1 for the shifts with b_i = 0 and x_i = 1 -> 0 for those
-    with b_i = 1: each ANDs one half with the direction's column ``cols[i]``
-    (see ``_direction_columns``) and a mask of those shifts, then ORs it
-    into the other half, so no bit is shifted.  The upward closure ORs the
-    same halves under the masks alone, and a shift's alternation is k when
-    the OR of level k + 1 over the rows clears its bit.  With ``first`` the
-    levels stop at the first one that clears a bit, and the shifts still
-    live read ``cap``; else they stop once every shift's level is empty.
-    """
-    n = len(cols)
-    count = len(shifts)
-    words = -(-count // 64)
-    padded = np.zeros(64 * words, dtype=np.int64)
-    padded[:count] = shifts
-    live = _shift_words(np.arange(64 * words) < count)
-    steps = []
-    for i in range(n):
-        # iteration orders (see ``_apply``): "plain" for operands of one
-        # shape, whose contiguous runs are 2**i * words long; "spread" for
-        # those broadcast along the words (the column, a mask row), whose
-        # runs are the words alone, so reordered where a row is one or two
-        # words and the level set large enough (measured) for that to pay
-        plain = None if (words << i) >= 16 else "flip"
-        spread = plain
-        if words < 4 and words << n >= 1 << 14:
-            spread = "swap" if (1 << i) >= 16 else "flip"
-        # (source half, target half, mask, order of its AND) of the shifts
-        # moving up and of those moving down.  The mask is None where it
-        # keeps every live shift, and a scalar where every word has the same
-        # one (a contiguous block at bits i < 6, or one word), which numpy
-        # broadcasts far faster than a row; a move whose mask keeps no shift
-        # is left out.
-        moves = []
-        for a, z in ((0, 1), (1, 0)):
-            mask = live & _shift_words((padded >> i) & 1 == a)
-            if not mask.any():
-                continue
-            if np.array_equal(mask, live):
-                moves.append((a, z, None, None))
-            elif (mask == mask[0]).all():
-                moves.append((a, z, mask[0], plain))
-            else:
-                moves.append((a, z, mask.reshape(1, 1, words), spread))
-        steps.append((plain, spread, moves))
-
-    alts = np.full(64 * words, cap, dtype=np.int16)
-    alive = live.copy()
-    level = np.empty((1 << n, words), dtype=np.uint64)
-    level[:] = live
-    nxt = np.empty_like(level)
-    scratch = np.empty_like(level)
-    for k in range(cap):
-        nxt.fill(0)
-        for i, (plain, spread, moves) in enumerate(steps):
-            src, dst = level.reshape(-1, 2, 1 << i, words), nxt.reshape(-1, 2, 1 << i, words)
-            tmp = scratch.reshape(-1, 2, 1 << i, words)
-            if len(moves) == 2:  # both halves move: AND the column in at once
-                _apply(np.bitwise_and, src, cols[i][:, None], tmp, spread)
-            else:
-                a = moves[0][0]
-                _apply(np.bitwise_and, src[:, a], cols[i], tmp[:, a], spread)
-            for a, z, mask, order in moves:
-                if mask is not None:
-                    _apply(np.bitwise_and, tmp[:, a], mask, tmp[:, a], order)
-                _apply(np.bitwise_or, dst[:, z], tmp[:, a], dst[:, z], plain)
-        reached = np.bitwise_or.reduce(nxt, axis=0)
-        emptied = alive & ~reached
-        if emptied.any():
-            alts[_word_shifts(emptied)] = k
-            alive &= reached
-            if first or not alive.any():
-                break
-        if k + 1 == cap:
-            break
-        for i, (plain, _, moves) in enumerate(steps):
-            halves = nxt.reshape(-1, 2, 1 << i, words)
-            tmp = scratch.reshape(-1, 2, 1 << i, words)[:, 0]
-            for a, z, mask, order in moves:
-                src = halves[:, a]
-                if mask is not None:
-                    _apply(np.bitwise_and, src, mask, tmp, order)
-                    src = tmp
-                _apply(np.bitwise_or, halves[:, z], src, halves[:, z], plain)
-        level, nxt = nxt, level
-    return alts[:count]
-
-
-def _shift_blocks(n: int) -> list[tuple[int, int]]:
-    """(b0, count) blocks of the shifts b < 2**(n-1), ascending: the most
-    64-shift words, a power of two, whose three level-set arrays fit
-    ``_SHIFT_BLOCK_BUDGET``, and one word where none fits.  The budget also
-    holds numpy's iteration buffers, 8192 elements (64 KiB of uint64) for
-    each of the up to three operands of a call that interleave.  The arrays
-    take 3 * 2**k bytes, at most 3/4 of the power-of-two budget, so the
-    buffers fit its slack and change the layout at no n; they are counted
-    so that the sum stays true for any budget."""
-    total = table_size(n) >> 1
-    per_word = 3 * 8 * table_size(n)
-    buffers = 3 * 8 * 8192
-    words = 1
-    while 2 * words * per_word + buffers <= _SHIFT_BLOCK_BUDGET and 64 * words < total:
-        words *= 2
-    step = 64 * words
-    return [(b0, min(step, total - b0)) for b0 in range(0, total, step)]
-
-
-def _block_best(cols: list[np.ndarray], shifts: np.ndarray, best: tuple[int, int]):
-    """min(best, (alt(f XOR b), b) over ``shifts``), by one block of
-    ``_shift_block_alternations``.  The block is capped at best + 1 when one
-    of its shifts lies below best's, so that a tie there shows."""
-    cap = min(best[0] + (int(shifts.min()) < best[1]), len(cols))
-    alts = _shift_block_alternations(cols, shifts, cap, True)
-    j = int(np.lexsort((shifts, alts))[0])
-    return min(best, (int(alts[j]), int(shifts[j])))
+    bound = count.reshape(4, -1).max(axis=0)
+    if 0 < f.bits < table_mask(n):
+        bound[bound == 0] = 2
+    return bound
 
 
 def _salt_search(f: TruthTable) -> tuple[int, int, int]:
@@ -960,11 +792,9 @@ def _salt_search(f: TruthTable) -> tuple[int, int, int]:
     below ``_BOUND_MIN_ARITY``, and stops at the first that can neither
     beat the best value nor tie it at a smaller shift; the best is replaced
     on a smaller value, or on an equal one at a smaller shift, so the result
-    is that of a scan of every shift.  A shift runs its level sets only up
-    to the best value, or one more when it lies below the best shift.  Up
-    to ``_PER_SHIFT_MAX_ARITY`` a shift runs alone
-    (``_alternation_at_shift``), above it a word of the next 64 candidates
-    runs in ``_shift_block_alternations``.
+    is that of a scan of every shift.  Each shift runs alone on packed ints
+    (``_alternation_at_shift``), its level sets only up to the best value,
+    or one more when it lies below the best shift.
     """
     n = f.n
     if n == 0:
@@ -976,22 +806,14 @@ def _salt_search(f: TruthTable) -> tuple[int, int, int]:
         order = np.sort((_chain_bound(f).astype(np.int64) << (n - 1)) | np.arange(half)).tolist()
     else:
         order = range(half)
+    moves, full = _shift_moves(f), table_mask(n)
     best = (n, half)  # (value, shift); no shift is at half
-    if n <= _PER_SHIFT_MAX_ARITY:
-        moves, full = _shift_moves(f), table_mask(n)
-    else:
-        cols = _direction_columns(f)
     pos, limit = 0, half  # every key lies below best's
     while pos < limit:
-        if n <= _PER_SHIFT_MAX_ARITY:
-            b = order[pos] & (half - 1)
-            pos += 1
-            cap = min(best[0] + (b < best[1]), n)
-            found = (_alternation_at_shift(moves, full, b, cap), b)
-        else:
-            shifts = np.array(order[pos : min(pos + 64, limit)]) & (half - 1)
-            pos += len(shifts)
-            found = _block_best(cols, shifts, best)
+        b = order[pos] & (half - 1)
+        pos += 1
+        cap = min(best[0] + (b < best[1]), n)
+        found = (_alternation_at_shift(moves, full, b, cap), b)
         if found < best:
             best = found
             limit = bisect_left(order, (best[0] << (n - 1)) + best[1])
@@ -1001,32 +823,20 @@ def _salt_search(f: TruthTable) -> tuple[int, int, int]:
 def alternation_under_shifts(f: TruthTable) -> np.ndarray:
     """Alternation of every shifted function x -> f(x XOR b), indexed by b.
 
-    Needs every value, so it takes no bound and prunes nothing.  It runs
-    the level sets of ``_level_sets`` on the shifts b < 2**(n-1) without a
-    cap: one shift at a time while they all fit one 64-shift word (n <= 7),
-    where the batched kernel's fixed numpy cost per pass outweighs the
-    Python loop, else in the contiguous blocks of ``_shift_blocks``, each
-    run until the level sets of all its shifts are empty.  The values are
-    mirrored into the top half: alt(f XOR b) == alt(f XOR b XOR 1^n),
-    because complementing the shift walks every chain in reverse.
+    Needs every value, so it takes no bound and prunes nothing: it runs
+    ``_alternation_at_shift`` without a cap on each shift b < 2**(n-1) and
+    mirrors the values into the top half, since alt(f XOR b) ==
+    alt(f XOR b XOR 1^n): complementing the shift walks every chain in
+    reverse.
     """
     n = f.n
     if n == 0:
         return np.zeros(1, dtype=np.int16)
-    if table_size(n) >> 1 <= 64:
-        moves, full = _shift_moves(f), table_mask(n)
-        half = np.array(
-            [_alternation_at_shift(moves, full, b, n) for b in range(table_size(n) >> 1)],
-            dtype=np.int16,
-        )
-    else:
-        cols = _direction_columns(f)
-        half = np.concatenate(
-            [
-                _shift_block_alternations(cols, np.arange(b0, b0 + c), n, False)
-                for b0, c in _shift_blocks(n)
-            ]
-        )
+    moves, full = _shift_moves(f), table_mask(n)
+    half = np.array(
+        [_alternation_at_shift(moves, full, b, n) for b in range(table_size(n) >> 1)],
+        dtype=np.int16,
+    )
     return np.concatenate([half, half[::-1]])
 
 
@@ -1042,10 +852,9 @@ def shift_invariant_alternation(
     and the search (``_salt_search``) visits the shifts by that bound, skips
     those that cannot win, and runs each only up to the best value so far:
     at most 2**(n-1) shifts x salt levels x n moves over 2**n points, and on
-    most functions a few dozen shifts.  The shifts run one at a time on
-    packed ints for n <= ``_PER_SHIFT_MAX_ARITY`` and 64 per uint64 word
-    through one numpy kernel above.  For n < ``_BOUND_MIN_ARITY`` the bound
-    costs more than it saves, and the shifts run in ascending order.
+    most functions a few dozen shifts, each run alone on packed ints.  For
+    n < ``_BOUND_MIN_ARITY`` the bound costs more than it saves, and the
+    shifts run in ascending order.
     """
     _ensure_limit("salt", f.n, limit)
     best, best_shift, _ = _salt_search(f)

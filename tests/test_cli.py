@@ -189,6 +189,21 @@ def test_search_deterministic(capsys):
     assert out1 == out2
 
 
+def test_search_top_zero_gives_no_records(capsys):
+    code, out, _ = run_cli(capsys, "search", "--n", "2", "--statistic",
+                           "s_over_sqrt_sparsity", "--top", "0", "--format", "csv")
+    assert code == 0
+    assert out == "function,statistic,value,arity\n"
+
+
+@pytest.mark.parametrize("flag,value", [("--n", "-1"), ("--budget", "-3"), ("--top", "-2")])
+def test_search_negative_argument_exits_2(capsys, flag, value):
+    argv = {"--n": "5", "--statistic": "s_over_sqrt_sparsity", flag: value}
+    code, out, err = run_cli(capsys, "search", *[a for kv in argv.items() for a in kv])
+    assert code == 2 and out == ""
+    assert err == f"error: {flag[2:]} must be at least 0, got {value}\n"
+
+
 def test_measures_over_ceiling_skips_but_succeeds(capsys):
     code, out, _ = run_cli(capsys, "measures", "fam:rubinstein:m=4,n=4")
     assert code == 0

@@ -1,9 +1,7 @@
-"""Shift-invariant alternation: the per-shift and batched level-set kernels
-and the bulk arrays against the brute-force oracles, each other and the
+"""Shift-invariant alternation: the per-shift level-set kernel and the bulk
+arrays against the brute-force oracles, the layered alternation DP and the
 single-function alternation; the greedy chain bound and the search it
 orders."""
-
-import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -20,14 +18,7 @@ from boolfn import (
 from boolfn._bitops import table_mask
 from boolfn._bulk import measure_arrays
 from boolfn.families import and_, gip, maj, parity, tree_function
-from boolfn.measures import (
-    _alternation_at_shift,
-    _chain_bound,
-    _direction_columns,
-    _salt_search,
-    _shift_block_alternations,
-    _shift_moves,
-)
+from boolfn.measures import _alternation_down, _chain_bound, _salt_search
 
 from oracles import naive_salt, naive_shift_alternations, random_table
 
@@ -80,54 +71,9 @@ def test_bulk_salt_matches_api_exhaustive():
             assert a["alt"][f.bits] == alternation(f)
 
 
-def _per_shift(f):
-    """alt(f XOR b) for b < 2**(n-1), by the per-shift kernel."""
-    moves, full = _shift_moves(f), table_mask(f.n)
-    return [_alternation_at_shift(moves, full, b, f.n) for b in range(2 ** f.n // 2)]
-
-
-def _assert_block(f, expected, shifts):
-    """Both modes of the batched kernel on one block of shifts, against
-    per-shift values."""
-    cols = _direction_columns(f)
-    n = f.n
-    shifts = np.asarray(shifts)
-    want = [expected[b] for b in shifts.tolist()]
-    assert _shift_block_alternations(cols, shifts, n, False).tolist() == want
-    # stopped at the first emptied level: the shifts of the minimum read it,
-    # every other shift reads the cap
-    low = min(want)
-    first = _shift_block_alternations(cols, shifts, n, True).tolist()
-    assert first == [a if a == low else n for a in want]
-    # under a cap at or below the minimum, every shift reads the cap
-    assert _shift_block_alternations(cols, shifts, low, True).tolist() == [low] * len(want)
-
-
-def test_block_kernel_matches_oracles_exhaustive():
-    for n in range(1, 4):
-        for f in _every_function(n):
-            half = naive_shift_alternations(f)[: 2 ** (n - 1)]
-            _assert_block(f, half, range(len(half)))
-
-
-def test_block_kernel_matches_per_shift_seeded():
-    rng = np.random.default_rng(9)
-    for n in range(4, 8):
-        for _ in range(6):
-            f = TruthTable(n, random_table(rng, n))
-            alts = _per_shift(f)
-            total = len(alts)
-            _assert_block(f, alts, range(total))
-            # a block that starts and ends inside a word
-            b0 = int(rng.integers(0, total))
-            _assert_block(f, alts, range(b0, b0 + int(rng.integers(1, total - b0 + 1))))
-            # an arbitrary set of shifts in an arbitrary order
-            _assert_block(f, alts, rng.permutation(total)[: int(rng.integers(1, total + 1))])
-
-
 def _salt_functions(rng, n):
     """Random functions, a tie at every shift (parity), a constant, and AND
-    shifted so that its one minimal shift lands in a late block."""
+    shifted so that its one minimal shift is among the last 64."""
     late = 2 ** (n - 1) - 1 - int(rng.integers(0, 64))
     return [TruthTable(n, random_table(rng, n)) for _ in range(3)] + [
         parity(n),
@@ -136,50 +82,15 @@ def _salt_functions(rng, n):
     ]
 
 
-def test_salt_in_one_word_blocks_matches_default(monkeypatch):
-    rng = np.random.default_rng(17)
-    cases = []
-    for n in range(8, 11):
-        for f in _salt_functions(rng, n):
-            alts = alternation_under_shifts(f)
-            val, b = shift_invariant_alternation(f, witness=True)
-            assert (val, b) == (int(alts.min()), int(alts.argmin()))
-            cases.append((f, alts, val, b))
-    assert len(measures._shift_blocks(10)) == 1
-    # the blocks are those of alternation_under_shifts; salt at these n
-    # runs per shift and reads none (its 64-shift words are tested below)
-    monkeypatch.setattr(measures, "_SHIFT_BLOCK_BUDGET", 0)
-    assert measures._shift_blocks(8) == [(0, 64), (64, 64)]
-    assert len(measures._shift_blocks(10)) == 8
-    for f, alts, val, b in cases:
-        assert shift_invariant_alternation(f, witness=True) == (val, b)
-        assert alternation_under_shifts(f).tolist() == alts.tolist()
-
-
-def test_alternation_under_shifts_above_one_block_arity():
+def test_alternation_under_shifts_matches_layered_dp():
+    # the layered DP shares no kernel with the level sets
     rng = np.random.default_rng(23)
-    for n in (9, 10):
-        for _ in range(2):
-            f = TruthTable(n, random_table(rng, n))
-            alts = alternation_under_shifts(f)
-            for b in rng.integers(0, 2**n, size=12).tolist():
-                assert alts[b] == alternation(shift(f, b))
-
-
-def test_shift_block_fits_its_byte_budget():
-    # the level sets and numpy's iteration buffers of the largest block; the
-    # buffers fit the budget's slack, so this guards against numpy growing them
-    for n in (11, 13):
-        f = maj(n)
-        cols = _direction_columns(f)
-        b0, count = measures._shift_blocks(n)[0]
-        tracemalloc.start()
-        try:
-            _shift_block_alternations(cols, np.arange(b0, b0 + count), n, False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= measures._SHIFT_BLOCK_BUDGET
+    for n in range(9, 13):
+        f = TruthTable(n, random_table(rng, n))
+        alts = alternation_under_shifts(f)
+        shifts = rng.integers(0, 2**n, size=12)
+        tables = f.to_array()[np.arange(2**n) ^ shifts[:, None]]
+        assert alts[shifts].tolist() == _alternation_down(tables)[:, 0].tolist()
 
 
 def _assert_chain_bound(f):
@@ -204,15 +115,17 @@ def test_chain_bound_below_alternation_seeded_and_families():
     rng = np.random.default_rng(37)
     for n in (10, 11, 12):
         _assert_chain_bound(TruthTable(n, random_table(rng, n)))
-    for f in (tree_function(3), gip(3, 3), maj(11)):
+    for f in (tree_function(3), gip(3, 3), maj(11), gip(2, 7)):
         _assert_chain_bound(f)
+    for n in range(1, 13):
+        _assert_chain_bound(and_(n))
 
 
-def test_search_visits_one_word_on_majority():
-    for n in (11, 15):
-        val, b, visited = _salt_search(maj(n))
-        assert (val, b) == (1, 0)
-        assert visited <= 64
+def test_search_visits_one_shift_on_majority_and_and():
+    # the least bound, 1, is at shift 0 alone: every other shift has f(b) ==
+    # f(~b) and so a bound of 2
+    for f in (maj(11), maj(15), and_(16)):
+        assert _salt_search(f) == (1, 0, 1)
 
 
 # (salt, smallest argmin shift) of _salt_functions(default_rng(29), n) for
@@ -235,47 +148,42 @@ def test_salt_search_matches_scan_of_every_shift(monkeypatch):
         for f, (val, b) in zip(fs, got):
             alts = alternation_under_shifts(f)
             assert (val, b) == (int(alts.min()), int(alts.argmin()))
-    # the same search with every word through the other kernel, and in
-    # ascending order as without the bound
-    for per_shift_max, bound_min in ((0, 0), (12, 0), (12, 13), (0, 13)):
-        monkeypatch.setattr(measures, "_PER_SHIFT_MAX_ARITY", per_shift_max)
+    # the same search ordered by the bound at every n, and in ascending
+    # order as without the bound
+    for bound_min in (0, 13):
         monkeypatch.setattr(measures, "_BOUND_MIN_ARITY", bound_min)
         for n, fs in cases.items():
             assert [shift_invariant_alternation(f, witness=True) for f in fs] == _SCANNED_SALT[n]
 
 
-def test_salt_search_where_bound_is_loose(monkeypatch):
-    # functions with a few ones: the bound prunes little, so the search
-    # visits most shifts, through up to 20 words of 64; both kernels
-    # against the scan of every shift
+def test_salt_search_where_bound_is_loose():
+    # sparse functions with salt 4: the bound prunes little, so the search
+    # visits over a quarter of the shifts; against the scan of every shift
     rng = np.random.default_rng(0)
-    cases = []
-    for n, ones in ((10, 3), (11, 16), (12, 40)):
+    for n, ones in ((10, 16), (11, 24), (12, 40)):
         f = TruthTable(n, sum(1 << int(x) for x in rng.choice(2**n, ones, replace=False)))
         alts = alternation_under_shifts(f)
-        cases.append((f, (int(alts.min()), int(alts.argmin()))))
-    for per_shift_max in (measures._PER_SHIFT_MAX_ARITY, 0):
-        monkeypatch.setattr(measures, "_PER_SHIFT_MAX_ARITY", per_shift_max)
-        for f, want in cases:
-            val, b, visited = _salt_search(f)
-            assert (val, b) == want
-            assert visited > 2 ** (f.n - 2)
+        val, b, visited = _salt_search(f)
+        assert (val, b) == (int(alts.min()), int(alts.argmin()))
+        assert val >= 4
+        assert visited > 2 ** (n - 2)
 
 
 # functions whose search finds the salt value first at a shift above the
 # smallest argmin, which holds a bound equal to salt and so is visited after
 _LATE_TIES = [  # (n, the inputs where f is 1, (salt, smallest argmin))
     (7, (9, 18, 23, 30, 32, 39, 64, 91, 104, 121, 127), (4, 3)),
-    (8, (14, 15, 46, 47, 85, 117, 142, 143, 174, 175), (2, 0)),
-    (9, (140, 157, 240, 314, 425, 434, 444, 470), (2, 16)),
+    (8, (25, 39, 62, 92, 97, 113, 149, 150, 164, 215, 218, 247, 248), (4, 0)),
+    (9, (95, 107, 134, 141, 271, 286, 325, 379, 380, 409, 458), (3, 53)),
 ]
 
 
-def test_salt_search_keeps_ties_below_best_shift(monkeypatch):
-    for per_shift_max in (measures._PER_SHIFT_MAX_ARITY, 0):
-        monkeypatch.setattr(measures, "_PER_SHIFT_MAX_ARITY", per_shift_max)
-        for n, ones, want in _LATE_TIES:
-            f = TruthTable(n, sum(1 << x for x in ones))
-            alts = alternation_under_shifts(f)
-            assert want == (int(alts.min()), int(alts.argmin()))
-            assert _salt_search(f)[:2] == want
+def test_salt_search_keeps_ties_below_best_shift():
+    for n, ones, want in _LATE_TIES:
+        f = TruthTable(n, sum(1 << x for x in ones))
+        alts = alternation_under_shifts(f)
+        assert want == (int(alts.min()), int(alts.argmin()))
+        bound = _chain_bound(f).tolist()
+        first = min((bound[b], b) for b in range(len(bound)) if alts[b] == want[0])[1]
+        assert first > want[1]
+        assert _salt_search(f)[:2] == want
