@@ -7,31 +7,44 @@ function axis vectorized: tables become rows of one matrix and each measure
 is a row kernel of a handful of numpy passes.  Callers walk the function
 ids in the fixed slices of ``_slices`` (``_SLICE`` ids each: n <= 3 is one
 slice, n = 4 is four) and pass one slice at a time to ``measure_arrays``,
-which bounds the memory of every kernel, the block patterns and the
-subcube table included.  Every kernel but the block-pattern scan is the one
-the per-function API runs:
+which bounds the memory of every kernel, the packing table and the subcube
+table included.  The kernels:
 
-* ``measures``: pointwise sensitivity, the layered alternation DP, the
-  block-packing table, and the ternary subcube table
-  (``measures._subcube_table``) behind certificate complexity and
-  decision-tree depth;
+* ``measures``: pointwise sensitivity, the layered alternation DP, and the
+  ternary subcube table (``measures._subcube_table``) behind certificate
+  complexity and decision-tree depth, the ones the per-function API runs;
 * ``spectral``: the Moebius and Walsh butterflies, run here in int16 and
   int32, and the degree and sparsity kernels; ``deg`` and every ``deg_p``
-  are read from one Moebius matrix.
+  are read from one Moebius matrix;
+* here: block sensitivity, a subset DP over free sets (``_packings``) and
+  the family walk on it (``_families``), for every input of every row.
+
+Block sensitivity is the one measure whose batched and per-function
+kernels differ.  The DP packs every free set at every input, about 3**n
+max-plus steps in 3 * (2**n - 1) numpy calls, which pays off over a slice's
+rows.  A per-function call wants few inputs (``measures._bs_search`` settles
+most functions at one), where ``measures._bs_point`` packs only the minimal
+sensitive blocks.  On one function (2-core Xeon VM, best of 5), the DP with
+one family against the packer at one input and all of
+``block_sensitivity``: n = 4, 840 us against 58 and 215 us; n = 8, 11.4 ms
+against 0.10 and 0.40 ms; ``rubinstein(2, 4)`` (n = 8, all 256 inputs
+searched), 15.2 ms against 10.2 ms for the search.  So the per-function
+route keeps the packer; the walk takes the families by its rule
+(``measures._lex_min_family``), so both give the same witnesses.
 
 The scan reuses the sensitivity and sparsity kernels on the transformed
-tables g, and cross-checks these arrays against the per-function API on a
-deterministic subsample.  Since both routes share most kernels, that
-guards the batching (dtypes, the row axis) and compares two algorithms only
-for alt and salt: here the layered DP (``measures._alternation_down``) of
-the function and of each shift, there the packed level sets of
-``measures._level_sets``, which ``alternation`` sums into the same path
-maxima and the salt search runs one shift at a time.  On
-16,384 rows at n = 4 the layered DP took 1.2 ms against 20.1 ms for level
-sets on bool arrays (best of 7, 2-core Xeon VM), so the batched route keeps
-it.  The scan also checks
-each alternation chain of its transforms against its alt value, and the
-tests check the arrays against brute-force oracles.
+tables g, and cross-checks these arrays and the transforms built from the
+families against the per-function API on a deterministic subsample.  That
+guards the batching (dtypes, the row axis) and compares two algorithms for
+bs (the DP and the packer), and for alt and salt: here the layered DP
+(``measures._alternation_down``) of the function and of each shift, there
+the packed level sets of ``measures._level_sets``, which ``alternation``
+sums into the same path maxima and the salt search runs one shift at a
+time.  On 16,384 rows at n = 4 the layered DP took 1.2 ms against 20.1 ms
+for level sets on bool arrays (best of 7, 2-core Xeon VM), so the batched
+route keeps it.  The scan also checks each alternation chain of its
+transforms against its alt value, and the tests check the arrays against
+brute-force oracles.
 """
 
 from __future__ import annotations
@@ -41,7 +54,6 @@ import numpy as np
 from ._bitops import table_size
 from .measures import (
     _alternation_down,
-    _packing_lut,
     _pointwise_sensitivity,
     _subcube_table,
 )
@@ -64,21 +76,67 @@ def _tables(n: int, lo: int, hi: int) -> np.ndarray:
     return ((ids[:, None] >> cols[None, :]) & 1).astype(np.uint8)
 
 
-def _block_patterns(t: np.ndarray) -> np.ndarray:
-    """Sensitive-block pattern at every input (bit B-1 set = block B flips f).
+def _packings(t: np.ndarray) -> np.ndarray:
+    """B[S, x, r]: the most disjoint blocks inside free set S that flip row r
+    of an (m, 2**n) table matrix at input x, as an int8 (2**n, 2**n, m) array.
 
-    One uint32 buffer takes each block's bit in place, so the loop allocates
-    no pattern-sized temporaries.
+    One in-place pass per block T over the free sets S that contain it:
+    B[S] = max(B[S], B[S ^ T] + flip_T[x, r]).  S ^ T does not contain T, so
+    no packing uses T twice; B is monotone in S, so a block that does not
+    flip needs no mask.  Both sides of a pass, and the tables XORed by T, are
+    views on the (2,)*n grid, so a pass is three numpy calls into buffers
+    allocated once; the largest, half the size of B, holds B[S ^ T] + flip_T.
     """
     m, size = t.shape
-    idx = np.arange(size)
-    pattern = np.zeros((m, size), dtype=np.uint32)
-    bit = np.empty_like(pattern)
-    for block in range(1, size):
-        np.not_equal(t, t[:, idx ^ block], out=bit)
-        bit <<= block - 1
-        pattern |= bit
-    return pattern
+    n = size.bit_length() - 1
+    cube = (2,) * n  # axis j holds coordinate n - 1 - j
+    tt = t.T.astype(bool, order="C").reshape(cube + (m,))
+    B = np.zeros(cube + (size, m), dtype=np.int8)
+    flip = np.empty((size, m), dtype=bool)
+    buf = np.empty((size >> 1) * size * m, dtype=np.int8)
+    for T in range(1, size):
+        axes = tuple(n - 1 - i for i in range(n) if T >> i & 1)
+        np.not_equal(tt, np.flip(tt, axes), out=flip.reshape(tt.shape))
+        with_t = B[tuple(1 if j in axes else slice(None) for j in range(n))]
+        without = B[tuple(0 if j in axes else slice(None) for j in range(n))]
+        step = buf[: without.size].reshape(without.shape)
+        np.add(without, flip.view(np.int8), out=step)
+        np.maximum(with_t, step, out=with_t)
+    return B.reshape(size, size, m)
+
+
+def _families(t: np.ndarray, B: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The lexicographically smallest maximum family of disjoint blocks that
+    flip row r at input at[r], from the packings B of ``_packings(t)``.
+
+    Walks the blocks in ascending order and takes T when it fits in the free
+    set, flips the row at at[r], and leaves a free set that still packs the
+    blocks still needed: B[free ^ T] == need - 1.  That is the rule of
+    ``measures._lex_min_family``, so the families are the per-function
+    witnesses.  Returns an (m, n) array of blocks, ascending and zero-padded.
+    """
+    m, size = t.shape
+    n = size.bit_length() - 1
+    rows = np.arange(m)
+    # B[S, at[r], r] sits at S * m + r
+    packs = np.take(B.reshape(size, -1), at * m + rows, axis=1).ravel()
+    cells = t.ravel()
+    here = rows * size + at
+    value = cells[here]
+    free = np.full(m, size - 1, dtype=np.intp)
+    need = packs[(size - 1) * m:].copy()
+    fam = np.zeros(m * n, dtype=np.min_scalar_type(size - 1))
+    slot = rows * n
+    for T in range(1, size):
+        take = (free & T) == T
+        take &= cells[here ^ T] != value
+        take &= packs[(free ^ T) * m + rows] == need - 1
+        r = np.flatnonzero(take)
+        fam[slot[r]] = T
+        slot[r] += 1
+        free[r] ^= T
+        need[r] -= 1
+    return fam.reshape(m, n)
 
 
 def _alternation_by_shift(t: np.ndarray) -> np.ndarray:
@@ -102,34 +160,32 @@ def measure_arrays(n: int, lo: int, hi: int, primes=(2, 3)) -> dict:
 
     All rows are measured at once, so callers pass one slice of ``_slices``.
 
-    Also returns the sensitive-block patterns at the all-zero input
-    (``pattern0``) and at the smallest block-sensitivity maximizer
-    (``pattern_argmax``), from which the transforms take their block families.
+    Also returns the smallest bs maximizer (``bs_argmax``) and the
+    lexicographically smallest maximum block families at the all-zero input
+    (``fam0``) and there (``fam_argmax``), the ``BlockFamily`` witnesses of
+    ``block_sensitivity``.  Each is an (m, n) array of blocks, ascending and
+    zero-padded, from which the transforms are built.
     """
     if n > MAX_BULK_ARITY:
         raise ValueError(f"bulk engine supports arity <= {MAX_BULK_ARITY}")
     t = _tables(n, lo, hi)
-    rows = np.arange(t.shape[0])
     out: dict = {"ids": np.arange(lo, hi, dtype=np.int64)}
 
     out["s"] = _pointwise_sensitivity(t).max(axis=1).astype(np.int64)
 
-    # block sensitivity through the packing table; a variable is relevant iff
-    # its singleton block is sensitive somewhere
-    lut, _ = _packing_lut(n)
-    pattern = _block_patterns(t)
-    seen = np.bitwise_or.reduce(pattern, axis=1)
-    singles = sum(1 << ((1 << i) - 1) for i in range(n))
-    out["depends_on_all"] = (seen & singles) == singles
-    bs_pt = lut[pattern]
-    bs_all = bs_pt.max(axis=1)
-    argmax = np.argmax(bs_pt == bs_all[:, None], axis=1)
+    # block sensitivity by the subset DP: bs(f, x) packs the full free set,
+    # and a variable is relevant iff its singleton block flips f somewhere
+    B = _packings(t)
+    out["depends_on_all"] = B[[1 << i for i in range(n)]].any(axis=1).all(axis=0)
+    bs_pt = B[-1]
+    bs_all = bs_pt.max(axis=0)
+    argmax = np.argmax(bs_pt == bs_all, axis=0)
     out["bs"] = bs_all.astype(np.int64)
-    out["bs0"] = bs_pt[:, 0].astype(np.int64)
+    out["bs0"] = bs_pt[0].astype(np.int64)
     out["bs_argmax"] = argmax.astype(np.int64)
-    out["pattern0"] = pattern[:, 0].copy()
-    out["pattern_argmax"] = pattern[rows, argmax]
-    del pattern, bs_pt
+    out["fam0"] = _families(t, B, np.zeros_like(argmax))
+    out["fam_argmax"] = _families(t, B, argmax)
+    del B, bs_pt
 
     alt_by_shift = _alternation_by_shift(t)
     out["alt"] = alt_by_shift[:, 0].astype(np.int64)

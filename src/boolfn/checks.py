@@ -32,12 +32,11 @@ import numpy as np
 from . import _bulk
 from ._bitops import pack, point_to_str, table_mask, table_size
 from .commlb import submatrix_witness
-from .core import TruthTable, is_invertible, tt_parse, tt_serialize
+from .core import TruthTable, _check_arity, is_invertible, tt_parse, tt_serialize
 from .families import and_, gip, maj, or_compose, parity, rubinstein, rubinstein_row, tree_function
 from .measures import (
     ArityLimitError,
     _LatticeMeasures,
-    _packing_lut,
     alternation,
     block_sensitivity,
     certificate,
@@ -436,12 +435,6 @@ _EQ_CHECKS = {
 }
 
 
-def _sherstov_of_slice(n: int, t: np.ndarray, a: dict):
-    """The batched Sherstov map of each row at its smallest bs maximizer."""
-    _, families = _packing_lut(n)
-    return _sherstov_rows(t, a["bs_argmax"], families[a["pattern_argmax"]])
-
-
 def _scan_slice(args) -> dict:
     """Every check on the function ids [lo, hi) of arity n, one slice of ``_bulk._slices``."""
     n, lo, hi, primes = args
@@ -470,11 +463,10 @@ def _scan_slice(args) -> dict:
 
     # the transform constructions, batched over the function axis
     t = _bulk._tables(n, lo, hi)
-    _, families = _packing_lut(n)
-    tr0 = _bs2s_rows(t, np.zeros(m, dtype=np.int64), families[a["pattern0"]], "block-index")
-    tr1 = _bs2s_rows(t, a["bs_argmax"], families[a["pattern_argmax"]], "block-index")
+    tr0 = _bs2s_rows(t, np.zeros(m, dtype=np.int64), a["fam0"], "block-index")
+    tr1 = _bs2s_rows(t, a["bs_argmax"], a["fam_argmax"], "block-index")
     tra = _alt2s_rows(t)
-    sh = _sherstov_of_slice(n, t, a)
+    sh = _sherstov_rows(t, a["bs_argmax"], a["fam_argmax"])
     # each chain sets one new bit per step from 0, so it ends at 1^n, and
     # it changes value alt(f) times
     chain = tra.cert["chain"]
@@ -826,7 +818,8 @@ def extremal_search(
     Exhaustive over all functions when n <= 4, otherwise a seeded sample of
     ``budget`` random tables.  Results deduplicate by complement and (n <= 5)
     variable relabeling, and are deterministic for fixed inputs.  Raises
-    ``ValueError`` for an unknown statistic or a negative n, budget or top.
+    ``ValueError`` for an unknown statistic, a negative n, budget or top, or
+    an arity above ``MAX_ARITY``, before it draws a table.
     """
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}; known: {sorted(STATISTICS)}")
@@ -839,16 +832,19 @@ def extremal_search(
         for lo, hi in _bulk._slices(n):
             a = _bulk.measure_arrays(n, lo, hi)
             if "sherstov" in row.needs:
-                a["sherstov"] = _sherstov_of_slice(n, _bulk._tables(n, lo, hi), a).cert
+                t = _bulk._tables(n, lo, hi)
+                a["sherstov"] = _sherstov_rows(t, a["bs_argmax"], a["fam_argmax"]).cert
             parts.append(_statistic_array(row, a))
         vals = np.concatenate(parts)
         ranked = ((float(vals[pos]), int(pos)) for pos in np.argsort(-vals, kind="stable")
                   if vals[pos] > -np.inf)
     else:
+        _check_arity(n)  # before a draw: one draw at n = 25 is 32 MiB
         rng = np.random.default_rng(seed)
         size = table_size(n)
-        pool = [pack(rng.integers(0, 2, size, dtype=np.uint8)) for _ in range(budget)]
-        scored = [(STATISTICS[statistic](TruthTable(n, bits)), bits) for bits in pool]
+        # lazy: each table is scored as it is drawn, so a skip raises after one
+        pool = (pack(rng.integers(0, 2, size, dtype=np.uint8)) for _ in range(budget))
+        scored = ((STATISTICS[statistic](TruthTable(n, bits)), bits) for bits in pool)
         ranked = sorted(((v, bits) for v, bits in scored if v is not None),
                         key=lambda t: (-t[0], t[1]))
     candidates: list[tuple[float, int]] = []

@@ -216,12 +216,12 @@ def _cmd_comm(args) -> int:
     payload["bound_summary"] = summary
     if args.export_matrix:
         matrix = and_matrix(f)
-        if args.export_matrix.endswith(".pbm"):
-            with open(args.export_matrix, "w", encoding="ascii") as fh:
-                fh.write(matrix.to_pbm())
-        else:
+        pbm = args.export_matrix.endswith(".pbm")
+        try:
             with open(args.export_matrix, "wb") as fh:
-                fh.write(matrix.to_raw())
+                fh.write(matrix.to_pbm().encode("ascii") if pbm else matrix.to_raw())
+        except OSError as e:
+            raise ValueError(f"cannot write {args.export_matrix}: {e.strerror}") from e
         payload["exported_matrix"] = args.export_matrix
     if args.format == "json":
         _emit(payload)

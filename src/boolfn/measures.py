@@ -179,60 +179,6 @@ def _minimal_blocks(sens: np.ndarray) -> list[int]:
     return [int(b) for b in np.flatnonzero(sens & (below == 1))]
 
 
-_PACK_LUT_CEILING = 4
-_pack_luts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _packing_lut(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """For n <= 4: maximum disjoint packing of every sensitive-block pattern.
-
-    A pattern is a bitmask over the 2**n - 1 nonempty blocks (pattern bit
-    B-1 marks block B sensitive).  Entry p of the first table is the size of
-    the largest disjoint subfamily; row p of the second lists the
-    lexicographically smallest such family, ascending and zero-padded to n
-    blocks.  Both fold from the lowest block b of p: a best packing either
-    skips b (pattern p without b) or takes b plus a best packing of the
-    blocks of p disjoint from b, and the family takes b whenever that
-    reaches the maximum.  Both sub-patterns have fewer bits, so the tables
-    fill level by level of popcount.
-    """
-    got = _pack_luts.get(n)
-    if got is not None:
-        return got
-    nblocks = table_size(n) - 1
-    blocks = np.arange(1, nblocks + 1)
-    disj = ((blocks[:, None] & blocks[None, :]) == 0).astype(np.int64) @ (
-        np.int64(1) << np.arange(nblocks, dtype=np.int64)
-    )
-    pats = np.arange(1 << nblocks, dtype=np.int64)
-    low = np.bitwise_count((pats & -pats) - 1)
-    level = np.bitwise_count(pats)
-    lut = np.zeros(pats.size, dtype=np.uint8)
-    fams = np.zeros((pats.size, n), dtype=np.min_scalar_type(nblocks))
-    for w in range(1, nblocks + 1):
-        p = pats[level == w]
-        b = low[p]
-        skip = p & (p - 1)
-        rest = p & disj[b]
-        take = lut[rest] + 1
-        taken = take >= lut[skip]
-        lut[p] = np.where(taken, take, lut[skip])
-        fams[p] = fams[skip]
-        p, rest = p[taken], rest[taken]
-        fams[p, 0] = b[taken] + 1
-        fams[p, 1:] = fams[rest, :-1]
-    _pack_luts[n] = (lut, fams)
-    return lut, fams
-
-
-def _pattern_at(f: TruthTable, a: int) -> int:
-    """Sensitive-block pattern at ``a`` as a packed int (bit B-1 = block B)."""
-    ta = xor_shuffle(f.bits, f.n, a)
-    if ta & 1:
-        ta ^= table_mask(f.n)
-    return ta >> 1
-
-
 def _make_packer(cands: list[int]):
     """Memoized maximum-disjoint-packing oracle over candidate blocks.
 
@@ -282,9 +228,14 @@ def _lex_min_family(cands: list[int], n: int, best) -> tuple[int, ...]:
     return tuple(chosen)
 
 
-def _bs_point_generic(
-    f: TruthTable, a: int, want_witness: bool
-) -> tuple[int, BlockFamily | None]:
+def _bs_point(f: TruthTable, a: int, want_witness: bool) -> tuple[int, BlockFamily | None]:
+    """bs(f, a) by the memoized packer over the minimal sensitive blocks at a.
+
+    The witness is the lexicographically smallest maximum family.  Every
+    per-function caller sends one input at a time here, at every arity:
+    ``_bulk._packings`` batches the same packing over a table matrix, but
+    for one input it costs more than this search (see ``_bulk``).
+    """
     sens = _sensitive_profile(f, a)
     if not sens.any():
         return 0, (BlockFamily(a, ()) if want_witness else None)
@@ -295,18 +246,6 @@ def _bs_point_generic(
     if want_witness:
         fam = BlockFamily(a, _lex_min_family(cands, f.n, best))
     return val, fam
-
-
-def _bs_point(f: TruthTable, a: int, want_witness: bool) -> tuple[int, BlockFamily | None]:
-    if f.n <= _PACK_LUT_CEILING:
-        pattern = _pattern_at(f, a)
-        lut, fams = _packing_lut(f.n)
-        val = int(lut[pattern])
-        fam = None
-        if want_witness:
-            fam = BlockFamily(a, tuple(int(b) for b in fams[pattern, :val]))
-        return val, fam
-    return _bs_point_generic(f, a, want_witness)
 
 
 def _sensitivity_bound(f: TruthTable) -> np.ndarray:
@@ -350,11 +289,14 @@ def block_sensitivity(
 
     Pointwise at ``at`` when given, else maximized over all inputs.  The
     witness ``BlockFamily`` is the lexicographically smallest maximum family,
-    at ``at`` or at the smallest maximizing input.  Unpointed, a packing
-    search runs at each input in order of the bound s(f,x) + (n - s(f,x)) // 2
-    and stops once no input left can beat the best (see ``_bs_search``), so
-    its cost is the number of inputs whose bound reaches bs(f): one on most
-    random functions, every input where the bound is loose everywhere.
+    at ``at`` or at the smallest maximizing input.  Each input runs the
+    memoized packer of ``_bs_point``, at every arity.  Unpointed, it runs at
+    each input in order of the bound s(f,x) + (n - s(f,x)) // 2 and stops
+    once no input left can beat the best (see ``_bs_search``), so its cost
+    is the number of inputs whose bound reaches bs(f): one on most random
+    functions, every input where the bound is loose everywhere.  The
+    exhaustive scans take the same values and families from the batched
+    subset DP of ``_bulk._packings``.
     """
     n = f.n
     _ensure_limit("bs", n, limit)

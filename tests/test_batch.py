@@ -14,8 +14,8 @@ from boolfn import (
     bs_to_s_affine,
     sherstov_linear,
 )
-from boolfn._bulk import _block_patterns, _tables
-from boolfn.measures import _alternation_down, _best_chains, _packing_lut
+from boolfn._bulk import _tables, measure_arrays
+from boolfn.measures import _alternation_down, _best_chains
 from boolfn.transforms import _alt2s_rows, _bs2s_rows, _sherstov_rows
 
 from oracles import (
@@ -26,14 +26,13 @@ from oracles import (
 )
 
 
-def _batch_inputs(n, tables):
-    """Block families at 0 and at the smallest bs maximizer of every row."""
-    lut, families = _packing_lut(n)
-    pattern = _block_patterns(tables)
-    bs_pt = lut[pattern]
-    amax = np.argmax(bs_pt == bs_pt.max(axis=1, keepdims=True), axis=1)
-    rows = np.arange(tables.shape[0])
-    return amax, families[pattern[:, 0]], families[pattern[rows, amax]]
+def _batch_inputs(n, ids):
+    """The smallest bs maximizer of each function id, in ascending order, and
+    its block families at 0 and there, as ``measure_arrays`` reports them."""
+    runs = np.split(ids, np.flatnonzero(np.diff(ids) != 1) + 1)
+    parts = [measure_arrays(n, int(run[0]), int(run[-1]) + 1) for run in runs]
+    return tuple(np.concatenate([a[key] for a in parts])
+                 for key in ("bs_argmax", "fam0", "fam_argmax"))
 
 
 def _same(got, want):
@@ -45,9 +44,10 @@ def _same(got, want):
     assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
 
 
-def _check_rows(n, functions):
+def _check_rows(n, ids):
+    functions = [TruthTable(n, int(bits)) for bits in ids]
     t = np.stack([f.to_array() for f in functions])
-    amax, fam0, fam_max = _batch_inputs(n, t)
+    amax, fam0, fam_max = _batch_inputs(n, ids)
     zero = np.zeros(len(functions), dtype=np.int64)
     batches = (
         _bs2s_rows(t, zero, fam0, "block-index"),
@@ -71,18 +71,18 @@ def _check_rows(n, functions):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_batched_rows_match_per_function_exhaustive(n):
-    _check_rows(n, [TruthTable(n, bits) for bits in range(1 << (1 << n))])
+    _check_rows(n, np.arange(1 << (1 << n)))
 
 
 def test_batched_rows_match_per_function_sampled_n4():
     rng = np.random.default_rng(44)
-    _check_rows(4, [TruthTable(4, random_table(rng, 4)) for _ in range(64)])
+    _check_rows(4, np.sort([random_table(rng, 4) for _ in range(64)]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_batched_block_transform_against_oracles(n):
     t = _tables(n, 0, 1 << (1 << n))
-    amax, fam0, fam_max = _batch_inputs(n, t)
+    amax, fam0, fam_max = _batch_inputs(n, np.arange(t.shape[0]))
     zero = np.zeros(t.shape[0], dtype=np.int64)
     at_zero = _bs2s_rows(t, zero, fam0, "block-index")
     at_max = _bs2s_rows(t, amax, fam_max, "block-index")

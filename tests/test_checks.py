@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from boolfn._bulk import measure_arrays
 from boolfn.checks import STATISTICS, _raise_if_broken
 from boolfn.families import parity, rubinstein
 from boolfn.measures import (
+    ArityLimitError,
     alternation,
     block_sensitivity,
     certificate,
@@ -74,13 +76,22 @@ def test_proven_failure_raises():
     assert _raise_if_broken(rep2) is rep2  # empirical failures never raise
 
 
+def _same_family(padded, fam):
+    """A zero-padded block row of ``measure_arrays`` equals a witness family."""
+    assert tuple(int(b) for b in padded) == fam.blocks + (0,) * (len(padded) - len(fam.blocks))
+
+
 def test_bulk_arrays_match_api_exhaustively_n2():
     a = measure_arrays(2, 0, 16)
     for bits in range(16):
         f = TruthTable(2, bits)
         assert a["s"][bits] == sensitivity(f)
-        assert a["bs"][bits] == block_sensitivity(f)
-        assert a["bs0"][bits] == block_sensitivity(f, at=0)
+        bs, fam = block_sensitivity(f, witness=True)
+        assert (a["bs"][bits], a["bs_argmax"][bits]) == (bs, fam.point)
+        _same_family(a["fam_argmax"][bits], fam)
+        bs0, fam0 = block_sensitivity(f, at=0, witness=True)
+        assert a["bs0"][bits] == bs0
+        _same_family(a["fam0"][bits], fam0)
         assert a["C"][bits] == certificate(f)
         assert a["alt"][bits] == alternation(f)
         assert a["salt"][bits] == shift_invariant_alternation(f)
@@ -93,12 +104,19 @@ def test_bulk_arrays_match_api_exhaustively_n2():
 
 def test_bulk_arrays_match_api_sampled_n4(bulk_n4_rows):
     rng = np.random.default_rng(70)
-    sample = rng.integers(0, 1 << 16, 25)
+    # 60584 is x0x1 | x0x2 | x1x3: at 0 its smallest sensitive block {0, 1}
+    # meets both blocks of the one maximum family, {0, 2} and {1, 3}
+    sample = [*rng.integers(0, 1 << 16, 25), 60584]
     a = bulk_n4_rows(sample)
     for bits in sample:
         f = TruthTable(4, int(bits))
         assert a["s"][bits] == sensitivity(f)
-        assert a["bs"][bits] == block_sensitivity(f)
+        bs, fam = block_sensitivity(f, witness=True)
+        assert (a["bs"][bits], a["bs_argmax"][bits]) == (bs, fam.point)
+        _same_family(a["fam_argmax"][bits], fam)
+        bs0, fam0 = block_sensitivity(f, at=0, witness=True)
+        assert a["bs0"][bits] == bs0
+        _same_family(a["fam0"][bits], fam0)
         assert a["C"][bits] == certificate(f)
         assert a["salt"][bits] == shift_invariant_alternation(f)
         assert a["DT"][bits] == dt_depth(f)
@@ -213,6 +231,21 @@ def test_extremal_search_per_function_statistic():
 def test_extremal_search_unknown_statistic():
     with pytest.raises(ValueError):
         extremal_search(3, "nope")
+
+
+@pytest.mark.parametrize("n,statistic,budget,error", [
+    (25, "s_over_sqrt_sparsity", 4, ValueError),  # over MAX_ARITY: no table is drawn
+    (16, "salt_minus_s", 256, ArityLimitError),  # over the salt ceiling: one table is drawn
+])
+def test_extremal_search_fails_before_drawing_its_pool(n, statistic, budget, error):
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            extremal_search(n, statistic, budget=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_report_serialization_shapes():

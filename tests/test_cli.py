@@ -180,6 +180,13 @@ def test_comm_export_matrix(tmp_path, capsys):
     assert mat.n == 1 and mat.entry(1, 1) == 1
 
 
+def test_comm_export_matrix_unwritable_path_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "m.pbm"
+    code, out, err = run_cli(capsys, "comm", "fam:and:n=3", "--export-matrix", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
 def test_search_deterministic(capsys):
     args = ("search", "--n", "8", "--statistic", "s_over_sqrt_sparsity",
             "--budget", "200", "--seed", "1")

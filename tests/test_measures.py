@@ -23,7 +23,6 @@ from boolfn import (
     validate_decision_tree,
 )
 from boolfn.families import and_, gip, maj, or_, parity, rubinstein, rubinstein_row, tree_function
-from boolfn.measures import _bs_point, _bs_point_generic
 
 from oracles import (
     naive_alternation,
@@ -88,15 +87,6 @@ def test_block_sensitivity_matches_oracle():
         assert block_sensitivity(f) == naive_block_sensitivity(f)
         for a in range(2**f.n):
             assert block_sensitivity(f, at=a) == naive_block_sensitivity(f, a)
-
-
-def test_block_sensitivity_fast_path_agrees_with_generic():
-    for f in _random_cases(22, per=4):
-        for a in range(2**f.n):
-            v1, fam1 = _bs_point(f, a, True)
-            v2, fam2 = _bs_point_generic(f, a, True)
-            assert v1 == v2
-            assert fam1.blocks == fam2.blocks
 
 
 def test_block_sensitivity_limit():
