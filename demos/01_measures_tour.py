@@ -1,7 +1,7 @@
 """Tour of the exact complexity measures on a few named functions.
 
-Every value below is computed exactly (enumeration, layered DP, or integer
-transforms), and each measure ships a witness you can check by hand: a
+Every value below is computed exactly (enumeration, dynamic programming, or
+integer transforms), and each measure ships a witness you can check by hand: a
 sensitive coordinate set, a disjoint block family, a fixing set, a maximal
 chain, a monomial, or an optimal decision tree.
 """

@@ -97,13 +97,6 @@ def popcounts(n: int) -> np.ndarray:
     return pc
 
 
-@lru_cache(maxsize=None)
-def weight_layers(n: int) -> tuple[np.ndarray, ...]:
-    """Index arrays grouped by popcount, ascending index within each layer."""
-    pc = popcounts(n)
-    return tuple(np.flatnonzero(pc == w).astype(np.int64) for w in range(n + 1))
-
-
 def point_to_str(x: int, n: int) -> str:
     """Assignment as a bitstring, x1 first: '110' means x1=1, x2=1, x3=0."""
     return "".join("1" if (x >> i) & 1 else "0" for i in range(n))

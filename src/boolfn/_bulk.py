@@ -10,9 +10,11 @@ slice, n = 4 is four) and pass one slice at a time to ``measure_arrays``,
 which bounds the memory of every kernel, the packing table and the subcube
 table included.  The kernels:
 
-* ``measures``: pointwise sensitivity, the layered alternation DP, and the
-  ternary subcube table (``measures._subcube_table``) behind certificate
-  complexity and decision-tree depth, the ones the per-function API runs;
+* ``measures``: pointwise sensitivity, the packed level sets of alt and
+  salt (``measures._alternation_by_shift``), which take the slice's
+  function ids as a uint64 batch of packed tables, and the ternary subcube
+  table (``measures._subcube_table``) behind certificate complexity and
+  decision-tree depth, the ones the per-function API runs;
 * ``spectral``: the Moebius and Walsh butterflies, run here in int16 and
   int32, and the degree and sparsity kernels; ``deg`` and every ``deg_p``
   are read from one Moebius matrix;
@@ -36,14 +38,9 @@ The scan reuses the sensitivity and sparsity kernels on the transformed
 tables g, and cross-checks these arrays and the transforms built from the
 families against the per-function API on a deterministic subsample.  That
 guards the batching (dtypes, the row axis) and compares two algorithms for
-bs (the DP and the packer), and for alt and salt: here the layered DP
-(``measures._alternation_down``) of the function and of each shift, there
-the packed level sets of ``measures._level_sets``, which ``alternation``
-sums into the same path maxima and the salt search runs one shift at a
-time.  On 16,384 rows at n = 4 the layered DP took 1.2 ms against 20.1 ms
-for level sets on bool arrays (best of 7, 2-core Xeon VM), so the batched
-route keeps it.  The scan also checks each alternation chain of its
-transforms against its alt value, and the tests check the arrays against
+bs (the DP and the packer).  alt and salt share the API's kernel, so their
+independent checks are the scan's check of each alternation chain of its
+transforms against its alt value, and the tests of the arrays against
 brute-force oracles.
 """
 
@@ -52,11 +49,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._bitops import table_size
-from .measures import (
-    _alternation_down,
-    _pointwise_sensitivity,
-    _subcube_table,
-)
+from .measures import _alternation_by_shift, _pointwise_sensitivity, _subcube_table
 from .spectral import _degrees, _moebius_rows, _sparsities, _walsh_rows
 
 MAX_BULK_ARITY = 4
@@ -139,22 +132,6 @@ def _families(t: np.ndarray, B: np.ndarray, at: np.ndarray) -> np.ndarray:
     return fam.reshape(m, n)
 
 
-def _alternation_by_shift(t: np.ndarray) -> np.ndarray:
-    """Column b of the result is alt(f XOR b), for the shifts b < 2**(n-1).
-
-    Runs the layered DP of ``measures._alternation_down`` on each shifted
-    table.  The upper shifts are left out because alt(f XOR b) equals
-    alt(f XOR b XOR 1^n): the minimum over these columns and its smallest
-    argmin are those over all shifts.  At n = 0 the one shift 0 is kept.
-    """
-    m, size = t.shape
-    idx = np.arange(size)
-    out = np.empty((m, max(1, size >> 1)), dtype=np.int8)
-    for b in range(out.shape[1]):
-        out[:, b] = _alternation_down(t[:, idx ^ b])[:, 0]
-    return out
-
-
 def measure_arrays(n: int, lo: int, hi: int, primes=(2, 3)) -> dict:
     """Every scalar measure for each function id in [lo, hi), as 1-D arrays.
 
@@ -187,7 +164,8 @@ def measure_arrays(n: int, lo: int, hi: int, primes=(2, 3)) -> dict:
     out["fam_argmax"] = _families(t, B, argmax)
     del B, bs_pt
 
-    alt_by_shift = _alternation_by_shift(t)
+    # a function id is its packed table
+    alt_by_shift = _alternation_by_shift(np.arange(lo, hi, dtype=np.uint64), n)
     out["alt"] = alt_by_shift[:, 0].astype(np.int64)
     out["salt"] = alt_by_shift.min(axis=1).astype(np.int64)
     out["salt_argmin"] = np.argmin(alt_by_shift, axis=1).astype(np.int64)

@@ -30,13 +30,14 @@ from typing import Callable
 import numpy as np
 
 from . import _bulk
-from ._bitops import pack, point_to_str, table_mask, table_size
+from ._bitops import pack, point_to_str, table_mask, table_size, unpack
 from .commlb import submatrix_witness
 from .core import TruthTable, _check_arity, is_invertible, tt_parse, tt_serialize
 from .families import and_, gip, maj, or_compose, parity, rubinstein, rubinstein_row, tree_function
 from .measures import (
     ArityLimitError,
     _LatticeMeasures,
+    _path_maxima,
     alternation,
     block_sensitivity,
     certificate,
@@ -465,7 +466,7 @@ def _scan_slice(args) -> dict:
     t = _bulk._tables(n, lo, hi)
     tr0 = _bs2s_rows(t, np.zeros(m, dtype=np.int64), a["fam0"], "block-index")
     tr1 = _bs2s_rows(t, a["bs_argmax"], a["fam_argmax"], "block-index")
-    tra = _alt2s_rows(t)
+    tra = _alt2s_rows(t, _path_maxima(np.arange(lo, hi, dtype=np.uint64), n))
     sh = _sherstov_rows(t, a["bs_argmax"], a["fam_argmax"])
     # each chain sets one new bit per step from 0, so it ends at 1^n, and
     # it changes value alt(f) times
@@ -513,7 +514,7 @@ def _scan_slice(args) -> dict:
             "bs": block_sensitivity(f),
             "bs0": block_sensitivity(f, at=0),
             "C": certificate(f),
-            "alt": alternation(f),  # level sets here, the layered DP in _bulk
+            "alt": alternation(f),
             "salt": shift_invariant_alternation(f),
             "deg": real_degree(f),
             "sparsity": sparsity(f),
@@ -794,8 +795,6 @@ def _canonical_key(n: int, bits: int) -> int:
     full = table_mask(n)
     if n > 5:
         return min(bits, bits ^ full)
-    from ._bitops import unpack
-
     arr = unpack(bits, n)
     best = None
     for remap in _perm_index_maps(n):

@@ -101,6 +101,8 @@ def _cmd_measures(args) -> int:
         _emit(data)
     elif args.format == "csv":
         names = list(_MEASURE_CSV_ORDER) + [f"deg_{p}" for p in primes]
+        if args.at is not None:
+            names += ["s_at", "bs_at", "C_at"]
         header = ["function", "arity"] + names + ["skipped"]
         row = [data["function"], str(data["arity"])]
         row += [str(data["measures"].get(name, "")) for name in names]

@@ -27,6 +27,7 @@ from ._bitops import (
     table_mask,
     table_size,
     unpack,
+    xor_shift,
     xor_shuffle,
 )
 
@@ -107,8 +108,6 @@ class TruthTable:
 
     def relevant_variables(self) -> tuple[int, ...]:
         """0-based indices of variables the function actually depends on."""
-        from ._bitops import xor_shift
-
         return tuple(
             i for i in range(self.n) if xor_shift(self.bits, self.n, i) != self.bits
         )

@@ -26,7 +26,6 @@ from ._bitops import (
     table_mask,
     table_size,
     unpack,
-    weight_layers,
     xor_shift,
     xor_shuffle,
 )
@@ -558,25 +557,6 @@ def dt_depth(f: TruthTable, witness: bool = False, limit: int | None = None):
 # alternation and shift-invariant alternation
 
 
-def _alternation_down(tables: np.ndarray) -> np.ndarray:
-    """Layered DP for every row of an (m, 2**n) table matrix: entry (r, x) is
-    the most value changes along a monotone path from x up to 1^n."""
-    m, size = tables.shape
-    n = size.bit_length() - 1
-    layers = weight_layers(n)
-    down = np.zeros((m, size), dtype=np.int8)
-    for w in range(n - 1, -1, -1):
-        pts = layers[w]
-        for i in range(n):
-            sel = pts[((pts >> i) & 1) == 0]
-            if sel.size == 0:
-                continue
-            nxt = sel | (1 << i)
-            cand = down[:, nxt] + (tables[:, nxt] != tables[:, sel])
-            down[:, sel] = np.maximum(down[:, sel], cand)
-    return down
-
-
 def _best_chains(tables: np.ndarray, down: np.ndarray) -> np.ndarray:
     """Lexicographically smallest maximum-alternation chain of every row.
 
@@ -598,28 +578,41 @@ def _best_chains(tables: np.ndarray, down: np.ndarray) -> np.ndarray:
     return points
 
 
+def _path_maxima(bits, n: int) -> np.ndarray:
+    """The most value changes along a monotone path from x up to 1^n, at
+    every input x, as uint8: (2**n,) for one packed table, (m, 2**n) for a
+    batch (see ``_level_sets``).
+
+    Runs the level sets down from 1^n: level k is then the set of inputs
+    with such a path of at least k changes, so their indicators sum to the
+    path maximum.  A batch's levels are unpacked in one call, as the bytes
+    of the stacked uint64 rows, little-endian.
+    """
+    size = table_size(n)
+    levels = list(_level_sets(*_shift_moves(bits, n), size - 1, n + 1))
+    if isinstance(bits, np.ndarray):
+        raw = np.array(levels, dtype="<u8").reshape(len(levels), len(bits), 1).view(np.uint8)
+        return np.unpackbits(raw, axis=-1, count=size, bitorder="little").sum(axis=0, dtype=np.uint8)
+    down = np.zeros(size, dtype=np.uint8)
+    for level in levels:
+        down += unpack(level, n)
+    return down
+
+
 def alternation(f: TruthTable, witness: bool = False):
     """Maximum number of value changes along a maximal monotone chain.
 
-    Runs the level sets of ``_level_sets`` down from 1^n: level k is then
-    the set of inputs x with a monotone path from x up to 1^n of at least k
-    changes, so their indicators sum to that path maximum at every input,
-    and alt is the number of nonempty levels.  The witness is the
-    lexicographically smallest chain achieving the maximum, read off those
-    sums by ``_best_chains``.
+    alt is the number of nonempty level sets of the shift 0
+    (``_alternation_at_shift``), and the path maximum (``_path_maxima``) at
+    the bottom point 0.  The witness is the lexicographically smallest
+    chain achieving it, read off the path maxima by ``_best_chains``.
     """
     n = f.n
-    if n == 0:
-        return (0, Chain((0,))) if witness else 0
-    down = np.zeros(table_size(n), dtype=np.uint8)
-    top = table_size(n) - 1
-    for level in _level_sets(_shift_moves(f), table_mask(n), top, n + 1):
-        down += unpack(level, n)
-    alt = int(down[0])
     if not witness:
-        return alt
+        return _alternation_at_shift(*_shift_moves(f.bits, n), 0, n)
+    down = _path_maxima(f.bits, n)
     chain = _best_chains(f.to_array()[None, :], down[None, :])[0]
-    return alt, Chain(tuple(int(p) for p in chain))
+    return int(down[0]), Chain(tuple(int(p) for p in chain))
 
 
 # Arity from which the salt search orders its shifts by ``_chain_bound``.
@@ -631,49 +624,77 @@ def alternation(f: TruthTable, witness: bool = False):
 _BOUND_MIN_ARITY = 6
 
 
-def _level_sets(moves: list, full: int, b: int, cap: int):
+def _level_sets(moves: list, full, b: int, cap: int):
     """Yield the level sets 1, 2, ... of the shift b, up to ``cap``, as packed
     point sets; alt(x -> f(x XOR b)) is the number of nonempty ones.
 
-    Works in the frame of f, so no table is shifted: ``moves`` holds per
-    direction i the triple (1 << i, ``low_half_mask(n, i)``, d), bit x of d
-    saying f(x) != f(x XOR e_i), and ``full`` is the mask of all 2**n
-    points.  A chain of the shifted function steps along direction i from x
-    to x XOR e_i wherever bit i of x equals bit i of b.  Level k is the set
-    of points that some chain from the bottom point b reaches with at least
-    k value changes: the points one changing step above level k-1, closed
-    upward along the chain order.  So every nonempty level holds the top
-    point, and the levels stop at the first empty one.  The level at ``cap``
-    is only tested for emptiness, so it is yielded unclosed.
+    ``moves`` and ``full`` come from ``_shift_moves``, of one function, a
+    Python int at any n, or of a batch, a uint64 array with one function
+    per entry (n <= 6); the point sets have that type.  Works in the frame
+    of f, so no table is shifted: a chain of the shifted function steps
+    along direction i from x to x XOR e_i wherever bit i of x equals bit i
+    of b.  Level k is the set of points that some chain from the bottom
+    point b reaches with at least k value changes: the points one changing
+    step above level k-1, closed upward along the chain order.  So every
+    nonempty level holds the top point, a level built from an empty one is
+    empty, and the levels stop at the first level empty in every row.  The
+    level at ``cap`` is only tested for emptiness, so it is yielded
+    unclosed.
     """
     level = full
     for k in range(1, cap + 1):
         nxt = 0
-        for s, m, d in moves:
-            nxt |= (((level >> s) & m) if b & s else ((level & m) << s)) & d
-        if not nxt:
+        for s, _, low, high in moves:
+            nxt |= ((level >> s) & low) if b & s else ((level << s) & high)
+        if not (nxt if type(nxt) is int else nxt.any()):
             return
         if k < cap:
-            for s, m, _ in moves:
+            for s, m, _, _ in moves:
                 nxt |= ((nxt >> s) & m) if b & s else ((nxt & m) << s)
         yield nxt
         level = nxt
 
 
-def _alternation_at_shift(moves: list, full: int, b: int, cap: int) -> int:
-    """min(alt(x -> f(x XOR b)), cap), by the level sets of ``_level_sets``."""
+def _alternation_at_shift(moves: list, full, b: int, cap: int):
+    """min(alt(x -> f(x XOR b)), cap), by the level sets of ``_level_sets``:
+    an int for one function, an int array for a batch."""
     alt = 0
-    for _ in _level_sets(moves, full, b, cap):
-        alt += 1
+    for level in _level_sets(moves, full, b, cap):
+        alt += level != 0
     return alt
 
 
-def _shift_moves(f: TruthTable) -> list[tuple[int, int, int]]:
-    """Per direction i: (1 << i, its low-half mask, f(x) XOR f(x XOR e_i) packed)."""
-    n = f.n
-    return [
-        (1 << i, low_half_mask(n, i), f.bits ^ xor_shift(f.bits, n, i)) for i in range(n)
-    ]
+def _alternation_by_shift(bits, n: int) -> np.ndarray:
+    """alt(x -> f(x XOR b)) for the shifts b < 2**(n-1), along the last axis
+    of an int16 array: (2**(n-1),) for one packed table, (m, 2**(n-1)) for
+    a batch (see ``_level_sets``).  At n = 0 the one shift 0 is kept.
+
+    Each shift runs ``_alternation_at_shift`` without a cap.  The upper
+    shifts are left out because alt(f XOR b) equals alt(f XOR b XOR 1^n):
+    complementing the shift walks every chain in reverse.
+    """
+    moves, full = _shift_moves(bits, n)
+    out = np.empty(np.shape(bits) + (max(1, table_size(n) >> 1),), dtype=np.int16)
+    for b in range(out.shape[-1]):
+        out[..., b] = _alternation_at_shift(moves, full, b, n)
+    return out
+
+
+def _shift_moves(bits, n: int) -> tuple[list, object]:
+    """The moves of ``_level_sets`` and the mask of all 2**n points, typed
+    as ``bits``, one packed table or a uint64 batch of them.
+
+    Per direction i the move is (1 << i, its low-half mask m, d & m, d ^
+    (d & m)), bit x of d saying f(x) != f(x XOR e_i).  A changing step down
+    along i lands in d & m and one up in the rest of d, so these halves
+    also drop the bits that a shifted level carries across halves.
+    """
+    moves = []
+    for i in range(n):
+        m = low_half_mask(n, i)
+        d = bits ^ xor_shift(bits, n, i)
+        moves.append((1 << i, m, d & m, d ^ (d & m)))
+    return moves, bits | table_mask(n)
 
 
 def _chain_bound(f: TruthTable) -> np.ndarray:
@@ -748,7 +769,7 @@ def _salt_search(f: TruthTable) -> tuple[int, int, int]:
         order = np.sort((_chain_bound(f).astype(np.int64) << (n - 1)) | np.arange(half)).tolist()
     else:
         order = range(half)
-    moves, full = _shift_moves(f), table_mask(n)
+    moves, full = _shift_moves(f.bits, n)
     best = (n, half)  # (value, shift); no shift is at half
     pos, limit = 0, half  # every key lies below best's
     while pos < limit:
@@ -765,21 +786,12 @@ def _salt_search(f: TruthTable) -> tuple[int, int, int]:
 def alternation_under_shifts(f: TruthTable) -> np.ndarray:
     """Alternation of every shifted function x -> f(x XOR b), indexed by b.
 
-    Needs every value, so it takes no bound and prunes nothing: it runs
-    ``_alternation_at_shift`` without a cap on each shift b < 2**(n-1) and
-    mirrors the values into the top half, since alt(f XOR b) ==
-    alt(f XOR b XOR 1^n): complementing the shift walks every chain in
-    reverse.
+    Needs every value, so it takes no bound and prunes nothing: the lower
+    half is ``_alternation_by_shift``, mirrored into the top half, since
+    alt(f XOR b) == alt(f XOR b XOR 1^n).
     """
-    n = f.n
-    if n == 0:
-        return np.zeros(1, dtype=np.int16)
-    moves, full = _shift_moves(f), table_mask(n)
-    half = np.array(
-        [_alternation_at_shift(moves, full, b, n) for b in range(table_size(n) >> 1)],
-        dtype=np.int16,
-    )
-    return np.concatenate([half, half[::-1]])
+    half = _alternation_by_shift(f.bits, f.n)
+    return half if f.n == 0 else np.concatenate([half, half[::-1]])
 
 
 def shift_invariant_alternation(

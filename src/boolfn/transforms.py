@@ -23,8 +23,8 @@ from ._bitops import mask_indices, pack, point_to_str, table_size
 from .core import AffineMap, TruthTable, affine_images, tt_serialize
 from .measures import (
     BlockFamily,
-    _alternation_down,
     _best_chains,
+    _path_maxima,
     _pointwise_sensitivity,
     block_sensitivity,
 )
@@ -171,9 +171,11 @@ def _bs2s_certificate(batch: _Batch, r: int) -> dict:
     }
 
 
-def _alt2s_rows(tables) -> _Batch:
+def _alt2s_rows(tables, down) -> _Batch:
+    """``alt_to_s_linear`` for every row of an (m, 2**n) table matrix, from
+    its path maxima ``down`` (``measures._path_maxima``): alt is the path
+    maximum at 0, and the chain is read off ``down`` by ``_best_chains``."""
     m, size = tables.shape
-    down = _alternation_down(tables)
     alt = down[:, 0]
     chains = _best_chains(tables, down)
     shifts = np.zeros(m, dtype=np.int64)
@@ -302,7 +304,7 @@ def alt_to_s_linear(f: TruthTable) -> TransformResult:
     Column supports strictly increase along the chain, which makes the map
     invertible; this is verified and recorded rather than assumed.
     """
-    return _alt2s_rows(f.to_array()[None, :]).result(0, f)
+    return _alt2s_rows(f.to_array()[None, :], _path_maxima(f.bits, f.n)[None, :]).result(0, f)
 
 
 def sherstov_linear(f: TruthTable, limit: int | None = None) -> TransformResult:

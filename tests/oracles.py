@@ -8,6 +8,7 @@ Only usable at small arity.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations
 
 
@@ -101,6 +102,22 @@ def naive_best_chain(f):
         if alt == best_alt and (best is None or pts < best):
             best = pts
     return best
+
+
+def naive_path_maxima(f):
+    """Most value changes along a monotone path from x up to 1^n, for every
+    x, by a memoized recursion over the single steps up from x."""
+    n = f.n
+
+    @lru_cache(maxsize=None)
+    def down(x):
+        return max(
+            (down(y) + (f.value_at(x) != f.value_at(y))
+             for y in (x | (1 << i) for i in range(n) if not (x >> i) & 1)),
+            default=0,
+        )
+
+    return [down(x) for x in range(2**n)]
 
 
 def naive_salt(f):

@@ -15,7 +15,7 @@ from boolfn import (
     sherstov_linear,
 )
 from boolfn._bulk import _tables, measure_arrays
-from boolfn.measures import _alternation_down, _best_chains
+from boolfn.measures import _best_chains, _path_maxima
 from boolfn.transforms import _alt2s_rows, _bs2s_rows, _sherstov_rows
 
 from oracles import (
@@ -53,7 +53,7 @@ def _check_rows(n, ids):
         _bs2s_rows(t, zero, fam0, "block-index"),
         _bs2s_rows(t, amax, fam_max, "block-index"),
         _bs2s_rows(t, amax, fam_max, "min-in-block"),
-        _alt2s_rows(t),
+        _alt2s_rows(t, _path_maxima(np.array(ids, dtype=np.uint64), n)),
         _sherstov_rows(t, amax, fam_max),
     )
     for r, f in enumerate(functions):
@@ -97,7 +97,7 @@ def test_batched_block_transform_against_oracles(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_batched_alternation_chains_against_oracle(n):
     t = _tables(n, 0, 1 << (1 << n))
-    chains = _best_chains(t, _alternation_down(t))
+    chains = _best_chains(t, _path_maxima(np.arange(t.shape[0], dtype=np.uint64), n))
     for r in range(t.shape[0]):
         assert tuple(int(p) for p in chains[r]) == naive_best_chain(TruthTable(n, r))
 

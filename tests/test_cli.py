@@ -51,6 +51,22 @@ def test_measures_pointwise_flag(capsys):
     assert data["measures"]["C_at"] == 3
 
 
+def test_measures_pointwise_csv_columns(capsys):
+    code, out, _ = run_cli(capsys, "measures", "fam:or:n=3", "--at", "000", "--format", "csv")
+    assert code == 0
+    header, row = (line.split(",") for line in out.strip().splitlines())
+    assert header[-4:] == ["s_at", "bs_at", "C_at", "skipped"]
+    assert row[-4:] == ["3", "3", "3", ""]
+    # a pointwise skip leaves the cells it did not reach empty
+    code, out, _ = run_cli(capsys, "measures", "fam:and:n=15", "--at", "0" * 15, "--format", "csv")
+    assert code == 0
+    header, row = (line.split(",") for line in out.strip().splitlines())
+    assert header[-4:] == ["s_at", "bs_at", "C_at", "skipped"]
+    assert row[-4:-1] == ["0", "", ""] and row[-1].endswith("pointwise")
+    code, out, _ = run_cli(capsys, "measures", "fam:or:n=3", "--format", "csv")
+    assert "s_at" not in out
+
+
 def test_measures_from_file(tmp_path, capsys):
     src = tmp_path / "fn.txt"
     src.write_text("anf:2:x1+x2\n")

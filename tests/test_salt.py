@@ -1,9 +1,10 @@
-"""Shift-invariant alternation: the per-shift level-set kernel and the bulk
-arrays against the brute-force oracles, the layered alternation DP and the
+"""Shift-invariant alternation: the per-shift level-set kernel, one function
+and batched, and the bulk arrays against the brute-force oracles and the
 single-function alternation; the greedy chain bound and the search it
 orders."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,9 +19,15 @@ from boolfn import (
 from boolfn._bitops import table_mask
 from boolfn._bulk import measure_arrays
 from boolfn.families import and_, gip, maj, parity, tree_function
-from boolfn.measures import _alternation_down, _chain_bound, _salt_search
+from boolfn.measures import _alternation_by_shift, _chain_bound, _path_maxima, _salt_search
 
-from oracles import naive_salt, naive_shift_alternations, random_table
+from oracles import (
+    _shifted,
+    naive_path_maxima,
+    naive_salt,
+    naive_shift_alternations,
+    random_table,
+)
 
 
 def _every_function(n):
@@ -69,6 +76,10 @@ def test_bulk_salt_matches_api_exhaustive():
             val, b = shift_invariant_alternation(f, witness=True)
             assert (a["salt"][f.bits], a["salt_argmin"][f.bits]) == (val, b)
             assert a["alt"][f.bits] == alternation(f)
+            # the bulk arrays share the API's kernel, so also the oracle
+            alts = naive_shift_alternations(f)
+            assert a["alt"][f.bits] == alts[0]
+            assert (a["salt"][f.bits], a["salt_argmin"][f.bits]) == (min(alts), alts.index(min(alts)))
 
 
 def _salt_functions(rng, n):
@@ -82,15 +93,29 @@ def _salt_functions(rng, n):
     ]
 
 
-def test_alternation_under_shifts_matches_layered_dp():
-    # the layered DP shares no kernel with the level sets
+def test_alternation_under_shifts_matches_path_maxima_oracle():
     rng = np.random.default_rng(23)
     for n in range(9, 13):
         f = TruthTable(n, random_table(rng, n))
         alts = alternation_under_shifts(f)
         shifts = rng.integers(0, 2**n, size=12)
-        tables = f.to_array()[np.arange(2**n) ^ shifts[:, None]]
-        assert alts[shifts].tolist() == _alternation_down(tables)[:, 0].tolist()
+        assert alts[shifts].tolist() == [naive_path_maxima(_shifted(f, int(b)))[0] for b in shifts]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_batched_kernel_matches_oracle(n):
+    # 0 and all ones are constant; the top point alone sets bit 63 at n = 6
+    rng = np.random.default_rng(50 + n)
+    ids = [0, 2 ** (2**n) - 1, 1 << (2**n - 1)] + [random_table(rng, n) for _ in range(20)]
+    batch = np.array(ids, dtype=np.uint64)
+    down = _path_maxima(batch, n)
+    alts = _alternation_by_shift(batch, n)
+    assert down.shape == (len(ids), 2**n) and alts.shape == (len(ids), 2 ** (n - 1))
+    for r, bits in enumerate(ids):
+        f = TruthTable(n, bits)
+        assert down[r].tolist() == naive_path_maxima(f) == _path_maxima(bits, n).tolist()
+        want = [naive_path_maxima(_shifted(f, b))[0] for b in range(2 ** (n - 1))]
+        assert alts[r].tolist() == want == _alternation_by_shift(bits, n).tolist()
 
 
 def _assert_chain_bound(f):
