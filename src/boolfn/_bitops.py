@@ -70,19 +70,21 @@ def pack(values: np.ndarray) -> int:
 
 
 def butterfly(a: np.ndarray, step) -> np.ndarray:
-    """Run a subset butterfly in place over the last axis of ``a`` and return it.
+    """Run a subset butterfly in place over the first axis of ``a`` and return it.
 
-    The last axis has 2**n entries indexed by subset masks; the leading axes
-    are a batch of independent rows.  At level i, ``step(lo, hi)`` is called
-    once on the two halves, lo over the masks with bit i clear and hi over
-    the same masks with bit i set, and must update them in place.
+    The first axis has 2**n entries indexed by subset masks; the trailing
+    axes are a batch of independent tables, so a (2**n, m) matrix holds one
+    table per column and each half is a run of whole contiguous rows.  At
+    level i, ``step(lo, hi)`` is called once on the two halves, lo over the
+    masks with bit i clear and hi over the same masks with bit i set, and
+    must update them in place.
     """
     if not a.flags.c_contiguous:
         raise ValueError("butterfly needs a C-contiguous array")
-    lead = a.shape[:-1]
-    for i in range(a.shape[-1].bit_length() - 1):
-        view = a.reshape(*lead, -1, 2, 1 << i)
-        step(view[..., 0, :], view[..., 1, :])
+    batch = a.shape[1:]
+    for i in range(a.shape[0].bit_length() - 1):
+        view = a.reshape(-1, 2, 1 << i, *batch)
+        step(view[:, 0], view[:, 1])
     return a
 
 

@@ -3,12 +3,18 @@
 The exhaustive verification suites need all measures of all 2**(2**n)
 functions for n <= 4.  Calling the per-function API that many times would
 dominate the runtime, so this module computes the same quantities with the
-function axis vectorized: tables become rows of one matrix and each measure
-is a row kernel of a handful of numpy passes.  Callers walk the function
-ids in the fixed slices of ``_slices`` (``_SLICE`` ids each: n <= 3 is one
-slice, n = 4 is four) and pass one slice at a time to ``measure_arrays``,
-which bounds the memory of every kernel, the packing table and the subcube
-table included.  The kernels:
+function axis vectorized: tables become the columns of one (2**n, m)
+matrix (``_tables``), the function axis innermost and contiguous, and each
+measure is a kernel of a handful of numpy passes over whole rows of m
+entries, indexed by input.  Every batched kernel in ``measures``,
+``spectral`` and ``transforms`` takes this layout, and its per-function
+call passes one table, or one column, through the same code.  Per-function
+records (block families, map columns, chains) stay one row per function,
+as ``measure_arrays`` returns them.  Callers walk the function ids in the
+fixed slices of ``_slices`` (``_SLICE`` ids each: n <= 3 is one slice,
+n = 4 is four) and pass one slice at a time to ``measure_arrays``, which
+bounds the memory of every kernel, the packing table and the subcube table
+included.  The kernels:
 
 * ``measures``: pointwise sensitivity, the packed level sets of alt and
   salt (``measures._alternation_by_shift``), which take the slice's
@@ -19,13 +25,13 @@ table included.  The kernels:
   int32, and the degree and sparsity kernels; ``deg`` and every ``deg_p``
   are read from one Moebius matrix;
 * here: block sensitivity, a subset DP over free sets (``_packings``) and
-  the family walk on it (``_families``), for every input of every row.
+  the family walk on it (``_families``), for every input of every function.
 
 Block sensitivity is the one measure whose batched and per-function
 kernels differ.  The DP packs every free set at every input, about 3**n
 max-plus steps in 3 * (2**n - 1) numpy calls, which pays off over a slice's
-rows.  A per-function call wants few inputs (``measures._bs_search`` settles
-most functions at one), where ``measures._bs_point`` packs only the minimal
+functions.  A per-function call wants few inputs (``measures._bs_search``
+settles most functions at one), where ``measures._bs_point`` packs only the minimal
 sensitive blocks.  On one function (2-core Xeon VM, best of 5), the DP with
 one family against the packer at one input and all of
 ``block_sensitivity``: n = 4, 840 us against 58 and 215 us; n = 8, 11.4 ms
@@ -37,10 +43,10 @@ route keeps the packer; the walk takes the families by its rule
 The scan reuses the sensitivity and sparsity kernels on the transformed
 tables g, and cross-checks these arrays and the transforms built from the
 families against the per-function API on a deterministic subsample.  That
-guards the batching (dtypes, the row axis) and compares two algorithms for
-bs (the DP and the packer).  alt and salt share the API's kernel, so their
-independent checks are the scan's check of each alternation chain of its
-transforms against its alt value, and the tests of the arrays against
+guards the batching (dtypes, the function axis) and compares two algorithms
+for bs (the DP and the packer).  alt and salt share the API's kernel, so
+their independent checks are the scan's check of each alternation chain of
+its transforms against its alt value, and the tests of the arrays against
 brute-force oracles.
 """
 
@@ -63,15 +69,17 @@ def _slices(n: int) -> list[tuple[int, int]]:
 
 
 def _tables(n: int, lo: int, hi: int) -> np.ndarray:
-    """Rows = function ids in [lo, hi), columns = the 2**n table entries."""
+    """The (2**n, m) table matrix of the function ids in [lo, hi): row x holds
+    every function's value at input x, column r the table of id lo + r."""
     ids = np.arange(lo, hi, dtype=np.uint32)
-    cols = np.arange(table_size(n), dtype=np.uint32)
-    return ((ids[:, None] >> cols[None, :]) & 1).astype(np.uint8)
+    points = np.arange(table_size(n), dtype=np.uint32)
+    return ((ids >> points[:, None]) & 1).astype(np.uint8)
 
 
 def _packings(t: np.ndarray) -> np.ndarray:
-    """B[S, x, r]: the most disjoint blocks inside free set S that flip row r
-    of an (m, 2**n) table matrix at input x, as an int8 (2**n, 2**n, m) array.
+    """B[S, x, r]: the most disjoint blocks inside free set S that flip
+    function r of a (2**n, m) table matrix at input x, as an int8
+    (2**n, 2**n, m) array.
 
     One in-place pass per block T over the free sets S that contain it:
     B[S] = max(B[S], B[S ^ T] + flip_T[x, r]).  S ^ T does not contain T, so
@@ -80,10 +88,10 @@ def _packings(t: np.ndarray) -> np.ndarray:
     views on the (2,)*n grid, so a pass is three numpy calls into buffers
     allocated once; the largest, half the size of B, holds B[S ^ T] + flip_T.
     """
-    m, size = t.shape
+    size, m = t.shape
     n = size.bit_length() - 1
     cube = (2,) * n  # axis j holds coordinate n - 1 - j
-    tt = t.T.astype(bool, order="C").reshape(cube + (m,))
+    tt = t.astype(bool).reshape(cube + (m,))
     B = np.zeros(cube + (size, m), dtype=np.int8)
     flip = np.empty((size, m), dtype=bool)
     buf = np.empty((size >> 1) * size * m, dtype=np.int8)
@@ -98,44 +106,52 @@ def _packings(t: np.ndarray) -> np.ndarray:
     return B.reshape(size, size, m)
 
 
-def _families(t: np.ndarray, B: np.ndarray, at: np.ndarray) -> np.ndarray:
+def _families(B: np.ndarray, cols: np.ndarray, at: np.ndarray) -> np.ndarray:
     """The lexicographically smallest maximum family of disjoint blocks that
-    flip row r at input at[r], from the packings B of ``_packings(t)``.
+    flip function cols[j] of the table matrix at input at[j], from its
+    packings B (``_packings``).
 
     Walks the blocks in ascending order and takes T when it fits in the free
-    set, flips the row at at[r], and leaves a free set that still packs the
-    blocks still needed: B[free ^ T] == need - 1.  That is the rule of
+    set, flips the function at at[j], and leaves a free set that still packs
+    the blocks still needed: B[free ^ T] == need - 1.  That is the rule of
     ``measures._lex_min_family``, so the families are the per-function
-    witnesses.  Returns an (m, n) array of blocks, ascending and zero-padded.
+    witnesses.  The flip test reads B[T] >= 1, which holds when some T'
+    inside T flips.  If T itself does not flip, T' < T was walked first,
+    inside the free set, and not taken; the free set without T' then packs
+    fewer than need - 1 blocks (the blocks taken since are disjoint from
+    T'), and the smaller free set without T packs no more, so T is not
+    taken either.  Returns a (len(cols), n) array of blocks, ascending and
+    zero-padded.
     """
-    m, size = t.shape
+    size, m = B.shape[0], B.shape[2]
     n = size.bit_length() - 1
-    rows = np.arange(m)
-    # B[S, at[r], r] sits at S * m + r
-    packs = np.take(B.reshape(size, -1), at * m + rows, axis=1).ravel()
-    cells = t.ravel()
-    here = rows * size + at
-    value = cells[here]
-    free = np.full(m, size - 1, dtype=np.intp)
-    need = packs[(size - 1) * m:].copy()
-    fam = np.zeros(m * n, dtype=np.min_scalar_type(size - 1))
-    slot = rows * n
+    k = len(cols)
+    # packs[S, j] = B[S, at[j], cols[j]], which sits at S * size * m + at[j] * m + cols[j]
+    packs = np.take(B.reshape(size, -1), at * m + cols, axis=1)
+    flips = packs >= 1
+    packs = packs.ravel()
+    pos = np.arange(k)
+    free = np.full(k, size - 1, dtype=np.intp)
+    need = packs[(size - 1) * k :].copy()
+    fam = np.zeros(k * n, dtype=np.min_scalar_type(size - 1))
+    slot = pos * n
     for T in range(1, size):
         take = (free & T) == T
-        take &= cells[here ^ T] != value
-        take &= packs[(free ^ T) * m + rows] == need - 1
-        r = np.flatnonzero(take)
-        fam[slot[r]] = T
-        slot[r] += 1
-        free[r] ^= T
-        need[r] -= 1
-    return fam.reshape(m, n)
+        take &= flips[T]
+        take &= packs[(free ^ T) * k + pos] == need - 1
+        j = np.flatnonzero(take)
+        fam[slot[j]] = T
+        slot[j] += 1
+        free[j] ^= T
+        need[j] -= 1
+    return fam.reshape(k, n)
 
 
 def measure_arrays(n: int, lo: int, hi: int, primes=(2, 3)) -> dict:
     """Every scalar measure for each function id in [lo, hi), as 1-D arrays.
 
-    All rows are measured at once, so callers pass one slice of ``_slices``.
+    All functions are measured at once, so callers pass one slice of
+    ``_slices``.
 
     Also returns the smallest bs maximizer (``bs_argmax``) and the
     lexicographically smallest maximum block families at the all-zero input
@@ -148,7 +164,7 @@ def measure_arrays(n: int, lo: int, hi: int, primes=(2, 3)) -> dict:
     t = _tables(n, lo, hi)
     out: dict = {"ids": np.arange(lo, hi, dtype=np.int64)}
 
-    out["s"] = _pointwise_sensitivity(t).max(axis=1).astype(np.int64)
+    out["s"] = _pointwise_sensitivity(t).max(axis=0).astype(np.int64)
 
     # block sensitivity by the subset DP: bs(f, x) packs the full free set,
     # and a variable is relevant iff its singleton block flips f somewhere
@@ -160,8 +176,11 @@ def measure_arrays(n: int, lo: int, hi: int, primes=(2, 3)) -> dict:
     out["bs"] = bs_all.astype(np.int64)
     out["bs0"] = bs_pt[0].astype(np.int64)
     out["bs_argmax"] = argmax.astype(np.int64)
-    out["fam0"] = _families(t, B, np.zeros_like(argmax))
-    out["fam_argmax"] = _families(t, B, argmax)
+    out["fam0"] = _families(B, np.arange(t.shape[1]), np.zeros_like(argmax))
+    # the family at a maximizer 0 is fam0
+    moved = np.flatnonzero(argmax)
+    out["fam_argmax"] = out["fam0"].copy()
+    out["fam_argmax"][moved] = _families(B, moved, argmax[moved])
     del B, bs_pt
 
     # a function id is its packed table

@@ -462,7 +462,8 @@ def _scan_slice(args) -> dict:
             pos = int(np.argmin(margin))
             worst[name] = (int(margin[pos]), int(ids[np.flatnonzero(applicable)[pos]]))
 
-    # the transform constructions, batched over the function axis
+    # the transform constructions, batched over the function axis: t holds
+    # one table per column
     t = _bulk._tables(n, lo, hi)
     tr0 = _bs2s_rows(t, np.zeros(m, dtype=np.int64), a["fam0"], "block-index")
     tr1 = _bs2s_rows(t, a["bs_argmax"], a["fam_argmax"], "block-index")
@@ -471,7 +472,7 @@ def _scan_slice(args) -> dict:
     # each chain sets one new bit per step from 0, so it ends at 1^n, and
     # it changes value alt(f) times
     chain = tra.cert["chain"]
-    along = np.take_along_axis(t, chain, axis=1)
+    along = t[chain, np.arange(m)[:, None]]
     steps = ((chain[:, 1:] > chain[:, :-1])
              & (np.bitwise_count(chain[:, 1:] ^ chain[:, :-1]) == 1))
     chain_ok = ((chain[:, 0] == 0) & steps.all(axis=1)

@@ -186,21 +186,24 @@ class Restriction:
 
 
 def affine_images(n: int, columns, shifts) -> np.ndarray:
-    """Image tables of m affine maps: entry (r, x) is A_r(x).
+    """Image tables of affine maps: entry x (of column r) is A(x) (A_r(x)).
 
-    ``columns`` is (m, n) and ``shifts`` is (m,).  The table doubles over the
-    columns: the images of the inputs in [2**i, 2**(i+1)) are those of the
-    inputs below 2**i XOR column i.  Entries use the narrowest unsigned type
-    that holds 2**n - 1.
+    One map has ``columns`` (n,) and a scalar shift, and gets a (2**n,)
+    table; m maps have ``columns`` (m, n), one map per row, and ``shifts``
+    (m,), and get a (2**n, m) matrix with one map per column.  The table
+    doubles over the columns: the images of the inputs in [2**i, 2**(i+1))
+    are those of the inputs below 2**i XOR column i, whole contiguous rows
+    of the matrix.  Entries use the narrowest unsigned type that holds
+    2**n - 1.
     """
     dtype = np.min_scalar_type(table_size(n) - 1)
     shifts = np.asarray(shifts)
-    cols = np.asarray(columns, dtype=dtype).reshape(shifts.size, n)
-    img = np.empty((shifts.size, table_size(n)), dtype=dtype)
-    img[:, 0] = shifts
+    cols = np.asarray(columns, dtype=dtype).reshape(shifts.shape + (n,))
+    img = np.empty((table_size(n),) + shifts.shape, dtype=dtype)
+    img[0] = shifts
     for i in range(n):
         half = 1 << i
-        np.bitwise_xor(img[:, :half], cols[:, i : i + 1], out=img[:, half : 2 * half])
+        np.bitwise_xor(img[:half], cols[..., i], out=img[half : 2 * half])
     return img
 
 
@@ -208,7 +211,7 @@ def apply_affine(f: TruthTable, a: AffineMap) -> TruthTable:
     """The function g(x) = f(a(x)), gathered through the map's image table."""
     if a.n != f.n:
         raise ValueError(f"arity mismatch: function {f.n}, map {a.n}")
-    img = affine_images(f.n, [a.columns], [a.shift])[0]
+    img = affine_images(f.n, a.columns, a.shift)
     return TruthTable(f.n, pack(f.to_array()[img]))
 
 

@@ -120,16 +120,16 @@ def _sensitive_mask(f: TruthTable, x: int) -> int:
 
 
 def _pointwise_sensitivity(tables: np.ndarray) -> np.ndarray:
-    """Sensitivity at every input of every row of an (m, 2**n) table matrix."""
-    m, size = tables.shape
-    counts = np.zeros((m, size), dtype=np.int8)
+    """Sensitivity at every input, as int8 of the shape of ``tables``: one
+    table of 2**n entries, or a (2**n, m) matrix with one table per column."""
+    size, batch = tables.shape[0], tables.shape[1:]
+    counts = np.zeros(tables.shape, dtype=np.int8)
     for i in range(size.bit_length() - 1):
-        step = 1 << i
-        halves = tables.reshape(m, -1, 2, step)
-        diff = halves[:, :, 0, :] != halves[:, :, 1, :]
-        view = counts.reshape(m, -1, 2, step)
-        view[:, :, 0, :] += diff
-        view[:, :, 1, :] += diff
+        halves = tables.reshape(-1, 2, 1 << i, *batch)
+        diff = halves[:, 0] != halves[:, 1]
+        view = counts.reshape(halves.shape)
+        view[:, 0] += diff
+        view[:, 1] += diff
     return counts
 
 
@@ -147,7 +147,7 @@ def sensitivity(f: TruthTable, at: int | None = None, witness: bool = False):
         return (val, (at, mask)) if witness else val
     if n == 0:
         return (0, (0, 0)) if witness else 0
-    counts = _pointwise_sensitivity(f.to_array()[None, :])[0]
+    counts = _pointwise_sensitivity(f.to_array())
     val = int(counts.max())
     if not witness:
         return val
@@ -255,7 +255,7 @@ def _sensitivity_bound(f: TruthTable) -> np.ndarray:
     sensitive coordinates; every other minimal block has two or more
     coordinates, none of them sensitive.
     """
-    s = _pointwise_sensitivity(f.to_array()[None, :])[0]
+    s = _pointwise_sensitivity(f.to_array())
     return s + (f.n - s) // 2
 
 
@@ -356,14 +356,15 @@ class LatticeBudgetError(ArityLimitError):
 
 def _subcube_table(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Constancy, decision-tree depth and certificates of every subcube of every
-    row of an (m, 2**n) table matrix.
+    table of a (2**n, m) matrix, one table per column.
 
     A subcube is a ternary state t in {0, 1, *}**n: variable i is free where
     t_i = * (digit 2) and fixed to t_i elsewhere.  The first two arrays have
-    shape (3,) * n + (m,), with the rows on the last axis and variable i on
-    axis n - 1 - i, so the flat index of t is sum(t_i * 3**i) per row:
+    shape (3,) * n + (m,), with the tables on the last axis, as in the input,
+    and variable i on axis n - 1 - i, so the flat index of t is
+    sum(t_i * 3**i) per table:
 
-    * ``val``: the constant value of the row on t, or 2 where it is not
+    * ``val``: the constant value of the table on t, or 2 where it is not
       constant.  It folds in n per-axis passes from the points; each pass
       ORs the value sets (bit 0: a 0 seen, bit 1: a 1 seen) of the halves
       t_i = 0 and t_i = 1 into t_i = *.
@@ -382,13 +383,13 @@ def _subcube_table(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     t_i = 0 and t_i = 1.  Per-function callers go through
     ``_LatticeMeasures``, which checks the byte budget first.
     """
-    m, size = tables.shape
+    size, m = tables.shape
     n = size.bit_length() - 1
     shape = (3,) * n + (m,)
     points = (slice(0, 2),) * n
     val = np.empty(shape, dtype=np.uint8)
     key = np.zeros(shape, dtype=_key_dtype(n))
-    np.add(tables.T.reshape((2,) * n + (m,)), 1, out=val[points])
+    np.add(tables.reshape((2,) * n + (m,)), 1, out=val[points])
     for k in reversed(range(n)):
         lead = (slice(0, 2),) * k
         v_free, k_free = val[lead + (2,)], key[lead + (2,)]
@@ -479,7 +480,7 @@ class _LatticeMeasures:
         if skip is not None:
             raise skip
         if self._table is None:
-            val, dt, key = _subcube_table(self.f.to_array()[None, :])
+            val, dt, key = _subcube_table(self.f.to_array()[:, None])
             self._table = val.reshape(-1), dt.reshape(-1), key[:, 0]
         return self._table
 
@@ -558,41 +559,50 @@ def dt_depth(f: TruthTable, witness: bool = False, limit: int | None = None):
 
 
 def _best_chains(tables: np.ndarray, down: np.ndarray) -> np.ndarray:
-    """Lexicographically smallest maximum-alternation chain of every row.
+    """Lexicographically smallest maximum-alternation chain of every table.
 
-    Returns the (m, n + 1) chain points; each step sets the smallest free
-    variable that keeps the row on an optimal path of ``down``.
+    ``tables`` and ``down`` are one table and its path maxima, or (2**n, m)
+    matrices with one function per column.  Returns the n + 1 chain points,
+    (n + 1,) or one chain per row of an (m, n + 1) array; each step sets the
+    smallest free variable that keeps the function on an optimal path of
+    ``down``.
     """
-    m, size = tables.shape
+    size = tables.shape[0]
     n = size.bit_length() - 1
-    rows = np.arange(m)[:, None]
-    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    t, d = tables.reshape(-1), down.reshape(-1)  # entry (x, r) sits at x * m + r
+    m = t.size // size
+    cols = np.arange(m)
+    bits = (np.int64(1) << np.arange(n, dtype=np.int64))[:, None]
     points = np.zeros((m, n + 1), dtype=np.int64)
-    x = points[:, :1]
+    x = points[:, 0]
     for step in range(1, n + 1):
+        here = x * m + cols
         y = x | bits
-        here = tables[rows, x]
-        ok = (y != x) & (down[rows, y] + (tables[rows, y] != here) == down[rows, x])
-        x = y[rows, np.argmax(ok, axis=1)[:, None]]
-        points[:, step : step + 1] = x
-    return points
+        there = y * m + cols
+        ok = (y != x) & (d[there] + (t[there] != t[here]) == d[here])
+        x = y[np.argmax(ok, axis=0), cols]
+        points[:, step] = x
+    return points.reshape(tables.shape[1:] + (n + 1,))
 
 
 def _path_maxima(bits, n: int) -> np.ndarray:
     """The most value changes along a monotone path from x up to 1^n, at
-    every input x, as uint8: (2**n,) for one packed table, (m, 2**n) for a
-    batch (see ``_level_sets``).
+    every input x, as uint8: (2**n,) for one packed table, (2**n, m) with
+    one function per column for a batch (see ``_level_sets``).
 
     Runs the level sets down from 1^n: level k is then the set of inputs
     with such a path of at least k changes, so their indicators sum to the
     path maximum.  A batch's levels are unpacked in one call, as the bytes
-    of the stacked uint64 rows, little-endian.
+    of the stacked uint64 rows, little-endian; unpacking runs along the last
+    axis, fastest on contiguous bytes, so the (m, 2**n) sums are copied into
+    the table layout once.
     """
     size = table_size(n)
     levels = list(_level_sets(*_shift_moves(bits, n), size - 1, n + 1))
     if isinstance(bits, np.ndarray):
         raw = np.array(levels, dtype="<u8").reshape(len(levels), len(bits), 1).view(np.uint8)
-        return np.unpackbits(raw, axis=-1, count=size, bitorder="little").sum(axis=0, dtype=np.uint8)
+        indicators = np.unpackbits(raw, axis=-1, count=size, bitorder="little")
+        return np.ascontiguousarray(indicators.sum(axis=0, dtype=np.uint8).T)
     down = np.zeros(size, dtype=np.uint8)
     for level in levels:
         down += unpack(level, n)
@@ -611,7 +621,7 @@ def alternation(f: TruthTable, witness: bool = False):
     if not witness:
         return _alternation_at_shift(*_shift_moves(f.bits, n), 0, n)
     down = _path_maxima(f.bits, n)
-    chain = _best_chains(f.to_array()[None, :], down[None, :])[0]
+    chain = _best_chains(f.to_array(), down)
     return int(down[0]), Chain(tuple(int(p) for p in chain))
 
 

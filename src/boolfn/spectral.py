@@ -7,11 +7,13 @@ prod_{i in S} x_i for the multilinear bases, and the character
 (-1)^<S,x> for the Walsh basis.
 
 Every transform is ``_bitops.butterfly`` with its own in-place step.  The
-row kernels (``_moebius_rows``, ``_walsh_rows``) take a matrix of table
-rows and a dtype; ``_bulk`` runs them in int16 and int32 over every
-function of arity <= 4, where the coefficients fit.  ``_degrees`` and
-``_sparsities`` read the degree and the number of nonzero coefficients of
-each row; ``measures``, ``SpectrumRep`` and ``_bulk`` all use them.
+kernels (``_moebius_rows``, ``_walsh_rows``) take one 0/1 table of 2**n
+entries, or a (2**n, m) matrix with one table per column, and a dtype;
+``_bulk`` runs them in int16 and int32 over every function of arity <= 4,
+where the coefficients fit.  ``_degrees`` and ``_sparsities`` reduce over
+the first axis to the degree and the number of nonzero coefficients of each
+table, a scalar for one table and an (m,) array for a matrix; ``measures``,
+``SpectrumRep`` and ``_bulk`` all use them.
 """
 
 from __future__ import annotations
@@ -67,12 +69,12 @@ def _walsh_step(lo: np.ndarray, hi: np.ndarray) -> None:
 
 
 def _moebius_rows(t: np.ndarray, dtype) -> np.ndarray:
-    """Multilinear coefficients over the integers of every 0/1 table row."""
+    """Multilinear coefficients over the integers of every 0/1 table column."""
     return butterfly(t.astype(dtype), _difference)
 
 
 def _walsh_rows(t: np.ndarray, dtype) -> np.ndarray:
-    """Walsh-Hadamard coefficients of the +-1 view 1 - 2t of every 0/1 table row."""
+    """Walsh-Hadamard coefficients of the +-1 view 1 - 2t of every 0/1 table column."""
     a = t.astype(dtype)
     a *= -2
     a += 1
@@ -80,14 +82,15 @@ def _walsh_rows(t: np.ndarray, dtype) -> np.ndarray:
 
 
 def _degrees(coeffs: np.ndarray) -> np.ndarray:
-    """Largest popcount of an index with a nonzero coefficient, per row (0 if none)."""
-    weights = (coeffs != 0) * popcounts(coeffs.shape[-1].bit_length() - 1)
-    return weights.max(axis=-1)
+    """Largest popcount of an index with a nonzero coefficient, per column (0 if none)."""
+    pc = popcounts(coeffs.shape[0].bit_length() - 1)
+    weights = (coeffs != 0) * pc.reshape(pc.shape + (1,) * (coeffs.ndim - 1))
+    return weights.max(axis=0)
 
 
 def _sparsities(coeffs: np.ndarray) -> np.ndarray:
-    """Number of nonzero coefficients per row."""
-    return np.count_nonzero(coeffs, axis=-1)
+    """Number of nonzero coefficients per column."""
+    return np.count_nonzero(coeffs, axis=0)
 
 
 def moebius_coefficients(f: TruthTable) -> np.ndarray:

@@ -75,14 +75,17 @@ class TransformResult:
 
 
 # ---------------------------------------------------------------------------
-# batch kernels: each transform built for every row of an (m, 2**n) table
-# matrix; the per-function constructions below are their m = 1 case
+# batch kernels: each transform built for every function of a (2**n, m)
+# table matrix, one table per column, with the per-function records (points,
+# blocks, map columns, chains) one row each; the per-function constructions
+# below are their m = 1 case
 
 
 @dataclass(frozen=True)
 class _Batch:
-    """One construction for every row: map columns, shifts, the tables of g,
-    and each certificate field as a per-row array (or one shared value)."""
+    """One construction for every function: map columns, shifts, the tables
+    of g (one per column), and each certificate field as a per-function
+    array (or one shared value)."""
 
     kind: str
     columns: np.ndarray
@@ -90,11 +93,12 @@ class _Batch:
     g: np.ndarray
     cert: dict
 
-    def result(self, row: int, f: TruthTable) -> TransformResult:
+    def result(self, r: int, f: TruthTable) -> TransformResult:
+        """The construction for function r: row r of the records, column r of g."""
         n = f.n
-        amap = AffineMap(n, _ints(self.columns[row]), int(self.shifts[row]))
-        g = TruthTable(n, pack(self.g[row]))
-        return TransformResult(self.kind, f, amap, g, _CERTIFICATE_ROW[self.kind](self, row))
+        amap = AffineMap(n, _ints(self.columns[r]), int(self.shifts[r]))
+        g = TruthTable(n, pack(self.g[:, r]))
+        return TransformResult(self.kind, f, amap, g, _CERTIFICATE_ROW[self.kind](self, r))
 
 
 def _ints(values) -> tuple[int, ...]:
@@ -118,9 +122,9 @@ def _place_on_low_bit(cols: np.ndarray, parts: np.ndarray) -> None:
 
 
 def _gather(tables: np.ndarray, columns: np.ndarray, shifts) -> tuple[np.ndarray, np.ndarray]:
-    """Image tables of the maps and the tables of g(x) = f(A(x))."""
+    """Image tables of the maps and the tables of g(x) = f(A(x)), (2**n, m)."""
     img = affine_images(columns.shape[1], columns, shifts)
-    return img, np.take_along_axis(tables, img, axis=1)
+    return img, np.take_along_axis(tables, img, axis=0)
 
 
 def _bs2s_rows(tables, points, blocks, placement: str) -> _Batch:
@@ -133,7 +137,8 @@ def _bs2s_rows(tables, points, blocks, placement: str) -> _Batch:
         raise ValueError(f"unknown placement {placement!r}")
     _, g = _gather(tables, cols, points)
     k = np.count_nonzero(blocks, axis=1)
-    sg0 = _pointwise_sensitivity(g)[:, 0]
+    # s(g, 0): the unit points where g differs from g(0)
+    sg0 = (g[[1 << i for i in range(cols.shape[1])]] != g[0]).sum(axis=0)
     cert = {
         "point": points,
         "block_sensitivity": k,
@@ -172,23 +177,24 @@ def _bs2s_certificate(batch: _Batch, r: int) -> dict:
 
 
 def _alt2s_rows(tables, down) -> _Batch:
-    """``alt_to_s_linear`` for every row of an (m, 2**n) table matrix, from
-    its path maxima ``down`` (``measures._path_maxima``): alt is the path
-    maximum at 0, and the chain is read off ``down`` by ``_best_chains``."""
-    m, size = tables.shape
-    alt = down[:, 0]
+    """``alt_to_s_linear`` for every function of a (2**n, m) table matrix,
+    from its path maxima ``down`` (``measures._path_maxima``): alt is the
+    path maximum at 0, and the chain is read off ``down`` by ``_best_chains``."""
+    m = tables.shape[1]
+    alt = down[0]
     chains = _best_chains(tables, down)
     shifts = np.zeros(m, dtype=np.int64)
     img, g = _gather(tables, chains[:, 1:], shifts)
-    # a linear map is invertible iff its image table is a permutation
-    invertible = (np.sort(img, axis=1) == np.arange(size)).all(axis=1)
+    # a linear map is invertible iff its image table is a permutation, that
+    # is iff no x != 0 maps to A(0): A(x) == A(y) iff A(x ^ y) == A(0)
+    invertible = (img[1:] != img[0]).all(axis=0)
     s_pt = _pointwise_sensitivity(g)
-    sg0 = s_pt[:, 0].astype(np.int64)
+    sg0 = s_pt[0].astype(np.int64)
     bound = 2 * sg0 + 1
     cert = {
         "alt": alt,
         "s_g_at_zero": sg0,
-        "s_g": s_pt.max(axis=1),
+        "s_g": s_pt.max(axis=0),
         "bound": bound,
         "holds": alt <= bound,
         "invertible": invertible,
@@ -223,7 +229,7 @@ def _sherstov_rows(tables, z, blocks) -> _Batch:
     _place_on_low_bit(cols, ones)
     shifts = np.zeros(m, dtype=np.int64)
     _, g = _gather(tables, cols, shifts)
-    sg = _pointwise_sensitivity(g).max(axis=1).astype(np.int64)
+    sg = _pointwise_sensitivity(g).max(axis=0).astype(np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = k / (sg * sg)
     cert = {
@@ -294,7 +300,7 @@ def _bs2s_from_family(
 ) -> TransformResult:
     """``bs_to_s_affine`` at ``fam.point`` on a witness family already found."""
     blocks = _block_rows(f.n, fam.blocks)
-    return _bs2s_rows(f.to_array()[None, :], np.array([fam.point]), blocks, placement).result(0, f)
+    return _bs2s_rows(f.to_array()[:, None], np.array([fam.point]), blocks, placement).result(0, f)
 
 
 def alt_to_s_linear(f: TruthTable) -> TransformResult:
@@ -304,7 +310,7 @@ def alt_to_s_linear(f: TruthTable) -> TransformResult:
     Column supports strictly increase along the chain, which makes the map
     invertible; this is verified and recorded rather than assumed.
     """
-    return _alt2s_rows(f.to_array()[None, :], _path_maxima(f.bits, f.n)[None, :]).result(0, f)
+    return _alt2s_rows(f.to_array()[:, None], _path_maxima(f.bits, f.n)[:, None]).result(0, f)
 
 
 def sherstov_linear(f: TruthTable, limit: int | None = None) -> TransformResult:
@@ -324,4 +330,4 @@ def sherstov_linear(f: TruthTable, limit: int | None = None) -> TransformResult:
 def _sherstov_from_family(f: TruthTable, fam: BlockFamily) -> TransformResult:
     """``sherstov_linear`` on a witness family already found by a bs search."""
     blocks = _block_rows(f.n, fam.blocks)
-    return _sherstov_rows(f.to_array()[None, :], np.array([fam.point]), blocks).result(0, f)
+    return _sherstov_rows(f.to_array()[:, None], np.array([fam.point]), blocks).result(0, f)

@@ -15,8 +15,10 @@ from boolfn import (
     sherstov_linear,
 )
 from boolfn._bulk import _tables, measure_arrays
-from boolfn.measures import _best_chains, _path_maxima
-from boolfn.transforms import _alt2s_rows, _bs2s_rows, _sherstov_rows
+from boolfn.core import affine_images
+from boolfn.measures import _best_chains, _path_maxima, _pointwise_sensitivity
+from boolfn.spectral import _degrees, _moebius_rows, _sparsities, _walsh_rows
+from boolfn.transforms import _alt2s_rows, _bs2s_rows, _gather, _sherstov_rows
 
 from oracles import (
     naive_best_chain,
@@ -46,7 +48,7 @@ def _same(got, want):
 
 def _check_rows(n, ids):
     functions = [TruthTable(n, int(bits)) for bits in ids]
-    t = np.stack([f.to_array() for f in functions])
+    t = np.stack([f.to_array() for f in functions], axis=1)
     amax, fam0, fam_max = _batch_inputs(n, ids)
     zero = np.zeros(len(functions), dtype=np.int64)
     batches = (
@@ -69,6 +71,44 @@ def _check_rows(n, ids):
             _same(batch.result(r, f), want)
 
 
+@pytest.mark.parametrize("m", [1, 40])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_batched_kernels_match_per_function_columns(n, m):
+    # a (2**n, m) matrix holds one table per column, and every kernel gives
+    # each column what it gives that table alone
+    rng = np.random.default_rng(60 + n)
+    ids = [random_table(rng, n) for _ in range(m)]
+    if m > 2:
+        ids[:2] = [0, 2 ** (2**n) - 1]
+    t = np.stack([TruthTable(n, bits).to_array() for bits in ids], axis=1)
+    cols = rng.integers(0, 2**n, (m, n))
+    shifts = rng.integers(0, 2**n, m)
+    sens = _pointwise_sensitivity(t)
+    moebius = _moebius_rows(t, np.int16)
+    walsh = _walsh_rows(t, np.int32)
+    degrees, sparsities = _degrees(moebius), _sparsities(walsh)
+    img, g = _gather(t, cols, shifts)
+    down = _path_maxima(np.array(ids, dtype=np.uint64), n)
+    chains = _best_chains(t, down)
+    assert sens.shape == moebius.shape == walsh.shape == img.shape == g.shape == down.shape
+    assert sens.shape == (2**n, m) and degrees.shape == sparsities.shape == (m,)
+    assert chains.shape == (m, n + 1)
+    for r, bits in enumerate(ids):
+        f = TruthTable(n, bits)
+        one = f.to_array()
+        assert sens[:, r].tolist() == _pointwise_sensitivity(one).tolist()
+        assert moebius[:, r].tolist() == _moebius_rows(one, np.int64).tolist()
+        assert walsh[:, r].tolist() == _walsh_rows(one, np.int64).tolist()
+        assert degrees[r] == _degrees(_moebius_rows(one, np.int64))
+        assert sparsities[r] == _sparsities(_walsh_rows(one, np.int64))
+        amap = AffineMap(n, tuple(int(c) for c in cols[r]), int(shifts[r]))
+        assert img[:, r].tolist() == affine_images(n, amap.columns, amap.shift).tolist()
+        assert img[:, r].tolist() == [amap.apply(x) for x in range(2**n)]
+        assert g[:, r].tolist() == apply_affine(f, amap).to_array().tolist()
+        assert down[:, r].tolist() == _path_maxima(bits, n).tolist()
+        assert chains[r].tolist() == _best_chains(one, down[:, r]).tolist()
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_batched_rows_match_per_function_exhaustive(n):
     _check_rows(n, np.arange(1 << (1 << n)))
@@ -82,11 +122,11 @@ def test_batched_rows_match_per_function_sampled_n4():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_batched_block_transform_against_oracles(n):
     t = _tables(n, 0, 1 << (1 << n))
-    amax, fam0, fam_max = _batch_inputs(n, np.arange(t.shape[0]))
-    zero = np.zeros(t.shape[0], dtype=np.int64)
+    amax, fam0, fam_max = _batch_inputs(n, np.arange(t.shape[1]))
+    zero = np.zeros(t.shape[1], dtype=np.int64)
     at_zero = _bs2s_rows(t, zero, fam0, "block-index")
     at_max = _bs2s_rows(t, amax, fam_max, "block-index")
-    for r in range(t.shape[0]):
+    for r in range(t.shape[1]):
         f = TruthTable(n, r)
         for batch, a in ((at_zero, 0), (at_max, int(amax[r]))):
             g = batch.result(r, f).g
@@ -97,8 +137,8 @@ def test_batched_block_transform_against_oracles(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_batched_alternation_chains_against_oracle(n):
     t = _tables(n, 0, 1 << (1 << n))
-    chains = _best_chains(t, _path_maxima(np.arange(t.shape[0], dtype=np.uint64), n))
-    for r in range(t.shape[0]):
+    chains = _best_chains(t, _path_maxima(np.arange(t.shape[1], dtype=np.uint64), n))
+    for r in range(t.shape[1]):
         assert tuple(int(p) for p in chains[r]) == naive_best_chain(TruthTable(n, r))
 
 

@@ -110,10 +110,10 @@ def test_batched_kernel_matches_oracle(n):
     batch = np.array(ids, dtype=np.uint64)
     down = _path_maxima(batch, n)
     alts = _alternation_by_shift(batch, n)
-    assert down.shape == (len(ids), 2**n) and alts.shape == (len(ids), 2 ** (n - 1))
+    assert down.shape == (2**n, len(ids)) and alts.shape == (len(ids), 2 ** (n - 1))
     for r, bits in enumerate(ids):
         f = TruthTable(n, bits)
-        assert down[r].tolist() == naive_path_maxima(f) == _path_maxima(bits, n).tolist()
+        assert down[:, r].tolist() == naive_path_maxima(f) == _path_maxima(bits, n).tolist()
         want = [naive_path_maxima(_shifted(f, b))[0] for b in range(2 ** (n - 1))]
         assert alts[r].tolist() == want == _alternation_by_shift(bits, n).tolist()
 

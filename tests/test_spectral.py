@@ -91,20 +91,23 @@ def test_is_prime():
 
 
 def test_butterfly_rows_are_independent():
-    # a batch of rows transforms as each row alone; the input must be a
+    # the tables run down the first axis and the trailing axes are a batch:
+    # each table transforms as it would alone; the input must be a
     # contiguous buffer, since the halves are updated in place
     rng = np.random.default_rng(15)
     fs = [TruthTable(3, random_table(rng, 3)) for _ in range(6)]
-    rows = np.stack([f.to_array() for f in fs]).astype(np.int64).reshape(2, 3, 8)
+    tables = np.stack([f.to_array() for f in fs], axis=1).astype(np.int64).reshape(8, 2, 3)
 
     def difference(lo, hi):
         hi -= lo
 
-    out = butterfly(rows, difference)
-    assert out is rows
-    assert out.reshape(6, 8).tolist() == [naive_moebius(f) for f in fs]
+    out = butterfly(tables, difference)
+    assert out is tables
+    assert out.reshape(8, 6).T.tolist() == [naive_moebius(f) for f in fs]
+    one = fs[0].to_array().astype(np.int64)
+    assert butterfly(one, difference).tolist() == naive_moebius(fs[0])
     with pytest.raises(ValueError):
-        butterfly(np.zeros((8, 4), dtype=np.int64).T, difference)
+        butterfly(np.zeros((4, 8), dtype=np.int64).T, difference)
 
 
 def _every_function(n):
