@@ -31,13 +31,16 @@ Block sensitivity is the one measure whose batched and per-function
 kernels differ.  The DP packs every free set at every input, about 3**n
 max-plus steps in 3 * (2**n - 1) numpy calls, which pays off over a slice's
 functions.  A per-function call wants few inputs (``measures._bs_search``
-settles most functions at one), where ``measures._bs_point`` packs only the minimal
-sensitive blocks.  On one function (2-core Xeon VM, best of 5), the DP with
-one family against the packer at one input and all of
-``block_sensitivity``: n = 4, 840 us against 58 and 215 us; n = 8, 11.4 ms
-against 0.10 and 0.40 ms; ``rubinstein(2, 4)`` (n = 8, all 256 inputs
-searched), 15.2 ms against 10.2 ms for the search.  So the per-function
-route keeps the packer; the walk takes the families by its rule
+settles most random functions at one to three, and structured ones after
+about n + 1 once it switches to the certificate bound), where
+``measures._bs_point`` packs only the minimal sensitive blocks.  On one
+function (2-core Xeon VM, best of 5), the DP with one family against the
+packer at one input and all of ``block_sensitivity`` with its witness:
+n = 4, 319 us against 21 and 76 us; n = 8, 6.5 ms against 0.08 and
+0.15 ms; ``rubinstein(2, 4)`` (n = 8, 8 inputs under the sensitivity
+bound, then the subcube table and 1 input under the certificate bound),
+6.5 ms against 0.80 ms for the search.  So the per-function route keeps
+the packer; the walk takes the families by its rule
 (``measures._lex_min_family``), so both give the same witnesses.
 
 The scan reuses the sensitivity and sparsity kernels on the transformed

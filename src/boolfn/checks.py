@@ -40,8 +40,6 @@ from .measures import (
     _path_maxima,
     alternation,
     block_sensitivity,
-    certificate,
-    dt_depth,
     modp_degree,
     real_degree,
     sensitivity,
@@ -329,6 +327,7 @@ def inequality_suite(f: TruthTable, primes=(2, 3), limits: dict | None = None) -
 
     subcubes = _LatticeMeasures(f, limits)
     compute("s", lambda: sensitivity(f))
+    subcubes.prepare()
     compute("bs", lambda: subcubes.block_sensitivity(witness=True))
     compute("bs0", lambda: block_sensitivity(f, at=0, witness=True, limit=limits.get("bs")))
     fams = {}  # the witness families the transforms are built from
@@ -505,21 +504,23 @@ def _scan_slice(args) -> dict:
                                         "fails": 0, "hypothesis_not_met": 0}
 
     # cross-check the batched rows against the per-function API on the ids
-    # that are multiples of the stride
+    # that are multiples of the stride; bs, C and DT share one subcube table
+    # per function, as in measure_report
     stride = max(1, (1 << table_size(n)) // _CROSSCHECK_SAMPLES)
     for fid in range(-(-lo // stride) * stride, hi, stride):
         row = fid - lo
         f = TruthTable(n, fid)
+        subcubes = _LatticeMeasures(f, {})
         expect = {
             "s": sensitivity(f),
-            "bs": block_sensitivity(f),
+            "bs": subcubes.block_sensitivity(False),
             "bs0": block_sensitivity(f, at=0),
-            "C": certificate(f),
+            "C": subcubes.certificate(False),
             "alt": alternation(f),
             "salt": shift_invariant_alternation(f),
             "deg": real_degree(f),
             "sparsity": sparsity(f),
-            "DT": dt_depth(f),
+            "DT": subcubes.dt_depth(False),
         }
         for p in primes:
             expect[f"deg_{p}"] = modp_degree(f, p)

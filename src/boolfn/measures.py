@@ -140,8 +140,7 @@ def sensitivity(f: TruthTable, at: int | None = None, witness: bool = False):
     """
     n = f.n
     if at is not None:
-        if not 0 <= at < table_size(n):
-            raise ValueError(f"assignment {at} out of range for arity {n}")
+        _check_point(at, n)
         mask = _sensitive_mask(f, at)
         val = mask.bit_count()
         return (val, (at, mask)) if witness else val
@@ -259,26 +258,48 @@ def _sensitivity_bound(f: TruthTable) -> np.ndarray:
     return s + (f.n - s) // 2
 
 
-def _bs_search(f: TruthTable, bound: np.ndarray, witness: bool):
+def _bs_search(f: TruthTable, bound: np.ndarray, witness: bool, tighten=None):
     """Maximum pointwise block sensitivity under an upper bound per input.
 
     Visits the inputs by descending bound, then ascending input, and stops
     at the first input that can neither beat the best value nor tie it at a
     smaller input.  A tie replaces the best only at a smaller input, so the
     witness is the smallest maximizing input, as in a scan of every input.
+
+    Once n inputs (n the arity) have not settled it, ``tighten`` may hand
+    it a tighter bound, or None: the inputs not yet visited are then
+    re-ordered under that bound, and the best so far is kept.  The stop
+    rule holds under any valid upper bound, so the value and the witness
+    do not depend on the switch, only the number of inputs visited.
     """
-    order = np.argsort(-bound, kind="stable")
+    order = np.argsort(-bound, kind="stable").tolist()
     best, best_at = -1, 0
-    for x, b in zip(order.tolist(), bound[order].tolist()):
+    pos = 0
+    while pos < len(order):
+        x = order[pos]
+        b = int(bound[x])
         if b < best or (b == best and x > best_at):
             break
+        if pos == f.n and tighten is not None:
+            tighter, tighten = tighten(bound), None
+            if tighter is not None:
+                rest = np.sort(order[pos:])
+                order = rest[np.argsort(-tighter[rest], kind="stable")].tolist()
+                bound, pos = tighter, 0
+                continue
         v, _ = _bs_point(f, x, False)
         if v > best or (v == best and x < best_at):
             best, best_at = v, x
+        pos += 1
     if not witness:
         return best
     _, fam = _bs_point(f, best_at, True)
     return best, fam
+
+
+def _check_point(at: int, n: int) -> None:
+    if not 0 <= at < table_size(n):
+        raise ValueError(f"assignment {at} out of range for arity {n}")
 
 
 def block_sensitivity(
@@ -289,22 +310,23 @@ def block_sensitivity(
     Pointwise at ``at`` when given, else maximized over all inputs.  The
     witness ``BlockFamily`` is the lexicographically smallest maximum family,
     at ``at`` or at the smallest maximizing input.  Each input runs the
-    memoized packer of ``_bs_point``, at every arity.  Unpointed, it runs at
-    each input in order of the bound s(f,x) + (n - s(f,x)) // 2 and stops
-    once no input left can beat the best (see ``_bs_search``), so its cost
-    is the number of inputs whose bound reaches bs(f): one on most random
-    functions, every input where the bound is loose everywhere.  The
-    exhaustive scans take the same values and families from the batched
-    subset DP of ``_bulk._packings``.
+    memoized packer of ``_bs_point``, at every arity.  Unpointed, it runs
+    the one search of ``_LatticeMeasures.block_sensitivity``: the inputs in
+    order of the bound s(f,x) + (n - s(f,x)) // 2, stopping once no input
+    left can beat the best (see ``_bs_search``).  That settles most random
+    functions at one to three inputs.  Where n inputs have not settled it
+    and the subcube table fits its byte budget, the table is built and the
+    inputs left are searched under the certificate bound C(f,x) as well,
+    which is tight on the structured families.  The exhaustive scans take
+    the same values and families from the batched subset DP of
+    ``_bulk._packings``.
     """
-    n = f.n
-    _ensure_limit("bs", n, limit)
-    if at is not None:
-        if not 0 <= at < table_size(n):
-            raise ValueError(f"assignment {at} out of range for arity {n}")
-        val, fam = _bs_point(f, at, witness)
-        return (val, fam) if witness else val
-    return _bs_search(f, _sensitivity_bound(f), witness)
+    if at is None:
+        return _LatticeMeasures(f, {"bs": limit}).block_sensitivity(witness)
+    _ensure_limit("bs", f.n, limit)
+    _check_point(at, f.n)
+    val, fam = _bs_point(f, at, witness)
+    return (val, fam) if witness else val
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +475,14 @@ class _LatticeMeasures:
     """bs, C and DT of one function, from at most one ternary subcube table.
 
     The table (``_subcube_table``: 3**n states, n**2 * 3**(n-1) DT work) is
-    built on first use by a measure that fits its arity ceiling (``limits``,
-    else ``DEFAULT_LIMITS``) and the byte budget; C and DT read it, and once
-    it exists the bs search runs under the tighter bound min(u(x), C(f,x)),
-    since bs(f,x) <= C(f,x).
+    built once.  C and DT build it on first use, within their arity
+    ceilings (``limits``, else ``DEFAULT_LIMITS``) and the byte budget.
+    The unpointed bs search (``_bs_search``) runs under min(u(x), C(f,x)),
+    since bs(f,x) <= C(f,x), from its first input if the table exists;
+    otherwise under u alone until n inputs have not settled it, and then
+    it builds the table if it fits the byte budget, whatever the C and DT
+    ceilings say.  A caller that reads C or DT after bs builds the table
+    first (``prepare``).
     """
 
     def __init__(self, f: TruthTable, limits: dict):
@@ -474,38 +500,49 @@ class _LatticeMeasures:
             return LatticeBudgetError(measure, n)
         return None
 
-    def _subcubes(self, measure: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _build(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """val and dt as flat arrays over the states, and the key per point."""
-        skip = self._skip(measure)
-        if skip is not None:
-            raise skip
         if self._table is None:
             val, dt, key = _subcube_table(self.f.to_array()[:, None])
             self._table = val.reshape(-1), dt.reshape(-1), key[:, 0]
         return self._table
 
+    def _subcubes(self, measure: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        skip = self._skip(measure)
+        if skip is not None:
+            raise skip
+        return self._build()
+
+    def prepare(self) -> None:
+        """Build the table now if C or DT will read it, for a caller that
+        runs bs first."""
+        if self._skip("C") is None or self._skip("DT") is None:
+            self._build()
+
+    def _certificate_bound(self, bound: np.ndarray) -> np.ndarray | None:
+        """min(bound, C(f,x)) at every input x; None where the table would
+        exceed its byte budget."""
+        n = self.f.n
+        if self._table is None and _table_bytes(n) > _LATTICE_BUDGET:
+            return None
+        key = self._build()[2]
+        return np.minimum(bound, n - (key >> n).astype(bound.dtype))
+
     def block_sensitivity(self, witness: bool):
         f = self.f
         _ensure_limit("bs", f.n, self.limits.get("bs"))
         bound = _sensitivity_bound(f)
-        shared = next((k for k in ("C", "DT") if self._skip(k) is None), None)
-        if shared is not None:
-            key = self._subcubes(shared)[2]
-            np.minimum(bound, f.n - (key >> f.n), out=bound, casting="unsafe")
-        return _bs_search(f, bound, witness)
+        if self._table is not None:
+            return _bs_search(f, self._certificate_bound(bound), witness)
+        return _bs_search(f, bound, witness, self._certificate_bound)
 
     def certificate(self, witness: bool, at: int | None = None):
         n = self.f.n
-        key = self._subcubes("C")[2]
-        if n == 0:
-            return (0, (0, 0)) if witness else 0
-        full = table_size(n) - 1
         if at is not None:
-            if not 0 <= at < table_size(n):
-                raise ValueError(f"assignment {at} out of range for arity {n}")
-            point = at
-        else:
-            point = int(np.argmin(key >> n))
+            _check_point(at, n)
+        key = self._subcubes("C")[2]
+        full = table_size(n) - 1
+        point = int(np.argmin(key >> n)) if at is None else at
         k = int(key[point])
         val = n - (k >> n)
         return (val, (point, full ^ (k & full))) if witness else val
@@ -987,10 +1024,11 @@ def measure_report(
 ) -> MeasureReport:
     """Compute every measure that fits its arity ceiling; skips are explicit.
 
-    bs, C and DT share one ternary subcube table, built once when C or DT
-    fits its ceiling; the bs search then runs under min(u(x), C(f,x)) (see
-    ``_LatticeMeasures``), which on most functions leaves one packing
-    search.
+    bs, C and DT share one ternary subcube table (``_LatticeMeasures``).
+    It is built before bs when C or DT fits its ceiling, so the bs search
+    runs under min(u(x), C(f,x)) from its first input, which on most
+    functions leaves one packing search.  Otherwise bs runs the switch of
+    the public ``block_sensitivity``, with the same value and witness.
     """
     return _measure_report(_LatticeMeasures(f, limits or {}), primes, witnesses)
 
@@ -1015,6 +1053,7 @@ def _measure_report(subcubes: _LatticeMeasures, primes, witnesses: bool) -> Meas
 
     w = witnesses
     run("s", lambda: sensitivity(f, witness=w))
+    subcubes.prepare()
     run("bs", lambda: subcubes.block_sensitivity(w))
     run("C", lambda: subcubes.certificate(w))
     run("alt", lambda: alternation(f, witness=w))

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from boolfn import (
+    STATISTICS,
     TruthTable,
     block_sensitivity,
     certificate,
     measure_report,
+    sherstov_linear,
     validate_block_family,
 )
 from boolfn import measures
@@ -92,8 +94,47 @@ def _visits(monkeypatch, run):
 def test_search_stops_at_first_unbeatable_point(monkeypatch):
     # every input of parity has bound n == bs, so input 0 settles it
     assert _visits(monkeypatch, lambda: block_sensitivity(parity(6))) == 1
-    # u is loose on every input of rubinstein(3,3); the certificate bound
-    # that measure_report adds is tight at input 0
+    # u is loose on every input of rubinstein(3,3): after n inputs the search
+    # builds the subcube table, and the certificate bound is tight at input 0;
+    # measure_report builds the table before bs and starts under that bound
     f = rubinstein(3, 3)
-    assert _visits(monkeypatch, lambda: block_sensitivity(f)) == 2**f.n
+    assert _visits(monkeypatch, lambda: block_sensitivity(f)) <= f.n + 1
     assert _visits(monkeypatch, lambda: measure_report(f, witnesses=False)) == 1
+    # with no byte budget for the table the search keeps u, with the same result
+    want = block_sensitivity(f, witness=True)
+    monkeypatch.setattr(measures, "_LATTICE_BUDGET", 0)
+    assert _visits(monkeypatch, lambda: block_sensitivity(f)) == 2**f.n
+    assert block_sensitivity(f, witness=True) == want
+
+
+def test_search_settled_under_u_builds_no_table(monkeypatch):
+    builds, visits = [], []
+    table, point = measures._subcube_table, measures._bs_point
+    monkeypatch.setattr(measures, "_subcube_table", lambda t: builds.append(t) or table(t))
+    monkeypatch.setattr(measures, "_bs_point", lambda f, a, w: visits.append(a) or point(f, a, w))
+    settled = 0
+    for f in _seeded(54, range(4, 15), 3):
+        builds.clear()
+        visits.clear()
+        block_sensitivity(f)
+        if len(visits) < f.n:
+            settled += 1
+            assert not builds
+    assert settled >= 30
+    builds.clear()
+    block_sensitivity(rubinstein(3, 3))
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("f", [maj(15), tree_function(4)], ids=["maj15", "tree4"])
+def test_every_unpointed_caller_shares_one_search(monkeypatch, f):
+    # the public call, the Sherstov map and its statistic take the same
+    # value and family from one route; the statistic takes no limit, so the
+    # default bs ceiling of 14 is raised to the arity here
+    monkeypatch.setitem(measures.DEFAULT_LIMITS, "bs", 15)
+    val, fam = block_sensitivity(f, witness=True, limit=15)
+    cert = sherstov_linear(f, limit=15).certificate
+    assert cert["block_sensitivity"] == val and cert["z"] == fam.point
+    assert STATISTICS["bs_over_sherstov_s2"](f) == val / cert["s_g"] ** 2
+    assert len(fam.blocks) == val and validate_block_family(f, fam)
+    assert block_sensitivity(f, at=fam.point, witness=True, limit=15) == (val, fam)

@@ -11,11 +11,14 @@ from boolfn import (
     ArityLimitError,
     LatticeBudgetError,
     TruthTable,
+    block_sensitivity,
     certificate,
     dt_depth,
+    sensitivity,
     validate_certificate_set,
     validate_decision_tree,
 )
+from boolfn import measures
 from boolfn._bulk import measure_arrays
 from boolfn.measures import _table_bytes
 from boolfn.families import and_
@@ -116,6 +119,20 @@ def test_bulk_certificate_and_dt_match_oracles(bulk_n4_rows):
         f = TruthTable(4, int(bits))
         assert a["C"][bits] == naive_certificate(f)
         assert a["DT"][bits] == naive_dt(f)
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_pointed_measures_reject_an_input_out_of_range(monkeypatch, n):
+    # the input is checked before the subcube table is built, at every arity
+    builds = []
+    monkeypatch.setattr(measures, "_subcube_table", lambda t: builds.append(t) or 1 / 0)
+    f = TruthTable(n, 0)
+    for at in (-1, 2**n, 5 + 2**n):
+        for run in (certificate, sensitivity, block_sensitivity):
+            for witness in (False, True):
+                with pytest.raises(ValueError, match="out of range"):
+                    run(f, at=at, witness=witness)
+    assert not builds
 
 
 def test_lattice_over_budget_skips_under_explicit_limit():
