@@ -17,6 +17,10 @@ Two evaluators read them: one on a function's ints (``inequality_suite``,
 append a row: its name (``{p}`` makes it per-prime, reading ``v["deg_p"]``),
 both statement strings, ``needs``, ``left`` <= ``right`` and an optional
 ``hypothesis``, each written so it evaluates on ints and on arrays alike.
+
+A function's ints are the values of ``measure_report``, the one list of its
+measures, plus bs(f,0): ``inequality_suite`` takes them and their skips from
+it, and the scan compares them with the arrays on its sampled functions.
 """
 
 from __future__ import annotations
@@ -35,13 +39,13 @@ from .commlb import submatrix_witness
 from .core import TruthTable, _check_arity, is_invertible, tt_parse, tt_serialize
 from .families import and_, gip, maj, or_compose, parity, rubinstein, rubinstein_row, tree_function
 from .measures import (
-    ArityLimitError,
     _LatticeMeasures,
+    _measure_report,
     _path_maxima,
     alternation,
     block_sensitivity,
+    measure_report,
     modp_degree,
-    real_degree,
     sensitivity,
     shift_invariant_alternation,
     sparsity,
@@ -316,31 +320,19 @@ def inequality_suite(f: TruthTable, primes=(2, 3), limits: dict | None = None) -
     limits = limits or {}
     n = f.n
     report = CheckReport("function", tt_serialize(f))
-    vals: dict = {"n": n, "depends_on_all": len(f.relevant_variables()) == n}
-    skips: dict = {}
-
-    def compute(name, fn):
-        try:
-            vals[name] = fn()
-        except ArityLimitError as e:
-            skips[name] = str(e)
-
     subcubes = _LatticeMeasures(f, limits)
-    compute("s", lambda: sensitivity(f))
-    subcubes.prepare()
-    compute("bs", lambda: subcubes.block_sensitivity(witness=True))
-    compute("bs0", lambda: block_sensitivity(f, at=0, witness=True, limit=limits.get("bs")))
+    measured = _measure_report(subcubes, primes, witnesses=False)
+    vals: dict = {"n": n, "depends_on_all": len(f.relevant_variables()) == n,
+                  **measured.measures}
+    skips = {s["measure"]: s["reason"] for s in measured.skipped}
     fams = {}  # the witness families the transforms are built from
-    for k in ("bs", "bs0"):
-        if k in vals:
-            vals[k], fams[k] = vals[k]
-    compute("C", lambda: subcubes.certificate(witness=False))
-    compute("salt", lambda: shift_invariant_alternation(f, limit=limits.get("salt")))
-    vals["deg"] = real_degree(f)
-    for p in primes:
-        vals[f"deg_{p}"] = modp_degree(f, p)
-    vals["sparsity"] = sparsity(f)
-    compute("DT", lambda: subcubes.dt_depth(witness=False))
+    if "bs" in vals:
+        # the report's search is kept: this packs the family at its maximizer
+        _, fams["bs"] = subcubes.block_sensitivity(witness=True)
+        vals["bs0"], fams["bs0"] = block_sensitivity(f, at=0, witness=True,
+                                                     limit=limits.get("bs"))
+    else:
+        skips["bs0"] = skips["bs"]  # bs(f,0) has the ceiling of bs
 
     for row, p, v in _rows(vals, primes, by_prime=False):
         missing = [k for k in row.needs if k not in v]
@@ -504,26 +496,13 @@ def _scan_slice(args) -> dict:
                                         "fails": 0, "hypothesis_not_met": 0}
 
     # cross-check the batched rows against the per-function API on the ids
-    # that are multiples of the stride; bs, C and DT share one subcube table
-    # per function, as in measure_report
+    # that are multiples of the stride
     stride = max(1, (1 << table_size(n)) // _CROSSCHECK_SAMPLES)
     for fid in range(-(-lo // stride) * stride, hi, stride):
         row = fid - lo
         f = TruthTable(n, fid)
-        subcubes = _LatticeMeasures(f, {})
-        expect = {
-            "s": sensitivity(f),
-            "bs": subcubes.block_sensitivity(False),
-            "bs0": block_sensitivity(f, at=0),
-            "C": subcubes.certificate(False),
-            "alt": alternation(f),
-            "salt": shift_invariant_alternation(f),
-            "deg": real_degree(f),
-            "sparsity": sparsity(f),
-            "DT": subcubes.dt_depth(False),
-        }
-        for p in primes:
-            expect[f"deg_{p}"] = modp_degree(f, p)
+        expect = measure_report(f, primes, witnesses=False).measures
+        expect["bs0"] = block_sensitivity(f, at=0)
         for key, want in expect.items():
             got = int(a[key][row])
             if got != want:

@@ -82,12 +82,12 @@ def _emit(payload) -> None:
 def _cmd_measures(args) -> int:
     f = _load_source(args.source)
     primes = _parse_primes(args.primes)
+    at = None if args.at is None else parse_point(args.at, f.n)
     subcubes = _LatticeMeasures(f, _limits_for(f, args.override_ceilings) or {})
     rep = _measure_report(subcubes, primes, witnesses=True)
-    if args.at is not None:
+    if at is not None:
         # pointwise values for the point-dependent measures, appended as extras;
         # C reads the report's subcube table
-        at = parse_point(args.at, f.n)
         rep.measures["s_at"] = sensitivity(f, at=at)
         try:
             rep.measures["bs_at"] = block_sensitivity(
@@ -101,7 +101,7 @@ def _cmd_measures(args) -> int:
         _emit(data)
     elif args.format == "csv":
         names = list(_MEASURE_CSV_ORDER) + [f"deg_{p}" for p in primes]
-        if args.at is not None:
+        if at is not None:
             names += ["s_at", "bs_at", "C_at"]
         header = ["function", "arity"] + names + ["skipped"]
         row = [data["function"], str(data["arity"])]

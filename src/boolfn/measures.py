@@ -29,7 +29,7 @@ from ._bitops import (
     xor_shift,
     xor_shuffle,
 )
-from .core import TruthTable, tt_serialize
+from .core import TruthTable, _check_point, tt_serialize
 from .spectral import (
     WALSH,
     _degrees,
@@ -258,18 +258,20 @@ def _sensitivity_bound(f: TruthTable) -> np.ndarray:
     return s + (f.n - s) // 2
 
 
-def _bs_search(f: TruthTable, bound: np.ndarray, witness: bool, tighten=None):
-    """Maximum pointwise block sensitivity under an upper bound per input.
+def _bs_search(f: TruthTable, bound: np.ndarray, tighten=None) -> tuple[int, int]:
+    """Maximum pointwise block sensitivity under an upper bound per input,
+    and its smallest maximizing input.
 
     Visits the inputs by descending bound, then ascending input, and stops
     at the first input that can neither beat the best value nor tie it at a
     smaller input.  A tie replaces the best only at a smaller input, so the
-    witness is the smallest maximizing input, as in a scan of every input.
+    maximizer is the smallest one, as in a scan of every input.  The caller
+    packs the witness family there (``_bs_point``).
 
     Once n inputs (n the arity) have not settled it, ``tighten`` may hand
     it a tighter bound, or None: the inputs not yet visited are then
     re-ordered under that bound, and the best so far is kept.  The stop
-    rule holds under any valid upper bound, so the value and the witness
+    rule holds under any valid upper bound, so the value and the maximizer
     do not depend on the switch, only the number of inputs visited.
     """
     order = np.argsort(-bound, kind="stable").tolist()
@@ -291,15 +293,7 @@ def _bs_search(f: TruthTable, bound: np.ndarray, witness: bool, tighten=None):
         if v > best or (v == best and x < best_at):
             best, best_at = v, x
         pos += 1
-    if not witness:
-        return best
-    _, fam = _bs_point(f, best_at, True)
-    return best, fam
-
-
-def _check_point(at: int, n: int) -> None:
-    if not 0 <= at < table_size(n):
-        raise ValueError(f"assignment {at} out of range for arity {n}")
+    return best, best_at
 
 
 def block_sensitivity(
@@ -481,14 +475,16 @@ class _LatticeMeasures:
     since bs(f,x) <= C(f,x), from its first input if the table exists;
     otherwise under u alone until n inputs have not settled it, and then
     it builds the table if it fits the byte budget, whatever the C and DT
-    ceilings say.  A caller that reads C or DT after bs builds the table
-    first (``prepare``).
+    ceilings say.  The search runs once: its value and smallest maximizer
+    are kept, so a later call with ``witness`` only packs the family at
+    that input.
     """
 
     def __init__(self, f: TruthTable, limits: dict):
         self.f = f
         self.limits = limits
         self._table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._bs: tuple[int, int] | None = None
 
     def _skip(self, measure: str) -> ArityLimitError | None:
         """The skip that keeps ``measure`` off the table: ceiling, then budget."""
@@ -513,12 +509,6 @@ class _LatticeMeasures:
             raise skip
         return self._build()
 
-    def prepare(self) -> None:
-        """Build the table now if C or DT will read it, for a caller that
-        runs bs first."""
-        if self._skip("C") is None or self._skip("DT") is None:
-            self._build()
-
     def _certificate_bound(self, bound: np.ndarray) -> np.ndarray | None:
         """min(bound, C(f,x)) at every input x; None where the table would
         exceed its byte budget."""
@@ -531,10 +521,14 @@ class _LatticeMeasures:
     def block_sensitivity(self, witness: bool):
         f = self.f
         _ensure_limit("bs", f.n, self.limits.get("bs"))
-        bound = _sensitivity_bound(f)
-        if self._table is not None:
-            return _bs_search(f, self._certificate_bound(bound), witness)
-        return _bs_search(f, bound, witness, self._certificate_bound)
+        if self._bs is None:
+            bound = _sensitivity_bound(f)
+            if self._table is not None:
+                self._bs = _bs_search(f, self._certificate_bound(bound))
+            else:
+                self._bs = _bs_search(f, bound, self._certificate_bound)
+        val, point = self._bs
+        return (val, _bs_point(f, point, True)[1]) if witness else val
 
     def certificate(self, witness: bool, at: int | None = None):
         n = self.f.n
@@ -1034,7 +1028,14 @@ def measure_report(
 
 
 def _measure_report(subcubes: _LatticeMeasures, primes, witnesses: bool) -> MeasureReport:
-    """``measure_report`` on a caller's subcube table, which it may read further."""
+    """``measure_report`` on a caller's subcube table, which it may read further.
+
+    This is the one list of a function's measures, in report order, and the
+    one place that decides to build the table between s and bs.  A caller
+    passes its own table when it reads more after the report: the CLI's
+    pointwise C, or ``inequality_suite``'s bs family, which the kept search
+    packs without a second search.
+    """
     f, limits = subcubes.f, subcubes.limits
     rep = MeasureReport(f, tuple(primes))
 
@@ -1053,7 +1054,8 @@ def _measure_report(subcubes: _LatticeMeasures, primes, witnesses: bool) -> Meas
 
     w = witnesses
     run("s", lambda: sensitivity(f, witness=w))
-    subcubes.prepare()
+    if subcubes._skip("C") is None or subcubes._skip("DT") is None:
+        subcubes._build()
     run("bs", lambda: subcubes.block_sensitivity(w))
     run("C", lambda: subcubes.certificate(w))
     run("alt", lambda: alternation(f, witness=w))

@@ -77,7 +77,9 @@ def _golden_suite_functions():
         "maj(5)": maj(5),
         "tree_function(3)": tree_function(3),
     })
-    fs.update({f"random({n})": _seeded(n) for n in (5, 6, 7)})
+    # 13: C skipped; 14: C and DT skipped, bs and bs(f,0) run; 15: bs and
+    # bs(f,0) skipped with one reason
+    fs.update({f"random({n})": _seeded(n) for n in (5, 6, 7, 13, 14, 15)})
     return fs
 
 
@@ -116,6 +118,9 @@ SUITE_DIGESTS = {
     "random(5)": "4707a94de27d7f5992939d7a61eaa9bcb790f620913c1bf6a8d96ee70c6e85a8",
     "random(6)": "3bc289ac6d842f185b89289877983058eb04113712b1772a57071de88ad70779",
     "random(7)": "7f6df0e341c432e75afefe4cf12110f754fb83b9327bf5192f038c453d6091ba",
+    "random(13)": "8a957bb8e22623691f7673f99f68989db9c53a7b03a58f4c96f375fb7c7e0166",
+    "random(14)": "ef81701d277a455e0959009dd439ecb251197433bfe8a8aaab0bfba52d7fdb0a",
+    "random(15)": "69a85a760c0658519247f3bc9ceea515311dbddf0ac7dd09079a7c479d0d2e90",
 }
 
 # sha256 of each extremal_search JSON: exhaustive at n <= 4, sampled at n = 6

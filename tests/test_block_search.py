@@ -14,6 +14,7 @@ from boolfn import (
     validate_block_family,
 )
 from boolfn import measures
+from boolfn.checks import inequality_suite
 from boolfn.families import gip, maj, parity, rubinstein, tree_function
 from boolfn.measures import _sensitivity_bound
 
@@ -100,6 +101,9 @@ def test_search_stops_at_first_unbeatable_point(monkeypatch):
     f = rubinstein(3, 3)
     assert _visits(monkeypatch, lambda: block_sensitivity(f)) <= f.n + 1
     assert _visits(monkeypatch, lambda: measure_report(f, witnesses=False)) == 1
+    # the suite takes bs from the report and keeps its search: one input
+    # searched, the family packed at it, and bs(f,0)
+    assert _visits(monkeypatch, lambda: inequality_suite(f)) == 3
     # with no byte budget for the table the search keeps u, with the same result
     want = block_sensitivity(f, witness=True)
     monkeypatch.setattr(measures, "_LATTICE_BUDGET", 0)

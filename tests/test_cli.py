@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from boolfn import cli
 from boolfn.cli import main
 from boolfn.commlb import BitMatrix
 
@@ -251,6 +252,15 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "measures", "fam:nope:n=2")[0] == 2
     assert run_cli(capsys, "check", "mystery")[0] == 2
     assert run_cli(capsys, "measures", "fam:parity:n=4", "--primes", "x")[0] == 2
+
+
+def test_measures_bad_point_exits_2_before_the_report(monkeypatch, capsys):
+    def no_report(*args, **kwargs):
+        raise AssertionError("the report ran before --at was parsed")
+
+    monkeypatch.setattr(cli, "_measure_report", no_report)
+    code, out, err = run_cli(capsys, "measures", "tt:2:8", "--at", "1x")
+    assert code == 2 and out == "" and "error:" in err
 
 
 def test_unknown_subcommand_exits_2():
