@@ -105,8 +105,8 @@ def point_to_str(x: int, n: int) -> str:
 
 
 def point_from_str(s: str) -> tuple[int, int]:
-    """Bitstring -> (packed assignment, arity)."""
-    if not s or any(c not in "01" for c in s):
+    """Bitstring -> (packed assignment, arity); the empty string is the arity-0 point."""
+    if any(c not in "01" for c in s):
         raise ValueError(f"not a bitstring: {s!r}")
     x = 0
     for i, c in enumerate(s):

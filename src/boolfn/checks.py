@@ -26,7 +26,6 @@ it, and the scan compares them with the arrays on its sampled functions.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable
@@ -427,9 +426,8 @@ _EQ_CHECKS = {
 }
 
 
-def _scan_slice(args) -> dict:
+def _scan_slice(n: int, lo: int, hi: int, primes: tuple) -> dict:
     """Every check on the function ids [lo, hi) of arity n, one slice of ``_bulk._slices``."""
-    n, lo, hi, primes = args
     a = _bulk.measure_arrays(n, lo, hi, primes)
     a["n"] = n
     ids = a["ids"]
@@ -544,7 +542,7 @@ def _scan_slice(args) -> dict:
     }
 
 
-def exhaustive_scan(n: int, primes=(2, 3), workers: int = 1) -> CheckReport:
+def exhaustive_scan(n: int, primes=(2, 3)) -> CheckReport:
     """Run every check on every function of arity n (n <= 4).
 
     The function ids are walked in the fixed slices of ``_bulk._slices``
@@ -555,18 +553,12 @@ def exhaustive_scan(n: int, primes=(2, 3), workers: int = 1) -> CheckReport:
     functions are recomputed with the per-function measure API and the
     per-function transforms and compared field by field, and at
     n <= ``_SUBMATRIX_MAX_ARITY`` every function's submatrix identity is
-    checked.  ``workers`` > 1 measures the slices in a process pool.  The
-    slice results merge in id order and the findings are capped after the
-    merge, so the report does not depend on the slices or the workers.
+    checked.  The slice results merge in id order and the findings are
+    capped after the merge, so the report does not depend on the slicing.
     """
     if not 0 <= n <= _bulk.MAX_BULK_ARITY:
         raise ValueError(f"exhaustive scan supports 0 <= n <= {_bulk.MAX_BULK_ARITY}")
-    args = [(n, lo, hi, tuple(primes)) for lo, hi in _bulk._slices(n)]
-    if workers > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
-            chunks = list(pool.map(_scan_slice, args))
-    else:
-        chunks = [_scan_slice(arg) for arg in args]
+    chunks = [_scan_slice(n, lo, hi, tuple(primes)) for lo, hi in _bulk._slices(n)]
 
     counts: dict = {}
     worst: dict = {}
@@ -627,6 +619,10 @@ def exhaustive_scan(n: int, primes=(2, 3), workers: int = 1) -> CheckReport:
 # family acceptance suite
 
 
+# random OR-compositions checked for exact alternation additivity
+_OR_TUPLES = 20
+
+
 def _random_zero_ended_tuple(rng: np.random.Generator, max_total: int = 12):
     """Random functions with f(0)=f(1^n)=0, disjointly composable under OR."""
     fs = []
@@ -644,9 +640,7 @@ def _random_zero_ended_tuple(rng: np.random.Generator, max_total: int = 12):
     return fs
 
 
-def family_suite(
-    include_long: bool = False, seed: int = 1, or_tuples: int = 20
-) -> CheckReport:
+def family_suite(include_long: bool = False, seed: int = 1) -> CheckReport:
     """Checks specific to the named families, end to end."""
     report = CheckReport("family", "families")
     add = report.checks.append
@@ -716,7 +710,7 @@ def family_suite(
               alternation(comp), 4, holds(alternation(comp) == 4)))
     rng = np.random.default_rng(seed)
     bad = 0
-    for _ in range(or_tuples):
+    for _ in range(_OR_TUPLES):
         fs = _random_zero_ended_tuple(rng)
         if not fs:
             continue
@@ -725,7 +719,7 @@ def family_suite(
         if lhs != rhs:
             bad += 1
     add(Check("or_compose_random", "alt(OR composition) == sum of alt", "proven",
-              bad, 0, holds(bad == 0), {"tuples": or_tuples, "seed": seed}))
+              bad, 0, holds(bad == 0), {"tuples": _OR_TUPLES, "seed": seed}))
     and2 = and_(2)
     viol = or_compose([and2, and2])
     add(Check("or_compose_hypothesis_violation",

@@ -184,7 +184,7 @@ def _cmd_check(args) -> int:
             )
         elif suite.startswith("exhaustive:"):
             n = int(suite.split(":", 1)[1])
-            report = exhaustive_scan(n, primes=primes, workers=args.workers)
+            report = exhaustive_scan(n, primes=primes)
         elif suite == "family":
             report = family_suite(include_long=args.long, seed=args.seed)
         else:
@@ -274,11 +274,6 @@ def _add_common(parser: argparse.ArgumentParser, *flags: str) -> None:
     options = {
         "--primes": dict(default="2,3", help="comma-separated primes (default 2,3)"),
         "--seed": dict(type=int, default=0),
-        "--workers": dict(
-            type=int,
-            default=int(os.environ.get("BOOLFN_WORKERS", "1")),
-            help="parallel workers for scans (default $BOOLFN_WORKERS or 1)",
-        ),
         "--override-ceilings": dict(
             action="store_true",
             help="lift per-measure arity ceilings to the function's arity",
@@ -318,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", help="function | exhaustive:N | family")
     p.add_argument("source", nargs="?")
     p.add_argument("--long", action="store_true", help="include the long family checks")
-    _add_common(p, "--primes", "--seed", "--workers", "--override-ceilings")
+    _add_common(p, "--primes", "--seed", "--override-ceilings")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("comm", help="communication-bound certificates for f(x AND y)")

@@ -134,13 +134,14 @@ class LowerBoundCertificate:
 
 
 _FULL_PAIR_BUDGET = 1 << 22
+# pairs drawn from W x W when the full grid exceeds the budget
+_SAMPLE_PAIRS = 4096
 
 
 def submatrix_witness(
     f: TruthTable,
     limit: int | None = None,
     seed: int = 0,
-    sample_pairs: int = 4096,
 ) -> LowerBoundCertificate:
     """Certificate that the AND-matrix of f contains the AND-matrix of g.
 
@@ -168,8 +169,8 @@ def submatrix_witness(
     else:
         mode = "sampled"
         rng = np.random.default_rng(seed)
-        us = w[rng.integers(0, w.size, sample_pairs)]
-        ys = w[rng.integers(0, w.size, sample_pairs)]
+        us = w[rng.integers(0, w.size, _SAMPLE_PAIRS)]
+        ys = w[rng.integers(0, w.size, _SAMPLE_PAIRS)]
     meet = us & ys
     farr, garr = f.to_array(), g.to_array()
     bad = np.argwhere(farr[meet] != garr[meet])

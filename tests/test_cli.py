@@ -101,6 +101,17 @@ def test_transform_bs2s(capsys):
     assert data["certificate"]["equality_holds"] is True
 
 
+def test_arity_zero_point_is_the_empty_string(capsys):
+    code, out, _ = run_cli(capsys, "transform", "bs2s", "tt:0:1", "--at", "")
+    assert code == 0
+    assert json.loads(out)["certificate"]["point"] == ""
+    code, out, _ = run_cli(capsys, "measures", "tt:0:1", "--at", "", "--format", "csv")
+    assert code == 0
+    header, row = (line.split(",") for line in out.strip().splitlines())
+    assert header[-4:] == ["s_at", "bs_at", "C_at", "skipped"]
+    assert row[-4:] == ["0", "0", "0", ""]
+
+
 def test_transform_bs2s_needs_point(capsys):
     code, _, err = run_cli(capsys, "transform", "bs2s", "fam:or:n=3")
     assert code == 2 and "needs --at" in err
@@ -271,6 +282,7 @@ def test_unknown_subcommand_exits_2():
 
 @pytest.mark.parametrize("argv", [
     ["measures", "fam:parity:n=3", "--workers", "2"],
+    ["check", "exhaustive:3", "--workers", "2"],
     ["search", "--n", "2", "--statistic", "salt_minus_s", "--primes", "2"],
 ])
 def test_option_a_subcommand_does_not_read_exits_2(capsys, argv):
@@ -284,6 +296,18 @@ def test_stdout_is_pure_payload(capsys):
     code, out, err = run_cli(capsys, "measures", "fam:parity:n=3")
     assert code == 0 and err == ""
     json.loads(out)  # parses as-is
+
+
+@pytest.mark.parametrize("module", ["boolfn", "boolfn.cli"])
+def test_import_loads_no_process_pool(module):
+    """The scan is serial, so no import pulls in the multiprocessing machinery."""
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entrypoint_subprocess():

@@ -217,3 +217,8 @@ def test_point_strings():
         parse_point("10", 3)
     with pytest.raises(ValueError):
         parse_point("102", 3)
+    # the arity-0 point prints as the empty string and parses back
+    assert parse_point("", 0) == 0
+    assert point_to_str(0, 0) == ""
+    with pytest.raises(ValueError):
+        parse_point("", 2)
