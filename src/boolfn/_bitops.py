@@ -91,12 +91,7 @@ def butterfly(a: np.ndarray, step) -> np.ndarray:
 @lru_cache(maxsize=None)
 def popcounts(n: int) -> np.ndarray:
     """Popcount of every index below 2**n, as uint8."""
-    size = 1 << n
-    idx = np.arange(size, dtype=np.uint32)
-    pc = np.zeros(size, dtype=np.uint8)
-    for i in range(n):
-        pc += ((idx >> i) & 1).astype(np.uint8)
-    return pc
+    return np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
 
 
 def point_to_str(x: int, n: int) -> str:

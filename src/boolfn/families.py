@@ -1,6 +1,9 @@
 """Generators for the named function families used throughout the test suites.
 
 All generators return plain ``TruthTable`` values and are deterministic.
+Each table is a numpy expression over the array of input indices (or, for
+the sparse ones, the packed int itself); ``TruthTable.from_callable`` is for
+callers' own per-input rules.
 The text grammar ``fam:<name>:<k>=<v>,...`` (for example ``fam:tree:k=3`` or
 ``fam:rubinstein:m=4,n=4``) builds the same functions from the command line.
 """
@@ -10,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import MAX_ARITY, FormatError, TruthTable
-from ._bitops import pack, table_size
+from ._bitops import pack, popcounts, table_mask, table_size
 
 __all__ = [
     "tree_function",
@@ -47,16 +50,13 @@ def tree_function(k: int) -> TruthTable:
         raise ValueError("tree depth must be at least 1")
     n = (1 << k) - 1
     _guard_arity(n)
-
-    def walk(x: int) -> int:
-        node = 1
-        value = 0
-        while node <= n:
-            value = (x >> (node - 1)) & 1
-            node = 2 * node + value
-        return value
-
-    return TruthTable.from_callable(walk, n)
+    x = np.arange(table_size(n), dtype=np.uint32)
+    # every input reads exactly k nodes, one per level
+    node = np.ones_like(x)
+    for _ in range(k):
+        value = (x >> (node - 1)) & 1
+        node = 2 * node + value
+    return TruthTable(n, pack(value))
 
 
 def rubinstein_row(n: int) -> TruthTable:
@@ -68,12 +68,7 @@ def rubinstein_row(n: int) -> TruthTable:
     if n < 1:
         raise ValueError("row length must be at least 1")
     _guard_arity(n)
-    accepted = {(0b11 << i) for i in range(0, n - 1, 2)}
-
-    def h(x: int) -> int:
-        return 1 if x in accepted else 0
-
-    return TruthTable.from_callable(h, n)
+    return TruthTable(n, sum(1 << (0b11 << i) for i in range(0, n - 1, 2)))
 
 
 def or_compose(fs) -> TruthTable:
@@ -102,16 +97,12 @@ def gip(n: int, k: int) -> TruthTable:
     if n < 1 or k < 1:
         raise ValueError("gip needs n, k >= 1")
     _guard_arity(n * k)
+    z = np.arange(table_size(n * k), dtype=np.uint32)
     block = (1 << k) - 1
-
-    def f(z: int) -> int:
-        acc = 0
-        for i in range(n):
-            if (z >> (i * k)) & block == block:
-                acc ^= 1
-        return acc
-
-    return TruthTable.from_callable(f, n * k)
+    acc = np.zeros(z.size, dtype=bool)
+    for i in range(n):
+        acc ^= (z >> (i * k)) & block == block
+    return TruthTable(n * k, pack(acc))
 
 
 def ip(n: int) -> TruthTable:
@@ -119,12 +110,9 @@ def ip(n: int) -> TruthTable:
     if n < 1:
         raise ValueError("ip needs n >= 1")
     _guard_arity(2 * n)
-    mask = (1 << n) - 1
-
-    def f(z: int) -> int:
-        return ((z & mask) & (z >> n)).bit_count() & 1
-
-    return TruthTable.from_callable(f, 2 * n)
+    z = np.arange(table_size(2 * n), dtype=np.uint32)
+    # z >> n is y, so the AND keeps exactly the bits of x & y
+    return TruthTable(2 * n, pack(np.bitwise_count(z & (z >> n)) & 1))
 
 
 def maj(n: int) -> TruthTable:
@@ -132,32 +120,28 @@ def maj(n: int) -> TruthTable:
     if n < 1:
         raise ValueError("maj needs n >= 1")
     _guard_arity(n)
-    threshold = (n + 1) // 2
-    return TruthTable.from_callable(lambda x: 1 if x.bit_count() >= threshold else 0, n)
+    return TruthTable(n, pack(popcounts(n) >= (n + 1) // 2))
 
 
 def parity(n: int) -> TruthTable:
     _guard_arity(n)
-    return TruthTable.from_callable(lambda x: x.bit_count() & 1, n)
+    return TruthTable(n, pack(popcounts(n) & 1))
 
 
 def and_(n: int) -> TruthTable:
     _guard_arity(n)
-    full = table_size(n) - 1
-    return TruthTable.from_callable(lambda x: 1 if x == full else 0, n)
+    return TruthTable(n, 1 << (table_size(n) - 1))
 
 
 def or_(n: int) -> TruthTable:
     _guard_arity(n)
-    return TruthTable.from_callable(lambda x: 1 if x else 0, n)
+    return TruthTable(n, table_mask(n) ^ 1)
 
 
 def const(b: int, n: int = 0) -> TruthTable:
     _guard_arity(n)
     if b not in (0, 1):
         raise ValueError("constant must be 0 or 1")
-    from ._bitops import table_mask
-
     return TruthTable(n, table_mask(n) if b else 0)
 
 

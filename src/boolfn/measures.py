@@ -994,10 +994,10 @@ class MeasureReport:
             elif name.startswith("deg"):
                 wit[name] = {"monomial": list(mask_indices(w))}
             elif name == "sparsity":
-                support = w.support()
-                entry = {"support_size": len(support)}
-                if len(support) <= 64:
-                    entry["support"] = [list(mask_indices(s)) for s in support]
+                count = w.nonzero_count()
+                entry = {"support_size": count}
+                if count <= 64:
+                    entry["support"] = [list(mask_indices(s)) for s in w.support()]
                 wit[name] = entry
             elif name == "DT":
                 wit[name] = {"tree": w}

@@ -3,13 +3,17 @@
 Everything here works from single-point evaluation only (``TruthTable.value_at``),
 by direct enumeration over points, blocks, subsets, chains, or characters, so
 these oracles share no algorithmic path with the library code they check.
-Only usable at small arity.
+Only usable at small arity.  The ``naive_*`` family definitions at the end
+state each named family one input at a time, tabulated by
+``TruthTable.from_callable``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations
+
+from boolfn import TruthTable
 
 
 def naive_sensitivity(f, a=None):
@@ -235,3 +239,62 @@ def random_table(rng, n):
         if rng.integers(0, 2):
             bits |= 1 << x
     return bits
+
+
+# ---------------------------------------------------------------------------
+# named families, one input at a time
+
+
+def naive_tree_function(k):
+    n = (1 << k) - 1
+
+    def walk(x):
+        node = 1
+        value = 0
+        while node <= n:
+            value = (x >> (node - 1)) & 1
+            node = 2 * node + value
+        return value
+
+    return TruthTable.from_callable(walk, n)
+
+
+def naive_rubinstein_row(n):
+    accepted = {(0b11 << i) for i in range(0, n - 1, 2)}
+    return TruthTable.from_callable(lambda x: 1 if x in accepted else 0, n)
+
+
+def naive_gip(n, k):
+    block = (1 << k) - 1
+
+    def f(z):
+        acc = 0
+        for i in range(n):
+            if (z >> (i * k)) & block == block:
+                acc ^= 1
+        return acc
+
+    return TruthTable.from_callable(f, n * k)
+
+
+def naive_ip(n):
+    mask = (1 << n) - 1
+    return TruthTable.from_callable(lambda z: ((z & mask) & (z >> n)).bit_count() & 1, 2 * n)
+
+
+def naive_maj(n):
+    threshold = (n + 1) // 2
+    return TruthTable.from_callable(lambda x: 1 if x.bit_count() >= threshold else 0, n)
+
+
+def naive_parity(n):
+    return TruthTable.from_callable(lambda x: x.bit_count() & 1, n)
+
+
+def naive_and(n):
+    full = (1 << n) - 1
+    return TruthTable.from_callable(lambda x: 1 if x == full else 0, n)
+
+
+def naive_or(n):
+    return TruthTable.from_callable(lambda x: 1 if x else 0, n)

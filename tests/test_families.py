@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from boolfn import FormatError, TruthTable, alternation, modp_degree, sensitivity
+from boolfn import MAX_ARITY, FormatError, TruthTable, alternation, modp_degree, sensitivity
 from boolfn.families import (
     and_,
     const,
@@ -17,7 +17,35 @@ from boolfn.families import (
     tree_function,
 )
 
-from oracles import random_table
+from oracles import (
+    naive_and,
+    naive_gip,
+    naive_ip,
+    naive_maj,
+    naive_or,
+    naive_parity,
+    naive_rubinstein_row,
+    naive_tree_function,
+    random_table,
+)
+
+# (grammar name, generator, per-input oracle, parameters), every parameter
+# tuple with arity <= 12, then the largest tables the suites and the CLI use
+_SMALL = 12
+_ORACLE_CASES = (
+    [("tree", tree_function, naive_tree_function, (k,)) for k in (1, 2, 3)]
+    + [("rubinstein_row", rubinstein_row, naive_rubinstein_row, (n,)) for n in range(1, _SMALL + 1)]
+    + [("gip", gip, naive_gip, (n, k))
+       for n in range(1, _SMALL + 1) for k in range(1, _SMALL // n + 1)]
+    + [("ip", ip, naive_ip, (n,)) for n in range(1, _SMALL // 2 + 1)]
+    + [("maj", maj, naive_maj, (n,)) for n in range(1, _SMALL + 1)]
+    + [(name, gen, oracle, (n,))
+       for name, gen, oracle in (("parity", parity, naive_parity), ("and", and_, naive_and),
+                                 ("or", or_, naive_or))
+       for n in range(_SMALL + 1)]
+    + [("ip", ip, naive_ip, (9,)), ("maj", maj, naive_maj, (17,)),
+       ("tree", tree_function, naive_tree_function, (4,))]
+)
 
 
 def test_tree_function_small():
@@ -143,3 +171,38 @@ def test_family_spec_grammar():
 def test_family_spec_errors(bad):
     with pytest.raises(FormatError):
         from_family_spec(bad)
+
+
+@pytest.mark.parametrize(
+    "gen,oracle,params",
+    [case[1:] for case in _ORACLE_CASES],
+    ids=[f"{case[0]}{case[3]}" for case in _ORACLE_CASES],
+)
+def test_generator_matches_per_input_oracle(gen, oracle, params):
+    assert gen(*params) == oracle(*params)
+
+
+# the smallest parameters whose arity exceeds MAX_ARITY, with their grammar keys
+_OVER_CEILING = [
+    ("tree", tree_function, {"k": 5}),
+    ("rubinstein_row", rubinstein_row, {"n": MAX_ARITY + 1}),
+    ("rubinstein", rubinstein, {"m": 1, "n": MAX_ARITY + 1}),
+    ("gip", gip, {"n": MAX_ARITY + 1, "k": 1}),
+    ("ip", ip, {"n": (MAX_ARITY + 2) // 2}),
+    ("maj", maj, {"n": MAX_ARITY + 1}),
+    ("parity", parity, {"n": MAX_ARITY + 1}),
+    ("and", and_, {"n": MAX_ARITY + 1}),
+    ("or", or_, {"n": MAX_ARITY + 1}),
+    ("const", const, {"b": 1, "n": MAX_ARITY + 1}),
+]
+
+
+@pytest.mark.parametrize("name,gen,params", _OVER_CEILING, ids=[c[0] for c in _OVER_CEILING])
+def test_guard_runs_before_the_table_is_built(name, gen, params):
+    # TruthTable's own arity check words its error differently, so this
+    # message shows the family's guard rejected the arity first
+    with pytest.raises(ValueError, match="exceeds the table ceiling"):
+        gen(**params)
+    spec = f"fam:{name}:" + ",".join(f"{k}={v}" for k, v in params.items())
+    with pytest.raises(FormatError, match="exceeds the table ceiling"):
+        from_family_spec(spec)

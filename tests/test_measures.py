@@ -22,7 +22,7 @@ from boolfn import (
     validate_chain,
     validate_decision_tree,
 )
-from boolfn.families import and_, gip, maj, or_, parity, rubinstein, rubinstein_row, tree_function
+from boolfn.families import and_, gip, ip, maj, or_, parity, rubinstein, rubinstein_row, tree_function
 
 from oracles import (
     naive_alternation,
@@ -289,6 +289,17 @@ def test_measure_report_parity4():
     assert data["function"] == "tt:4:6996"
     assert data["skipped"] == []
     assert data["witnesses"]["deg_2"]["monomial"] in ([1], [2], [3], [4])
+
+
+@pytest.mark.parametrize("f", [ip(4), parity(4)], ids=["ip4", "parity4"])
+def test_report_support_size_is_the_sparsity(f):
+    rep = measure_report(f)
+    entry = rep.to_json_dict()["witnesses"]["sparsity"]
+    assert entry["support_size"] == rep.measures["sparsity"] == naive_sparsity(f)
+    # the support list is written out only for a small spectrum
+    assert ("support" in entry) == (entry["support_size"] <= 64)
+    if "support" in entry:
+        assert len(entry["support"]) == entry["support_size"]
 
 
 def test_measure_report_constant():
