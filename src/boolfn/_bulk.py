@@ -14,7 +14,10 @@ as ``measure_arrays`` returns them.  Callers walk the function ids in the
 fixed slices of ``_slices`` (``_SLICE`` ids each: n <= 3 is one slice,
 n = 4 is four) and pass one slice at a time to ``measure_arrays``, which
 bounds the memory of every kernel, the packing table and the subcube table
-included.  The kernels:
+included.  A caller that reads only some measures names them in ``needs``,
+and only the kernels they read run: ``extremal_search`` passes its
+statistic's, so ranking by salt/s runs the s and alternation kernels alone,
+while the scan reads every measure.  The kernels:
 
 * ``measures``: pointwise sensitivity, the packed level sets of alt and
   salt (``measures._alternation_by_shift``), which take the slice's
@@ -44,8 +47,11 @@ the packer; the walk takes the families by its rule
 (``measures._lex_min_family``), so both give the same witnesses.
 
 The scan reuses the sensitivity and sparsity kernels on the transformed
-tables g, and cross-checks these arrays and the transforms built from the
-families against the per-function API on a deterministic subsample.  That
+tables g, checks every function's submatrix identity at n <= 3 with the
+kernel of ``commlb.submatrix_witness`` on the families at 0, and
+cross-checks these arrays, the transforms built from the families and the
+submatrix certificates against the per-function API on a deterministic
+subsample.  That
 guards the batching (dtypes, the function axis) and compares two algorithms
 for bs (the DP and the packer).  alt and salt share the API's kernel, so
 their independent checks are the scan's check of each alternation chain of
@@ -150,7 +156,7 @@ def _families(B: np.ndarray, cols: np.ndarray, at: np.ndarray) -> np.ndarray:
     return fam.reshape(k, n)
 
 
-def measure_arrays(n: int, lo: int, hi: int, primes=(2, 3)) -> dict:
+def measure_arrays(n: int, lo: int, hi: int, primes=(2, 3), needs=None) -> dict:
     """Every scalar measure for each function id in [lo, hi), as 1-D arrays.
 
     All functions are measured at once, so callers pass one slice of
@@ -161,50 +167,71 @@ def measure_arrays(n: int, lo: int, hi: int, primes=(2, 3)) -> dict:
     (``fam0``) and there (``fam_argmax``), the ``BlockFamily`` witnesses of
     ``block_sensitivity``.  Each is an (m, n) array of blocks, ascending and
     zero-padded, from which the transforms are built.
+
+    ``needs`` names the measures the caller reads, as the ``needs`` of a
+    ``checks`` statement row do (``"deg_p"`` for every ``deg_{p}``,
+    ``"sherstov"`` for the families at the maximizer).  A kernel group runs
+    only if one of them reads it: s; the bs packings (``bs``, ``bs0``,
+    ``depends_on_all``, ``bs_argmax``); the family walk (``fam0``,
+    ``fam_argmax``), for ``"sherstov"`` only; alt and salt; deg and deg_p;
+    sparsity; the subcube table (C and DT).  ``None`` runs every group.
+    Each value returned is the full call's.
     """
     if n > MAX_BULK_ARITY:
         raise ValueError(f"bulk engine supports arity <= {MAX_BULK_ARITY}")
+
+    def wants(*names) -> bool:
+        return needs is None or any(name in needs for name in names)
+
     t = _tables(n, lo, hi)
     out: dict = {"ids": np.arange(lo, hi, dtype=np.int64)}
 
-    out["s"] = _pointwise_sensitivity(t).max(axis=0).astype(np.int64)
+    if wants("s"):
+        out["s"] = _pointwise_sensitivity(t).max(axis=0).astype(np.int64)
 
     # block sensitivity by the subset DP: bs(f, x) packs the full free set,
     # and a variable is relevant iff its singleton block flips f somewhere
-    B = _packings(t)
-    out["depends_on_all"] = B[[1 << i for i in range(n)]].any(axis=1).all(axis=0)
-    bs_pt = B[-1]
-    bs_all = bs_pt.max(axis=0)
-    argmax = np.argmax(bs_pt == bs_all, axis=0)
-    out["bs"] = bs_all.astype(np.int64)
-    out["bs0"] = bs_pt[0].astype(np.int64)
-    out["bs_argmax"] = argmax.astype(np.int64)
-    out["fam0"] = _families(B, np.arange(t.shape[1]), np.zeros_like(argmax))
-    # the family at a maximizer 0 is fam0
-    moved = np.flatnonzero(argmax)
-    out["fam_argmax"] = out["fam0"].copy()
-    out["fam_argmax"][moved] = _families(B, moved, argmax[moved])
-    del B, bs_pt
+    if wants("bs", "bs0", "depends_on_all", "bs_argmax", "sherstov"):
+        B = _packings(t)
+        out["depends_on_all"] = B[[1 << i for i in range(n)]].any(axis=1).all(axis=0)
+        bs_pt = B[-1]
+        bs_all = bs_pt.max(axis=0)
+        argmax = np.argmax(bs_pt == bs_all, axis=0)
+        out["bs"] = bs_all.astype(np.int64)
+        out["bs0"] = bs_pt[0].astype(np.int64)
+        out["bs_argmax"] = argmax.astype(np.int64)
+        if wants("sherstov"):
+            out["fam0"] = _families(B, np.arange(t.shape[1]), np.zeros_like(argmax))
+            # the family at a maximizer 0 is fam0
+            moved = np.flatnonzero(argmax)
+            out["fam_argmax"] = out["fam0"].copy()
+            out["fam_argmax"][moved] = _families(B, moved, argmax[moved])
+        del B, bs_pt
 
-    # a function id is its packed table
-    alt_by_shift = _alternation_by_shift(np.arange(lo, hi, dtype=np.uint64), n)
-    out["alt"] = alt_by_shift[:, 0].astype(np.int64)
-    out["salt"] = alt_by_shift.min(axis=1).astype(np.int64)
-    out["salt_argmin"] = np.argmin(alt_by_shift, axis=1).astype(np.int64)
+    if wants("alt", "salt"):
+        # a function id is its packed table
+        alt_by_shift = _alternation_by_shift(np.arange(lo, hi, dtype=np.uint64), n)
+        out["alt"] = alt_by_shift[:, 0].astype(np.int64)
+        out["salt"] = alt_by_shift.min(axis=1).astype(np.int64)
+        out["salt_argmin"] = np.argmin(alt_by_shift, axis=1).astype(np.int64)
 
-    # |coefficients| <= 2**(n-1), so int16 holds them; the mod-p coefficients
-    # are these reduced mod p
-    coeffs = _moebius_rows(t, np.int16)
-    out["deg"] = _degrees(coeffs).astype(np.int64)
-    for p in primes:
-        out[f"deg_{p}"] = _degrees(coeffs % p).astype(np.int64)
-    del coeffs
+    if wants("deg", "deg_p"):
+        # |coefficients| <= 2**(n-1), so int16 holds them; the mod-p
+        # coefficients are these reduced mod p
+        coeffs = _moebius_rows(t, np.int16)
+        out["deg"] = _degrees(coeffs).astype(np.int64)
+        for p in primes:
+            out[f"deg_{p}"] = _degrees(coeffs % p).astype(np.int64)
+        del coeffs
 
-    out["sparsity"] = _sparsities(_walsh_rows(t, np.int32))
+    if wants("sparsity"):
+        out["sparsity"] = _sparsities(_walsh_rows(t, np.int32))
 
-    # C is n minus the smallest free set of a largest constant subcube through
-    # a point; the key of that subcube orders by the size of its free set first
-    _, depth, key = _subcube_table(t)
-    out["C"] = (n - (key.min(axis=0) >> n)).astype(np.int64)
-    out["DT"] = depth[(2,) * n].astype(np.int64)
+    if wants("C", "DT"):
+        # C is n minus the smallest free set of a largest constant subcube
+        # through a point; the key of that subcube orders by the size of its
+        # free set first
+        _, depth, key = _subcube_table(t)
+        out["C"] = (n - (key.min(axis=0) >> n)).astype(np.int64)
+        out["DT"] = depth[(2,) * n].astype(np.int64)
     return out

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _bulk
 from ._bitops import pack, point_to_str, table_mask, table_size, unpack
-from .commlb import submatrix_witness
+from .commlb import _check_submatrix_rows, submatrix_witness
 from .core import TruthTable, _check_arity, is_invertible, tt_parse, tt_serialize
 from .families import and_, gip, maj, or_compose, parity, rubinstein, rubinstein_row, tree_function
 from .measures import (
@@ -441,7 +441,8 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple) -> dict:
     # the transform constructions, batched over the function axis: t holds
     # one table per column
     t = _bulk._tables(n, lo, hi)
-    tr0 = _bs2s_rows(t, np.zeros(m, dtype=np.int64), a["fam0"], "block-index")
+    zeros = np.zeros(m, dtype=np.int64)
+    tr0 = _bs2s_rows(t, zeros, a["fam0"], "block-index")
     tr1 = _bs2s_rows(t, a["bs_argmax"], a["fam_argmax"], "block-index")
     tra = _alt2s_rows(t, _path_maxima(np.arange(lo, hi, dtype=np.uint64), n))
     sh = _sherstov_rows(t, a["bs_argmax"], a["fam_argmax"])
@@ -475,8 +476,9 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple) -> dict:
                  "bs": int(c["block_sensitivity"][r]), "s_g": int(c["s_g"][r])}
                 for r in np.flatnonzero(~c["factor4_holds"])[:_MAX_FINDINGS]]
     if n <= _SUBMATRIX_MAX_ARITY:
-        for fid in ids:
-            submatrix_witness(TruthTable(n, int(fid)))  # raises VerificationError on any mismatch
+        # the certificate of submatrix_witness for every function at once
+        sub = _bs2s_rows(t, zeros, a["fam0"], "min-in-block")
+        w = _check_submatrix_rows(t, sub.g, a["fam0"])  # raises VerificationError on any mismatch
         counts["submatrix_identity"] = {"statement": "f(u&y) == g(u&y) on W x W", "holds": m,
                                         "fails": 0, "hypothesis_not_met": 0}
 
@@ -508,6 +510,15 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple) -> dict:
                 )
         if bool(tra.cert["invertible"][row]) != is_invertible(tr_alt.map):
             raise RuntimeError(f"batched invertibility mismatch at function {fid}")
+        if n <= _SUBMATRIX_MAX_ARITY:
+            cert, got = submatrix_witness(f), sub.result(row, f)
+            batched = (got.certificate["block_sensitivity"], got.certificate["blocks"],
+                       tuple(np.unique(w[row]).tolist()), got.g)
+            if (cert.k, cert.blocks, cert.w_points, cert.g) != batched:
+                raise RuntimeError(
+                    f"batched submatrix certificate mismatch at function {fid}: "
+                    f"batch={batched} api={(cert.k, cert.blocks, cert.w_points, cert.g)}"
+                )
 
     # extremal statistics over this slice
     a["sherstov"] = c
@@ -536,12 +547,15 @@ def exhaustive_scan(n: int, primes=(2, 3)) -> CheckReport:
     (n <= 3 is one slice).  On each slice, measure values come from the
     array engine, and the transform constructions from their batch kernels,
     which build the map, tabulate g and check every equality and bound for
-    every single function.  About ``_CROSSCHECK_SAMPLES`` evenly spaced
-    functions are recomputed with the per-function measure API and the
-    per-function transforms and compared field by field, and at
-    n <= ``_SUBMATRIX_MAX_ARITY`` every function's submatrix identity is
-    checked.  The slice results merge in id order and the findings are
-    capped after the merge, so the report does not depend on the slicing.
+    every single function.  At n <= ``_SUBMATRIX_MAX_ARITY`` every
+    function's submatrix identity is checked in one batched pass of the
+    kernel behind ``submatrix_witness``, which raises its
+    ``VerificationError`` for the smallest failing id.  About
+    ``_CROSSCHECK_SAMPLES`` evenly spaced functions are recomputed with the
+    per-function measure API, the per-function transforms and (at those
+    arities) ``submatrix_witness``, and compared field by field.  The slice
+    results merge in id order and the findings are capped after the merge,
+    so the report does not depend on the slicing.
     """
     if not 0 <= n <= _bulk.MAX_BULK_ARITY:
         raise ValueError(f"exhaustive scan supports 0 <= n <= {_bulk.MAX_BULK_ARITY}")
@@ -790,7 +804,7 @@ def extremal_search(
         row = _STATISTICS[statistic]
         parts = []
         for lo, hi in _bulk._slices(n):
-            a = _bulk.measure_arrays(n, lo, hi)
+            a = _bulk.measure_arrays(n, lo, hi, needs=row.needs)
             if "sherstov" in row.needs:
                 t = _bulk._tables(n, lo, hi)
                 a["sherstov"] = _sherstov_rows(t, a["bs_argmax"], a["fam_argmax"]).cert

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bitops import mask_indices, point_to_str, table_size
+from ._bitops import mask_indices, pack, point_to_str, table_size
 from .core import TruthTable, tt_serialize
 from .measures import (
     ArityLimitError,
@@ -138,6 +138,47 @@ _FULL_PAIR_BUDGET = 1 << 22
 _SAMPLE_PAIRS = 4096
 
 
+def _w_points(blocks: np.ndarray) -> np.ndarray:
+    """W for each row of an (m, k) block array: every XOR of a subset of the
+    row's blocks, ascending, as an (m, 2**k) array.  W doubles with each
+    block, the points so far then each XOR the block, so a zero block (the
+    padding of a shorter family) only repeats points."""
+    w = np.zeros((blocks.shape[0], 1), dtype=np.int64)
+    for j in range(blocks.shape[1]):
+        w = np.concatenate([w, w ^ blocks[:, j : j + 1]], axis=1)
+    w.sort(axis=1)
+    return w
+
+
+def _identity_error(f: TruthTable, g: TruthTable, u: int, y: int) -> VerificationError:
+    n = f.n
+    return VerificationError(
+        f"submatrix identity failed for {tt_serialize(f)} at "
+        f"u={point_to_str(u, n)} y={point_to_str(y, n)}: "
+        f"f={f.value_at(u & y)} g={g.value_at(u & y)}"
+    )
+
+
+def _check_submatrix_rows(tables: np.ndarray, g: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The identity f(u AND y) = g(u AND y) on all of W x W, for every
+    function of a (2**n, m) table matrix, with the tables of g in the same
+    layout and the (m, k) block rows of ``_w_points``; returns W.
+
+    A failure raises ``VerificationError`` for the first failing column, at
+    its first failing (u, y) with u, then y, ascending.
+    """
+    w = _w_points(blocks)
+    meet = w[:, :, None] & w[:, None, :]
+    cols = np.arange(w.shape[0])[:, None, None]
+    bad = np.argwhere(tables[meet, cols] != g[meet, cols])
+    if bad.size:
+        r, i, j = bad[0]
+        n = tables.shape[0].bit_length() - 1
+        f_r, g_r = (TruthTable(n, pack(a[:, r])) for a in (tables, g))
+        raise _identity_error(f_r, g_r, int(w[r, i]), int(w[r, j]))
+    return w
+
+
 def submatrix_witness(
     f: TruthTable,
     limit: int | None = None,
@@ -151,37 +192,31 @@ def submatrix_witness(
     f(u AND y) = g(u AND y) for u, y in W is checked entrywise (exhaustively
     when the matrix fits, by seeded sampling otherwise); a failure is an
     implementation bug, not a finding, and raises ``VerificationError``.
+    The exhaustive check is ``_check_submatrix_rows`` on one function, the
+    kernel the exhaustive scan runs on every function of a slice at once.
     """
     n = f.n
     transform = bs_to_s_affine(f, 0, placement="min-in-block", limit=limit)
     blocks = transform.certificate["blocks"]
     k = transform.certificate["block_sensitivity"]
     g = transform.g
-    # W doubles with each block: the points so far, then each XOR the block
-    w = np.zeros(1, dtype=np.int64)
-    for b in blocks:
-        w = np.concatenate([w, w ^ b])
-    w.sort()
+    block_row = np.array(blocks, dtype=np.int64).reshape(1, k)
 
-    if n <= AND_MATRIX_MAX_ARITY and w.size * w.size <= _FULL_PAIR_BUDGET:
+    if n <= AND_MATRIX_MAX_ARITY and 4**k <= _FULL_PAIR_BUDGET:
         mode = "exhaustive"
-        us, ys = w[:, None], w[None, :]  # the grid, by broadcasting
+        w = _check_submatrix_rows(f.to_array()[:, None], g.to_array()[:, None], block_row)[0]
+        pairs = w.size * w.size
     else:
         mode = "sampled"
+        w = _w_points(block_row)[0]
         rng = np.random.default_rng(seed)
         us = w[rng.integers(0, w.size, _SAMPLE_PAIRS)]
         ys = w[rng.integers(0, w.size, _SAMPLE_PAIRS)]
-    meet = us & ys
-    farr, garr = f.to_array(), g.to_array()
-    bad = np.argwhere(farr[meet] != garr[meet])
-    if bad.size:
-        at = tuple(bad[0])
-        u, y = (int(np.broadcast_to(v, meet.shape)[at]) for v in (us, ys))
-        raise VerificationError(
-            f"submatrix identity failed for {tt_serialize(f)} at "
-            f"u={point_to_str(u, n)} y={point_to_str(y, n)}: "
-            f"f={f.value_at(u & y)} g={g.value_at(u & y)}"
-        )
+        meet = us & ys
+        bad = np.flatnonzero(f.to_array()[meet] != g.to_array()[meet])
+        if bad.size:
+            raise _identity_error(f, g, int(us[bad[0]]), int(ys[bad[0]]))
+        pairs = meet.size
     return LowerBoundCertificate(
         function=f,
         k=k,
@@ -190,7 +225,7 @@ def submatrix_witness(
         g=g,
         verified=True,
         verification_mode=mode,
-        pairs_checked=int(meet.size),
+        pairs_checked=pairs,
     )
 
 

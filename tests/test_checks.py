@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -9,6 +10,7 @@ from boolfn import (
     CheckReport,
     ProvenCheckError,
     TruthTable,
+    VerificationError,
     exhaustive_scan,
     extremal_search,
     family_suite,
@@ -120,6 +122,54 @@ def test_bulk_arrays_match_api_sampled_n4(bulk_n4_rows):
         assert a["C"][bits] == certificate(f)
         assert a["salt"][bits] == shift_invariant_alternation(f)
         assert a["DT"][bits] == dt_depth(f)
+
+
+@pytest.mark.parametrize("n, lo, hi", [(0, 0, 2), (1, 0, 4), (2, 0, 16), (3, 0, 256),
+                                       (4, 16384, 32768)])
+def test_measure_arrays_needs_returns_the_full_values(n, lo, hi):
+    """Naming a statistic's measures returns a subset of the full call, equal
+    on every key, and enough to evaluate the statistic."""
+    full = measure_arrays(n, lo, hi)
+    for row in checks._STATISTICS.values():
+        part = measure_arrays(n, lo, hi, needs=row.needs)
+        assert set(part) < set(full)
+        for key, values in part.items():
+            assert np.array_equal(values, full[key]), (row.name, key)
+        if "sherstov" in row.needs:
+            assert {"bs_argmax", "fam_argmax"} <= set(part)
+        else:
+            assert np.array_equal(checks._statistic_array(row, part),
+                                  checks._statistic_array(row, full))
+
+
+def test_extremal_search_runs_only_the_kernels_its_statistic_reads(monkeypatch):
+    want = [r.to_json_dict() for r in extremal_search(4, "salt_over_s")]
+
+    def unread(*args, **kwargs):
+        raise AssertionError("salt_over_s reads nothing this kernel computes")
+
+    for name in ("_packings", "_families", "_subcube_table", "_moebius_rows", "_walsh_rows"):
+        monkeypatch.setattr(_bulk, name, unread)
+    assert [r.to_json_dict() for r in extremal_search(4, "salt_over_s")] == want
+
+
+def test_exhaustive_scan_submatrix_mismatch_raises(monkeypatch):
+    """A wrong min-in-block g fails the batched identity, reported at the
+    smallest failing id in the text ``submatrix_witness`` raises."""
+    real = checks._bs2s_rows
+
+    def wrong_g(tables, points, blocks, placement):
+        batch = real(tables, points, blocks, placement)
+        if placement != "min-in-block":
+            return batch
+        g = batch.g.copy()
+        g[0, [200, 37]] ^= 1  # g(0) of functions 200 and 37
+        return dataclasses.replace(batch, g=g)
+
+    monkeypatch.setattr(checks, "_bs2s_rows", wrong_g)
+    with pytest.raises(VerificationError,
+                       match=r"for tt:3:25 at u=[01]{3} y=[01]{3}: f=. g=."):
+        exhaustive_scan(3)
 
 
 def test_exhaustive_scan_n2():

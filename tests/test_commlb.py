@@ -14,7 +14,10 @@ from boolfn import (
     submatrix_witness,
     tt_parse,
 )
+from boolfn._bitops import pack
+from boolfn._bulk import _tables, measure_arrays
 from boolfn.families import and_, gip, maj, or_, parity, rubinstein
+from boolfn.transforms import _bs2s_rows
 
 from oracles import naive_dt, random_table
 
@@ -88,6 +91,28 @@ def test_submatrix_exhaustive_n3():
     for bits in range(256):
         cert = submatrix_witness(TruthTable(3, bits))
         assert cert.verified
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_batched_submatrix_rows_match_submatrix_witness(n):
+    """The identity kernel on every function's batched family at 0 gives the
+    certificate of ``submatrix_witness``; so the DP's ``fam0`` is also the
+    packer's family at 0 on every function of arity <= 3."""
+    m = 1 << (1 << n)
+    t = _tables(n, 0, m)
+    fam0 = measure_arrays(n, 0, m)["fam0"]
+    sub = _bs2s_rows(t, np.zeros(m, dtype=np.int64), fam0, "min-in-block")
+    w = commlb._check_submatrix_rows(t, sub.g, fam0)
+    assert w.shape == (m, 2**n)
+    for r in range(m):
+        cert = submatrix_witness(TruthTable(n, r))
+        blocks = tuple(int(b) for b in fam0[r] if b)
+        points = tuple(np.unique(w[r]).tolist())
+        assert (cert.k, cert.blocks) == (len(blocks), blocks)
+        assert cert.w_points == points
+        assert cert.g == TruthTable(n, pack(sub.g[:, r]))
+        assert cert.pairs_checked == len(points) ** 2
+        assert cert.verification_mode == "exhaustive"
 
 
 def test_submatrix_sampled_mode(monkeypatch):
