@@ -69,6 +69,26 @@ def pack(values: np.ndarray) -> int:
     return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
 
 
+# A level whose contiguous runs are shorter than this many elements is
+# iterated down its long strided axis (see ``level_views``)
+SHORT_RUN = 16
+
+
+def level_views(a: np.ndarray, parts: int, run: int) -> tuple[np.ndarray, ...]:
+    """The ``parts`` interleaved parts of one level of a C-contiguous array.
+
+    ``a`` is cut into blocks of ``parts * run`` consecutive elements, and
+    part j holds elements [j * run, (j + 1) * run) of every block, as a
+    (blocks, run) view.  Where the run is shorter than ``SHORT_RUN`` each
+    view is handed over transposed, (run, blocks), so that a ufunc called
+    on them with ``order="C"`` loops down the long strided axis instead of
+    paying numpy's per-run overhead on every short run; on the
+    untransposed views ``order="C"`` is their memory order.
+    """
+    view = a.reshape(-1, parts, run)
+    return tuple(view.transpose(1, 2, 0) if run < SHORT_RUN else view.swapaxes(0, 1))
+
+
 def butterfly(a: np.ndarray, step) -> np.ndarray:
     """Run a subset butterfly in place over the first axis of ``a`` and return it.
 
@@ -77,14 +97,19 @@ def butterfly(a: np.ndarray, step) -> np.ndarray:
     table per column and each half is a run of whole contiguous rows.  At
     level i, ``step(lo, hi)`` is called once on the two halves, lo over the
     masks with bit i clear and hi over the same masks with bit i set, and
-    must update them in place.
+    must update them in place elementwise.
+
+    The halves are ``level_views`` of the level: a (blocks, run) view per
+    half, run being 2**i times the batch width, transposed where the run is
+    shorter than ``SHORT_RUN``.  Steps call their ufuncs with ``order="C"``
+    so that those short levels loop down the long axis; a step that does
+    not gets the same values, more slowly.
     """
     if not a.flags.c_contiguous:
         raise ValueError("butterfly needs a C-contiguous array")
-    batch = a.shape[1:]
+    width = a[:1].size
     for i in range(a.shape[0].bit_length() - 1):
-        view = a.reshape(-1, 2, 1 << i, *batch)
-        step(view[:, 0], view[:, 1])
+        step(*level_views(a, 2, width << i))
     return a
 
 

@@ -748,16 +748,16 @@ def family_suite(include_long: bool = False, seed: int = 1) -> CheckReport:
 
 
 @lru_cache(maxsize=None)
-def _perm_index_maps(n: int) -> tuple[np.ndarray, ...]:
-    size = table_size(n)
-    idx = np.arange(size)
-    maps = []
-    for perm in itertools.permutations(range(n)):
-        remap = np.zeros(size, dtype=np.int64)
-        for i in range(n):
-            remap |= ((idx >> i) & 1) << perm[i]
-        maps.append(remap)
-    return tuple(maps)
+def _relabelings(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n!, 2**n) index matrix whose row r sends input x to the input
+    that the r-th permutation of the variables moves it to, and the uint64
+    weights 2**x that pack a gathered row of 2**n <= 32 bits."""
+    idx = np.arange(table_size(n))
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    remap = np.zeros((len(perms), table_size(n)), dtype=np.int64)
+    for i in range(n):
+        remap |= ((idx >> i) & 1) << perms[:, i, None]
+    return remap, np.left_shift(1, idx.astype(np.uint64))
 
 
 def _canonical_key(n: int, bits: int) -> int:
@@ -765,19 +765,15 @@ def _canonical_key(n: int, bits: int) -> int:
 
     Every registered statistic is invariant under complementing the output
     and permuting variables, so deduplication by this key never merges
-    functions with different statistic values.
+    functions with different statistic values.  The relabeled tables are
+    one gather of the table by ``_relabelings`` and one packed dot product.
     """
     full = table_mask(n)
     if n > 5:
         return min(bits, bits ^ full)
-    arr = unpack(bits, n)
-    best = None
-    for remap in _perm_index_maps(n):
-        b = pack(arr[remap])
-        for cand in (b, b ^ full):
-            if best is None or cand < best:
-                best = cand
-    return best
+    remap, weights = _relabelings(n)
+    keys = unpack(bits, n)[remap] @ weights
+    return min(int(keys.min()), int((keys ^ full).min()))
 
 
 def extremal_search(

@@ -21,10 +21,9 @@ from .measures import (
     ArityLimitError,
     block_sensitivity,
     dt_depth,
-    modp_degree,
-    real_degree,
     sensitivity,
 )
+from .spectral import _check_primes, _degrees, _moebius_rows
 from .transforms import bs_to_s_affine
 
 __all__ = [
@@ -243,7 +242,12 @@ def bound_summary(f: TruthTable, primes=(2, 3), limits: dict | None = None) -> d
     and, when f depends on all its variables, deg(f) * 2**deg_p(f) >= n.
     A table of degree gaps between prime pairs is included.  Everything
     asymptotic is labeled a certificate; nothing here is a protocol value.
+
+    deg and every deg_p read one int32 Moebius table, deg_p as its residues
+    mod p (exact: see ``spectral``); each prime is checked before anything
+    is computed, so a bad prime raises ValueError with no work done.
     """
+    _check_primes(primes)
     limits = limits or {}
     n = f.n
     summary: dict = {
@@ -263,7 +267,8 @@ def bound_summary(f: TruthTable, primes=(2, 3), limits: dict | None = None) -> d
 
     bs0 = attempt("bs_at_zero", lambda: block_sensitivity(f, at=0, limit=limits.get("bs")))
     dt = attempt("DT", lambda: dt_depth(f, limit=limits.get("DT")))
-    deg = real_degree(f)
+    coeffs = _moebius_rows(f.to_array(), np.int32)
+    deg = int(_degrees(coeffs))
     summary["bs_at_zero"] = bs0
     summary["sqrt_bs_at_zero"] = math.sqrt(bs0) if bs0 is not None else None
     summary["DT"] = dt
@@ -273,7 +278,7 @@ def bound_summary(f: TruthTable, primes=(2, 3), limits: dict | None = None) -> d
     per_prime = {}
     degs = {}
     for p in primes:
-        dp = modp_degree(f, p)
+        dp = int(_degrees(coeffs % p))
         degs[p] = dp
         entry: dict = {"deg_p": dp}
         if dt is not None:

@@ -297,7 +297,7 @@ def _parse_anf_poly(poly: str, n: int) -> int:
 
 def _xor(lo: np.ndarray, hi: np.ndarray) -> None:
     """Step of the ANF butterfly; the transform is its own inverse over GF(2)."""
-    hi ^= lo
+    np.bitwise_xor(hi, lo, out=hi, order="C")
 
 
 def tt_parse(text: str) -> TruthTable:

@@ -19,6 +19,7 @@ import numpy as np
 
 from ._bitops import (
     butterfly,
+    level_views,
     low_half_mask,
     mask_indices,
     point_to_str,
@@ -32,11 +33,13 @@ from ._bitops import (
 from .core import TruthTable, _check_point, tt_serialize
 from .spectral import (
     WALSH,
+    SpectrumRep,
+    _check_primes,
     _degrees,
+    _moebius_rows,
+    _sparsities,
     _subset_sum,
-    moebius_coefficients,
-    moebius_coefficients_mod,
-    spectrum,
+    _walsh_rows,
 )
 
 __all__ = [
@@ -121,15 +124,15 @@ def _sensitive_mask(f: TruthTable, x: int) -> int:
 
 def _pointwise_sensitivity(tables: np.ndarray) -> np.ndarray:
     """Sensitivity at every input, as int8 of the shape of ``tables``: one
-    table of 2**n entries, or a (2**n, m) matrix with one table per column."""
-    size, batch = tables.shape[0], tables.shape[1:]
+    table of 2**n entries, or a (2**n, m) matrix with one table per column.
+    Each level's halves are ``level_views``, as in ``butterfly``."""
+    width = tables[:1].size
     counts = np.zeros(tables.shape, dtype=np.int8)
-    for i in range(size.bit_length() - 1):
-        halves = tables.reshape(-1, 2, 1 << i, *batch)
-        diff = halves[:, 0] != halves[:, 1]
-        view = counts.reshape(halves.shape)
-        view[:, 0] += diff
-        view[:, 1] += diff
+    for i in range(tables.shape[0].bit_length() - 1):
+        run = width << i
+        diff = np.not_equal(*level_views(tables, 2, run), order="C").view(np.int8)
+        for half in level_views(counts, 2, run):
+            np.add(half, diff, out=half, order="C")
     return counts
 
 
@@ -425,15 +428,12 @@ def _subcube_table(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     total = None
     for sweep in range(1, n + 1):
         for k in range(n):
-            d, out = dt.reshape(3**k, 3, -1), buf.reshape(3**k, -1)
-            views, order = (d[:, 0], d[:, 1], d[:, 2], out), "K"
-            if out.shape[1] < 16:
-                # short contiguous runs: iterate down the long strided axis
-                views, order = tuple(a.T for a in views), "C"
-            low, high, free, out = views
-            np.maximum(low, high, out=out, order=order)
+            run = 3 ** (n - 1 - k) * m
+            low, high, free = level_views(dt, 3, run)
+            (out,) = level_views(buf, 1, run)
+            np.maximum(low, high, out=out, order="C")
             out += 1
-            np.minimum(free, out, out=free, order=order)
+            np.minimum(free, out, out=free, order="C")
         before, total = total, int(words.sum(dtype=np.uint64))
         if total == before or dt[(2,) * n].max() <= sweep:
             break
@@ -871,22 +871,27 @@ def _degree_of(coeffs: np.ndarray, witness: bool):
 def real_degree(f: TruthTable, witness: bool = False):
     """Degree of the multilinear polynomial for f over the rationals.
 
-    Computed from exact integer coefficients; the witness is the smallest
-    maximal-degree monomial mask.
+    Computed from exact integer coefficients (int32, see ``spectral``); the
+    witness is the smallest maximal-degree monomial mask.
     """
-    return _degree_of(moebius_coefficients(f), witness)
+    return _degree_of(_moebius_rows(f.to_array(), np.int32), witness)
 
 
 def modp_degree(f: TruthTable, p: int, witness: bool = False):
     """Degree of the multilinear polynomial for f over the p-element field."""
-    return _degree_of(moebius_coefficients_mod(f, p), witness)
+    _check_primes((p,))
+    return _degree_of(_moebius_rows(f.to_array(), np.int32) % p, witness)
 
 
 def sparsity(f: TruthTable, witness: bool = False):
-    """Number of nonzero Walsh-Hadamard coefficients of the +-1 view."""
-    rep = spectrum(f, WALSH)
-    val = rep.nonzero_count()
-    return (val, rep) if witness else val
+    """Number of nonzero Walsh-Hadamard coefficients of the +-1 view.
+
+    The witness is the full spectrum, with the int64 coefficients of
+    ``spectrum(f, WALSH)``.
+    """
+    coeffs = _walsh_rows(f.to_array(), np.int32)
+    val = int(_sparsities(coeffs))
+    return (val, SpectrumRep(WALSH, f.n, coeffs.astype(np.int64))) if witness else val
 
 
 # ---------------------------------------------------------------------------
@@ -1035,7 +1040,12 @@ def _measure_report(subcubes: _LatticeMeasures, primes, witnesses: bool) -> Meas
     passes its own table when it reads more after the report: the CLI's
     pointwise C, or ``inequality_suite``'s bs family, which the kept search
     packs without a second search.
+
+    deg and every deg_p read one int32 Moebius table, deg_p as its residues
+    mod p (exact: see ``spectral``); each prime is checked before anything
+    is computed.
     """
+    _check_primes(primes)
     f, limits = subcubes.f, subcubes.limits
     rep = MeasureReport(f, tuple(primes))
 
@@ -1063,9 +1073,10 @@ def _measure_report(subcubes: _LatticeMeasures, primes, witnesses: bool) -> Meas
         "salt",
         lambda: shift_invariant_alternation(f, witness=w, limit=limits.get("salt")),
     )
-    run("deg", lambda: real_degree(f, witness=w))
+    coeffs = _moebius_rows(f.to_array(), np.int32)
+    run("deg", lambda: _degree_of(coeffs, w))
     for p in primes:
-        run(f"deg_{p}", lambda p=p: modp_degree(f, p, witness=w))
+        run(f"deg_{p}", lambda p=p: _degree_of(coeffs % p, w))
     run("sparsity", lambda: sparsity(f, witness=w))
     run("DT", lambda: subcubes.dt_depth(w))
     return rep

@@ -6,14 +6,26 @@ Coefficient index S (a bitmask of variables) addresses the monomial
 prod_{i in S} x_i for the multilinear bases, and the character
 (-1)^<S,x> for the Walsh basis.
 
-Every transform is ``_bitops.butterfly`` with its own in-place step.  The
-kernels (``_moebius_rows``, ``_walsh_rows``) take one 0/1 table of 2**n
-entries, or a (2**n, m) matrix with one table per column, and a dtype;
-``_bulk`` runs them in int16 and int32 over every function of arity <= 4,
-where the coefficients fit.  ``_degrees`` and ``_sparsities`` reduce over
-the first axis to the degree and the number of nonzero coefficients of each
-table, a scalar for one table and an (m,) array for a matrix; ``measures``,
+Every transform is ``_bitops.butterfly`` with its own in-place step, whose
+ufuncs run with ``order="C"`` so that the butterfly's short-run levels loop
+down their long axis.  The kernels (``_moebius_rows``, ``_walsh_rows``) take
+one 0/1 table of 2**n entries, or a (2**n, m) matrix with one table per
+column, and a dtype.  ``_degrees`` and ``_sparsities`` reduce over the first
+axis to the degree and the number of nonzero coefficients of each table, a
+scalar for one table and an (m,) array for a matrix; ``measures``,
 ``SpectrumRep`` and ``_bulk`` all use them.
+
+The kernels run in a narrow exact dtype.  Every Moebius coefficient of a
+0/1 table, and every partial sum of its butterfly, is at most 2**(n-1) in
+absolute value, and every Walsh coefficient and every value its step
+passes through at most 2**n, so int32 is exact up to ``MAX_ARITY`` (24);
+``_bulk`` runs int16 and int32 at arity <= 4.  The
+measures (``real_degree``, ``modp_degree``, ``sparsity``) run in int32, and
+a report (``measures._measure_report``, ``commlb.bound_summary``) builds one
+int32 Moebius table per function: deg reads it, and every deg_p reads its
+residues mod p, which equal those of the integer coefficients.  The public
+arrays (``moebius_coefficients``, ``walsh_coefficients``, ``spectrum`` and
+the sparsity witness's ``SpectrumRep``) stay int64.
 """
 
 from __future__ import annotations
@@ -53,19 +65,26 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def _check_primes(primes) -> None:
+    """Raise ValueError naming the first entry of ``primes`` that is not prime."""
+    for p in primes:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+
+
 def _difference(lo: np.ndarray, hi: np.ndarray) -> None:
-    hi -= lo
+    np.subtract(hi, lo, out=hi, order="C")
 
 
 def _subset_sum(lo: np.ndarray, hi: np.ndarray) -> None:
-    hi += lo
+    np.add(hi, lo, out=hi, order="C")
 
 
 def _walsh_step(lo: np.ndarray, hi: np.ndarray) -> None:
     """(lo, hi) -> (lo + hi, lo - hi) without copying either half."""
-    lo += hi
-    hi *= -2
-    hi += lo
+    np.add(lo, hi, out=lo, order="C")
+    np.multiply(hi, -2, out=hi, order="C")
+    np.add(hi, lo, out=hi, order="C")
 
 
 def _moebius_rows(t: np.ndarray, dtype) -> np.ndarray:
@@ -100,8 +119,7 @@ def moebius_coefficients(f: TruthTable) -> np.ndarray:
 
 def moebius_coefficients_mod(f: TruthTable, p: int) -> np.ndarray:
     """Multilinear coefficients reduced modulo the prime p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_primes((p,))
     return moebius_coefficients(f) % p
 
 

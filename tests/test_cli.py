@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from boolfn import cli
+from boolfn import cli, commlb, measures
 from boolfn.cli import main
 from boolfn.commlb import BitMatrix
 
@@ -272,6 +272,17 @@ def test_measures_bad_point_exits_2_before_the_report(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_measure_report", no_report)
     code, out, err = run_cli(capsys, "measures", "tt:2:8", "--at", "1x")
     assert code == 2 and out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("command", ["measures", "comm"])
+def test_non_prime_exits_2_before_the_moebius_table(monkeypatch, capsys, command):
+    def no_table(*args, **kwargs):
+        raise AssertionError("the Moebius table was built before the primes were checked")
+
+    monkeypatch.setattr(measures, "_moebius_rows", no_table)
+    monkeypatch.setattr(commlb, "_moebius_rows", no_table)
+    code, out, err = run_cli(capsys, command, "fam:or:n=3", "--primes", "2,4")
+    assert (code, out, err) == (2, "", "error: 4 is not prime\n")
 
 
 def test_unknown_subcommand_exits_2():

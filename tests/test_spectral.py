@@ -9,18 +9,23 @@ from boolfn import (
     modp_degree,
     moebius_coefficients,
     moebius_coefficients_mod,
+    real_degree,
+    sparsity,
     spectrum,
     walsh_coefficients,
 )
-from boolfn._bitops import butterfly
+from boolfn._bitops import MAX_ARITY, SHORT_RUN, butterfly, level_views, table_mask
 from boolfn._bulk import measure_arrays
+from boolfn.core import _xor
 from boolfn.families import and_, maj, parity
-from boolfn.spectral import is_prime
+from boolfn.measures import _pointwise_sensitivity
+from boolfn.spectral import _moebius_rows, _subset_sum, _walsh_rows, is_prime
 
 from oracles import (
     naive_degree,
     naive_modp_degree,
     naive_moebius,
+    naive_sensitivity,
     naive_sparsity,
     naive_wht,
     random_table,
@@ -108,6 +113,89 @@ def test_butterfly_rows_are_independent():
     assert butterfly(one, difference).tolist() == naive_moebius(fs[0])
     with pytest.raises(ValueError):
         butterfly(np.zeros((4, 8), dtype=np.int64).T, difference)
+
+
+def _short_run_cases():
+    """(table or table matrix, its functions): one table at every n from 0 to
+    8, and (32, m) matrices whose widths put the first levels' runs below,
+    at and above ``SHORT_RUN``."""
+    rng = np.random.default_rng(16)
+    cases = []
+    for n in range(9):
+        f = TruthTable(n, random_table(rng, n))
+        cases.append((f.to_array(), [f]))
+    for m in (1, 2, 3, 5, 15, 16, 17):
+        fs = [TruthTable(5, random_table(rng, 5)) for _ in range(m)]
+        cases.append((np.stack([f.to_array() for f in fs], axis=1), fs))
+    return cases
+
+
+def _columns(a):
+    return a.reshape(a.shape[0], -1).T.tolist()
+
+
+def test_level_views_transpose_short_runs():
+    for run in (1, 2, 8, 15, 16, 32):
+        a = np.arange(6 * run)
+        lo, hi = level_views(a, 2, run)
+        blocks = a.reshape(-1, 2, run)
+        expect = (blocks[:, 0], blocks[:, 1])
+        if run < SHORT_RUN:
+            expect = tuple(v.T for v in expect)
+        for got, want in zip((lo, hi), expect):
+            assert got.shape == want.shape and (got == want).all()
+            assert np.shares_memory(got, a)
+
+
+def test_butterfly_steps_match_oracles_on_both_sides_of_the_short_run_rule():
+    for t, fs in _short_run_cases():
+        moebius = [naive_moebius(f) for f in fs]
+        coeffs = _moebius_rows(t, np.int32)
+        assert _columns(coeffs) == moebius
+        assert _columns(_walsh_rows(t, np.int32)) == [naive_wht(f) for f in fs]
+        # zeta undoes Moebius; the ANF is the Moebius table mod 2
+        assert _columns(butterfly(coeffs, _subset_sum)) == _columns(t)
+        anf = butterfly(t.copy(), _xor)
+        assert _columns(anf) == [[c % 2 for c in cs] for cs in moebius]
+
+
+def test_pointwise_sensitivity_matches_oracle_on_both_sides_of_the_short_run_rule():
+    for t, fs in _short_run_cases():
+        counts = _pointwise_sensitivity(t)
+        assert counts.dtype == np.int8 and counts.shape == t.shape
+        expect = [[naive_sensitivity(f, x) for x in range(2**f.n)] for f in fs]
+        assert _columns(counts) == expect
+
+
+def test_int32_holds_every_coefficient_up_to_max_arity():
+    # |Moebius| <= 2**(n-1) and |Walsh| <= 2**n, partial sums included
+    assert 2**MAX_ARITY <= np.iinfo(np.int32).max
+
+
+@pytest.mark.parametrize("complement", [False, True])
+def test_int32_degrees_and_sparsity_are_exact_at_the_extremes(complement):
+    # parity's coefficients reach both bounds: |c_S| = 2**(|S|-1), |W| = 2**n
+    n = 20
+    f = parity(n)
+    if complement:
+        f = TruthTable(n, f.bits ^ table_mask(n))
+    coeffs, walsh = moebius_coefficients(f), walsh_coefficients(f)
+    assert coeffs.dtype == walsh.dtype == np.int64
+    assert np.abs(coeffs).max() == 2 ** (n - 1) and np.abs(walsh).max() == 2**n
+
+    def degree_and_monomial(c):
+        support = np.flatnonzero(c)
+        weights = np.bitwise_count(support)
+        return int(weights.max()), int(support[np.argmax(weights == weights.max())])
+
+    assert real_degree(f, witness=True) == degree_and_monomial(coeffs)
+    for p in (2, 3, 5):
+        assert modp_degree(f, p, witness=True) == degree_and_monomial(coeffs % p)
+    value, rep = sparsity(f, witness=True)
+    assert value == np.count_nonzero(walsh) == 1
+    assert rep.basis == WALSH and rep.n == n
+    assert rep.coeffs.dtype == np.int64
+    assert np.array_equal(rep.coeffs, walsh)
 
 
 def _every_function(n):
