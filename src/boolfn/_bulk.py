@@ -21,9 +21,14 @@ while the scan reads every measure.  The kernels:
 
 * ``measures``: pointwise sensitivity, the packed level sets of alt and
   salt (``measures._alternation_by_shift``), which take the slice's
-  function ids as a uint64 batch of packed tables, and the ternary subcube
-  table (``measures._subcube_table``) behind certificate complexity and
-  decision-tree depth, the ones the per-function API runs;
+  function ids as a uint64 batch of packed tables and run them in lanes of
+  max(8, 2**n) bits, and the ternary subcube table behind certificate
+  complexity and decision-tree depth, the ones the per-function API runs:
+  the fold (``measures._subcube_fold``), which C reads, and the DT sweeps
+  (``measures._DepthSweeps``) on it.  The sweeps here run to their stop
+  rule, with no lower bound: the per-function reports stop at max(bs,
+  deg), but a slice stops only once every column meets its bound, and on
+  the first two n = 4 slices some column needs all 4 sweeps;
 * ``spectral``: the Moebius and Walsh butterflies, run here in int16 and
   int32, and the degree and sparsity kernels; ``deg`` and every ``deg_p``
   are read from one Moebius matrix;
@@ -41,9 +46,9 @@ function (2-core Xeon VM, best of 5), the DP with one family against the
 packer at one input and all of ``block_sensitivity`` with its witness:
 n = 4, 319 us against 21 and 76 us; n = 8, 6.5 ms against 0.08 and
 0.15 ms; ``rubinstein(2, 4)`` (n = 8, 8 inputs under the sensitivity
-bound, then the subcube table and 1 input under the certificate bound),
-6.5 ms against 0.80 ms for the search.  So the per-function route keeps
-the packer; the walk takes the families by its rule
+bound, then the fold of the subcube table and 1 input under the
+certificate bound), 6.5 ms against 0.80 ms for the search.  So the
+per-function route keeps the packer; the walk takes the families by its rule
 (``measures._lex_min_family``), so both give the same witnesses.
 
 The scan reuses the sensitivity and sparsity kernels on the transformed
@@ -64,7 +69,12 @@ from __future__ import annotations
 import numpy as np
 
 from ._bitops import table_size
-from .measures import _alternation_by_shift, _pointwise_sensitivity, _subcube_table
+from .measures import (
+    _alternation_by_shift,
+    _DepthSweeps,
+    _pointwise_sensitivity,
+    _subcube_fold,
+)
 from .spectral import _degrees, _moebius_rows, _sparsities, _walsh_rows
 
 MAX_BULK_ARITY = 4
@@ -231,7 +241,9 @@ def measure_arrays(n: int, lo: int, hi: int, primes=(2, 3), needs=None) -> dict:
         # C is n minus the smallest free set of a largest constant subcube
         # through a point; the key of that subcube orders by the size of its
         # free set first
-        _, depth, key = _subcube_table(t)
+        val, key = _subcube_fold(t)
         out["C"] = (n - (key.min(axis=0) >> n)).astype(np.int64)
-        out["DT"] = depth[(2,) * n].astype(np.int64)
+        sweeps = _DepthSweeps(val)
+        sweeps.run()
+        out["DT"] = sweeps.full.astype(np.int64)
     return out

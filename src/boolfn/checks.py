@@ -43,7 +43,6 @@ from .measures import (
     _path_maxima,
     alternation,
     block_sensitivity,
-    measure_report,
     modp_degree,
     sensitivity,
     shift_invariant_alternation,
@@ -57,7 +56,6 @@ from .transforms import (
     _sherstov_from_family,
     _sherstov_rows,
     alt_to_s_linear,
-    bs_to_s_affine,
     sherstov_linear,
 )
 
@@ -488,18 +486,23 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple) -> dict:
     for fid in range(-(-lo // stride) * stride, hi, stride):
         row = fid - lo
         f = TruthTable(n, fid)
-        expect = measure_report(f, primes, witnesses=False).measures
-        expect["bs0"] = block_sensitivity(f, at=0)
+        # one bs search, kept by the report's subcubes, and one family at 0
+        subcubes = _LatticeMeasures(f, {})
+        expect = _measure_report(subcubes, primes, witnesses=False).measures
+        _, fam = subcubes.block_sensitivity(witness=True)
+        expect["bs0"], fam0 = block_sensitivity(f, at=0, witness=True)
         for key, want in expect.items():
             got = int(a[key][row])
             if got != want:
                 raise RuntimeError(f"bulk/{key} mismatch at function {fid}: bulk={got} api={want}")
         tr_alt = alt_to_s_linear(f)
+        # the batch takes the bulk maximizer, the API its own: the
+        # certificates name the point, so they must agree on it too
         pairs = (
-            (tr0, bs_to_s_affine(f, 0)),
-            (tr1, bs_to_s_affine(f, int(a["bs_argmax"][row]))),
+            (tr0, _bs2s_from_family(f, fam0)),
+            (tr1, _bs2s_from_family(f, fam)),
             (tra, tr_alt),
-            (sh, sherstov_linear(f)),
+            (sh, _sherstov_from_family(f, fam)),
         )
         for batch, want in pairs:
             got = batch.result(row, f)
@@ -553,7 +556,10 @@ def exhaustive_scan(n: int, primes=(2, 3)) -> CheckReport:
     ``VerificationError`` for the smallest failing id.  About
     ``_CROSSCHECK_SAMPLES`` evenly spaced functions are recomputed with the
     per-function measure API, the per-function transforms and (at those
-    arities) ``submatrix_witness``, and compared field by field.  The slice
+    arities) ``submatrix_witness``, and compared field by field.  Each runs
+    one unpointed bs search, kept by its report, whose family builds both
+    transforms at the maximizer, and packs one family at the all-zero
+    input, for bs(f,0) and the transform there.  The slice
     results merge in id order and the findings are capped after the merge,
     so the report does not depend on the slicing.
     """

@@ -19,6 +19,7 @@ from ._bitops import mask_indices, pack, point_to_str, table_size
 from .core import TruthTable, tt_serialize
 from .measures import (
     ArityLimitError,
+    _LatticeMeasures,
     block_sensitivity,
     dt_depth,
     sensitivity,
@@ -245,7 +246,9 @@ def bound_summary(f: TruthTable, primes=(2, 3), limits: dict | None = None) -> d
 
     deg and every deg_p read one int32 Moebius table, deg_p as its residues
     mod p (exact: see ``spectral``); each prime is checked before anything
-    is computed, so a bad prime raises ValueError with no work done.
+    is computed, so a bad prime raises ValueError with no work done.  DT is
+    computed after deg, and its sweeps stop once they meet max(bs(f,0),
+    deg), a lower bound on DT; where that bound is n, DT = n needs no table.
     """
     _check_primes(primes)
     limits = limits or {}
@@ -266,9 +269,12 @@ def bound_summary(f: TruthTable, primes=(2, 3), limits: dict | None = None) -> d
             return None
 
     bs0 = attempt("bs_at_zero", lambda: block_sensitivity(f, at=0, limit=limits.get("bs")))
-    dt = attempt("DT", lambda: dt_depth(f, limit=limits.get("DT")))
     coeffs = _moebius_rows(f.to_array(), np.int32)
     deg = int(_degrees(coeffs))
+    # DT >= bs(f) >= bs(f,0) and DT >= deg, so the sweeps may stop there
+    lower = max(bs0 or 0, deg)
+    subcubes = _LatticeMeasures(f, {"DT": limits.get("DT")})
+    dt = attempt("DT", lambda: subcubes.dt_depth(False, lower))
     summary["bs_at_zero"] = bs0
     summary["sqrt_bs_at_zero"] = math.sqrt(bs0) if bs0 is not None else None
     summary["DT"] = dt

@@ -312,7 +312,8 @@ def block_sensitivity(
     order of the bound s(f,x) + (n - s(f,x)) // 2, stopping once no input
     left can beat the best (see ``_bs_search``).  That settles most random
     functions at one to three inputs.  Where n inputs have not settled it
-    and the subcube table fits its byte budget, the table is built and the
+    and the fold of the subcube table (``_subcube_fold``, without the DT
+    sweeps) fits its byte budget, up to n = 16, the fold is built and the
     inputs left are searched under the certificate bound C(f,x) as well,
     which is tight on the structured families.  The exhaustive scans take
     the same values and families from the batched subset DP of
@@ -331,7 +332,10 @@ def block_sensitivity(
 
 
 # Bytes the subcube table of one function may take (see ``_table_bytes``):
-# n <= 15.  Above it C and DT are skipped even under an explicit limit.
+# the fold fits for n <= 16, the fold and the DT sweeps for n <= 15.  Above
+# them C and DT are skipped even under an explicit limit.  The budget bounds
+# the table's own arrays, not the process, which adds the interpreter and
+# numpy to it.
 _LATTICE_BUDGET = 1 << 28
 
 
@@ -340,67 +344,69 @@ def _key_dtype(n: int) -> np.dtype:
     return np.min_scalar_type((n << n) | (table_size(n) - 1))
 
 
-def _table_bytes(n: int) -> int:
-    """Peak bytes of ``_subcube_table`` on one function of arity n.
+def _table_bytes(n: int, measure: str) -> int:
+    """Peak bytes of the subcube table that ``measure`` reads on one function
+    of arity n.
 
-    Per state: val and dt (one byte each) and a key, all held at once, plus
-    one byte for the (3**(n-1))-entry work buffer and fold masks.  The
+    C, and the bs search's certificate bound, read the fold
+    (``_subcube_fold``): per state val (one byte) and a key, held at once,
+    plus one byte for the fold's masks, the points' keys and the input.  The
     constant covers numpy's iteration buffers (8192 elements per operand),
-    which the in-place passes take because their operands interleave.
+    which the in-place passes take because their operands interleave.  DT
+    adds the sweeps (``_DepthSweeps``): dt, one byte per state in 4-byte
+    words, and a work buffer of 3**(n-1) bytes.  The sum bounds DT's peak
+    from above: the fold's per-state keys are freed before the sweeps start.
     """
-    return 3**n * (3 + _key_dtype(n).itemsize) + (1 << 17)
+    size = 3**n * (2 + _key_dtype(n).itemsize) + (1 << 17)
+    if measure == "DT":
+        size += 4 * -(-(3**n) // 4) + 3 ** max(n - 1, 0)
+    return size
 
 
-def _table_limit() -> int:
-    """Largest arity whose subcube table fits the byte budget."""
+def _table_limit(measure: str) -> int:
+    """Largest arity whose subcube table for ``measure`` fits the byte budget."""
     n = 0
-    while _table_bytes(n + 1) <= _LATTICE_BUDGET:
+    while _table_bytes(n + 1, measure) <= _LATTICE_BUDGET:
         n += 1
     return n
 
 
 class LatticeBudgetError(ArityLimitError):
-    """The subcube table behind C and DT would exceed its fixed byte budget."""
+    """The subcube table behind C or DT would exceed its fixed byte budget."""
 
     def __init__(self, measure: str, arity: int):
         self.measure = measure
         self.arity = arity
-        self.limit = _table_limit()
+        self.limit = _table_limit(measure)
         ValueError.__init__(
             self,
-            f"{measure} skipped: arity {arity} needs a {_table_bytes(arity)}-byte "
+            f"{measure} skipped: arity {arity} needs a {_table_bytes(arity, measure)}-byte "
             f"subcube table, over the fixed budget of {_LATTICE_BUDGET} bytes",
         )
 
 
-def _subcube_table(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Constancy, decision-tree depth and certificates of every subcube of every
-    table of a (2**n, m) matrix, one table per column.
+def _subcube_fold(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Constancy of every subcube, and the largest constant subcube through
+    every point, of every table of a (2**n, m) matrix, one table per column.
 
     A subcube is a ternary state t in {0, 1, *}**n: variable i is free where
-    t_i = * (digit 2) and fixed to t_i elsewhere.  The first two arrays have
-    shape (3,) * n + (m,), with the tables on the last axis, as in the input,
-    and variable i on axis n - 1 - i, so the flat index of t is
-    sum(t_i * 3**i) per table:
+    t_i = * (digit 2) and fixed to t_i elsewhere.
 
-    * ``val``: the constant value of the table on t, or 2 where it is not
-      constant.  It folds in n per-axis passes from the points; each pass
-      ORs the value sets (bit 0: a 0 seen, bit 1: a 1 seen) of the halves
-      t_i = 0 and t_i = 1 into t_i = *.
-    * ``dt``: the optimal depth on t: 0 where ``val != 2``, else
-      1 + min over free i of max(dt[t_i = 0], dt[t_i = 1]).  Sweeps of n
-      per-axis relaxations, in place, lower an upper bound to it.  They
-      stop after a sweep that changes nothing, which only the exact depths
-      survive, or after sweep d once the whole cube's depth is at most d,
-      since sweep d makes every state of depth <= d exact: at most n**2
-      passes of 3**(n-1) entries, and a few sweeps on most functions.
+    * ``val``, of shape (3,) * n + (m,), with the tables on the last axis, as
+      in the input, and variable i on axis n - 1 - i, so the flat index of t
+      is sum(t_i * 3**i) per table: the constant value of the table on t, or
+      2 where it is not constant.  It folds in n per-axis passes from the
+      points; each pass ORs the value sets (bit 0: a 0 seen, bit 1: a 1
+      seen) of the halves t_i = 0 and t_i = 1 into t_i = *.
+    * ``key``, of shape (2**n, m), indexed by point: the key (|V| << n) | V
+      of the largest constant subcube through the point, V its free set, the
+      largest mask among the largest.  The key of each constant subcube adds
+      up along the folds, and n max-passes push it from t_i = * down into
+      t_i = 0 and t_i = 1.
 
-    The third, shape (2**n, m), is indexed by point: the key (|V| << n) | V
-    of the largest constant subcube through the point, V its free set, the
-    largest mask among the largest.  The key of each constant subcube adds
-    up along the folds, and n max-passes push it from t_i = * down into
-    t_i = 0 and t_i = 1.  Per-function callers go through
-    ``_LatticeMeasures``, which checks the byte budget first.
+    C reads ``key`` alone, and DT's sweeps (``_DepthSweeps``) start from
+    ``val``.  Per-function callers go through ``_LatticeMeasures``, which
+    checks the byte budget first.
     """
     size, m = tables.shape
     n = size.bit_length() - 1
@@ -416,34 +422,62 @@ def _subcube_table(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         np.add(key[lead + (0,)], (1 << n) | (1 << (n - 1 - k)), out=k_free)
         k_free *= v_free != 3
     val -= 1
-
-    # dt fills the front of a zeroed array of 4-byte words; its entries only
-    # fall, so the exact sum of the words is unchanged only after a sweep
-    # that changed nothing
-    words = np.zeros(-(-val.size // 4), dtype=np.uint32)
-    dt = words.view(np.int8)[: val.size].reshape(shape)
-    np.equal(val, 2, out=dt.view(np.bool_))
-    dt *= n
-    buf = np.empty(dt.size // 3, dtype=np.int8)
-    total = None
-    for sweep in range(1, n + 1):
-        for k in range(n):
-            run = 3 ** (n - 1 - k) * m
-            low, high, free = level_views(dt, 3, run)
-            (out,) = level_views(buf, 1, run)
-            np.maximum(low, high, out=out, order="C")
-            out += 1
-            np.minimum(free, out, out=free, order="C")
-        before, total = total, int(words.sum(dtype=np.uint64))
-        if total == before or dt[(2,) * n].max() <= sweep:
-            break
-
     for k in range(n):
         lead = (slice(0, 2),) * k
         free = key[lead + (2,)]
         for b in (0, 1):
             np.maximum(key[lead + (b,)], free, out=key[lead + (b,)])
-    return val, dt, key[points].reshape(size, m)
+    return val, key[points].reshape(size, m)
+
+
+class _DepthSweeps:
+    """The optimal decision-tree depth of every subcube of a fold's ``val``,
+    one table per column: ``dt``, int8, of the shape of ``val``, 0 where
+    ``val != 2``, else 1 + min over free i of max(dt[t_i = 0], dt[t_i = 1]).
+
+    ``dt`` starts at n on every state that is not constant.  Sweeps of n
+    per-axis relaxations, in place, lower it; every entry stays an upper
+    bound on its depth.  ``run`` sweeps until the stop rule: a sweep that
+    changes nothing, which only the exact depths survive, or sweep d once
+    the whole cube's depth is at most d, since sweep d makes every state of
+    depth <= d exact.  That is at most n**2 passes of 3**(n-1) entries, and
+    a few sweeps on most functions.  Given a lower bound on the whole cube's
+    depth, ``run`` also stops once every table's entry meets it, which makes
+    that entry exact; a later ``run`` resumes the same sweeps, so the table
+    it leaves does not depend on the stop.
+    """
+
+    def __init__(self, val: np.ndarray):
+        self.n = n = val.ndim - 1
+        # dt fills the front of a zeroed array of 4-byte words; its entries
+        # only fall, so the exact sum of the words is unchanged only after a
+        # sweep that changed nothing
+        self._words = np.zeros(-(-val.size // 4), dtype=np.uint32)
+        self.dt = self._words.view(np.int8)[: val.size].reshape(val.shape)
+        np.equal(val, 2, out=self.dt.view(np.bool_))
+        self.dt *= n
+        self.full = self.dt[(2,) * n]  # the whole cube's entry of every table
+        self._buf = np.empty(self.dt.size // 3, dtype=np.int8)
+        self._total = None
+        self._sweeps = 0
+        self._settled = n == 0
+
+    def run(self, lower: int = -1) -> np.ndarray:
+        """``dt`` after the sweeps up to the stop rule, or up to the first at
+        which every entry of ``full`` is at most ``lower``."""
+        n, dt = self.n, self.dt
+        while not self._settled and self.full.max() > lower:
+            self._sweeps += 1
+            for k in range(n):
+                run = 3 ** (n - 1 - k) * self.full.size
+                low, high, free = level_views(dt, 3, run)
+                (out,) = level_views(self._buf, 1, run)
+                np.maximum(low, high, out=out, order="C")
+                out += 1
+                np.minimum(free, out, out=free, order="C")
+            before, self._total = self._total, int(self._words.sum(dtype=np.uint64))
+            self._settled = self._total == before or self.full.max() <= self._sweeps
+        return dt
 
 
 def _dt_witness(val: np.ndarray, dt: np.ndarray, s: int, free: list) -> dict:
@@ -468,13 +502,20 @@ def _dt_witness(val: np.ndarray, dt: np.ndarray, s: int, free: list) -> dict:
 class _LatticeMeasures:
     """bs, C and DT of one function, from at most one ternary subcube table.
 
-    The table (``_subcube_table``: 3**n states, n**2 * 3**(n-1) DT work) is
-    built once.  C and DT build it on first use, within their arity
-    ceilings (``limits``, else ``DEFAULT_LIMITS``) and the byte budget.
+    The table comes in two parts, each built once, within the arity
+    ceilings (``limits``, else ``DEFAULT_LIMITS``) and its byte budget
+    (``_table_bytes``).  The fold (``_subcube_fold``: 3**n states, about 2n
+    passes) is built on first use by C, by DT, or by the bs search.  The DT
+    sweeps (``_DepthSweeps``: up to n**2 * 3**(n-1) entries of work) run on
+    first use by DT, and only as far as it asks.  Without a witness, DT
+    takes a lower bound: at n it needs no table, since DT <= n, and
+    otherwise the sweeps stop once the whole cube's entry meets it.  A
+    witness sweeps to the stop rule, resuming any earlier sweeps.
+
     The unpointed bs search (``_bs_search``) runs under min(u(x), C(f,x)),
-    since bs(f,x) <= C(f,x), from its first input if the table exists;
+    since bs(f,x) <= C(f,x), from its first input if the fold exists;
     otherwise under u alone until n inputs have not settled it, and then
-    it builds the table if it fits the byte budget, whatever the C and DT
+    it builds the fold if it fits the byte budget, whatever the C and DT
     ceilings say.  The search runs once: its value and smallest maximizer
     are kept, so a later call with ``witness`` only packs the family at
     that input.
@@ -483,7 +524,8 @@ class _LatticeMeasures:
     def __init__(self, f: TruthTable, limits: dict):
         self.f = f
         self.limits = limits
-        self._table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._fold: tuple[np.ndarray, np.ndarray] | None = None
+        self._sweeps: _DepthSweeps | None = None
         self._bs: tuple[int, int] | None = None
 
     def _skip(self, measure: str) -> ArityLimitError | None:
@@ -492,30 +534,29 @@ class _LatticeMeasures:
         ceiling = _ceiling(measure, self.limits.get(measure))
         if n > ceiling:
             return ArityLimitError(measure, n, ceiling)
-        if _table_bytes(n) > _LATTICE_BUDGET:
+        if _table_bytes(n, measure) > _LATTICE_BUDGET:
             return LatticeBudgetError(measure, n)
         return None
 
-    def _build(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """val and dt as flat arrays over the states, and the key per point."""
-        if self._table is None:
-            val, dt, key = _subcube_table(self.f.to_array()[:, None])
-            self._table = val.reshape(-1), dt.reshape(-1), key[:, 0]
-        return self._table
+    def _folded(self) -> tuple[np.ndarray, np.ndarray]:
+        """val, shaped (3,) * n + (1,), and the key per point."""
+        if self._fold is None:
+            val, key = _subcube_fold(self.f.to_array()[:, None])
+            self._fold = val, key[:, 0]
+        return self._fold
 
-    def _subcubes(self, measure: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _check(self, measure: str) -> None:
         skip = self._skip(measure)
         if skip is not None:
             raise skip
-        return self._build()
 
     def _certificate_bound(self, bound: np.ndarray) -> np.ndarray | None:
-        """min(bound, C(f,x)) at every input x; None where the table would
+        """min(bound, C(f,x)) at every input x; None where the fold would
         exceed its byte budget."""
         n = self.f.n
-        if self._table is None and _table_bytes(n) > _LATTICE_BUDGET:
+        if self._fold is None and _table_bytes(n, "C") > _LATTICE_BUDGET:
             return None
-        key = self._build()[2]
+        key = self._folded()[1]
         return np.minimum(bound, n - (key >> n).astype(bound.dtype))
 
     def block_sensitivity(self, witness: bool):
@@ -523,7 +564,7 @@ class _LatticeMeasures:
         _ensure_limit("bs", f.n, self.limits.get("bs"))
         if self._bs is None:
             bound = _sensitivity_bound(f)
-            if self._table is not None:
+            if self._fold is not None:
                 self._bs = _bs_search(f, self._certificate_bound(bound))
             else:
                 self._bs = _bs_search(f, bound, self._certificate_bound)
@@ -534,19 +575,28 @@ class _LatticeMeasures:
         n = self.f.n
         if at is not None:
             _check_point(at, n)
-        key = self._subcubes("C")[2]
+        self._check("C")
+        key = self._folded()[1]
         full = table_size(n) - 1
         point = int(np.argmin(key >> n)) if at is None else at
         k = int(key[point])
         val = n - (k >> n)
         return (val, (point, full ^ (k & full))) if witness else val
 
-    def dt_depth(self, witness: bool):
-        val, dt, _ = self._subcubes("DT")
+    def dt_depth(self, witness: bool, lower: int = -1):
+        """DT, with its tree if ``witness``; ``lower`` is a lower bound on DT
+        that a call without a witness may stop at."""
+        self._check("DT")
         n = self.f.n
+        if not witness and lower >= n:
+            return n
+        if self._sweeps is None:
+            self._sweeps = _DepthSweeps(self._folded()[0])
+        dt = self._sweeps.run(-1 if witness else lower).reshape(-1)
         depth = int(dt[-1])
         if not witness:
             return depth
+        val = self._folded()[0].reshape(-1)
         return depth, _dt_witness(val, dt, 3**n - 1, [(i, 3**i) for i in range(n)])
 
 
@@ -555,14 +605,13 @@ def certificate(
 ):
     """Smallest set of coordinates that, fixed as in the input, pins f constant.
 
-    Reads constancy off the ternary subcube table that ``dt_depth`` also
-    uses (``_subcube_table``: 3**n states, n**2 * 3**(n-1) entries of DT
-    work, about 7 bytes per state).  At each input the fixed set is the
-    complement of the largest constant subcube through it, so it is the
-    smallest mask among the smallest certificates.  Unpointed, the witness
-    point is the smallest input of maximum certificate size.  Above the
-    table's byte budget (n > 15) it raises ``LatticeBudgetError`` whatever
-    ``limit`` says.
+    Reads the fold of the ternary subcube table (``_subcube_fold``: 3**n
+    states, 2n passes, 3 to 6 bytes per state), not the DT sweeps.  At each
+    input the fixed set is the complement of the largest constant subcube
+    through it, so it is the smallest mask among the smallest certificates.
+    Unpointed, the witness point is the smallest input of maximum
+    certificate size.  Above the fold's byte budget (n > 16) it raises
+    ``LatticeBudgetError`` whatever ``limit`` says.
 
     Witness: (point, mask of the fixed set).
     """
@@ -572,15 +621,17 @@ def certificate(
 def dt_depth(f: TruthTable, witness: bool = False, limit: int | None = None):
     """Depth of an optimal decision tree, read off the ternary subcube table.
 
-    The table (see ``_subcube_table``, shared with ``certificate``) holds
-    the optimal depth of each of the 3**n subcubes, lowered by relaxation
-    sweeps of at most n**2 * 3**(n-1) entries; DT(f) is its entry for the
-    whole cube.  Above the table's byte budget (n > 15) it raises
-    ``LatticeBudgetError`` whatever ``limit`` says.  The witness tree
-    queries 1-based variables ('var', 'low', 'high' nodes, 'value' leaves):
-    it walks down from the whole cube, queries at each subcube the smallest
-    variable whose two halves reach the optimum, and ends in a leaf
-    wherever the subcube is constant.
+    The DT sweeps (``_DepthSweeps``) lower an upper bound on the optimal
+    depth of each of the 3**n subcubes, from the fold that ``certificate``
+    reads, in at most n**2 * 3**(n-1) entries of work; DT(f) is the entry
+    of the whole cube.  Above the byte budget of the fold and the sweeps
+    (n > 15) it raises ``LatticeBudgetError`` whatever ``limit`` says.  The
+    witness tree queries 1-based variables ('var', 'low', 'high' nodes,
+    'value' leaves): it walks down from the whole cube, queries at each
+    subcube the smallest variable whose two halves reach the optimum, and
+    ends in a leaf wherever the subcube is constant.  The reports and
+    ``commlb.bound_summary`` stop the sweeps early at a lower bound, with
+    the same value.
     """
     return _LatticeMeasures(f, {"DT": limit}).dt_depth(witness)
 
@@ -624,14 +675,14 @@ def _path_maxima(bits, n: int) -> np.ndarray:
     Runs the level sets down from 1^n: level k is then the set of inputs
     with such a path of at least k changes, so their indicators sum to the
     path maximum.  A batch's levels are unpacked in one call, as the bytes
-    of the stacked uint64 rows, little-endian; unpacking runs along the last
-    axis, fastest on contiguous bytes, so the (m, 2**n) sums are copied into
-    the table layout once.
+    of the stacked lanes of ``_shift_moves``, little-endian; unpacking runs
+    along the last axis, fastest on contiguous bytes, so the (m, 2**n) sums
+    are copied into the table layout once.
     """
     size = table_size(n)
     levels = list(_level_sets(*_shift_moves(bits, n), size - 1, n + 1))
     if isinstance(bits, np.ndarray):
-        raw = np.array(levels, dtype="<u8").reshape(len(levels), len(bits), 1).view(np.uint8)
+        raw = np.array(levels, dtype=_lane(n)).reshape(len(levels), len(bits), 1).view(np.uint8)
         indicators = np.unpackbits(raw, axis=-1, count=size, bitorder="little")
         return np.ascontiguousarray(indicators.sum(axis=0, dtype=np.uint8).T)
     down = np.zeros(size, dtype=np.uint8)
@@ -670,17 +721,17 @@ def _level_sets(moves: list, full, b: int, cap: int):
     point sets; alt(x -> f(x XOR b)) is the number of nonempty ones.
 
     ``moves`` and ``full`` come from ``_shift_moves``, of one function, a
-    Python int at any n, or of a batch, a uint64 array with one function
-    per entry (n <= 6); the point sets have that type.  Works in the frame
-    of f, so no table is shifted: a chain of the shifted function steps
-    along direction i from x to x XOR e_i wherever bit i of x equals bit i
-    of b.  Level k is the set of points that some chain from the bottom
-    point b reaches with at least k value changes: the points one changing
-    step above level k-1, closed upward along the chain order.  So every
-    nonempty level holds the top point, a level built from an empty one is
-    empty, and the levels stop at the first level empty in every row.  The
-    level at ``cap`` is only tested for emptiness, so it is yielded
-    unclosed.
+    Python int at any n, or of a batch, an array with one function per
+    lane of max(8, 2**n) bits (n <= 6); the point sets have that type.
+    Works in the frame of f, so no table is shifted: a chain of the shifted
+    function steps along direction i from x to x XOR e_i wherever bit i of
+    x equals bit i of b.  Level k is the set of points that some chain from
+    the bottom point b reaches with at least k value changes: the points
+    one changing step above level k-1, closed upward along the chain order.
+    So every nonempty level holds the top point, a level built from an
+    empty one is empty, and the levels stop at the first level empty in
+    every row.  The level at ``cap`` is only tested for emptiness, so it is
+    yielded unclosed.
     """
     level = full
     for k in range(1, cap + 1):
@@ -721,15 +772,29 @@ def _alternation_by_shift(bits, n: int) -> np.ndarray:
     return out
 
 
+def _lane(n: int) -> np.dtype:
+    """The unsigned little-endian type of max(8, 2**n) bits (n <= 6)."""
+    return np.dtype(f"<u{max(1, table_size(n) >> 3)}")
+
+
 def _shift_moves(bits, n: int) -> tuple[list, object]:
     """The moves of ``_level_sets`` and the mask of all 2**n points, typed
-    as ``bits``, one packed table or a uint64 batch of them.
+    as ``bits``, one packed table, or typed ``_lane(n)`` for a uint64 batch
+    of them.
+
+    A batch is recast to lanes of max(8, 2**n) bits, one table per numpy
+    element, so the 8 bytes that held one table at n = 4 hold 4, and at
+    n <= 3 they hold 8: each pass of the level sets then moves max(8,
+    2**n) bits per table, not 64.  The masks are those of one table, since
+    no move carries a bit past the 2**n points of its table.
 
     Per direction i the move is (1 << i, its low-half mask m, d & m, d ^
     (d & m)), bit x of d saying f(x) != f(x XOR e_i).  A changing step down
     along i lands in d & m and one up in the rest of d, so these halves
     also drop the bits that a shifted level carries across halves.
     """
+    if isinstance(bits, np.ndarray):
+        bits = bits.astype(_lane(n))
     moves = []
     for i in range(n):
         m = low_half_mask(n, i)
@@ -1024,10 +1089,14 @@ def measure_report(
     """Compute every measure that fits its arity ceiling; skips are explicit.
 
     bs, C and DT share one ternary subcube table (``_LatticeMeasures``).
-    It is built before bs when C or DT fits its ceiling, so the bs search
-    runs under min(u(x), C(f,x)) from its first input, which on most
+    Its fold is built before bs when C or DT fits its ceiling, so the bs
+    search runs under min(u(x), C(f,x)) from its first input, which on most
     functions leaves one packing search.  Otherwise bs runs the switch of
-    the public ``block_sensitivity``, with the same value and witness.
+    the public ``block_sensitivity``, with the same value and witness.  DT
+    comes last.  With ``witnesses`` its sweeps run to the end, for the tree
+    of ``dt_depth``; without, they stop once they meet max(bs, deg), a lower
+    bound on DT (bs <= C <= DT, and deg <= DT), which makes the value exact,
+    and where that bound is n they do not run at all.
     """
     return _measure_report(_LatticeMeasures(f, limits or {}), primes, witnesses)
 
@@ -1036,10 +1105,10 @@ def _measure_report(subcubes: _LatticeMeasures, primes, witnesses: bool) -> Meas
     """``measure_report`` on a caller's subcube table, which it may read further.
 
     This is the one list of a function's measures, in report order, and the
-    one place that decides to build the table between s and bs.  A caller
+    one place that decides to build the fold between s and bs.  A caller
     passes its own table when it reads more after the report: the CLI's
-    pointwise C, or ``inequality_suite``'s bs family, which the kept search
-    packs without a second search.
+    pointwise C, or the bs family of ``inequality_suite`` and of the scan's
+    cross-check, which the kept search packs without a second search.
 
     deg and every deg_p read one int32 Moebius table, deg_p as its residues
     mod p (exact: see ``spectral``); each prime is checked before anything
@@ -1065,7 +1134,7 @@ def _measure_report(subcubes: _LatticeMeasures, primes, witnesses: bool) -> Meas
     w = witnesses
     run("s", lambda: sensitivity(f, witness=w))
     if subcubes._skip("C") is None or subcubes._skip("DT") is None:
-        subcubes._build()
+        subcubes._folded()
     run("bs", lambda: subcubes.block_sensitivity(w))
     run("C", lambda: subcubes.certificate(w))
     run("alt", lambda: alternation(f, witness=w))
@@ -1078,5 +1147,7 @@ def _measure_report(subcubes: _LatticeMeasures, primes, witnesses: bool) -> Meas
     for p in primes:
         run(f"deg_{p}", lambda p=p: _degree_of(coeffs % p, w))
     run("sparsity", lambda: sparsity(f, witness=w))
-    run("DT", lambda: subcubes.dt_depth(w))
+    # DT >= bs (Nisan) and DT >= deg; only a call without a witness stops there
+    lower = max(rep.measures.get("bs", 0), rep.measures["deg"])
+    run("DT", lambda: subcubes.dt_depth(w, lower))
     return rep

@@ -113,8 +113,8 @@ def test_search_stops_at_first_unbeatable_point(monkeypatch):
 
 def test_search_settled_under_u_builds_no_table(monkeypatch):
     builds, visits = [], []
-    table, point = measures._subcube_table, measures._bs_point
-    monkeypatch.setattr(measures, "_subcube_table", lambda t: builds.append(t) or table(t))
+    fold, point = measures._subcube_fold, measures._bs_point
+    monkeypatch.setattr(measures, "_subcube_fold", lambda t: builds.append(t) or fold(t))
     monkeypatch.setattr(measures, "_bs_point", lambda f, a, w: visits.append(a) or point(f, a, w))
     settled = 0
     for f in _seeded(54, range(4, 15), 3):

@@ -18,7 +18,7 @@ from boolfn import (
     revalidate_record,
     tt_parse,
 )
-from boolfn import _bulk, checks
+from boolfn import _bulk, checks, measures
 from boolfn._bulk import measure_arrays
 from boolfn.checks import STATISTICS, _raise_if_broken
 from boolfn.families import parity, rubinstein
@@ -148,7 +148,8 @@ def test_extremal_search_runs_only_the_kernels_its_statistic_reads(monkeypatch):
     def unread(*args, **kwargs):
         raise AssertionError("salt_over_s reads nothing this kernel computes")
 
-    for name in ("_packings", "_families", "_subcube_table", "_moebius_rows", "_walsh_rows"):
+    for name in ("_packings", "_families", "_subcube_fold", "_DepthSweeps", "_moebius_rows",
+                 "_walsh_rows"):
         monkeypatch.setattr(_bulk, name, unread)
     assert [r.to_json_dict() for r in extremal_search(4, "salt_over_s")] == want
 
@@ -170,6 +171,17 @@ def test_exhaustive_scan_submatrix_mismatch_raises(monkeypatch):
     with pytest.raises(VerificationError,
                        match=r"for tt:3:25 at u=[01]{3} y=[01]{3}: f=. g=."):
         exhaustive_scan(3)
+
+
+def test_exhaustive_scan_crosscheck_runs_one_bs_search_per_sampled_function(monkeypatch):
+    # the report's kept search feeds both transforms at the maximizer, and
+    # one family at 0 feeds bs(f,0) and the transform there
+    searches, search = [], measures._bs_search
+    monkeypatch.setattr(measures, "_bs_search", lambda *a: searches.append(1) or search(*a))
+    rep = exhaustive_scan(3)
+    assert rep.ok
+    stride = 256 // checks._CROSSCHECK_SAMPLES
+    assert len(searches) == len(range(0, 256, stride))
 
 
 def test_exhaustive_scan_n2():

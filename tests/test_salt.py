@@ -102,20 +102,27 @@ def test_alternation_under_shifts_matches_path_maxima_oracle():
         assert alts[shifts].tolist() == [naive_path_maxima(_shifted(f, int(b)))[0] for b in shifts]
 
 
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n", range(7))
 def test_batched_kernel_matches_oracle(n):
-    # 0 and all ones are constant; the top point alone sets bit 63 at n = 6
+    # 0 and all ones are constant; the top point alone sets the top bit of
+    # its lane of max(8, 2**n) bits, bit 63 at n = 6; the batch lengths
+    # leave part of a 64-bit word unused
     rng = np.random.default_rng(50 + n)
     ids = [0, 2 ** (2**n) - 1, 1 << (2**n - 1)] + [random_table(rng, n) for _ in range(20)]
-    batch = np.array(ids, dtype=np.uint64)
-    down = _path_maxima(batch, n)
-    alts = _alternation_by_shift(batch, n)
-    assert down.shape == (2**n, len(ids)) and alts.shape == (len(ids), 2 ** (n - 1))
-    for r, bits in enumerate(ids):
+    shifts = max(1, 2**n // 2)
+    want_down, want_alts = [], []
+    for bits in ids:
         f = TruthTable(n, bits)
-        assert down[:, r].tolist() == naive_path_maxima(f) == _path_maxima(bits, n).tolist()
-        want = [naive_path_maxima(_shifted(f, b))[0] for b in range(2 ** (n - 1))]
-        assert alts[r].tolist() == want == _alternation_by_shift(bits, n).tolist()
+        want_down.append(naive_path_maxima(f))
+        want_alts.append([naive_path_maxima(_shifted(f, b))[0] for b in range(shifts)])
+        assert _path_maxima(bits, n).tolist() == want_down[-1]
+        assert _alternation_by_shift(bits, n).tolist() == want_alts[-1]
+    for m in (1, 3, 7, 9, 17, len(ids)):
+        batch = np.array(ids[-m:], dtype=np.uint64)
+        down = _path_maxima(batch, n)
+        alts = _alternation_by_shift(batch, n)
+        assert down.shape == (2**n, m) and alts.shape == (m, shifts)
+        assert down.T.tolist() == want_down[-m:] and alts.tolist() == want_alts[-m:]
 
 
 def _assert_chain_bound(f):
