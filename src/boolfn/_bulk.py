@@ -6,29 +6,32 @@ dominate the runtime, so this module computes the same quantities with the
 function axis vectorized: tables become the columns of one (2**n, m)
 matrix (``_tables``), the function axis innermost and contiguous, and each
 measure is a kernel of a handful of numpy passes over whole rows of m
-entries, indexed by input.  Every batched kernel in ``measures``,
-``spectral`` and ``transforms`` takes this layout, and its per-function
-call passes one table, or one column, through the same code.  Per-function
-records (block families, map columns, chains) stay one row per function,
-as ``measure_arrays`` returns them.  Callers walk the function ids in the
-fixed slices of ``_slices`` (``_SLICE`` ids each: n <= 3 is one slice,
-n = 4 is four) and pass one slice at a time to ``measure_arrays``, which
-bounds the memory of every kernel, the packing table and the subcube table
-included.  A caller that reads only some measures names them in ``needs``,
-and only the kernels they read run: ``extremal_search`` passes its
-statistic's, so ranking by salt/s runs the s and alternation kernels alone,
-while the scan reads every measure.  The kernels:
+entries, indexed by input.  This matrix is the one batch type: every
+batched kernel in ``measures``, ``spectral`` and ``transforms`` takes it,
+and so does ``measure_arrays``; a per-function call passes one table, or
+one column, through the same code.  Per-function records (block families,
+map columns, chains) stay one row per function, as ``measure_arrays``
+returns them.  Function ids live only in ``_tables`` and in the callers'
+reports: callers walk the ids in the fixed slices of ``_slices``
+(``_SLICE`` ids each: n <= 3 is one slice, n = 4 is four), build each
+slice's matrix once and pass it to ``measure_arrays`` and the transform
+kernels, which bounds the memory of every kernel, the packing table and
+the subcube table included.  A caller that reads only some measures names
+them in ``needs``, and only the kernels they read run: ``extremal_search``
+passes its statistic's, so ranking by salt/s runs the s and alternation
+kernels alone, while the scan reads every measure.  The kernels:
 
 * ``measures``: pointwise sensitivity, the packed level sets of alt and
-  salt (``measures._alternation_by_shift``), which take the slice's
-  function ids as a uint64 batch of packed tables and run them in lanes of
-  max(8, 2**n) bits, and the ternary subcube table behind certificate
-  complexity and decision-tree depth, the ones the per-function API runs:
-  the fold (``measures._subcube_fold``), which C reads, and the DT sweeps
-  (``measures._DepthSweeps``) on it.  The sweeps here run to their stop
-  rule, with no lower bound: the per-function reports stop at max(bs,
-  deg), but a slice stops only once every column meets its bound, and on
-  the first two n = 4 slices some column needs all 4 sweeps;
+  salt (``measures._alternation_by_shift``), which pack the matrix along
+  its input axis into one lane of max(8, 2**n) bits per table
+  (``measures._shift_moves``), and the ternary subcube table behind
+  certificate complexity and decision-tree depth, the ones the
+  per-function API runs: the fold (``measures._subcube_fold``), which C
+  reads, and the DT sweeps (``measures._DepthSweeps``) on it.  The sweeps
+  here run to their stop rule, with no lower bound: the per-function
+  reports stop at max(bs, deg), but a slice stops only once every column
+  meets its bound, and on the first two n = 4 slices some column needs
+  all 4 sweeps;
 * ``spectral``: the Moebius and Walsh butterflies, run here in int16 and
   int32, and the degree and sparsity kernels; ``deg`` and every ``deg_p``
   are read from one Moebius matrix;
@@ -166,11 +169,12 @@ def _families(B: np.ndarray, cols: np.ndarray, at: np.ndarray) -> np.ndarray:
     return fam.reshape(k, n)
 
 
-def measure_arrays(n: int, lo: int, hi: int, primes=(2, 3), needs=None) -> dict:
-    """Every scalar measure for each function id in [lo, hi), as 1-D arrays.
+def measure_arrays(t: np.ndarray, primes=(2, 3), needs=None) -> dict:
+    """Every scalar measure of each column of the (2**n, m) table matrix t,
+    as 1-D arrays of m entries.
 
-    All functions are measured at once, so callers pass one slice of
-    ``_slices``.
+    All columns are measured at once, so callers pass the table matrix of
+    one slice of ``_slices``, or any other columns of at most that many.
 
     Also returns the smallest bs maximizer (``bs_argmax``) and the
     lexicographically smallest maximum block families at the all-zero input
@@ -187,14 +191,14 @@ def measure_arrays(n: int, lo: int, hi: int, primes=(2, 3), needs=None) -> dict:
     sparsity; the subcube table (C and DT).  ``None`` runs every group.
     Each value returned is the full call's.
     """
+    n = t.shape[0].bit_length() - 1
     if n > MAX_BULK_ARITY:
         raise ValueError(f"bulk engine supports arity <= {MAX_BULK_ARITY}")
 
     def wants(*names) -> bool:
         return needs is None or any(name in needs for name in names)
 
-    t = _tables(n, lo, hi)
-    out: dict = {"ids": np.arange(lo, hi, dtype=np.int64)}
+    out: dict = {}
 
     if wants("s"):
         out["s"] = _pointwise_sensitivity(t).max(axis=0).astype(np.int64)
@@ -219,8 +223,7 @@ def measure_arrays(n: int, lo: int, hi: int, primes=(2, 3), needs=None) -> dict:
         del B, bs_pt
 
     if wants("alt", "salt"):
-        # a function id is its packed table
-        alt_by_shift = _alternation_by_shift(np.arange(lo, hi, dtype=np.uint64), n)
+        alt_by_shift = _alternation_by_shift(t, n)
         out["alt"] = alt_by_shift[:, 0].astype(np.int64)
         out["salt"] = alt_by_shift.min(axis=1).astype(np.int64)
         out["salt_argmin"] = np.argmin(alt_by_shift, axis=1).astype(np.int64)

@@ -48,7 +48,7 @@ from .measures import (
     shift_invariant_alternation,
     sparsity,
 )
-from .spectral import _sparsities, _walsh_rows
+from .spectral import _check_primes, _sparsities, _walsh_rows
 from .transforms import (
     _alt2s_rows,
     _bs2s_from_family,
@@ -413,9 +413,11 @@ _EQ_CHECKS = {
 
 def _scan_slice(n: int, lo: int, hi: int, primes: tuple) -> dict:
     """Every check on the function ids [lo, hi) of arity n, one slice of ``_bulk._slices``."""
-    a = _bulk.measure_arrays(n, lo, hi, primes)
+    # t holds one table per column, the table of id lo + r in column r
+    t = _bulk._tables(n, lo, hi)
+    a = _bulk.measure_arrays(t, primes)
     a["n"] = n
-    ids = a["ids"]
+    a["ids"] = ids = np.arange(lo, hi, dtype=np.int64)
     m = ids.size
     counts: dict = {}
     worst: dict = {}
@@ -436,13 +438,11 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple) -> dict:
             pos = int(np.argmin(margin))
             worst[name] = (int(margin[pos]), int(ids[np.flatnonzero(applicable)[pos]]))
 
-    # the transform constructions, batched over the function axis: t holds
-    # one table per column
-    t = _bulk._tables(n, lo, hi)
+    # the transform constructions, batched over the function axis
     zeros = np.zeros(m, dtype=np.int64)
     tr0 = _bs2s_rows(t, zeros, a["fam0"], "block-index")
     tr1 = _bs2s_rows(t, a["bs_argmax"], a["fam_argmax"], "block-index")
-    tra = _alt2s_rows(t, _path_maxima(np.arange(lo, hi, dtype=np.uint64), n))
+    tra = _alt2s_rows(t, _path_maxima(t, n))
     sh = _sherstov_rows(t, a["bs_argmax"], a["fam_argmax"])
     # each chain sets one new bit per step from 0, so it ends at 1^n, and
     # it changes value alt(f) times
@@ -561,10 +561,12 @@ def exhaustive_scan(n: int, primes=(2, 3)) -> CheckReport:
     transforms at the maximizer, and packs one family at the all-zero
     input, for bs(f,0) and the transform there.  The slice
     results merge in id order and the findings are capped after the merge,
-    so the report does not depend on the slicing.
+    so the report does not depend on the slicing.  The arity and each prime
+    are checked before any slice is measured.
     """
     if not 0 <= n <= _bulk.MAX_BULK_ARITY:
         raise ValueError(f"exhaustive scan supports 0 <= n <= {_bulk.MAX_BULK_ARITY}")
+    _check_primes(primes)
     chunks = [_scan_slice(n, lo, hi, tuple(primes)) for lo, hi in _bulk._slices(n)]
 
     counts: dict = {}
@@ -806,9 +808,9 @@ def extremal_search(
         row = _STATISTICS[statistic]
         parts = []
         for lo, hi in _bulk._slices(n):
-            a = _bulk.measure_arrays(n, lo, hi, needs=row.needs)
+            t = _bulk._tables(n, lo, hi)
+            a = _bulk.measure_arrays(t, needs=row.needs)
             if "sherstov" in row.needs:
-                t = _bulk._tables(n, lo, hi)
                 a["sherstov"] = _sherstov_rows(t, a["bs_argmax"], a["fam_argmax"]).cert
             parts.append(_statistic_array(row, a))
         vals = np.concatenate(parts)

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 
+from ._bulk import MAX_BULK_ARITY
 from .checks import (
     ProvenCheckError,
     exhaustive_scan,
@@ -183,7 +184,11 @@ def _cmd_check(args) -> int:
                 f, primes=primes, limits=_limits_for(f, args.override_ceilings)
             )
         elif suite.startswith("exhaustive:"):
-            n = int(suite.split(":", 1)[1])
+            try:
+                n = int(suite.split(":", 1)[1])
+            except ValueError:
+                raise FormatError(f"bad suite {suite!r}: expected exhaustive:N with 0 <= N <= "
+                                  f"{MAX_BULK_ARITY}")
             report = exhaustive_scan(n, primes=primes)
         elif suite == "family":
             report = family_suite(include_long=args.long, seed=args.seed)

@@ -13,6 +13,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, permutations
 
+import numpy as np
+
 from boolfn import TruthTable
 
 
@@ -230,6 +232,13 @@ def naive_dt(f):
         )
 
     return rec(0, 0)
+
+
+def table_matrix(n, ids):
+    """The (2**n, len(ids)) uint8 matrix whose column r is the table of the
+    function id ids[r], read one input at a time."""
+    fs = [TruthTable(n, int(bits)) for bits in ids]
+    return np.array([[f.value_at(x) for f in fs] for x in range(2**n)], dtype=np.uint8)
 
 
 def random_table(rng, n):

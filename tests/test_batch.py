@@ -28,13 +28,11 @@ from oracles import (
 )
 
 
-def _batch_inputs(n, ids):
-    """The smallest bs maximizer of each function id, in ascending order, and
+def _batch_inputs(t):
+    """The smallest bs maximizer of each column of the table matrix t, and
     its block families at 0 and there, as ``measure_arrays`` reports them."""
-    runs = np.split(ids, np.flatnonzero(np.diff(ids) != 1) + 1)
-    parts = [measure_arrays(n, int(run[0]), int(run[-1]) + 1) for run in runs]
-    return tuple(np.concatenate([a[key] for a in parts])
-                 for key in ("bs_argmax", "fam0", "fam_argmax"))
+    a = measure_arrays(t)
+    return a["bs_argmax"], a["fam0"], a["fam_argmax"]
 
 
 def _same(got, want):
@@ -49,13 +47,13 @@ def _same(got, want):
 def _check_rows(n, ids):
     functions = [TruthTable(n, int(bits)) for bits in ids]
     t = np.stack([f.to_array() for f in functions], axis=1)
-    amax, fam0, fam_max = _batch_inputs(n, ids)
+    amax, fam0, fam_max = _batch_inputs(t)
     zero = np.zeros(len(functions), dtype=np.int64)
     batches = (
         _bs2s_rows(t, zero, fam0, "block-index"),
         _bs2s_rows(t, amax, fam_max, "block-index"),
         _bs2s_rows(t, amax, fam_max, "min-in-block"),
-        _alt2s_rows(t, _path_maxima(np.array(ids, dtype=np.uint64), n)),
+        _alt2s_rows(t, _path_maxima(t, n)),
         _sherstov_rows(t, amax, fam_max),
     )
     for r, f in enumerate(functions):
@@ -88,7 +86,7 @@ def test_batched_kernels_match_per_function_columns(n, m):
     walsh = _walsh_rows(t, np.int32)
     degrees, sparsities = _degrees(moebius), _sparsities(walsh)
     img, g = _gather(t, cols, shifts)
-    down = _path_maxima(np.array(ids, dtype=np.uint64), n)
+    down = _path_maxima(t, n)
     chains = _best_chains(t, down)
     assert sens.shape == moebius.shape == walsh.shape == img.shape == g.shape == down.shape
     assert sens.shape == (2**n, m) and degrees.shape == sparsities.shape == (m,)
@@ -116,13 +114,13 @@ def test_batched_rows_match_per_function_exhaustive(n):
 
 def test_batched_rows_match_per_function_sampled_n4():
     rng = np.random.default_rng(44)
-    _check_rows(4, np.sort([random_table(rng, 4) for _ in range(64)]))
+    _check_rows(4, [random_table(rng, 4) for _ in range(64)])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_batched_block_transform_against_oracles(n):
     t = _tables(n, 0, 1 << (1 << n))
-    amax, fam0, fam_max = _batch_inputs(n, np.arange(t.shape[1]))
+    amax, fam0, fam_max = _batch_inputs(t)
     zero = np.zeros(t.shape[1], dtype=np.int64)
     at_zero = _bs2s_rows(t, zero, fam0, "block-index")
     at_max = _bs2s_rows(t, amax, fam_max, "block-index")
@@ -137,7 +135,7 @@ def test_batched_block_transform_against_oracles(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_batched_alternation_chains_against_oracle(n):
     t = _tables(n, 0, 1 << (1 << n))
-    chains = _best_chains(t, _path_maxima(np.arange(t.shape[1], dtype=np.uint64), n))
+    chains = _best_chains(t, _path_maxima(t, n))
     for r in range(t.shape[1]):
         assert tuple(int(p) for p in chains[r]) == naive_best_chain(TruthTable(n, r))
 

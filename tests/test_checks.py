@@ -19,9 +19,9 @@ from boolfn import (
     tt_parse,
 )
 from boolfn import _bulk, checks, measures
-from boolfn._bulk import measure_arrays
+from boolfn._bulk import _tables, measure_arrays
 from boolfn.checks import STATISTICS, _raise_if_broken
-from boolfn.families import parity, rubinstein
+from boolfn.families import gip, maj, parity, rubinstein, tree_function
 from boolfn.measures import (
     ArityLimitError,
     alternation,
@@ -34,6 +34,8 @@ from boolfn.measures import (
     shift_invariant_alternation,
     sparsity,
 )
+
+from oracles import table_matrix
 
 
 def test_inequality_suite_parity4():
@@ -83,25 +85,29 @@ def _same_family(padded, fam):
     assert tuple(int(b) for b in padded) == fam.blocks + (0,) * (len(padded) - len(fam.blocks))
 
 
+def _assert_column_matches_api(a, r, f):
+    """Column r of the ``measure_arrays`` result a holds the measures of f."""
+    assert a["s"][r] == sensitivity(f)
+    bs, fam = block_sensitivity(f, witness=True)
+    assert (a["bs"][r], a["bs_argmax"][r]) == (bs, fam.point)
+    _same_family(a["fam_argmax"][r], fam)
+    bs0, fam0 = block_sensitivity(f, at=0, witness=True)
+    assert a["bs0"][r] == bs0
+    _same_family(a["fam0"][r], fam0)
+    assert a["C"][r] == certificate(f)
+    assert a["alt"][r] == alternation(f)
+    assert a["salt"][r] == shift_invariant_alternation(f)
+    assert a["deg"][r] == real_degree(f)
+    assert a["deg_2"][r] == modp_degree(f, 2)
+    assert a["deg_3"][r] == modp_degree(f, 3)
+    assert a["sparsity"][r] == sparsity(f)
+    assert a["DT"][r] == dt_depth(f)
+
+
 def test_bulk_arrays_match_api_exhaustively_n2():
-    a = measure_arrays(2, 0, 16)
+    a = measure_arrays(_tables(2, 0, 16))
     for bits in range(16):
-        f = TruthTable(2, bits)
-        assert a["s"][bits] == sensitivity(f)
-        bs, fam = block_sensitivity(f, witness=True)
-        assert (a["bs"][bits], a["bs_argmax"][bits]) == (bs, fam.point)
-        _same_family(a["fam_argmax"][bits], fam)
-        bs0, fam0 = block_sensitivity(f, at=0, witness=True)
-        assert a["bs0"][bits] == bs0
-        _same_family(a["fam0"][bits], fam0)
-        assert a["C"][bits] == certificate(f)
-        assert a["alt"][bits] == alternation(f)
-        assert a["salt"][bits] == shift_invariant_alternation(f)
-        assert a["deg"][bits] == real_degree(f)
-        assert a["deg_2"][bits] == modp_degree(f, 2)
-        assert a["deg_3"][bits] == modp_degree(f, 3)
-        assert a["sparsity"][bits] == sparsity(f)
-        assert a["DT"][bits] == dt_depth(f)
+        _assert_column_matches_api(a, bits, TruthTable(2, bits))
 
 
 def test_bulk_arrays_match_api_sampled_n4(bulk_n4_rows):
@@ -129,9 +135,10 @@ def test_bulk_arrays_match_api_sampled_n4(bulk_n4_rows):
 def test_measure_arrays_needs_returns_the_full_values(n, lo, hi):
     """Naming a statistic's measures returns a subset of the full call, equal
     on every key, and enough to evaluate the statistic."""
-    full = measure_arrays(n, lo, hi)
+    t = _tables(n, lo, hi)
+    full = measure_arrays(t)
     for row in checks._STATISTICS.values():
-        part = measure_arrays(n, lo, hi, needs=row.needs)
+        part = measure_arrays(t, needs=row.needs)
         assert set(part) < set(full)
         for key, values in part.items():
             assert np.array_equal(values, full[key]), (row.name, key)
@@ -140,6 +147,40 @@ def test_measure_arrays_needs_returns_the_full_values(n, lo, hi):
         else:
             assert np.array_equal(checks._statistic_array(row, part),
                                   checks._statistic_array(row, full))
+
+
+def _id_range_columns(n, ids, needs):
+    """``measure_arrays`` on the id-range slices of ``_bulk._slices`` that
+    hold ids, read at ids, column for column."""
+    at = {}
+    for lo, hi in _bulk._slices(n):
+        inside = [fid for fid in ids if lo <= fid < hi]
+        if inside:
+            a = measure_arrays(_tables(n, lo, hi), needs=needs)
+            for fid in inside:
+                at[fid] = {key: values[fid - lo] for key, values in a.items()}
+    return {key: np.array([at[fid][key] for fid in ids]) for key in at[ids[0]]}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_measure_arrays_on_columns_that_are_not_an_id_range(n):
+    """Any table matrix, here shuffled and repeated ids and named family
+    tables, measures as the id-range slices do, column for column, and the
+    families as the per-function API does."""
+    rng = np.random.default_rng(80 + n)
+    fams = {3: [maj(3), tree_function(2)],
+            4: [parity(4), rubinstein(2, 2), gip(2, 2)]}[n]
+    drawn = [int(b) for b in rng.integers(0, 2 ** (2**n), 12)]
+    ids = [f.bits for f in fams] + [int(b) for b in rng.permutation(drawn + drawn[:5])]
+    t = table_matrix(n, ids)
+    for needs in [None] + [row.needs for row in checks._STATISTICS.values()]:
+        got, want = measure_arrays(t, needs=needs), _id_range_columns(n, ids, needs)
+        assert set(got) == set(want)
+        for key, values in got.items():
+            assert np.array_equal(values, want[key]), (needs, key)
+    a = measure_arrays(t)
+    for r, f in enumerate(fams):
+        _assert_column_matches_api(a, r, f)
 
 
 def test_extremal_search_runs_only_the_kernels_its_statistic_reads(monkeypatch):

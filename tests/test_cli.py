@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from boolfn import cli, commlb, measures
+from boolfn import _bulk, cli, commlb, measures
 from boolfn.cli import main
 from boolfn.commlb import BitMatrix
 
@@ -284,6 +284,22 @@ def test_non_prime_exits_2_before_the_moebius_table(monkeypatch, capsys, command
     monkeypatch.setattr(commlb, "_moebius_rows", no_table)
     code, out, err = run_cli(capsys, command, "fam:or:n=3", "--primes", "2,4")
     assert (code, out, err) == (2, "", "error: 4 is not prime\n")
+
+
+def test_scan_checks_its_primes_before_measuring(monkeypatch, capsys):
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("a slice was measured before the primes were checked")
+
+    monkeypatch.setattr(_bulk, "measure_arrays", no_arrays)
+    code, out, err = run_cli(capsys, "check", "exhaustive:4", "--primes", "2,4")
+    assert (code, out, err) == (2, "", "error: 4 is not prime\n")
+
+
+@pytest.mark.parametrize("suite", ["exhaustive:x", "exhaustive:"])
+def test_bad_scan_arity_names_the_suite(capsys, suite):
+    code, out, err = run_cli(capsys, "check", suite)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad suite {suite!r}: expected exhaustive:N with 0 <= N <= 4\n"
 
 
 def test_unknown_subcommand_exits_2():

@@ -100,7 +100,7 @@ def test_batched_submatrix_rows_match_submatrix_witness(n):
     packer's family at 0 on every function of arity <= 3."""
     m = 1 << (1 << n)
     t = _tables(n, 0, m)
-    fam0 = measure_arrays(n, 0, m)["fam0"]
+    fam0 = measure_arrays(t)["fam0"]
     sub = _bs2s_rows(t, np.zeros(m, dtype=np.int64), fam0, "min-in-block")
     w = commlb._check_submatrix_rows(t, sub.g, fam0)
     assert w.shape == (m, 2**n)

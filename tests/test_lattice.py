@@ -19,7 +19,7 @@ from boolfn import (
     validate_decision_tree,
 )
 from boolfn import measures
-from boolfn._bulk import measure_arrays
+from boolfn._bulk import _tables, measure_arrays
 from boolfn.measures import _LatticeMeasures, _subcube_fold, _table_bytes
 from boolfn.families import and_, gip, ip, maj, or_, parity, rubinstein, tree_function
 
@@ -108,7 +108,7 @@ def test_dt_witness_matches_oracles_sampled():
 
 def test_bulk_certificate_and_dt_match_oracles(bulk_n4_rows):
     for n in range(4):
-        a = measure_arrays(n, 0, 2 ** (2**n))
+        a = measure_arrays(_tables(n, 0, 2 ** (2**n)))
         for f in _every_function(n):
             assert a["C"][f.bits] == naive_certificate(f)
             assert a["DT"][f.bits] == naive_dt(f)

@@ -17,7 +17,7 @@ from boolfn import (
     shift_invariant_alternation,
 )
 from boolfn._bitops import table_mask
-from boolfn._bulk import measure_arrays
+from boolfn._bulk import _tables, measure_arrays
 from boolfn.families import and_, gip, maj, parity, tree_function
 from boolfn.measures import _alternation_by_shift, _chain_bound, _path_maxima, _salt_search
 
@@ -27,6 +27,7 @@ from oracles import (
     naive_salt,
     naive_shift_alternations,
     random_table,
+    table_matrix,
 )
 
 
@@ -71,7 +72,7 @@ def test_alternation_under_shifts_matches_shifted_alternation():
 
 def test_bulk_salt_matches_api_exhaustive():
     for n in range(4):
-        a = measure_arrays(n, 0, 2 ** (2**n))
+        a = measure_arrays(_tables(n, 0, 2 ** (2**n)))
         for f in _every_function(n):
             val, b = shift_invariant_alternation(f, witness=True)
             assert (a["salt"][f.bits], a["salt_argmin"][f.bits]) == (val, b)
@@ -104,9 +105,9 @@ def test_alternation_under_shifts_matches_path_maxima_oracle():
 
 @pytest.mark.parametrize("n", range(7))
 def test_batched_kernel_matches_oracle(n):
-    # 0 and all ones are constant; the top point alone sets the top bit of
-    # its lane of max(8, 2**n) bits, bit 63 at n = 6; the batch lengths
-    # leave part of a 64-bit word unused
+    # 0 and all ones are constant; the top point alone is the last row of
+    # its table matrix, packed into the top bit of its lane of max(8, 2**n)
+    # bits, bit 63 at n = 6; the batches run from one column to all of them
     rng = np.random.default_rng(50 + n)
     ids = [0, 2 ** (2**n) - 1, 1 << (2**n - 1)] + [random_table(rng, n) for _ in range(20)]
     shifts = max(1, 2**n // 2)
@@ -118,7 +119,7 @@ def test_batched_kernel_matches_oracle(n):
         assert _path_maxima(bits, n).tolist() == want_down[-1]
         assert _alternation_by_shift(bits, n).tolist() == want_alts[-1]
     for m in (1, 3, 7, 9, 17, len(ids)):
-        batch = np.array(ids[-m:], dtype=np.uint64)
+        batch = table_matrix(n, ids[-m:])
         down = _path_maxima(batch, n)
         alts = _alternation_by_shift(batch, n)
         assert down.shape == (2**n, m) and alts.shape == (m, shifts)

@@ -15,7 +15,7 @@ from boolfn import (
     walsh_coefficients,
 )
 from boolfn._bitops import MAX_ARITY, SHORT_RUN, butterfly, level_views, table_mask
-from boolfn._bulk import measure_arrays
+from boolfn._bulk import _tables, measure_arrays
 from boolfn.core import _xor
 from boolfn.families import and_, maj, parity
 from boolfn.measures import _pointwise_sensitivity
@@ -210,7 +210,7 @@ def test_bulk_degrees_and_sparsity_match_oracles(bulk_n4_rows):
         assert a["sparsity"][f.bits] == naive_sparsity(f)
 
     for n in range(4):
-        a = measure_arrays(n, 0, 2 ** (2**n))
+        a = measure_arrays(_tables(n, 0, 2 ** (2**n)))
         for f in _every_function(n):
             check(a, f)
     rng = np.random.default_rng(43)
