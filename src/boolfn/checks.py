@@ -34,11 +34,12 @@ import numpy as np
 
 from . import _bulk
 from ._bitops import pack, point_to_str, table_mask, table_size, unpack
-from .commlb import _check_submatrix_rows, submatrix_witness
+from .commlb import _check_submatrix_rows, _submatrix_from_family
 from .core import TruthTable, _check_arity, is_invertible, tt_parse, tt_serialize
 from .families import and_, gip, maj, or_compose, parity, rubinstein, rubinstein_row, tree_function
 from .measures import (
     _LatticeMeasures,
+    _lanes,
     _measure_report,
     _path_maxima,
     alternation,
@@ -445,13 +446,13 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple) -> dict:
     tra = _alt2s_rows(t, _path_maxima(t, n))
     sh = _sherstov_rows(t, a["bs_argmax"], a["fam_argmax"])
     # each chain sets one new bit per step from 0, so it ends at 1^n, and
-    # it changes value alt(f) times
-    chain = tra.cert["chain"]
-    along = t[chain, np.arange(m)[:, None]]
-    steps = ((chain[:, 1:] > chain[:, :-1])
-             & (np.bitwise_count(chain[:, 1:] ^ chain[:, :-1]) == 1))
-    chain_ok = ((chain[:, 0] == 0) & steps.all(axis=1)
-                & ((along[:, 1:] != along[:, :-1]).sum(axis=1) == a["alt"]))
+    # it changes value alt(f) times; row j holds step j of every chain, and
+    # the values along it are read from the tables packed into lanes
+    chain = np.ascontiguousarray(tra.cert["chain"].T)
+    along = (_lanes(t) >> chain) & 1
+    steps = (chain[1:] > chain[:-1]) & (np.bitwise_count(chain[1:] ^ chain[:-1]) == 1)
+    chain_ok = ((chain[0] == 0) & steps.all(axis=0)
+                & ((along[1:] != along[:-1]).sum(axis=0) == a["alt"]))
     if not chain_ok.all():
         fid = int(ids[np.argmin(chain_ok)])
         raise RuntimeError(f"bulk alt does not match its chain at function {fid}")
@@ -514,7 +515,7 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple) -> dict:
         if bool(tra.cert["invertible"][row]) != is_invertible(tr_alt.map):
             raise RuntimeError(f"batched invertibility mismatch at function {fid}")
         if n <= _SUBMATRIX_MAX_ARITY:
-            cert, got = submatrix_witness(f), sub.result(row, f)
+            cert, got = _submatrix_from_family(f, fam0), sub.result(row, f)
             batched = (got.certificate["block_sensitivity"], got.certificate["blocks"],
                        tuple(np.unique(w[row]).tolist()), got.g)
             if (cert.k, cert.blocks, cert.w_points, cert.g) != batched:

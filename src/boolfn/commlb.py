@@ -19,13 +19,14 @@ from ._bitops import mask_indices, pack, point_to_str, table_size
 from .core import TruthTable, tt_serialize
 from .measures import (
     ArityLimitError,
+    BlockFamily,
     _LatticeMeasures,
     block_sensitivity,
     dt_depth,
     sensitivity,
 )
 from .spectral import _check_primes, _degrees, _moebius_rows
-from .transforms import bs_to_s_affine
+from .transforms import _bs2s_from_family
 
 __all__ = [
     "AND_MATRIX_MAX_ARITY",
@@ -195,8 +196,15 @@ def submatrix_witness(
     The exhaustive check is ``_check_submatrix_rows`` on one function, the
     kernel the exhaustive scan runs on every function of a slice at once.
     """
+    _, fam = block_sensitivity(f, at=0, witness=True, limit=limit)
+    return _submatrix_from_family(f, fam, seed)
+
+
+def _submatrix_from_family(f: TruthTable, fam: BlockFamily, seed: int = 0) -> LowerBoundCertificate:
+    """``submatrix_witness`` on a witness family at the all-zero input already
+    found by a bs search."""
     n = f.n
-    transform = bs_to_s_affine(f, 0, placement="min-in-block", limit=limit)
+    transform = _bs2s_from_family(f, fam, "min-in-block")
     blocks = transform.certificate["blocks"]
     k = transform.certificate["block_sensitivity"]
     g = transform.g

@@ -24,6 +24,7 @@ from .core import AffineMap, TruthTable, affine_images, tt_serialize
 from .measures import (
     BlockFamily,
     _best_chains,
+    _lanes,
     _path_maxima,
     _pointwise_sensitivity,
     block_sensitivity,
@@ -112,33 +113,56 @@ def _block_rows(n: int, blocks) -> np.ndarray:
     return row
 
 
+def _units(n: int, dtype) -> np.ndarray:
+    """The unit vectors 1 << i, i < n, as an (n, 1) column of ``dtype``."""
+    return (1 << np.arange(n, dtype=np.uint64)).astype(dtype)[:, None]
+
+
 def _place_on_low_bit(cols: np.ndarray, parts: np.ndarray) -> None:
-    """Write each nonzero part onto the column of its smallest member."""
-    rows = np.arange(parts.shape[0])
-    for j in range(parts.shape[1]):
-        live = parts[:, j] != 0
-        part = parts[live, j].astype(np.int64)
-        cols[rows[live], np.bitwise_count((part & -part) - 1)] = part
+    """Write each nonzero part onto the column of its smallest member.
+
+    Both arrays hold one function per column: ``cols`` is (n, m), row i the
+    map column i of every function, and zero wherever a part lands;
+    ``parts`` is (k, m), the disjoint parts of each function, zero-padded.
+    Row i takes each part whose lowest bit is bit i, so every pass runs over
+    whole rows of m entries, with no index arithmetic.
+    """
+    unit = _units(cols.shape[0], cols.dtype)
+    for part in parts:
+        cols |= ((part & -part) == unit) * part
 
 
 def _gather(tables: np.ndarray, columns: np.ndarray, shifts) -> tuple[np.ndarray, np.ndarray]:
-    """Image tables of the maps and the tables of g(x) = f(A(x)), (2**n, m)."""
-    img = affine_images(columns.shape[1], columns, shifts)
-    return img, np.take_along_axis(tables, img, axis=0)
+    """Image tables of the maps and the tables of g(x) = f(A(x)), (2**n, m).
+
+    Up to n = 6 every table fits one lane (``measures._lanes``), so entry
+    (x, r) of g is ``(lanes[r] >> A_r(x)) & 1``: one elementwise pass with no
+    index arithmetic.  On a 16,384-column slice at n = 4 (2-core Xeon VM,
+    best of 30) that takes 0.10 ms plus 0.07 ms to pack, where
+    ``np.take_along_axis`` takes 1.2-2.1 ms.  Above n = 6 only per-function
+    calls come here, and they take the entries with ``take_along_axis``.
+    """
+    n = columns.shape[1]
+    img = affine_images(n, columns, shifts)
+    if n > 6:
+        return img, np.take_along_axis(tables, img, axis=0)
+    return img, (np.right_shift(_lanes(tables), img) & 1).astype(tables.dtype)
 
 
 def _bs2s_rows(tables, points, blocks, placement: str) -> _Batch:
+    n = blocks.shape[1]
+    by_block = np.ascontiguousarray(blocks.T)  # row j: block j of every function
     if placement == "block-index":
-        cols = blocks.copy()
+        cols = by_block
     elif placement == "min-in-block":
-        cols = np.zeros_like(blocks)
-        _place_on_low_bit(cols, blocks)
+        cols = np.zeros_like(by_block)
+        _place_on_low_bit(cols, by_block)
     else:
         raise ValueError(f"unknown placement {placement!r}")
-    _, g = _gather(tables, cols, points)
-    k = np.count_nonzero(blocks, axis=1)
+    _, g = _gather(tables, cols.T, points)
+    k = np.count_nonzero(by_block, axis=0)
     # s(g, 0): the unit points where g differs from g(0)
-    sg0 = (g[[1 << i for i in range(cols.shape[1])]] != g[0]).sum(axis=0)
+    sg0 = (g[[1 << i for i in range(n)]] != g[0]).sum(axis=0)
     cert = {
         "point": points,
         "block_sensitivity": k,
@@ -147,7 +171,7 @@ def _bs2s_rows(tables, points, blocks, placement: str) -> _Batch:
         "blocks": blocks,
         "placement": placement,
     }
-    return _Batch("bs2s", cols, points, g, cert)
+    return _Batch("bs2s", cols.T, points, g, cert)
 
 
 def _substitution_record(columns, n: int) -> tuple:
@@ -218,17 +242,17 @@ def _alt2s_certificate(batch: _Batch, r: int) -> dict:
 
 def _sherstov_rows(tables, z, blocks) -> _Batch:
     m, n = blocks.shape
-    k = np.count_nonzero(blocks, axis=1)
-    wide = blocks.astype(np.int64)
-    z64 = np.asarray(z, dtype=np.int64)[:, None]
-    zeros, ones = wide & ~z64, wide & z64
-    union = np.bitwise_or.reduce(wide, axis=1)
-    unit = np.int64(1) << np.arange(n, dtype=np.int64)
-    cols = np.where((union[:, None] & unit) == 0, unit, 0)
+    # one function per column, so every pass below runs over whole rows
+    by_block = np.ascontiguousarray(blocks.T)
+    zb = np.asarray(z).astype(by_block.dtype)
+    zeros, ones = by_block & ~zb, by_block & zb
+    k = np.count_nonzero(by_block, axis=0)
+    # variables outside every block keep their own column
+    cols = _units(n, by_block.dtype) & ~np.bitwise_or.reduce(by_block, axis=0)
     _place_on_low_bit(cols, zeros)
     _place_on_low_bit(cols, ones)
     shifts = np.zeros(m, dtype=np.int64)
-    _, g = _gather(tables, cols, shifts)
+    _, g = _gather(tables, cols.T, shifts)
     sg = _pointwise_sensitivity(g).max(axis=0).astype(np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = k / (sg * sg)
@@ -236,14 +260,14 @@ def _sherstov_rows(tables, z, blocks) -> _Batch:
         "z": z,
         "block_sensitivity": k,
         "blocks": blocks,
-        "a_sets": zeros,
-        "b_sets": ones,
-        "split_blocks": (zeros != 0) & (ones != 0),
+        "a_sets": zeros.T,
+        "b_sets": ones.T,
+        "split_blocks": ((zeros != 0) & (ones != 0)).T,
         "s_g": sg,
         "ratio_bs_over_s_g_sq": ratio,
         "factor4_holds": 4 * sg * sg >= k,
     }
-    return _Batch("sherstov", cols, shifts, g, cert)
+    return _Batch("sherstov", cols.T, shifts, g, cert)
 
 
 def _sherstov_certificate(batch: _Batch, r: int) -> dict:

@@ -11,6 +11,7 @@ from boolfn import (
     TruthTable,
     alt_to_s_linear,
     apply_affine,
+    block_sensitivity,
     bs_to_s_affine,
     sherstov_linear,
 )
@@ -18,7 +19,8 @@ from boolfn._bulk import _tables, measure_arrays
 from boolfn.core import affine_images
 from boolfn.measures import _best_chains, _path_maxima, _pointwise_sensitivity
 from boolfn.spectral import _degrees, _moebius_rows, _sparsities, _walsh_rows
-from boolfn.transforms import _alt2s_rows, _bs2s_rows, _gather, _sherstov_rows
+from boolfn.families import maj, rubinstein
+from boolfn.transforms import _alt2s_rows, _block_rows, _bs2s_rows, _gather, _sherstov_rows
 
 from oracles import (
     naive_best_chain,
@@ -70,10 +72,11 @@ def _check_rows(n, ids):
 
 
 @pytest.mark.parametrize("m", [1, 40])
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
 def test_batched_kernels_match_per_function_columns(n, m):
     # a (2**n, m) matrix holds one table per column, and every kernel gives
-    # each column what it gives that table alone
+    # each column what it gives that table alone; n = 5 and 6 run the
+    # gather on u4 and u8 lanes
     rng = np.random.default_rng(60 + n)
     ids = [random_table(rng, n) for _ in range(m)]
     if m > 2:
@@ -115,6 +118,43 @@ def test_batched_rows_match_per_function_exhaustive(n):
 def test_batched_rows_match_per_function_sampled_n4():
     rng = np.random.default_rng(44)
     _check_rows(4, [random_table(rng, 4) for _ in range(64)])
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_batched_rows_match_per_function_sampled_above_bulk_arity(n):
+    # the bulk engine stops at n = 4, so the block families come from the
+    # per-function API; the rows read the tables from u4 and u8 lanes
+    rng = np.random.default_rng(70 + n)
+    functions = [TruthTable(n, random_table(rng, n)) for _ in range(12)]
+    # 0xc28b74ec, also lifted to n = 6 by an irrelevant variable, splits
+    # its block of bits 2 and 4 at z = 4 into a zero part and a one part
+    split = 0xC28B74EC if n == 5 else 0xC28B74EC_C28B74EC
+    functions[:3] = [TruthTable(n, 0), maj(5) if n == 5 else rubinstein(2, 3), TruthTable(n, split)]
+    t = np.stack([f.to_array() for f in functions], axis=1)
+    fam0 = [block_sensitivity(f, at=0, witness=True)[1] for f in functions]
+    fam_max = [block_sensitivity(f, witness=True)[1] for f in functions]
+    zero = np.zeros(len(functions), dtype=np.int64)
+    amax = np.array([fam.point for fam in fam_max])
+    blocks0 = np.concatenate([_block_rows(n, fam.blocks) for fam in fam0])
+    blocks_max = np.concatenate([_block_rows(n, fam.blocks) for fam in fam_max])
+    batches = (
+        _bs2s_rows(t, zero, blocks0, "block-index"),
+        _bs2s_rows(t, amax, blocks_max, "block-index"),
+        _bs2s_rows(t, amax, blocks_max, "min-in-block"),
+        _alt2s_rows(t, _path_maxima(t, n)),
+        _sherstov_rows(t, amax, blocks_max),
+    )
+    for r, f in enumerate(functions):
+        a = int(amax[r])
+        wants = (
+            bs_to_s_affine(f, 0),
+            bs_to_s_affine(f, a),
+            bs_to_s_affine(f, a, placement="min-in-block"),
+            alt_to_s_linear(f),
+            sherstov_linear(f),
+        )
+        for batch, want in zip(batches, wants):
+            _same(batch.result(r, f), want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -18,7 +18,7 @@ from boolfn import (
     revalidate_record,
     tt_parse,
 )
-from boolfn import _bulk, checks, measures
+from boolfn import _bulk, checks, commlb, measures, transforms
 from boolfn._bulk import _tables, measure_arrays
 from boolfn.checks import STATISTICS, _raise_if_broken
 from boolfn.families import gip, maj, parity, rubinstein, tree_function
@@ -216,13 +216,24 @@ def test_exhaustive_scan_submatrix_mismatch_raises(monkeypatch):
 
 def test_exhaustive_scan_crosscheck_runs_one_bs_search_per_sampled_function(monkeypatch):
     # the report's kept search feeds both transforms at the maximizer, and
-    # one family at 0 feeds bs(f,0) and the transform there
+    # one family at 0 feeds bs(f,0), the transform there and the submatrix
+    # certificate
     searches, search = [], measures._bs_search
     monkeypatch.setattr(measures, "_bs_search", lambda *a: searches.append(1) or search(*a))
+    at_zero, pointed = [], measures.block_sensitivity
+
+    def counted(f, at=None, **kw):
+        if at == 0:
+            at_zero.append(f.bits)
+        return pointed(f, at, **kw)
+
+    for module in (checks, commlb, transforms):
+        monkeypatch.setattr(module, "block_sensitivity", counted)
     rep = exhaustive_scan(3)
     assert rep.ok
     stride = 256 // checks._CROSSCHECK_SAMPLES
     assert len(searches) == len(range(0, 256, stride))
+    assert at_zero == list(range(0, 256, stride))
 
 
 def test_exhaustive_scan_n2():

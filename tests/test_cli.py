@@ -345,3 +345,39 @@ def test_module_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("tt:3:e8,3,2,2,2,1,")
+
+
+# one call of each subcommand, each exiting 0
+_ONE_CALL_EACH = (
+    ["measures", "fam:maj:n=3", "--format", "csv"],
+    ["transform", "sherstov", "fam:maj:n=3"],
+    ["check", "function", "fam:and:n=2", "--format", "csv"],
+    ["comm", "fam:or:n=3", "--seed", "1"],
+    ["search", "--n", "3", "--statistic", "salt_minus_s", "--budget", "20", "--top", "2"],
+)
+
+
+def _exit_and_stdout(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse rejects the call
+        code = e.code
+    return code, capsys.readouterr().out
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    """The parser is built once per process.  A call that argparse rejects
+    (exit 2) leaves it as it was: each call after it gives the exit code and
+    stdout of the same call on a parser of its own."""
+    separate = []
+    for argv in _ONE_CALL_EACH:
+        cli.build_parser.cache_clear()
+        separate.append(_exit_and_stdout(capsys, list(argv)))
+    assert [code for code, _ in separate] == [0] * len(_ONE_CALL_EACH)
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
+    rejected = ["check", "exhaustive:3", "--long", "--primes", "2", "--bogus"]
+    in_turn = [_exit_and_stdout(capsys, rejected)]
+    in_turn += [_exit_and_stdout(capsys, list(argv)) for argv in _ONE_CALL_EACH]
+    assert in_turn == [(2, "")] + separate
+    assert cli.build_parser() is parser

@@ -128,13 +128,13 @@ def test_submatrix_sampled_mode(monkeypatch):
 @pytest.mark.parametrize("budget", [1 << 22, 1])
 def test_submatrix_mismatch_raises_with_values(monkeypatch, budget):
     """A wrong g fails the identity in both modes, and the error names f and g there."""
-    real = commlb.bs_to_s_affine
+    real = commlb._bs2s_from_family
 
-    def wrong_g(f, at, **kw):
-        tr = real(f, at, **kw)
+    def wrong_g(f, fam, placement):
+        tr = real(f, fam, placement)
         return dataclasses.replace(tr, g=TruthTable(tr.g.n, tr.g.bits ^ 1))
 
-    monkeypatch.setattr(commlb, "bs_to_s_affine", wrong_g)
+    monkeypatch.setattr(commlb, "_bs2s_from_family", wrong_g)
     monkeypatch.setattr(commlb, "_FULL_PAIR_BUDGET", budget)
     with pytest.raises(commlb.VerificationError, match=r"at u=[01]{3} y=[01]{3}: f=0 g=1"):
         submatrix_witness(maj(3))
