@@ -15,11 +15,11 @@ returns them.  Function ids live only in ``_tables`` and in the callers'
 reports: callers walk the ids in the fixed slices of ``_slices``
 (``_SLICE`` ids each: n <= 3 is one slice, n = 4 is four), build each
 slice's matrix once and pass it to ``measure_arrays`` and the transform
-kernels, which bounds the memory of every kernel, the packing table and
-the subcube table included.  A caller that reads only some measures names
-them in ``needs``, and only the kernels they read run: ``extremal_search``
-passes its statistic's, so ranking by salt/s runs the s and alternation
-kernels alone, while the scan reads every measure.  The kernels:
+kernels, which bounds the memory of every kernel, the subcube table
+included.  A caller that reads only some measures names them in
+``needs``, and only the kernels they read run: ``extremal_search`` passes
+its statistic's, so ranking by salt/s runs the s and alternation kernels
+alone, while the scan reads every measure.  The kernels:
 
 * ``measures``: pointwise sensitivity, the packed level sets of alt and
   salt (``measures._alternation_by_shift``), which pack the matrix along
@@ -35,24 +35,26 @@ kernels alone, while the scan reads every measure.  The kernels:
 * ``spectral``: the Moebius and Walsh butterflies, run here in int16 and
   int32, and the degree and sparsity kernels; ``deg`` and every ``deg_p``
   are read from one Moebius matrix;
-* here: block sensitivity, a subset DP over free sets (``_packings``) and
-  the family walk on it (``_families``), for every input of every function.
+* here: block sensitivity, searched as the per-function API searches it.
 
 Block sensitivity is the one measure whose batched and per-function
-kernels differ.  The DP packs every free set at every input, about 3**n
-max-plus steps in 3 * (2**n - 1) numpy calls, which pays off over a slice's
-functions.  A per-function call wants few inputs (``measures._bs_search``
-settles most random functions at one to three, and structured ones after
-about n + 1 once it switches to the certificate bound), where
-``measures._bs_point`` packs only the minimal sensitive blocks.  On one
-function (2-core Xeon VM, best of 5), the DP with one family against the
-packer at one input and all of ``block_sensitivity`` with its witness:
-n = 4, 319 us against 21 and 76 us; n = 8, 6.5 ms against 0.08 and
-0.15 ms; ``rubinstein(2, 4)`` (n = 8, 8 inputs under the sensitivity
-bound, then the fold of the subcube table and 1 input under the
-certificate bound), 6.5 ms against 0.80 ms for the search.  So the
-per-function route keeps the packer; the walk takes the families by its rule
-(``measures._lex_min_family``), so both give the same witnesses.
+kernels differ, and only in how they pack the blocks at one input.  Both
+visit the inputs in the order of ``measures._bs_search``, descending
+upper bound, then ascending input, and stop where no input left can win;
+the batch runs that rule in vectorized rounds over the unsettled columns
+(``_bs_rounds``), under min(u, C): u = s + (n - s) // 2 from the
+pointwise sensitivity, and C from the fold, which the C group reads too.
+That settles all but 8 of the 65,536 functions of arity 4 at their first
+input, and those within 3.  At each visited input, and at 0 for ``bs0``
+and ``fam0``, the batch packs by a max-plus DP over the free sets
+(``_point_packings``: about 3**n steps per table in 2**n - 1 passes over
+the columns), and ``_families`` walks those packings by the rule of
+``measures._lex_min_family``, so both routes give the same witnesses.
+One function wants the per-function packer
+(``measures._bs_point``), which packs only the minimal sensitive blocks:
+at one input of a random function (2-core Xeon VM, best of 300), the DP
+and its family take 0.40 ms at n = 4 and 1.9 ms at n = 6, the packer
+0.05 and 0.07 ms.
 
 The scan builds every transform of a slice at once with the batch kernels
 of ``transforms``.  For an affine map A, g(x) = f(A(x)) is bit A(x) of
@@ -70,7 +72,7 @@ kernel of ``commlb.submatrix_witness`` on the families at 0, and
 cross-checks these arrays, the transforms built from the families and the
 submatrix certificates against the per-function API on a deterministic
 subsample.  That
-guards the batching (dtypes, the function axis) and compares two algorithms
+guards the batching (dtypes, the function axis) and compares two packings
 for bs (the DP and the packer).  alt and salt share the API's kernel, so
 their independent checks are the scan's check of each alternation chain of
 its transforms against its alt value, and the tests of the arrays against
@@ -81,10 +83,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._bitops import table_size
+from ._bitops import table_size, xor_shift
 from .measures import (
     _alternation_by_shift,
     _DepthSweeps,
+    _lanes,
     _pointwise_sensitivity,
     _subcube_fold,
 )
@@ -108,75 +111,132 @@ def _tables(n: int, lo: int, hi: int) -> np.ndarray:
     return ((ids >> points[:, None]) & 1).astype(np.uint8)
 
 
-def _packings(t: np.ndarray) -> np.ndarray:
-    """B[S, x, r]: the most disjoint blocks inside free set S that flip
-    function r of a (2**n, m) table matrix at input x, as an int8
-    (2**n, 2**n, m) array.
+def _point_packings(lanes: np.ndarray, at: np.ndarray, n: int) -> np.ndarray:
+    """P[S, j]: the most disjoint blocks inside free set S that flip table j
+    at input at[j], as an int8 (2**n, k) array, for k tables of arity n
+    packed into ``measures._lanes``.
 
-    One in-place pass per block T over the free sets S that contain it:
-    B[S] = max(B[S], B[S ^ T] + flip_T[x, r]).  S ^ T does not contain T, so
-    no packing uses T twice; B is monotone in S, so a block that does not
-    flip needs no mask.  Both sides of a pass, and the tables XORed by T, are
-    views on the (2,)*n grid, so a pass is three numpy calls into buffers
-    allocated once; the largest, half the size of B, holds B[S ^ T] + flip_T.
+    Whether block T flips table j at at[j] is bit at[j] ^ T of lanes[j]
+    against bit at[j], read for every T in one elementwise pass.  Then one
+    in-place pass per block T over the free sets S that contain it:
+    P[S] = max(P[S], P[S ^ T] + flip_T).  S ^ T does not contain T, so no
+    packing uses T twice; P is monotone in S, so a block that does not flip
+    needs no mask.  Both sides of a pass are views on the (2,)*n grid of
+    free sets, about 3**n entries per table in all.
     """
-    size, m = t.shape
-    n = size.bit_length() - 1
-    cube = (2,) * n  # axis j holds coordinate n - 1 - j
-    tt = t.astype(bool).reshape(cube + (m,))
-    B = np.zeros(cube + (size, m), dtype=np.int8)
-    flip = np.empty((size, m), dtype=bool)
-    buf = np.empty((size >> 1) * size * m, dtype=np.int8)
+    size = table_size(n)
+    blocks = np.arange(size, dtype=lanes.dtype)[:, None]
+    values = (lanes >> (at.astype(lanes.dtype) ^ blocks)) & 1
+    flips = (values != values[0]).view(np.int8)
+    P = np.zeros((2,) * n + (at.size,), dtype=np.int8)
     for T in range(1, size):
-        axes = tuple(n - 1 - i for i in range(n) if T >> i & 1)
-        np.not_equal(tt, np.flip(tt, axes), out=flip.reshape(tt.shape))
-        with_t = B[tuple(1 if j in axes else slice(None) for j in range(n))]
-        without = B[tuple(0 if j in axes else slice(None) for j in range(n))]
-        step = buf[: without.size].reshape(without.shape)
-        np.add(without, flip.view(np.int8), out=step)
-        np.maximum(with_t, step, out=with_t)
-    return B.reshape(size, size, m)
+        axes = [n - 1 - i for i in range(n) if T >> i & 1]  # axis j holds coordinate n - 1 - j
+        with_t = P[tuple(1 if j in axes else slice(None) for j in range(n))]
+        without = P[tuple(0 if j in axes else slice(None) for j in range(n))]
+        np.maximum(with_t, without + flips[T], out=with_t)
+    return P.reshape(size, at.size)
 
 
-def _families(B: np.ndarray, cols: np.ndarray, at: np.ndarray) -> np.ndarray:
+def _bs_rounds(lanes: np.ndarray, bound: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block sensitivity of every table of arity n packed in ``lanes``, and
+    its smallest maximizing input, under an upper bound on bs(f, x) at every
+    input: a (2**n, m) array.
+
+    The rule of ``measures._bs_search``, run on every table at once: each
+    round visits the next input of every table not yet settled, in order of
+    descending bound, then ascending input, and packs there
+    (``_point_packings``); a table settles at the first input that can
+    neither beat its best value nor tie it at a smaller input, and a tie
+    replaces the best only at a smaller input.  The next input is the least
+    key (n - bound) << n | x not yet visited, one reduction over the
+    unsettled columns; a full sort along the input axis would cost more
+    than the rounds.  Under min(u, C) (``_bs_bound``) all but 8 of the
+    65,536 functions of arity 4 settle after their first input, and those
+    after at most 3; under u alone 12,244 need more than one, and some
+    visit all 16.
+    """
+    size, m = bound.shape
+    visited = np.iinfo(np.int16).max
+    keys = ((n - bound).astype(np.int16) << n) | np.arange(size, dtype=np.int16)[:, None]
+    best = np.full(m, -1, dtype=np.int8)
+    best_at = np.zeros(m, dtype=np.intp)
+    cols = np.arange(m)
+    for _ in range(size):
+        k = keys.min(axis=0)
+        x, b = (k & (size - 1)).astype(np.intp), n - (k >> n)
+        go = (b > best[cols]) | ((b == best[cols]) & (x < best_at[cols]))
+        if not go.all():
+            cols, keys, x = cols[go], keys[:, go], x[go]
+            if not cols.size:
+                break
+        v = _point_packings(lanes[cols], x, n)[-1]
+        won = (v > best[cols]) | ((v == best[cols]) & (x < best_at[cols]))
+        best[cols[won]], best_at[cols[won]] = v[won], x[won]
+        keys[x, np.arange(cols.size)] = visited
+    return best, best_at
+
+
+def _families(packs: np.ndarray) -> np.ndarray:
     """The lexicographically smallest maximum family of disjoint blocks that
-    flip function cols[j] of the table matrix at input at[j], from its
-    packings B (``_packings``).
+    flip table j at its input, from its packings ``packs[:, j]``
+    (``_point_packings``).
 
     Walks the blocks in ascending order and takes T when it fits in the free
-    set, flips the function at at[j], and leaves a free set that still packs
-    the blocks still needed: B[free ^ T] == need - 1.  That is the rule of
-    ``measures._lex_min_family``, so the families are the per-function
-    witnesses.  The flip test reads B[T] >= 1, which holds when some T'
-    inside T flips.  If T itself does not flip, T' < T was walked first,
-    inside the free set, and not taken; the free set without T' then packs
-    fewer than need - 1 blocks (the blocks taken since are disjoint from
-    T'), and the smaller free set without T packs no more, so T is not
-    taken either.  Returns a (len(cols), n) array of blocks, ascending and
+    set, flips the function at the input, and leaves a free set that still
+    packs the blocks still needed after it: P[free ^ T] == want.  That is the
+    rule of ``measures._lex_min_family``, so the families are the
+    per-function witnesses.  The flip test reads P[T] >= 1, which holds when
+    some T' inside T flips.  If T itself does not flip, T' < T was walked
+    first, inside the free set, and not taken; the free set without T' then
+    packs fewer than want blocks (the blocks taken since are disjoint
+    from T'), and the smaller free set without T packs no more, so T is not
+    taken either.  Returns a (k, n) array of blocks, ascending and
     zero-padded.
     """
-    size, m = B.shape[0], B.shape[2]
+    size, k = packs.shape
     n = size.bit_length() - 1
-    k = len(cols)
-    # packs[S, j] = B[S, at[j], cols[j]], which sits at S * size * m + at[j] * m + cols[j]
-    packs = np.take(B.reshape(size, -1), at * m + cols, axis=1)
     flips = packs >= 1
-    packs = packs.ravel()
-    pos = np.arange(k)
+    flat = packs.reshape(-1)  # entry (S, j) sits at S * k + j
     free = np.full(k, size - 1, dtype=np.intp)
-    need = packs[(size - 1) * k :].copy()
+    want = packs[-1] - 1  # the blocks still needed once T is taken
     fam = np.zeros(k * n, dtype=np.min_scalar_type(size - 1))
-    slot = pos * n
+    slot = np.arange(k) * n
     for T in range(1, size):
-        take = (free & T) == T
-        take &= flips[T]
-        take &= packs[(free ^ T) * k + pos] == need - 1
-        j = np.flatnonzero(take)
+        fits = np.flatnonzero(((free & T) == T) & flips[T])
+        j = fits[flat[(free[fits] ^ T) * k + fits] == want[fits]]
         fam[slot[j]] = T
         slot[j] += 1
         free[j] ^= T
-        need[j] -= 1
+        want[j] -= 1
     return fam.reshape(k, n)
+
+
+def _bs_bound(s_pt: np.ndarray, key: np.ndarray, n: int) -> np.ndarray:
+    """min(u(x), C(f, x)) at every input of every table: u = s + (n - s) // 2
+    from the pointwise sensitivity (``measures._sensitivity_bound``), and C
+    from the key of the fold (``measures._subcube_fold``), since bs <= C."""
+    cert = n - (key >> n).astype(np.int8)
+    return np.minimum(s_pt + (n - s_pt) // 2, cert)
+
+
+def _bs_arrays(t: np.ndarray, bound: np.ndarray, families: bool) -> dict:
+    """``bs``, ``bs0``, ``depends_on_all`` and ``bs_argmax`` of every column
+    of the (2**n, m) table matrix t (n <= 6), by the search of ``_bs_rounds``
+    under ``bound``, with ``fam0`` and ``fam_argmax`` if ``families``."""
+    n = t.shape[0].bit_length() - 1
+    lanes = _lanes(t)
+    # a variable is relevant iff flipping it changes f somewhere
+    relevant = np.ones(t.shape[1], dtype=bool)
+    for i in range(n):
+        relevant &= (lanes ^ xor_shift(lanes, n, i)) != 0
+    bs, argmax = _bs_rounds(lanes, bound, n)
+    at_zero = _point_packings(lanes, np.zeros(t.shape[1], dtype=np.intp), n)
+    out = {"depends_on_all": relevant, "bs": bs.astype(np.int64),
+           "bs0": at_zero[-1].astype(np.int64), "bs_argmax": argmax.astype(np.int64)}
+    if families:
+        out["fam0"] = _families(at_zero)
+        out["fam_argmax"] = _families(_point_packings(lanes, argmax, n))
+    return out
 
 
 def measure_arrays(t: np.ndarray, primes=(2, 3), needs=None) -> dict:
@@ -195,11 +255,12 @@ def measure_arrays(t: np.ndarray, primes=(2, 3), needs=None) -> dict:
     ``needs`` names the measures the caller reads, as the ``needs`` of a
     ``checks`` statement row do (``"deg_p"`` for every ``deg_{p}``,
     ``"sherstov"`` for the families at the maximizer).  A kernel group runs
-    only if one of them reads it: s; the bs packings (``bs``, ``bs0``,
-    ``depends_on_all``, ``bs_argmax``); the family walk (``fam0``,
-    ``fam_argmax``), for ``"sherstov"`` only; alt and salt; deg and deg_p;
-    sparsity; the subcube table (C and DT).  ``None`` runs every group.
-    Each value returned is the full call's.
+    only if one of them reads it: s; the bs search and the packings at 0
+    (``bs``, ``bs0``, ``depends_on_all``, ``bs_argmax``), which read the
+    s kernel and the fold; the family walk (``fam0``, ``fam_argmax``), for
+    ``"sherstov"`` only; alt and salt; deg and deg_p; sparsity; the subcube
+    fold and its DT sweeps (C and DT).  ``None`` runs every group.  Each
+    value returned is the full call's.
     """
     n = t.shape[0].bit_length() - 1
     if n > MAX_BULK_ARITY:
@@ -209,28 +270,18 @@ def measure_arrays(t: np.ndarray, primes=(2, 3), needs=None) -> dict:
         return needs is None or any(name in needs for name in names)
 
     out: dict = {}
+    bs_group = wants("bs", "bs0", "depends_on_all", "bs_argmax", "sherstov")
 
+    if bs_group or wants("s"):
+        s_pt = _pointwise_sensitivity(t)
     if wants("s"):
-        out["s"] = _pointwise_sensitivity(t).max(axis=0).astype(np.int64)
+        out["s"] = s_pt.max(axis=0).astype(np.int64)
+    # the fold bounds the bs search and gives C and DT
+    if bs_group or wants("C", "DT"):
+        val, key = _subcube_fold(t)
 
-    # block sensitivity by the subset DP: bs(f, x) packs the full free set,
-    # and a variable is relevant iff its singleton block flips f somewhere
-    if wants("bs", "bs0", "depends_on_all", "bs_argmax", "sherstov"):
-        B = _packings(t)
-        out["depends_on_all"] = B[[1 << i for i in range(n)]].any(axis=1).all(axis=0)
-        bs_pt = B[-1]
-        bs_all = bs_pt.max(axis=0)
-        argmax = np.argmax(bs_pt == bs_all, axis=0)
-        out["bs"] = bs_all.astype(np.int64)
-        out["bs0"] = bs_pt[0].astype(np.int64)
-        out["bs_argmax"] = argmax.astype(np.int64)
-        if wants("sherstov"):
-            out["fam0"] = _families(B, np.arange(t.shape[1]), np.zeros_like(argmax))
-            # the family at a maximizer 0 is fam0
-            moved = np.flatnonzero(argmax)
-            out["fam_argmax"] = out["fam0"].copy()
-            out["fam_argmax"][moved] = _families(B, moved, argmax[moved])
-        del B, bs_pt
+    if bs_group:
+        out.update(_bs_arrays(t, _bs_bound(s_pt, key, n), wants("sherstov")))
 
     if wants("alt", "salt"):
         alt_by_shift = _alternation_by_shift(t, n)
@@ -254,7 +305,6 @@ def measure_arrays(t: np.ndarray, primes=(2, 3), needs=None) -> dict:
         # C is n minus the smallest free set of a largest constant subcube
         # through a point; the key of that subcube orders by the size of its
         # free set first
-        val, key = _subcube_fold(t)
         out["C"] = (n - (key.min(axis=0) >> n)).astype(np.int64)
         sweeps = _DepthSweeps(val)
         sweeps.run()

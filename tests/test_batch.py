@@ -15,9 +15,18 @@ from boolfn import (
     bs_to_s_affine,
     sherstov_linear,
 )
-from boolfn._bulk import _tables, measure_arrays
+from boolfn._bulk import _bs_arrays, _bs_bound, _tables, measure_arrays
 from boolfn.core import affine_images
-from boolfn.measures import _best_chains, _path_maxima, _pointwise_sensitivity
+from boolfn.measures import (
+    Chain,
+    _best_chains,
+    _chain_successors,
+    _chain_walk,
+    _path_maxima,
+    _pointwise_sensitivity,
+    _subcube_fold,
+    validate_chain,
+)
 from boolfn.spectral import _degrees, _moebius_rows, _sparsities, _walsh_rows
 from boolfn.families import maj, rubinstein
 from boolfn.transforms import _alt2s_rows, _block_rows, _bs2s_rows, _gather, _sherstov_rows
@@ -122,8 +131,10 @@ def test_batched_rows_match_per_function_sampled_n4():
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_batched_rows_match_per_function_sampled_above_bulk_arity(n):
-    # the bulk engine stops at n = 4, so the block families come from the
-    # per-function API; the rows read the tables from u4 and u8 lanes
+    # measure_arrays stops at n = 4, so the block families come from the
+    # per-function API, and the batched bs search, its packings and family
+    # walk run here on their own, under min(u, C) and u; the rows read the
+    # tables from u4 and u8 lanes
     rng = np.random.default_rng(70 + n)
     functions = [TruthTable(n, random_table(rng, n)) for _ in range(12)]
     # 0xc28b74ec, also lifted to n = 6 by an irrelevant variable, splits
@@ -137,6 +148,14 @@ def test_batched_rows_match_per_function_sampled_above_bulk_arity(n):
     amax = np.array([fam.point for fam in fam_max])
     blocks0 = np.concatenate([_block_rows(n, fam.blocks) for fam in fam0])
     blocks_max = np.concatenate([_block_rows(n, fam.blocks) for fam in fam_max])
+    s_pt = _pointwise_sensitivity(t)
+    for bound in (_bs_bound(s_pt, _subcube_fold(t)[1], n), s_pt + (n - s_pt) // 2):
+        a = _bs_arrays(t, bound, True)
+        assert a["bs"].tolist() == [len(fam.blocks) for fam in fam_max]
+        assert a["bs0"].tolist() == [len(fam.blocks) for fam in fam0]
+        assert a["bs_argmax"].tolist() == amax.tolist()
+        assert np.array_equal(a["fam0"], blocks0) and np.array_equal(a["fam_argmax"], blocks_max)
+        assert a["depends_on_all"].tolist() == [len(f.relevant_variables()) == n for f in functions]
     batches = (
         _bs2s_rows(t, zero, blocks0, "block-index"),
         _bs2s_rows(t, amax, blocks_max, "block-index"),
@@ -178,6 +197,33 @@ def test_batched_alternation_chains_against_oracle(n):
     chains = _best_chains(t, _path_maxima(t, n))
     for r in range(t.shape[1]):
         assert tuple(int(p) for p in chains[r]) == naive_best_chain(TruthTable(n, r))
+
+
+def _check_chain_paths(functions, t, down):
+    """Both ``_best_chains`` paths give the same chains of the columns of t,
+    the tables of functions, from their path maxima ``down``, and each chain
+    is valid at alt."""
+    m = len(functions)
+    chains = _chain_walk(t.reshape(-1), down.reshape(-1), m)
+    assert np.array_equal(_chain_successors(t.reshape(-1), down.reshape(-1), m), chains)
+    for r, f in enumerate(functions):
+        assert validate_chain(f, Chain(tuple(int(p) for p in chains[r])), int(down[0, r]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_chain_paths_agree_on_matrices(n):
+    rng = np.random.default_rng(90 + n)
+    functions = [TruthTable(n, random_table(rng, n)) for _ in range(40)]
+    functions[:2] = [TruthTable(n, 0), TruthTable(n, 2 ** (2**n) - 1)]
+    t = np.stack([f.to_array() for f in functions], axis=1)
+    _check_chain_paths(functions, t, _path_maxima(t, n))
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_chain_paths_agree_on_single_tables(n):
+    # above n = 6 only the walk runs in the library
+    f = TruthTable(n, random_table(np.random.default_rng(110 + n), n))
+    _check_chain_paths([f], f.to_array()[:, None], _path_maxima(f.bits, n)[:, None])
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 9, 12])

@@ -1,5 +1,6 @@
 """The bound-pruned search of unpointed block sensitivity, against the
-brute-force oracles: its per-input bound, its witness, and where it stops."""
+brute-force oracles: its per-input bound, its witness, and where it stops,
+per function and batched over the columns of a table matrix."""
 
 import numpy as np
 import pytest
@@ -13,12 +14,13 @@ from boolfn import (
     sherstov_linear,
     validate_block_family,
 )
-from boolfn import measures
+from boolfn import _bulk, measures
+from boolfn._bulk import _bs_arrays, _bs_bound, _tables, measure_arrays
 from boolfn.checks import inequality_suite
 from boolfn.families import gip, maj, parity, rubinstein, tree_function
-from boolfn.measures import _sensitivity_bound
+from boolfn.measures import _lanes, _pointwise_sensitivity, _sensitivity_bound, _subcube_fold
 
-from oracles import naive_block_sensitivity, random_table
+from oracles import naive_block_sensitivity, random_table, table_matrix
 
 
 def _every_function(n):
@@ -142,3 +144,102 @@ def test_every_unpointed_caller_shares_one_search(monkeypatch, f):
     assert STATISTICS["bs_over_sherstov_s2"](f) == val / cert["s_g"] ** 2
     assert len(fam.blocks) == val and validate_block_family(f, fam)
     assert block_sensitivity(f, at=fam.point, witness=True, limit=15) == (val, fam)
+
+
+# ---------------------------------------------------------------------------
+# the batched search of ``_bulk``: every column of a table matrix at once
+
+
+def _bounds(t):
+    """The bounds the batched search may run under, for the columns of t:
+    min(u, C), as ``measure_arrays`` runs it, and u alone."""
+    n = t.shape[0].bit_length() - 1
+    s = _pointwise_sensitivity(t)
+    return {"min(u, C)": _bs_bound(s, _subcube_fold(t)[1], n), "u": s + (n - s) // 2}
+
+
+def _search_visits(monkeypatch, t, lo, bound):
+    """The inputs ``_bulk._bs_rounds`` packs for each column of the
+    id-range table matrix t under ``bound``: the lane of column r is its
+    function id, lo + r."""
+    n = t.shape[0].bit_length() - 1
+    visits = np.zeros(t.shape[1], dtype=np.int64)
+    inner = _bulk._point_packings
+
+    def counted(lanes, at, n):
+        np.add.at(visits, lanes.astype(np.intp) - lo, 1)
+        return inner(lanes, at, n)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_bulk, "_point_packings", counted)
+        _bulk._bs_rounds(_lanes(t), bound, n)
+    return visits
+
+
+def _same_blocks(padded, fam):
+    assert tuple(int(b) for b in padded if b) == fam.blocks
+
+
+def _check_against_api(a, functions, oracles=False):
+    """Column r of the ``_bs_arrays`` result a holds the bs values and
+    witnesses of functions[r], as the per-function API gives them, and with
+    ``oracles`` as the brute-force oracles give them."""
+    for r, f in enumerate(functions):
+        bs, fam = block_sensitivity(f, witness=True)
+        bs0, fam0 = block_sensitivity(f, at=0, witness=True)
+        assert (a["bs"][r], a["bs_argmax"][r], a["bs0"][r]) == (bs, fam.point, bs0)
+        _same_blocks(a["fam_argmax"][r], fam)
+        _same_blocks(a["fam0"][r], fam0)
+        relevant = all(any(f.value_at(x) != f.value_at(x ^ 1 << i) for x in range(2**f.n))
+                       for i in range(f.n))
+        assert a["depends_on_all"][r] == relevant
+        if oracles:
+            pointwise = [naive_block_sensitivity(f, x) for x in range(2**f.n)]
+            assert a["bs"][r] == max(pointwise) and a["bs0"][r] == pointwise[0]
+            assert a["bs_argmax"][r] == pointwise.index(max(pointwise))
+            assert validate_block_family(f, fam) and validate_block_family(f, fam0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_batched_search_every_function(monkeypatch, n):
+    # under min(u, C) every function settles at its first input, and the
+    # arrays do not depend on the bound
+    t = _tables(n, 0, 2 ** (2**n))
+    full = measure_arrays(t)
+    for name, bound in _bounds(t).items():
+        a = _bs_arrays(t, bound, True)
+        for key, values in a.items():
+            assert np.array_equal(values, full[key]), (name, key)
+        if name == "min(u, C)":
+            assert _search_visits(monkeypatch, t, 0, bound).max() == 1
+    _check_against_api(full, [TruthTable(n, bits) for bits in range(t.shape[1])], oracles=True)
+
+
+def test_batched_search_columns_that_need_more_visits(monkeypatch):
+    # at n = 4 the search under min(u, C) settles all but 8 functions at
+    # their first input; under u alone 12,244 need more, up to all 16.  Both
+    # bounds give the same arrays on every function.  The 8, the 90 that
+    # need 12 or more visits under u, and a sample of the rest, shuffled and
+    # repeated beside family tables, match the per-function API
+    multi = {"min(u, C)": [], "u": []}
+    for lo, hi in _bulk._slices(4):
+        t = _tables(4, lo, hi)
+        bounds = _bounds(t)
+        under = {name: _bs_arrays(t, bound, True) for name, bound in bounds.items()}
+        for key, values in under["u"].items():
+            assert np.array_equal(values, under["min(u, C)"][key]), key
+        for name, bound in bounds.items():
+            visits = _search_visits(monkeypatch, t, lo, bound)
+            multi[name] += [(int(v), lo + int(r)) for r, v in enumerate(visits) if v > 1]
+    assert len(multi["min(u, C)"]) == 8 and max(multi["min(u, C)"])[0] == 3
+    assert len(multi["u"]) == 12244 and max(multi["u"])[0] == 16
+    rng = np.random.default_rng(56)
+    most = [fid for v, fid in multi["u"] if v >= 12]
+    rest = [fid for v, fid in multi["u"] if v < 12]
+    assert len(most) == 90
+    ids = [fid for _, fid in multi["min(u, C)"]] + most + [int(x) for x in rng.choice(rest, 60)]
+    ids = [int(x) for x in rng.permutation(ids + ids[:10])]
+    functions = [parity(4), rubinstein(2, 2), gip(2, 2)] + [TruthTable(4, fid) for fid in ids]
+    t = table_matrix(4, [f.bits for f in functions])
+    for name, bound in _bounds(t).items():
+        _check_against_api(_bs_arrays(t, bound, True), functions, oracles=name == "u")
