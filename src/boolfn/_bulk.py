@@ -28,7 +28,7 @@ alone, while the scan reads every measure.  The kernels:
   ternary subcube table behind certificate complexity and decision-tree
   depth, the ones the per-function API runs: the fold
   (``measures._subcube_fold``), which C reads, and the DT sweeps
-  (``measures._DepthSweeps``) on it.  The sweeps here run to their stop
+  (``measures._depth_sweeps``) on it.  The sweeps here run to their stop
   rule, with no lower bound: the per-function reports stop at max(bs,
   deg), but a slice stops only once every column meets its bound, and on
   the first two n = 4 slices some column needs all 4 sweeps;
@@ -55,28 +55,6 @@ One function wants the per-function packer
 at one input of a random function (2-core Xeon VM, best of 300), the DP
 and its family take 0.40 ms at n = 4 and 1.9 ms at n = 6, the packer
 0.05 and 0.07 ms.
-
-The scan builds every transform of a slice at once with the batch kernels
-of ``transforms``.  For an affine map A, g(x) = f(A(x)) is bit A(x) of
-f's lane (``transforms._gather``), and the scan reads f along each
-alternation chain it checks the same way: elementwise shifts with no index
-arithmetic, about 0.2 ms on a 16,384-column slice where a fancy-index
-gather takes 1.2-2.1 ms.  A lane holds at most 64 bits, so above n = 6, where
-only per-function calls build transforms, g is taken with
-``np.take_along_axis``.  The map columns are built with the function axis
-innermost too, one pass per block over whole rows.
-
-The scan reuses the sensitivity and sparsity kernels on the transformed
-tables g, checks every function's submatrix identity at n <= 3 with the
-kernel of ``commlb.submatrix_witness`` on the families at 0, and
-cross-checks these arrays, the transforms built from the families and the
-submatrix certificates against the per-function API on a deterministic
-subsample.  That
-guards the batching (dtypes, the function axis) and compares two packings
-for bs (the DP and the packer).  alt and salt share the API's kernel, so
-their independent checks are the scan's check of each alternation chain of
-its transforms against its alt value, and the tests of the arrays against
-brute-force oracles.
 """
 
 from __future__ import annotations
@@ -86,7 +64,7 @@ import numpy as np
 from ._bitops import table_size, xor_shift
 from .measures import (
     _alternation_by_shift,
-    _DepthSweeps,
+    _depth_sweeps,
     _lanes,
     _pointwise_sensitivity,
     _subcube_fold,
@@ -287,7 +265,6 @@ def measure_arrays(t: np.ndarray, primes=(2, 3), needs=None) -> dict:
         alt_by_shift = _alternation_by_shift(t, n)
         out["alt"] = alt_by_shift[:, 0].astype(np.int64)
         out["salt"] = alt_by_shift.min(axis=1).astype(np.int64)
-        out["salt_argmin"] = np.argmin(alt_by_shift, axis=1).astype(np.int64)
 
     if wants("deg", "deg_p"):
         # |coefficients| <= 2**(n-1), so int16 holds them; the mod-p
@@ -306,7 +283,5 @@ def measure_arrays(t: np.ndarray, primes=(2, 3), needs=None) -> dict:
         # through a point; the key of that subcube orders by the size of its
         # free set first
         out["C"] = (n - (key.min(axis=0) >> n)).astype(np.int64)
-        sweeps = _DepthSweeps(val)
-        sweeps.run()
-        out["DT"] = sweeps.full.astype(np.int64)
+        out["DT"] = _depth_sweeps(val)[(2,) * n].astype(np.int64)
     return out

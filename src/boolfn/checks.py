@@ -343,7 +343,7 @@ def inequality_suite(f: TruthTable, primes=(2, 3), limits: dict | None = None) -
         report.checks.append(
             Check(name, statement, "proven", cert["s_g_at_zero"], cert["block_sensitivity"],
                   "holds" if cert["equality_holds"] else "fails",
-                  {"point": point_to_str(cert["point"], n) if n else ""})
+                  {"point": point_to_str(cert["point"], n)})
         )
 
     tr_alt = alt_to_s_linear(f)
@@ -413,7 +413,25 @@ _EQ_CHECKS = {
 
 
 def _scan_slice(n: int, lo: int, hi: int, primes: tuple) -> dict:
-    """Every check on the function ids [lo, hi) of arity n, one slice of ``_bulk._slices``."""
+    """Every check on the function ids [lo, hi) of arity n, one slice of ``_bulk._slices``.
+
+    The slice's table matrix is measured once (``_bulk.measure_arrays``),
+    and every transform of the slice is built at once by the batch kernels
+    of ``transforms``, whose tables g(x) = f(A(x)) are read off f's lanes
+    (``transforms._gather``).  f is read along each alternation chain the
+    same way, by elementwise shifts with no index arithmetic.  The
+    sensitivity and sparsity kernels run again on the tables g, and at
+    n <= 3 the kernel of ``commlb.submatrix_witness`` checks every
+    function's submatrix identity on its family at 0.
+
+    On a deterministic subsample, the arrays, the transforms built from the
+    families and the submatrix certificates are cross-checked against the
+    per-function API.  That guards the batching (dtypes, the function axis)
+    and compares the two bs packings (the DP and the packer).  alt and salt
+    share the API's kernel, so their independent checks are the check of
+    each alternation chain here against its alt value, and the tests of the
+    arrays against brute-force oracles.
+    """
     # t holds one table per column, the table of id lo + r in column r
     t = _bulk._tables(n, lo, hi)
     a = _bulk.measure_arrays(t, primes)

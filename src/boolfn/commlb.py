@@ -85,11 +85,10 @@ class BitMatrix:
         return cls(n, rows.reshape(dim, row_bytes).copy())
 
 
-def and_matrix(f: TruthTable, limit: int | None = None) -> BitMatrix:
+def and_matrix(f: TruthTable) -> BitMatrix:
     """The matrix with entry (x, y) = f(x AND y)."""
-    ceiling = AND_MATRIX_MAX_ARITY if limit is None else min(limit, AND_MATRIX_MAX_ARITY)
-    if f.n > ceiling:
-        raise ArityLimitError("and_matrix", f.n, ceiling)
+    if f.n > AND_MATRIX_MAX_ARITY:
+        raise ArityLimitError("and_matrix", f.n, AND_MATRIX_MAX_ARITY)
     dim = table_size(f.n)
     arr = f.to_array()
     y = np.arange(dim)
@@ -237,9 +236,9 @@ def _submatrix_from_family(f: TruthTable, fam: BlockFamily, seed: int = 0) -> Lo
     )
 
 
-def det_upper_bound(f: TruthTable, limit: int | None = None) -> int:
+def det_upper_bound(f: TruthTable) -> int:
     """Deterministic communication upper bound 2 * DT(f) for the AND-matrix."""
-    return 2 * dt_depth(f, limit=limit)
+    return 2 * dt_depth(f)
 
 
 def bound_summary(f: TruthTable, primes=(2, 3), limits: dict | None = None) -> dict:

@@ -147,8 +147,6 @@ def sensitivity(f: TruthTable, at: int | None = None, witness: bool = False):
         mask = _sensitive_mask(f, at)
         val = mask.bit_count()
         return (val, (at, mask)) if witness else val
-    if n == 0:
-        return (0, (0, 0)) if witness else 0
     counts = _pointwise_sensitivity(f.to_array())
     val = int(counts.max())
     if not witness:
@@ -355,7 +353,7 @@ def _table_bytes(n: int, measure: str) -> int:
     plus one byte for the fold's masks, the points' keys and the input.  The
     constant covers numpy's iteration buffers (8192 elements per operand),
     which the in-place passes take because their operands interleave.  DT
-    adds the sweeps (``_DepthSweeps``): dt, one byte per state in 4-byte
+    adds the sweeps (``_depth_sweeps``): dt, one byte per state in 4-byte
     words, and a work buffer of 3**(n-1) bytes.  The sum bounds DT's peak
     from above: the fold's per-state keys are freed before the sweeps start.
     """
@@ -406,7 +404,7 @@ def _subcube_fold(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
       up along the folds, and n max-passes push it from t_i = * down into
       t_i = 0 and t_i = 1.
 
-    C reads ``key`` alone, and DT's sweeps (``_DepthSweeps``) start from
+    C reads ``key`` alone, and DT's sweeps (``_depth_sweeps``) start from
     ``val``.  Per-function callers go through ``_LatticeMeasures``, which
     checks the byte budget first.
     """
@@ -432,54 +430,46 @@ def _subcube_fold(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return val, key[points].reshape(size, m)
 
 
-class _DepthSweeps:
+def _depth_sweeps(val: np.ndarray, lower: int = -1) -> np.ndarray:
     """The optimal decision-tree depth of every subcube of a fold's ``val``,
     one table per column: ``dt``, int8, of the shape of ``val``, 0 where
     ``val != 2``, else 1 + min over free i of max(dt[t_i = 0], dt[t_i = 1]).
 
     ``dt`` starts at n on every state that is not constant.  Sweeps of n
     per-axis relaxations, in place, lower it; every entry stays an upper
-    bound on its depth.  ``run`` sweeps until the stop rule: a sweep that
+    bound on its depth.  The sweeps stop at the stop rule: a sweep that
     changes nothing, which only the exact depths survive, or sweep d once
     the whole cube's depth is at most d, since sweep d makes every state of
     depth <= d exact.  That is at most n**2 passes of 3**(n-1) entries, and
     a few sweeps on most functions.  Given a lower bound on the whole cube's
-    depth, ``run`` also stops once every table's entry meets it, which makes
-    that entry exact; a later ``run`` resumes the same sweeps, so the table
-    it leaves does not depend on the stop.
+    depth, they also stop once every table's entry meets it, which makes
+    that entry exact, though not the other entries of ``dt``.
     """
-
-    def __init__(self, val: np.ndarray):
-        self.n = n = val.ndim - 1
-        # dt fills the front of a zeroed array of 4-byte words; its entries
-        # only fall, so the exact sum of the words is unchanged only after a
-        # sweep that changed nothing
-        self._words = np.zeros(-(-val.size // 4), dtype=np.uint32)
-        self.dt = self._words.view(np.int8)[: val.size].reshape(val.shape)
-        np.equal(val, 2, out=self.dt.view(np.bool_))
-        self.dt *= n
-        self.full = self.dt[(2,) * n]  # the whole cube's entry of every table
-        self._buf = np.empty(self.dt.size // 3, dtype=np.int8)
-        self._total = None
-        self._sweeps = 0
-        self._settled = n == 0
-
-    def run(self, lower: int = -1) -> np.ndarray:
-        """``dt`` after the sweeps up to the stop rule, or up to the first at
-        which every entry of ``full`` is at most ``lower``."""
-        n, dt = self.n, self.dt
-        while not self._settled and self.full.max() > lower:
-            self._sweeps += 1
-            for k in range(n):
-                run = 3 ** (n - 1 - k) * self.full.size
-                low, high, free = level_views(dt, 3, run)
-                (out,) = level_views(self._buf, 1, run)
-                np.maximum(low, high, out=out, order="C")
-                out += 1
-                np.minimum(free, out, out=free, order="C")
-            before, self._total = self._total, int(self._words.sum(dtype=np.uint64))
-            self._settled = self._total == before or self.full.max() <= self._sweeps
-        return dt
+    n = val.ndim - 1
+    # dt fills the front of a zeroed array of 4-byte words; its entries only
+    # fall, so the exact sum of the words is unchanged only after a sweep
+    # that changed nothing
+    words = np.zeros(-(-val.size // 4), dtype=np.uint32)
+    dt = words.view(np.int8)[: val.size].reshape(val.shape)
+    np.equal(val, 2, out=dt.view(np.bool_))
+    dt *= n
+    full = dt[(2,) * n]  # the whole cube's entry of every table
+    buf = np.empty(dt.size // 3, dtype=np.int8)
+    total = None
+    for sweep in range(1, n + 1):
+        if full.max() <= lower:
+            break
+        for k in range(n):
+            run = 3 ** (n - 1 - k) * full.size
+            low, high, free = level_views(dt, 3, run)
+            (out,) = level_views(buf, 1, run)
+            np.maximum(low, high, out=out, order="C")
+            out += 1
+            np.minimum(free, out, out=free, order="C")
+        before, total = total, int(words.sum(dtype=np.uint64))
+        if total == before or full.max() <= sweep:
+            break
+    return dt
 
 
 def _dt_witness(val: np.ndarray, dt: np.ndarray, s: int, free: list) -> dict:
@@ -504,15 +494,15 @@ def _dt_witness(val: np.ndarray, dt: np.ndarray, s: int, free: list) -> dict:
 class _LatticeMeasures:
     """bs, C and DT of one function, from at most one ternary subcube table.
 
-    The table comes in two parts, each built once, within the arity
-    ceilings (``limits``, else ``DEFAULT_LIMITS``) and its byte budget
-    (``_table_bytes``).  The fold (``_subcube_fold``: 3**n states, about 2n
-    passes) is built on first use by C, by DT, or by the bs search.  The DT
-    sweeps (``_DepthSweeps``: up to n**2 * 3**(n-1) entries of work) run on
-    first use by DT, and only as far as it asks.  Without a witness, DT
-    takes a lower bound: at n it needs no table, since DT <= n, and
-    otherwise the sweeps stop once the whole cube's entry meets it.  A
-    witness sweeps to the stop rule, resuming any earlier sweeps.
+    The table comes in two parts, within the arity ceilings (``limits``,
+    else ``DEFAULT_LIMITS``) and its byte budget (``_table_bytes``).  The
+    fold (``_subcube_fold``: 3**n states, about 2n passes) is built once, on
+    first use by C, by DT, or by the bs search, and kept.  The DT sweeps
+    (``_depth_sweeps``: up to n**2 * 3**(n-1) entries of work) run on each
+    DT call, which every caller makes once.  Without a witness, DT takes a
+    lower bound: at n it needs no table, since DT <= n, and otherwise the
+    sweeps stop once the whole cube's entry meets it.  A witness sweeps to
+    the stop rule.
 
     The unpointed bs search (``_bs_search``) runs under min(u(x), C(f,x)),
     since bs(f,x) <= C(f,x), from its first input if the fold exists;
@@ -527,7 +517,6 @@ class _LatticeMeasures:
         self.f = f
         self.limits = limits
         self._fold: tuple[np.ndarray, np.ndarray] | None = None
-        self._sweeps: _DepthSweeps | None = None
         self._bs: tuple[int, int] | None = None
 
     def _skip(self, measure: str) -> ArityLimitError | None:
@@ -592,14 +581,12 @@ class _LatticeMeasures:
         n = self.f.n
         if not witness and lower >= n:
             return n
-        if self._sweeps is None:
-            self._sweeps = _DepthSweeps(self._folded()[0])
-        dt = self._sweeps.run(-1 if witness else lower).reshape(-1)
+        val = self._folded()[0]
+        dt = _depth_sweeps(val, -1 if witness else lower).reshape(-1)
         depth = int(dt[-1])
         if not witness:
             return depth
-        val = self._folded()[0].reshape(-1)
-        return depth, _dt_witness(val, dt, 3**n - 1, [(i, 3**i) for i in range(n)])
+        return depth, _dt_witness(val.reshape(-1), dt, 3**n - 1, [(i, 3**i) for i in range(n)])
 
 
 def certificate(
@@ -623,7 +610,7 @@ def certificate(
 def dt_depth(f: TruthTable, witness: bool = False, limit: int | None = None):
     """Depth of an optimal decision tree, read off the ternary subcube table.
 
-    The DT sweeps (``_DepthSweeps``) lower an upper bound on the optimal
+    The DT sweeps (``_depth_sweeps``) lower an upper bound on the optimal
     depth of each of the 3**n subcubes, from the fold that ``certificate``
     reads, in at most n**2 * 3**(n-1) entries of work; DT(f) is the entry
     of the whole cube.  Above the byte budget of the fold and the sweeps
@@ -931,8 +918,6 @@ def _salt_search(f: TruthTable) -> tuple[int, int, int]:
     or one more when it lies below the best shift.
     """
     n = f.n
-    if n == 0:
-        return 0, 0, 0
     half = table_size(n) >> 1
     # the keys (bound, b) as bound << (n - 1) | b, sorted; below
     # _BOUND_MIN_ARITY every bound reads 0

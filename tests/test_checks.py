@@ -190,7 +190,7 @@ def test_extremal_search_runs_only_the_kernels_its_statistic_reads(monkeypatch):
         raise AssertionError("salt_over_s reads nothing this kernel computes")
 
     for name in ("_point_packings", "_bs_rounds", "_families", "_lanes", "_subcube_fold",
-                 "_DepthSweeps", "_moebius_rows", "_walsh_rows"):
+                 "_depth_sweeps", "_moebius_rows", "_walsh_rows"):
         monkeypatch.setattr(_bulk, name, unread)
     assert [r.to_json_dict() for r in extremal_search(4, "salt_over_s")] == want
 
@@ -211,6 +211,38 @@ def test_exhaustive_scan_submatrix_mismatch_raises(monkeypatch):
     monkeypatch.setattr(checks, "_bs2s_rows", wrong_g)
     with pytest.raises(VerificationError,
                        match=r"for tt:3:25 at u=[01]{3} y=[01]{3}: f=. g=."):
+        exhaustive_scan(3)
+
+
+@pytest.mark.parametrize("key,message", [
+    ("bs", "bulk/bs mismatch at function 0: bulk=1 api=0"),
+    ("alt", "bulk alt does not match its chain at function 0"),
+])
+def test_exhaustive_scan_crosscheck_catches_a_wrong_array(monkeypatch, key, message):
+    """A wrong value at id 0, which the cross-check samples, raises."""
+    real = _bulk.measure_arrays
+
+    def wrong(t, *args):
+        a = real(t, *args)
+        a[key][0] += 1
+        return a
+
+    monkeypatch.setattr(_bulk, "measure_arrays", wrong)
+    with pytest.raises(RuntimeError, match=message):
+        exhaustive_scan(3)
+
+
+def test_exhaustive_scan_crosscheck_catches_a_wrong_transform(monkeypatch):
+    real = checks._alt2s_rows
+
+    def wrong_g(*args):
+        batch = real(*args)
+        g = batch.g.copy()
+        g[0, 0] ^= 1  # g(0) of function 0
+        return dataclasses.replace(batch, g=g)
+
+    monkeypatch.setattr(checks, "_alt2s_rows", wrong_g)
+    with pytest.raises(RuntimeError, match="batched alt2s mismatch at function 0"):
         exhaustive_scan(3)
 
 

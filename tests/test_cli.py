@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from boolfn import _bulk, cli, commlb, measures
+from boolfn import _bulk, checks, cli, commlb, measures
 from boolfn.cli import main
 from boolfn.commlb import BitMatrix
 
@@ -264,6 +265,104 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "measures", "fam:nope:n=2")[0] == 2
     assert run_cli(capsys, "check", "mystery")[0] == 2
     assert run_cli(capsys, "measures", "fam:parity:n=4", "--primes", "x")[0] == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["measures", "tt:2:8", "--primes", ","], "error: primes list is empty\n"),
+    (["check", "function"], "error: check function needs a SOURCE\n"),
+])
+def test_malformed_invocation_exits_2_with_empty_stdout(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", message)
+
+
+def test_check_function_proven_failure_exits_1_with_the_report(monkeypatch, capsys):
+    rows = list(checks._INEQUALITIES)
+    assert rows[0].name == "s_le_bs"
+    rows[0] = dataclasses.replace(rows[0], right=lambda v: -1)
+    monkeypatch.setattr(checks, "_INEQUALITIES", tuple(rows))
+    code, out, err = run_cli(capsys, "check", "function", "fam:maj:n=3")
+    assert code == 1
+    assert err.startswith("proven-statement failure: proven check s_le_bs failed on tt:3:e8")
+    data = json.loads(out)
+    assert data["ok"] is False
+    assert {c["name"]: c["verdict"] for c in data["checks"]}["s_le_bs"] == "fails"
+
+
+def test_comm_verification_failure_exits_1(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise commlb.VerificationError("f(u&y) != g(u&y)")
+
+    monkeypatch.setattr(cli, "submatrix_witness", broken)
+    code, out, err = run_cli(capsys, "comm", "fam:and:n=2")
+    assert (code, out) == (1, "")
+    assert err == "verification failure (implementation bug): f(u&y) != g(u&y)\n"
+
+
+def _forms(capsys, *argv):
+    """The JSON payload of one invocation, and its csv and text stdout."""
+    outs = [run_cli(capsys, *argv, "--format", fmt) for fmt in ("json", "csv", "text")]
+    assert [code for code, _, _ in outs] == [0, 0, 0]
+    return json.loads(outs[0][1]), outs[1][1].splitlines(), outs[2][1].splitlines()
+
+
+def test_measures_csv_and_text_carry_the_json_values(capsys):
+    data, csv, text = _forms(capsys, "measures", "fam:maj:n=5", "--at", "10101")
+    want = {k: str(v) for k, v in data["measures"].items()}
+    header, row = (line.split(",") for line in csv)
+    cells = dict(zip(header, row, strict=True))
+    assert (cells.pop("function"), cells.pop("arity"), cells.pop("skipped")) == (
+        data["function"], str(data["arity"]), "")
+    assert cells == want
+    assert text[0] == f"function: {data['function']}  (arity {data['arity']})"
+    assert dict(line.split() for line in text[1:]) == want
+
+
+@pytest.mark.parametrize("argv,summary", [
+    (("bs2s", "tt:3:fe", "--at", "010"),
+     lambda c: f"s(g,0) == bs(f,a): {c['s_g_at_zero']} == {c['block_sensitivity']}"
+               f" -> {c['equality_holds']}"),
+    (("alt2s", "tt:3:e8"),
+     lambda c: f"alt <= 2*s(g,0)+1: {c['alt']} <= {c['bound']} -> {c['holds']}"
+               f" (invertible: {c['invertible']})"),
+    (("sherstov", "tt:2:8"),
+     lambda c: f"bs(f) = {c['block_sensitivity']}, s(g) = {c['s_g']},"
+               f" 4*s(g)**2 >= bs: {c['factor4_holds']}"),
+])
+def test_transform_csv_and_text_carry_the_json_values(capsys, argv, summary):
+    data, csv, text = _forms(capsys, "transform", *argv)
+    cert = data["certificate"]
+    assert csv[0] == "key,value"
+    assert dict(row.split(",", 1) for row in csv[1:]) == {k: f'"{v}"' for k, v in cert.items()}
+    assert text == [
+        f"transform {argv[0]} on {argv[1]}",
+        f"  columns: {' '.join(data['map']['columns']) or '(none)'}",
+        f"  shift:   {data['map']['shift']}",
+        f"  g:       {data['g']}",
+        "  " + summary(cert),
+    ]
+
+
+def test_comm_csv_and_text_carry_the_json_values(capsys):
+    data, csv, text = _forms(capsys, "comm", "fam:gip:n=2,k=2")
+    cert, upper = data["certificate"], data["det_upper_bound"]
+    assert csv == ["key,value", f"k,{cert['k']}", f"verified,{cert['verified']}",
+                   f"det_upper_bound,{upper}"]
+    assert text == [
+        f"block certificate: k={cert['k']} bound=sqrt(k)={cert['bound']['value']:.4f}"
+        f" verified={cert['verified']} ({cert['verification']['mode']})",
+        "  W = " + " ".join(cert["w"]),
+        f"deterministic upper bound 2*DT = {upper}",
+    ]
+
+
+def test_search_csv_and_text_carry_the_json_values(capsys):
+    data, csv, text = _forms(capsys, "search", "--n", "3", "--statistic", "salt_over_s",
+                             "--top", "3")
+    assert len(data) == 3
+    assert csv == ["function,statistic,value,arity"] + [
+        f"{r['function']},{r['statistic']},{r['value']},{r['arity']}" for r in data]
+    assert text == ["top 3 by salt_over_s at arity 3:"] + [
+        f"  {r['value']:<10g} {r['function']}" for r in data]
 
 
 def test_measures_bad_point_exits_2_before_the_report(monkeypatch, capsys):

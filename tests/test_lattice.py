@@ -160,20 +160,24 @@ def _dt_cases():
     return cases
 
 
-def test_dt_lower_bound_stops_at_the_full_sweeps_value():
+def test_dt_lower_bound_stops_at_the_full_sweeps_value(monkeypatch):
     # any lower bound on DT, max(bs, deg) among them, stops the sweeps with
     # the value of the full sweeps; a witness asked for after an early stop
-    # resumes them and gives the tree of a fresh table
+    # gives the tree of a fresh table.  The sweeps' ``level_views`` calls count them.
+    passes, views = [], measures.level_views
+    monkeypatch.setattr(measures, "level_views", lambda *a: passes.append(1) or views(*a))
     stopped_early = 0
     for f in _dt_cases():
+        passes.clear()
         want = dt_depth(f, witness=True)
+        full = len(passes)
         report = measures.measure_report(f, witnesses=False)
         assert report.measures["DT"] == want[0]
         for lower in range(-1, want[0] + 1):
             subcubes = _LatticeMeasures(f, {})
+            passes.clear()
             assert subcubes.dt_depth(False, lower) == want[0]
-            sweeps = subcubes._sweeps
-            if sweeps is not None and not sweeps._settled:
+            if lower < f.n and len(passes) < full:
                 stopped_early += 1
             assert subcubes.dt_depth(True) == want
             assert subcubes.dt_depth(False, lower) == want[0]
@@ -243,7 +247,7 @@ def test_block_sensitivity_at_16_reads_the_fold(monkeypatch):
     # tracemalloc sees the table's arrays, not the process around them
     folds, fold = [], measures._subcube_fold
     monkeypatch.setattr(measures, "_subcube_fold", lambda t: folds.append(1) or fold(t))
-    monkeypatch.setattr(measures, "_DepthSweeps", lambda val: 1 / 0)
+    monkeypatch.setattr(measures, "_depth_sweeps", lambda val, lower=-1: 1 / 0)
     tracemalloc.start()
     try:
         val, fam = block_sensitivity(rubinstein(4, 4), witness=True, limit=16)

@@ -3,6 +3,8 @@ import pytest
 
 from boolfn import (
     ArityLimitError,
+    BlockFamily,
+    Chain,
     TruthTable,
     alternation,
     alternation_under_shifts,
@@ -336,3 +338,44 @@ def test_measure_report_witnesses_validate():
         assert validate_decision_tree(f, rep.witnesses["DT"], rep.measures["DT"])
         assert alternation(shift(f, rep.witnesses["salt"])) == rep.measures["salt"]
         assert rep.witnesses["sparsity"].inverse_table() == f
+
+
+# maj(3) is 0 at 000: the block 011 flips it there and 100 does not
+@pytest.mark.parametrize("blocks", [(0,), (0b011, 0b110), (0b1011,), (0b100,), (0b011, 0b100)])
+def test_validate_block_family_rejects_bad_blocks(blocks):
+    # a zero, overlapping, out-of-range or non-flipping block
+    assert validate_block_family(maj(3), BlockFamily(0, (0b011,)))
+    assert not validate_block_family(maj(3), BlockFamily(0, blocks))
+
+
+def test_validate_certificate_set_rejects_a_non_constant_subcube():
+    assert validate_certificate_set(maj(3), 0, 0b011)
+    assert not validate_certificate_set(maj(3), 0, 0b001)  # 110 lies in it
+    assert not validate_certificate_set(maj(3), 0, 0)
+
+
+@pytest.mark.parametrize("points,claimed", [
+    ((0, 1, 7), 1),  # too short
+    ((1, 3, 7, 7), 1),  # starts off 0
+    ((0, 1, 3, 3), 1),  # ends off 1^n
+    ((0, 3, 7, 7), 1),  # a two-bit step
+    ((0, 1, 3, 7), 2),  # the wrong count
+])
+def test_validate_chain_rejects_bad_chains(points, claimed):
+    assert validate_chain(maj(3), Chain((0, 1, 3, 7)), 1)
+    assert not validate_chain(maj(3), Chain(points), claimed)
+
+
+def _flip_first_leaf(tree):
+    if "value" in tree:
+        return {"value": 1 - tree["value"]}
+    return {**tree, "low": _flip_first_leaf(tree["low"])}
+
+
+def test_validate_decision_tree_rejects_a_wrong_leaf_or_depth():
+    depth, tree = dt_depth(maj(3), witness=True)
+    assert validate_decision_tree(maj(3), tree, depth)
+    assert not validate_decision_tree(maj(3), _flip_first_leaf(tree), depth)
+    assert not validate_decision_tree(maj(3), {"value": 0}, 0)
+    for claimed in (depth - 1, depth + 1):
+        assert not validate_decision_tree(maj(3), tree, claimed)

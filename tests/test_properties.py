@@ -15,6 +15,8 @@ from boolfn import (
     block_sensitivity,
     certificate,
     dt_depth,
+    modp_degree,
+    real_degree,
     sensitivity,
     shift,
     shift_invariant_alternation,
@@ -71,7 +73,8 @@ def test_alternation_symmetric_under_complemented_shift(f):
 
 
 def _invariants(f):
-    return (sensitivity(f), block_sensitivity(f), certificate(f), dt_depth(f), sparsity(f))
+    return (sensitivity(f), block_sensitivity(f), certificate(f), dt_depth(f), sparsity(f),
+            real_degree(f), modp_degree(f, 2), modp_degree(f, 3))
 
 
 @PROPERTY_SETTINGS
