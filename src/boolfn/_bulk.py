@@ -28,10 +28,12 @@ alone, while the scan reads every measure.  The kernels:
   ternary subcube table behind certificate complexity and decision-tree
   depth, the ones the per-function API runs: the fold
   (``measures._subcube_fold``), which C reads, and the DT sweeps
-  (``measures._depth_sweeps``) on it.  The sweeps here run to their stop
-  rule, with no lower bound: the per-function reports stop at max(bs,
-  deg), but a slice stops only once every column meets its bound, and on
-  the first two n = 4 slices some column needs all 4 sweeps;
+  (``measures._depth_sweeps``) on it.  DT = n wherever max(bs, deg) = n,
+  since both bound DT from below, so the sweeps run only on the other
+  columns, gathered (2,065 to 2,490 of the 16,384 of each n = 4 slice),
+  to their stop rule: the per-function reports stop at max(bs, deg), but
+  a slice would stop only once every column meets its bound, and on every
+  n = 4 slice some column needs all 4 sweeps;
 * ``spectral``: the Moebius and Walsh butterflies, run here in int16 and
   int32, and the degree and sparsity kernels; ``deg`` and every ``deg_p``
   are read from one Moebius matrix;
@@ -67,6 +69,7 @@ from .measures import (
     _depth_sweeps,
     _lanes,
     _pointwise_sensitivity,
+    _sensitivity_bound,
     _subcube_fold,
 )
 from .spectral import _degrees, _moebius_rows, _sparsities, _walsh_rows
@@ -194,7 +197,7 @@ def _bs_bound(s_pt: np.ndarray, key: np.ndarray, n: int) -> np.ndarray:
     from the pointwise sensitivity (``measures._sensitivity_bound``), and C
     from the key of the fold (``measures._subcube_fold``), since bs <= C."""
     cert = n - (key >> n).astype(np.int8)
-    return np.minimum(s_pt + (n - s_pt) // 2, cert)
+    return np.minimum(_sensitivity_bound(s_pt), cert)
 
 
 def _bs_arrays(t: np.ndarray, bound: np.ndarray, families: bool) -> dict:
@@ -237,8 +240,8 @@ def measure_arrays(t: np.ndarray, primes=(2, 3), needs=None) -> dict:
     (``bs``, ``bs0``, ``depends_on_all``, ``bs_argmax``), which read the
     s kernel and the fold; the family walk (``fam0``, ``fam_argmax``), for
     ``"sherstov"`` only; alt and salt; deg and deg_p; sparsity; the subcube
-    fold and its DT sweeps (C and DT).  ``None`` runs every group.  Each
-    value returned is the full call's.
+    fold (C and DT); the DT sweeps, which read deg and, if it ran, bs.
+    ``None`` runs every group.  Each value returned is the full call's.
     """
     n = t.shape[0].bit_length() - 1
     if n > MAX_BULK_ARITY:
@@ -266,7 +269,7 @@ def measure_arrays(t: np.ndarray, primes=(2, 3), needs=None) -> dict:
         out["alt"] = alt_by_shift[:, 0].astype(np.int64)
         out["salt"] = alt_by_shift.min(axis=1).astype(np.int64)
 
-    if wants("deg", "deg_p"):
+    if wants("deg", "deg_p", "DT"):
         # |coefficients| <= 2**(n-1), so int16 holds them; the mod-p
         # coefficients are these reduced mod p
         coeffs = _moebius_rows(t, np.int16)
@@ -283,5 +286,11 @@ def measure_arrays(t: np.ndarray, primes=(2, 3), needs=None) -> dict:
         # through a point; the key of that subcube orders by the size of its
         # free set first
         out["C"] = (n - (key.min(axis=0) >> n)).astype(np.int64)
-        out["DT"] = _depth_sweeps(val)[(2,) * n].astype(np.int64)
+    if wants("DT"):
+        # DT >= max(bs, deg) and DT <= n, so only the columns below n sweep
+        lower = np.maximum(out["deg"], out["bs"]) if bs_group else out["deg"]
+        below = np.flatnonzero(lower < n)
+        out["DT"] = np.full(t.shape[1], n, dtype=np.int64)
+        if below.size:
+            out["DT"][below] = _depth_sweeps(val[..., below])[(2,) * n]
     return out

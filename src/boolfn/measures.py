@@ -147,12 +147,7 @@ def sensitivity(f: TruthTable, at: int | None = None, witness: bool = False):
         mask = _sensitive_mask(f, at)
         val = mask.bit_count()
         return (val, (at, mask)) if witness else val
-    counts = _pointwise_sensitivity(f.to_array())
-    val = int(counts.max())
-    if not witness:
-        return val
-    point = int(np.argmax(counts == val))
-    return val, (point, _sensitive_mask(f, point))
+    return _LatticeMeasures(f, {}).sensitivity(witness)
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +243,18 @@ def _bs_point(f: TruthTable, a: int, want_witness: bool) -> tuple[int, BlockFami
     return val, fam
 
 
-def _sensitivity_bound(f: TruthTable) -> np.ndarray:
-    """u(x) = s(f,x) + (n - s(f,x)) // 2, an upper bound on bs(f,x) at every x.
+def _sensitivity_bound(s: np.ndarray) -> np.ndarray:
+    """u(x) = s(f,x) + (n - s(f,x)) // 2, an upper bound on bs(f,x) at every x,
+    from the pointwise sensitivity ``s`` of one table or of a (2**n, m)
+    matrix (``_pointwise_sensitivity``).
 
     A maximum disjoint family of sensitive blocks stays one when each block
     shrinks to a minimal sensitive block.  The minimal singletons are the
     sensitive coordinates; every other minimal block has two or more
     coordinates, none of them sensitive.
     """
-    s = _pointwise_sensitivity(f.to_array())
-    return s + (f.n - s) // 2
+    n = s.shape[0].bit_length() - 1
+    return s + (n - s) // 2
 
 
 def _bs_search(f: TruthTable, bound: np.ndarray, tighten=None) -> tuple[int, int]:
@@ -492,7 +489,12 @@ def _dt_witness(val: np.ndarray, dt: np.ndarray, s: int, free: list) -> dict:
 
 
 class _LatticeMeasures:
-    """bs, C and DT of one function, from at most one ternary subcube table.
+    """s, bs, C and DT of one function, from one pass of pointwise
+    sensitivity and at most one ternary subcube table.
+
+    The pointwise sensitivity is computed once, on first use by s or by the
+    bs search, and kept: s is its maximum, and u(x) its bound on bs(f,x)
+    (``_sensitivity_bound``).
 
     The table comes in two parts, within the arity ceilings (``limits``,
     else ``DEFAULT_LIMITS``) and its byte budget (``_table_bytes``).  The
@@ -516,6 +518,7 @@ class _LatticeMeasures:
     def __init__(self, f: TruthTable, limits: dict):
         self.f = f
         self.limits = limits
+        self._s: np.ndarray | None = None
         self._fold: tuple[np.ndarray, np.ndarray] | None = None
         self._bs: tuple[int, int] | None = None
 
@@ -528,6 +531,12 @@ class _LatticeMeasures:
         if _table_bytes(n, measure) > _LATTICE_BUDGET:
             return LatticeBudgetError(measure, n)
         return None
+
+    def _sensitivities(self) -> np.ndarray:
+        """s(f,x) at every input x: s reads its maximum, the bs search u."""
+        if self._s is None:
+            self._s = _pointwise_sensitivity(self.f.to_array())
+        return self._s
 
     def _folded(self) -> tuple[np.ndarray, np.ndarray]:
         """val, shaped (3,) * n + (1,), and the key per point."""
@@ -550,11 +559,21 @@ class _LatticeMeasures:
         key = self._folded()[1]
         return np.minimum(bound, n - (key >> n).astype(bound.dtype))
 
+    def sensitivity(self, witness: bool):
+        """s, with its smallest maximizing input and the mask of the
+        coordinates sensitive there if ``witness``."""
+        counts = self._sensitivities()
+        val = int(counts.max())
+        if not witness:
+            return val
+        point = int(np.argmax(counts == val))
+        return val, (point, _sensitive_mask(self.f, point))
+
     def block_sensitivity(self, witness: bool):
         f = self.f
         _ensure_limit("bs", f.n, self.limits.get("bs"))
         if self._bs is None:
-            bound = _sensitivity_bound(f)
+            bound = _sensitivity_bound(self._sensitivities())
             if self._fold is not None:
                 self._bs = _bs_search(f, self._certificate_bound(bound))
             else:
@@ -1182,7 +1201,7 @@ def _measure_report(subcubes: _LatticeMeasures, primes, witnesses: bool) -> Meas
             rep.measures[name] = out
 
     w = witnesses
-    run("s", lambda: sensitivity(f, witness=w))
+    run("s", lambda: subcubes.sensitivity(w))
     if subcubes._skip("C") is None or subcubes._skip("DT") is None:
         subcubes._folded()
     run("bs", lambda: subcubes.block_sensitivity(w))

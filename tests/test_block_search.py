@@ -32,10 +32,14 @@ def _seeded(seed, arities, per):
     return [TruthTable(n, random_table(rng, n)) for n in arities for _ in range(per)]
 
 
+def _u(f):
+    return _sensitivity_bound(_pointwise_sensitivity(f.to_array()))
+
+
 def test_bound_dominates_oracle():
     cases = [f for n in range(4) for f in _every_function(n)] + _seeded(50, (4, 5, 6), 4)
     for f in cases:
-        bound = _sensitivity_bound(f)
+        bound = _u(f)
         for x in range(2**f.n):
             bs = naive_block_sensitivity(f, x)
             assert bound[x] >= bs
@@ -47,10 +51,10 @@ def test_bound_is_tight_at_the_top_point():
     # seeded function reaches bs == u at its top point with u < n
     f = TruthTable(6, random_table(np.random.default_rng(51), 6))
     for g in (parity(5), f):
-        bound = _sensitivity_bound(g)
+        bound = _u(g)
         top = int(np.argmax(bound))
         assert bound[top] == naive_block_sensitivity(g, top) == naive_block_sensitivity(g)
-    assert _sensitivity_bound(f).max() < f.n
+    assert _u(f).max() < f.n
 
 
 def _check_witness(f, pointwise, val, fam):

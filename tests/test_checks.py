@@ -24,6 +24,8 @@ from boolfn.checks import STATISTICS, _raise_if_broken
 from boolfn.families import gip, maj, parity, rubinstein, tree_function
 from boolfn.measures import (
     ArityLimitError,
+    _depth_sweeps,
+    _subcube_fold,
     alternation,
     block_sensitivity,
     certificate,
@@ -128,6 +130,19 @@ def test_bulk_arrays_match_api_sampled_n4(bulk_n4_rows):
         assert a["C"][bits] == certificate(f)
         assert a["salt"][bits] == shift_invariant_alternation(f)
         assert a["DT"][bits] == dt_depth(f)
+
+
+@pytest.mark.parametrize("needs", [None, ("DT",)])
+def test_measure_arrays_dt_sweeps_only_below_n_as_the_full_sweeps_do(needs):
+    """The batch sweeps only the columns where max(bs, deg), or deg when bs
+    does not run, is below n; on every column of every n = 4 slice it reads
+    the DT of the sweeps over all columns, so a wrong lower bound shows."""
+    for lo, hi in _bulk._slices(4):
+        t = _tables(4, lo, hi)
+        full = _depth_sweeps(_subcube_fold(t)[0])[(2,) * 4]
+        dt = measure_arrays(t, needs=needs)["DT"]
+        assert np.array_equal(dt, full), lo
+        assert (dt < 4).any() and (dt == 4).any()
 
 
 @pytest.mark.parametrize("n, lo, hi", [(0, 0, 2), (1, 0, 4), (2, 0, 16), (3, 0, 256),

@@ -1,10 +1,12 @@
 import dataclasses
+import importlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+import boolfn
 from boolfn import _bulk, checks, cli, commlb, measures
 from boolfn.cli import main
 from boolfn.commlb import BitMatrix
@@ -425,16 +427,100 @@ def test_stdout_is_pure_payload(capsys):
     json.loads(out)  # parses as-is
 
 
-@pytest.mark.parametrize("module", ["boolfn", "boolfn.cli"])
-def test_import_loads_no_process_pool(module):
-    """The scan is serial, so no import pulls in the multiprocessing machinery."""
-    code = (f"import sys, {module}; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+def _fresh(code: str) -> str:
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout
+
+
+@pytest.mark.parametrize("module", ["boolfn", "boolfn.cli"])
+def test_import_loads_no_process_pool(module):
+    """The scan is serial, so no import pulls in the multiprocessing machinery."""
+    out = _fresh(f"import sys, {module}; "
+                 "print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    assert out.strip() == "[]"
+
+
+# every public name ``boolfn`` bound by eager imports when it loaded all its
+# modules, by the module that defines it
+_PUBLIC_NAMES = {
+    "core": [
+        "MAX_ARITY", "AffineMap", "FormatError", "Restriction", "TruthTable", "apply_affine",
+        "is_invertible", "restrict", "shift", "tt_parse", "tt_serialize",
+    ],
+    "spectral": [
+        "MOEBIUS_MOD_P", "MOEBIUS_Z", "WALSH", "SpectrumRep", "moebius_coefficients",
+        "moebius_coefficients_mod", "spectrum", "walsh_coefficients",
+    ],
+    "measures": [
+        "DEFAULT_LIMITS", "ArityLimitError", "BlockFamily", "Chain", "LatticeBudgetError",
+        "MeasureReport", "alternation", "alternation_under_shifts", "block_sensitivity",
+        "certificate", "dt_depth", "measure_report", "modp_degree", "real_degree",
+        "sensitivity", "shift_invariant_alternation", "sparsity", "validate_block_family",
+        "validate_certificate_set", "validate_chain", "validate_decision_tree",
+    ],
+    "transforms": ["TransformResult", "alt_to_s_linear", "bs_to_s_affine", "sherstov_linear"],
+    "families": [
+        "and_", "const", "from_family_spec", "gip", "ip", "maj", "or_", "or_compose", "parity",
+        "rubinstein", "rubinstein_row", "tree_function",
+    ],
+    "commlb": [
+        "BitMatrix", "LowerBoundCertificate", "VerificationError", "and_matrix",
+        "bound_summary", "det_upper_bound", "submatrix_witness",
+    ],
+    "checks": [
+        "Check", "CheckReport", "ExtremalRecord", "ProvenCheckError", "STATISTICS",
+        "exhaustive_scan", "extremal_search", "family_suite", "inequality_suite",
+        "revalidate_record",
+    ],
+}
+
+
+def test_import_loads_only_the_measure_modules():
+    """A first report needs core, spectral and measures; the other modules
+    load on first use."""
+    out = _fresh("import sys, boolfn; "
+                 "boolfn.measure_report(boolfn.tt_parse('anf:4:x1 x2 + x3 x4'), witnesses=True); "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'boolfn'))")
+    assert out.strip() == str(["boolfn", "boolfn._bitops", "boolfn.core", "boolfn.measures",
+                               "boolfn.spectral"])
+
+
+def test_every_public_name_is_its_module_binding():
+    """Each name reads its module's own object, loaded or not, and is listed
+    by ``__all__`` and ``dir``; an unknown name is an AttributeError."""
+    names = [name for group in _PUBLIC_NAMES.values() for name in group]
+    assert sorted(boolfn.__all__) == sorted(names)
+    assert set(names) <= set(dir(boolfn))
+    for module, group in _PUBLIC_NAMES.items():
+        mod = importlib.import_module(f"boolfn.{module}")
+        for name in group:
+            assert getattr(boolfn, name) is getattr(mod, name), name
+    with pytest.raises(AttributeError, match="nope"):
+        boolfn.nope
+
+
+def test_names_and_submodules_load_on_first_use():
+    out = _fresh("import sys, boolfn; "
+                 "print(boolfn.maj(3)); "
+                 "print('boolfn.families' in sys.modules, 'boolfn.checks' in sys.modules); "
+                 "from boolfn import checks; "
+                 "print(checks.exhaustive_scan is boolfn.exhaustive_scan, "
+                 "boolfn.commlb.and_matrix is boolfn.and_matrix)")
+    assert out.splitlines() == ["TruthTable('tt:3:e8')", "True False", "True True"]
+
+
+def test_a_patched_name_is_read_through_and_not_cached(monkeypatch):
+    """The package keeps no copy of a lazy name, so patching the module's
+    binding and restoring it shows through, as a span recorder needs."""
+    original = boolfn.exhaustive_scan
+    monkeypatch.setattr(checks, "exhaustive_scan", lambda n: n)
+    assert boolfn.exhaustive_scan(3) == 3
+    monkeypatch.undo()
+    assert boolfn.exhaustive_scan is original
+    assert "exhaustive_scan" not in vars(boolfn)
 
 
 def test_module_entrypoint_subprocess():
