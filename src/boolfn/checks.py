@@ -19,8 +19,10 @@ both statement strings, ``needs``, ``left`` <= ``right`` and an optional
 ``hypothesis``, each written so it evaluates on ints and on arrays alike.
 
 A function's ints are the values of ``measure_report``, the one list of its
-measures, plus bs(f,0): ``inequality_suite`` takes them and their skips from
-it, and the scan compares them with the arrays on its sampled functions.
+measures, plus bs(f,0).  One helper, ``_function_record``, builds them with
+their skips, the bs families and the constructions built from those:
+``inequality_suite`` checks them, and the scan compares them with its arrays
+and batched constructions on its sampled functions.
 """
 
 from __future__ import annotations
@@ -300,24 +302,40 @@ def _statistic_array(row: _Statistic, v: dict) -> np.ndarray:
 # per-function inequality suite
 
 
-def inequality_suite(f: TruthTable, primes=(2, 3), limits: dict | None = None) -> CheckReport:
-    """Every per-function check, with witnesses; proven failures raise."""
-    limits = limits or {}
-    n = f.n
-    report = CheckReport("function", tt_serialize(f))
+def _function_record(f: TruthTable, primes, limits: dict):
+    """One function's measure values, the reasons of its skips, its bs
+    families and the constructions built from them.
+
+    The values are ``measure_report``'s plus bs(f,0).  One bs search, kept by
+    the report's subcubes, gives bs and the family at its maximizer; one
+    packing at the all-zero input gives bs(f,0) and the family there.  The
+    constructions are the block maps at 0 (``"bs0"``) and at the maximizer
+    (``"bs"``), the Sherstov map at the maximizer and the chain map
+    (``"alt"``); a skipped bs leaves out all but the chain map.
+    """
     subcubes = _LatticeMeasures(f, limits)
     measured = _measure_report(subcubes, primes, witnesses=False)
-    vals: dict = {"n": n, "depends_on_all": len(f.relevant_variables()) == n,
-                  **measured.measures}
+    vals, fams = measured.measures, {}
     skips = {s["measure"]: s["reason"] for s in measured.skipped}
-    fams = {}  # the witness families the transforms are built from
     if "bs" in vals:
-        # the report's search is kept: this packs the family at its maximizer
         _, fams["bs"] = subcubes.block_sensitivity(witness=True)
         vals["bs0"], fams["bs0"] = block_sensitivity(f, at=0, witness=True,
                                                      limit=limits.get("bs"))
     else:
         skips["bs0"] = skips["bs"]  # bs(f,0) has the ceiling of bs
+    built = {k: _bs2s_from_family(f, fam) for k, fam in fams.items()}
+    if "bs" in fams:
+        built["sherstov"] = _sherstov_from_family(f, fams["bs"])
+    built["alt"] = alt_to_s_linear(f)
+    return vals, skips, fams, built
+
+
+def inequality_suite(f: TruthTable, primes=(2, 3), limits: dict | None = None) -> CheckReport:
+    """Every per-function check, with witnesses; proven failures raise."""
+    n = f.n
+    report = CheckReport("function", tt_serialize(f))
+    vals, skips, _, built = _function_record(f, primes, limits or {})
+    vals.update(n=n, depends_on_all=len(f.relevant_variables()) == n)
 
     for row, p, v in _rows(vals, primes, by_prime=False):
         missing = [k for k in row.needs if k not in v]
@@ -335,18 +353,18 @@ def inequality_suite(f: TruthTable, primes=(2, 3), limits: dict | None = None) -
     # block-packing transform: equality at the all-zero input and at an argmax
     statement = "s(g,0) == bs(f,a) under the block transform"
     for name, k in (("bs2s_equality_at_zero", "bs0"), ("bs2s_equality_at_argmax", "bs")):
-        if k not in fams:
+        if k not in built:
             report.checks.append(Check(name, statement, "proven", None, None, "skipped",
                                        {"reason": skips[k]}))
             continue
-        cert = _bs2s_from_family(f, fams[k]).certificate
+        cert = built[k].certificate
         report.checks.append(
             Check(name, statement, "proven", cert["s_g_at_zero"], cert["block_sensitivity"],
                   "holds" if cert["equality_holds"] else "fails",
                   {"point": point_to_str(cert["point"], n)})
         )
 
-    tr_alt = alt_to_s_linear(f)
+    tr_alt = built["alt"]
     cert = tr_alt.certificate
     alt_ok = cert["holds"] and cert["invertible"]
     report.checks.append(
@@ -370,13 +388,13 @@ def inequality_suite(f: TruthTable, primes=(2, 3), limits: dict | None = None) -
                   "empirical", None if ratio is None else vals["bs"],
                   None, "holds", {"ratio": ratio})
         )
-    if "bs" not in fams:
+    if "sherstov" not in built:
         report.checks.append(
             Check("sherstov_factor4", "4*s(g)**2 >= bs(f)", "empirical",
                   None, None, "skipped", {"reason": skips["bs"]})
         )
     else:
-        cert = _sherstov_from_family(f, fams["bs"]).certificate
+        cert = built["sherstov"].certificate
         verdict = "holds" if cert["factor4_holds"] else "fails"
         report.checks.append(Check(
             "sherstov_factor4", "4*s(g)**2 >= bs(f) for the split-block map (empirical factor)",
@@ -412,8 +430,17 @@ _EQ_CHECKS = {
 }
 
 
-def _scan_slice(n: int, lo: int, hi: int, primes: tuple) -> dict:
-    """Every check on the function ids [lo, hi) of arity n, one slice of ``_bulk._slices``.
+def _scan_slice(n: int, lo: int, hi: int, primes: tuple, tally: dict) -> None:
+    """Every check on the function ids [lo, hi) of arity n, one slice of
+    ``_bulk._slices``, added into the scan's running ``tally``.
+
+    The tally maps each check's name (``"checks"``) to its statement, its
+    counts, its tightest (margin, id) and its smallest failing id, and each
+    statistic (``"extremal"``) to its (value, id); it lists the findings and
+    the violations in id order.  A slice adds its counts, and replaces a
+    tightest margin by a smaller one and a value by a larger one, a tie
+    keeping the smaller id.  So, tallied in id order, the slices give the
+    report of one pass over all ids.
 
     The slice's table matrix is measured once (``_bulk.measure_arrays``),
     and every transform of the slice is built at once by the batch kernels
@@ -426,11 +453,12 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple) -> dict:
 
     On a deterministic subsample, the arrays, the transforms built from the
     families and the submatrix certificates are cross-checked against the
-    per-function API.  That guards the batching (dtypes, the function axis)
-    and compares the two bs packings (the DP and the packer).  alt and salt
-    share the API's kernel, so their independent checks are the check of
-    each alternation chain here against its alt value, and the tests of the
-    arrays against brute-force oracles.
+    per-function API (``_function_record``).  That guards the batching
+    (dtypes, the function axis) and compares the two bs packings (the DP
+    and the packer).  alt and salt share the API's kernel, so their
+    independent checks are the check of each alternation chain here
+    against its alt value, and the tests of the arrays against brute-force
+    oracles.
     """
     # t holds one table per column, the table of id lo + r in column r
     t = _bulk._tables(n, lo, hi)
@@ -438,24 +466,30 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple) -> dict:
     a["n"] = n
     a["ids"] = ids = np.arange(lo, hi, dtype=np.int64)
     m = ids.size
-    counts: dict = {}
-    worst: dict = {}
-    first_fail: dict = {}  # inequality -> its smallest failing id
+    checks, extremal = tally["checks"], tally["extremal"]
+
+    def count(name: str, statement: str, held: int, covered: int = m) -> dict:
+        entry = checks.setdefault(name, {"statement": statement, "holds": 0, "fails": 0,
+                                         "hypothesis_not_met": 0})
+        entry["holds"] += held
+        entry["fails"] += covered - held
+        entry["hypothesis_not_met"] += m - covered
+        return entry
 
     for row, p, v in _rows(a, primes, by_prime=True):
-        name = row.name.format(p=p)
         left, right = row.left(v), row.right(v)
         applicable = np.broadcast_to(row.hypothesis(v), (m,))
         bad = (left > right) & applicable
-        fails, covered = int(bad.sum()), int(applicable.sum())
-        counts[name] = {"statement": row.scan_statement.format(p=p), "holds": covered - fails,
-                        "fails": fails, "hypothesis_not_met": m - covered}
-        if fails:
-            first_fail[name] = int(ids[np.argmax(bad)])
-        if applicable.any():
+        covered = int(applicable.sum())
+        entry = count(row.name.format(p=p), row.scan_statement.format(p=p),
+                      covered - int(bad.sum()), covered)
+        if bad.any():
+            entry.setdefault("first_fail", int(ids[np.argmax(bad)]))
+        if covered:
             margin = (right - left)[applicable]
             pos = int(np.argmin(margin))
-            worst[name] = (int(margin[pos]), int(ids[np.flatnonzero(applicable)[pos]]))
+            tight = (int(margin[pos]), int(ids[np.flatnonzero(applicable)[pos]]))
+            entry["tightest"] = min(entry.get("tightest", tight), tight)
 
     # the transform constructions, batched over the function axis
     zeros = np.zeros(m, dtype=np.int64)
@@ -481,23 +515,21 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple) -> dict:
         _sparsities(_walsh_rows(tra.g, np.int32)) == a["sparsity"],
     ], axis=1)
     for j, (name, statement) in enumerate(_EQ_CHECKS.items()):
-        held = int(ok[:, j].sum())
-        counts[name] = {"statement": statement, "holds": held, "fails": m - held,
-                        "hypothesis_not_met": 0}
+        count(name, statement, int(ok[:, j].sum()))
     eq_names = list(_EQ_CHECKS)
-    violations = [{"check": eq_names[j], "function": tt_serialize(TruthTable(n, int(ids[r])))}
-                  for r, j in np.argwhere(~ok)[:_MAX_VIOLATIONS]]
+    tally["violations"] += [
+        {"check": eq_names[j], "function": tt_serialize(TruthTable(n, int(ids[r])))}
+        for r, j in np.argwhere(~ok)[:_MAX_VIOLATIONS]]
     c = sh.cert
-    findings = [{"check": "sherstov_factor4",
-                 "function": tt_serialize(TruthTable(n, int(ids[r]))),
-                 "bs": int(c["block_sensitivity"][r]), "s_g": int(c["s_g"][r])}
-                for r in np.flatnonzero(~c["factor4_holds"])[:_MAX_FINDINGS]]
+    tally["findings"] += [
+        {"check": "sherstov_factor4", "function": tt_serialize(TruthTable(n, int(ids[r]))),
+         "bs": int(c["block_sensitivity"][r]), "s_g": int(c["s_g"][r])}
+        for r in np.flatnonzero(~c["factor4_holds"])[:_MAX_FINDINGS]]
     if n <= _SUBMATRIX_MAX_ARITY:
         # the certificate of submatrix_witness for every function at once
         sub = _bs2s_rows(t, zeros, a["fam0"], "min-in-block")
         w = _check_submatrix_rows(t, sub.g, a["fam0"])  # raises VerificationError on any mismatch
-        counts["submatrix_identity"] = {"statement": "f(u&y) == g(u&y) on W x W", "holds": m,
-                                        "fails": 0, "hypothesis_not_met": 0}
+        count("submatrix_identity", "f(u&y) == g(u&y) on W x W", m)
 
     # cross-check the batched rows against the per-function API on the ids
     # that are multiples of the stride
@@ -505,35 +537,24 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple) -> dict:
     for fid in range(-(-lo // stride) * stride, hi, stride):
         row = fid - lo
         f = TruthTable(n, fid)
-        # one bs search, kept by the report's subcubes, and one family at 0
-        subcubes = _LatticeMeasures(f, {})
-        expect = _measure_report(subcubes, primes, witnesses=False).measures
-        _, fam = subcubes.block_sensitivity(witness=True)
-        expect["bs0"], fam0 = block_sensitivity(f, at=0, witness=True)
+        expect, _, fams, built = _function_record(f, primes, {})
         for key, want in expect.items():
             got = int(a[key][row])
             if got != want:
                 raise RuntimeError(f"bulk/{key} mismatch at function {fid}: bulk={got} api={want}")
-        tr_alt = alt_to_s_linear(f)
         # the batch takes the bulk maximizer, the API its own: the
         # certificates name the point, so they must agree on it too
-        pairs = (
-            (tr0, _bs2s_from_family(f, fam0)),
-            (tr1, _bs2s_from_family(f, fam)),
-            (tra, tr_alt),
-            (sh, _sherstov_from_family(f, fam)),
-        )
-        for batch, want in pairs:
-            got = batch.result(row, f)
+        for batch, k in ((tr0, "bs0"), (tr1, "bs"), (tra, "alt"), (sh, "sherstov")):
+            got, want = batch.result(row, f), built[k]
             if (got.map, got.g, got.certificate) != (want.map, want.g, want.certificate):
                 raise RuntimeError(
                     f"batched {want.kind} mismatch at function {fid}: "
                     f"batch={got.to_json_dict()} api={want.to_json_dict()}"
                 )
-        if bool(tra.cert["invertible"][row]) != is_invertible(tr_alt.map):
+        if bool(tra.cert["invertible"][row]) != is_invertible(built["alt"].map):
             raise RuntimeError(f"batched invertibility mismatch at function {fid}")
         if n <= _SUBMATRIX_MAX_ARITY:
-            cert, got = _submatrix_from_family(f, fam0), sub.result(row, f)
+            cert, got = _submatrix_from_family(f, fams["bs0"]), sub.result(row, f)
             batched = (got.certificate["block_sensitivity"], got.certificate["blocks"],
                        tuple(np.unique(w[row]).tolist()), got.g)
             if (cert.k, cert.blocks, cert.w_points, cert.g) != batched:
@@ -544,79 +565,51 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple) -> dict:
 
     # extremal statistics over this slice
     a["sherstov"] = c
-    extremal: dict = {}
     for stat in _SCAN_STATISTICS:
         vals = _statistic_array(stat, a)
         pos = int(np.argmax(vals))
         if vals[pos] > -np.inf:
-            extremal[stat.name] = (float(vals[pos]), int(ids[pos]))
-
-    return {
-        "counts": counts,
-        "worst": worst,
-        "first_fail": first_fail,
-        "extremal": extremal,
-        "findings": findings,
-        "violations": violations,
-        "functions": m,
-    }
+            best = (float(vals[pos]), int(ids[pos]))
+            extremal[stat.name] = max(extremal.get(stat.name, best), best,
+                                      key=lambda r: (r[0], -r[1]))
 
 
 def exhaustive_scan(n: int, primes=(2, 3)) -> CheckReport:
     """Run every check on every function of arity n (n <= 4).
 
-    The function ids are walked in the fixed slices of ``_bulk._slices``
-    (n <= 3 is one slice).  On each slice, measure values come from the
-    array engine, and the transform constructions from their batch kernels,
-    which build the map, tabulate g and check every equality and bound for
-    every single function.  At n <= ``_SUBMATRIX_MAX_ARITY`` every
-    function's submatrix identity is checked in one batched pass of the
-    kernel behind ``submatrix_witness``, which raises its
-    ``VerificationError`` for the smallest failing id.  About
-    ``_CROSSCHECK_SAMPLES`` evenly spaced functions are recomputed with the
-    per-function measure API, the per-function transforms and (at those
-    arities) ``submatrix_witness``, and compared field by field.  Each runs
-    one unpointed bs search, kept by its report, whose family builds both
-    transforms at the maximizer, and packs one family at the all-zero
-    input, for bs(f,0) and the transform there.  The slice
-    results merge in id order and the findings are capped after the merge,
-    so the report does not depend on the slicing.  The arity and each prime
+    One pass walks the function ids in the fixed slices of
+    ``_bulk._slices`` (n <= 3 is one slice), in id order, and
+    ``_scan_slice`` adds each slice into one running tally.  On each slice,
+    measure values come from the array engine, and the transform
+    constructions from their batch kernels, which build the map, tabulate g
+    and check every equality and bound for every single function.  At
+    n <= ``_SUBMATRIX_MAX_ARITY`` every function's submatrix identity is
+    checked in one batched pass of the kernel behind
+    ``submatrix_witness``, which raises its ``VerificationError`` for the
+    smallest failing id.  About ``_CROSSCHECK_SAMPLES`` evenly spaced
+    functions are recomputed with the per-function measure API, the
+    per-function transforms and (at those arities) ``submatrix_witness``,
+    and compared field by field.  Each runs one unpointed bs search, kept
+    by its report, whose family builds both transforms at the maximizer,
+    and packs one family at the all-zero input, for bs(f,0) and the
+    transform there.  A slice lists no more findings or violations than
+    the report keeps, and the tally's are capped once, after the pass, so
+    the report does not depend on the slicing.  The arity and each prime
     are checked before any slice is measured.
     """
     if not 0 <= n <= _bulk.MAX_BULK_ARITY:
         raise ValueError(f"exhaustive scan supports 0 <= n <= {_bulk.MAX_BULK_ARITY}")
     _check_primes(primes)
-    chunks = [_scan_slice(n, lo, hi, tuple(primes)) for lo, hi in _bulk._slices(n)]
+    tally: dict = {"checks": {}, "extremal": {}, "findings": [], "violations": []}
+    for lo, hi in _bulk._slices(n):
+        _scan_slice(n, lo, hi, tuple(primes), tally)
 
-    counts: dict = {}
-    worst: dict = {}
-    first_fail: dict = {}
-    extremal: dict = {}
-    findings: list = []
-    eq_violations: list = []
-    functions = 0
-    for chunk in chunks:
-        functions += chunk["functions"]
-        findings.extend(chunk["findings"])
-        eq_violations.extend(chunk["violations"])
-        for name, entry in chunk["counts"].items():
-            agg = counts.setdefault(name, dict(entry, holds=0, fails=0, hypothesis_not_met=0))
-            for key in ("holds", "fails", "hypothesis_not_met"):
-                agg[key] += entry[key]
-        for name, cand in chunk["worst"].items():
-            if name not in worst or cand < worst[name]:
-                worst[name] = cand
-        for name, fid in chunk["first_fail"].items():
-            first_fail.setdefault(name, fid)
-        for stat, cand in chunk["extremal"].items():
-            best = extremal.get(stat)  # the larger value wins, a tie the smaller id
-            if best is None or (cand[0], -cand[1]) > (best[0], -best[1]):
-                extremal[stat] = cand
-    violations = [{"check": name, "function": tt_serialize(TruthTable(n, first_fail[name]))}
-                  for name in counts if name in first_fail] + eq_violations
+    def name_of(fid: int) -> str:
+        return tt_serialize(TruthTable(n, fid))
 
+    functions = 1 << table_size(n)
     report = CheckReport("exhaustive", f"exhaustive:{n}")
-    for name, entry in counts.items():
+    for name, entry in tally["checks"].items():
         verdict = "fails" if entry["fails"] else "holds"
         witness: dict = {
             "functions": functions,
@@ -624,22 +617,22 @@ def exhaustive_scan(n: int, primes=(2, 3)) -> CheckReport:
             "fails": entry["fails"],
             "hypothesis_not_met": entry["hypothesis_not_met"],
         }
-        if name in worst:
-            margin, fid = worst[name]
+        if "tightest" in entry:
+            margin, fid = entry["tightest"]
             witness["tightest"] = {
-                "function": tt_serialize(TruthTable(n, fid)),
+                "function": name_of(fid),
                 "margin": margin,
             }
         report.checks.append(
             Check(name, entry["statement"], "proven", entry["holds"], functions,
                   verdict, witness)
         )
-    for stat, (value, fid) in sorted(extremal.items()):
-        report.extremal.append(
-            ExtremalRecord(tt_serialize(TruthTable(n, fid)), stat, value, n)
-        )
-    report.findings.extend(findings[:_MAX_FINDINGS])
-    report.findings.extend(violations[:_MAX_VIOLATIONS])
+    for stat, (value, fid) in sorted(tally["extremal"].items()):
+        report.extremal.append(ExtremalRecord(name_of(fid), stat, value, n))
+    first_fails = [{"check": name, "function": name_of(entry["first_fail"])}
+                   for name, entry in tally["checks"].items() if "first_fail" in entry]
+    report.findings.extend(tally["findings"][:_MAX_FINDINGS])
+    report.findings.extend((first_fails + tally["violations"])[:_MAX_VIOLATIONS])
     return _raise_if_broken(report)
 
 

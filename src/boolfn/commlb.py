@@ -76,13 +76,18 @@ class BitMatrix:
 
     @classmethod
     def from_raw(cls, blob: bytes) -> "BitMatrix":
+        """The matrix of a ``to_raw`` blob; ``ValueError`` for any other bytes."""
+        if len(blob) < 8:
+            raise ValueError(f"raw matrix has {len(blob)} bytes, less than its 8-byte dimension")
         dim = int.from_bytes(blob[:8], "little")
-        n = dim.bit_length() - 1
-        if dim != table_size(n):
-            raise ValueError("raw matrix dimension is not a power of two")
+        if dim < 1 or dim & (dim - 1):
+            raise ValueError(f"raw matrix dimension {dim} is not a power of two")
         row_bytes = (dim + 7) // 8
-        rows = np.frombuffer(blob[8 : 8 + dim * row_bytes], dtype=np.uint8)
-        return cls(n, rows.reshape(dim, row_bytes).copy())
+        if len(blob) != 8 + dim * row_bytes:
+            raise ValueError(f"raw matrix of dimension {dim} takes {8 + dim * row_bytes} "
+                             f"bytes, got {len(blob)}")
+        rows = np.frombuffer(blob, dtype=np.uint8, offset=8)
+        return cls(dim.bit_length() - 1, rows.reshape(dim, row_bytes).copy())
 
 
 def and_matrix(f: TruthTable) -> BitMatrix:

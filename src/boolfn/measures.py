@@ -72,16 +72,16 @@ DEFAULT_LIMITS = {"bs": 14, "C": 12, "salt": 15, "DT": 13}
 
 
 class ArityLimitError(ValueError):
-    """A measure was asked to run above its configured arity ceiling."""
+    """A measure was asked to run above its arity ceiling: a default one of
+    ``DEFAULT_LIMITS``, which an explicit limit lifts, or a fixed one."""
 
     def __init__(self, measure: str, arity: int, limit: int):
         self.measure = measure
         self.arity = arity
         self.limit = limit
-        super().__init__(
-            f"{measure} skipped: arity {arity} exceeds limit {limit} "
-            "(pass an explicit limit to override)"
-        )
+        advice = ("pass an explicit limit to override" if measure in DEFAULT_LIMITS
+                  else "a fixed ceiling, which no limit or override lifts")
+        super().__init__(f"{measure} skipped: arity {arity} exceeds limit {limit} ({advice})")
 
 
 def _ceiling(measure: str, limit: int | None) -> int:

@@ -299,13 +299,15 @@ def test_exhaustive_scan_deterministic():
     assert json.dumps(one) == json.dumps(two)
 
 
-@pytest.mark.parametrize("size", [16, 100])
-def test_exhaustive_scan_independent_of_slices(monkeypatch, size):
-    """Small slices split n = 3 (256 ids) unevenly; the JSON stays."""
-    default = json.dumps(exhaustive_scan(3).to_json_dict())
+@pytest.mark.parametrize("n, size", [(3, 16), (3, 100), (4, 1000)], ids=["16", "100", "n4-1000"])
+def test_exhaustive_scan_independent_of_slices(monkeypatch, n, size):
+    """Small slices split n = 3 (256 ids) and n = 4 (65,536 ids, 66 slices)
+    unevenly; the JSON stays.  At n = 4 three statistics reach their maximum
+    in every default slice, so the tie rule of the tally is exercised."""
+    default = json.dumps(exhaustive_scan(n).to_json_dict())
     monkeypatch.setattr(_bulk, "_SLICE", size)
-    assert len(_bulk._slices(3)) > 2
-    assert json.dumps(exhaustive_scan(3).to_json_dict()) == default
+    assert len(_bulk._slices(n)) > 2
+    assert json.dumps(exhaustive_scan(n).to_json_dict()) == default
 
 
 def test_exhaustive_scan_failure_report_independent_of_slices(monkeypatch):

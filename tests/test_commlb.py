@@ -52,6 +52,18 @@ def test_and_matrix_limit():
         and_matrix(rubinstein(4, 4))
 
 
+def test_and_matrix_ceiling_is_fixed():
+    # and_matrix takes no limit, so its message offers none; the measures'
+    # default ceilings keep their advice
+    with pytest.raises(ArityLimitError) as exc:
+        and_matrix(maj(14))
+    assert str(exc.value) == ("and_matrix skipped: arity 14 exceeds limit 13 "
+                              "(a fixed ceiling, which no limit or override lifts)")
+    assert (exc.value.measure, exc.value.arity, exc.value.limit) == ("and_matrix", 14, 13)
+    assert str(ArityLimitError("bs", 15, 14)) == (
+        "bs skipped: arity 15 exceeds limit 14 (pass an explicit limit to override)")
+
+
 def test_pbm_export():
     text = and_matrix(and_(1)).to_pbm()
     assert text == "P1\n2 2\n0 0\n0 1\n"
@@ -65,6 +77,32 @@ def test_raw_roundtrip():
     assert blob[:8] == (8).to_bytes(8, "little")
     m2 = BitMatrix.from_raw(blob)
     assert m2.n == m.n and np.array_equal(m2.rows, m.rows)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_raw_roundtrip_small_arities(n):
+    m = and_matrix(parity(n))
+    m2 = BitMatrix.from_raw(m.to_raw())
+    assert m2.n == n and np.array_equal(m2.rows, m.rows)
+
+
+def _header(dim: int) -> bytes:
+    return dim.to_bytes(8, "little")
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"", "raw matrix has 0 bytes, less than its 8-byte dimension"),
+    (b"\x04\x00\x00", "raw matrix has 3 bytes, less than its 8-byte dimension"),
+    (_header(0), "raw matrix dimension 0 is not a power of two"),
+    (_header(6) + bytes(6), "raw matrix dimension 6 is not a power of two"),
+    (_header(8) + bytes(7), "raw matrix of dimension 8 takes 16 bytes, got 15"),
+    (_header(8) + bytes(9), "raw matrix of dimension 8 takes 16 bytes, got 17"),
+    (_header(16) + bytes(31), "raw matrix of dimension 16 takes 40 bytes, got 39"),
+], ids=["empty", "short-header", "zero-dim", "dim-6", "truncated", "trailing", "truncated-row"])
+def test_from_raw_rejects_malformed_blobs(blob, message):
+    with pytest.raises(ValueError) as exc:
+        BitMatrix.from_raw(blob)
+    assert str(exc.value) == message
 
 
 def test_submatrix_and2():
