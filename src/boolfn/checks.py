@@ -18,6 +18,14 @@ append a row: its name (``{p}`` makes it per-prime, reading ``v["deg_p"]``),
 both statement strings, ``needs``, ``left`` <= ``right`` and an optional
 ``hypothesis``, each written so it evaluates on ints and on arrays alike.
 
+A construction's guarantee is a row too.  It reads the construction's
+certificate from ``v`` under the construction's name (``bs2s0``, ``bs2s``,
+``alt2s``; ``sparsity_g`` is the sparsity of the chain map's g): the suite
+puts there the certificate dict of one function, the scan the batch
+certificate, one array per field.  Such a row gives its own verdict,
+``holds(v)``, in place of ``left`` <= ``right``, and the suite's witness,
+``witness(v)``.
+
 A function's ints are the values of ``measure_report``, the one list of its
 measures, plus bs(f,0).  One helper, ``_function_record``, builds them with
 their skips, the bs families and the constructions built from those:
@@ -187,15 +195,21 @@ def _raise_if_broken(report: CheckReport) -> CheckReport:
 
 @dataclass(frozen=True)
 class _Inequality:
-    """The proven statement left(v) <= right(v), where hypothesis(v) holds."""
+    """The proven statement left(v) <= right(v), or a construction's own
+    verdict holds(v) where that is set, wherever hypothesis(v) holds."""
 
     name: str
     statement: str  # as inequality_suite words it
     scan_statement: str  # as exhaustive_scan words it
-    needs: tuple[str, ...]  # the measures read; the suite skips the row if one is skipped
+    needs: tuple[str, ...]  # the values read; the suite skips the row if one is skipped
     left: Callable
     right: Callable
     hypothesis: Callable = lambda v: True
+    holds: Callable | None = None  # a construction's own verdict; the scan keeps no margin
+    witness: Callable = lambda v: None  # the suite's witness
+
+    def verdict(self, v):
+        return self.holds(v) if self.holds else self.left(v) <= self.right(v)
 
 
 @dataclass(frozen=True)
@@ -206,6 +220,15 @@ class _Statistic:
     needs: tuple[str, ...]
     value: Callable
     defined: Callable = lambda v: True
+
+
+def _block_map_row(name: str, key: str, at: str) -> _Inequality:
+    """The row of the block map's equality s(g,0) == bs(f,a), a the point of ``v[key]``."""
+    return _Inequality(name, "s(g,0) == bs(f,a) under the block transform",
+                       f"s(g,0) == bs(f,{at}) under the block transform", (key,),
+                       lambda v: v[key]["s_g_at_zero"], lambda v: v[key]["block_sensitivity"],
+                       holds=lambda v: v[key]["equality_holds"],
+                       witness=lambda v: {"point": point_to_str(v[key]["point"], v["n"])})
 
 
 _INEQUALITIES = (
@@ -228,6 +251,19 @@ _INEQUALITIES = (
                 "deg*2**deg_{p} >= n", ("n", "deg", "deg_p", "depends_on_all"),
                 lambda v: v["n"], lambda v: v["deg"] * 2 ** v["deg_p"],
                 hypothesis=lambda v: v["depends_on_all"]),
+    _block_map_row("bs2s_equality_at_zero", "bs2s0", "0"),
+    _block_map_row("bs2s_equality_at_argmax", "bs2s", "argmax"),
+    _Inequality("alt_le_2sg_plus_1", "alt(f) <= 2*s(g,0)+1 with invertible chain map",
+                "alt <= 2*s(g,0)+1 with invertible chain map", ("alt2s",),
+                lambda v: v["alt2s"]["alt"], lambda v: v["alt2s"]["bound"],
+                holds=lambda v: v["alt2s"]["holds"] & v["alt2s"]["invertible"],
+                witness=lambda v: {"invertible": v["alt2s"]["invertible"],
+                                   "s_g_at_zero": v["alt2s"]["s_g_at_zero"]}),
+    _Inequality("sparsity_linear_invariance",
+                "sparsity(g) == sparsity(f) for invertible linear maps",
+                "sparsity invariant under the invertible chain map", ("sparsity", "sparsity_g"),
+                lambda v: v["sparsity_g"], lambda v: v["sparsity"],
+                holds=lambda v: v["sparsity_g"] == v["sparsity"]),
 )
 
 _STATISTICS = {row.name: row for row in (
@@ -309,24 +345,26 @@ def _function_record(f: TruthTable, primes, limits: dict):
     The values are ``measure_report``'s plus bs(f,0).  One bs search, kept by
     the report's subcubes, gives bs and the family at its maximizer; one
     packing at the all-zero input gives bs(f,0) and the family there.  The
-    constructions are the block maps at 0 (``"bs0"``) and at the maximizer
-    (``"bs"``), the Sherstov map at the maximizer and the chain map
-    (``"alt"``); a skipped bs leaves out all but the chain map.
+    constructions, keyed by the names the rows of ``_INEQUALITIES`` read,
+    are the block maps at 0 (``"bs2s0"``) and at the maximizer
+    (``"bs2s"``), the Sherstov map at the maximizer (``"sherstov"``) and
+    the chain map (``"alt2s"``); a skipped bs skips all but the chain map,
+    for the reason it is skipped.
     """
     subcubes = _LatticeMeasures(f, limits)
     measured = _measure_report(subcubes, primes, witnesses=False)
-    vals, fams = measured.measures, {}
+    vals, fams, built = measured.measures, {}, {}
     skips = {s["measure"]: s["reason"] for s in measured.skipped}
     if "bs" in vals:
         _, fams["bs"] = subcubes.block_sensitivity(witness=True)
         vals["bs0"], fams["bs0"] = block_sensitivity(f, at=0, witness=True,
                                                      limit=limits.get("bs"))
+        built = {"bs2s0": _bs2s_from_family(f, fams["bs0"]),
+                 "bs2s": _bs2s_from_family(f, fams["bs"]),
+                 "sherstov": _sherstov_from_family(f, fams["bs"])}
     else:
-        skips["bs0"] = skips["bs"]  # bs(f,0) has the ceiling of bs
-    built = {k: _bs2s_from_family(f, fam) for k, fam in fams.items()}
-    if "bs" in fams:
-        built["sherstov"] = _sherstov_from_family(f, fams["bs"])
-    built["alt"] = alt_to_s_linear(f)
+        skips.update(dict.fromkeys(("bs0", "bs2s0", "bs2s", "sherstov"), skips["bs"]))
+    built["alt2s"] = alt_to_s_linear(f)
     return vals, skips, fams, built
 
 
@@ -335,7 +373,9 @@ def inequality_suite(f: TruthTable, primes=(2, 3), limits: dict | None = None) -
     n = f.n
     report = CheckReport("function", tt_serialize(f))
     vals, skips, _, built = _function_record(f, primes, limits or {})
-    vals.update(n=n, depends_on_all=len(f.relevant_variables()) == n)
+    vals.update({k: tr.certificate for k, tr in built.items()}, n=n,
+                depends_on_all=len(f.relevant_variables()) == n,
+                sparsity_g=sparsity(built["alt2s"].g))
 
     for row, p, v in _rows(vals, primes, by_prime=False):
         missing = [k for k in row.needs if k not in v]
@@ -345,40 +385,10 @@ def inequality_suite(f: TruthTable, primes=(2, 3), limits: dict | None = None) -
         elif not row.hypothesis(v):
             verdict = "hypothesis-not-met"
         else:
-            left, right = row.left(v), row.right(v)
-            verdict = "holds" if left <= right else "fails"
+            left, right, witness = row.left(v), row.right(v), row.witness(v)
+            verdict = "holds" if row.verdict(v) else "fails"
         report.checks.append(Check(row.name.format(p=p), row.statement.format(p=p), "proven",
                                    left, right, verdict, witness))
-
-    # block-packing transform: equality at the all-zero input and at an argmax
-    statement = "s(g,0) == bs(f,a) under the block transform"
-    for name, k in (("bs2s_equality_at_zero", "bs0"), ("bs2s_equality_at_argmax", "bs")):
-        if k not in built:
-            report.checks.append(Check(name, statement, "proven", None, None, "skipped",
-                                       {"reason": skips[k]}))
-            continue
-        cert = built[k].certificate
-        report.checks.append(
-            Check(name, statement, "proven", cert["s_g_at_zero"], cert["block_sensitivity"],
-                  "holds" if cert["equality_holds"] else "fails",
-                  {"point": point_to_str(cert["point"], n)})
-        )
-
-    tr_alt = built["alt"]
-    cert = tr_alt.certificate
-    alt_ok = cert["holds"] and cert["invertible"]
-    report.checks.append(
-        Check("alt_le_2sg_plus_1", "alt(f) <= 2*s(g,0)+1 with invertible chain map",
-              "proven", cert["alt"], cert["bound"],
-              "holds" if alt_ok else "fails",
-              {"invertible": cert["invertible"], "s_g_at_zero": cert["s_g_at_zero"]})
-    )
-    sp_f, sp_g = vals["sparsity"], sparsity(tr_alt.g)
-    report.checks.append(
-        Check("sparsity_linear_invariance",
-              "sparsity(g) == sparsity(f) for invertible linear maps",
-              "proven", sp_g, sp_f, "holds" if sp_g == sp_f else "fails")
-    )
 
     # empirical-constant records (never hard assertions)
     if "salt" in vals and "bs" in vals:
@@ -388,13 +398,13 @@ def inequality_suite(f: TruthTable, primes=(2, 3), limits: dict | None = None) -
                   "empirical", None if ratio is None else vals["bs"],
                   None, "holds", {"ratio": ratio})
         )
-    if "sherstov" not in built:
+    if "sherstov" not in vals:
         report.checks.append(
             Check("sherstov_factor4", "4*s(g)**2 >= bs(f)", "empirical",
-                  None, None, "skipped", {"reason": skips["bs"]})
+                  None, None, "skipped", {"reason": skips["sherstov"]})
         )
     else:
-        cert = built["sherstov"].certificate
+        cert = vals["sherstov"]
         verdict = "holds" if cert["factor4_holds"] else "fails"
         report.checks.append(Check(
             "sherstov_factor4", "4*s(g)**2 >= bs(f) for the split-block map (empirical factor)",
@@ -418,16 +428,8 @@ def inequality_suite(f: TruthTable, primes=(2, 3), limits: dict | None = None) -
 _CROSSCHECK_SAMPLES = 24
 # up to this arity, every function's submatrix identity is checked entrywise
 _SUBMATRIX_MAX_ARITY = 3
-# a report keeps its first findings and violations, in id order, up to these
+# a report keeps its first sherstov findings, in id order, up to this many
 _MAX_FINDINGS = 20
-_MAX_VIOLATIONS = 8
-
-_EQ_CHECKS = {
-    "bs2s_equality_at_zero": "s(g,0) == bs(f,0) under the block transform",
-    "bs2s_equality_at_argmax": "s(g,0) == bs(f,argmax) under the block transform",
-    "alt_le_2sg_plus_1": "alt <= 2*s(g,0)+1 with invertible chain map",
-    "sparsity_linear_invariance": "sparsity invariant under the invertible chain map",
-}
 
 
 def _scan_slice(n: int, lo: int, hi: int, primes: tuple, tally: dict) -> None:
@@ -436,20 +438,22 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple, tally: dict) -> None:
 
     The tally maps each check's name (``"checks"``) to its statement, its
     counts, its tightest (margin, id) and its smallest failing id, and each
-    statistic (``"extremal"``) to its (value, id); it lists the findings and
-    the violations in id order.  A slice adds its counts, and replaces a
-    tightest margin by a smaller one and a value by a larger one, a tie
-    keeping the smaller id.  So, tallied in id order, the slices give the
-    report of one pass over all ids.
+    statistic (``"extremal"``) to its (value, id); it lists the findings in
+    id order.  A slice adds its counts, and replaces a tightest margin by a
+    smaller one and a value by a larger one, a tie keeping the smaller id.
+    So, tallied in id order, the slices give the report of one pass over
+    all ids.
 
     The slice's table matrix is measured once (``_bulk.measure_arrays``),
     and every transform of the slice is built at once by the batch kernels
     of ``transforms``, whose tables g(x) = f(A(x)) are read off f's lanes
     (``transforms._gather``).  f is read along each alternation chain the
     same way, by elementwise shifts with no index arithmetic.  The
-    sensitivity and sparsity kernels run again on the tables g, and at
-    n <= 3 the kernel of ``commlb.submatrix_witness`` checks every
-    function's submatrix identity on its family at 0.
+    sparsity kernel runs again on the chain maps' tables g.  The batch
+    certificates join the measure arrays, and one loop over the rows of
+    ``_INEQUALITIES`` checks them all.  At n <= 3 the kernel of
+    ``commlb.submatrix_witness`` checks every function's submatrix identity
+    on its family at 0.
 
     On a deterministic subsample, the arrays, the transforms built from the
     families and the submatrix certificates are cross-checked against the
@@ -468,6 +472,28 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple, tally: dict) -> None:
     m = ids.size
     checks, extremal = tally["checks"], tally["extremal"]
 
+    # the transform constructions, batched over the function axis
+    zeros = np.zeros(m, dtype=np.int64)
+    batches = {
+        "bs2s0": _bs2s_rows(t, zeros, a["fam0"], "block-index"),
+        "bs2s": _bs2s_rows(t, a["bs_argmax"], a["fam_argmax"], "block-index"),
+        "alt2s": _alt2s_rows(t, _path_maxima(t, n)),
+        "sherstov": _sherstov_rows(t, a["bs_argmax"], a["fam_argmax"]),
+    }
+    a.update({k: batch.cert for k, batch in batches.items()})
+    a["sparsity_g"] = _sparsities(_walsh_rows(batches["alt2s"].g, np.int32))
+    # each chain sets one new bit per step from 0, so it ends at 1^n, and
+    # it changes value alt(f) times; row j holds step j of every chain, and
+    # the values along it are read from the tables packed into lanes
+    chain = np.ascontiguousarray(a["alt2s"]["chain"].T)
+    along = (_lanes(t) >> chain) & 1
+    steps = (chain[1:] > chain[:-1]) & (np.bitwise_count(chain[1:] ^ chain[:-1]) == 1)
+    chain_ok = ((chain[0] == 0) & steps.all(axis=0)
+                & ((along[1:] != along[:-1]).sum(axis=0) == a["alt"]))
+    if not chain_ok.all():
+        fid = int(ids[np.argmin(chain_ok)])
+        raise RuntimeError(f"bulk alt does not match its chain at function {fid}")
+
     def count(name: str, statement: str, held: int, covered: int = m) -> dict:
         entry = checks.setdefault(name, {"statement": statement, "holds": 0, "fails": 0,
                                          "hypothesis_not_met": 0})
@@ -477,50 +503,20 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple, tally: dict) -> None:
         return entry
 
     for row, p, v in _rows(a, primes, by_prime=True):
-        left, right = row.left(v), row.right(v)
         applicable = np.broadcast_to(row.hypothesis(v), (m,))
-        bad = (left > right) & applicable
+        bad = ~row.verdict(v) & applicable
         covered = int(applicable.sum())
         entry = count(row.name.format(p=p), row.scan_statement.format(p=p),
                       covered - int(bad.sum()), covered)
         if bad.any():
             entry.setdefault("first_fail", int(ids[np.argmax(bad)]))
-        if covered:
-            margin = (right - left)[applicable]
+        if covered and not row.holds:
+            margin = (row.right(v) - row.left(v))[applicable]
             pos = int(np.argmin(margin))
             tight = (int(margin[pos]), int(ids[np.flatnonzero(applicable)[pos]]))
             entry["tightest"] = min(entry.get("tightest", tight), tight)
 
-    # the transform constructions, batched over the function axis
-    zeros = np.zeros(m, dtype=np.int64)
-    tr0 = _bs2s_rows(t, zeros, a["fam0"], "block-index")
-    tr1 = _bs2s_rows(t, a["bs_argmax"], a["fam_argmax"], "block-index")
-    tra = _alt2s_rows(t, _path_maxima(t, n))
-    sh = _sherstov_rows(t, a["bs_argmax"], a["fam_argmax"])
-    # each chain sets one new bit per step from 0, so it ends at 1^n, and
-    # it changes value alt(f) times; row j holds step j of every chain, and
-    # the values along it are read from the tables packed into lanes
-    chain = np.ascontiguousarray(tra.cert["chain"].T)
-    along = (_lanes(t) >> chain) & 1
-    steps = (chain[1:] > chain[:-1]) & (np.bitwise_count(chain[1:] ^ chain[:-1]) == 1)
-    chain_ok = ((chain[0] == 0) & steps.all(axis=0)
-                & ((along[1:] != along[:-1]).sum(axis=0) == a["alt"]))
-    if not chain_ok.all():
-        fid = int(ids[np.argmin(chain_ok)])
-        raise RuntimeError(f"bulk alt does not match its chain at function {fid}")
-    ok = np.stack([
-        tr0.cert["equality_holds"],
-        tr1.cert["equality_holds"],
-        tra.cert["holds"] & tra.cert["invertible"],
-        _sparsities(_walsh_rows(tra.g, np.int32)) == a["sparsity"],
-    ], axis=1)
-    for j, (name, statement) in enumerate(_EQ_CHECKS.items()):
-        count(name, statement, int(ok[:, j].sum()))
-    eq_names = list(_EQ_CHECKS)
-    tally["violations"] += [
-        {"check": eq_names[j], "function": tt_serialize(TruthTable(n, int(ids[r])))}
-        for r, j in np.argwhere(~ok)[:_MAX_VIOLATIONS]]
-    c = sh.cert
+    c = a["sherstov"]
     tally["findings"] += [
         {"check": "sherstov_factor4", "function": tt_serialize(TruthTable(n, int(ids[r]))),
          "bs": int(c["block_sensitivity"][r]), "s_g": int(c["s_g"][r])}
@@ -544,14 +540,14 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple, tally: dict) -> None:
                 raise RuntimeError(f"bulk/{key} mismatch at function {fid}: bulk={got} api={want}")
         # the batch takes the bulk maximizer, the API its own: the
         # certificates name the point, so they must agree on it too
-        for batch, k in ((tr0, "bs0"), (tr1, "bs"), (tra, "alt"), (sh, "sherstov")):
+        for k, batch in batches.items():
             got, want = batch.result(row, f), built[k]
             if (got.map, got.g, got.certificate) != (want.map, want.g, want.certificate):
                 raise RuntimeError(
                     f"batched {want.kind} mismatch at function {fid}: "
                     f"batch={got.to_json_dict()} api={want.to_json_dict()}"
                 )
-        if bool(tra.cert["invertible"][row]) != is_invertible(built["alt"].map):
+        if bool(a["alt2s"]["invertible"][row]) != is_invertible(built["alt2s"].map):
             raise RuntimeError(f"batched invertibility mismatch at function {fid}")
         if n <= _SUBMATRIX_MAX_ARITY:
             cert, got = _submatrix_from_family(f, fams["bs0"]), sub.result(row, f)
@@ -564,7 +560,6 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple, tally: dict) -> None:
                 )
 
     # extremal statistics over this slice
-    a["sherstov"] = c
     for stat in _SCAN_STATISTICS:
         vals = _statistic_array(stat, a)
         pos = int(np.argmax(vals))
@@ -581,8 +576,9 @@ def exhaustive_scan(n: int, primes=(2, 3)) -> CheckReport:
     ``_bulk._slices`` (n <= 3 is one slice), in id order, and
     ``_scan_slice`` adds each slice into one running tally.  On each slice,
     measure values come from the array engine, and the transform
-    constructions from their batch kernels, which build the map, tabulate g
-    and check every equality and bound for every single function.  At
+    constructions from their batch kernels, which build the map and
+    tabulate g for every single function; the rows of ``_INEQUALITIES``
+    check every bound and every construction's certificate on them.  At
     n <= ``_SUBMATRIX_MAX_ARITY`` every function's submatrix identity is
     checked in one batched pass of the kernel behind
     ``submatrix_witness``, which raises its ``VerificationError`` for the
@@ -592,15 +588,16 @@ def exhaustive_scan(n: int, primes=(2, 3)) -> CheckReport:
     and compared field by field.  Each runs one unpointed bs search, kept
     by its report, whose family builds both transforms at the maximizer,
     and packs one family at the all-zero input, for bs(f,0) and the
-    transform there.  A slice lists no more findings or violations than
-    the report keeps, and the tally's are capped once, after the pass, so
-    the report does not depend on the slicing.  The arity and each prime
-    are checked before any slice is measured.
+    transform there.  A failing row is reported by its smallest failing
+    id.  A slice lists no more findings than the report keeps, and the
+    tally's are capped once, after the pass, so the report does not depend
+    on the slicing.  The arity and each prime are checked before any slice
+    is measured.
     """
     if not 0 <= n <= _bulk.MAX_BULK_ARITY:
         raise ValueError(f"exhaustive scan supports 0 <= n <= {_bulk.MAX_BULK_ARITY}")
     _check_primes(primes)
-    tally: dict = {"checks": {}, "extremal": {}, "findings": [], "violations": []}
+    tally: dict = {"checks": {}, "extremal": {}, "findings": []}
     for lo, hi in _bulk._slices(n):
         _scan_slice(n, lo, hi, tuple(primes), tally)
 
@@ -629,10 +626,9 @@ def exhaustive_scan(n: int, primes=(2, 3)) -> CheckReport:
         )
     for stat, (value, fid) in sorted(tally["extremal"].items()):
         report.extremal.append(ExtremalRecord(name_of(fid), stat, value, n))
-    first_fails = [{"check": name, "function": name_of(entry["first_fail"])}
-                   for name, entry in tally["checks"].items() if "first_fail" in entry]
     report.findings.extend(tally["findings"][:_MAX_FINDINGS])
-    report.findings.extend((first_fails + tally["violations"])[:_MAX_VIOLATIONS])
+    report.findings.extend({"check": name, "function": name_of(entry["first_fail"])}
+                           for name, entry in tally["checks"].items() if "first_fail" in entry)
     return _raise_if_broken(report)
 
 

@@ -86,8 +86,11 @@ class BitMatrix:
         if len(blob) != 8 + dim * row_bytes:
             raise ValueError(f"raw matrix of dimension {dim} takes {8 + dim * row_bytes} "
                              f"bytes, got {len(blob)}")
-        rows = np.frombuffer(blob, dtype=np.uint8, offset=8)
-        return cls(dim.bit_length() - 1, rows.reshape(dim, row_bytes).copy())
+        rows = np.frombuffer(blob, dtype=np.uint8, offset=8).reshape(dim, row_bytes)
+        # below 8 columns a row is one byte, whose high bits are padding
+        if dim < 8 and (rows >> dim).any():
+            raise ValueError(f"raw matrix of dimension {dim} sets a bit past column {dim - 1}")
+        return cls(dim.bit_length() - 1, rows.copy())
 
 
 def and_matrix(f: TruthTable) -> BitMatrix:
@@ -195,8 +198,9 @@ def submatrix_witness(
     each block column placed on the block's smallest member, and W is the set
     of all XOR combinations of the witness blocks.  The identity
     f(u AND y) = g(u AND y) for u, y in W is checked entrywise (exhaustively
-    when the matrix fits, by seeded sampling otherwise); a failure is an
-    implementation bug, not a finding, and raises ``VerificationError``.
+    when W x W has at most ``_FULL_PAIR_BUDGET`` pairs, at any arity, by
+    seeded sampling otherwise); a failure is an implementation bug, not a
+    finding, and raises ``VerificationError``.
     The exhaustive check is ``_check_submatrix_rows`` on one function, the
     kernel the exhaustive scan runs on every function of a slice at once.
     """
@@ -207,14 +211,13 @@ def submatrix_witness(
 def _submatrix_from_family(f: TruthTable, fam: BlockFamily, seed: int = 0) -> LowerBoundCertificate:
     """``submatrix_witness`` on a witness family at the all-zero input already
     found by a bs search."""
-    n = f.n
     transform = _bs2s_from_family(f, fam, "min-in-block")
     blocks = transform.certificate["blocks"]
     k = transform.certificate["block_sensitivity"]
     g = transform.g
     block_row = np.array(blocks, dtype=np.int64).reshape(1, k)
 
-    if n <= AND_MATRIX_MAX_ARITY and 4**k <= _FULL_PAIR_BUDGET:
+    if 4**k <= _FULL_PAIR_BUDGET:
         mode = "exhaustive"
         w = _check_submatrix_rows(f.to_array()[:, None], g.to_array()[:, None], block_row)[0]
         pairs = w.size * w.size

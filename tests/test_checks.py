@@ -311,20 +311,38 @@ def test_exhaustive_scan_independent_of_slices(monkeypatch, n, size):
 
 
 def test_exhaustive_scan_failure_report_independent_of_slices(monkeypatch):
-    """A proven row failing from id 100 on reports its smallest failing id under any slicing."""
-    row = checks._Inequality("id_le_99", "id <= 99", "id <= 99", ("ids",),
-                             lambda v: v["ids"], lambda v: 99)
-    monkeypatch.setattr(checks, "_INEQUALITIES", checks._INEQUALITIES + (row,))
+    """A proven row failing from id 100 on reports its smallest failing id
+    under any slicing, whether left <= right fails or, for a construction's
+    row, its own verdict ``holds``; the suite, too, gives that verdict."""
+    rows, size = checks._INEQUALITIES, _bulk._SLICE
+    by_bound = checks._Inequality("id_le_99", "id <= 99", "id <= 99", ("ids",),
+                                  lambda v: v["ids"], lambda v: 99)
+    # left <= right holds everywhere: only the row's own verdict fails
+    by_verdict = checks._Inequality("id_below_100", "id < 100", "id < 100", ("ids",),
+                                    lambda v: 0, lambda v: 1, holds=lambda v: v["ids"] < 100)
 
-    def failure():
+    def failure(row, slice_size):
+        monkeypatch.setattr(checks, "_INEQUALITIES", rows + (row,))
+        monkeypatch.setattr(_bulk, "_SLICE", slice_size)
         with pytest.raises(ProvenCheckError) as exc:
             exhaustive_scan(3)
         return exc.value.report.to_json_dict()
 
-    default = failure()
-    assert {"check": "id_le_99", "function": "tt:3:64"} in default["findings"]
-    monkeypatch.setattr(_bulk, "_SLICE", 16)
-    assert failure() == default
+    for row in (by_bound, by_verdict):
+        default = failure(row, size)
+        assert {"check": row.name, "function": "tt:3:64"} in default["findings"]
+        checked = {c["name"]: c for c in default["checks"]}[row.name]
+        assert (checked["verdict"], checked["left"]) == ("fails", 100)
+        assert ("tightest" in checked["witness"]) == (row is by_bound)
+        assert failure(row, 16) == default
+
+    # one function has no ids: its row's own verdict fails outright
+    monkeypatch.setattr(checks, "_INEQUALITIES",
+                        rows + (dataclasses.replace(by_verdict, needs=(), holds=lambda v: False),))
+    with pytest.raises(ProvenCheckError, match="proven check id_below_100 failed on tt:3:e8") as exc:
+        inequality_suite(maj(3))
+    assert [(c.name, c.left, c.right) for c in exc.value.report.checks if c.verdict == "fails"] == [
+        ("id_below_100", 0, 1)]
 
 
 @pytest.mark.parametrize("n, size", [(3, 16), (4, 1000)])

@@ -98,7 +98,9 @@ def _header(dim: int) -> bytes:
     (_header(8) + bytes(7), "raw matrix of dimension 8 takes 16 bytes, got 15"),
     (_header(8) + bytes(9), "raw matrix of dimension 8 takes 16 bytes, got 17"),
     (_header(16) + bytes(31), "raw matrix of dimension 16 takes 40 bytes, got 39"),
-], ids=["empty", "short-header", "zero-dim", "dim-6", "truncated", "trailing", "truncated-row"])
+    (_header(2) + bytes([0xff, 0xfd]), "raw matrix of dimension 2 sets a bit past column 1"),
+], ids=["empty", "short-header", "zero-dim", "dim-6", "truncated", "trailing", "truncated-row",
+        "padding-bits"])
 def test_from_raw_rejects_malformed_blobs(blob, message):
     with pytest.raises(ValueError) as exc:
         BitMatrix.from_raw(blob)
@@ -116,6 +118,10 @@ def test_submatrix_and2():
     f = and_(2)
     sub = [[f.value_at(u & y) for y in cert.w_points] for u in cert.w_points]
     assert sub == [[0, 0], [0, 1]]
+    # above the AND-matrix ceiling W x W is still small, so it is checked in full
+    big = submatrix_witness(and_(14), limit=14)
+    assert (big.k, big.w_points) == (1, (0, (1 << 14) - 1))
+    assert (big.verification_mode, big.pairs_checked) == ("exhaustive", 4)
 
 
 def test_submatrix_or3_full_cube():
