@@ -25,7 +25,7 @@ from .measures import (
     dt_depth,
     sensitivity,
 )
-from .spectral import _check_primes, _degrees, _moebius_rows
+from .spectral import _check_primes, _degrees
 from .transforms import _bs2s_from_family
 
 __all__ = [
@@ -245,7 +245,10 @@ def _submatrix_from_family(f: TruthTable, fam: BlockFamily, seed: int = 0) -> Lo
 
 
 def det_upper_bound(f: TruthTable) -> int:
-    """Deterministic communication upper bound 2 * DT(f) for the AND-matrix."""
+    """Deterministic communication upper bound 2 * DT(f) for the AND-matrix.
+
+    DT without a witness: n with no subcube table where f has full degree,
+    else from sweeps that stop at deg (``dt_depth``)."""
     return 2 * dt_depth(f)
 
 
@@ -259,11 +262,12 @@ def bound_summary(f: TruthTable, primes=(2, 3), limits: dict | None = None) -> d
     A table of degree gaps between prime pairs is included.  Everything
     asymptotic is labeled a certificate; nothing here is a protocol value.
 
-    deg and every deg_p read one int32 Moebius table, deg_p as its residues
-    mod p (exact: see ``spectral``); each prime is checked before anything
-    is computed, so a bad prime raises ValueError with no work done.  DT is
-    computed after deg, and its sweeps stop once they meet max(bs(f,0),
-    deg), a lower bound on DT; where that bound is n, DT = n needs no table.
+    deg, every deg_p and DT read the one int32 Moebius table of the
+    function's ``_LatticeMeasures``, deg_p as its residues mod p (exact: see
+    ``spectral``); each prime is checked before anything is computed, so a
+    bad prime raises ValueError with no work done.  DT's sweeps stop once
+    they meet max(bs(f,0), deg), a lower bound on DT; where that bound is n,
+    DT = n needs no subcube table.
     """
     _check_primes(primes)
     limits = limits or {}
@@ -284,12 +288,11 @@ def bound_summary(f: TruthTable, primes=(2, 3), limits: dict | None = None) -> d
             return None
 
     bs0 = attempt("bs_at_zero", lambda: block_sensitivity(f, at=0, limit=limits.get("bs")))
-    coeffs = _moebius_rows(f.to_array(), np.int32)
-    deg = int(_degrees(coeffs))
-    # DT >= bs(f) >= bs(f,0) and DT >= deg, so the sweeps may stop there
-    lower = max(bs0 or 0, deg)
     subcubes = _LatticeMeasures(f, {"DT": limits.get("DT")})
-    dt = attempt("DT", lambda: subcubes.dt_depth(False, lower))
+    coeffs = subcubes._moebius()
+    deg = int(_degrees(coeffs))
+    # DT >= bs(f) >= bs(f,0), and DT >= deg, so the sweeps may stop there
+    dt = attempt("DT", lambda: subcubes.dt_depth(False, -1 if bs0 is None else bs0))
     summary["bs_at_zero"] = bs0
     summary["sqrt_bs_at_zero"] = math.sqrt(bs0) if bs0 is not None else None
     summary["DT"] = dt

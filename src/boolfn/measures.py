@@ -469,16 +469,18 @@ def _depth_sweeps(val: np.ndarray, lower: int = -1) -> np.ndarray:
     return dt
 
 
-def _dt_witness(val: np.ndarray, dt: np.ndarray, s: int, free: list) -> dict:
-    """Optimal tree of the ternary state s of one row's flat tables, smallest
-    variable first; ``free`` lists the pairs (i, 3**i) of the free variables
-    i of s, ascending, and each query hands its children the rest."""
-    depth = dt.item(s)
+def _dt_witness(val, dt, s: int, free: list) -> dict:
+    """Optimal tree of the ternary state s of flat subcube tables, smallest
+    variable first: ``val`` and ``dt`` are memoryviews of a fold's ``val``
+    and of its sweeps' ``dt`` (``_depth_sweeps``), so each read is a plain
+    int; ``free`` lists the pairs (i, stride of i) of the free variables i of
+    s, ascending, and each query hands its children the rest."""
+    depth = dt[s]
     if depth == 0:
-        return {"value": val.item(s)}
+        return {"value": val[s]}
     for j, (i, stride) in enumerate(free):
         low, high = s - 2 * stride, s - stride
-        if 1 + max(dt.item(low), dt.item(high)) == depth:
+        if 1 + max(dt[low], dt[high]) == depth:
             rest = free[:j] + free[j + 1 :]
             return {
                 "var": i + 1,
@@ -486,6 +488,77 @@ def _dt_witness(val: np.ndarray, dt: np.ndarray, s: int, free: list) -> dict:
                 "high": _dt_witness(val, dt, high, rest),
             }
     raise AssertionError("decision-tree reconstruction failed")
+
+
+def _full_prefixes(coeffs: np.ndarray) -> memoryview:
+    """Whether each prefix restriction x_1..x_d = a (d < n, a < 2**d) has
+    full degree n - d, at index 2**d - 1 + a, from f's Moebius coefficients.
+
+    The restriction's top coefficient, of x_{d+1}...x_n, is the sum of
+    c[H_d | T] over T within a, H_d the mask of bits d..n-1: after d passes
+    of a subset sum over the low bits it sits at H_d | a, among the table's
+    last 2**d entries.  Every index read has bit n - 1 set, so the passes
+    run over the upper half alone, n - 1 passes of 2**(n-2) additions.
+    """
+    n = coeffs.size.bit_length() - 1
+    full = np.empty(coeffs.size - 1, dtype=np.bool_)
+    sums = coeffs[coeffs.size // 2 :].copy()
+    for d in range(n):
+        np.not_equal(sums[-(1 << d) :], 0, out=full[(1 << d) - 1 : (2 << d) - 1])
+        if d < n - 1:
+            _subset_sum(*level_views(sums, 2, 1 << d))
+    return full.data
+
+
+def _dt_tree(val: np.ndarray, coeffs: np.ndarray) -> tuple[int, dict]:
+    """DT and the tree of ``_dt_witness``'s rule from the whole cube, built
+    top-down through the prefix restrictions x_1..x_d = a.
+
+    A restriction with k free variables whose top Moebius coefficient is
+    nonzero (``_full_prefixes``) has degree k, so DT = k (deg <= DT <= k).
+    One of its halves on x_{d+1} then has full degree k - 1 (the top
+    coefficient is the difference of theirs), so x_{d+1}, its smallest free
+    variable, meets the rule's tie-break, and the node queries it with no
+    table read.  Any other restriction is a leaf where ``val`` says it is
+    constant, and otherwise a hole.  Holes lie below full-degree nodes, or
+    one sits at the root.  The sweeps (``_depth_sweeps``) run once, on the
+    slab of all 2**d0 restrictions at the shallowest hole depth d0, of shape
+    (3,) * (n - d0) + (2**d0,) (``val`` itself at d0 = 0), and
+    ``_dt_witness`` fills each hole from it.  The tree is the one the rule
+    walks on the whole lattice, since it reads only exact depths.
+    """
+    n = val.ndim - 1
+    full = _full_prefixes(coeffs)
+    vals = val.reshape(-1).data
+    tree: dict = {}
+    holes = []
+    # each entry: a node to fill, and its restriction x_1..x_d = a at the
+    # ternary state s of ``val``
+    stack = [(tree, 0, 0, 3**n - 1)]
+    while stack:
+        node, d, a, s = stack.pop()
+        if d < n and full[(1 << d) - 1 + a]:
+            stride = 3**d
+            node["var"] = d + 1
+            node["low"] = low = {}
+            node["high"] = high = {}
+            stack.append((high, d + 1, a | 1 << d, s - stride))
+            stack.append((low, d + 1, a, s - 2 * stride))
+        elif vals[s] != 2:
+            node["value"] = vals[s]
+        else:
+            holes.append((node, d, a, s))
+    if not holes:
+        return (n if "var" in tree else 0), tree
+    d0 = min(d for _, d, _, _ in holes)
+    m = 1 << d0
+    slab = val[(..., *(slice(0, 2),) * d0, 0)].reshape((3,) * (n - d0) + (m,))
+    dt = _depth_sweeps(slab).reshape(-1).data
+    slab_vals = slab.reshape(-1).data
+    for node, d, a, s in holes:
+        free = [(i, m * 3 ** (i - d0)) for i in range(d, n)]
+        node.update(_dt_witness(slab_vals, dt, (a & (m - 1)) + m * (s // 3**d0), free))
+    return (n if d0 else dt[-1]), tree
 
 
 class _LatticeMeasures:
@@ -501,10 +574,17 @@ class _LatticeMeasures:
     fold (``_subcube_fold``: 3**n states, about 2n passes) is built once, on
     first use by C, by DT, or by the bs search, and kept.  The DT sweeps
     (``_depth_sweeps``: up to n**2 * 3**(n-1) entries of work) run on each
-    DT call, which every caller makes once.  Without a witness, DT takes a
-    lower bound: at n it needs no table, since DT <= n, and otherwise the
-    sweeps stop once the whole cube's entry meets it.  A witness sweeps to
-    the stop rule.
+    DT call, which every caller makes once, and only where the degree does
+    not settle DT.
+
+    The int32 Moebius table (2**n coefficients) is built once, on first use
+    by deg, deg_p or DT, and kept.  Without a witness, DT is at least deg
+    and any lower bound the caller passes: at n it needs no table, since
+    DT <= n, and otherwise the sweeps stop once the whole cube's entry
+    meets it.  A witness is built top-down from the prefix restrictions
+    (``_dt_tree``): those of full degree query their next variable with no
+    table read, and the sweeps run only on the slab below the shallowest
+    restriction of lower degree.
 
     The unpointed bs search (``_bs_search``) runs under min(u(x), C(f,x)),
     since bs(f,x) <= C(f,x), from its first input if the fold exists;
@@ -521,6 +601,7 @@ class _LatticeMeasures:
         self._s: np.ndarray | None = None
         self._fold: tuple[np.ndarray, np.ndarray] | None = None
         self._bs: tuple[int, int] | None = None
+        self._coeffs: np.ndarray | None = None
 
     def _skip(self, measure: str) -> ArityLimitError | None:
         """The skip that keeps ``measure`` off the table: ceiling, then budget."""
@@ -544,6 +625,12 @@ class _LatticeMeasures:
             val, key = _subcube_fold(self.f.to_array()[:, None])
             self._fold = val, key[:, 0]
         return self._fold
+
+    def _moebius(self) -> np.ndarray:
+        """f's int32 Moebius coefficients: deg, every deg_p and DT read them."""
+        if self._coeffs is None:
+            self._coeffs = _moebius_rows(self.f.to_array(), np.int32)
+        return self._coeffs
 
     def _check(self, measure: str) -> None:
         skip = self._skip(measure)
@@ -594,18 +681,18 @@ class _LatticeMeasures:
         return (val, (point, full ^ (k & full))) if witness else val
 
     def dt_depth(self, witness: bool, lower: int = -1):
-        """DT, with its tree if ``witness``; ``lower`` is a lower bound on DT
-        that a call without a witness may stop at."""
+        """DT, with its tree if ``witness``; ``lower`` is a lower bound on DT,
+        besides deg, that a call without a witness may stop at."""
         self._check("DT")
         n = self.f.n
-        if not witness and lower >= n:
+        if witness:
+            return _dt_tree(self._folded()[0], self._moebius())
+        if lower < n:
+            # DT >= deg, which is n exactly when the top coefficient is nonzero
+            lower = max(lower, int(_degrees(self._moebius())))
+        if lower >= n:
             return n
-        val = self._folded()[0]
-        dt = _depth_sweeps(val, -1 if witness else lower).reshape(-1)
-        depth = int(dt[-1])
-        if not witness:
-            return depth
-        return depth, _dt_witness(val.reshape(-1), dt, 3**n - 1, [(i, 3**i) for i in range(n)])
+        return _depth_sweeps(self._folded()[0], lower).item(-1)
 
 
 def certificate(
@@ -627,19 +714,27 @@ def certificate(
 
 
 def dt_depth(f: TruthTable, witness: bool = False, limit: int | None = None):
-    """Depth of an optimal decision tree, read off the ternary subcube table.
+    """Depth of an optimal decision tree, from the degree and the ternary
+    subcube table.
 
-    The DT sweeps (``_depth_sweeps``) lower an upper bound on the optimal
-    depth of each of the 3**n subcubes, from the fold that ``certificate``
-    reads, in at most n**2 * 3**(n-1) entries of work; DT(f) is the entry
-    of the whole cube.  Above the byte budget of the fold and the sweeps
-    (n > 15) it raises ``LatticeBudgetError`` whatever ``limit`` says.  The
-    witness tree queries 1-based variables ('var', 'low', 'high' nodes,
-    'value' leaves): it walks down from the whole cube, queries at each
-    subcube the smallest variable whose two halves reach the optimum, and
-    ends in a leaf wherever the subcube is constant.  The reports and
-    ``commlb.bound_summary`` stop the sweeps early at a lower bound, with
-    the same value.
+    deg <= DT <= n, so where f's top Moebius coefficient is nonzero DT = n
+    and no subcube table is built.  Otherwise the DT sweeps
+    (``_depth_sweeps``) lower an upper bound on the optimal depth of each of
+    the 3**n subcubes, from the fold that ``certificate`` reads, in at most
+    n**2 * 3**(n-1) entries of work, and stop once the whole cube's entry
+    meets deg.  The ceiling and the byte budget of the fold and the sweeps
+    are checked first: above the budget (n > 15) it raises
+    ``LatticeBudgetError`` whatever ``limit`` says.  The reports and
+    ``commlb.bound_summary`` also stop the sweeps at bs, with the same value.
+
+    The witness tree queries 1-based variables ('var', 'low', 'high' nodes,
+    'value' leaves): at each subcube, from the whole cube down, it queries
+    the smallest variable whose two halves reach the optimum, and it ends in
+    a leaf wherever the subcube is constant.  It is built top-down through
+    the prefix restrictions x_1..x_d = a (``_dt_tree``): one of full degree
+    queries x_{d+1} without reading a table, and the sweeps run once, on the
+    slab of restrictions at the depth of the shallowest one of lower degree
+    that is not constant.
     """
     return _LatticeMeasures(f, {"DT": limit}).dt_depth(witness)
 
@@ -1162,10 +1257,11 @@ def measure_report(
     search runs under min(u(x), C(f,x)) from its first input, which on most
     functions leaves one packing search.  Otherwise bs runs the switch of
     the public ``block_sensitivity``, with the same value and witness.  DT
-    comes last.  With ``witnesses`` its sweeps run to the end, for the tree
-    of ``dt_depth``; without, they stop once they meet max(bs, deg), a lower
-    bound on DT (bs <= C <= DT, and deg <= DT), which makes the value exact,
-    and where that bound is n they do not run at all.
+    comes last, and reads deg's Moebius table.  With ``witnesses`` it builds
+    the tree of ``dt_depth``, and sweeps only below the prefix restrictions
+    of full degree; without, the sweeps stop once they meet max(bs, deg), a
+    lower bound on DT (bs <= C <= DT, and deg <= DT), which makes the value
+    exact, and where that bound is n they do not run at all.
     """
     return _measure_report(_LatticeMeasures(f, limits or {}), primes, witnesses)
 
@@ -1179,9 +1275,9 @@ def _measure_report(subcubes: _LatticeMeasures, primes, witnesses: bool) -> Meas
     pointwise C, or the bs family of ``inequality_suite`` and of the scan's
     cross-check, which the kept search packs without a second search.
 
-    deg and every deg_p read one int32 Moebius table, deg_p as its residues
-    mod p (exact: see ``spectral``); each prime is checked before anything
-    is computed.
+    deg, every deg_p and DT read the one int32 Moebius table that
+    ``subcubes`` keeps, deg_p as its residues mod p (exact: see
+    ``spectral``); each prime is checked before anything is computed.
     """
     _check_primes(primes)
     f, limits = subcubes.f, subcubes.limits
@@ -1211,12 +1307,11 @@ def _measure_report(subcubes: _LatticeMeasures, primes, witnesses: bool) -> Meas
         "salt",
         lambda: shift_invariant_alternation(f, witness=w, limit=limits.get("salt")),
     )
-    coeffs = _moebius_rows(f.to_array(), np.int32)
+    coeffs = subcubes._moebius()
     run("deg", lambda: _degree_of(coeffs, w))
     for p in primes:
         run(f"deg_{p}", lambda p=p: _degree_of(coeffs % p, w))
     run("sparsity", lambda: sparsity(f, witness=w))
-    # DT >= bs (Nisan) and DT >= deg; only a call without a witness stops there
-    lower = max(rep.measures.get("bs", 0), rep.measures["deg"])
-    run("DT", lambda: subcubes.dt_depth(w, lower))
+    # DT >= bs (Nisan); only a call without a witness stops there, or at deg
+    run("DT", lambda: subcubes.dt_depth(w, rep.measures.get("bs", -1)))
     return rep

@@ -66,10 +66,15 @@ def is_prime(p: int) -> bool:
 
 
 def _check_primes(primes) -> None:
-    """Raise ValueError naming the first entry of ``primes`` that is not prime."""
+    """Raise ValueError naming the first entry of ``primes`` that is not
+    prime, or that repeats an earlier one."""
+    seen = set()
     for p in primes:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
+        if p in seen:
+            raise ValueError(f"prime {p} is repeated")
+        seen.add(p)
 
 
 def _difference(lo: np.ndarray, hi: np.ndarray) -> None:

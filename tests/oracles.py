@@ -157,13 +157,6 @@ def _shifted(f, b):
     return _PointFn(f.n, lambda x: f.value_at(x ^ b))
 
 
-def restrict(f, fixed_mask, fixed_vals):
-    """f with the variables in ``fixed_mask`` pinned to their bits in
-    ``fixed_vals``; the arity stays n and the pinned variables become
-    irrelevant."""
-    return _PointFn(f.n, lambda x: f.value_at((x & ~fixed_mask) | (fixed_vals & fixed_mask)))
-
-
 def naive_moebius(f):
     n = f.n
     coeffs = []
@@ -207,9 +200,13 @@ def naive_sparsity(f):
     return sum(1 for c in naive_wht(f) if c != 0)
 
 
-def naive_dt(f):
+def naive_subcube_dt(f):
+    """The optimal decision-tree depth of f with the variables in
+    ``fixed_mask`` pinned to their bits in ``fixed_vals``, as a function of
+    (fixed_mask, fixed_vals), memoized over the subcubes of one f."""
     n = f.n
 
+    @lru_cache(maxsize=None)
     def rec(fixed_mask, fixed_vals):
         free = [i for i in range(n) if not (fixed_mask >> i) & 1]
         values = set()
@@ -231,7 +228,11 @@ def naive_dt(f):
             for i in free
         )
 
-    return rec(0, 0)
+    return rec
+
+
+def naive_dt(f):
+    return naive_subcube_dt(f)(0, 0)
 
 
 def table_matrix(n, ids):

@@ -381,10 +381,27 @@ def test_non_prime_exits_2_before_the_moebius_table(monkeypatch, capsys, command
     def no_table(*args, **kwargs):
         raise AssertionError("the Moebius table was built before the primes were checked")
 
+    # both commands read the table that ``measures._LatticeMeasures`` keeps
     monkeypatch.setattr(measures, "_moebius_rows", no_table)
-    monkeypatch.setattr(commlb, "_moebius_rows", no_table)
     code, out, err = run_cli(capsys, command, "fam:or:n=3", "--primes", "2,4")
     assert (code, out, err) == (2, "", "error: 4 is not prime\n")
+
+
+@pytest.mark.parametrize("argv,prime", [
+    (["check", "exhaustive:2", "--primes", "3,3", "--format", "csv"], 3),
+    (["check", "function", "tt:3:e8", "--primes", "3,3"], 3),
+    (["measures", "tt:3:e8", "--primes", "7,7", "--format", "csv"], 7),
+    (["comm", "tt:3:e8", "--primes", "2,3,2"], 2),
+])
+def test_repeated_prime_exits_2_before_any_work(monkeypatch, capsys, argv, prime):
+    # a repeated prime would count a row twice or print a column twice
+    def no_work(*args, **kwargs):
+        raise AssertionError("a table was built before the primes were checked")
+
+    monkeypatch.setattr(measures, "_moebius_rows", no_work)
+    monkeypatch.setattr(_bulk, "measure_arrays", no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: prime {prime} is repeated\n")
 
 
 def test_scan_checks_its_primes_before_measuring(monkeypatch, capsys):

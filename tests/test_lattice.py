@@ -18,12 +18,18 @@ from boolfn import (
     validate_certificate_set,
     validate_decision_tree,
 )
-from boolfn import measures
+from boolfn import commlb, measures
 from boolfn._bulk import _tables, measure_arrays
 from boolfn.measures import _LatticeMeasures, _subcube_fold, _table_bytes
 from boolfn.families import and_, gip, ip, maj, or_, parity, rubinstein, tree_function
 
-from oracles import naive_certificate, naive_certificate_set, naive_dt, random_table, restrict
+from oracles import (
+    naive_certificate,
+    naive_certificate_set,
+    naive_dt,
+    naive_subcube_dt,
+    random_table,
+)
 
 
 def _every_function(n):
@@ -63,9 +69,11 @@ def test_certificate_witness_matches_oracles_sampled():
             assert mask == naive_certificate_set(f, a)
 
 
-def _check_tree(f, tree, fixed_mask, fixed_vals):
+def _check_tree(f, tree, fixed_mask=0, fixed_vals=0, dt=None):
     """Every node of a witness tree queries the smallest optimal variable."""
-    depth = naive_dt(restrict(f, fixed_mask, fixed_vals))
+    if dt is None:
+        dt = naive_subcube_dt(f)
+    depth = dt(fixed_mask, fixed_vals)
     if "value" in tree:
         assert depth == 0
         assert tree["value"] == f.value_at(fixed_vals)
@@ -75,15 +83,13 @@ def _check_tree(f, tree, fixed_mask, fixed_vals):
         bit = 1 << i
         if fixed_mask & bit:
             continue
-        lo = naive_dt(restrict(f, fixed_mask | bit, fixed_vals))
-        hi = naive_dt(restrict(f, fixed_mask | bit, fixed_vals | bit))
-        if 1 + max(lo, hi) == depth:
+        if 1 + max(dt(fixed_mask | bit, fixed_vals), dt(fixed_mask | bit, fixed_vals | bit)) == depth:
             best = i
             break
     assert tree["var"] == best + 1
     bit = 1 << best
-    _check_tree(f, tree["low"], fixed_mask | bit, fixed_vals)
-    _check_tree(f, tree["high"], fixed_mask | bit, fixed_vals | bit)
+    _check_tree(f, tree["low"], fixed_mask | bit, fixed_vals, dt)
+    _check_tree(f, tree["high"], fixed_mask | bit, fixed_vals | bit, dt)
 
 
 def test_dt_and_witness_match_oracles_exhaustive():
@@ -92,7 +98,7 @@ def test_dt_and_witness_match_oracles_exhaustive():
             val, tree = dt_depth(f, witness=True)
             assert val == dt_depth(f) == naive_dt(f)
             assert validate_decision_tree(f, tree, val)
-            _check_tree(f, tree, 0, 0)
+            _check_tree(f, tree)
 
 
 def test_dt_witness_matches_oracles_sampled():
@@ -103,7 +109,124 @@ def test_dt_witness_matches_oracles_sampled():
         val, tree = dt_depth(f, witness=True)
         assert val == naive_dt(f)
         assert validate_decision_tree(f, tree, val)
-        _check_tree(f, tree, 0, 0)
+        _check_tree(f, tree)
+
+
+def _values(f):
+    return [f.value_at(x) for x in range(2**f.n)]
+
+
+def _top(values, n, d, a):
+    """Top Moebius coefficient, of x_{d+1}...x_n, of the restriction
+    x_1..x_d = a: the signed sum of its values."""
+    return sum((-1) ** (n - d - y.bit_count()) * values[a | y << d] for y in range(2 ** (n - d)))
+
+
+def _holes(values, n):
+    """The restrictions x_1..x_d = a that are not constant and have degree
+    below n - d, while every shorter prefix of theirs has full degree."""
+    holes, full = set(), {(0, 0)}
+    for d in range(n):
+        for a in range(2**d):
+            if (d, a) not in full:
+                continue
+            if _top(values, n, d, a):
+                full |= {(d + 1, a), (d + 1, a | 1 << d)}
+            elif len({values[a | y << d] for y in range(2 ** (n - d))}) > 1:
+                holes.add((d, a))
+    return holes
+
+
+def _with_holes(rng, n, prefixes):
+    """A random function on n variables with a hole at each (d, a) of
+    ``prefixes`` (``_holes``): points of each restriction are flipped, each
+    flip moving its top coefficient one step toward 0, and the draw is
+    repeated until every shorter prefix keeps full degree."""
+    while True:
+        values = _values(TruthTable(n, random_table(rng, n)))
+        for d, a in prefixes:
+            top = _top(values, n, d, a)
+            for y in rng.permutation(2 ** (n - d)).tolist():
+                x = a | y << d
+                step = (-1) ** (n - d - y.bit_count()) * (1 - 2 * values[x])
+                if step * top < 0:
+                    values[x] ^= 1
+                    top += step
+        holes = _holes(values, n)
+        if set(prefixes) <= holes:
+            return TruthTable(n, sum(v << x for x, v in enumerate(values))), holes
+
+
+def test_dt_witness_from_prefixes_matches_oracles_sampled():
+    rng = np.random.default_rng(45)
+    for n in range(5, 9):
+        for _ in range(3):
+            f = TruthTable(n, random_table(rng, n))
+            val, tree = dt_depth(f, witness=True)
+            assert val == naive_dt(f)
+            _check_tree(f, tree)
+
+
+def _record_sweeps(monkeypatch):
+    shapes, sweeps = [], measures._depth_sweeps
+    monkeypatch.setattr(
+        measures, "_depth_sweeps", lambda val, lower=-1: shapes.append(val.shape) or sweeps(val, lower)
+    )
+    return shapes
+
+
+@pytest.mark.parametrize("prefixes,d0", [
+    ([(0, 0)], 0),
+    ([(1, 0)], 1),
+    ([(1, 1)], 1),
+    ([(1, 0), (2, 0b01), (3, 0b011)], 1),
+    ([(2, 0b10), (3, 0b001), (4, 0b1101)], 2),
+])
+def test_dt_witness_fills_holes_below_full_degree_prefixes(monkeypatch, prefixes, d0):
+    # a non-constant restriction of degree below its free count is a hole:
+    # the sweeps run once, on the slab of every restriction at the shallowest
+    # hole depth d0, and the tree matches the oracles at every node
+    shapes = _record_sweeps(monkeypatch)
+    rng = np.random.default_rng(46)
+    for n in (6, 7):
+        f, holes = _with_holes(rng, n, prefixes)
+        assert min(d for d, _ in holes) == d0
+        shapes.clear()
+        val, tree = dt_depth(f, witness=True)
+        assert shapes == [(3,) * (n - d0) + (2**d0,)]
+        assert val == naive_dt(f)
+        _check_tree(f, tree)
+
+
+def test_dt_witness_sweeps_only_the_slab_below_the_shallowest_hole(monkeypatch):
+    # maj(11): every restriction is constant or of full degree, so no sweep;
+    # tree_function(3) is deficient at the root, so the whole lattice; a
+    # random function has full degree at the root and its slab a batch axis
+    shapes = _record_sweeps(monkeypatch)
+    assert dt_depth(maj(11), witness=True)[0] == 11 and shapes == []
+    dt_depth(tree_function(3), witness=True)
+    assert shapes == [(3,) * 7 + (1,)]
+    shapes.clear()
+    f = TruthTable(10, random_table(np.random.default_rng(47), 10))
+    val, tree = dt_depth(f, witness=True)
+    assert val == 10 and validate_decision_tree(f, tree, 10)
+    ((*lattice, batch),) = shapes
+    d0 = batch.bit_length() - 1
+    assert d0 > 0 and batch == 2**d0 and lattice == [3] * (10 - d0)
+
+
+def test_dt_witness_is_the_walk_of_the_whole_lattice():
+    # the prefix tree is the tree the witness rule walks on the full sweeps
+    rng = np.random.default_rng(48)
+    cases = [TruthTable(n, random_table(rng, n)) for n in range(4, 12)]
+    cases += [maj(9), tree_function(3), rubinstein(3, 3), gip(3, 3), ip(5), and_(7), or_(7)]
+    for f in cases:
+        n = f.n
+        val = _subcube_fold(f.to_array()[:, None])[0]
+        dt = measures._depth_sweeps(val)
+        free = [(i, 3**i) for i in range(n)]
+        want = measures._dt_witness(val.reshape(-1).data, dt.reshape(-1).data, 3**n - 1, free)
+        assert dt_depth(f, witness=True) == (dt.item(-1), want)
 
 
 def test_bulk_certificate_and_dt_match_oracles(bulk_n4_rows):
@@ -163,13 +286,15 @@ def _dt_cases():
 def test_dt_lower_bound_stops_at_the_full_sweeps_value(monkeypatch):
     # any lower bound on DT, max(bs, deg) among them, stops the sweeps with
     # the value of the full sweeps; a witness asked for after an early stop
-    # gives the tree of a fresh table.  The sweeps' ``level_views`` calls count them.
+    # gives the tree of a fresh table.  The sweeps' ``level_views`` calls
+    # count them, against sweeps of the whole fold to the stop rule.
     passes, views = [], measures.level_views
     monkeypatch.setattr(measures, "level_views", lambda *a: passes.append(1) or views(*a))
     stopped_early = 0
     for f in _dt_cases():
-        passes.clear()
         want = dt_depth(f, witness=True)
+        passes.clear()
+        assert measures._depth_sweeps(_subcube_fold(f.to_array()[:, None])[0]).item(-1) == want[0]
         full = len(passes)
         report = measures.measure_report(f, witnesses=False)
         assert report.measures["DT"] == want[0]
@@ -190,6 +315,19 @@ def test_dt_lower_bound_at_arity_builds_no_table(monkeypatch):
     assert _LatticeMeasures(parity(13), {}).dt_depth(False, 13) == 13
     with pytest.raises(ArityLimitError, match="exceeds limit 13"):
         _LatticeMeasures(parity(14), {}).dt_depth(False, 14)
+
+
+def test_dt_without_witness_reads_the_degree_first(monkeypatch):
+    # a nonzero top Moebius coefficient gives DT = n with no subcube table,
+    # in dt_depth and in the communication bound; the ceiling and the byte
+    # budget still come first
+    monkeypatch.setattr(measures, "_subcube_fold", lambda t: 1 / 0)
+    assert dt_depth(parity(10)) == 10
+    assert commlb.det_upper_bound(parity(10)) == 20
+    with pytest.raises(ArityLimitError, match="exceeds limit 13"):
+        dt_depth(parity(14))
+    with pytest.raises(LatticeBudgetError):
+        dt_depth(parity(16), limit=16)
 
 
 @pytest.mark.parametrize("n", [0, 3])
@@ -224,12 +362,15 @@ def test_lattice_over_budget_skips_under_explicit_limit():
 
 def test_subcube_table_peak_memory_within_budget_estimate():
     # the byte budget guards memory, not just arity: the estimate it checks
-    # bounds what C (the fold) and DT (the fold and the sweeps) allocate,
-    # the table's own arrays rather than the process
+    # bounds what C (the fold) and DT (the fold and the sweeps, or with a
+    # witness the slab's sweeps and the tree) allocate, the table's own
+    # arrays rather than the process
     rng = np.random.default_rng(43)
-    for n in range(8, 13):
-        f = TruthTable(n, random_table(rng, n))
-        for run, measure in ((certificate, "C"), (dt_depth, "DT")):
+    cases = [TruthTable(n, random_table(rng, n)) for n in range(8, 13)] + [tree_function(3)]
+    for f in cases:
+        n = f.n
+        runs = ((certificate, "C"), (dt_depth, "DT"), (lambda f: dt_depth(f, witness=True), "DT"))
+        for run, measure in runs:
             tracemalloc.start()
             try:
                 run(f)

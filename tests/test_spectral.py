@@ -6,6 +6,10 @@ from boolfn import (
     MOEBIUS_Z,
     WALSH,
     TruthTable,
+    bound_summary,
+    exhaustive_scan,
+    inequality_suite,
+    measure_report,
     modp_degree,
     moebius_coefficients,
     moebius_coefficients_mod,
@@ -14,6 +18,7 @@ from boolfn import (
     spectrum,
     walsh_coefficients,
 )
+from boolfn import _bulk, measures
 from boolfn._bitops import MAX_ARITY, SHORT_RUN, butterfly, level_views, table_mask
 from boolfn._bulk import _tables, measure_arrays
 from boolfn.core import _xor
@@ -54,6 +59,26 @@ def test_modp_rejects_composite():
         moebius_coefficients_mod(parity(2), 4)
     with pytest.raises(ValueError, match="^4 is not prime$"):
         modp_degree(parity(2), 4)
+
+
+def test_repeated_prime_is_rejected_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a table was built before the primes were checked")
+
+    monkeypatch.setattr(measures, "_moebius_rows", no_work)
+    monkeypatch.setattr(_bulk, "measure_arrays", no_work)
+    f = maj(3)
+    for run in (
+        lambda primes: measure_report(f, primes=primes),
+        lambda primes: inequality_suite(f, primes=primes),
+        lambda primes: bound_summary(f, primes=primes),
+        lambda primes: exhaustive_scan(2, primes=primes),
+    ):
+        for primes in ((3, 3), (2, 3, 5, 3)):
+            with pytest.raises(ValueError, match="^prime 3 is repeated$"):
+                run(primes)
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        measure_report(f, primes=(3, 4, 3))
 
 
 def test_walsh_matches_oracle_and_named_values():
