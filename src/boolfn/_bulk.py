@@ -18,41 +18,53 @@ slice's matrix once and pass it to ``measure_arrays`` and the transform
 kernels, which bounds the memory of every kernel, the subcube table
 included.  A caller that reads only some measures names them in
 ``needs``, and only the kernels they read run: ``extremal_search`` passes
-its statistic's, so ranking by salt/s runs the s and alternation kernels
-alone, while the scan reads every measure.  The kernels:
+its statistic's, so ranking by salt/s runs the s kernel and reads the alt
+table alone, while the scan reads every measure.
 
-* ``measures``: pointwise sensitivity, the packed level sets of alt and
-  salt (``measures._alternation_by_shift``), which pack the matrix along
-  its input axis into one lane of max(8, 2**n) bits per table
-  (``measures._lanes``, read by ``measures._shift_moves``), and the
-  ternary subcube table behind certificate complexity and decision-tree
-  depth, the ones the per-function API runs: the fold
-  (``measures._subcube_fold``), which C reads, and the DT sweeps
-  (``measures._depth_sweeps``) on it.  DT = n wherever max(bs, deg) = n,
-  since both bound DT from below, so the sweeps run only on the other
-  columns, gathered (2,065 to 2,490 of the 16,384 of each n = 4 slice),
-  to their stop rule: the per-function reports stop at max(bs, deg), but
-  a slice would stop only once every column meets its bound, and on every
-  n = 4 slice some column needs all 4 sweeps;
+bs, C and alt are read from tables over flip patterns.  A shift by x
+carries every pointwise measure at x to the input 0: with p_x(y) =
+f(x ^ y) ^ f(x), so that p_x(0) = 0, bs(f, x) = bs(p_x, 0) with the same
+blocks, C(f, x) = C(p_x, 0), and the shift y -> f(x ^ y) has the
+alternation of p_x, since complementing the output keeps every value
+change.  Up to n = 4 there are only 2**(2**n - 1) patterns (32,768 at
+n = 4; at n = 5 there would be 2**31, and ``measure_arrays`` stops at
+``MAX_BULK_ARITY``).  So each table, ``_bs_table``, ``_cert_table`` and
+``_alt_table``, is built once per arity and process, on its first read,
+by the kernels below over the patterns of one slice of ``_slices`` at a
+time, and kept read-only: 224 KiB at n = 4, all three built in 15 to 21
+ms (2-core Xeon VM).  A slice finds the pattern of each column at each
+input (``_patterns``: n xor-shift doublings of its lanes) and reads the
+tables by gather: bs is the max over x of bs(p_x, 0), ``bs_argmax`` its
+smallest maximizer, and ``bs0`` and the families the entries at p_0 and
+at the maximizer's pattern; C is the max over x of C(p_x, 0); alt is the
+entry at p_0 and salt the min over the shifts b < 2**(n-1).  The kernels:
+
+* ``measures``: pointwise sensitivity; the packed level sets of
+  alternation (``measures._alternation_at_shift``) at shift 0, behind the
+  alt table, which pack the matrix along its input axis into one lane of
+  max(8, 2**n) bits per table (``measures._lanes``, read by
+  ``measures._shift_moves``); and the ternary subcube table behind
+  certificate complexity and decision-tree depth, the one the
+  per-function API runs: the fold (``measures._subcube_fold``), whose key
+  at point 0 is the C table, and the DT sweeps (``measures._depth_sweeps``)
+  on it.  DT = n wherever max(bs, deg) = n, since both bound DT from
+  below, so the fold and the sweeps run only on the other columns (2,065
+  to 2,490 of the 16,384 of each n = 4 slice), the sweeps to their stop
+  rule: the per-function reports stop at max(bs, deg), but a slice would
+  stop only once every column meets its bound, and on every n = 4 slice
+  some column needs all 4 sweeps;
 * ``spectral``: the Moebius and Walsh butterflies, run here in int16 and
   int32, and the degree and sparsity kernels; ``deg`` and every ``deg_p``
   are read from one Moebius matrix;
-* here: block sensitivity, searched as the per-function API searches it.
+* here: the packings of disjoint sensitive blocks at one input, by a
+  max-plus DP over the free sets (``_point_packings``: about 3**n steps
+  per table in 2**n - 1 passes over the columns), and the family walk
+  over them (``_families``), behind the bs table.
 
 Block sensitivity is the one measure whose batched and per-function
-kernels differ, and only in how they pack the blocks at one input.  Both
-visit the inputs in the order of ``measures._bs_search``, descending
-upper bound, then ascending input, and stop where no input left can win;
-the batch runs that rule in vectorized rounds over the unsettled columns
-(``_bs_rounds``), under min(u, C): u = s + (n - s) // 2 from the
-pointwise sensitivity, and C from the fold, which the C group reads too.
-That settles all but 8 of the 65,536 functions of arity 4 at their first
-input, and those within 3.  At each visited input, and at 0 for ``bs0``
-and ``fam0``, the batch packs by a max-plus DP over the free sets
-(``_point_packings``: about 3**n steps per table in 2**n - 1 passes over
-the columns), and ``_families`` walks those packings by the rule of
-``measures._lex_min_family``, so both routes give the same witnesses.
-One function wants the per-function packer
+kernels differ, and only in how they pack the blocks at one input.  The
+walk follows the rule of ``measures._lex_min_family``, so both routes
+give the same witnesses.  One function wants the per-function packer
 (``measures._bs_point``), which packs only the minimal sensitive blocks:
 at one input of a random function (2-core Xeon VM, best of 300), the DP
 and its family take 0.40 ms at n = 4 and 1.9 ms at n = 6, the packer
@@ -61,15 +73,17 @@ and its family take 0.40 ms at n = 4 and 1.9 ms at n = 6, the packer
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from ._bitops import table_size, xor_shift
+from ._bitops import table_mask, table_size, xor_shift
 from .measures import (
-    _alternation_by_shift,
+    _alternation_at_shift,
     _depth_sweeps,
     _lanes,
     _pointwise_sensitivity,
-    _sensitivity_bound,
+    _shift_moves,
     _subcube_fold,
 )
 from .spectral import _degrees, _moebius_rows, _sparsities, _walsh_rows
@@ -84,10 +98,11 @@ def _slices(n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _SLICE, total)) for lo in range(0, total, _SLICE)]
 
 
-def _tables(n: int, lo: int, hi: int) -> np.ndarray:
-    """The (2**n, m) table matrix of the function ids in [lo, hi): row x holds
-    every function's value at input x, column r the table of id lo + r."""
-    ids = np.arange(lo, hi, dtype=np.uint32)
+def _tables(n: int, lo: int, hi: int, step: int = 1) -> np.ndarray:
+    """The (2**n, m) table matrix of the function ids lo, lo + step, ...
+    below hi: row x holds every function's value at input x, column r the
+    table of id lo + r * step."""
+    ids = np.arange(lo, hi, step, dtype=np.uint32)
     points = np.arange(table_size(n), dtype=np.uint32)
     return ((ids >> points[:, None]) & 1).astype(np.uint8)
 
@@ -116,45 +131,6 @@ def _point_packings(lanes: np.ndarray, at: np.ndarray, n: int) -> np.ndarray:
         without = P[tuple(0 if j in axes else slice(None) for j in range(n))]
         np.maximum(with_t, without + flips[T], out=with_t)
     return P.reshape(size, at.size)
-
-
-def _bs_rounds(lanes: np.ndarray, bound: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Block sensitivity of every table of arity n packed in ``lanes``, and
-    its smallest maximizing input, under an upper bound on bs(f, x) at every
-    input: a (2**n, m) array.
-
-    The rule of ``measures._bs_search``, run on every table at once: each
-    round visits the next input of every table not yet settled, in order of
-    descending bound, then ascending input, and packs there
-    (``_point_packings``); a table settles at the first input that can
-    neither beat its best value nor tie it at a smaller input, and a tie
-    replaces the best only at a smaller input.  The next input is the least
-    key (n - bound) << n | x not yet visited, one reduction over the
-    unsettled columns; a full sort along the input axis would cost more
-    than the rounds.  Under min(u, C) (``_bs_bound``) all but 8 of the
-    65,536 functions of arity 4 settle after their first input, and those
-    after at most 3; under u alone 12,244 need more than one, and some
-    visit all 16.
-    """
-    size, m = bound.shape
-    visited = np.iinfo(np.int16).max
-    keys = ((n - bound).astype(np.int16) << n) | np.arange(size, dtype=np.int16)[:, None]
-    best = np.full(m, -1, dtype=np.int8)
-    best_at = np.zeros(m, dtype=np.intp)
-    cols = np.arange(m)
-    for _ in range(size):
-        k = keys.min(axis=0)
-        x, b = (k & (size - 1)).astype(np.intp), n - (k >> n)
-        go = (b > best[cols]) | ((b == best[cols]) & (x < best_at[cols]))
-        if not go.all():
-            cols, keys, x = cols[go], keys[:, go], x[go]
-            if not cols.size:
-                break
-        v = _point_packings(lanes[cols], x, n)[-1]
-        won = (v > best[cols]) | ((v == best[cols]) & (x < best_at[cols]))
-        best[cols[won]], best_at[cols[won]] = v[won], x[won]
-        keys[x, np.arange(cols.size)] = visited
-    return best, best_at
 
 
 def _families(packs: np.ndarray) -> np.ndarray:
@@ -192,32 +168,59 @@ def _families(packs: np.ndarray) -> np.ndarray:
     return fam.reshape(k, n)
 
 
-def _bs_bound(s_pt: np.ndarray, key: np.ndarray, n: int) -> np.ndarray:
-    """min(u(x), C(f, x)) at every input of every table: u = s + (n - s) // 2
-    from the pointwise sensitivity (``measures._sensitivity_bound``), and C
-    from the key of the fold (``measures._subcube_fold``), since bs <= C."""
-    cert = n - (key >> n).astype(np.int8)
-    return np.minimum(_sensitivity_bound(s_pt), cert)
+def _pattern_table(n: int, kernel) -> np.ndarray:
+    """``kernel`` on the flip patterns of arity n, read-only: its results on
+    the table matrix of the patterns in each slice of ``_slices``, joined
+    along their first axis.  Pattern r is the function whose table is 2r,
+    the even ids, whose value at 0 is 0; a chunk of a slice's even ids
+    keeps the kernels' arrays to half those of a slice."""
+    table = np.concatenate([kernel(_tables(n, lo, hi, 2)) for lo, hi in _slices(n)])
+    table.flags.writeable = False
+    return table
 
 
-def _bs_arrays(t: np.ndarray, bound: np.ndarray, families: bool) -> dict:
-    """``bs``, ``bs0``, ``depends_on_all`` and ``bs_argmax`` of every column
-    of the (2**n, m) table matrix t (n <= 6), by the search of ``_bs_rounds``
-    under ``bound``, with ``fam0`` and ``fam_argmax`` if ``families``."""
-    n = t.shape[0].bit_length() - 1
-    lanes = _lanes(t)
-    # a variable is relevant iff flipping it changes f somewhere
-    relevant = np.ones(t.shape[1], dtype=bool)
+@functools.cache
+def _bs_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """bs(p, 0) of every flip pattern p of arity n, as uint8, and its
+    lexicographically smallest maximum family, a row of n blocks,
+    ascending and zero-padded, as ``_families`` walks it from the packings
+    at 0 (``_point_packings``).  bs is the number of blocks in the family."""
+    fam = _pattern_table(n, lambda t: _families(
+        _point_packings(_lanes(t), np.zeros(t.shape[1], dtype=np.intp), n)))
+    bs = np.count_nonzero(fam, axis=1).astype(np.uint8)
+    bs.flags.writeable = False
+    return bs, fam
+
+
+@functools.cache
+def _cert_table(n: int) -> np.ndarray:
+    """C(p, 0) of every flip pattern p of arity n, as uint8: n minus the
+    free-set size in the fold's key at point 0 (``measures._subcube_fold``)."""
+    return _pattern_table(n, lambda t: (n - (_subcube_fold(t)[1][0] >> n)).astype(np.uint8))
+
+
+@functools.cache
+def _alt_table(n: int) -> np.ndarray:
+    """alt(p) of every flip pattern p of arity n, as uint8: the level sets at
+    shift 0 (``measures._alternation_at_shift``, an int at n = 0)."""
+    return _pattern_table(n, lambda t: np.broadcast_to(
+        _alternation_at_shift(*_shift_moves(t, n), 0, n), t.shape[1:]).astype(np.uint8))
+
+
+def _patterns(lanes: np.ndarray, n: int) -> np.ndarray:
+    """The id of the flip pattern p_x(y) = f(x ^ y) ^ f(x) of every table f
+    packed in ``lanes`` at every input x, as a (2**n, m) intp array.
+
+    Row x first holds the tables shifted by x, y -> f(x ^ y): the rows
+    x | 1 << i, x < 1 << i, are the rows x moved by ``xor_shift``, so n
+    doublings fill them.  Complementing a row where its bit 0, f(x), is set
+    gives p_x, whose bit 0 is then clear, and the id drops that bit.
+    """
+    rows = np.empty((table_size(n),) + lanes.shape, dtype=lanes.dtype)
+    rows[0] = lanes
     for i in range(n):
-        relevant &= (lanes ^ xor_shift(lanes, n, i)) != 0
-    bs, argmax = _bs_rounds(lanes, bound, n)
-    at_zero = _point_packings(lanes, np.zeros(t.shape[1], dtype=np.intp), n)
-    out = {"depends_on_all": relevant, "bs": bs.astype(np.int64),
-           "bs0": at_zero[-1].astype(np.int64), "bs_argmax": argmax.astype(np.int64)}
-    if families:
-        out["fam0"] = _families(at_zero)
-        out["fam_argmax"] = _families(_point_packings(lanes, argmax, n))
-    return out
+        rows[1 << i: 2 << i] = xor_shift(rows[: 1 << i], n, i)
+    return ((rows ^ (rows & 1) * table_mask(n)) >> 1).astype(np.intp)
 
 
 def measure_arrays(t: np.ndarray, primes=(2, 3), needs=None) -> dict:
@@ -236,11 +239,12 @@ def measure_arrays(t: np.ndarray, primes=(2, 3), needs=None) -> dict:
     ``needs`` names the measures the caller reads, as the ``needs`` of a
     ``checks`` statement row do (``"deg_p"`` for every ``deg_{p}``,
     ``"sherstov"`` for the families at the maximizer).  A kernel group runs
-    only if one of them reads it: s; the bs search and the packings at 0
-    (``bs``, ``bs0``, ``depends_on_all``, ``bs_argmax``), which read the
-    s kernel and the fold; the family walk (``fam0``, ``fam_argmax``), for
-    ``"sherstov"`` only; alt and salt; deg and deg_p; sparsity; the subcube
-    fold (C and DT); the DT sweeps, which read deg and, if it ran, bs.
+    only if one of them reads it: s; bs (``bs``, ``bs0``,
+    ``depends_on_all``, ``bs_argmax``) and, for ``"sherstov"`` only, its
+    families (``fam0``, ``fam_argmax``), from the bs table; C, from its
+    table; alt and salt, from the alt table; deg and deg_p; sparsity; DT,
+    which reads deg and, if it ran, bs.  The three tables are built on
+    their first read and read through the pattern ids (``_patterns``).
     ``None`` runs every group.  Each value returned is the full call's.
     """
     n = t.shape[0].bit_length() - 1
@@ -250,24 +254,37 @@ def measure_arrays(t: np.ndarray, primes=(2, 3), needs=None) -> dict:
     def wants(*names) -> bool:
         return needs is None or any(name in needs for name in names)
 
+    size, m = t.shape
     out: dict = {}
     bs_group = wants("bs", "bs0", "depends_on_all", "bs_argmax", "sherstov")
 
-    if bs_group or wants("s"):
-        s_pt = _pointwise_sensitivity(t)
     if wants("s"):
-        out["s"] = s_pt.max(axis=0).astype(np.int64)
-    # the fold bounds the bs search and gives C and DT
-    if bs_group or wants("C", "DT"):
-        val, key = _subcube_fold(t)
-
-    if bs_group:
-        out.update(_bs_arrays(t, _bs_bound(s_pt, key, n), wants("sherstov")))
-
-    if wants("alt", "salt"):
-        alt_by_shift = _alternation_by_shift(t, n)
-        out["alt"] = alt_by_shift[:, 0].astype(np.int64)
-        out["salt"] = alt_by_shift.min(axis=1).astype(np.int64)
+        out["s"] = _pointwise_sensitivity(t).max(axis=0).astype(np.int64)
+    if bs_group or wants("C", "alt", "salt"):
+        pat = _patterns(_lanes(t), n)
+        if bs_group:
+            bs_of, fam_of = _bs_table(n)
+            # bs(f, x) << n | (size - 1 - x): the max is bs(f) at its smallest maximizer
+            rank = np.arange(size - 1, -1, -1, dtype=np.uint8)[:, None]
+            key = ((bs_of[pat] << n) | rank).max(axis=0)
+            argmax = size - 1 - (key & (size - 1)).astype(np.intp)
+            # f depends on x_i iff some p_x flips at e_i: bit 2**i - 1 of its id
+            flips = sum(1 << ((1 << i) - 1) for i in range(n))
+            relevant = (np.bitwise_or.reduce(pat, axis=0) & flips) == flips
+            out.update(depends_on_all=relevant, bs=(key >> n).astype(np.int64),
+                       bs0=bs_of[pat[0]].astype(np.int64), bs_argmax=argmax.astype(np.int64))
+            if wants("sherstov"):
+                out["fam0"], out["fam_argmax"] = fam_of[pat[0]], fam_of[pat[argmax, np.arange(m)]]
+        if wants("alt", "salt"):
+            # alt(f XOR b) = alt(p_b) for the shifts b < 2**(n-1): alt at b = 0,
+            # and salt the min
+            alt = _alt_table(n)[pat[: max(1, size >> 1)]]
+            out["alt"], out["salt"] = alt[0].astype(np.int64), alt.min(axis=0).astype(np.int64)
+        if wants("C"):
+            out["C"] = _cert_table(n)[pat].max(axis=0).astype(np.int64)
+        # freed before the kernels below allocate, which then reuse its
+        # pages: kept alive, it made about 1,200 minor page faults per call
+        del pat
 
     if wants("deg", "deg_p", "DT"):
         # |coefficients| <= 2**(n-1), so int16 holds them; the mod-p
@@ -281,16 +298,11 @@ def measure_arrays(t: np.ndarray, primes=(2, 3), needs=None) -> dict:
     if wants("sparsity"):
         out["sparsity"] = _sparsities(_walsh_rows(t, np.int32))
 
-    if wants("C", "DT"):
-        # C is n minus the smallest free set of a largest constant subcube
-        # through a point; the key of that subcube orders by the size of its
-        # free set first
-        out["C"] = (n - (key.min(axis=0) >> n)).astype(np.int64)
     if wants("DT"):
-        # DT >= max(bs, deg) and DT <= n, so only the columns below n sweep
+        # DT >= max(bs, deg) and DT <= n, so only the columns below n fold and sweep
         lower = np.maximum(out["deg"], out["bs"]) if bs_group else out["deg"]
         below = np.flatnonzero(lower < n)
-        out["DT"] = np.full(t.shape[1], n, dtype=np.int64)
+        out["DT"] = np.full(m, n, dtype=np.int64)
         if below.size:
-            out["DT"][below] = _depth_sweeps(val[..., below])[(2,) * n]
+            out["DT"][below] = _depth_sweeps(_subcube_fold(t[:, below])[0])[(2,) * n]
     return out

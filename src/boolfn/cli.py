@@ -258,9 +258,12 @@ def _cmd_comm(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    records = extremal_search(
-        args.n, args.statistic, budget=args.budget, seed=args.seed, top=args.top
-    )
+    try:
+        records = extremal_search(args.n, args.statistic, budget=args.budget, seed=args.seed,
+                                  top=args.top)
+    except ArityLimitError as e:  # no limit reaches the statistics, so its advice cannot apply
+        raise ValueError(f"search ranks at the default ceilings, which it cannot lift: "
+                         f"{e.measure} at arity {e.arity} is over its ceiling of {e.limit}") from e
     if args.format == "json":
         _emit([r.to_json_dict() for r in records])
     elif args.format == "csv":

@@ -229,7 +229,8 @@ def _bs_point(f: TruthTable, a: int, want_witness: bool) -> tuple[int, BlockFami
     per-function caller sends one input at a time here, at every arity:
     ``_bulk._point_packings`` packs one input of each column of a table
     matrix by a DP over the free sets, which costs more than this search
-    on one function (see ``_bulk``).
+    on one function (see ``_bulk``), and builds the exhaustive scans' table
+    of bs(p, 0) over every flip pattern p.
     """
     sens = _sensitive_profile(f, a)
     if not sens.any():
@@ -311,10 +312,10 @@ def block_sensitivity(
     and the fold of the subcube table (``_subcube_fold``, without the DT
     sweeps) fits its byte budget, up to n = 16, the fold is built and the
     inputs left are searched under the certificate bound C(f,x) as well,
-    which is tight on the structured families.  The exhaustive scans run
-    the same search on every function of a slice at once
-    (``_bulk._bs_rounds``), under min(u, C) from the first input, and take
-    the families from a DP over the free sets at the inputs they visit.
+    which is tight on the structured families.  The exhaustive scans
+    search nothing: at n <= 4 they read bs(f, x) and its family at every
+    input from a table over the flip patterns p_x(y) = f(x ^ y) ^ f(x),
+    packed once per arity by a DP over the free sets (``_bulk._bs_table``).
     """
     if at is None:
         return _LatticeMeasures(f, {"bs": limit}).block_sensitivity(witness)

@@ -57,6 +57,19 @@ def test_exhaustive_scan_golden_digests(scan4):
     assert got == SCAN_DIGESTS
 
 
+def test_exhaustive_scan_twice_in_one_process_keeps_its_digest():
+    # the first scan builds the flip-pattern tables of n = 3, the second
+    # reads them from the cache
+    from boolfn import _bulk
+
+    builders = (_bulk._bs_table, _bulk._cert_table, _bulk._alt_table)
+    for build in builders:
+        build.cache_clear()
+    digests = [_scan_digest(exhaustive_scan(3)) for _ in range(2)]
+    assert digests == [SCAN_DIGESTS[3]] * 2
+    assert [build.cache_info().misses for build in builders] == [1, 1, 1]
+
+
 def _json_digest(payload):
     return hashlib.sha256(json.dumps(payload, separators=(",", ":")).encode()).hexdigest()
 

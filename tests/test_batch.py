@@ -15,16 +15,16 @@ from boolfn import (
     bs_to_s_affine,
     sherstov_linear,
 )
-from boolfn._bulk import _bs_arrays, _bs_bound, _tables, measure_arrays
+from boolfn._bulk import _families, _point_packings, _tables, measure_arrays
 from boolfn.core import affine_images
 from boolfn.measures import (
     Chain,
     _best_chains,
     _chain_successors,
     _chain_walk,
+    _lanes,
     _path_maxima,
     _pointwise_sensitivity,
-    _subcube_fold,
     validate_chain,
 )
 from boolfn.spectral import _degrees, _moebius_rows, _sparsities, _walsh_rows
@@ -132,9 +132,9 @@ def test_batched_rows_match_per_function_sampled_n4():
 @pytest.mark.parametrize("n", [5, 6])
 def test_batched_rows_match_per_function_sampled_above_bulk_arity(n):
     # measure_arrays stops at n = 4, so the block families come from the
-    # per-function API, and the batched bs search, its packings and family
-    # walk run here on their own, under min(u, C) and u; the rows read the
-    # tables from u4 and u8 lanes
+    # per-function API, and the packings and family walk behind its bs
+    # table run here on their own, at 0 and at the maximizer; the rows read
+    # the tables from u4 and u8 lanes
     rng = np.random.default_rng(70 + n)
     functions = [TruthTable(n, random_table(rng, n)) for _ in range(12)]
     # 0xc28b74ec, also lifted to n = 6 by an irrelevant variable, splits
@@ -148,14 +148,10 @@ def test_batched_rows_match_per_function_sampled_above_bulk_arity(n):
     amax = np.array([fam.point for fam in fam_max])
     blocks0 = np.concatenate([_block_rows(n, fam.blocks) for fam in fam0])
     blocks_max = np.concatenate([_block_rows(n, fam.blocks) for fam in fam_max])
-    s_pt = _pointwise_sensitivity(t)
-    for bound in (_bs_bound(s_pt, _subcube_fold(t)[1], n), s_pt + (n - s_pt) // 2):
-        a = _bs_arrays(t, bound, True)
-        assert a["bs"].tolist() == [len(fam.blocks) for fam in fam_max]
-        assert a["bs0"].tolist() == [len(fam.blocks) for fam in fam0]
-        assert a["bs_argmax"].tolist() == amax.tolist()
-        assert np.array_equal(a["fam0"], blocks0) and np.array_equal(a["fam_argmax"], blocks_max)
-        assert a["depends_on_all"].tolist() == [len(f.relevant_variables()) == n for f in functions]
+    for at, fams, blocks in ((zero, fam0, blocks0), (amax, fam_max, blocks_max)):
+        packs = _point_packings(_lanes(t), at, n)
+        assert packs[-1].tolist() == [len(fam.blocks) for fam in fams]
+        assert np.array_equal(_families(packs), blocks)
     batches = (
         _bs2s_rows(t, zero, blocks0, "block-index"),
         _bs2s_rows(t, amax, blocks_max, "block-index"),

@@ -1,6 +1,6 @@
 """The bound-pruned search of unpointed block sensitivity, against the
-brute-force oracles: its per-input bound, its witness, and where it stops,
-per function and batched over the columns of a table matrix."""
+brute-force oracles: its per-input bound, its witness, and where it stops;
+and the batched bs of the columns of a table matrix, against both."""
 
 import numpy as np
 import pytest
@@ -15,10 +15,10 @@ from boolfn import (
     validate_block_family,
 )
 from boolfn import _bulk, measures
-from boolfn._bulk import _bs_arrays, _bs_bound, _tables, measure_arrays
+from boolfn._bulk import _tables, measure_arrays
 from boolfn.checks import inequality_suite
 from boolfn.families import gip, maj, parity, rubinstein, tree_function
-from boolfn.measures import _lanes, _pointwise_sensitivity, _sensitivity_bound, _subcube_fold
+from boolfn.measures import _pointwise_sensitivity, _sensitivity_bound
 
 from oracles import naive_block_sensitivity, random_table, table_matrix
 
@@ -151,33 +151,23 @@ def test_every_unpointed_caller_shares_one_search(monkeypatch, f):
 
 
 # ---------------------------------------------------------------------------
-# the batched search of ``_bulk``: every column of a table matrix at once
+# the batched bs of ``_bulk``: every column of a table matrix at once, read
+# from the bs table of its flip patterns
 
-
-def _bounds(t):
-    """The bounds the batched search may run under, for the columns of t:
-    min(u, C), as ``measure_arrays`` runs it, and u alone."""
-    n = t.shape[0].bit_length() - 1
-    s = _pointwise_sensitivity(t)
-    return {"min(u, C)": _bs_bound(s, _subcube_fold(t)[1], n), "u": s + (n - s) // 2}
-
-
-def _search_visits(monkeypatch, t, lo, bound):
-    """The inputs ``_bulk._bs_rounds`` packs for each column of the
-    id-range table matrix t under ``bound``: the lane of column r is its
-    function id, lo + r."""
-    n = t.shape[0].bit_length() - 1
-    visits = np.zeros(t.shape[1], dtype=np.int64)
-    inner = _bulk._point_packings
-
-    def counted(lanes, at, n):
-        np.add.at(visits, lanes.astype(np.intp) - lo, 1)
-        return inner(lanes, at, n)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(_bulk, "_point_packings", counted)
-        _bulk._bs_rounds(_lanes(t), bound, n)
-    return visits
+# the ids the bound-pruned batched search once singled out at n = 4: the 8
+# functions that needed more than one input under min(u, C), and the 90
+# that needed 12 or more under u alone
+_SEARCH_HARD_IDS = (
+    [831, 1375, 4471, 5911, 59624, 61064, 64160, 64704]
+    + [0, 255, 831, 1023, 1375, 1535, 2735, 2815, 3279, 3327, 3840, 3855, 4080, 4095, 4471,
+       4607, 5911, 8891, 8959, 11051, 12531, 12543, 13056, 13107, 13260, 13311, 15420, 16128,
+       16131, 17629, 17663, 19789, 20725, 20735, 21760, 21845, 21930, 22015, 23130, 24320,
+       24325, 26214, 29041, 30464, 30481, 35054, 35071, 36494, 39321, 41210, 41215, 42405,
+       43520, 43605, 43690, 43775, 44800, 44810, 45746, 47872, 47906, 49404, 49407, 50115,
+       52224, 52275, 52428, 52479, 52992, 53004, 54484, 56576, 56644, 59624, 60928, 61064,
+       61440, 61455, 61680, 61695, 62208, 62256, 62720, 62800, 64000, 64160, 64512, 64704,
+       65280, 65535]
+)
 
 
 def _same_blocks(padded, fam):
@@ -185,7 +175,7 @@ def _same_blocks(padded, fam):
 
 
 def _check_against_api(a, functions, oracles=False):
-    """Column r of the ``_bs_arrays`` result a holds the bs values and
+    """Column r of the ``measure_arrays`` result a holds the bs values and
     witnesses of functions[r], as the per-function API gives them, and with
     ``oracles`` as the brute-force oracles give them."""
     for r, f in enumerate(functions):
@@ -205,45 +195,25 @@ def _check_against_api(a, functions, oracles=False):
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
-def test_batched_search_every_function(monkeypatch, n):
-    # under min(u, C) every function settles at its first input, and the
-    # arrays do not depend on the bound
+def test_batched_search_every_function(n):
     t = _tables(n, 0, 2 ** (2**n))
-    full = measure_arrays(t)
-    for name, bound in _bounds(t).items():
-        a = _bs_arrays(t, bound, True)
-        for key, values in a.items():
-            assert np.array_equal(values, full[key]), (name, key)
-        if name == "min(u, C)":
-            assert _search_visits(monkeypatch, t, 0, bound).max() == 1
-    _check_against_api(full, [TruthTable(n, bits) for bits in range(t.shape[1])], oracles=True)
+    _check_against_api(measure_arrays(t), [TruthTable(n, bits) for bits in range(t.shape[1])],
+                       oracles=True)
 
 
-def test_batched_search_columns_that_need_more_visits(monkeypatch):
-    # at n = 4 the search under min(u, C) settles all but 8 functions at
-    # their first input; under u alone 12,244 need more, up to all 16.  Both
-    # bounds give the same arrays on every function.  The 8, the 90 that
-    # need 12 or more visits under u, and a sample of the rest, shuffled and
-    # repeated beside family tables, match the per-function API
-    multi = {"min(u, C)": [], "u": []}
-    for lo, hi in _bulk._slices(4):
-        t = _tables(4, lo, hi)
-        bounds = _bounds(t)
-        under = {name: _bs_arrays(t, bound, True) for name, bound in bounds.items()}
-        for key, values in under["u"].items():
-            assert np.array_equal(values, under["min(u, C)"][key]), key
-        for name, bound in bounds.items():
-            visits = _search_visits(monkeypatch, t, lo, bound)
-            multi[name] += [(int(v), lo + int(r)) for r, v in enumerate(visits) if v > 1]
-    assert len(multi["min(u, C)"]) == 8 and max(multi["min(u, C)"])[0] == 3
-    assert len(multi["u"]) == 12244 and max(multi["u"])[0] == 16
+def test_batched_search_columns_that_need_more_visits():
+    # the ids the pruned search found hardest, and a sample of the rest,
+    # shuffled and repeated beside family tables, match the per-function API
+    # and the oracles, and the bs keys the id-range slices of n = 4
     rng = np.random.default_rng(56)
-    most = [fid for v, fid in multi["u"] if v >= 12]
-    rest = [fid for v, fid in multi["u"] if v < 12]
-    assert len(most) == 90
-    ids = [fid for _, fid in multi["min(u, C)"]] + most + [int(x) for x in rng.choice(rest, 60)]
+    ids = _SEARCH_HARD_IDS + [int(x) for x in rng.integers(0, 1 << 16, 60)]
     ids = [int(x) for x in rng.permutation(ids + ids[:10])]
     functions = [parity(4), rubinstein(2, 2), gip(2, 2)] + [TruthTable(4, fid) for fid in ids]
     t = table_matrix(4, [f.bits for f in functions])
-    for name, bound in _bounds(t).items():
-        _check_against_api(_bs_arrays(t, bound, True), functions, oracles=name == "u")
+    a = measure_arrays(t, needs=("sherstov",))
+    _check_against_api(a, functions, oracles=True)
+    slices = {lo: measure_arrays(_tables(4, lo, hi), needs=("bs",)) for lo, hi in _bulk._slices(4)}
+    for r, fid in enumerate(ids, start=3):
+        at = slices[fid - fid % _bulk._SLICE]
+        for key in ("bs", "bs0", "bs_argmax", "depends_on_all"):
+            assert at[key][fid % _bulk._SLICE] == a[key][r], (fid, key)

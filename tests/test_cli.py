@@ -242,6 +242,14 @@ def test_search_negative_argument_exits_2(capsys, flag, value):
     assert err == f"error: {flag[2:]} must be at least 0, got {value}\n"
 
 
+def test_search_over_a_default_ceiling_exits_2_naming_it(capsys):
+    # search takes no --override-ceilings, so the message does not advise a limit
+    code, out, err = run_cli(capsys, "search", "--n", "15", "--statistic", "bs_over_salt2_s")
+    assert code == 2 and out == ""
+    assert err == ("error: search ranks at the default ceilings, which it cannot lift: "
+                   "bs at arity 15 is over its ceiling of 14\n")
+
+
 def test_measures_over_ceiling_skips_but_succeeds(capsys):
     code, out, _ = run_cli(capsys, "measures", "fam:rubinstein:m=4,n=4")
     assert code == 0

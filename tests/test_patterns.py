@@ -1,0 +1,93 @@
+"""The flip-pattern tables of ``_bulk``, from which ``measure_arrays`` reads
+bs, C and alt at n <= 4: every entry against the brute-force oracles or the
+per-function packer, the pattern ids of a table matrix, and the tables'
+cache."""
+
+import numpy as np
+import pytest
+
+from boolfn import BlockFamily, TruthTable, validate_block_family
+from boolfn import _bulk
+from boolfn._bulk import _alt_table, _bs_table, _cert_table, _patterns, _tables, measure_arrays
+from boolfn.measures import _bs_point, _lanes
+
+from oracles import (
+    naive_alternation,
+    naive_block_sensitivity,
+    naive_certificate,
+    naive_shift_alternations,
+    random_table,
+)
+
+_BUILDERS = (_bs_table, _cert_table, _alt_table)
+
+
+def _pattern_id(f, x):
+    """The id of p_x(y) = f(x ^ y) ^ f(x), whose bit 0 is clear: bit y - 1
+    of the id is p_x(y), read one input at a time."""
+    return sum((f.value_at(x ^ y) ^ f.value_at(x)) << (y - 1) for y in range(1, 2**f.n))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_every_pattern_against_the_oracles(n):
+    bs, fam = _bs_table(n)
+    cert, alt = _cert_table(n), _alt_table(n)
+    assert bs.size == cert.size == alt.size == fam.shape[0] == 2 ** (2**n - 1)
+    for r in range(bs.size):
+        p = TruthTable(n, 2 * r)
+        assert bs[r] == naive_block_sensitivity(p, 0), r
+        assert cert[r] == naive_certificate(p, 0), r
+        assert alt[r] == naive_alternation(p), r
+        blocks = tuple(int(b) for b in fam[r] if b)
+        assert len(blocks) == bs[r] and list(blocks) == sorted(blocks)
+        assert validate_block_family(p, BlockFamily(0, blocks))
+
+
+def test_bs_table_against_the_packer_on_every_pattern_n4():
+    bs, fam = _bs_table(4)
+    for r in range(1 << 15):
+        val, family = _bs_point(TruthTable(4, 2 * r), 0, True)
+        assert (bs[r], tuple(int(b) for b in fam[r] if b)) == (val, family.blocks), r
+
+
+def test_seeded_functions_at_every_input_read_the_entry_of_their_pattern_n4():
+    # a shift by x carries bs and C at x, and alt of the shift by x, to p_x
+    rng = np.random.default_rng(90)
+    functions = [TruthTable(4, random_table(rng, 4)) for _ in range(6)]
+    pat = _patterns(_lanes(np.stack([f.to_array() for f in functions], axis=1)), 4)
+    bs, _ = _bs_table(4)
+    cert, alt = _cert_table(4), _alt_table(4)
+    for r, f in enumerate(functions):
+        shift_alts = naive_shift_alternations(f)
+        for x in range(16):
+            p = _pattern_id(f, x)
+            assert pat[x, r] == p
+            assert bs[p] == naive_block_sensitivity(f, x)
+            assert cert[p] == naive_certificate(f, x)
+            assert alt[p] == shift_alts[x]
+
+
+def test_each_table_is_built_once_per_arity_and_is_read_only(monkeypatch):
+    for build in _BUILDERS:
+        build.cache_clear()
+    needs = ("sherstov", "C", "alt", "salt")
+    t = _tables(3, 0, 256)
+    first = measure_arrays(t, needs=needs)
+
+    def rebuilt(*args):
+        raise AssertionError("a pattern table was built again")
+
+    # every kernel the builders run, and only they at these needs
+    for name in ("_point_packings", "_families", "_subcube_fold", "_shift_moves",
+                 "_alternation_at_shift"):
+        monkeypatch.setattr(_bulk, name, rebuilt)
+    again = measure_arrays(t[:, ::-1], needs=needs)
+    for key, values in first.items():
+        assert np.array_equal(again[key], values[::-1]), key
+    assert [build.cache_info().misses for build in _BUILDERS] == [1, 1, 1]
+    # another arity builds its own tables
+    with pytest.raises(AssertionError, match="built again"):
+        measure_arrays(_tables(2, 0, 16), needs=("C",))
+    for table in (*_bs_table(3), _cert_table(3), _alt_table(3)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
