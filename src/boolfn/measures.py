@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -470,25 +471,33 @@ def _depth_sweeps(val: np.ndarray, lower: int = -1) -> np.ndarray:
     return dt
 
 
+def _dt_query(dt, s: int, free: list) -> int:
+    """The position in ``free`` of the variable that the witness rule queries
+    at the ternary state s of flat sweeps ``dt``, s not constant: the
+    smallest free variable whose two halves reach dt[s]."""
+    depth = dt[s]
+    for j, (_, stride) in enumerate(free):
+        if 1 + max(dt[s - 2 * stride], dt[s - stride]) == depth:
+            return j
+    raise AssertionError("decision-tree reconstruction failed")
+
+
 def _dt_witness(val, dt, s: int, free: list) -> dict:
     """Optimal tree of the ternary state s of flat subcube tables, smallest
     variable first: ``val`` and ``dt`` are memoryviews of a fold's ``val``
     and of its sweeps' ``dt`` (``_depth_sweeps``), so each read is a plain
     int; ``free`` lists the pairs (i, stride of i) of the free variables i of
     s, ascending, and each query hands its children the rest."""
-    depth = dt[s]
-    if depth == 0:
+    if dt[s] == 0:
         return {"value": val[s]}
-    for j, (i, stride) in enumerate(free):
-        low, high = s - 2 * stride, s - stride
-        if 1 + max(dt[low], dt[high]) == depth:
-            rest = free[:j] + free[j + 1 :]
-            return {
-                "var": i + 1,
-                "low": _dt_witness(val, dt, low, rest),
-                "high": _dt_witness(val, dt, high, rest),
-            }
-    raise AssertionError("decision-tree reconstruction failed")
+    j = _dt_query(dt, s, free)
+    i, stride = free[j]
+    rest = free[:j] + free[j + 1 :]
+    return {
+        "var": i + 1,
+        "low": _dt_witness(val, dt, s - 2 * stride, rest),
+        "high": _dt_witness(val, dt, s - stride, rest),
+    }
 
 
 def _full_prefixes(coeffs: np.ndarray) -> memoryview:
@@ -511,6 +520,100 @@ def _full_prefixes(coeffs: np.ndarray) -> memoryview:
     return full.data
 
 
+# Most free variables of a prefix restriction whose subtree ``_dt_tree``
+# shares with every restriction of the same table: its key is then at most
+# 64 bytes.
+_DT_MEMO_FREE = 6
+
+
+def _dt_slab(val: np.ndarray, d0: int) -> np.ndarray:
+    """The subcube tables of the 2**d0 prefix restrictions x_1..x_d0 = a of a
+    fold's ``val``, one per column a, contiguous, of shape (3,) * (n - d0) +
+    (2**d0,): ``val`` itself at d0 = 0.
+
+    Above, the columns are the ternary states sum(a_i * 3**i) of
+    ``val.reshape(-1, 3**d0)``, read by one ``take``.  A strided view with
+    the same entries has innermost runs of 2 bytes, and copying it flat,
+    which the walk's reads need, is slower: on a random n = 14 function
+    (2-core Xeon VM, best of 7) the take costs 3.6, 2.0 and 0.9 ms at
+    d0 = 1, 2 and 4, against 9.3, 7.6 and 3.7 ms for the copy.
+    """
+    if d0 == 0:
+        return val
+    cols = np.zeros(1 << d0, dtype=np.intp)
+    for i in range(d0):
+        cols[1 << i : 2 << i] = cols[: 1 << i] + 3**i
+    shape = (3,) * (val.ndim - 1 - d0) + (1 << d0,)
+    return val.reshape(-1, 3**d0).take(cols, axis=1).reshape(shape)
+
+
+def _dt_node(stack: list, memo: dict, vals, points: bytes, d: int, a: int, s: int) -> dict:
+    """The node of the prefix restriction x_1..x_d = a, at the ternary state
+    s of ``val``: the leaf ``memo[v]`` where it is constant at v; where it
+    has at most ``_DT_MEMO_FREE`` free variables, the node already made for
+    its table if there is one; else a new empty node, queued on ``stack``
+    to be filled (``_dt_fill``).
+
+    ``points`` holds f's values, one byte per input, so the restriction's
+    table is the slice from a in steps of 2**d.  Its length, 2**(n-d), sets
+    the depth, so one dict keys every depth.
+    """
+    v = vals[s]
+    if v != 2:
+        return memo[v]
+    if len(points) >> d <= 1 << _DT_MEMO_FREE:
+        key = points[a :: 1 << d]
+        node = memo.get(key)
+        if node is not None:
+            return node
+        node = memo[key] = {}
+    else:
+        node = {}
+    stack.append((node, d, a, s))
+    return node
+
+
+def _dt_fill(stack: list, memo: dict, vals, points: bytes, full, sweeps) -> list:
+    """Fill the prefix nodes queued on ``stack`` (``_dt_node``) and those
+    their queries queue, and return the holes left: all of them while
+    ``sweeps`` is None, else none.
+
+    A full-degree restriction queries x_{d+1}; any other is a hole, since
+    the constant ones are leaves.  ``sweeps`` is (d0, flat slab, its flat
+    ``dt``): a hole then takes the rule's variable from the slab, and
+    queries x_{d+1} as a full-degree node does, or another variable, below
+    which the states are no longer prefix restrictions and ``_dt_witness``
+    builds the subtrees.
+    """
+    n = len(points).bit_length() - 1
+    holes = []
+    if sweeps is not None:
+        d0, slab_vals, dt = sweeps
+        m, lead = 1 << d0, 3**d0
+        slab_free = [(i, m * 3 ** (i - d0)) for i in range(d0, n)]
+    while stack:
+        node, d, a, s = stack.pop()
+        if not (d < n and full[(1 << d) - 1 + a]):
+            if sweeps is None:
+                holes.append((node, d, a, s))
+                continue
+            t = (a & (m - 1)) + m * (s // lead)
+            free = slab_free[d - d0 :]
+            j = _dt_query(dt, t, free)
+            if j:
+                i, stride = free[j]
+                rest = free[:j] + free[j + 1 :]
+                node["var"] = i + 1
+                node["low"] = _dt_witness(slab_vals, dt, t - 2 * stride, rest)
+                node["high"] = _dt_witness(slab_vals, dt, t - stride, rest)
+                continue
+        stride = 3**d
+        node["var"] = d + 1
+        node["low"] = _dt_node(stack, memo, vals, points, d + 1, a, s - 2 * stride)
+        node["high"] = _dt_node(stack, memo, vals, points, d + 1, a | 1 << d, s - stride)
+    return holes
+
+
 def _dt_tree(val: np.ndarray, coeffs: np.ndarray) -> tuple[int, dict]:
     """DT and the tree of ``_dt_witness``'s rule from the whole cube, built
     top-down through the prefix restrictions x_1..x_d = a.
@@ -523,42 +626,36 @@ def _dt_tree(val: np.ndarray, coeffs: np.ndarray) -> tuple[int, dict]:
     table read.  Any other restriction is a leaf where ``val`` says it is
     constant, and otherwise a hole.  Holes lie below full-degree nodes, or
     one sits at the root.  The sweeps (``_depth_sweeps``) run once, on the
-    slab of all 2**d0 restrictions at the shallowest hole depth d0, of shape
-    (3,) * (n - d0) + (2**d0,) (``val`` itself at d0 = 0), and
-    ``_dt_witness`` fills each hole from it.  The tree is the one the rule
-    walks on the whole lattice, since it reads only exact depths.
+    slab of all 2**d0 restrictions at the shallowest hole depth d0
+    (``_dt_slab``), and each hole is filled from it (``_dt_fill``).  The
+    tree is the one the rule walks on the whole lattice, since it reads only
+    exact depths.
+
+    The rule reads only a restriction's own subcubes, so two restrictions of
+    one depth with the same table have the same subtree.  Where a
+    restriction has at most ``_DT_MEMO_FREE`` free variables, its subtree is
+    built once per table (``_dt_node``), and every later restriction with
+    that table, reached from a full-degree node or from a hole that queries
+    its smallest free variable, gets the same object; the constant ones
+    share one leaf per value.  The tree is thus a DAG of shared nodes, and
+    read-only.  The walk is an explicit stack of module-level calls, so it
+    makes no reference cycle, and the fold is freed when its caller drops
+    it.
     """
     n = val.ndim - 1
     full = _full_prefixes(coeffs)
     vals = val.reshape(-1).data
-    tree: dict = {}
-    holes = []
-    # each entry: a node to fill, and its restriction x_1..x_d = a at the
-    # ternary state s of ``val``
-    stack = [(tree, 0, 0, 3**n - 1)]
-    while stack:
-        node, d, a, s = stack.pop()
-        if d < n and full[(1 << d) - 1 + a]:
-            stride = 3**d
-            node["var"] = d + 1
-            node["low"] = low = {}
-            node["high"] = high = {}
-            stack.append((high, d + 1, a | 1 << d, s - stride))
-            stack.append((low, d + 1, a, s - 2 * stride))
-        elif vals[s] != 2:
-            node["value"] = vals[s]
-        else:
-            holes.append((node, d, a, s))
+    points = val[(slice(0, 2),) * n].tobytes()
+    memo: dict = {0: {"value": 0}, 1: {"value": 1}}
+    stack: list = []
+    tree = _dt_node(stack, memo, vals, points, 0, 0, 3**n - 1)
+    holes = _dt_fill(stack, memo, vals, points, full, None)
     if not holes:
         return (n if "var" in tree else 0), tree
     d0 = min(d for _, d, _, _ in holes)
-    m = 1 << d0
-    slab = val[(..., *(slice(0, 2),) * d0, 0)].reshape((3,) * (n - d0) + (m,))
+    slab = _dt_slab(val, d0)
     dt = _depth_sweeps(slab).reshape(-1).data
-    slab_vals = slab.reshape(-1).data
-    for node, d, a, s in holes:
-        free = [(i, m * 3 ** (i - d0)) for i in range(d, n)]
-        node.update(_dt_witness(slab_vals, dt, (a & (m - 1)) + m * (s // 3**d0), free))
+    _dt_fill(holes, memo, vals, points, full, (d0, slab.reshape(-1).data, dt))
     return (n if d0 else dt[-1]), tree
 
 
@@ -735,7 +832,10 @@ def dt_depth(f: TruthTable, witness: bool = False, limit: int | None = None):
     the prefix restrictions x_1..x_d = a (``_dt_tree``): one of full degree
     queries x_{d+1} without reading a table, and the sweeps run once, on the
     slab of restrictions at the depth of the shallowest one of lower degree
-    that is not constant.
+    that is not constant.  Restrictions x_1..x_d = a with at most 6 free
+    variables and the same table share one subtree object, as do the
+    constant ones of one value, so the tree is a DAG: read it, serialize it or validate
+    it, but do not mutate it, as with the read-only pattern tables.
     """
     return _LatticeMeasures(f, {"DT": limit}).dt_depth(witness)
 
@@ -753,46 +853,47 @@ def _best_chains(tables: np.ndarray, down: np.ndarray) -> np.ndarray:
     smallest free variable that keeps the function on an optimal path of
     ``down``.
 
-    Up to n = 6, where the scan and every small per-function call run, the
-    steps are read from a successor table of every point
-    (``_chain_successors``); above it only per-function calls come here, and
-    they walk the n steps from 0 (``_chain_walk``), which reads about n**2
-    entries where the table costs n passes over all 2**n points.  On a
-    16,384-column slice at n = 4 (2-core Xeon VM, best of 40) the table
-    takes 1.5 ms where the walk takes 5.9 ms; on one table it is 4-6%
-    faster at n = 1 to 6 and 1.7x slower at n = 12.
+    One table (m = 1, at any n) is walked on plain ints (``_chain_walk``),
+    which reads about n**2 / 2 entries; a batch reads a successor table of
+    every point (``_chain_successors``), n passes over all 2**n points of
+    every column, whose fixed numpy cost is shared by the columns.  The
+    scan's cross-check compares the two: its batched chains against the
+    per-function ``alt_to_s_linear``.
     """
     size = tables.shape[0]
     n = size.bit_length() - 1
     t, d = tables.reshape(-1), down.reshape(-1)  # entry (x, r) sits at x * m + r
-    chains = (_chain_successors if n <= 6 else _chain_walk)(t, d, t.size // size)
+    if t.size == size:
+        chains = np.array(_chain_walk(t.data, d.data), dtype=np.int64)
+    else:
+        chains = _chain_successors(t, d, t.size // size)
     return chains.reshape(tables.shape[1:] + (n + 1,))
 
 
-def _chain_walk(t: np.ndarray, d: np.ndarray, m: int) -> np.ndarray:
-    """``_best_chains`` of m tables and their path maxima, flat with entry
-    (x, r) at x * m + r, as (m, n + 1): each step gathers every direction's
-    entries at every chain's current point."""
-    n = (t.size // m).bit_length() - 1
-    cols = np.arange(m)
-    bits = (np.int64(1) << np.arange(n, dtype=np.int64))[:, None]
-    points = np.zeros((m, n + 1), dtype=np.int64)
-    x = points[:, 0]
-    for step in range(1, n + 1):
-        here = x * m + cols
-        y = x | bits
-        there = y * m + cols
-        ok = (y != x) & (d[there] + (t[there] != t[here]) == d[here])
-        x = y[np.argmax(ok, axis=0), cols]
-        points[:, step] = x
+def _chain_walk(t, d) -> list:
+    """``_best_chains`` of one table, as a list of its n + 1 points: ``t``
+    and ``d`` are flat sequences of the table and of its path maxima, read
+    as plain ints, such as memoryviews.  Each step from x takes the
+    smallest direction i without bit i in x with d[x | e_i] + (t[x | e_i]
+    != t[x]) == d[x]; one exists below 1^n, since d[x] is the best of its
+    steps up."""
+    n = len(t).bit_length() - 1
+    x, points = 0, [0]
+    for _ in range(n):
+        here, bit = d[x], 1
+        while x & bit or d[x | bit] + (t[x | bit] != t[x]) != here:
+            bit <<= 1
+        x |= bit
+        points.append(x)
     return points
 
 
 def _chain_successors(t: np.ndarray, d: np.ndarray, m: int) -> np.ndarray:
-    """``_best_chains`` of m tables and their path maxima, flat as in
-    ``_chain_walk``, from a successor table: the bit e_i of the smallest
-    direction i that stays on an optimal path of d from each point x
-    without bit i, that is d[x | e_i] + (t[x | e_i] != t[x]) == d[x].
+    """``_best_chains`` of m tables and their path maxima, flat with entry
+    (x, r) at x * m + r, as (m, n + 1), from a successor table: the bit e_i
+    of the smallest direction i that stays on an optimal path of d from each
+    point x without bit i, that is d[x | e_i] + (t[x | e_i] != t[x]) ==
+    d[x].
 
     One pass per direction, largest first so that a smaller direction
     overwrites, on the ``level_views`` halves of the level (x without bit i,
@@ -849,22 +950,22 @@ def alternation(f: TruthTable, witness: bool = False):
     alt is the number of nonempty level sets of the shift 0
     (``_alternation_at_shift``), and the path maximum (``_path_maxima``) at
     the bottom point 0.  The witness is the lexicographically smallest
-    chain achieving it, read off the path maxima by ``_best_chains``.
+    chain achieving it, walked off the path maxima on plain ints
+    (``_chain_walk``, the one-table route of ``_best_chains``).
     """
     n = f.n
     if not witness:
         return _alternation_at_shift(*_shift_moves(f.bits, n), 0, n)
     down = _path_maxima(f.bits, n)
-    chain = _best_chains(f.to_array(), down)
-    return int(down[0]), Chain(tuple(int(p) for p in chain))
+    return int(down[0]), Chain(tuple(_chain_walk(f.to_array().data, down.data)))
 
 
-# Arity from which the salt search orders its shifts by ``_chain_bound``.
-# Below it the bound's fixed cost, about 7n + 20 numpy calls, is more than
-# it saves, and the shifts run in ascending order, as under a zero bound:
-# mean per call over 20 random functions, best of 15, ascending against
-# ordered: 102-107 against 108-141 us at n = 5, 300-435 against 143-248 us
-# at n = 6.
+# Arity from which the salt search first tries the parity floor, then
+# orders its shifts by ``_chain_bound``.  Below it the bound's fixed cost,
+# about 7n + 20 numpy calls, is more than it saves, and the shifts run in
+# ascending order, as under a zero bound: mean per call over 20 random
+# functions, best of 15, ascending against ordered: 102-107 against 108-141
+# us at n = 5, 300-435 against 143-248 us at n = 6.
 _BOUND_MIN_ARITY = 6
 
 
@@ -970,6 +1071,18 @@ def _shift_moves(table, n: int) -> tuple[list, object]:
     return moves, table | table_mask(n)
 
 
+@cache
+def _bit_reversal(n: int) -> np.ndarray:
+    """The bit reversal of every point of n bits, as read-only int32: a
+    permutation that ``_chain_bound`` reads once per call."""
+    points = np.arange(table_size(n), dtype=np.int32)
+    rev = np.zeros_like(points)
+    for i in range(n):
+        rev |= ((points >> i) & 1) << (n - 1 - i)
+    rev.flags.writeable = False
+    return rev
+
+
 def _chain_bound(f: TruthTable) -> np.ndarray:
     """A lower bound on alt(f XOR b) for every shift b < 2**(n-1).
 
@@ -981,28 +1094,26 @@ def _chain_bound(f: TruthTable) -> np.ndarray:
     alt(f XOR b) == alt(f XOR ~b), from ~b, each with the directions taken
     smallest or largest first.  Every count has the parity of f(b) XOR
     f(~b), as every chain's does.  Largest first is smallest first with the
-    variables reversed, so all four walk at once, with all shifts: n
-    gathers from the per-point masks of sensitive directions of f and of
-    f reversed, stacked in one table.  Where all four count 0, f(b) ==
-    f(~b) and no greedy step changes f; the bound is then 2 unless f is
-    constant, since some chain from b to ~b passes a point where f differs
-    from f(b) and must change back.
+    variables reversed (``_bit_reversal``), so all four walk at once, with
+    all shifts: n gathers from the per-point masks of sensitive directions
+    of f and of f reversed, stacked in one table.  Where all four count 0,
+    f(b) == f(~b) and no greedy step changes f; the bound is then 2 unless
+    f is constant, since some chain from b to ~b passes a point where f
+    differs from f(b) and must change back.
     """
     n = f.n
     size = table_size(n)
     t = f.to_array()
-    points = np.arange(size, dtype=np.int32)
-    sens = np.zeros_like(points)
-    rev = np.zeros_like(points)  # the bit reversal of every point and mask
+    rev = _bit_reversal(n)
+    sens = np.zeros(size, dtype=np.int32)
     for i in range(n):
         pairs = t.reshape(-1, 2, 1 << i)
         flips = (pairs[:, 0] != pairs[:, 1]).astype(np.int32) << i
         view = sens.reshape(-1, 2, 1 << i)
         view[:, 0] |= flips
         view[:, 1] |= flips
-        rev |= ((points >> i) & 1) << (n - 1 - i)
     table = np.concatenate([sens, rev[sens[rev]]])
-    half = points[: size >> 1]
+    half = np.arange(size >> 1, dtype=np.int32)
     # rows: b, ~b, and both reversed, which read the second half of the table
     x = np.concatenate([half, half ^ (size - 1), rev[half] | size, rev[half ^ (size - 1)] | size])
     free = np.full_like(x, size - 1)
@@ -1024,7 +1135,13 @@ def _chain_bound(f: TruthTable) -> np.ndarray:
 def _salt_search(f: TruthTable) -> tuple[int, int, int]:
     """(salt(f), its smallest argmin shift b < 2**(n-1), shifts evaluated).
 
-    Visits the shifts by ascending (``_chain_bound``, b), or by ascending b
+    Every alt(f XOR b) has the parity of f(b) XOR f(~b), and is at least 1
+    if f is not constant, so it is at least its parity floor: 1 where
+    f(b) != f(~b), else 2.  From ``_BOUND_MIN_ARITY`` on, the search first
+    evaluates the smallest shift of the least floor, capped at that floor
+    plus one, and returns it if it meets the floor: every smaller shift has
+    a larger floor, and a constant f reads 0 at shift 0.  Otherwise it
+    visits the shifts by ascending (``_chain_bound``, b), or by ascending b
     below ``_BOUND_MIN_ARITY``, and stops at the first that can neither
     beat the best value nor tie it at a smaller shift; the best is replaced
     on a smaller value, or on an equal one at a smaller shift, so the result
@@ -1034,13 +1151,22 @@ def _salt_search(f: TruthTable) -> tuple[int, int, int]:
     """
     n = f.n
     half = table_size(n) >> 1
+    moves, full = _shift_moves(f.bits, n)
+    visited = 0
     # the keys (bound, b) as bound << (n - 1) | b, sorted; below
     # _BOUND_MIN_ARITY every bound reads 0
     if n >= _BOUND_MIN_ARITY:
+        t = f.to_array()
+        odd = t[:half] != t[::-1][:half]  # f(b) != f(~b)
+        b = int(np.argmax(odd))
+        floor = 2 - int(odd[b])
+        value = _alternation_at_shift(moves, full, b, floor + 1)
+        if value <= floor:
+            return value, b, 1
+        visited = 1
         order = np.sort((_chain_bound(f).astype(np.int64) << (n - 1)) | np.arange(half)).tolist()
     else:
         order = range(half)
-    moves, full = _shift_moves(f.bits, n)
     best = (n, half)  # (value, shift); no shift is at half
     pos, limit = 0, half  # every key lies below best's
     while pos < limit:
@@ -1051,7 +1177,7 @@ def _salt_search(f: TruthTable) -> tuple[int, int, int]:
         if found < best:
             best = found
             limit = bisect_left(order, (best[0] << (n - 1)) + best[1])
-    return best[0], best[1], pos
+    return best[0], best[1], visited + pos
 
 
 def alternation_under_shifts(f: TruthTable) -> np.ndarray:
@@ -1072,14 +1198,17 @@ def shift_invariant_alternation(
     smallest argmin shift.
 
     Visits only the shifts b < 2**(n-1), since alt(f XOR b) equals
-    alt(f XOR b XOR 1^n) (the chain runs in reverse).  Four greedy chains
-    between b and ~b bound each alt(f XOR b) from below (``_chain_bound``),
-    and the search (``_salt_search``) visits the shifts by that bound, skips
-    those that cannot win, and runs each only up to the best value so far:
-    at most 2**(n-1) shifts x salt levels x n moves over 2**n points, and on
-    most functions a few dozen shifts, each run alone on packed ints.  For
-    n < ``_BOUND_MIN_ARITY`` the bound costs more than it saves, and the
-    shifts run in ascending order.
+    alt(f XOR b XOR 1^n) (the chain runs in reverse).  The search
+    (``_salt_search``) first runs the smallest shift of the least parity
+    floor (1 where f(b) != f(~b), else 2), which settles salt on its own
+    where it meets that floor, as on majority, AND and OR.  Otherwise four
+    greedy chains between b and ~b bound each alt(f XOR b) from below
+    (``_chain_bound``), and the search visits the shifts by that bound,
+    skips those that cannot win, and runs each only up to the best value so
+    far: at most 2**(n-1) shifts x salt levels x n moves over 2**n points,
+    and on most functions a few dozen shifts, each run alone on packed ints.
+    For n < ``_BOUND_MIN_ARITY`` the floor and the bound cost more than they
+    save, and the shifts run in ascending order.
     """
     _ensure_limit("salt", f.n, limit)
     best, best_shift, _ = _salt_search(f)

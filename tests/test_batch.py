@@ -10,6 +10,7 @@ from boolfn import (
     AffineMap,
     TruthTable,
     alt_to_s_linear,
+    alternation,
     apply_affine,
     block_sensitivity,
     bs_to_s_affine,
@@ -196,14 +197,22 @@ def test_batched_alternation_chains_against_oracle(n):
 
 
 def _check_chain_paths(functions, t, down):
-    """Both ``_best_chains`` paths give the same chains of the columns of t,
-    the tables of functions, from their path maxima ``down``, and each chain
-    is valid at alt."""
+    """The plain walk of each column (``_chain_walk``) gives the chain that
+    the successor table of the whole matrix gives (``_chain_successors``),
+    for the columns of t, the tables of functions, from their path maxima
+    ``down``; and each chain is valid at alt."""
     m = len(functions)
-    chains = _chain_walk(t.reshape(-1), down.reshape(-1), m)
-    assert np.array_equal(_chain_successors(t.reshape(-1), down.reshape(-1), m), chains)
+    chains = _chain_successors(t.reshape(-1), down.reshape(-1), m)
     for r, f in enumerate(functions):
-        assert validate_chain(f, Chain(tuple(int(p) for p in chains[r])), int(down[0, r]))
+        walk = _chain_walk(t[:, r].data, down[:, r].data)
+        assert walk == chains[r].tolist()
+        assert validate_chain(f, Chain(tuple(walk)), int(down[0, r]))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_chain_paths_agree_exhaustive(n):
+    t = _tables(n, 0, 1 << (1 << n))
+    _check_chain_paths([TruthTable(n, r) for r in range(t.shape[1])], t, _path_maxima(t, n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -215,11 +224,14 @@ def test_chain_paths_agree_on_matrices(n):
     _check_chain_paths(functions, t, _path_maxima(t, n))
 
 
-@pytest.mark.parametrize("n", range(13))
+@pytest.mark.parametrize("n", range(15))
 def test_chain_paths_agree_on_single_tables(n):
-    # above n = 6 only the walk runs in the library
+    # the library walks one table at every n, both through alternation and
+    # through _best_chains, and reads a successor table for a batch
     f = TruthTable(n, random_table(np.random.default_rng(110 + n), n))
-    _check_chain_paths([f], f.to_array()[:, None], _path_maxima(f.bits, n)[:, None])
+    down = _path_maxima(f.bits, n)
+    _check_chain_paths([f], f.to_array()[:, None], down[:, None])
+    assert alternation(f, witness=True)[1].points == tuple(_best_chains(f.to_array(), down).tolist())
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 9, 12])

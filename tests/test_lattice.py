@@ -2,7 +2,10 @@
 lattice in the library and in the bulk arrays, against the brute-force
 oracles."""
 
+import gc
+import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -215,18 +218,87 @@ def test_dt_witness_sweeps_only_the_slab_below_the_shallowest_hole(monkeypatch):
     assert d0 > 0 and batch == 2**d0 and lattice == [3] * (10 - d0)
 
 
+def _whole_lattice_walk(f):
+    """DT and the tree the witness rule walks on the sweeps of the whole
+    lattice, with no prefix restriction, no slab and no shared node."""
+    n = f.n
+    val = _subcube_fold(f.to_array()[:, None])[0]
+    dt = measures._depth_sweeps(val)
+    free = [(i, 3**i) for i in range(n)]
+    return dt.item(-1), measures._dt_witness(val.reshape(-1).data, dt.reshape(-1).data, 3**n - 1, free)
+
+
 def test_dt_witness_is_the_walk_of_the_whole_lattice():
-    # the prefix tree is the tree the witness rule walks on the full sweeps
+    # the prefix tree, with its shared subtrees, serializes to the tree the
+    # witness rule walks on the full sweeps
     rng = np.random.default_rng(48)
-    cases = [TruthTable(n, random_table(rng, n)) for n in range(4, 12)]
-    cases += [maj(9), tree_function(3), rubinstein(3, 3), gip(3, 3), ip(5), and_(7), or_(7)]
+    cases = [f for n in range(4) for f in _every_function(n)]
+    cases += [TruthTable(n, random_table(rng, n)) for n in range(4, 13) for _ in range(2)]
+    cases += [maj(9), maj(11), maj(13), tree_function(3), rubinstein(3, 3), gip(3, 3)]
+    cases += [ip(5), and_(7), or_(7)]
     for f in cases:
+        depth, tree = dt_depth(f, witness=True, limit=13)
+        want_depth, want = _whole_lattice_walk(f)
+        assert depth == want_depth
+        assert json.dumps(tree) == json.dumps(want)
+
+
+def _distinct_nodes(tree):
+    """(nodes, distinct node objects) of a tree, walked as a tree."""
+    seen, count, stack = set(), 0, [tree]
+    while stack:
+        node = stack.pop()
+        count += 1
+        seen.add(id(node))
+        if "var" in node:
+            stack += [node["low"], node["high"]]
+    return count, len(seen)
+
+
+def test_dt_witness_shares_the_subtrees_of_equal_restrictions():
+    # every restriction of maj(13) with k free variables is a threshold
+    # function of them, so few of its 2**14 - 1 nodes are distinct objects
+    nodes, distinct = _distinct_nodes(dt_depth(maj(13), witness=True, limit=13)[1])
+    assert nodes > 2**12 and distinct * 20 < nodes
+    # a random function shares some of its low subtrees
+    f = TruthTable(10, random_table(np.random.default_rng(49), 10))
+    nodes, distinct = _distinct_nodes(dt_depth(f, witness=True)[1])
+    assert distinct < nodes
+
+
+@pytest.mark.parametrize("f", [
+    TruthTable(10, random_table(np.random.default_rng(50), 10)), maj(11),
+], ids=["random-10", "maj-11"])
+def test_dt_witness_leaves_no_reference_cycle(monkeypatch, f):
+    # the walk keeps no cycle, so with the collector off the fold is freed
+    # as soon as the call returns
+    refs, fold = [], measures._subcube_fold
+
+    def recorded(tables):
+        out = fold(tables)
+        refs.append(weakref.ref(out[0]))
+        return out
+
+    monkeypatch.setattr(measures, "_subcube_fold", recorded)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        depth, tree = dt_depth(f, witness=True)
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert validate_decision_tree(f, tree, depth)
+
+
+def test_dt_slab_take_matches_the_strided_view():
+    # one take of the ternary columns gives the array of the strided reshape
+    for f in (TruthTable(7, random_table(np.random.default_rng(51), 7)), parity(5)):
         n = f.n
         val = _subcube_fold(f.to_array()[:, None])[0]
-        dt = measures._depth_sweeps(val)
-        free = [(i, 3**i) for i in range(n)]
-        want = measures._dt_witness(val.reshape(-1).data, dt.reshape(-1).data, 3**n - 1, free)
-        assert dt_depth(f, witness=True) == (dt.item(-1), want)
+        for d0 in range(n + 1):
+            strided = val[(..., *(slice(0, 2),) * d0, 0)].reshape((3,) * (n - d0) + (2**d0,))
+            assert np.array_equal(measures._dt_slab(val, d0), strided)
 
 
 def test_bulk_certificate_and_dt_match_oracles(bulk_n4_rows):

@@ -18,7 +18,7 @@ from boolfn import (
 )
 from boolfn._bitops import table_mask
 from boolfn._bulk import _tables, measure_arrays
-from boolfn.families import and_, gip, maj, parity, tree_function
+from boolfn.families import and_, gip, maj, or_, parity, tree_function
 from boolfn.measures import _alternation_by_shift, _chain_bound, _path_maxima, _salt_search
 
 from oracles import (
@@ -153,11 +153,50 @@ def test_chain_bound_below_alternation_seeded_and_families():
         _assert_chain_bound(and_(n))
 
 
-def test_search_visits_one_shift_on_majority_and_and():
-    # the least bound, 1, is at shift 0 alone: every other shift has f(b) ==
-    # f(~b) and so a bound of 2
-    for f in (maj(11), maj(15), and_(16)):
+def test_search_visits_one_shift_on_majority_and_and(monkeypatch):
+    # the least parity floor, 1, is at shift 0, where alt is 1: the search
+    # returns it without building the bound, since every other shift has
+    # f(b) == f(~b) and so a floor of 2
+    def no_bound(f):
+        raise AssertionError("the chain bound was built")
+
+    monkeypatch.setattr(measures, "_chain_bound", no_bound)
+    for f in (maj(11), maj(15), and_(16), or_(12)):
         assert _salt_search(f) == (1, 0, 1)
+
+
+def test_salt_search_matches_every_shift_across_densities():
+    # the parity floor's early return, and the ordered search after it,
+    # against the min and argmin of every shift's alternation: on random
+    # functions of each one-density, on thresholds, which meet the floor 1
+    # at shift 0, and the same shifted at random, and on x1 XOR x2, which
+    # meets the floor 2 at every shift
+    rng = np.random.default_rng(31)
+    early = total = 0
+    for n in range(6, 10):
+        cases = []
+        for density in (0.05, 0.2, 0.5, 0.8, 0.95):
+            for _ in range(3):
+                ones = np.flatnonzero(rng.random(2**n) < density).tolist()
+                cases.append(TruthTable(n, sum(1 << x for x in ones)))
+        for k in (1, n // 2, n - 1):
+            above = sum(1 << x for x in range(2**n) if x.bit_count() >= k)
+            cases.append(TruthTable(n, above))
+            cases.append(shift(TruthTable(n, above), int(rng.integers(0, 2**n))))
+        cases.append(TruthTable(n, sum(((x ^ x >> 1) & 1) << x for x in range(2**n))))
+        for f in cases:
+            alts = alternation_under_shifts(f)
+            val, b, visited = _salt_search(f)
+            assert (val, b) == (int(alts.min()), int(alts.argmin()))
+            early += visited == 1
+            total += 1
+    assert 16 <= early < total
+
+
+def test_bit_reversal_is_built_once_per_arity_and_read_only():
+    rev = measures._bit_reversal(7)
+    assert rev is measures._bit_reversal(7) and not rev.flags.writeable
+    assert rev.tolist() == [int(f"{x:07b}"[::-1], 2) for x in range(2**7)]
 
 
 # (salt, smallest argmin shift) of _salt_functions(default_rng(29), n) for
