@@ -86,7 +86,7 @@ from .measures import (
     _shift_moves,
     _subcube_fold,
 )
-from .spectral import _degrees, _moebius_rows, _sparsities, _walsh_rows
+from .spectral import _degrees, _moebius_rows, _residues, _sparsities, _walsh_rows
 
 MAX_BULK_ARITY = 4
 _SLICE = 16384  # function ids per slice
@@ -292,7 +292,7 @@ def measure_arrays(t: np.ndarray, primes=(2, 3), needs=None) -> dict:
         coeffs = _moebius_rows(t, np.int16)
         out["deg"] = _degrees(coeffs).astype(np.int64)
         for p in primes:
-            out[f"deg_{p}"] = _degrees(coeffs % p).astype(np.int64)
+            out[f"deg_{p}"] = _degrees(_residues(coeffs, p)).astype(np.int64)
         del coeffs
 
     if wants("sparsity"):

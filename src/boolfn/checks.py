@@ -49,9 +49,9 @@ from .core import TruthTable, _check_arity, is_invertible, tt_parse, tt_serializ
 from .families import and_, gip, maj, or_compose, parity, rubinstein, rubinstein_row, tree_function
 from .measures import (
     _LatticeMeasures,
+    _best_chains,
     _lanes,
     _measure_report,
-    _path_maxima,
     alternation,
     block_sensitivity,
     modp_degree,
@@ -447,13 +447,14 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple, tally: dict) -> None:
     The slice's table matrix is measured once (``_bulk.measure_arrays``),
     and every transform of the slice is built at once by the batch kernels
     of ``transforms``, whose tables g(x) = f(A(x)) are read off f's lanes
-    (``transforms._gather``).  f is read along each alternation chain the
-    same way, by elementwise shifts with no index arithmetic.  The
-    sparsity kernel runs again on the chain maps' tables g.  The batch
-    certificates join the measure arrays, and one loop over the rows of
-    ``_INEQUALITIES`` checks them all.  At n <= 3 the kernel of
-    ``commlb.submatrix_witness`` checks every function's submatrix identity
-    on its family at 0.
+    (``transforms._gather``).  The alternation chains are walked on the
+    lanes of the slice's level sets (``measures._best_chains``, as for one
+    function), and f is read along each chain off its lanes, by elementwise
+    shifts with no index arithmetic.  The sparsity kernel runs again on the
+    chain maps' tables g.  The batch certificates join the measure arrays,
+    and one loop over the rows of ``_INEQUALITIES`` checks them all.  At
+    n <= 3 the kernel of ``commlb.submatrix_witness`` checks every
+    function's submatrix identity on its family at 0.
 
     On a deterministic subsample, the arrays, the transforms built from the
     families and the submatrix certificates are cross-checked against the
@@ -477,7 +478,7 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple, tally: dict) -> None:
     batches = {
         "bs2s0": _bs2s_rows(t, zeros, a["fam0"], "block-index"),
         "bs2s": _bs2s_rows(t, a["bs_argmax"], a["fam_argmax"], "block-index"),
-        "alt2s": _alt2s_rows(t, _path_maxima(t, n)),
+        "alt2s": _alt2s_rows(t, *_best_chains(t, n)),
         "sherstov": _sherstov_rows(t, a["bs_argmax"], a["fam_argmax"]),
     }
     a.update({k: batch.cert for k, batch in batches.items()})

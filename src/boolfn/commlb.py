@@ -25,7 +25,7 @@ from .measures import (
     dt_depth,
     sensitivity,
 )
-from .spectral import _check_primes, _degrees
+from .spectral import _check_primes, _degrees, _residues
 from .transforms import _bs2s_from_family
 
 __all__ = [
@@ -302,7 +302,7 @@ def bound_summary(f: TruthTable, primes=(2, 3), limits: dict | None = None) -> d
     per_prime = {}
     degs = {}
     for p in primes:
-        dp = int(_degrees(coeffs % p))
+        dp = int(_degrees(_residues(coeffs, p)))
         degs[p] = dp
         entry: dict = {"deg_p": dp}
         if dt is not None:

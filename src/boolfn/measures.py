@@ -38,6 +38,7 @@ from .spectral import (
     _check_primes,
     _degrees,
     _moebius_rows,
+    _residues,
     _sparsities,
     _subset_sum,
     _walsh_rows,
@@ -844,120 +845,88 @@ def dt_depth(f: TruthTable, witness: bool = False, limit: int | None = None):
 # alternation and shift-invariant alternation
 
 
-def _best_chains(tables: np.ndarray, down: np.ndarray) -> np.ndarray:
-    """Lexicographically smallest maximum-alternation chain of every table.
+def _best_chains(table, n: int):
+    """alt and the lexicographically smallest maximum-alternation chain of
+    one packed table, a Python int at any n, as (int, list of the n + 1
+    chain points), or of every column of a (2**n, m) table matrix (n <= 6),
+    as ((m,) int64, (m, n + 1) int64).
 
-    ``tables`` and ``down`` are one table and its path maxima, or (2**n, m)
-    matrices with one function per column.  Returns the n + 1 chain points,
-    (n + 1,) or one chain per row of an (m, n + 1) array; each step sets the
-    smallest free variable that keeps the function on an optimal path of
-    ``down``.
+    Reads the level sets run down from 1^n (``_level_sets`` at shift
+    2**n - 1).  Level k is then {x : d[x] >= k}, with d[x] the most value
+    changes along a monotone path from x up to 1^n, so alt = d[0] is the
+    number of nonempty levels.  Each step from x takes the smallest free
+    direction i whose point y = x | e_i stays on an optimal path, d[y] + c
+    == d[x] with c = 1 where f(y) != f(x), and d falls by c; one exists
+    below 1^n, since d[x] is the best of its steps up.  Every path from x
+    to 1^n changes value f(x) XOR f(1^n) times mod 2, so d[y] + c has the
+    parity of d[x], and d[y] + c <= d[x] always: y is optimal iff it lies
+    in level d[x] - 1, or anywhere where d[x] = 0.  So one level is read
+    per step, and f only to lower d.
 
-    One table (m = 1, at any n) is walked on plain ints (``_chain_walk``),
-    which reads about n**2 / 2 entries; a batch reads a successor table of
-    every point (``_chain_successors``), n passes over all 2**n points of
-    every column, whose fixed numpy cost is shared by the columns.  The
-    scan's cross-check compares the two: its batched chains against the
-    per-function ``alt_to_s_linear``.
-    """
-    size = tables.shape[0]
-    n = size.bit_length() - 1
-    t, d = tables.reshape(-1), down.reshape(-1)  # entry (x, r) sits at x * m + r
-    if t.size == size:
-        chains = np.array(_chain_walk(t.data, d.data), dtype=np.int64)
-    else:
-        chains = _chain_successors(t, d, t.size // size)
-    return chains.reshape(tables.shape[1:] + (n + 1,))
-
-
-def _chain_walk(t, d) -> list:
-    """``_best_chains`` of one table, as a list of its n + 1 points: ``t``
-    and ``d`` are flat sequences of the table and of its path maxima, read
-    as plain ints, such as memoryviews.  Each step from x takes the
-    smallest direction i without bit i in x with d[x | e_i] + (t[x | e_i]
-    != t[x]) == d[x]; one exists below 1^n, since d[x] is the best of its
-    steps up."""
-    n = len(t).bit_length() - 1
-    x, points = 0, [0]
-    for _ in range(n):
-        here, bit = d[x], 1
-        while x & bit or d[x | bit] + (t[x | bit] != t[x]) != here:
-            bit <<= 1
-        x |= bit
-        points.append(x)
-    return points
-
-
-def _chain_successors(t: np.ndarray, d: np.ndarray, m: int) -> np.ndarray:
-    """``_best_chains`` of m tables and their path maxima, flat with entry
-    (x, r) at x * m + r, as (m, n + 1), from a successor table: the bit e_i
-    of the smallest direction i that stays on an optimal path of d from each
-    point x without bit i, that is d[x | e_i] + (t[x | e_i] != t[x]) ==
-    d[x].
-
-    One pass per direction, largest first so that a smaller direction
-    overwrites, on the ``level_views`` halves of the level (x without bit i,
-    and x | e_i); then each step of every chain is one gather.  1^n has no
-    successor, and every other point has one, since d[x] is the best of its
-    steps up.
-    """
-    size = t.size // m
-    n = size.bit_length() - 1
-    succ = np.zeros(t.size, dtype=np.min_scalar_type(size >> 1))
-    for i in reversed(range(n)):
-        run = m << i
-        t_low, t_high = level_views(t, 2, run)
-        d_low, d_high = level_views(d, 2, run)
-        changes = np.not_equal(t_high, t_low, order="C")
-        ok = np.equal(np.add(d_high, changes, order="C"), d_low, order="C")
-        np.copyto(level_views(succ, 2, run)[0], 1 << i, where=ok)
-    cols = np.arange(m)
-    points = np.zeros((m, n + 1), dtype=np.int64)
-    x = points[:, 0]
-    for step in range(1, n + 1):
-        x = x | succ[x * m + cols]
-        points[:, step] = x
-    return points
-
-
-def _path_maxima(table, n: int) -> np.ndarray:
-    """The most value changes along a monotone path from x up to 1^n, at
-    every input x, as uint8: (2**n,) for one packed table, (2**n, m) for a
-    (2**n, m) table matrix (see ``_level_sets``).
-
-    Runs the level sets down from 1^n: level k is then the set of inputs
-    with such a path of at least k changes, so their indicators sum to the
-    path maximum.  A matrix's levels are unpacked in one call, as the bytes
-    of the stacked lanes of ``_shift_moves``, little-endian; unpacking runs
-    along the last axis, fastest on contiguous bytes, so the (m, 2**n) sums
-    are copied into the table layout once.
+    One table reads each level and f as bytes, so every probe is O(1).  A
+    matrix walks every column at once on the lanes its level sets pack:
+    each step gathers one level of every column and takes the lowest of
+    its points among the up neighbours of x.
     """
     size = table_size(n)
-    levels = list(_level_sets(*_shift_moves(table, n), size - 1, n + 1))
-    if isinstance(table, np.ndarray):
-        raw = np.array(levels, dtype=_lane(n)).reshape(len(levels), table.shape[1], 1)
-        indicators = np.unpackbits(raw.view(np.uint8), axis=-1, count=size, bitorder="little")
-        return np.ascontiguousarray(indicators.sum(axis=0, dtype=np.uint8).T)
-    down = np.zeros(size, dtype=np.uint8)
-    for level in levels:
-        down += unpack(level, n)
-    return down
+    batch = isinstance(table, np.ndarray)
+    if batch:
+        table = _lanes(table)
+    moves, full = _shift_moves(table, n)
+    levels = [full, *_level_sets(moves, full, size - 1, n + 1)]
+    if not batch:
+        def at(data: bytes, y: int) -> int:
+            return (data[y >> 3] >> (y & 7)) & 1
+
+        width = max(1, size >> 3)
+        by = [level.to_bytes(width, "little") for level in levels]
+        t = table.to_bytes(width, "little")
+        alt = len(levels) - 1
+        x, d, points = 0, alt, [0]
+        for _ in range(n):
+            level, bit = by[max(d - 1, 0)], 1
+            while x & bit or not at(level, x | bit):
+                bit <<= 1
+            d -= at(t, x) ^ at(t, x | bit)
+            x |= bit
+            points.append(x)
+        return alt, points
+
+    # row d holds level max(d - 1, 0) of every column
+    stack = np.stack([full, *levels])
+    alt = np.count_nonzero(stack[2:], axis=0).astype(np.int64)
+    # up[x]: the points x | e_i of the free directions i of x
+    every = np.arange(size, dtype=table.dtype)
+    up = np.zeros_like(every)
+    for i in range(n):
+        y = every | (1 << i)
+        up |= (y != every).astype(up.dtype) << y
+    cols = np.arange(table.size)
+    x, d = np.zeros(table.size, dtype=np.uint8), alt.astype(table.dtype)
+    points = np.zeros((table.size, n + 1), dtype=np.int64)
+    for step in range(1, n + 1):
+        reach = stack[d, cols] & up[x]
+        y = np.bitwise_count(reach ^ (reach - 1)) - 1  # its lowest point
+        d -= ((table >> x) ^ (table >> y)) & 1
+        x = y
+        points[:, step] = x
+    return alt, points
 
 
 def alternation(f: TruthTable, witness: bool = False):
     """Maximum number of value changes along a maximal monotone chain.
 
     alt is the number of nonempty level sets of the shift 0
-    (``_alternation_at_shift``), and the path maximum (``_path_maxima``) at
-    the bottom point 0.  The witness is the lexicographically smallest
-    chain achieving it, walked off the path maxima on plain ints
-    (``_chain_walk``, the one-table route of ``_best_chains``).
+    (``_alternation_at_shift``).  The witness is the lexicographically
+    smallest chain achieving it, walked on plain ints off the level sets
+    run down from 1^n (``_best_chains``), whose nonempty levels number alt
+    too.
     """
     n = f.n
     if not witness:
         return _alternation_at_shift(*_shift_moves(f.bits, n), 0, n)
-    down = _path_maxima(f.bits, n)
-    return int(down[0]), Chain(tuple(_chain_walk(f.to_array().data, down.data)))
+    alt, points = _best_chains(f.bits, n)
+    return alt, Chain(tuple(points))
 
 
 # Arity from which the salt search first tries the parity floor, then
@@ -984,7 +953,9 @@ def _level_sets(moves: list, full, b: int, cap: int):
     So every nonempty level holds the top point, a level built from an
     empty one is empty, and the levels stop at the first level empty in
     every row.  The level at ``cap`` is only tested for emptiness, so it is
-    yielded unclosed.
+    yielded unclosed.  Run down from 1^n (b = 2**n - 1, cap n + 1), level k
+    is the set of x with a monotone path up to 1^n of at least k changes,
+    on which ``_best_chains`` walks the witness chains.
     """
     level = full
     for k in range(1, cap + 1):
@@ -1050,7 +1021,7 @@ def _lanes(tables: np.ndarray) -> np.ndarray:
 def _shift_moves(table, n: int) -> tuple[list, object]:
     """The moves of ``_level_sets`` and the mask of all 2**n points: Python
     ints for one packed table, (m,) arrays of ``_lane(n)`` for a (2**n, m)
-    table matrix.
+    table matrix or for its (m,) lanes.
 
     A matrix is packed into ``_lanes``, so each pass of the level sets
     moves max(8, 2**n) bits per table.  The masks are those of one table,
@@ -1061,7 +1032,7 @@ def _shift_moves(table, n: int) -> tuple[list, object]:
     along i lands in d & m and one up in the rest of d, so these halves
     also drop the bits that a shifted level carries across halves.
     """
-    if isinstance(table, np.ndarray):
+    if isinstance(table, np.ndarray) and table.ndim == 2:
         table = _lanes(table)
     moves = []
     for i in range(n):
@@ -1239,7 +1210,7 @@ def real_degree(f: TruthTable, witness: bool = False):
 def modp_degree(f: TruthTable, p: int, witness: bool = False):
     """Degree of the multilinear polynomial for f over the p-element field."""
     _check_primes((p,))
-    return _degree_of(_moebius_rows(f.to_array(), np.int32) % p, witness)
+    return _degree_of(_residues(_moebius_rows(f.to_array(), np.int32), p), witness)
 
 
 def sparsity(f: TruthTable, witness: bool = False):
@@ -1440,7 +1411,7 @@ def _measure_report(subcubes: _LatticeMeasures, primes, witnesses: bool) -> Meas
     coeffs = subcubes._moebius()
     run("deg", lambda: _degree_of(coeffs, w))
     for p in primes:
-        run(f"deg_{p}", lambda p=p: _degree_of(coeffs % p, w))
+        run(f"deg_{p}", lambda p=p: _degree_of(_residues(coeffs, p), w))
     run("sparsity", lambda: sparsity(f, witness=w))
     # DT >= bs (Nisan); only a call without a witness stops there, or at deg
     run("DT", lambda: subcubes.dt_depth(w, rep.measures.get("bs", -1)))

@@ -23,9 +23,10 @@ passes through at most 2**n, so int32 is exact up to ``MAX_ARITY`` (24);
 measures (``real_degree``, ``modp_degree``, ``sparsity``) run in int32, and
 a report (``measures._measure_report``, ``commlb.bound_summary``) builds one
 int32 Moebius table per function: deg reads it, and every deg_p reads its
-residues mod p, which equal those of the integer coefficients.  The public
-arrays (``moebius_coefficients``, ``walsh_coefficients``, ``spectrum`` and
-the sparsity witness's ``SpectrumRep``) stay int64.
+residues mod p (``_residues``), which equal those of the integer
+coefficients.  The public arrays (``moebius_coefficients``,
+``walsh_coefficients``, ``spectrum`` and the sparsity witness's
+``SpectrumRep``) stay int64.
 """
 
 from __future__ import annotations
@@ -90,6 +91,16 @@ def _walsh_step(lo: np.ndarray, hi: np.ndarray) -> None:
     np.add(lo, hi, out=lo, order="C")
     np.multiply(hi, -2, out=hi, order="C")
     np.add(hi, lo, out=hi, order="C")
+
+
+def _residues(coeffs: np.ndarray, p: int) -> np.ndarray:
+    """The integer coefficients mod the prime p, for their zero tests.
+
+    Where p exceeds the dtype's maximum, that maximum bounds every
+    |coefficient| below p, so no nonzero coefficient is a multiple of p and
+    the table comes back unchanged (deg_p = deg); ``coeffs % p`` would not
+    fit p into the dtype."""
+    return coeffs if p > np.iinfo(coeffs.dtype).max else coeffs % p
 
 
 def _moebius_rows(t: np.ndarray, dtype) -> np.ndarray:

@@ -23,10 +23,9 @@ from ._bitops import mask_indices, pack, point_to_str, table_size
 from .core import AffineMap, TruthTable, affine_images, tt_serialize
 from .measures import (
     BlockFamily,
-    _best_chains,
     _lanes,
-    _path_maxima,
     _pointwise_sensitivity,
+    alternation,
     block_sensitivity,
 )
 
@@ -200,13 +199,11 @@ def _bs2s_certificate(batch: _Batch, r: int) -> dict:
     }
 
 
-def _alt2s_rows(tables, down) -> _Batch:
+def _alt2s_rows(tables, alt, chains) -> _Batch:
     """``alt_to_s_linear`` for every function of a (2**n, m) table matrix,
-    from its path maxima ``down`` (``measures._path_maxima``): alt is the
-    path maximum at 0, and the chain is read off ``down`` by ``_best_chains``."""
+    from its alt values, (m,), and maximum-alternation chains, (m, n + 1),
+    as ``measures._best_chains`` gives them."""
     m = tables.shape[1]
-    alt = down[0]
-    chains = _best_chains(tables, down)
     shifts = np.zeros(m, dtype=np.int64)
     img, g = _gather(tables, chains[:, 1:], shifts)
     # a linear map is invertible iff its image table is a permutation, that
@@ -331,10 +328,12 @@ def alt_to_s_linear(f: TruthTable) -> TransformResult:
     """Invertible linear map whose columns are the points of a maximum
     alternation chain, so that alt(f) <= 2*s(g, 0) + 1.
 
-    Column supports strictly increase along the chain, which makes the map
-    invertible; this is verified and recorded rather than assumed.
+    The chain is the witness of ``alternation``.  Column supports strictly
+    increase along it, which makes the map invertible; this is verified and
+    recorded rather than assumed.
     """
-    return _alt2s_rows(f.to_array()[:, None], _path_maxima(f.bits, f.n)[:, None]).result(0, f)
+    alt, chain = alternation(f, witness=True)
+    return _alt2s_rows(f.to_array()[:, None], np.array([alt]), np.array([chain.points])).result(0, f)
 
 
 def sherstov_linear(f: TruthTable, limit: int | None = None) -> TransformResult:

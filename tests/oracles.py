@@ -126,6 +126,21 @@ def naive_path_maxima(f):
     return [down(x) for x in range(2**n)]
 
 
+def naive_chain_walk(f):
+    """The chain of the smallest-direction rule over ``naive_path_maxima``:
+    from 0, each step sets the smallest free variable whose point y keeps
+    a path of the most changes, d[y] + (f(y) != f(x)) == d[x].  Usable
+    wherever the path maxima are, far above ``naive_best_chain``'s n!
+    orders."""
+    d = naive_path_maxima(f)
+    x, points = 0, [0]
+    for _ in range(f.n):
+        x = next(y for y in (x | (1 << i) for i in range(f.n)) if y != x
+                 and d[y] + (f.value_at(y) != f.value_at(x)) == d[x])
+        points.append(x)
+    return tuple(points)
+
+
 def naive_salt(f):
     n = f.n
     best = None

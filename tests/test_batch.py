@@ -14,26 +14,27 @@ from boolfn import (
     apply_affine,
     block_sensitivity,
     bs_to_s_affine,
+    gip,
+    maj,
+    rubinstein,
     sherstov_linear,
+    tree_function,
 )
 from boolfn._bulk import _families, _point_packings, _tables, measure_arrays
 from boolfn.core import affine_images
 from boolfn.measures import (
     Chain,
     _best_chains,
-    _chain_successors,
-    _chain_walk,
     _lanes,
-    _path_maxima,
     _pointwise_sensitivity,
     validate_chain,
 )
 from boolfn.spectral import _degrees, _moebius_rows, _sparsities, _walsh_rows
-from boolfn.families import maj, rubinstein
 from boolfn.transforms import _alt2s_rows, _block_rows, _bs2s_rows, _gather, _sherstov_rows
 
 from oracles import (
     naive_best_chain,
+    naive_chain_walk,
     naive_block_sensitivity,
     naive_sensitivity,
     random_table,
@@ -65,7 +66,7 @@ def _check_rows(n, ids):
         _bs2s_rows(t, zero, fam0, "block-index"),
         _bs2s_rows(t, amax, fam_max, "block-index"),
         _bs2s_rows(t, amax, fam_max, "min-in-block"),
-        _alt2s_rows(t, _path_maxima(t, n)),
+        _alt2s_rows(t, *_best_chains(t, n)),
         _sherstov_rows(t, amax, fam_max),
     )
     for r, f in enumerate(functions):
@@ -99,10 +100,9 @@ def test_batched_kernels_match_per_function_columns(n, m):
     walsh = _walsh_rows(t, np.int32)
     degrees, sparsities = _degrees(moebius), _sparsities(walsh)
     img, g = _gather(t, cols, shifts)
-    down = _path_maxima(t, n)
-    chains = _best_chains(t, down)
-    assert sens.shape == moebius.shape == walsh.shape == img.shape == g.shape == down.shape
-    assert sens.shape == (2**n, m) and degrees.shape == sparsities.shape == (m,)
+    alt, chains = _best_chains(t, n)
+    assert sens.shape == moebius.shape == walsh.shape == img.shape == g.shape == (2**n, m)
+    assert degrees.shape == sparsities.shape == alt.shape == (m,)
     assert chains.shape == (m, n + 1)
     for r, bits in enumerate(ids):
         f = TruthTable(n, bits)
@@ -116,8 +116,7 @@ def test_batched_kernels_match_per_function_columns(n, m):
         assert img[:, r].tolist() == affine_images(n, amap.columns, amap.shift).tolist()
         assert img[:, r].tolist() == [amap.apply(x) for x in range(2**n)]
         assert g[:, r].tolist() == apply_affine(f, amap).to_array().tolist()
-        assert down[:, r].tolist() == _path_maxima(bits, n).tolist()
-        assert chains[r].tolist() == _best_chains(one, down[:, r]).tolist()
+        assert (int(alt[r]), chains[r].tolist()) == _best_chains(bits, n)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -157,7 +156,7 @@ def test_batched_rows_match_per_function_sampled_above_bulk_arity(n):
         _bs2s_rows(t, zero, blocks0, "block-index"),
         _bs2s_rows(t, amax, blocks_max, "block-index"),
         _bs2s_rows(t, amax, blocks_max, "min-in-block"),
-        _alt2s_rows(t, _path_maxima(t, n)),
+        _alt2s_rows(t, *_best_chains(t, n)),
         _sherstov_rows(t, amax, blocks_max),
     )
     for r, f in enumerate(functions):
@@ -191,47 +190,63 @@ def test_batched_block_transform_against_oracles(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_batched_alternation_chains_against_oracle(n):
     t = _tables(n, 0, 1 << (1 << n))
-    chains = _best_chains(t, _path_maxima(t, n))
+    _, chains = _best_chains(t, n)
     for r in range(t.shape[1]):
         assert tuple(int(p) for p in chains[r]) == naive_best_chain(TruthTable(n, r))
 
 
-def _check_chain_paths(functions, t, down):
-    """The plain walk of each column (``_chain_walk``) gives the chain that
-    the successor table of the whole matrix gives (``_chain_successors``),
-    for the columns of t, the tables of functions, from their path maxima
-    ``down``; and each chain is valid at alt."""
-    m = len(functions)
-    chains = _chain_successors(t.reshape(-1), down.reshape(-1), m)
-    for r, f in enumerate(functions):
-        walk = _chain_walk(t[:, r].data, down[:, r].data)
-        assert walk == chains[r].tolist()
-        assert validate_chain(f, Chain(tuple(walk)), int(down[0, r]))
+def _check_chain_walk(f):
+    """The oracle walk over the brute-force path maxima gives the witness of
+    ``alternation`` and the chain of ``alt_to_s_linear``, and it is valid
+    at alt."""
+    want = naive_chain_walk(f)
+    alt, chain = alternation(f, witness=True)
+    assert chain.points == want
+    assert tuple(alt_to_s_linear(f).certificate["chain"]) == want
+    assert validate_chain(f, Chain(want), alt)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_chain_paths_agree_exhaustive(n):
-    t = _tables(n, 0, 1 << (1 << n))
-    _check_chain_paths([TruthTable(n, r) for r in range(t.shape[1])], t, _path_maxima(t, n))
+    for bits in range(1 << (1 << n)):
+        _check_chain_walk(TruthTable(n, bits))
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_chain_paths_agree_on_single_tables(n):
+    # the library walks one table on plain ints at every n
+    rng = np.random.default_rng(110 + n)
+    for _ in range(3 if n < 12 else 1):
+        _check_chain_walk(TruthTable(n, random_table(rng, n)))
+
+
+@pytest.mark.parametrize("f", [maj(11), tree_function(3), rubinstein(3, 3), gip(3, 3)],
+                         ids=["maj11", "tree3", "rubinstein33", "gip33"])
+def test_chain_walk_matches_oracle_on_families(f):
+    _check_chain_walk(f)
+
+
+def _check_batch_walk(t, ids):
+    """The batch walk of the table matrix t gives, column by column, alt and
+    the chain of the plain-int walk of each table in ``ids``."""
+    n = t.shape[0].bit_length() - 1
+    alt, chains = _best_chains(t, n)
+    assert alt.shape == (len(ids),) and chains.shape == (len(ids), n + 1)
+    for r, bits in enumerate(ids):
+        assert (int(alt[r]), chains[r].tolist()) == _best_chains(int(bits), n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_chain_paths_agree_on_matrices(n):
     rng = np.random.default_rng(90 + n)
-    functions = [TruthTable(n, random_table(rng, n)) for _ in range(40)]
-    functions[:2] = [TruthTable(n, 0), TruthTable(n, 2 ** (2**n) - 1)]
-    t = np.stack([f.to_array() for f in functions], axis=1)
-    _check_chain_paths(functions, t, _path_maxima(t, n))
+    ids = [0, 2 ** (2**n) - 1] + [random_table(rng, n) for _ in range(198)]
+    _check_batch_walk(np.stack([TruthTable(n, bits).to_array() for bits in ids], axis=1), ids)
 
 
-@pytest.mark.parametrize("n", range(15))
-def test_chain_paths_agree_on_single_tables(n):
-    # the library walks one table at every n, both through alternation and
-    # through _best_chains, and reads a successor table for a batch
-    f = TruthTable(n, random_table(np.random.default_rng(110 + n), n))
-    down = _path_maxima(f.bits, n)
-    _check_chain_paths([f], f.to_array()[:, None], down[:, None])
-    assert alternation(f, witness=True)[1].points == tuple(_best_chains(f.to_array(), down).tolist())
+def test_batch_chain_walk_matches_single_tables_exhaustive_n4():
+    # every function at n = 4, in the scan's slices of 16,384 columns
+    for lo in range(0, 1 << 16, 1 << 14):
+        _check_batch_walk(_tables(4, lo, lo + (1 << 14)), range(lo, lo + (1 << 14)))
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 9, 12])

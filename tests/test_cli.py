@@ -412,6 +412,32 @@ def test_repeated_prime_exits_2_before_any_work(monkeypatch, capsys, argv, prime
     assert (code, out, err) == (2, "", f"error: prime {prime} is repeated\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["measures", "tt:2:8", "--primes", "2147483659"],
+    ["comm", "tt:2:8", "--primes", "2147483659"],
+    ["check", "function", "tt:2:8", "--primes", "2147483659"],
+    ["check", "exhaustive:2", "--primes", "32771"],
+])
+def test_prime_above_the_kernels_integer_type_is_valid_input(capsys, argv):
+    # the Moebius tables are int32 (one function) and int16 (the scan); a
+    # prime above the type's maximum divides no nonzero coefficient
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    data, p = json.loads(out), int(argv[-1])
+    if argv[0] == "measures":
+        assert data["measures"][f"deg_{p}"] == data["measures"]["deg"] == 2
+    elif argv[0] == "comm":
+        summary = data["bound_summary"]
+        assert summary["per_prime"][str(p)]["deg_p"] == summary["deg"] == 2
+    elif argv[1] == "function":
+        row = next(c for c in data["checks"] if c["name"] == f"deg{p}_le_deg")
+        assert row["left"] == row["right"] == 2
+    else:
+        assert data["ok"]
+        a = _bulk.measure_arrays(_bulk._tables(2, 0, 16), (p,))
+        assert a[f"deg_{p}"].tolist() == a["deg"].tolist()
+
+
 def test_scan_checks_its_primes_before_measuring(monkeypatch, capsys):
     def no_arrays(*args, **kwargs):
         raise AssertionError("a slice was measured before the primes were checked")

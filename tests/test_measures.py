@@ -202,6 +202,9 @@ def test_degree_named():
         assert modp_degree(parity(n), 2) == 1
     assert modp_degree(parity(4), 3) == 4
     assert modp_degree(gip(2, 2), 2) == 2
+    # a prime above int32's maximum divides no coefficient of the int32 table
+    big = 2147483659
+    assert modp_degree(maj(5), big, witness=True) == real_degree(maj(5), witness=True) == (5, 0b11111)
 
 
 def test_degree_matches_oracle():

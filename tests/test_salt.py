@@ -19,7 +19,13 @@ from boolfn import (
 from boolfn._bitops import table_mask
 from boolfn._bulk import _tables, measure_arrays
 from boolfn.families import and_, gip, maj, or_, parity, tree_function
-from boolfn.measures import _alternation_by_shift, _chain_bound, _path_maxima, _salt_search
+from boolfn.measures import (
+    _alternation_by_shift,
+    _chain_bound,
+    _level_sets,
+    _salt_search,
+    _shift_moves,
+)
 
 from oracles import (
     _shifted,
@@ -102,11 +108,23 @@ def test_alternation_under_shifts_matches_path_maxima_oracle():
         assert alts[shifts].tolist() == [naive_path_maxima(_shifted(f, int(b)))[0] for b in shifts]
 
 
+def _levels_from_top(table, n):
+    """The level sets run down from 1^n, each as one 0/1 row per table:
+    (k, 2**n) for one packed table, (k, m, 2**n) for a table matrix."""
+    levels = _level_sets(*_shift_moves(table, n), 2**n - 1, n + 1)
+    if isinstance(table, int):
+        return np.array([[(level >> x) & 1 for x in range(2**n)] for level in levels])
+    return np.array([(level[:, None] >> np.arange(2**n, dtype=level.dtype)) & 1
+                     for level in levels]).reshape(-1, table.shape[1], 2**n)
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_batched_kernel_matches_oracle(n):
     # 0 and all ones are constant; the top point alone is the last row of
     # its table matrix, packed into the top bit of its lane of max(8, 2**n)
-    # bits, bit 63 at n = 6; the batches run from one column to all of them
+    # bits, bit 63 at n = 6; the batches run from one column to all of them.
+    # Run down from 1^n, level k is the set {x : d[x] >= k} of the path
+    # maxima d, one level for each value of alt, which the chain walk reads
     rng = np.random.default_rng(50 + n)
     ids = [0, 2 ** (2**n) - 1, 1 << (2**n - 1)] + [random_table(rng, n) for _ in range(20)]
     shifts = max(1, 2**n // 2)
@@ -115,14 +133,17 @@ def test_batched_kernel_matches_oracle(n):
         f = TruthTable(n, bits)
         want_down.append(naive_path_maxima(f))
         want_alts.append([naive_path_maxima(_shifted(f, b))[0] for b in range(shifts)])
-        assert _path_maxima(bits, n).tolist() == want_down[-1]
+        down = np.array(want_down[-1])
+        levels = _levels_from_top(bits, n)
+        assert levels.tolist() == [(down >= k).tolist() for k in range(1, down.max() + 1)]
         assert _alternation_by_shift(bits, n).tolist() == want_alts[-1]
     for m in (1, 3, 7, 9, 17, len(ids)):
         batch = table_matrix(n, ids[-m:])
-        down = _path_maxima(batch, n)
+        down = np.array(want_down[-m:])
+        levels = _levels_from_top(batch, n)
         alts = _alternation_by_shift(batch, n)
-        assert down.shape == (2**n, m) and alts.shape == (m, shifts)
-        assert down.T.tolist() == want_down[-m:] and alts.tolist() == want_alts[-m:]
+        assert levels.tolist() == [(down >= k).tolist() for k in range(1, down.max() + 1)]
+        assert alts.shape == (m, shifts) and alts.tolist() == want_alts[-m:]
 
 
 def _assert_chain_bound(f):
