@@ -39,7 +39,8 @@ smallest maximizer, and ``bs0`` and the families the entries at p_0 and
 at the maximizer's pattern; C is the max over x of C(p_x, 0); alt is the
 entry at p_0 and salt the min over the shifts b < 2**(n-1).  The kernels:
 
-* ``measures``: pointwise sensitivity; the packed level sets of
+* ``measures``: pointwise sensitivity; the minimal sensitive blocks and
+  the packer behind the bs table (below); the packed level sets of
   alternation (``measures._alternation_at_shift``) at shift 0, behind the
   alt table, which pack the matrix along its input axis into one lane of
   max(8, 2**n) bits per table (``measures._lanes``, read by
@@ -55,20 +56,16 @@ entry at p_0 and salt the min over the shifts b < 2**(n-1).  The kernels:
   some column needs all 4 sweeps;
 * ``spectral``: the Moebius and Walsh butterflies, run here in int16 and
   int32, and the degree and sparsity kernels; ``deg`` and every ``deg_p``
-  are read from one Moebius matrix;
-* here: the packings of disjoint sensitive blocks at one input, by a
-  max-plus DP over the free sets (``_point_packings``: about 3**n steps
-  per table in 2**n - 1 passes over the columns), and the family walk
-  over them (``_families``), behind the bs table.
+  are read from one Moebius matrix.
 
-Block sensitivity is the one measure whose batched and per-function
-kernels differ, and only in how they pack the blocks at one input.  The
-walk follows the rule of ``measures._lex_min_family``, so both routes
-give the same witnesses.  One function wants the per-function packer
-(``measures._bs_point``), which packs only the minimal sensitive blocks:
-at one input of a random function (2-core Xeon VM, best of 300), the DP
-and its family take 0.40 ms at n = 4 and 1.9 ms at n = 6, the packer
-0.05 and 0.07 ms.
+The bs table runs the per-function packer.  A pattern's lexicographically
+smallest maximum family at 0 depends only on its antichain of minimal
+sensitive blocks (``measures._minimal_blocks``, batched over the columns),
+and n = 4 has only 167 of them: the Dedekind number M(4) = 168, less the
+antichain of the empty block, which flips nothing.  So each distinct
+antichain is packed once per arity, by ``measures._make_packer`` and
+``measures._lex_min_family`` as in ``measures._bs_point``, and every block
+family in the library comes from that one rule.
 """
 
 from __future__ import annotations
@@ -82,6 +79,9 @@ from .measures import (
     _alternation_at_shift,
     _depth_sweeps,
     _lanes,
+    _lex_min_family,
+    _make_packer,
+    _minimal_blocks,
     _pointwise_sensitivity,
     _shift_moves,
     _subcube_fold,
@@ -107,67 +107,6 @@ def _tables(n: int, lo: int, hi: int, step: int = 1) -> np.ndarray:
     return ((ids >> points[:, None]) & 1).astype(np.uint8)
 
 
-def _point_packings(lanes: np.ndarray, at: np.ndarray, n: int) -> np.ndarray:
-    """P[S, j]: the most disjoint blocks inside free set S that flip table j
-    at input at[j], as an int8 (2**n, k) array, for k tables of arity n
-    packed into ``measures._lanes``.
-
-    Whether block T flips table j at at[j] is bit at[j] ^ T of lanes[j]
-    against bit at[j], read for every T in one elementwise pass.  Then one
-    in-place pass per block T over the free sets S that contain it:
-    P[S] = max(P[S], P[S ^ T] + flip_T).  S ^ T does not contain T, so no
-    packing uses T twice; P is monotone in S, so a block that does not flip
-    needs no mask.  Both sides of a pass are views on the (2,)*n grid of
-    free sets, about 3**n entries per table in all.
-    """
-    size = table_size(n)
-    blocks = np.arange(size, dtype=lanes.dtype)[:, None]
-    values = (lanes >> (at.astype(lanes.dtype) ^ blocks)) & 1
-    flips = (values != values[0]).view(np.int8)
-    P = np.zeros((2,) * n + (at.size,), dtype=np.int8)
-    for T in range(1, size):
-        axes = [n - 1 - i for i in range(n) if T >> i & 1]  # axis j holds coordinate n - 1 - j
-        with_t = P[tuple(1 if j in axes else slice(None) for j in range(n))]
-        without = P[tuple(0 if j in axes else slice(None) for j in range(n))]
-        np.maximum(with_t, without + flips[T], out=with_t)
-    return P.reshape(size, at.size)
-
-
-def _families(packs: np.ndarray) -> np.ndarray:
-    """The lexicographically smallest maximum family of disjoint blocks that
-    flip table j at its input, from its packings ``packs[:, j]``
-    (``_point_packings``).
-
-    Walks the blocks in ascending order and takes T when it fits in the free
-    set, flips the function at the input, and leaves a free set that still
-    packs the blocks still needed after it: P[free ^ T] == want.  That is the
-    rule of ``measures._lex_min_family``, so the families are the
-    per-function witnesses.  The flip test reads P[T] >= 1, which holds when
-    some T' inside T flips.  If T itself does not flip, T' < T was walked
-    first, inside the free set, and not taken; the free set without T' then
-    packs fewer than want blocks (the blocks taken since are disjoint
-    from T'), and the smaller free set without T packs no more, so T is not
-    taken either.  Returns a (k, n) array of blocks, ascending and
-    zero-padded.
-    """
-    size, k = packs.shape
-    n = size.bit_length() - 1
-    flips = packs >= 1
-    flat = packs.reshape(-1)  # entry (S, j) sits at S * k + j
-    free = np.full(k, size - 1, dtype=np.intp)
-    want = packs[-1] - 1  # the blocks still needed once T is taken
-    fam = np.zeros(k * n, dtype=np.min_scalar_type(size - 1))
-    slot = np.arange(k) * n
-    for T in range(1, size):
-        fits = np.flatnonzero(((free & T) == T) & flips[T])
-        j = fits[flat[(free[fits] ^ T) * k + fits] == want[fits]]
-        fam[slot[j]] = T
-        slot[j] += 1
-        free[j] ^= T
-        want[j] -= 1
-    return fam.reshape(k, n)
-
-
 def _pattern_table(n: int, kernel) -> np.ndarray:
     """``kernel`` on the flip patterns of arity n, read-only: its results on
     the table matrix of the patterns in each slice of ``_slices``, joined
@@ -183,10 +122,25 @@ def _pattern_table(n: int, kernel) -> np.ndarray:
 def _bs_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """bs(p, 0) of every flip pattern p of arity n, as uint8, and its
     lexicographically smallest maximum family, a row of n blocks,
-    ascending and zero-padded, as ``_families`` walks it from the packings
-    at 0 (``_point_packings``).  bs is the number of blocks in the family."""
-    fam = _pattern_table(n, lambda t: _families(
-        _point_packings(_lanes(t), np.zeros(t.shape[1], dtype=np.intp), n)))
+    ascending and zero-padded; bs is the number of blocks in the family.
+
+    p(0) = 0, so the sensitive blocks of p at 0 are its ones.  Each slice
+    packs the mask of its minimal blocks into one lane per pattern, and
+    each distinct lane not met in an earlier slice is packed once."""
+    size = table_size(n)
+    families: dict[int, tuple[int, ...]] = {}
+
+    def kernel(t: np.ndarray) -> np.ndarray:
+        keys, inverse = np.unique(_lanes(_minimal_blocks(t == 1)), return_inverse=True)
+        rows = np.zeros((keys.size, n), dtype=np.min_scalar_type(size - 1))
+        for row, key in zip(rows, keys.tolist()):
+            if key not in families:
+                cands = [b for b in range(size) if key >> b & 1]
+                families[key] = _lex_min_family(cands, n, _make_packer(cands))
+            row[: len(families[key])] = families[key]
+        return rows[inverse]
+
+    fam = _pattern_table(n, kernel)
     bs = np.count_nonzero(fam, axis=1).astype(np.uint8)
     bs.flags.writeable = False
     return bs, fam

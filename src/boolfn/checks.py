@@ -459,11 +459,11 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple, tally: dict) -> None:
     On a deterministic subsample, the arrays, the transforms built from the
     families and the submatrix certificates are cross-checked against the
     per-function API (``_function_record``).  That guards the batching
-    (dtypes, the function axis) and compares the two bs packings (the DP
-    and the packer).  alt and salt share the API's kernel, so their
-    independent checks are the check of each alternation chain here
-    against its alt value, and the tests of the arrays against brute-force
-    oracles.
+    (dtypes, the function axis) and the flip-pattern gathers.  bs, alt and
+    salt share the API's kernels (the bs table runs the API's packer), so
+    their independent checks are the check of each alternation chain here
+    against its alt value, and the tests of the arrays and the tables
+    against brute-force oracles.
     """
     # t holds one table per column, the table of id lo + r in column r
     t = _bulk._tables(n, lo, hi)

@@ -23,7 +23,6 @@ from .measures import (
     _LatticeMeasures,
     block_sensitivity,
     dt_depth,
-    sensitivity,
 )
 from .spectral import _check_primes, _degrees, _residues
 from .transforms import _bs2s_from_family
@@ -262,12 +261,12 @@ def bound_summary(f: TruthTable, primes=(2, 3), limits: dict | None = None) -> d
     A table of degree gaps between prime pairs is included.  Everything
     asymptotic is labeled a certificate; nothing here is a protocol value.
 
-    deg, every deg_p and DT read the one int32 Moebius table of the
-    function's ``_LatticeMeasures``, deg_p as its residues mod p (exact: see
-    ``spectral``); each prime is checked before anything is computed, so a
-    bad prime raises ValueError with no work done.  DT's sweeps stop once
-    they meet max(bs(f,0), deg), a lower bound on DT; where that bound is n,
-    DT = n needs no subcube table.
+    s, deg, every deg_p and DT read the function's one ``_LatticeMeasures``:
+    deg and DT its int32 Moebius table, deg_p that table's residues mod p
+    (exact: see ``spectral``).  Each prime is checked before anything is
+    computed, so a bad prime raises ValueError with no work done.  DT's
+    sweeps stop once they meet max(bs(f,0), deg), a lower bound on DT;
+    where that bound is n, DT = n needs no subcube table.
     """
     _check_primes(primes)
     limits = limits or {}
@@ -298,7 +297,7 @@ def bound_summary(f: TruthTable, primes=(2, 3), limits: dict | None = None) -> d
     summary["DT"] = dt
     summary["comm_upper_2dt"] = 2 * dt if dt is not None else None
     summary["deg"] = deg
-    summary["s"] = sensitivity(f)
+    summary["s"] = subcubes.sensitivity(False)
     per_prime = {}
     degs = {}
     for p in primes:

@@ -165,14 +165,17 @@ def _sensitive_profile(f: TruthTable, a: int) -> np.ndarray:
     return sens
 
 
-def _minimal_blocks(sens: np.ndarray) -> list[int]:
-    """Sensitive blocks with no sensitive proper subset, ascending.
+def _minimal_blocks(sens: np.ndarray) -> np.ndarray:
+    """The sensitive blocks with no sensitive proper subset, as a boolean
+    mask of the shape of ``sens``: one (2**n,) profile over block masks
+    (``_sensitive_profile``), or a (2**n, m) matrix with one profile per
+    column.
 
     Subset sums count the sensitive subsets of every block, itself included,
     so a sensitive block is minimal where its count is 1.
     """
     below = butterfly(sens.astype(np.int32), _subset_sum)
-    return [int(b) for b in np.flatnonzero(sens & (below == 1))]
+    return sens & (below == 1)
 
 
 def _make_packer(cands: list[int]):
@@ -228,16 +231,15 @@ def _bs_point(f: TruthTable, a: int, want_witness: bool) -> tuple[int, BlockFami
     """bs(f, a) by the memoized packer over the minimal sensitive blocks at a.
 
     The witness is the lexicographically smallest maximum family.  Every
-    per-function caller sends one input at a time here, at every arity:
-    ``_bulk._point_packings`` packs one input of each column of a table
-    matrix by a DP over the free sets, which costs more than this search
-    on one function (see ``_bulk``), and builds the exhaustive scans' table
-    of bs(p, 0) over every flip pattern p.
+    per-function caller sends one input at a time here, at every arity, and
+    the exhaustive scans' table of bs(p, 0) over every flip pattern p
+    (``_bulk._bs_table``) runs the same packer and family rule once per
+    distinct antichain of minimal blocks.
     """
     sens = _sensitive_profile(f, a)
     if not sens.any():
         return 0, (BlockFamily(a, ()) if want_witness else None)
-    cands = _minimal_blocks(sens)
+    cands = np.flatnonzero(_minimal_blocks(sens)).tolist()
     best = _make_packer(cands)
     val = best(table_size(f.n) - 1)
     fam = None
@@ -317,7 +319,8 @@ def block_sensitivity(
     which is tight on the structured families.  The exhaustive scans
     search nothing: at n <= 4 they read bs(f, x) and its family at every
     input from a table over the flip patterns p_x(y) = f(x ^ y) ^ f(x),
-    packed once per arity by a DP over the free sets (``_bulk._bs_table``).
+    built once per arity by this packer, run once per distinct antichain of
+    minimal blocks (``_bulk._bs_table``).
     """
     if at is None:
         return _LatticeMeasures(f, {"bs": limit}).block_sensitivity(witness)

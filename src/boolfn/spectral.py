@@ -55,14 +55,39 @@ MOEBIUS_MOD_P = "moebius-mod-p"
 WALSH = "walsh-hadamard-unnormalized"
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, 2015); ``is_prime`` refuses anything at or above it.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
+    """Whether p is prime, by deterministic Miller-Rabin over ``_MR_BASES``.
+
+    Raises ValueError for p >= ``_MR_BOUND``, where these bases are no
+    longer known to be exact.
+    """
+    if p >= _MR_BOUND:
+        raise ValueError(f"cannot test {p} for primality: "
+                         f"the deterministic test is exact only below {_MR_BOUND}")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

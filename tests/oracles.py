@@ -41,6 +41,22 @@ def naive_block_sensitivity(f, a=None):
     return best(0, 0)
 
 
+def naive_lex_min_family(f, a):
+    """The lexicographically smallest maximum family of disjoint sensitive
+    blocks at a: every disjoint family, each an ascending tuple of block
+    masks, enumerated, and the largest kept, then the smallest tuple."""
+    blocks = [b for b in range(1, 2**f.n) if f.value_at(a ^ b) != f.value_at(a)]
+
+    def families(used, start):
+        yield ()
+        for i in range(start, len(blocks)):
+            if not blocks[i] & used:
+                for rest in families(used | blocks[i], i + 1):
+                    yield (blocks[i],) + rest
+
+    return min(families(0, 0), key=lambda family: (-len(family), family))
+
+
 def naive_certificate(f, a=None):
     n = f.n
     if a is None:

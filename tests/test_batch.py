@@ -20,13 +20,14 @@ from boolfn import (
     sherstov_linear,
     tree_function,
 )
-from boolfn._bulk import _families, _point_packings, _tables, measure_arrays
+from boolfn._bulk import _tables, measure_arrays
 from boolfn.core import affine_images
 from boolfn.measures import (
     Chain,
     _best_chains,
-    _lanes,
+    _minimal_blocks,
     _pointwise_sensitivity,
+    _sensitive_profile,
     validate_chain,
 )
 from boolfn.spectral import _degrees, _moebius_rows, _sparsities, _walsh_rows
@@ -119,6 +120,23 @@ def test_batched_kernels_match_per_function_columns(n, m):
         assert (int(alt[r]), chains[r].tolist()) == _best_chains(bits, n)
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_minimal_blocks_of_a_matrix_match_its_columns(n):
+    # the sensitive profiles of random functions at random inputs, one per
+    # column; a block is minimal iff it is sensitive and no proper subset is
+    rng = np.random.default_rng(80 + n)
+    profiles = [_sensitive_profile(TruthTable(n, random_table(rng, n)), int(rng.integers(2**n)))
+                for _ in range(12)]
+    sens = np.stack(profiles, axis=1)
+    minimal = _minimal_blocks(sens)
+    assert minimal.shape == sens.shape and minimal.dtype == bool
+    for r, profile in enumerate(profiles):
+        assert np.array_equal(minimal[:, r], _minimal_blocks(profile))
+        want = [b for b in range(2**n) if profile[b]
+                and not any(profile[c] for c in range(1, b) if c & b == c)]
+        assert np.flatnonzero(minimal[:, r]).tolist() == want
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_batched_rows_match_per_function_exhaustive(n):
     _check_rows(n, np.arange(1 << (1 << n)))
@@ -132,9 +150,8 @@ def test_batched_rows_match_per_function_sampled_n4():
 @pytest.mark.parametrize("n", [5, 6])
 def test_batched_rows_match_per_function_sampled_above_bulk_arity(n):
     # measure_arrays stops at n = 4, so the block families come from the
-    # per-function API, and the packings and family walk behind its bs
-    # table run here on their own, at 0 and at the maximizer; the rows read
-    # the tables from u4 and u8 lanes
+    # per-function API, at 0 and at the maximizer; the rows read the tables
+    # from u4 and u8 lanes
     rng = np.random.default_rng(70 + n)
     functions = [TruthTable(n, random_table(rng, n)) for _ in range(12)]
     # 0xc28b74ec, also lifted to n = 6 by an irrelevant variable, splits
@@ -148,10 +165,6 @@ def test_batched_rows_match_per_function_sampled_above_bulk_arity(n):
     amax = np.array([fam.point for fam in fam_max])
     blocks0 = np.concatenate([_block_rows(n, fam.blocks) for fam in fam0])
     blocks_max = np.concatenate([_block_rows(n, fam.blocks) for fam in fam_max])
-    for at, fams, blocks in ((zero, fam0, blocks0), (amax, fam_max, blocks_max)):
-        packs = _point_packings(_lanes(t), at, n)
-        assert packs[-1].tolist() == [len(fam.blocks) for fam in fams]
-        assert np.array_equal(_families(packs), blocks)
     batches = (
         _bs2s_rows(t, zero, blocks0, "block-index"),
         _bs2s_rows(t, amax, blocks_max, "block-index"),

@@ -204,8 +204,9 @@ def test_extremal_search_runs_only_the_kernels_its_statistic_reads(monkeypatch):
     def unread(*args, **kwargs):
         raise AssertionError("salt_over_s reads nothing this kernel computes")
 
-    for name in ("_bs_table", "_cert_table", "_point_packings", "_families", "_subcube_fold",
-                 "_depth_sweeps", "_moebius_rows", "_walsh_rows"):
+    for name in ("_bs_table", "_cert_table", "_minimal_blocks", "_make_packer",
+                 "_lex_min_family", "_subcube_fold", "_depth_sweeps", "_moebius_rows",
+                 "_walsh_rows"):
         monkeypatch.setattr(_bulk, name, unread)
     assert [r.to_json_dict() for r in extremal_search(4, "salt_over_s")] == want
 

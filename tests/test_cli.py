@@ -280,6 +280,12 @@ def test_usage_errors(capsys):
 @pytest.mark.parametrize("argv,message", [
     (["measures", "tt:2:8", "--primes", ","], "error: primes list is empty\n"),
     (["check", "function"], "error: check function needs a SOURCE\n"),
+    # a strong pseudoprime to the bases 2, 3, 5 and 7, and the first value
+    # at which the deterministic Miller-Rabin test is no longer exact
+    (["measures", "tt:2:8", "--primes", "3215031751"], "error: 3215031751 is not prime\n"),
+    (["measures", "tt:2:8", "--primes", "3317044064679887385961981"],
+     "error: cannot test 3317044064679887385961981 for primality: the deterministic test "
+     "is exact only below 3317044064679887385961981\n"),
 ])
 def test_malformed_invocation_exits_2_with_empty_stdout(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", message)
@@ -417,6 +423,7 @@ def test_repeated_prime_exits_2_before_any_work(monkeypatch, capsys, argv, prime
     ["comm", "tt:2:8", "--primes", "2147483659"],
     ["check", "function", "tt:2:8", "--primes", "2147483659"],
     ["check", "exhaustive:2", "--primes", "32771"],
+    ["measures", "tt:2:8", "--primes", "18446744073709551557"],
 ])
 def test_prime_above_the_kernels_integer_type_is_valid_input(capsys, argv):
     # the Moebius tables are int32 (one function) and int16 (the scan); a

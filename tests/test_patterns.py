@@ -1,7 +1,6 @@
 """The flip-pattern tables of ``_bulk``, from which ``measure_arrays`` reads
-bs, C and alt at n <= 4: every entry against the brute-force oracles or the
-per-function packer, the pattern ids of a table matrix, and the tables'
-cache."""
+bs, C and alt at n <= 4: every entry against the brute-force oracles, the
+pattern ids of a table matrix, and the tables' cache."""
 
 import numpy as np
 import pytest
@@ -9,12 +8,13 @@ import pytest
 from boolfn import BlockFamily, TruthTable, validate_block_family
 from boolfn import _bulk
 from boolfn._bulk import _alt_table, _bs_table, _cert_table, _patterns, _tables, measure_arrays
-from boolfn.measures import _bs_point, _lanes
+from boolfn.measures import _lanes
 
 from oracles import (
     naive_alternation,
     naive_block_sensitivity,
     naive_certificate,
+    naive_lex_min_family,
     naive_shift_alternations,
     random_table,
 )
@@ -41,13 +41,37 @@ def test_every_pattern_against_the_oracles(n):
         blocks = tuple(int(b) for b in fam[r] if b)
         assert len(blocks) == bs[r] and list(blocks) == sorted(blocks)
         assert validate_block_family(p, BlockFamily(0, blocks))
+        assert blocks == naive_lex_min_family(p, 0), r
 
 
-def test_bs_table_against_the_packer_on_every_pattern_n4():
+def test_bs_table_against_the_lex_min_oracle_on_every_pattern_n4():
+    # the scan's cross-check and the per-function API run the packer that
+    # builds this table, so the oracle is the independent check of n = 4
     bs, fam = _bs_table(4)
     for r in range(1 << 15):
-        val, family = _bs_point(TruthTable(4, 2 * r), 0, True)
-        assert (bs[r], tuple(int(b) for b in fam[r] if b)) == (val, family.blocks), r
+        family = naive_lex_min_family(TruthTable(4, 2 * r), 0)
+        assert (bs[r], tuple(int(b) for b in fam[r] if b)) == (len(family), family), r
+
+
+def test_bs_table_packs_each_antichain_of_minimal_blocks_once(monkeypatch):
+    # the antichains of minimal blocks a pattern can have: the Dedekind
+    # numbers 2, 3, 6, 20, 168, less the antichain of the empty block
+    packs = []
+
+    def counted(cands):
+        packs.append(tuple(cands))
+        return make_packer(cands)
+
+    make_packer = _bulk._make_packer
+    monkeypatch.setattr(_bulk, "_make_packer", counted)
+    counts = []
+    for n in range(5):
+        _bs_table.cache_clear()
+        packs.clear()
+        _bs_table(n)
+        assert len(set(packs)) == len(packs)
+        counts.append(len(packs))
+    assert counts == [1, 2, 5, 19, 167]
 
 
 def test_seeded_functions_at_every_input_read_the_entry_of_their_pattern_n4():
@@ -78,8 +102,8 @@ def test_each_table_is_built_once_per_arity_and_is_read_only(monkeypatch):
         raise AssertionError("a pattern table was built again")
 
     # every kernel the builders run, and only they at these needs
-    for name in ("_point_packings", "_families", "_subcube_fold", "_shift_moves",
-                 "_alternation_at_shift"):
+    for name in ("_minimal_blocks", "_make_packer", "_lex_min_family", "_subcube_fold",
+                 "_shift_moves", "_alternation_at_shift"):
         monkeypatch.setattr(_bulk, name, rebuilt)
     again = measure_arrays(t[:, ::-1], needs=needs)
     for key, values in first.items():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -116,8 +118,27 @@ def test_spectrum_support_and_degree():
     assert rep_w.support() == (0b111,)
 
 
+def _trial_division(p):
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
 def test_is_prime():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert [p for p in range(10**5) if is_prime(p)] == [
+        p for p in range(10**5) if _trial_division(p)]
+    # Carmichael numbers and strong pseudoprimes to the first bases
+    for p in (561, 41041, 825265, 3215031751, 3825123056546413051):
+        assert not is_prime(p), p
+    for p in (2**61 - 1, 2**64 - 59, 2147483659):
+        assert is_prime(p), p
+
+
+def test_is_prime_refuses_primes_above_its_exact_bound():
+    bound = 3_317_044_064_679_887_385_961_981
+    assert not is_prime(bound - 1)
+    for p in (bound, 2**89 - 1):
+        with pytest.raises(ValueError, match=f"only below {bound}"):
+            is_prime(p)
 
 
 def test_butterfly_rows_are_independent():
