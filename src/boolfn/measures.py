@@ -12,7 +12,7 @@ encoding, which makes every output deterministic and diffable.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import math
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -262,42 +262,47 @@ def _sensitivity_bound(s: np.ndarray) -> np.ndarray:
     return s + (n - s) // 2
 
 
-def _bs_search(f: TruthTable, bound: np.ndarray, tighten=None) -> tuple[int, int]:
-    """Maximum pointwise block sensitivity under an upper bound per input,
-    and its smallest maximizing input.
+def _best_first(bound, value, tighten=None, after=0) -> tuple[int, int, int]:
+    """(best, argbest, evaluated): the maximum of ``value(x)`` over the
+    positions x of the int array ``bound``, its smallest maximizer, and the
+    positions evaluated.  ``bound[x]`` is an upper bound on ``value(x)``.
 
-    Visits the inputs by descending bound, then ascending input, and stops
-    at the first input that can neither beat the best value nor tie it at a
-    smaller input.  A tie replaces the best only at a smaller input, so the
-    maximizer is the smallest one, as in a scan of every input.  The caller
-    packs the witness family there (``_bs_point``).
+    Visits the positions by descending bound, then ascending x, and stops at
+    the first that can neither beat the best value nor tie it at a smaller
+    position.  The best is replaced on a larger value, or on an equal one at
+    a smaller x, so the result is that of a scan of every position.
+    ``value(x, best, at)`` is handed the best so far and its position (-inf
+    before the first), so it may stop early once x cannot win.
 
-    Once n inputs (n the arity) have not settled it, ``tighten`` may hand
-    it a tighter bound, or None: the inputs not yet visited are then
-    re-ordered under that bound, and the best so far is kept.  The stop
-    rule holds under any valid upper bound, so the value and the maximizer
-    do not depend on the switch, only the number of inputs visited.
+    Once ``after`` positions have been evaluated without settling the
+    search, ``tighten(bound)`` is called once and may return a tighter
+    bound, or None: the positions not yet visited are then re-ordered under
+    it, ascending x within ties, and the best so far is kept.  The stop
+    rule holds under any valid upper bound, so the result does not depend
+    on the switch, only the number of positions evaluated.  The order is
+    indexed one position at a time, since most searches stop after a few.
     """
-    order = np.argsort(-bound, kind="stable").tolist()
-    best, best_at = -1, 0
-    pos = 0
+    order = np.argsort(-bound, kind="stable")
+    best, at = -math.inf, 0
+    pos = evaluated = 0
     while pos < len(order):
-        x = order[pos]
-        b = int(bound[x])
-        if b < best or (b == best and x > best_at):
+        x = order.item(pos)
+        b = bound.item(x)
+        if b < best or (b == best and x > at):
             break
-        if pos == f.n and tighten is not None:
+        if evaluated == after and tighten is not None:
             tighter, tighten = tighten(bound), None
             if tighter is not None:
                 rest = np.sort(order[pos:])
-                order = rest[np.argsort(-tighter[rest], kind="stable")].tolist()
+                order = rest[np.argsort(-tighter[rest], kind="stable")]
                 bound, pos = tighter, 0
                 continue
-        v, _ = _bs_point(f, x, False)
-        if v > best or (v == best and x < best_at):
-            best, best_at = v, x
+        v = value(x, best, at)
+        evaluated += 1
+        if v > best or (v == best and x < at):
+            best, at = v, x
         pos += 1
-    return best, best_at
+    return best, at, evaluated
 
 
 def block_sensitivity(
@@ -311,12 +316,13 @@ def block_sensitivity(
     memoized packer of ``_bs_point``, at every arity.  Unpointed, it runs
     the one search of ``_LatticeMeasures.block_sensitivity``: the inputs in
     order of the bound s(f,x) + (n - s(f,x)) // 2, stopping once no input
-    left can beat the best (see ``_bs_search``).  That settles most random
-    functions at one to three inputs.  Where n inputs have not settled it
-    and the fold of the subcube table (``_subcube_fold``, without the DT
-    sweeps) fits its byte budget, up to n = 16, the fold is built and the
-    inputs left are searched under the certificate bound C(f,x) as well,
-    which is tight on the structured families.  The exhaustive scans
+    left can beat the best (``_best_first``, the search that salt runs
+    over its shifts too).  That settles most random functions at one to
+    three inputs.  Where n inputs have not settled it and the fold of the
+    subcube table (``_subcube_fold``, without the DT sweeps) fits its byte
+    budget, up to n = 16, the fold is built and the inputs left are
+    searched under the certificate bound C(f,x) as well, which is tight on
+    the structured families.  The exhaustive scans
     search nothing: at n <= 4 they read bs(f, x) and its family at every
     input from a table over the flip patterns p_x(y) = f(x ^ y) ^ f(x),
     built once per arity by this packer, run once per distinct antichain of
@@ -688,13 +694,13 @@ class _LatticeMeasures:
     table read, and the sweeps run only on the slab below the shallowest
     restriction of lower degree.
 
-    The unpointed bs search (``_bs_search``) runs under min(u(x), C(f,x)),
-    since bs(f,x) <= C(f,x), from its first input if the fold exists;
-    otherwise under u alone until n inputs have not settled it, and then
-    it builds the fold if it fits the byte budget, whatever the C and DT
-    ceilings say.  The search runs once: its value and smallest maximizer
-    are kept, so a later call with ``witness`` only packs the family at
-    that input.
+    The unpointed bs search (``_best_first`` over the inputs, valued by
+    ``_bs_point``) runs under min(u(x), C(f,x)), since bs(f,x) <= C(f,x),
+    from its first input if the fold exists; otherwise under u alone until
+    n inputs have not settled it, and then it builds the fold if it fits
+    the byte budget, whatever the C and DT ceilings say.  The search runs
+    once: its value and smallest maximizer are kept, so a later call with
+    ``witness`` only packs the family at that input.
     """
 
     def __init__(self, f: TruthTable, limits: dict):
@@ -763,10 +769,11 @@ class _LatticeMeasures:
         _ensure_limit("bs", f.n, self.limits.get("bs"))
         if self._bs is None:
             bound = _sensitivity_bound(self._sensitivities())
+            tighten = self._certificate_bound
             if self._fold is not None:
-                self._bs = _bs_search(f, self._certificate_bound(bound))
-            else:
-                self._bs = _bs_search(f, bound, self._certificate_bound)
+                bound, tighten = tighten(bound), None
+            search = _best_first(bound, lambda x, *_: _bs_point(f, x, False)[0], tighten, f.n)
+            self._bs = search[:2]
         val, point = self._bs
         return (val, _bs_point(f, point, True)[1]) if witness else val
 
@@ -932,12 +939,12 @@ def alternation(f: TruthTable, witness: bool = False):
     return alt, Chain(tuple(points))
 
 
-# Arity from which the salt search first tries the parity floor, then
-# orders its shifts by ``_chain_bound``.  Below it the bound's fixed cost,
-# about 7n + 20 numpy calls, is more than it saves, and the shifts run in
-# ascending order, as under a zero bound: mean per call over 20 random
-# functions, best of 15, ascending against ordered: 102-107 against 108-141
-# us at n = 5, 300-435 against 143-248 us at n = 6.
+# Arity from which the salt search tightens the parity floor by
+# ``_chain_bound`` after its first shift.  Below it the bound's fixed cost,
+# about 7n + 20 numpy calls, is more than it saves: mean per call over 20
+# random functions, best of 15, two runs on a 2-core VM, floor only against
+# floor and chain bound: 124-138 against 130-159 us at n = 5 (15.6 against
+# 1.9 shifts), 320-340 against 156-165 us at n = 6 (32 against 1.8).
 _BOUND_MIN_ARITY = 6
 
 
@@ -1111,47 +1118,27 @@ def _salt_search(f: TruthTable) -> tuple[int, int, int]:
 
     Every alt(f XOR b) has the parity of f(b) XOR f(~b), and is at least 1
     if f is not constant, so it is at least its parity floor: 1 where
-    f(b) != f(~b), else 2.  From ``_BOUND_MIN_ARITY`` on, the search first
-    evaluates the smallest shift of the least floor, capped at that floor
-    plus one, and returns it if it meets the floor: every smaller shift has
-    a larger floor, and a constant f reads 0 at shift 0.  Otherwise it
-    visits the shifts by ascending (``_chain_bound``, b), or by ascending b
-    below ``_BOUND_MIN_ARITY``, and stops at the first that can neither
-    beat the best value nor tie it at a smaller shift; the best is replaced
-    on a smaller value, or on an equal one at a smaller shift, so the result
-    is that of a scan of every shift.  Each shift runs alone on packed ints
-    (``_alternation_at_shift``), its level sets only up to the best value,
-    or one more when it lies below the best shift.
+    f(b) != f(~b), else 2, and 0 for a constant f.  The search
+    (``_best_first``) maximizes -alt(f XOR b) under -floor(b), so it first
+    evaluates the smallest shift of the least floor, and stops there if that
+    shift meets its floor.  From ``_BOUND_MIN_ARITY`` on, the shifts left
+    are then ordered by ``_chain_bound``.  Each shift runs alone on packed
+    ints (``_alternation_at_shift``), its level sets only up to the best
+    value so far, or one more when it lies below the best shift.
     """
     n = f.n
-    half = table_size(n) >> 1
+    half = max(1, table_size(n) >> 1)
     moves, full = _shift_moves(f.bits, n)
-    visited = 0
-    # the keys (bound, b) as bound << (n - 1) | b, sorted; below
-    # _BOUND_MIN_ARITY every bound reads 0
-    if n >= _BOUND_MIN_ARITY:
-        t = f.to_array()
-        odd = t[:half] != t[::-1][:half]  # f(b) != f(~b)
-        b = int(np.argmax(odd))
-        floor = 2 - int(odd[b])
-        value = _alternation_at_shift(moves, full, b, floor + 1)
-        if value <= floor:
-            return value, b, 1
-        visited = 1
-        order = np.sort((_chain_bound(f).astype(np.int64) << (n - 1)) | np.arange(half)).tolist()
-    else:
-        order = range(half)
-    best = (n, half)  # (value, shift); no shift is at half
-    pos, limit = 0, half  # every key lies below best's
-    while pos < limit:
-        b = order[pos] & (half - 1)
-        pos += 1
-        cap = min(best[0] + (b < best[1]), n)
-        found = (_alternation_at_shift(moves, full, b, cap), b)
-        if found < best:
-            best = found
-            limit = bisect_left(order, (best[0] << (n - 1)) + best[1])
-    return best[0], best[1], visited + pos
+    t = f.to_array()
+    odd = t[:half] != t[::-1][:half]  # f(b) != f(~b)
+    neg_floor = odd - 2 * (0 < f.bits < table_mask(n))
+
+    def alt(b, best, at):
+        return -_alternation_at_shift(moves, full, b, min(-best + (b < at), n))
+
+    tighten = (lambda _: -_chain_bound(f)) if n >= _BOUND_MIN_ARITY else None
+    best, at, evaluated = _best_first(neg_floor, alt, tighten, 1)
+    return -best, at, evaluated
 
 
 def alternation_under_shifts(f: TruthTable) -> np.ndarray:
@@ -1173,16 +1160,17 @@ def shift_invariant_alternation(
 
     Visits only the shifts b < 2**(n-1), since alt(f XOR b) equals
     alt(f XOR b XOR 1^n) (the chain runs in reverse).  The search
-    (``_salt_search``) first runs the smallest shift of the least parity
-    floor (1 where f(b) != f(~b), else 2), which settles salt on its own
-    where it meets that floor, as on majority, AND and OR.  Otherwise four
-    greedy chains between b and ~b bound each alt(f XOR b) from below
-    (``_chain_bound``), and the search visits the shifts by that bound,
-    skips those that cannot win, and runs each only up to the best value so
-    far: at most 2**(n-1) shifts x salt levels x n moves over 2**n points,
-    and on most functions a few dozen shifts, each run alone on packed ints.
-    For n < ``_BOUND_MIN_ARITY`` the floor and the bound cost more than they
-    save, and the shifts run in ascending order.
+    (``_salt_search``, the best-first search that bs runs over its inputs
+    too) visits the shifts by a lower bound on alt(f XOR b), skips those
+    that cannot win, and runs each only up to the best value so far.  The
+    bound is first the parity floor (1 where f(b) != f(~b), else 2), so
+    the first shift run is the smallest of the least floor, which settles
+    salt on its own where it meets that floor, as on majority, AND and OR.
+    Otherwise, from n = ``_BOUND_MIN_ARITY`` on, the shifts left are
+    ordered by the most changes of four greedy chains between b and ~b
+    (``_chain_bound``): at most 2**(n-1) shifts x salt levels x n moves
+    over 2**n points, and on most functions a few dozen shifts, each run
+    alone on packed ints.
     """
     _ensure_limit("salt", f.n, limit)
     best, best_shift, _ = _salt_search(f)

@@ -1,6 +1,9 @@
-"""The bound-pruned search of unpointed block sensitivity, against the
-brute-force oracles: its per-input bound, its witness, and where it stops;
-and the batched bs of the columns of a table matrix, against both."""
+"""The best-first search that bs and salt share, against brute force; the
+bound-pruned search of unpointed block sensitivity, against the brute-force
+oracles: its per-input bound, its witness, and where it stops; and the
+batched bs of the columns of a table matrix, against both."""
+
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from boolfn import _bulk, measures
 from boolfn._bulk import _tables, measure_arrays
 from boolfn.checks import inequality_suite
 from boolfn.families import gip, maj, parity, rubinstein, tree_function
-from boolfn.measures import _pointwise_sensitivity, _sensitivity_bound
+from boolfn.measures import _best_first, _pointwise_sensitivity, _sensitivity_bound
 
 from oracles import naive_block_sensitivity, random_table, table_matrix
 
@@ -34,6 +37,58 @@ def _seeded(seed, arities, per):
 
 def _u(f):
     return _sensitivity_bound(_pointwise_sensitivity(f.to_array()))
+
+
+def _best_first_logged(bound, values, tighten_to, after):
+    """``_best_first`` on ``values``, checking the best that each value call
+    is handed; also the positions evaluated and the tighten calls, each as
+    the number of positions evaluated before it."""
+    seen, calls = [], []
+
+    def value(x, best, at):
+        if seen:
+            top = max(values[y] for y in seen)
+            assert (best, at) == (top, min(y for y in seen if values[y] == top))
+        else:
+            assert best == -math.inf
+        seen.append(x)
+        return values[x]
+
+    def tighten(b):
+        assert b is bound
+        calls.append(len(seen))
+        return tighten_to
+
+    return _best_first(bound, value, tighten if after is not None else None, after or 0), seen, calls
+
+
+def test_best_first_matches_brute_force():
+    # random int values with ties, under bounds that are tight, loose and
+    # constant; no tighten, or one at a random ``after``, also at or past
+    # the size, that returns None, a tight bound or a looser one
+    rng = np.random.default_rng(36)
+    for trial in range(1200):
+        size = int(rng.integers(1, 40))
+        values = rng.integers(-6, 7, size)
+        kind, mode = trial % 3, trial // 3 % 4
+        bound = [values, values + rng.integers(0, 4, size), np.full(size, values.max())][kind]
+        tighten_to = [None, None, values, values + rng.integers(0, 2, size)][mode]
+        after = int(rng.integers(0, size + 3)) if mode else None
+        (best, at, evaluated), seen, calls = _best_first_logged(
+            bound, values.tolist(), tighten_to, after)
+        assert (best, at) == (values.max(), int(np.argmax(values)))
+        assert evaluated == len(seen) == len(set(seen)) <= size
+        if after is None or evaluated < after:
+            assert not calls
+        elif evaluated > after:
+            assert calls == [after]
+        else:
+            assert calls in ([], [after])
+        # under a tight bound the first position visited settles the search
+        if kind == 0 and after != 0:
+            assert evaluated == 1
+        if mode == 2 and calls:
+            assert evaluated <= after + 1
 
 
 def test_bound_dominates_oracle():

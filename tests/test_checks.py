@@ -265,9 +265,9 @@ def test_exhaustive_scan_crosscheck_catches_a_wrong_transform(monkeypatch):
 def test_exhaustive_scan_crosscheck_runs_one_bs_search_per_sampled_function(monkeypatch):
     # the report's kept search feeds both transforms at the maximizer, and
     # one family at 0 feeds bs(f,0), the transform there and the submatrix
-    # certificate
-    searches, search = [], measures._bs_search
-    monkeypatch.setattr(measures, "_bs_search", lambda *a: searches.append(1) or search(*a))
+    # certificate; each unpointed bs search builds its bound u once
+    searches, bound = [], measures._sensitivity_bound
+    monkeypatch.setattr(measures, "_sensitivity_bound", lambda s: searches.append(1) or bound(s))
     at_zero, pointed = [], measures.block_sensitivity
 
     def counted(f, at=None, **kw):

@@ -52,8 +52,9 @@ def test_salt_and_witness_match_oracles_exhaustive():
 
 
 def test_bound_ordered_search_matches_oracles_at_small_arity(monkeypatch):
-    # below _BOUND_MIN_ARITY the search runs in ascending order; the same
-    # search ordered by the bound, every function to n = 3, then sampled
+    # below _BOUND_MIN_ARITY the search runs under the parity floor alone;
+    # the same search tightened by the chain bound, every function to n = 3,
+    # then sampled
     monkeypatch.setattr(measures, "_BOUND_MIN_ARITY", 1)
     rng = np.random.default_rng(41)
     fs = [f for n in range(1, 4) for f in _every_function(n)]
@@ -186,8 +187,35 @@ def test_search_visits_one_shift_on_majority_and_and(monkeypatch):
         assert _salt_search(f) == (1, 0, 1)
 
 
+def test_search_evaluates_one_shift_where_the_first_meets_its_floor():
+    # the least parity floor's smallest shift runs first, at every arity;
+    # where it meets its floor, no other shift can win or tie below it
+    rng = np.random.default_rng(36)
+    cases = [f for n in range(1, 4) for f in _every_function(n)[1:-1]]
+    for n in range(4, 10):
+        for density in (0.05, 0.5, 0.95):
+            for _ in range(4):
+                ones = np.flatnonzero(rng.random(2**n) < density).tolist()
+                cases.append(TruthTable(n, sum(1 << x for x in ones)))
+        for k in (1, n // 2):
+            above = sum(1 << x for x in range(2**n) if x.bit_count() >= k)
+            cases.append(shift(TruthTable(n, above), int(rng.integers(0, 2**n))))
+    met = 0
+    for f in cases:
+        alts = alternation_under_shifts(f)
+        half = len(alts) // 2
+        floor = [2 - (f.value_at(b) != f.value_at(b ^ (2 * half - 1))) for b in range(half)]
+        first = floor.index(min(floor))
+        got = _salt_search(f)
+        assert got[:2] == (int(alts.min()), int(alts.argmin()))
+        if alts[first] == floor[first]:
+            assert got[2] == 1
+            met += 1
+    assert met >= 100
+
+
 def test_salt_search_matches_every_shift_across_densities():
-    # the parity floor's early return, and the ordered search after it,
+    # the shift of the least parity floor, and the ordered search after it,
     # against the min and argmin of every shift's alternation: on random
     # functions of each one-density, on thresholds, which meet the floor 1
     # at shift 0, and the same shifted at random, and on x1 XOR x2, which
