@@ -81,8 +81,8 @@ _LAZY = {
     for module, names in (
         ("transforms", ("TransformResult", "alt_to_s_linear", "bs_to_s_affine", "sherstov_linear")),
         ("families", (
-            "and_", "const", "from_family_spec", "gip", "ip", "maj", "or_", "or_compose",
-            "parity", "rubinstein", "rubinstein_row", "tree_function",
+            "and_", "compose", "const", "from_family_spec", "gip", "ip", "maj", "or_",
+            "or_compose", "parity", "rubinstein", "rubinstein_row", "tree_function",
         )),
         ("commlb", (
             "BitMatrix", "LowerBoundCertificate", "VerificationError", "and_matrix",

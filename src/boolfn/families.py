@@ -3,7 +3,9 @@
 All generators return plain ``TruthTable`` values and are deterministic.
 Each table is a numpy expression over the array of input indices (or, for
 the sparse ones, the packed int itself); ``TruthTable.from_callable`` is for
-callers' own per-input rules.
+callers' own per-input rules.  ``compose(outer, inners)`` is the one block
+composition: ``rubinstein`` (OR of rows), ``or_compose`` and ``gip`` (XOR of
+ANDs) are each one call of it.
 The text grammar ``fam:<name>:<k>=<v>,...`` (for example ``fam:tree:k=3`` or
 ``fam:rubinstein:m=4,n=4``) builds the same functions from the command line.
 """
@@ -19,6 +21,7 @@ __all__ = [
     "tree_function",
     "rubinstein_row",
     "rubinstein",
+    "compose",
     "or_compose",
     "gip",
     "ip",
@@ -71,38 +74,42 @@ def rubinstein_row(n: int) -> TruthTable:
     return TruthTable(n, sum(1 << (0b11 << i) for i in range(0, n - 1, 2)))
 
 
+def compose(outer: TruthTable, inners) -> TruthTable:
+    """h(x) = outer(g_1(block 1), ..., g_k(block k)), one inner per outer input.
+
+    Block i holds the inputs of ``inners[i]``, above those of the blocks
+    before it.
+    """
+    inners = list(inners)
+    if len(inners) != outer.n:
+        raise ValueError(f"the outer function takes {outer.n} inners, not {len(inners)}")
+    total = sum(g.n for g in inners)
+    _guard_arity(total)
+    # each point's outer input, built block by block: the inputs of each new
+    # block sit above those already placed, so its index is the major axis
+    index = np.zeros(1, dtype=np.min_scalar_type(table_size(outer.n) - 1))
+    for i, g in enumerate(inners):
+        index = ((g.to_array().astype(index.dtype) << i)[:, None] | index[None, :]).reshape(-1)
+    return TruthTable(total, pack(outer.to_array()[index]))
+
+
 def or_compose(fs) -> TruthTable:
     """OR of variable-disjoint copies: block i holds the inputs of fs[i]."""
-    fs = list(fs)
-    total = sum(f.n for f in fs)
-    _guard_arity(total)
-    # the inputs of each new piece sit above those already composed, so its
-    # index is the outer (major) axis
-    table = np.zeros(1, dtype=np.uint8)
-    for f in fs:
-        table = (f.to_array()[:, None] | table[None, :]).reshape(-1)
-    return TruthTable(total, pack(table))
+    return compose(or_(len(fs)), fs)
 
 
 def rubinstein(m: int, n: int) -> TruthTable:
     """OR of m disjoint row detectors on n variables each (an m x n grid)."""
     if m < 1:
         raise ValueError("need at least one row")
-    _guard_arity(m * n)
-    return or_compose([rubinstein_row(n)] * m)
+    return compose(or_(m), [rubinstein_row(n)] * m)
 
 
 def gip(n: int, k: int) -> TruthTable:
     """XOR of n disjoint k-wise ANDs; variable (i, j) sits at position (i-1)k + j."""
     if n < 1 or k < 1:
         raise ValueError("gip needs n, k >= 1")
-    _guard_arity(n * k)
-    z = np.arange(table_size(n * k), dtype=np.uint32)
-    block = (1 << k) - 1
-    acc = np.zeros(z.size, dtype=bool)
-    for i in range(n):
-        acc ^= (z >> (i * k)) & block == block
-    return TruthTable(n * k, pack(acc))
+    return compose(parity(n), [and_(k)] * n)
 
 
 def ip(n: int) -> TruthTable:
@@ -183,6 +190,8 @@ def from_family_spec(text: str) -> TruthTable:
             key = key.strip()
             if key not in argnames:
                 raise FormatError(f"family {name!r} takes {argnames}, not {key!r}")
+            if key in kwargs:
+                raise FormatError(f"family parameter {key!r} is given twice")
             try:
                 kwargs[key] = int(value)
             except ValueError:

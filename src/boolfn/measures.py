@@ -1220,10 +1220,13 @@ def sparsity(f: TruthTable, witness: bool = False):
 
 
 def validate_block_family(f: TruthTable, fam: BlockFamily) -> bool:
+    size = table_size(f.n)
+    if not 0 <= fam.point < size:
+        return False
     seen = 0
     base = f.value_at(fam.point)
     for b in fam.blocks:
-        if b == 0 or b & seen or b >= table_size(f.n):
+        if not 0 < b < size or b & seen:
             return False
         seen |= b
         if f.value_at(fam.point ^ b) == base:
@@ -1232,6 +1235,8 @@ def validate_block_family(f: TruthTable, fam: BlockFamily) -> bool:
 
 
 def validate_certificate_set(f: TruthTable, point: int, fixed_mask: int) -> bool:
+    if not (0 <= point < table_size(f.n) and 0 <= fixed_mask < table_size(f.n)):
+        return False
     free = [i for i in range(f.n) if not (fixed_mask >> i) & 1]
     base = None
     for y in range(1 << len(free)):
@@ -1260,6 +1265,18 @@ def validate_chain(f: TruthTable, chain: Chain, claimed_alt: int) -> bool:
     return changes == claimed_alt
 
 
+def _well_formed(tree, n: int, queries: int) -> bool:
+    """Is every node a leaf ``{"value": 0 or 1}`` or a query ``{"var": 1..n,
+    "low": ..., "high": ...}``, with at most ``queries`` queries on a path."""
+    if not isinstance(tree, dict):
+        return False
+    if tree.keys() == {"value"}:
+        return tree["value"] in (0, 1)
+    if queries == 0 or tree.keys() != {"var", "low", "high"} or tree["var"] not in range(1, n + 1):
+        return False
+    return _well_formed(tree["low"], n, queries - 1) and _well_formed(tree["high"], n, queries - 1)
+
+
 def _tree_eval(tree: dict, x: int) -> tuple[int, int]:
     """(value, depth used) of a witness tree at x."""
     if "value" in tree:
@@ -1270,6 +1287,8 @@ def _tree_eval(tree: dict, x: int) -> tuple[int, int]:
 
 
 def validate_decision_tree(f: TruthTable, tree: dict, claimed_depth: int) -> bool:
+    if not _well_formed(tree, f.n, f.n):
+        return False
     worst = 0
     for x in range(table_size(f.n)):
         v, d = _tree_eval(tree, x)

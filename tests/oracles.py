@@ -305,6 +305,23 @@ def naive_rubinstein_row(n):
     return TruthTable.from_callable(lambda x: 1 if x in accepted else 0, n)
 
 
+def naive_compose(outer, inners):
+    """outer(g_1(block 1), ..., g_k(block k)), block i above the blocks before it."""
+
+    def h(x):
+        y = 0
+        for i, g in enumerate(inners):
+            y |= g.value_at(x & ((1 << g.n) - 1)) << i
+            x >>= g.n
+        return outer.value_at(y)
+
+    return TruthTable.from_callable(h, sum(g.n for g in inners))
+
+
+def naive_rubinstein(m, n):
+    return naive_compose(naive_or(m), [naive_rubinstein_row(n)] * m)
+
+
 def naive_gip(n, k):
     block = (1 << k) - 1
 

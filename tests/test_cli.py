@@ -286,6 +286,7 @@ def test_usage_errors(capsys):
     (["measures", "tt:2:8", "--primes", "3317044064679887385961981"],
      "error: cannot test 3317044064679887385961981 for primality: the deterministic test "
      "is exact only below 3317044064679887385961981\n"),
+    (["measures", "fam:maj:n=3,n=5"], "error: family parameter 'n' is given twice\n"),
 ])
 def test_malformed_invocation_exits_2_with_empty_stdout(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", message)
@@ -521,8 +522,8 @@ _PUBLIC_NAMES = {
     ],
     "transforms": ["TransformResult", "alt_to_s_linear", "bs_to_s_affine", "sherstov_linear"],
     "families": [
-        "and_", "const", "from_family_spec", "gip", "ip", "maj", "or_", "or_compose", "parity",
-        "rubinstein", "rubinstein_row", "tree_function",
+        "and_", "compose", "const", "from_family_spec", "gip", "ip", "maj", "or_", "or_compose",
+        "parity", "rubinstein", "rubinstein_row", "tree_function",
     ],
     "commlb": [
         "BitMatrix", "LowerBoundCertificate", "VerificationError", "and_matrix",

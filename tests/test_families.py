@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
 
-from boolfn import MAX_ARITY, FormatError, TruthTable, alternation, modp_degree, sensitivity
+from boolfn import (
+    MAX_ARITY,
+    FormatError,
+    TruthTable,
+    alternation,
+    modp_degree,
+    real_degree,
+    sensitivity,
+    sparsity,
+)
 from boolfn.families import (
     and_,
+    compose,
     const,
     from_family_spec,
     gip,
@@ -19,11 +29,13 @@ from boolfn.families import (
 
 from oracles import (
     naive_and,
+    naive_compose,
     naive_gip,
     naive_ip,
     naive_maj,
     naive_or,
     naive_parity,
+    naive_rubinstein,
     naive_rubinstein_row,
     naive_tree_function,
     random_table,
@@ -35,6 +47,8 @@ _SMALL = 12
 _ORACLE_CASES = (
     [("tree", tree_function, naive_tree_function, (k,)) for k in (1, 2, 3)]
     + [("rubinstein_row", rubinstein_row, naive_rubinstein_row, (n,)) for n in range(1, _SMALL + 1)]
+    + [("rubinstein", rubinstein, naive_rubinstein, (m, n))
+       for m in range(1, _SMALL + 1) for n in range(1, _SMALL // m + 1)]
     + [("gip", gip, naive_gip, (n, k))
        for n in range(1, _SMALL + 1) for k in range(1, _SMALL // n + 1)]
     + [("ip", ip, naive_ip, (n,)) for n in range(1, _SMALL // 2 + 1)]
@@ -121,6 +135,51 @@ def test_or_compose_mixed_arity_layout():
         assert comp.value_at(x) == (f1.value_at(x & 0b11) | f2.value_at(x >> 2))
 
 
+def _random_function(rng, n):
+    return TruthTable(n, random_table(rng, n))
+
+
+def test_compose_matches_per_input_oracle():
+    rng = np.random.default_rng(37)
+    cases = 0
+    while cases < 200:
+        outer = _random_function(rng, int(rng.integers(0, 5)))
+        arities = [int(a) for a in rng.integers(0, 4, size=outer.n)]
+        if sum(arities) > 12:
+            continue
+        inners = [_random_function(rng, a) for a in arities]
+        assert compose(outer, inners) == naive_compose(outer, inners), (outer, inners)
+        cases += 1
+
+
+def test_compose_of_single_variables_is_the_outer_function():
+    x1 = TruthTable(1, 0b10)
+    rng = np.random.default_rng(38)
+    for f in [_random_function(rng, n) for n in range(6)] + [maj(5), gip(2, 3), const(1)]:
+        assert compose(f, [x1] * f.n) == f
+
+
+def test_compose_checks_its_arguments():
+    assert or_compose([]) == const(0)
+    with pytest.raises(ValueError, match="takes 2 inners, not 3"):
+        compose(and_(2), [and_(1)] * 3)
+    with pytest.raises(ValueError, match="takes 2 inners, not 1"):
+        compose(and_(2), [and_(1)])
+    with pytest.raises(ValueError, match="exceeds the table ceiling"):
+        compose(and_(2), [and_(12), and_(13)])
+
+
+def test_sort4_composed_with_itself():
+    # Ambainis's sort function: 1 iff x1..x4 is sorted up or down
+    sort4 = TruthTable(4, 0xD18B)
+    h = compose(sort4, [sort4] * 4)
+    assert h.n == 16
+    assert sensitivity(h) == 4
+    assert real_degree(h) == modp_degree(h, 2) == 4
+    assert sparsity(h) == 64
+    assert alternation(h) == 16
+
+
 def test_gip_inner():
     g = gip(2, 2)
     for z in range(16):
@@ -166,6 +225,7 @@ def test_family_spec_grammar():
         "fam:maj:n=abc",
         "fam:maj",               # missing params section
         "fam:tree:k=9",          # arity overflow
+        "fam:maj:n=3,n=5",       # repeated parameter
     ],
 )
 def test_family_spec_errors(bad):

@@ -369,6 +369,51 @@ def test_validate_chain_rejects_bad_chains(points, claimed):
     assert not validate_chain(maj(3), Chain(points), claimed)
 
 
+def _requery(tree):
+    """The same function, each leaf behind one more query of x1."""
+    if "value" in tree:
+        return {"var": 1, "low": tree, "high": tree}
+    return {**tree, "low": _requery(tree["low"]), "high": _requery(tree["high"])}
+
+
+_MAJ3_TREE = {"var": 1,
+              "low": {"var": 2, "low": {"value": 0},
+                      "high": {"var": 3, "low": {"value": 0}, "high": {"value": 1}}},
+              "high": {"var": 2, "low": {"var": 3, "low": {"value": 0}, "high": {"value": 1}},
+                       "high": {"value": 1}}}
+_LEAVES = {"low": {"value": 0}, "high": {"value": 1}}
+
+
+# each validator returns False, rather than True or an exception, on a
+# witness that does not fit maj(3): a point off the cube, a block or fixed
+# mask that is negative or has a bit at or above n, a malformed tree node, or
+# a tree path of more than n queries
+@pytest.mark.parametrize("validate,args", [
+    (validate_block_family, (BlockFamily(8, (0b011,)),)),
+    (validate_block_family, (BlockFamily(-1, (0b011,)),)),
+    (validate_block_family, (BlockFamily(0, (-0b100,)),)),
+    (validate_certificate_set, (8, 0b111)),
+    (validate_certificate_set, (-1, 0b111)),
+    (validate_certificate_set, (7, 0b1111)),
+    (validate_certificate_set, (7, -1)),
+    (validate_decision_tree, ({"var": 0, **_LEAVES}, 1)),
+    (validate_decision_tree, ({"var": 4, "low": _MAJ3_TREE, "high": _MAJ3_TREE}, 4)),
+    (validate_decision_tree, ({"var": 1, "low": {"value": 0}}, 1)),
+    (validate_decision_tree, ({"var": 1, "low": 0, "high": 1}, 1)),
+    (validate_decision_tree, ({"var": 1, "low": {"value": 2}, "high": {"value": 1}}, 1)),
+    (validate_decision_tree, ({**_MAJ3_TREE, "value": 0}, 3)),
+    (validate_decision_tree, (_requery(_MAJ3_TREE), 4)),
+], ids=[
+    "bs-point-past-2^n", "bs-negative-point", "bs-negative-block",
+    "C-point-past-2^n", "C-negative-point", "C-mask-bit-n", "C-negative-mask",
+    "DT-var-0", "DT-var-n+1", "DT-no-high", "DT-non-dict-node", "DT-leaf-2", "DT-extra-key",
+    "DT-path-over-n",
+])
+def test_validators_reject_malformed_witnesses(validate, args):
+    assert validate_decision_tree(maj(3), _MAJ3_TREE, 3)
+    assert not validate(maj(3), *args)
+
+
 def _flip_first_leaf(tree):
     if "value" in tree:
         return {"value": 1 - tree["value"]}
