@@ -444,16 +444,18 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple, tally: dict) -> None:
     So, tallied in id order, the slices give the report of one pass over
     all ids.
 
-    The slice's table matrix is measured once (``_bulk.measure_arrays``),
+    The slice's table matrix is packed once into lanes
+    (``measures._lanes``) and measured once (``_bulk.measure_arrays``),
     and every transform of the slice is built at once by the batch kernels
-    of ``transforms``, whose tables g(x) = f(A(x)) are read off f's lanes
-    (``transforms._gather``).  The alternation chains are walked on the
-    lanes of the slice's level sets (``measures._best_chains``, as for one
-    function), and f is read along each chain off its lanes, by elementwise
-    shifts with no index arithmetic.  The sparsity kernel runs again on the
-    chain maps' tables g.  The batch certificates join the measure arrays,
-    and one loop over the rows of ``_INEQUALITIES`` checks them all.  At
-    n <= 3 the kernel of ``commlb.submatrix_witness`` checks every
+    of ``transforms``, whose tables g(x) = f(A(x)) are read off those
+    lanes (``transforms._gather``).  The alternation chains are walked on
+    the same lanes (``measures._best_chains``, as for one function), and f
+    is read along each chain off them, by elementwise shifts with no index
+    arithmetic.  The sparsity kernel runs again, in int8, on the chain
+    maps' tables g.  The batch certificates join the measure arrays, and
+    one loop over the rows of ``_INEQUALITIES`` checks them all; a row
+    whose hypothesis holds on the whole slice reads its margins unmasked.
+    At n <= 3 the kernel of ``commlb.submatrix_witness`` checks every
     function's submatrix identity on its family at 0.
 
     On a deterministic subsample, the arrays, the transforms built from the
@@ -467,7 +469,8 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple, tally: dict) -> None:
     """
     # t holds one table per column, the table of id lo + r in column r
     t = _bulk._tables(n, lo, hi)
-    a = _bulk.measure_arrays(t, primes)
+    lanes = _lanes(t)
+    a = _bulk.measure_arrays(t, lanes, primes)
     a["n"] = n
     a["ids"] = ids = np.arange(lo, hi, dtype=np.int64)
     m = ids.size
@@ -476,18 +479,18 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple, tally: dict) -> None:
     # the transform constructions, batched over the function axis
     zeros = np.zeros(m, dtype=np.int64)
     batches = {
-        "bs2s0": _bs2s_rows(t, zeros, a["fam0"], "block-index"),
-        "bs2s": _bs2s_rows(t, a["bs_argmax"], a["fam_argmax"], "block-index"),
-        "alt2s": _alt2s_rows(t, *_best_chains(t, n)),
-        "sherstov": _sherstov_rows(t, a["bs_argmax"], a["fam_argmax"]),
+        "bs2s0": _bs2s_rows(t, lanes, zeros, a["fam0"], "block-index"),
+        "bs2s": _bs2s_rows(t, lanes, a["bs_argmax"], a["fam_argmax"], "block-index"),
+        "alt2s": _alt2s_rows(t, lanes, *_best_chains(lanes, n)),
+        "sherstov": _sherstov_rows(t, lanes, a["bs_argmax"], a["fam_argmax"]),
     }
     a.update({k: batch.cert for k, batch in batches.items()})
-    a["sparsity_g"] = _sparsities(_walsh_rows(batches["alt2s"].g, np.int32))
+    a["sparsity_g"] = _sparsities(_walsh_rows(batches["alt2s"].g, np.int8))
     # each chain sets one new bit per step from 0, so it ends at 1^n, and
     # it changes value alt(f) times; row j holds step j of every chain, and
     # the values along it are read from the tables packed into lanes
-    chain = np.ascontiguousarray(a["alt2s"]["chain"].T)
-    along = (_lanes(t) >> chain) & 1
+    chain = a["alt2s"]["chain"].T
+    along = (lanes >> chain) & 1
     steps = (chain[1:] > chain[:-1]) & (np.bitwise_count(chain[1:] ^ chain[:-1]) == 1)
     chain_ok = ((chain[0] == 0) & steps.all(axis=0)
                 & ((along[1:] != along[:-1]).sum(axis=0) == a["alt"]))
@@ -504,17 +507,19 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple, tally: dict) -> None:
         return entry
 
     for row, p, v in _rows(a, primes, by_prime=True):
-        applicable = np.broadcast_to(row.hypothesis(v), (m,))
+        applicable = row.hypothesis(v)  # True, or one bool per function
         bad = ~row.verdict(v) & applicable
-        covered = int(applicable.sum())
+        covered = int(np.count_nonzero(np.broadcast_to(applicable, (m,))))
         entry = count(row.name.format(p=p), row.scan_statement.format(p=p),
-                      covered - int(bad.sum()), covered)
+                      covered - int(np.count_nonzero(bad)), covered)
         if bad.any():
             entry.setdefault("first_fail", int(ids[np.argmax(bad)]))
         if covered and not row.holds:
-            margin = (row.right(v) - row.left(v))[applicable]
+            margin = row.right(v) - row.left(v)
+            if covered < m:
+                margin = np.where(applicable, margin, np.iinfo(margin.dtype).max)
             pos = int(np.argmin(margin))
-            tight = (int(margin[pos]), int(ids[np.flatnonzero(applicable)[pos]]))
+            tight = (int(margin[pos]), int(ids[pos]))
             entry["tightest"] = min(entry.get("tightest", tight), tight)
 
     c = a["sherstov"]
@@ -524,7 +529,7 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple, tally: dict) -> None:
         for r in np.flatnonzero(~c["factor4_holds"])[:_MAX_FINDINGS]]
     if n <= _SUBMATRIX_MAX_ARITY:
         # the certificate of submatrix_witness for every function at once
-        sub = _bs2s_rows(t, zeros, a["fam0"], "min-in-block")
+        sub = _bs2s_rows(t, lanes, zeros, a["fam0"], "min-in-block")
         w = _check_submatrix_rows(t, sub.g, a["fam0"])  # raises VerificationError on any mismatch
         count("submatrix_identity", "f(u&y) == g(u&y) on W x W", m)
 
@@ -818,9 +823,10 @@ def extremal_search(
         parts = []
         for lo, hi in _bulk._slices(n):
             t = _bulk._tables(n, lo, hi)
-            a = _bulk.measure_arrays(t, needs=row.needs)
+            lanes = _lanes(t)
+            a = _bulk.measure_arrays(t, lanes, needs=row.needs)
             if "sherstov" in row.needs:
-                a["sherstov"] = _sherstov_rows(t, a["bs_argmax"], a["fam_argmax"]).cert
+                a["sherstov"] = _sherstov_rows(t, lanes, a["bs_argmax"], a["fam_argmax"]).cert
             parts.append(_statistic_array(row, a))
         vals = np.concatenate(parts)
         ranked = ((float(vals[pos]), int(pos)) for pos in np.argsort(-vals, kind="stable")

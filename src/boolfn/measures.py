@@ -858,8 +858,10 @@ def dt_depth(f: TruthTable, witness: bool = False, limit: int | None = None):
 def _best_chains(table, n: int):
     """alt and the lexicographically smallest maximum-alternation chain of
     one packed table, a Python int at any n, as (int, list of the n + 1
-    chain points), or of every column of a (2**n, m) table matrix (n <= 6),
-    as ((m,) int64, (m, n + 1) int64).
+    chain points), or of every table of a (2**n, m) table matrix (n <= 6),
+    given as its (m,) lanes (``_lanes``), as ((m,) int64, (m, n + 1)
+    uint8); the chains are the transpose of the step-major array the walk
+    fills, so row j of ``chains.T`` is step j of every chain, contiguous.
 
     Reads the level sets run down from 1^n (``_level_sets`` at shift
     2**n - 1).  Level k is then {x : d[x] >= k}, with d[x] the most value
@@ -873,15 +875,13 @@ def _best_chains(table, n: int):
     in level d[x] - 1, or anywhere where d[x] = 0.  So one level is read
     per step, and f only to lower d.
 
-    One table reads each level and f as bytes, so every probe is O(1).  A
-    matrix walks every column at once on the lanes its level sets pack:
-    each step gathers one level of every column and takes the lowest of
+    One table reads each level and f as bytes, so every probe is O(1).
+    Lanes walk every table at once, on level sets packed the same way:
+    each step gathers one level of every table and takes the lowest of
     its points among the up neighbours of x.
     """
     size = table_size(n)
     batch = isinstance(table, np.ndarray)
-    if batch:
-        table = _lanes(table)
     moves, full = _shift_moves(table, n)
     levels = [full, *_level_sets(moves, full, size - 1, n + 1)]
     if not batch:
@@ -913,14 +913,14 @@ def _best_chains(table, n: int):
         up |= (y != every).astype(up.dtype) << y
     cols = np.arange(table.size)
     x, d = np.zeros(table.size, dtype=np.uint8), alt.astype(table.dtype)
-    points = np.zeros((table.size, n + 1), dtype=np.int64)
+    points = np.zeros((n + 1, table.size), dtype=np.uint8)
     for step in range(1, n + 1):
         reach = stack[d, cols] & up[x]
         y = np.bitwise_count(reach ^ (reach - 1)) - 1  # its lowest point
         d -= ((table >> x) ^ (table >> y)) & 1
         x = y
-        points[:, step] = x
-    return alt, points
+        points[step] = x
+    return alt, points.T
 
 
 def alternation(f: TruthTable, witness: bool = False):
@@ -1267,14 +1267,27 @@ def validate_chain(f: TruthTable, chain: Chain, claimed_alt: int) -> bool:
 
 def _well_formed(tree, n: int, queries: int) -> bool:
     """Is every node a leaf ``{"value": 0 or 1}`` or a query ``{"var": 1..n,
-    "low": ..., "high": ...}``, with at most ``queries`` queries on a path."""
-    if not isinstance(tree, dict):
-        return False
-    if tree.keys() == {"value"}:
-        return tree["value"] in (0, 1)
-    if queries == 0 or tree.keys() != {"var", "low", "high"} or tree["var"] not in range(1, n + 1):
-        return False
-    return _well_formed(tree["low"], n, queries - 1) and _well_formed(tree["high"], n, queries - 1)
+    "low": ..., "high": ...}``, with at most ``queries`` queries on a path.
+
+    Witness trees share the subtrees of equal restrictions, so each query
+    node is checked once per number of queries left below it: the memo keys
+    on both, since a subtree within the budget below one parent may exceed
+    it below a deeper one."""
+    memo: dict[tuple[int, int], bool] = {}
+
+    def ok(node, left: int) -> bool:
+        if not isinstance(node, dict):
+            return False
+        if node.keys() == {"value"}:
+            return node["value"] in (0, 1)
+        if left == 0 or node.keys() != {"var", "low", "high"} or node["var"] not in range(1, n + 1):
+            return False
+        key = (id(node), left)
+        if key not in memo:
+            memo[key] = ok(node["low"], left - 1) and ok(node["high"], left - 1)
+        return memo[key]
+
+    return ok(tree, queries)
 
 
 def _tree_eval(tree: dict, x: int) -> tuple[int, int]:

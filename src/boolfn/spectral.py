@@ -18,15 +18,20 @@ scalar for one table and an (m,) array for a matrix; ``measures``,
 The kernels run in a narrow exact dtype.  Every Moebius coefficient of a
 0/1 table, and every partial sum of its butterfly, is at most 2**(n-1) in
 absolute value, and every Walsh coefficient and every value its step
-passes through at most 2**n, so int32 is exact up to ``MAX_ARITY`` (24);
-``_bulk`` runs int16 and int32 at arity <= 4.  The
+passes through at most 2**n, so int32 is exact up to ``MAX_ARITY`` (24)
+and int8 up to n = 6.  ``_bulk`` runs both butterflies in int8 at arity
+<= 4, and so does the scan's sparsity of the chain maps' tables.  The
 measures (``real_degree``, ``modp_degree``, ``sparsity``) run in int32, and
 a report (``measures._measure_report``, ``commlb.bound_summary``) builds one
 int32 Moebius table per function: deg reads it, and every deg_p reads its
 residues mod p (``_residues``), which equal those of the integer
-coefficients.  The public arrays (``moebius_coefficients``,
-``walsh_coefficients``, ``spectrum`` and the sparsity witness's
-``SpectrumRep``) stay int64.
+coefficients.  The residues come from floor division, ``c - c // p * p``,
+which numpy runs by a precomputed multiply for a scalar divisor, where its
+``%`` divides every entry: on the 16 x 16,384 int16 Moebius matrix of an
+n = 4 slice (2-core Xeon VM, best of 30) ``%`` took 0.6-0.9 ms per prime
+and floor division 0.08-0.10 ms, and 0.04-0.06 ms in int8.  The public arrays
+(``moebius_coefficients``, ``walsh_coefficients``, ``spectrum`` and the
+sparsity witness's ``SpectrumRep``) stay int64.
 """
 
 from __future__ import annotations
@@ -119,13 +124,18 @@ def _walsh_step(lo: np.ndarray, hi: np.ndarray) -> None:
 
 
 def _residues(coeffs: np.ndarray, p: int) -> np.ndarray:
-    """The integer coefficients mod the prime p, for their zero tests.
+    """The integer coefficients mod the prime p, in [0, p), for their zero
+    tests: those of ``coeffs % p``, by floor division (module docstring).
 
-    Where p exceeds the dtype's maximum, that maximum bounds every
-    |coefficient| below p, so no nonzero coefficient is a multiple of p and
-    the table comes back unchanged (deg_p = deg); ``coeffs % p`` would not
-    fit p into the dtype."""
-    return coeffs if p > np.iinfo(coeffs.dtype).max else coeffs % p
+    ``coeffs // p * p`` may wrap around the dtype, but the difference is
+    exact all the same: the wraps cancel mod 2**bits, and the true residue
+    lies in [0, p), inside the dtype.  Where p exceeds the dtype's maximum,
+    that maximum bounds every |coefficient| below p, so no nonzero
+    coefficient is a multiple of p and the table comes back unchanged
+    (deg_p = deg); p would not fit into the dtype."""
+    if p > np.iinfo(coeffs.dtype).max:
+        return coeffs
+    return coeffs - coeffs // p * p
 
 
 def _moebius_rows(t: np.ndarray, dtype) -> np.ndarray:
@@ -159,9 +169,10 @@ def moebius_coefficients(f: TruthTable) -> np.ndarray:
 
 
 def moebius_coefficients_mod(f: TruthTable, p: int) -> np.ndarray:
-    """Multilinear coefficients reduced modulo the prime p."""
+    """Multilinear coefficients reduced modulo the prime p (``_residues``:
+    above int64's maximum, the integer coefficients themselves)."""
     _check_primes((p,))
-    return moebius_coefficients(f) % p
+    return _residues(moebius_coefficients(f), p)
 
 
 def walsh_coefficients(f: TruthTable) -> np.ndarray:
@@ -196,7 +207,7 @@ class SpectrumRep:
         vals = butterfly(self.coeffs.astype(np.int64), step)
         if self.basis == MOEBIUS_MOD_P:
             assert self.p is not None
-            vals %= self.p
+            vals = _residues(vals, self.p)
         elif self.basis == WALSH:
             vals = (1 - (vals >> self.n)) // 2  # self-inverse up to the factor 2**n
         if not np.isin(vals, (0, 1)).all():

@@ -23,7 +23,7 @@ from ._bitops import mask_indices, pack, point_to_str, table_size
 from .core import AffineMap, TruthTable, affine_images, tt_serialize
 from .measures import (
     BlockFamily,
-    _lanes,
+    _lane,
     _pointwise_sensitivity,
     alternation,
     block_sensitivity,
@@ -76,9 +76,10 @@ class TransformResult:
 
 # ---------------------------------------------------------------------------
 # batch kernels: each transform built for every function of a (2**n, m)
-# table matrix, one table per column, with the per-function records (points,
-# blocks, map columns, chains) one row each; the per-function constructions
-# below are their m = 1 case
+# table matrix, one table per column, and its lanes, packed once by the
+# caller (``measures._lanes``; None above n = 6), with the per-function
+# records (points, blocks, map columns, chains) one row each; the
+# per-function constructions below are their m = 1 case (``_one``)
 
 
 @dataclass(frozen=True)
@@ -131,24 +132,33 @@ def _place_on_low_bit(cols: np.ndarray, parts: np.ndarray) -> None:
         cols |= ((part & -part) == unit) * part
 
 
-def _gather(tables: np.ndarray, columns: np.ndarray, shifts) -> tuple[np.ndarray, np.ndarray]:
+def _one(f: TruthTable) -> tuple[np.ndarray, np.ndarray | None]:
+    """The batch kernels' input for one function: its (2**n, 1) table
+    matrix and, up to n = 6, its lane, which is its packed table."""
+    lanes = np.array([f.bits], dtype=_lane(f.n)) if f.n <= 6 else None
+    return f.to_array()[:, None], lanes
+
+
+def _gather(tables: np.ndarray, lanes, columns: np.ndarray,
+            shifts) -> tuple[np.ndarray, np.ndarray]:
     """Image tables of the maps and the tables of g(x) = f(A(x)), (2**n, m).
 
-    Up to n = 6 every table fits one lane (``measures._lanes``), so entry
-    (x, r) of g is ``(lanes[r] >> A_r(x)) & 1``: one elementwise pass with no
-    index arithmetic.  On a 16,384-column slice at n = 4 (2-core Xeon VM,
-    best of 30) that takes 0.10 ms plus 0.07 ms to pack, where
-    ``np.take_along_axis`` takes 1.2-2.1 ms.  Above n = 6 only per-function
-    calls come here, and they take the entries with ``take_along_axis``.
+    Up to n = 6 every table fits one lane, so entry (x, r) of g is
+    ``(lanes[r] >> A_r(x)) & 1``: one elementwise pass with no index
+    arithmetic.  On a 16,384-column slice at n = 4 (2-core Xeon VM, best of
+    30) that takes 0.10 ms, where ``np.take_along_axis`` takes 1.2-2.1 ms;
+    the caller packs the lanes once (0.07 ms) for all its gathers.  Above
+    n = 6 only per-function calls come here, with no lanes, and they take
+    the entries with ``take_along_axis``.
     """
     n = columns.shape[1]
     img = affine_images(n, columns, shifts)
     if n > 6:
         return img, np.take_along_axis(tables, img, axis=0)
-    return img, (np.right_shift(_lanes(tables), img) & 1).astype(tables.dtype)
+    return img, (np.right_shift(lanes, img) & 1).astype(tables.dtype)
 
 
-def _bs2s_rows(tables, points, blocks, placement: str) -> _Batch:
+def _bs2s_rows(tables, lanes, points, blocks, placement: str) -> _Batch:
     n = blocks.shape[1]
     by_block = np.ascontiguousarray(blocks.T)  # row j: block j of every function
     if placement == "block-index":
@@ -158,7 +168,7 @@ def _bs2s_rows(tables, points, blocks, placement: str) -> _Batch:
         _place_on_low_bit(cols, by_block)
     else:
         raise ValueError(f"unknown placement {placement!r}")
-    _, g = _gather(tables, cols.T, points)
+    _, g = _gather(tables, lanes, cols.T, points)
     k = np.count_nonzero(by_block, axis=0)
     # s(g, 0): the unit points where g differs from g(0)
     sg0 = (g[[1 << i for i in range(n)]] != g[0]).sum(axis=0)
@@ -199,13 +209,13 @@ def _bs2s_certificate(batch: _Batch, r: int) -> dict:
     }
 
 
-def _alt2s_rows(tables, alt, chains) -> _Batch:
+def _alt2s_rows(tables, lanes, alt, chains) -> _Batch:
     """``alt_to_s_linear`` for every function of a (2**n, m) table matrix,
     from its alt values, (m,), and maximum-alternation chains, (m, n + 1),
     as ``measures._best_chains`` gives them."""
     m = tables.shape[1]
     shifts = np.zeros(m, dtype=np.int64)
-    img, g = _gather(tables, chains[:, 1:], shifts)
+    img, g = _gather(tables, lanes, chains[:, 1:], shifts)
     # a linear map is invertible iff its image table is a permutation, that
     # is iff no x != 0 maps to A(0): A(x) == A(y) iff A(x ^ y) == A(0)
     invertible = (img[1:] != img[0]).all(axis=0)
@@ -237,7 +247,7 @@ def _alt2s_certificate(batch: _Batch, r: int) -> dict:
     }
 
 
-def _sherstov_rows(tables, z, blocks) -> _Batch:
+def _sherstov_rows(tables, lanes, z, blocks) -> _Batch:
     m, n = blocks.shape
     # one function per column, so every pass below runs over whole rows
     by_block = np.ascontiguousarray(blocks.T)
@@ -249,7 +259,7 @@ def _sherstov_rows(tables, z, blocks) -> _Batch:
     _place_on_low_bit(cols, zeros)
     _place_on_low_bit(cols, ones)
     shifts = np.zeros(m, dtype=np.int64)
-    _, g = _gather(tables, cols.T, shifts)
+    _, g = _gather(tables, lanes, cols.T, shifts)
     sg = _pointwise_sensitivity(g).max(axis=0).astype(np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = k / (sg * sg)
@@ -321,7 +331,7 @@ def _bs2s_from_family(
 ) -> TransformResult:
     """``bs_to_s_affine`` at ``fam.point`` on a witness family already found."""
     blocks = _block_rows(f.n, fam.blocks)
-    return _bs2s_rows(f.to_array()[:, None], np.array([fam.point]), blocks, placement).result(0, f)
+    return _bs2s_rows(*_one(f), np.array([fam.point]), blocks, placement).result(0, f)
 
 
 def alt_to_s_linear(f: TruthTable) -> TransformResult:
@@ -333,7 +343,7 @@ def alt_to_s_linear(f: TruthTable) -> TransformResult:
     recorded rather than assumed.
     """
     alt, chain = alternation(f, witness=True)
-    return _alt2s_rows(f.to_array()[:, None], np.array([alt]), np.array([chain.points])).result(0, f)
+    return _alt2s_rows(*_one(f), np.array([alt]), np.array([chain.points])).result(0, f)
 
 
 def sherstov_linear(f: TruthTable, limit: int | None = None) -> TransformResult:
@@ -353,4 +363,4 @@ def sherstov_linear(f: TruthTable, limit: int | None = None) -> TransformResult:
 def _sherstov_from_family(f: TruthTable, fam: BlockFamily) -> TransformResult:
     """``sherstov_linear`` on a witness family already found by a bs search."""
     blocks = _block_rows(f.n, fam.blocks)
-    return _sherstov_rows(f.to_array()[:, None], np.array([fam.point]), blocks).result(0, f)
+    return _sherstov_rows(*_one(f), np.array([fam.point]), blocks).result(0, f)

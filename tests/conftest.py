@@ -11,10 +11,12 @@ def bulk_n4_rows():
     """The ``_bulk.measure_arrays`` entries of some 4-variable function ids,
     as {key: {id: value}}, from one call on the table matrix of those ids."""
     from boolfn._bulk import measure_arrays
+    from boolfn.measures import _lanes
     from oracles import table_matrix
 
     def rows(ids) -> dict:
-        a = measure_arrays(table_matrix(4, ids))
+        t = table_matrix(4, ids)
+        a = measure_arrays(t, _lanes(t))
         return {key: {int(fid): values[r] for r, fid in enumerate(ids)}
                 for key, values in a.items()}
 

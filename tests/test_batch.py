@@ -25,6 +25,7 @@ from boolfn.core import affine_images
 from boolfn.measures import (
     Chain,
     _best_chains,
+    _lanes,
     _minimal_blocks,
     _pointwise_sensitivity,
     _sensitive_profile,
@@ -45,7 +46,7 @@ from oracles import (
 def _batch_inputs(t):
     """The smallest bs maximizer of each column of the table matrix t, and
     its block families at 0 and there, as ``measure_arrays`` reports them."""
-    a = measure_arrays(t)
+    a = measure_arrays(t, _lanes(t))
     return a["bs_argmax"], a["fam0"], a["fam_argmax"]
 
 
@@ -63,12 +64,13 @@ def _check_rows(n, ids):
     t = np.stack([f.to_array() for f in functions], axis=1)
     amax, fam0, fam_max = _batch_inputs(t)
     zero = np.zeros(len(functions), dtype=np.int64)
+    lanes = _lanes(t)
     batches = (
-        _bs2s_rows(t, zero, fam0, "block-index"),
-        _bs2s_rows(t, amax, fam_max, "block-index"),
-        _bs2s_rows(t, amax, fam_max, "min-in-block"),
-        _alt2s_rows(t, *_best_chains(t, n)),
-        _sherstov_rows(t, amax, fam_max),
+        _bs2s_rows(t, lanes, zero, fam0, "block-index"),
+        _bs2s_rows(t, lanes, amax, fam_max, "block-index"),
+        _bs2s_rows(t, lanes, amax, fam_max, "min-in-block"),
+        _alt2s_rows(t, lanes, *_best_chains(lanes, n)),
+        _sherstov_rows(t, lanes, amax, fam_max),
     )
     for r, f in enumerate(functions):
         a = int(amax[r])
@@ -100,8 +102,9 @@ def test_batched_kernels_match_per_function_columns(n, m):
     moebius = _moebius_rows(t, np.int16)
     walsh = _walsh_rows(t, np.int32)
     degrees, sparsities = _degrees(moebius), _sparsities(walsh)
-    img, g = _gather(t, cols, shifts)
-    alt, chains = _best_chains(t, n)
+    lanes = _lanes(t)
+    img, g = _gather(t, lanes, cols, shifts)
+    alt, chains = _best_chains(lanes, n)
     assert sens.shape == moebius.shape == walsh.shape == img.shape == g.shape == (2**n, m)
     assert degrees.shape == sparsities.shape == alt.shape == (m,)
     assert chains.shape == (m, n + 1)
@@ -165,12 +168,13 @@ def test_batched_rows_match_per_function_sampled_above_bulk_arity(n):
     amax = np.array([fam.point for fam in fam_max])
     blocks0 = np.concatenate([_block_rows(n, fam.blocks) for fam in fam0])
     blocks_max = np.concatenate([_block_rows(n, fam.blocks) for fam in fam_max])
+    lanes = _lanes(t)
     batches = (
-        _bs2s_rows(t, zero, blocks0, "block-index"),
-        _bs2s_rows(t, amax, blocks_max, "block-index"),
-        _bs2s_rows(t, amax, blocks_max, "min-in-block"),
-        _alt2s_rows(t, *_best_chains(t, n)),
-        _sherstov_rows(t, amax, blocks_max),
+        _bs2s_rows(t, lanes, zero, blocks0, "block-index"),
+        _bs2s_rows(t, lanes, amax, blocks_max, "block-index"),
+        _bs2s_rows(t, lanes, amax, blocks_max, "min-in-block"),
+        _alt2s_rows(t, lanes, *_best_chains(lanes, n)),
+        _sherstov_rows(t, lanes, amax, blocks_max),
     )
     for r, f in enumerate(functions):
         a = int(amax[r])
@@ -190,8 +194,9 @@ def test_batched_block_transform_against_oracles(n):
     t = _tables(n, 0, 1 << (1 << n))
     amax, fam0, fam_max = _batch_inputs(t)
     zero = np.zeros(t.shape[1], dtype=np.int64)
-    at_zero = _bs2s_rows(t, zero, fam0, "block-index")
-    at_max = _bs2s_rows(t, amax, fam_max, "block-index")
+    lanes = _lanes(t)
+    at_zero = _bs2s_rows(t, lanes, zero, fam0, "block-index")
+    at_max = _bs2s_rows(t, lanes, amax, fam_max, "block-index")
     for r in range(t.shape[1]):
         f = TruthTable(n, r)
         for batch, a in ((at_zero, 0), (at_max, int(amax[r]))):
@@ -203,7 +208,7 @@ def test_batched_block_transform_against_oracles(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_batched_alternation_chains_against_oracle(n):
     t = _tables(n, 0, 1 << (1 << n))
-    _, chains = _best_chains(t, n)
+    _, chains = _best_chains(_lanes(t), n)
     for r in range(t.shape[1]):
         assert tuple(int(p) for p in chains[r]) == naive_best_chain(TruthTable(n, r))
 
@@ -243,7 +248,7 @@ def _check_batch_walk(t, ids):
     """The batch walk of the table matrix t gives, column by column, alt and
     the chain of the plain-int walk of each table in ``ids``."""
     n = t.shape[0].bit_length() - 1
-    alt, chains = _best_chains(t, n)
+    alt, chains = _best_chains(_lanes(t), n)
     assert alt.shape == (len(ids),) and chains.shape == (len(ids), n + 1)
     for r, bits in enumerate(ids):
         assert (int(alt[r]), chains[r].tolist()) == _best_chains(int(bits), n)

@@ -21,7 +21,7 @@ from boolfn import _bulk, measures
 from boolfn._bulk import _tables, measure_arrays
 from boolfn.checks import inequality_suite
 from boolfn.families import gip, maj, parity, rubinstein, tree_function
-from boolfn.measures import _best_first, _pointwise_sensitivity, _sensitivity_bound
+from boolfn.measures import _best_first, _lanes, _pointwise_sensitivity, _sensitivity_bound
 
 from oracles import naive_block_sensitivity, random_table, table_matrix
 
@@ -252,8 +252,8 @@ def _check_against_api(a, functions, oracles=False):
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_batched_search_every_function(n):
     t = _tables(n, 0, 2 ** (2**n))
-    _check_against_api(measure_arrays(t), [TruthTable(n, bits) for bits in range(t.shape[1])],
-                       oracles=True)
+    functions = [TruthTable(n, bits) for bits in range(t.shape[1])]
+    _check_against_api(measure_arrays(t, _lanes(t)), functions, oracles=True)
 
 
 def test_batched_search_columns_that_need_more_visits():
@@ -265,9 +265,10 @@ def test_batched_search_columns_that_need_more_visits():
     ids = [int(x) for x in rng.permutation(ids + ids[:10])]
     functions = [parity(4), rubinstein(2, 2), gip(2, 2)] + [TruthTable(4, fid) for fid in ids]
     t = table_matrix(4, [f.bits for f in functions])
-    a = measure_arrays(t, needs=("sherstov",))
+    a = measure_arrays(t, _lanes(t), needs=("sherstov",))
     _check_against_api(a, functions, oracles=True)
-    slices = {lo: measure_arrays(_tables(4, lo, hi), needs=("bs",)) for lo, hi in _bulk._slices(4)}
+    tables = {lo: _tables(4, lo, hi) for lo, hi in _bulk._slices(4)}
+    slices = {lo: measure_arrays(s, _lanes(s), needs=("bs",)) for lo, s in tables.items()}
     for r, fid in enumerate(ids, start=3):
         at = slices[fid - fid % _bulk._SLICE]
         for key in ("bs", "bs0", "bs_argmax", "depends_on_all"):

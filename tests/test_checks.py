@@ -25,6 +25,7 @@ from boolfn.families import gip, maj, parity, rubinstein, tree_function
 from boolfn.measures import (
     ArityLimitError,
     _depth_sweeps,
+    _lanes,
     _subcube_fold,
     alternation,
     block_sensitivity,
@@ -107,7 +108,8 @@ def _assert_column_matches_api(a, r, f):
 
 
 def test_bulk_arrays_match_api_exhaustively_n2():
-    a = measure_arrays(_tables(2, 0, 16))
+    t = _tables(2, 0, 16)
+    a = measure_arrays(t, _lanes(t))
     for bits in range(16):
         _assert_column_matches_api(a, bits, TruthTable(2, bits))
 
@@ -140,7 +142,7 @@ def test_measure_arrays_dt_sweeps_only_below_n_as_the_full_sweeps_do(needs):
     for lo, hi in _bulk._slices(4):
         t = _tables(4, lo, hi)
         full = _depth_sweeps(_subcube_fold(t)[0])[(2,) * 4]
-        dt = measure_arrays(t, needs=needs)["DT"]
+        dt = measure_arrays(t, _lanes(t), needs=needs)["DT"]
         assert np.array_equal(dt, full), lo
         assert (dt < 4).any() and (dt == 4).any()
 
@@ -151,9 +153,9 @@ def test_measure_arrays_needs_returns_the_full_values(n, lo, hi):
     """Naming a statistic's measures returns a subset of the full call, equal
     on every key, and enough to evaluate the statistic."""
     t = _tables(n, lo, hi)
-    full = measure_arrays(t)
+    full = measure_arrays(t, _lanes(t))
     for row in checks._STATISTICS.values():
-        part = measure_arrays(t, needs=row.needs)
+        part = measure_arrays(t, _lanes(t), needs=row.needs)
         assert set(part) < set(full)
         for key, values in part.items():
             assert np.array_equal(values, full[key]), (row.name, key)
@@ -171,7 +173,8 @@ def _id_range_columns(n, ids, needs):
     for lo, hi in _bulk._slices(n):
         inside = [fid for fid in ids if lo <= fid < hi]
         if inside:
-            a = measure_arrays(_tables(n, lo, hi), needs=needs)
+            t = _tables(n, lo, hi)
+            a = measure_arrays(t, _lanes(t), needs=needs)
             for fid in inside:
                 at[fid] = {key: values[fid - lo] for key, values in a.items()}
     return {key: np.array([at[fid][key] for fid in ids]) for key in at[ids[0]]}
@@ -189,11 +192,11 @@ def test_measure_arrays_on_columns_that_are_not_an_id_range(n):
     ids = [f.bits for f in fams] + [int(b) for b in rng.permutation(drawn + drawn[:5])]
     t = table_matrix(n, ids)
     for needs in [None] + [row.needs for row in checks._STATISTICS.values()]:
-        got, want = measure_arrays(t, needs=needs), _id_range_columns(n, ids, needs)
+        got, want = measure_arrays(t, _lanes(t), needs=needs), _id_range_columns(n, ids, needs)
         assert set(got) == set(want)
         for key, values in got.items():
             assert np.array_equal(values, want[key]), (needs, key)
-    a = measure_arrays(t)
+    a = measure_arrays(t, _lanes(t))
     for r, f in enumerate(fams):
         _assert_column_matches_api(a, r, f)
 
@@ -216,8 +219,8 @@ def test_exhaustive_scan_submatrix_mismatch_raises(monkeypatch):
     smallest failing id in the text ``submatrix_witness`` raises."""
     real = checks._bs2s_rows
 
-    def wrong_g(tables, points, blocks, placement):
-        batch = real(tables, points, blocks, placement)
+    def wrong_g(tables, lanes, points, blocks, placement):
+        batch = real(tables, lanes, points, blocks, placement)
         if placement != "min-in-block":
             return batch
         g = batch.g.copy()

@@ -425,10 +425,13 @@ def test_repeated_prime_exits_2_before_any_work(monkeypatch, capsys, argv, prime
     ["check", "function", "tt:2:8", "--primes", "2147483659"],
     ["check", "exhaustive:2", "--primes", "32771"],
     ["measures", "tt:2:8", "--primes", "18446744073709551557"],
+    ["check", "exhaustive:2", "--primes", "131"],
+    ["check", "exhaustive:2", "--primes", "127"],
 ])
 def test_prime_above_the_kernels_integer_type_is_valid_input(capsys, argv):
-    # the Moebius tables are int32 (one function) and int16 (the scan); a
-    # prime above the type's maximum divides no nonzero coefficient
+    # the Moebius tables are int32 (one function) and int8 (the scan); a
+    # prime above the type's maximum divides no nonzero coefficient and
+    # leaves the table as it is, and 127, int8's maximum, is reduced in int8
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     data, p = json.loads(out), int(argv[-1])
@@ -442,7 +445,8 @@ def test_prime_above_the_kernels_integer_type_is_valid_input(capsys, argv):
         assert row["left"] == row["right"] == 2
     else:
         assert data["ok"]
-        a = _bulk.measure_arrays(_bulk._tables(2, 0, 16), (p,))
+        t = _bulk._tables(2, 0, 16)
+        a = _bulk.measure_arrays(t, measures._lanes(t), (p,))
         assert a[f"deg_{p}"].tolist() == a["deg"].tolist()
 
 

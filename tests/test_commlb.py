@@ -17,6 +17,7 @@ from boolfn import (
 from boolfn._bitops import pack
 from boolfn._bulk import _tables, measure_arrays
 from boolfn.families import and_, gip, maj, or_, parity, rubinstein
+from boolfn.measures import _lanes
 from boolfn.transforms import _bs2s_rows
 
 from oracles import naive_dt, random_table
@@ -144,8 +145,9 @@ def test_batched_submatrix_rows_match_submatrix_witness(n):
     packer's family at 0 on every function of arity <= 3."""
     m = 1 << (1 << n)
     t = _tables(n, 0, m)
-    fam0 = measure_arrays(t)["fam0"]
-    sub = _bs2s_rows(t, np.zeros(m, dtype=np.int64), fam0, "min-in-block")
+    lanes = _lanes(t)
+    fam0 = measure_arrays(t, lanes)["fam0"]
+    sub = _bs2s_rows(t, lanes, np.zeros(m, dtype=np.int64), fam0, "min-in-block")
     w = commlb._check_submatrix_rows(t, sub.g, fam0)
     assert w.shape == (m, 2**n)
     for r in range(m):

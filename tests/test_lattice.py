@@ -23,7 +23,7 @@ from boolfn import (
 )
 from boolfn import commlb, measures
 from boolfn._bulk import _tables, measure_arrays
-from boolfn.measures import _LatticeMeasures, _subcube_fold, _table_bytes
+from boolfn.measures import _LatticeMeasures, _lanes, _subcube_fold, _table_bytes
 from boolfn.families import and_, gip, ip, maj, or_, parity, rubinstein, tree_function
 
 from oracles import (
@@ -303,7 +303,8 @@ def test_dt_slab_take_matches_the_strided_view():
 
 def test_bulk_certificate_and_dt_match_oracles(bulk_n4_rows):
     for n in range(4):
-        a = measure_arrays(_tables(n, 0, 2 ** (2**n)))
+        t = _tables(n, 0, 2 ** (2**n))
+        a = measure_arrays(t, _lanes(t))
         for f in _every_function(n):
             assert a["C"][f.bits] == naive_certificate(f)
             assert a["DT"][f.bits] == naive_dt(f)

@@ -382,6 +382,13 @@ _MAJ3_TREE = {"var": 1,
               "high": {"var": 2, "low": {"var": 3, "low": {"value": 0}, "high": {"value": 1}},
                        "high": {"value": 1}}}
 _LEAVES = {"low": {"value": 0}, "high": {"value": 1}}
+# x2 AND x3, shared by two parents of maj(3)'s tree: below x1 = 0 its paths
+# make 3 queries, and below the repeated query of x1 at x1 = x2 = 1, a slot
+# no input reaches, they would make 5
+_SHARED = {"var": 2, "low": {"value": 0}, "high": {"var": 3, **_LEAVES}}
+_SHARED_OVER_N = {"var": 1, "low": _SHARED,
+                  "high": {"var": 2, "low": {"var": 3, **_LEAVES},
+                           "high": {"var": 1, "low": _SHARED, "high": {"value": 1}}}}
 
 
 # each validator returns False, rather than True or an exception, on a
@@ -403,11 +410,12 @@ _LEAVES = {"low": {"value": 0}, "high": {"value": 1}}
     (validate_decision_tree, ({"var": 1, "low": {"value": 2}, "high": {"value": 1}}, 1)),
     (validate_decision_tree, ({**_MAJ3_TREE, "value": 0}, 3)),
     (validate_decision_tree, (_requery(_MAJ3_TREE), 4)),
+    (validate_decision_tree, (_SHARED_OVER_N, 3)),
 ], ids=[
     "bs-point-past-2^n", "bs-negative-point", "bs-negative-block",
     "C-point-past-2^n", "C-negative-point", "C-mask-bit-n", "C-negative-mask",
     "DT-var-0", "DT-var-n+1", "DT-no-high", "DT-non-dict-node", "DT-leaf-2", "DT-extra-key",
-    "DT-path-over-n",
+    "DT-path-over-n", "DT-shared-subtree-over-n",
 ])
 def test_validators_reject_malformed_witnesses(validate, args):
     assert validate_decision_tree(maj(3), _MAJ3_TREE, 3)

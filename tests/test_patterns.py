@@ -96,7 +96,7 @@ def test_each_table_is_built_once_per_arity_and_is_read_only(monkeypatch):
         build.cache_clear()
     needs = ("sherstov", "C", "alt", "salt")
     t = _tables(3, 0, 256)
-    first = measure_arrays(t, needs=needs)
+    first = measure_arrays(t, _lanes(t), needs=needs)
 
     def rebuilt(*args):
         raise AssertionError("a pattern table was built again")
@@ -105,13 +105,14 @@ def test_each_table_is_built_once_per_arity_and_is_read_only(monkeypatch):
     for name in ("_minimal_blocks", "_make_packer", "_lex_min_family", "_subcube_fold",
                  "_shift_moves", "_alternation_at_shift"):
         monkeypatch.setattr(_bulk, name, rebuilt)
-    again = measure_arrays(t[:, ::-1], needs=needs)
+    again = measure_arrays(t[:, ::-1], _lanes(t)[::-1], needs=needs)
     for key, values in first.items():
         assert np.array_equal(again[key], values[::-1]), key
     assert [build.cache_info().misses for build in _BUILDERS] == [1, 1, 1]
     # another arity builds its own tables
     with pytest.raises(AssertionError, match="built again"):
-        measure_arrays(_tables(2, 0, 16), needs=("C",))
+        t = _tables(2, 0, 16)
+        measure_arrays(t, _lanes(t), needs=("C",))
     for table in (*_bs_table(3), _cert_table(3), _alt_table(3)):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1

@@ -22,6 +22,7 @@ from boolfn.families import and_, gip, maj, or_, parity, tree_function
 from boolfn.measures import (
     _alternation_by_shift,
     _chain_bound,
+    _lanes,
     _level_sets,
     _salt_search,
     _shift_moves,
@@ -79,7 +80,8 @@ def test_alternation_under_shifts_matches_shifted_alternation():
 
 def test_bulk_salt_matches_api_exhaustive():
     for n in range(4):
-        a = measure_arrays(_tables(n, 0, 2 ** (2**n)))
+        t = _tables(n, 0, 2 ** (2**n))
+        a = measure_arrays(t, _lanes(t))
         for f in _every_function(n):
             assert a["salt"][f.bits] == shift_invariant_alternation(f)
             assert a["alt"][f.bits] == alternation(f)

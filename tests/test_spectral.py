@@ -25,8 +25,8 @@ from boolfn._bitops import MAX_ARITY, SHORT_RUN, butterfly, level_views, table_m
 from boolfn._bulk import _tables, measure_arrays
 from boolfn.core import _xor
 from boolfn.families import and_, maj, parity
-from boolfn.measures import _pointwise_sensitivity
-from boolfn.spectral import _moebius_rows, _subset_sum, _walsh_rows, is_prime
+from boolfn.measures import _lanes, _pointwise_sensitivity
+from boolfn.spectral import _moebius_rows, _residues, _subset_sum, _walsh_rows, is_prime
 
 from oracles import (
     naive_degree,
@@ -54,6 +54,24 @@ def test_moebius_mod_p_matches_oracle():
             f = TruthTable(n, random_table(rng, n))
             expect = [c % p for c in naive_moebius(f)]
             assert moebius_coefficients_mod(f, p).tolist() == expect
+
+
+# the largest prime below 2**64, above int64's maximum
+_P64 = 18446744073709551557
+
+
+@pytest.mark.parametrize("f", [TruthTable(2, 8),
+                               TruthTable(5, random_table(np.random.default_rng(15), 5))],
+                         ids=["tt:2:8", "random-n5"])
+def test_prime_above_int64_reduces_the_public_tables(f):
+    # every |coefficient| is below p, so the integer coefficients stand for
+    # their residues: zero exactly where the residues are
+    assert is_prime(_P64)
+    coeffs = naive_moebius(f)
+    assert moebius_coefficients_mod(f, _P64).tolist() == coeffs
+    rep = spectrum(f, MOEBIUS_MOD_P, p=_P64)
+    assert rep.coeffs.tolist() == coeffs and rep.degree() == naive_degree(f)
+    assert rep.inverse_table() == f
 
 
 def test_modp_rejects_composite():
@@ -213,6 +231,53 @@ def test_pointwise_sensitivity_matches_oracle_on_both_sides_of_the_short_run_rul
         assert _columns(counts) == expect
 
 
+# primes on both sides of the maxima of int8, int16 and int32
+_RESIDUE_PRIMES = (2, 3, 127, 131, 32749, 32771, 2147483647, 2147483659)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16])
+def test_residues_equal_python_mod_on_every_value(dtype):
+    info = np.iinfo(dtype)
+    values = np.arange(info.min, info.max + 1, dtype=dtype)
+    for p in _RESIDUE_PRIMES:
+        got = _residues(values, p)
+        if p > info.max:
+            assert got is values
+        else:
+            assert got.dtype == dtype
+            assert got.tolist() == [v % p for v in values.tolist()], p
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_residues_equal_python_mod_at_the_extremes(dtype):
+    info = np.iinfo(dtype)
+    values = np.array([info.min, info.max, 0, 1, -1], dtype=dtype)
+    for p in _RESIDUE_PRIMES + (_P64,):
+        got = _residues(values, p)
+        if p > info.max:
+            assert got is values
+        else:
+            assert got.dtype == dtype
+            assert got.tolist() == [v % p for v in values.tolist()], p
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_int8_butterflies_equal_the_int64_kernels(n):
+    # |Moebius| <= 2**(n-1) and |Walsh| <= 2**n fit int8 up to n = 6: every
+    # function at n = 4; above, seeded columns beside the constants, whose
+    # Walsh coefficient is 2**n, and parity, whose top Moebius one is 2**(n-1)
+    if n == 4:
+        t = _tables(4, 0, 2**16)
+    else:
+        rng = np.random.default_rng(50 + n)
+        t = np.stack([TruthTable(n, random_table(rng, n)).to_array() for _ in range(64)], axis=1)
+        t[:, 0], t[:, 1], t[:, 2] = 0, 1, parity(n).to_array()
+    for kernel in (_moebius_rows, _walsh_rows):
+        narrow = kernel(t, np.int8)
+        assert narrow.dtype == np.int8
+        assert np.array_equal(narrow, kernel(t, np.int64)), kernel.__name__
+
+
 def test_int32_holds_every_coefficient_up_to_max_arity():
     # |Moebius| <= 2**(n-1) and |Walsh| <= 2**n, partial sums included
     assert 2**MAX_ARITY <= np.iinfo(np.int32).max
@@ -256,7 +321,8 @@ def test_bulk_degrees_and_sparsity_match_oracles(bulk_n4_rows):
         assert a["sparsity"][f.bits] == naive_sparsity(f)
 
     for n in range(4):
-        a = measure_arrays(_tables(n, 0, 2 ** (2**n)))
+        t = _tables(n, 0, 2 ** (2**n))
+        a = measure_arrays(t, _lanes(t))
         for f in _every_function(n):
             check(a, f)
     rng = np.random.default_rng(43)
