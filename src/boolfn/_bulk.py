@@ -47,14 +47,15 @@ entry at p_0 and salt the min over the shifts b < 2**(n-1).  The kernels:
   max(8, 2**n) bits per table (``measures._lanes``, read by
   ``measures._shift_moves``); and the ternary subcube table behind
   certificate complexity and decision-tree depth, the one the
-  per-function API runs: the fold (``measures._subcube_fold``), whose key
-  at point 0 is the C table, and the DT sweeps (``measures._depth_sweeps``)
-  on it.  DT = n wherever max(bs, deg) = n, since both bound DT from
-  below, so the fold and the sweeps run only on the other columns (2,065
-  to 2,490 of the 16,384 of each n = 4 slice), the sweeps to their stop
-  rule: the per-function reports stop at max(bs, deg), but a slice would
-  stop only once every column meets its bound, and on every n = 4 slice
-  some column needs all 4 sweeps;
+  per-function API runs: the fold (``measures._subcube_fold``), whose
+  certificate sizes (``measures._certificate_sizes``) at point 0 are the C
+  table, and the DT sweeps (``measures._depth_sweeps``) on the fold alone,
+  with no sizes.  DT = n wherever max(bs, deg) = n, since both bound DT
+  from below, so the fold and the sweeps run only on the other columns
+  (2,065 to 2,490 of the 16,384 of each n = 4 slice), the sweeps to their
+  stop rule: the per-function reports stop at max(bs, deg), but a slice
+  would stop only once every column meets its bound, and on every n = 4
+  slice some column needs all 4 sweeps;
 * ``spectral``: the Moebius and Walsh butterflies, run here in int8, which
   is exact at arity <= 6 (the bounds in ``spectral``), and the degree and
   sparsity kernels; ``deg`` and every ``deg_p`` are read from one Moebius
@@ -81,6 +82,7 @@ import numpy as np
 from ._bitops import table_mask, table_size, xor_shift
 from .measures import (
     _alternation_at_shift,
+    _certificate_sizes,
     _depth_sweeps,
     _lane,
     _lanes,
@@ -155,9 +157,9 @@ def _bs_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _cert_table(n: int) -> np.ndarray:
-    """C(p, 0) of every flip pattern p of arity n, as uint8: n minus the
-    free-set size in the fold's key at point 0 (``measures._subcube_fold``)."""
-    return _pattern_table(n, lambda t: (n - (_subcube_fold(t)[1][0] >> n)).astype(np.uint8))
+    """C(p, 0) of every flip pattern p of arity n, as uint8: the certificate
+    sizes of the fold at point 0 (``measures._certificate_sizes``)."""
+    return _pattern_table(n, lambda t: _certificate_sizes(_subcube_fold(t))[0])
 
 
 @functools.cache
@@ -269,5 +271,5 @@ def measure_arrays(t: np.ndarray, lanes: np.ndarray, primes=(2, 3), needs=None) 
         below = np.flatnonzero(lower < n)
         out["DT"] = np.full(m, n, dtype=np.int64)
         if below.size:
-            out["DT"][below] = _depth_sweeps(_subcube_fold(t[:, below])[0])[(2,) * n]
+            out["DT"][below] = _depth_sweeps(_subcube_fold(t[:, below]))[(2,) * n]
     return out

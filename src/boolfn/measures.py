@@ -318,15 +318,15 @@ def block_sensitivity(
     order of the bound s(f,x) + (n - s(f,x)) // 2, stopping once no input
     left can beat the best (``_best_first``, the search that salt runs
     over its shifts too).  That settles most random functions at one to
-    three inputs.  Where n inputs have not settled it and the fold of the
-    subcube table (``_subcube_fold``, without the DT sweeps) fits its byte
-    budget, up to n = 16, the fold is built and the inputs left are
-    searched under the certificate bound C(f,x) as well, which is tight on
-    the structured families.  The exhaustive scans
-    search nothing: at n <= 4 they read bs(f, x) and its family at every
-    input from a table over the flip patterns p_x(y) = f(x ^ y) ^ f(x),
-    built once per arity by this packer, run once per distinct antichain of
-    minimal blocks (``_bulk._bs_table``).
+    three inputs.  Where n inputs have not settled it and the subcube table
+    fits its byte budget, up to n = 16, the certificate sizes
+    (``_certificate_sizes``, from the fold, without the DT sweeps) are
+    built and the inputs left are searched under the certificate bound
+    C(f,x) as well, which is tight on the structured families.  The
+    exhaustive scans search nothing: at n <= 4 they read bs(f, x) and its
+    family at every input from a table over the flip patterns p_x(y) =
+    f(x ^ y) ^ f(x), built once per arity by this packer, run once per
+    distinct antichain of minimal blocks (``_bulk._bs_table``).
     """
     if at is None:
         return _LatticeMeasures(f, {"bs": limit}).block_sensitivity(witness)
@@ -341,43 +341,38 @@ def block_sensitivity(
 
 
 # Bytes the subcube table of one function may take (see ``_table_bytes``):
-# the fold fits for n <= 16, the fold and the DT sweeps for n <= 15.  Above
-# them C and DT are skipped even under an explicit limit.  The budget bounds
-# the table's own arrays, not the process, which adds the interpreter and
-# numpy to it.
+# it fits for n <= 16, for C and DT alike.  Above that both are skipped
+# even under an explicit limit.  The budget bounds the table's own arrays,
+# not the process, which adds the interpreter and numpy to it.
 _LATTICE_BUDGET = 1 << 28
 
 
-def _key_dtype(n: int) -> np.dtype:
-    """Smallest unsigned type holding the subcube key (|V| << n) | V."""
-    return np.min_scalar_type((n << n) | (table_size(n) - 1))
+def _table_bytes(n: int) -> int:
+    """Peak bytes of the subcube table of one function of arity n, read by
+    C and by DT alike.
 
+    ``val`` (``_subcube_fold``), one byte per state, stays alive under the
+    work of its reader, the most of:
 
-def _table_bytes(n: int, measure: str) -> int:
-    """Peak bytes of the subcube table that ``measure`` reads on one function
-    of arity n.
+    * C's counts (``_certificate_sizes``), one byte per state, and their
+      zeroing mask over a third of the states: 4/3 byte per state;
+    * DT's sweeps (``_depth_sweeps``), ``dt`` one byte per state in 4-byte
+      words and a work buffer over a third of the states: 4/3 likewise;
+    * with a witness, the sweeps of a slab (``_dt_slab``), a copy of at
+      most 2/3 of the states (a hole at depth 1): 14/9 byte per state.
 
-    C, and the bs search's certificate bound, read the fold
-    (``_subcube_fold``): per state val (one byte) and a key, held at once,
-    plus one byte for the fold's masks, the points' keys and the input.  The
-    constant covers numpy's iteration buffers (8192 elements per operand),
-    which the in-place passes take because their operands interleave.  DT
-    adds the sweeps (``_depth_sweeps``): dt, one byte per state in 4-byte
-    words, and a work buffer of 3**(n-1) bytes.  The sum bounds DT's peak
-    from above: the fold's per-state keys are freed before the sweeps start.
+    Up to 16 bytes per point cover the arrays around the table: the input,
+    C(f,x), and the bs search's bound and visiting order.  The constant
+    covers numpy's iteration buffers (8192 elements per operand), which the
+    in-place passes take because their operands interleave.
     """
-    size = 3**n * (2 + _key_dtype(n).itemsize) + (1 << 17)
-    if measure == "DT":
-        size += 4 * -(-(3**n) // 4) + 3 ** max(n - 1, 0)
-    return size
+    return 3**n + 14 * 3**n // 9 + 16 * table_size(n) + (1 << 17)
 
 
-def _table_limit(measure: str) -> int:
-    """Largest arity whose subcube table for ``measure`` fits the byte budget."""
-    n = 0
-    while _table_bytes(n + 1, measure) <= _LATTICE_BUDGET:
-        n += 1
-    return n
+def _table_limit() -> int:
+    """Largest arity whose subcube table fits the byte budget, which is
+    below the budget's bit length: the table takes more than 2**n bytes."""
+    return max(n for n in range(_LATTICE_BUDGET.bit_length()) if _table_bytes(n) <= _LATTICE_BUDGET)
 
 
 class LatticeBudgetError(ArityLimitError):
@@ -386,57 +381,85 @@ class LatticeBudgetError(ArityLimitError):
     def __init__(self, measure: str, arity: int):
         self.measure = measure
         self.arity = arity
-        self.limit = _table_limit(measure)
+        self.limit = _table_limit()
         ValueError.__init__(
             self,
-            f"{measure} skipped: arity {arity} needs a {_table_bytes(arity, measure)}-byte "
+            f"{measure} skipped: arity {arity} needs a {_table_bytes(arity)}-byte "
             f"subcube table, over the fixed budget of {_LATTICE_BUDGET} bytes",
         )
 
 
-def _subcube_fold(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Constancy of every subcube, and the largest constant subcube through
-    every point, of every table of a (2**n, m) matrix, one table per column.
+def _subcube_fold(tables: np.ndarray) -> np.ndarray:
+    """Constancy of every subcube of every table of a (2**n, m) matrix, one
+    table per column.
 
     A subcube is a ternary state t in {0, 1, *}**n: variable i is free where
-    t_i = * (digit 2) and fixed to t_i elsewhere.
+    t_i = * (digit 2) and fixed to t_i elsewhere.  ``val`` has the shape
+    (3,) * n + (m,), with the tables on the last axis, as in the input, and
+    variable i on axis n - 1 - i, so the flat index of t is sum(t_i * 3**i)
+    per table: the constant value of the table on t, or 2 where it is not
+    constant.  It folds in n per-axis passes from the points; each pass ORs
+    the value sets (bit 0: a 0 seen, bit 1: a 1 seen) of the halves t_i = 0
+    and t_i = 1 into t_i = *.
 
-    * ``val``, of shape (3,) * n + (m,), with the tables on the last axis, as
-      in the input, and variable i on axis n - 1 - i, so the flat index of t
-      is sum(t_i * 3**i) per table: the constant value of the table on t, or
-      2 where it is not constant.  It folds in n per-axis passes from the
-      points; each pass ORs the value sets (bit 0: a 0 seen, bit 1: a 1
-      seen) of the halves t_i = 0 and t_i = 1 into t_i = *.
-    * ``key``, of shape (2**n, m), indexed by point: the key (|V| << n) | V
-      of the largest constant subcube through the point, V its free set, the
-      largest mask among the largest.  The key of each constant subcube adds
-      up along the folds, and n max-passes push it from t_i = * down into
-      t_i = 0 and t_i = 1.
-
-    C reads ``key`` alone, and DT's sweeps (``_depth_sweeps``) start from
-    ``val``.  Per-function callers go through ``_LatticeMeasures``, which
-    checks the byte budget first.
+    C reads the sizes of its constant subcubes (``_certificate_sizes``), and
+    DT's sweeps (``_depth_sweeps``) start from ``val`` alone.  Per-function
+    callers go through ``_LatticeMeasures``, which checks the byte budget
+    first.
     """
     size, m = tables.shape
     n = size.bit_length() - 1
-    shape = (3,) * n + (m,)
-    points = (slice(0, 2),) * n
-    val = np.empty(shape, dtype=np.uint8)
-    key = np.zeros(shape, dtype=_key_dtype(n))
-    np.add(tables.reshape((2,) * n + (m,)), 1, out=val[points])
+    val = np.empty((3,) * n + (m,), dtype=np.uint8)
+    np.add(tables.reshape((2,) * n + (m,)), 1, out=val[(slice(0, 2),) * n])
     for k in reversed(range(n)):
         lead = (slice(0, 2),) * k
-        v_free, k_free = val[lead + (2,)], key[lead + (2,)]
-        np.bitwise_or(val[lead + (0,)], val[lead + (1,)], out=v_free)
-        np.add(key[lead + (0,)], (1 << n) | (1 << (n - 1 - k)), out=k_free)
-        k_free *= v_free != 3
+        np.bitwise_or(val[lead + (0,)], val[lead + (1,)], out=val[lead + (2,)])
     val -= 1
+    return val
+
+
+def _certificate_sizes(val: np.ndarray) -> np.ndarray:
+    """C(f,x) at every point x of every table of a fold's ``val``
+    (``_subcube_fold``), as a (2**n, m) uint8 array indexed by point: n less
+    the most free variables of a constant subcube through x.
+
+    The counts of free variables of each constant state, 0 on the others,
+    fold along the passes of ``val``, adding 1 per free axis and zeroed
+    where ``val`` is 2; n max-passes then push them from t_i = * down into
+    t_i = 0 and t_i = 1, to the points.
+    """
+    n = val.ndim - 1
+    count = np.zeros(val.shape, dtype=np.uint8)
+    for k in reversed(range(n)):
+        lead = (slice(0, 2),) * k
+        free = count[lead + (2,)]
+        np.add(count[lead + (0,)], 1, out=free)
+        free *= val[lead + (2,)] != 2
     for k in range(n):
         lead = (slice(0, 2),) * k
-        free = key[lead + (2,)]
-        for b in (0, 1):
-            np.maximum(key[lead + (b,)], free, out=key[lead + (b,)])
-    return val, key[points].reshape(size, m)
+        halves = count[lead + (slice(0, 2),)]
+        np.maximum(halves, count[lead + (slice(2, 3),)], out=halves)
+    return (n - count[(slice(0, 2),) * n]).reshape(-1, val.shape[-1])
+
+
+def _ternary(d: int) -> np.ndarray:
+    """sum(3**i) over the set bits i of every mask b < 2**d: the ternary
+    state of the point b, in a fixed number of numpy calls."""
+    axes = np.arange(d)
+    return ((np.arange(1 << d)[:, None] >> axes) & 1) @ 3**axes
+
+
+def _certificate_set(val: np.ndarray, x: int, size: int) -> int:
+    """The smallest certificate at the point x of a fold's one table
+    ``val``, given its size: the complement of the largest free set V of
+    n - size variables whose subcube through x is constant, the largest
+    mask among them.  That subcube is the state of the point x & ~V plus
+    twice that of V (``_ternary``).
+    """
+    n = val.ndim - 1
+    masks, tern = np.arange(table_size(n)), _ternary(n)
+    constant = val.reshape(-1)[tern[x & ~masks] + 2 * tern] != 2
+    return (masks.size - 1) ^ int(masks[constant & (np.bitwise_count(masks) == n - size)].max())
 
 
 def _depth_sweeps(val: np.ndarray, lower: int = -1) -> np.ndarray:
@@ -542,19 +565,17 @@ def _dt_slab(val: np.ndarray, d0: int) -> np.ndarray:
     (2**d0,): ``val`` itself at d0 = 0.
 
     Above, the columns are the ternary states sum(a_i * 3**i) of
-    ``val.reshape(-1, 3**d0)``, read by one ``take``.  A strided view with
-    the same entries has innermost runs of 2 bytes, and copying it flat,
-    which the walk's reads need, is slower: on a random n = 14 function
-    (2-core Xeon VM, best of 7) the take costs 3.6, 2.0 and 0.9 ms at
-    d0 = 1, 2 and 4, against 9.3, 7.6 and 3.7 ms for the copy.
+    ``val.reshape(-1, 3**d0)`` (``_ternary``), read by one ``take``.  A
+    strided view with the same entries has innermost runs of 2 bytes, and
+    copying it flat, which the walk's reads need, is slower: on a random
+    n = 14 function (2-core Xeon VM, best of 7) the take costs 3.6, 2.0
+    and 0.9 ms at d0 = 1, 2 and 4, against 9.3, 7.6 and 3.7 ms for the
+    copy.
     """
     if d0 == 0:
         return val
-    cols = np.zeros(1 << d0, dtype=np.intp)
-    for i in range(d0):
-        cols[1 << i : 2 << i] = cols[: 1 << i] + 3**i
     shape = (3,) * (val.ndim - 1 - d0) + (1 << d0,)
-    return val.reshape(-1, 3**d0).take(cols, axis=1).reshape(shape)
+    return val.reshape(-1, 3**d0).take(_ternary(d0), axis=1).reshape(shape)
 
 
 def _dt_node(stack: list, memo: dict, vals, points: bytes, d: int, a: int, s: int) -> dict:
@@ -677,10 +698,13 @@ class _LatticeMeasures:
     bs search, and kept: s is its maximum, and u(x) its bound on bs(f,x)
     (``_sensitivity_bound``).
 
-    The table comes in two parts, within the arity ceilings (``limits``,
-    else ``DEFAULT_LIMITS``) and its byte budget (``_table_bytes``).  The
-    fold (``_subcube_fold``: 3**n states, about 2n passes) is built once, on
-    first use by C, by DT, or by the bs search, and kept.  The DT sweeps
+    The table comes in parts, within the arity ceilings (``limits``, else
+    ``DEFAULT_LIMITS``) and one byte budget (``_table_bytes``).  The fold's
+    ``val`` (``_subcube_fold``: 3**n states, n passes) is built once, on
+    first use by C, by DT, or by the bs search, and kept.  C(f,x) at every
+    input (``_certificate_sizes``: n more passes and n max-passes, then
+    2**n bytes) is built once from it, on first use by C or by the bs
+    search, and kept; DT never builds it.  The DT sweeps
     (``_depth_sweeps``: up to n**2 * 3**(n-1) entries of work) run on each
     DT call, which every caller makes once, and only where the degree does
     not settle DT.
@@ -696,18 +720,19 @@ class _LatticeMeasures:
 
     The unpointed bs search (``_best_first`` over the inputs, valued by
     ``_bs_point``) runs under min(u(x), C(f,x)), since bs(f,x) <= C(f,x),
-    from its first input if the fold exists; otherwise under u alone until
-    n inputs have not settled it, and then it builds the fold if it fits
-    the byte budget, whatever the C and DT ceilings say.  The search runs
-    once: its value and smallest maximizer are kept, so a later call with
-    ``witness`` only packs the family at that input.
+    from its first input if the certificate sizes exist; otherwise under u
+    alone until n inputs have not settled it, and then it builds them if
+    the table fits the byte budget, whatever the C and DT ceilings say.
+    The search runs once: its value and smallest maximizer are kept, so a
+    later call with ``witness`` only packs the family at that input.
     """
 
     def __init__(self, f: TruthTable, limits: dict):
         self.f = f
         self.limits = limits
         self._s: np.ndarray | None = None
-        self._fold: tuple[np.ndarray, np.ndarray] | None = None
+        self._val: np.ndarray | None = None
+        self._sizes: np.ndarray | None = None
         self._bs: tuple[int, int] | None = None
         self._coeffs: np.ndarray | None = None
 
@@ -717,7 +742,7 @@ class _LatticeMeasures:
         ceiling = _ceiling(measure, self.limits.get(measure))
         if n > ceiling:
             return ArityLimitError(measure, n, ceiling)
-        if _table_bytes(n, measure) > _LATTICE_BUDGET:
+        if _table_bytes(n) > _LATTICE_BUDGET:
             return LatticeBudgetError(measure, n)
         return None
 
@@ -727,12 +752,18 @@ class _LatticeMeasures:
             self._s = _pointwise_sensitivity(self.f.to_array())
         return self._s
 
-    def _folded(self) -> tuple[np.ndarray, np.ndarray]:
-        """val, shaped (3,) * n + (1,), and the key per point."""
-        if self._fold is None:
-            val, key = _subcube_fold(self.f.to_array()[:, None])
-            self._fold = val, key[:, 0]
-        return self._fold
+    def _folded(self) -> np.ndarray:
+        """The fold's val, shaped (3,) * n + (1,)."""
+        if self._val is None:
+            self._val = _subcube_fold(self.f.to_array()[:, None])
+        return self._val
+
+    def _certificates(self) -> np.ndarray:
+        """C(f,x) at every input x, as uint8: C reads them, and the bs search
+        its bound."""
+        if self._sizes is None:
+            self._sizes = _certificate_sizes(self._folded())[:, 0]
+        return self._sizes
 
     def _moebius(self) -> np.ndarray:
         """f's int32 Moebius coefficients: deg, every deg_p and DT read them."""
@@ -746,13 +777,10 @@ class _LatticeMeasures:
             raise skip
 
     def _certificate_bound(self, bound: np.ndarray) -> np.ndarray | None:
-        """min(bound, C(f,x)) at every input x; None where the fold would
-        exceed its byte budget."""
-        n = self.f.n
-        if self._fold is None and _table_bytes(n, "C") > _LATTICE_BUDGET:
-            return None
-        key = self._folded()[1]
-        return np.minimum(bound, n - (key >> n).astype(bound.dtype))
+        """min(bound, C(f,x)) at every input x; None where the subcube table
+        would exceed its byte budget."""
+        fits = self._sizes is not None or _table_bytes(self.f.n) <= _LATTICE_BUDGET
+        return np.minimum(bound, self._certificates()) if fits else None
 
     def sensitivity(self, witness: bool):
         """s, with its smallest maximizing input and the mask of the
@@ -770,7 +798,7 @@ class _LatticeMeasures:
         if self._bs is None:
             bound = _sensitivity_bound(self._sensitivities())
             tighten = self._certificate_bound
-            if self._fold is not None:
+            if self._sizes is not None:
                 bound, tighten = tighten(bound), None
             search = _best_first(bound, lambda x, *_: _bs_point(f, x, False)[0], tighten, f.n)
             self._bs = search[:2]
@@ -778,16 +806,13 @@ class _LatticeMeasures:
         return (val, _bs_point(f, point, True)[1]) if witness else val
 
     def certificate(self, witness: bool, at: int | None = None):
-        n = self.f.n
         if at is not None:
-            _check_point(at, n)
+            _check_point(at, self.f.n)
         self._check("C")
-        key = self._folded()[1]
-        full = table_size(n) - 1
-        point = int(np.argmin(key >> n)) if at is None else at
-        k = int(key[point])
-        val = n - (k >> n)
-        return (val, (point, full ^ (k & full))) if witness else val
+        sizes = self._certificates()
+        point = int(np.argmax(sizes)) if at is None else at
+        val = int(sizes[point])
+        return (val, (point, _certificate_set(self._folded(), point, val))) if witness else val
 
     def dt_depth(self, witness: bool, lower: int = -1):
         """DT, with its tree if ``witness``; ``lower`` is a lower bound on DT,
@@ -795,13 +820,13 @@ class _LatticeMeasures:
         self._check("DT")
         n = self.f.n
         if witness:
-            return _dt_tree(self._folded()[0], self._moebius())
+            return _dt_tree(self._folded(), self._moebius())
         if lower < n:
             # DT >= deg, which is n exactly when the top coefficient is nonzero
             lower = max(lower, int(_degrees(self._moebius())))
         if lower >= n:
             return n
-        return _depth_sweeps(self._folded()[0], lower).item(-1)
+        return _depth_sweeps(self._folded(), lower).item(-1)
 
 
 def certificate(
@@ -809,13 +834,16 @@ def certificate(
 ):
     """Smallest set of coordinates that, fixed as in the input, pins f constant.
 
-    Reads the fold of the ternary subcube table (``_subcube_fold``: 3**n
-    states, 2n passes, 3 to 6 bytes per state), not the DT sweeps.  At each
-    input the fixed set is the complement of the largest constant subcube
-    through it, so it is the smallest mask among the smallest certificates.
-    Unpointed, the witness point is the smallest input of maximum
-    certificate size.  Above the fold's byte budget (n > 16) it raises
-    ``LatticeBudgetError`` whatever ``limit`` says.
+    Reads the certificate sizes (``_certificate_sizes``) of the fold of the
+    ternary subcube table (``_subcube_fold``: 3**n states, 3n passes, 7/3
+    bytes per state), not the DT sweeps: C(f,x) at every input x is n less
+    the most free variables of a constant subcube through x.  The fixed set
+    is then rebuilt at its one point as the complement of the largest free
+    set of that many variables whose subcube is constant, so it is the
+    smallest mask among the smallest certificates.  Unpointed, the witness
+    point is the smallest input of maximum certificate size.  Above the
+    table's byte budget (n > 16) it raises ``LatticeBudgetError`` whatever
+    ``limit`` says.
 
     Witness: (point, mask of the fixed set).
     """
@@ -829,10 +857,10 @@ def dt_depth(f: TruthTable, witness: bool = False, limit: int | None = None):
     deg <= DT <= n, so where f's top Moebius coefficient is nonzero DT = n
     and no subcube table is built.  Otherwise the DT sweeps
     (``_depth_sweeps``) lower an upper bound on the optimal depth of each of
-    the 3**n subcubes, from the fold that ``certificate`` reads, in at most
+    the 3**n subcubes, from the fold's ``val`` alone, in at most
     n**2 * 3**(n-1) entries of work, and stop once the whole cube's entry
-    meets deg.  The ceiling and the byte budget of the fold and the sweeps
-    are checked first: above the budget (n > 15) it raises
+    meets deg.  The ceiling and the byte budget of the table, the one that
+    ``certificate`` checks, come first: above the budget (n > 16) it raises
     ``LatticeBudgetError`` whatever ``limit`` says.  The reports and
     ``commlb.bound_summary`` also stop the sweeps at bs, with the same value.
 
@@ -845,8 +873,9 @@ def dt_depth(f: TruthTable, witness: bool = False, limit: int | None = None):
     slab of restrictions at the depth of the shallowest one of lower degree
     that is not constant.  Restrictions x_1..x_d = a with at most 6 free
     variables and the same table share one subtree object, as do the
-    constant ones of one value, so the tree is a DAG: read it, serialize it or validate
-    it, but do not mutate it, as with the read-only pattern tables.
+    constant ones of one value, so the tree is a DAG: read it, serialize it
+    or validate it, but do not mutate it, as with the read-only pattern
+    tables.
     """
     return _LatticeMeasures(f, {"DT": limit}).dt_depth(witness)
 
@@ -1377,11 +1406,12 @@ def measure_report(
     """Compute every measure that fits its arity ceiling; skips are explicit.
 
     bs, C and DT share one ternary subcube table (``_LatticeMeasures``).
-    Its fold is built before bs when C or DT fits its ceiling, so the bs
-    search runs under min(u(x), C(f,x)) from its first input, which on most
-    functions leaves one packing search.  Otherwise bs runs the switch of
-    the public ``block_sensitivity``, with the same value and witness.  DT
-    comes last, and reads deg's Moebius table.  With ``witnesses`` it builds
+    Its fold and certificate sizes are built before bs when C or DT fits
+    its ceiling, so the bs search runs under min(u(x), C(f,x)) from its
+    first input, which on most functions leaves one packing search.
+    Otherwise bs runs the switch of the public ``block_sensitivity``, with
+    the same value and witness.  DT comes last, reads deg's Moebius table
+    and the fold's ``val`` alone.  With ``witnesses`` it builds
     the tree of ``dt_depth``, and sweeps only below the prefix restrictions
     of full degree; without, the sweeps stop once they meet max(bs, deg), a
     lower bound on DT (bs <= C <= DT, and deg <= DT), which makes the value
@@ -1394,10 +1424,11 @@ def _measure_report(subcubes: _LatticeMeasures, primes, witnesses: bool) -> Meas
     """``measure_report`` on a caller's subcube table, which it may read further.
 
     This is the one list of a function's measures, in report order, and the
-    one place that decides to build the fold between s and bs.  A caller
-    passes its own table when it reads more after the report: the CLI's
-    pointwise C, or the bs family of ``inequality_suite`` and of the scan's
-    cross-check, which the kept search packs without a second search.
+    one place that decides to build the certificate sizes between s and bs.
+    A caller passes its own table when it reads more after the report: the
+    CLI's pointwise C, or the bs family of ``inequality_suite`` and of the
+    scan's cross-check, which the kept search packs without a second
+    search.
 
     deg, every deg_p and DT read the one int32 Moebius table that
     ``subcubes`` keeps, deg_p as its residues mod p (exact: see
@@ -1423,7 +1454,7 @@ def _measure_report(subcubes: _LatticeMeasures, primes, witnesses: bool) -> Meas
     w = witnesses
     run("s", lambda: subcubes.sensitivity(w))
     if subcubes._skip("C") is None or subcubes._skip("DT") is None:
-        subcubes._folded()
+        subcubes._certificates()
     run("bs", lambda: subcubes.block_sensitivity(w))
     run("C", lambda: subcubes.certificate(w))
     run("alt", lambda: alternation(f, witness=w))

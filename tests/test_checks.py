@@ -141,7 +141,7 @@ def test_measure_arrays_dt_sweeps_only_below_n_as_the_full_sweeps_do(needs):
     the DT of the sweeps over all columns, so a wrong lower bound shows."""
     for lo, hi in _bulk._slices(4):
         t = _tables(4, lo, hi)
-        full = _depth_sweeps(_subcube_fold(t)[0])[(2,) * 4]
+        full = _depth_sweeps(_subcube_fold(t))[(2,) * 4]
         dt = measure_arrays(t, _lanes(t), needs=needs)["DT"]
         assert np.array_equal(dt, full), lo
         assert (dt < 4).any() and (dt == 4).any()
@@ -208,8 +208,8 @@ def test_extremal_search_runs_only_the_kernels_its_statistic_reads(monkeypatch):
         raise AssertionError("salt_over_s reads nothing this kernel computes")
 
     for name in ("_bs_table", "_cert_table", "_minimal_blocks", "_make_packer",
-                 "_lex_min_family", "_subcube_fold", "_depth_sweeps", "_moebius_rows",
-                 "_walsh_rows"):
+                 "_lex_min_family", "_subcube_fold", "_certificate_sizes", "_depth_sweeps",
+                 "_moebius_rows", "_walsh_rows"):
         monkeypatch.setattr(_bulk, name, unread)
     assert [r.to_json_dict() for r in extremal_search(4, "salt_over_s")] == want
 

@@ -260,13 +260,13 @@ def test_measures_over_ceiling_skips_but_succeeds(capsys):
 
 
 def test_measures_override_ceilings_over_lattice_budget(capsys):
-    code, out, err = run_cli(capsys, "measures", "fam:and:n=16", "--override-ceilings")
+    code, out, err = run_cli(capsys, "measures", "fam:and:n=17", "--override-ceilings")
     assert code == 0 and err == ""
     data = json.loads(out)
-    # the fold behind C fits the byte budget at n = 16; the DT sweeps do not
-    assert [s["measure"] for s in data["skipped"]] == ["DT"]
-    assert all("budget" in s["reason"] and s["limit"] == 15 for s in data["skipped"])
-    assert data["measures"]["bs"] == data["measures"]["C"] == 16
+    # the subcube table behind C and DT fits the byte budget up to n = 16
+    assert [s["measure"] for s in data["skipped"]] == ["C", "DT"]
+    assert all("budget" in s["reason"] and s["limit"] == 16 for s in data["skipped"])
+    assert data["measures"]["bs"] == 17
 
 
 def test_usage_errors(capsys):

@@ -21,9 +21,15 @@ from boolfn import (
     validate_certificate_set,
     validate_decision_tree,
 )
-from boolfn import commlb, measures
+from boolfn import _bulk, commlb, measures
 from boolfn._bulk import _tables, measure_arrays
-from boolfn.measures import _LatticeMeasures, _lanes, _subcube_fold, _table_bytes
+from boolfn.measures import (
+    _LatticeMeasures,
+    _certificate_sizes,
+    _lanes,
+    _subcube_fold,
+    _table_bytes,
+)
 from boolfn.families import and_, gip, ip, maj, or_, parity, rubinstein, tree_function
 
 from oracles import (
@@ -222,25 +228,37 @@ def _whole_lattice_walk(f):
     """DT and the tree the witness rule walks on the sweeps of the whole
     lattice, with no prefix restriction, no slab and no shared node."""
     n = f.n
-    val = _subcube_fold(f.to_array()[:, None])[0]
+    val = _subcube_fold(f.to_array()[:, None])
     dt = measures._depth_sweeps(val)
     free = [(i, 3**i) for i in range(n)]
     return dt.item(-1), measures._dt_witness(val.reshape(-1).data, dt.reshape(-1).data, 3**n - 1, free)
 
 
+def _assert_walk_of_the_whole_lattice(f):
+    depth, tree = dt_depth(f, witness=True, limit=f.n)
+    want_depth, want = _whole_lattice_walk(f)
+    assert depth == want_depth
+    assert json.dumps(tree) == json.dumps(want)
+    assert validate_decision_tree(f, tree, depth)
+
+
 def test_dt_witness_is_the_walk_of_the_whole_lattice():
     # the prefix tree, with its shared subtrees, serializes to the tree the
-    # witness rule walks on the full sweeps
+    # witness rule walks on the full sweeps, and validates
     rng = np.random.default_rng(48)
     cases = [f for n in range(4) for f in _every_function(n)]
     cases += [TruthTable(n, random_table(rng, n)) for n in range(4, 13) for _ in range(2)]
     cases += [maj(9), maj(11), maj(13), tree_function(3), rubinstein(3, 3), gip(3, 3)]
     cases += [ip(5), and_(7), or_(7)]
     for f in cases:
-        depth, tree = dt_depth(f, witness=True, limit=13)
-        want_depth, want = _whole_lattice_walk(f)
-        assert depth == want_depth
-        assert json.dumps(tree) == json.dumps(want)
+        _assert_walk_of_the_whole_lattice(f)
+
+
+@pytest.mark.long
+def test_dt_witness_is_the_walk_of_the_whole_lattice_at_14():
+    # a random 14-variable function, one arity above the default DT ceiling
+    raw = np.random.default_rng(14).integers(0, 256, 2**14 // 8, dtype=np.uint8).tobytes()
+    _assert_walk_of_the_whole_lattice(TruthTable(14, int.from_bytes(raw, "little")))
 
 
 def _distinct_nodes(tree):
@@ -276,7 +294,7 @@ def test_dt_witness_leaves_no_reference_cycle(monkeypatch, f):
 
     def recorded(tables):
         out = fold(tables)
-        refs.append(weakref.ref(out[0]))
+        refs.append(weakref.ref(out))
         return out
 
     monkeypatch.setattr(measures, "_subcube_fold", recorded)
@@ -295,7 +313,7 @@ def test_dt_slab_take_matches_the_strided_view():
     # one take of the ternary columns gives the array of the strided reshape
     for f in (TruthTable(7, random_table(np.random.default_rng(51), 7)), parity(5)):
         n = f.n
-        val = _subcube_fold(f.to_array()[:, None])[0]
+        val = _subcube_fold(f.to_array()[:, None])
         for d0 in range(n + 1):
             strided = val[(..., *(slice(0, 2),) * d0, 0)].reshape((3,) * (n - d0) + (2**d0,))
             assert np.array_equal(measures._dt_slab(val, d0), strided)
@@ -327,23 +345,33 @@ def _subcube_points(t, n):
 
 
 def test_fold_matches_oracles_exhaustive():
-    # val is each subcube's constant value, or 2; the key of each point is
-    # (|V| << n) | V for the free set V of the smallest certificate there;
-    # the batched fold holds the same tables in its columns
-    for n in range(4):
-        fs = _every_function(n)
-        vals, keys = _subcube_fold(np.stack([f.to_array() for f in fs], axis=1))
+    # val is each subcube's constant value, or 2, and the certificate sizes
+    # are C(f,x) at every point; the batched fold and sizes hold the same
+    # tables in their columns, for every function at n <= 3 and seeded
+    # tables at n = 4..6
+    rng = np.random.default_rng(52)
+    groups = [_every_function(n) for n in range(4)]
+    groups += [[TruthTable(n, random_table(rng, n)) for _ in range(8)] for n in range(4, 7)]
+    for fs in groups:
+        n = fs[0].n
+        vals = _subcube_fold(np.stack([f.to_array() for f in fs], axis=1))
+        sizes = _certificate_sizes(vals)
+        assert sizes.dtype == np.uint8 and sizes.shape == (2**n, len(fs))
         vals = vals.reshape(3**n, -1)
         for r, f in enumerate(fs):
-            val, key = _subcube_fold(f.to_array()[:, None])
+            val = _subcube_fold(f.to_array()[:, None])
             assert np.array_equal(val.reshape(-1), vals[:, r])
-            assert np.array_equal(key[:, 0], keys[:, r])
+            assert np.array_equal(_certificate_sizes(val)[:, 0], sizes[:, r])
             for t in range(3**n):
                 seen = {f.value_at(x) for x in _subcube_points(t, n)}
                 assert val.item(t) == (seen.pop() if len(seen) == 1 else 2)
-            for a in range(2**n):
-                free = (2**n - 1) ^ naive_certificate_set(f, a)
-                assert key[a, 0] == (free.bit_count() << n) | free
+            assert sizes[:, r].tolist() == [naive_certificate(f, a) for a in range(2**n)]
+    # the C witnesses that the fold's packed key (|V| << n) | V gave where it
+    # took 4 bytes per state: the mask rebuilt at the point keeps the key's
+    # tie-break, the largest free set among the largest
+    assert certificate(maj(15), witness=True, limit=16) == (8, (0, 255))
+    assert certificate(tree_function(4), witness=True, limit=16) == (4, (0, 139))
+    assert certificate(rubinstein(4, 4), witness=True, limit=16) == (8, (0, 21845))
 
 
 def _dt_cases():
@@ -367,7 +395,7 @@ def test_dt_lower_bound_stops_at_the_full_sweeps_value(monkeypatch):
     for f in _dt_cases():
         want = dt_depth(f, witness=True)
         passes.clear()
-        assert measures._depth_sweeps(_subcube_fold(f.to_array()[:, None])[0]).item(-1) == want[0]
+        assert measures._depth_sweeps(_subcube_fold(f.to_array()[:, None])).item(-1) == want[0]
         full = len(passes)
         report = measures.measure_report(f, witnesses=False)
         assert report.measures["DT"] == want[0]
@@ -400,7 +428,27 @@ def test_dt_without_witness_reads_the_degree_first(monkeypatch):
     with pytest.raises(ArityLimitError, match="exceeds limit 13"):
         dt_depth(parity(14))
     with pytest.raises(LatticeBudgetError):
-        dt_depth(parity(16), limit=16)
+        dt_depth(parity(17), limit=17)
+
+
+def test_dt_callers_build_no_certificate_sizes(monkeypatch):
+    # DT reads val alone: the public call, its witness, the communication
+    # bound and the batch DT column build no certificate sizes
+    rng = np.random.default_rng(53)
+    cases = [TruthTable(n, random_table(rng, n)) for n in (6, 9)]
+    cases += [tree_function(3), rubinstein(3, 3), maj(9), ip(4)]
+    t = _tables(4, 0, 2**16, 64)
+    want = ([(dt_depth(f), dt_depth(f, witness=True), commlb.bound_summary(f)) for f in cases],
+            measure_arrays(t, _lanes(t), needs=("DT",))["DT"])
+
+    def unread(val):
+        raise AssertionError("a DT caller built the certificate sizes")
+
+    monkeypatch.setattr(measures, "_certificate_sizes", unread)
+    monkeypatch.setattr(_bulk, "_certificate_sizes", unread)
+    got = ([(dt_depth(f), dt_depth(f, witness=True), commlb.bound_summary(f)) for f in cases],
+           measure_arrays(t, _lanes(t), needs=("DT",))["DT"])
+    assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("n", [0, 3])
@@ -418,16 +466,15 @@ def test_pointed_measures_reject_an_input_out_of_range(monkeypatch, n):
 
 
 def test_lattice_over_budget_skips_under_explicit_limit():
-    # the fold behind C fits the byte budget at n = 16, the fold and the DT
-    # sweeps only up to n = 15: past them both measures refuse before
-    # allocating
-    for measure, run, n, limit in (("C", certificate, 17, 16), ("DT", dt_depth, 16, 15)):
+    # the subcube table behind C and DT fits the byte budget up to n = 16:
+    # past it both measures refuse before allocating
+    for measure, run in (("C", certificate), ("DT", dt_depth)):
         with pytest.raises(LatticeBudgetError) as exc:
-            run(and_(n), limit=n)
+            run(and_(17), limit=17)
         assert isinstance(exc.value, ArityLimitError)
-        assert exc.value.measure == measure and exc.value.limit == limit
+        assert exc.value.measure == measure and exc.value.limit == 16
         assert "budget of 268435456 bytes" in str(exc.value)
-    assert _LatticeMeasures(and_(16), {"C": 16})._skip("C") is None
+        assert _LatticeMeasures(and_(16), {measure: 16})._skip(measure) is None
     # the ceiling still comes first without a limit
     with pytest.raises(ArityLimitError, match="exceeds limit 12"):
         certificate(and_(16))
@@ -435,11 +482,15 @@ def test_lattice_over_budget_skips_under_explicit_limit():
 
 def test_subcube_table_peak_memory_within_budget_estimate():
     # the byte budget guards memory, not just arity: the estimate it checks
-    # bounds what C (the fold) and DT (the fold and the sweeps, or with a
-    # witness the slab's sweeps and the tree) allocate, the table's own
-    # arrays rather than the process
+    # bounds what C (the fold and its sizes) and DT (the fold and the
+    # sweeps, or with a witness the slab's sweeps and the tree) allocate,
+    # the table's own arrays rather than the process
     rng = np.random.default_rng(43)
     cases = [TruthTable(n, random_table(rng, n)) for n in range(8, 13)] + [tree_function(3)]
+    # x_1 ? parity(x_2..x_12) : x_2 has full degree and a hole at x_1 = 0, so
+    # its witness sweeps the largest slab, of 2 * 3**11 states
+    cases.append(TruthTable(12, sum(
+        ((x >> 1).bit_count() & 1 if x & 1 else x >> 1 & 1) << x for x in range(2**12))))
     for f in cases:
         n = f.n
         runs = ((certificate, "C"), (dt_depth, "DT"), (lambda f: dt_depth(f, witness=True), "DT"))
@@ -450,15 +501,14 @@ def test_subcube_table_peak_memory_within_budget_estimate():
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= _table_bytes(n, measure), (measure, n, peak)
-        assert _table_bytes(n, "C") < _table_bytes(n, "DT")
+            assert peak <= _table_bytes(n), (measure, n, peak)
 
 
 @pytest.mark.long
 def test_block_sensitivity_at_16_reads_the_fold(monkeypatch):
-    # at n = 16 the fold fits the byte budget and the DT sweeps do not: the
-    # search switches to the certificate bound, which is tight at input 0;
-    # tracemalloc sees the table's arrays, not the process around them
+    # at n = 16 the subcube table fits the byte budget: the search switches
+    # to the certificate bound, which is tight at input 0, and runs no DT
+    # sweep; tracemalloc sees the table's arrays, not the process around them
     folds, fold = [], measures._subcube_fold
     monkeypatch.setattr(measures, "_subcube_fold", lambda t: folds.append(1) or fold(t))
     monkeypatch.setattr(measures, "_depth_sweeps", lambda val, lower=-1: 1 / 0)
@@ -469,4 +519,18 @@ def test_block_sensitivity_at_16_reads_the_fold(monkeypatch):
     finally:
         tracemalloc.stop()
     assert (val, fam.point) == (8, 0) and len(folds) == 1
-    assert peak <= _table_bytes(16, "C") <= measures._LATTICE_BUDGET < _table_bytes(16, "DT")
+    assert peak <= _table_bytes(16) <= measures._LATTICE_BUDGET
+
+
+@pytest.mark.long
+def test_dt_witness_at_16_within_budget():
+    # the witnessed DT of the 16-variable grid fits the same estimate as C
+    f = rubinstein(4, 4)
+    tracemalloc.start()
+    try:
+        depth, tree = dt_depth(f, witness=True, limit=16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert depth == 16 and validate_decision_tree(f, tree, depth)
+    assert peak <= _table_bytes(16), peak

@@ -103,7 +103,7 @@ def test_each_table_is_built_once_per_arity_and_is_read_only(monkeypatch):
 
     # every kernel the builders run, and only they at these needs
     for name in ("_minimal_blocks", "_make_packer", "_lex_min_family", "_subcube_fold",
-                 "_shift_moves", "_alternation_at_shift"):
+                 "_certificate_sizes", "_shift_moves", "_alternation_at_shift"):
         monkeypatch.setattr(_bulk, name, rebuilt)
     again = measure_arrays(t[:, ::-1], _lanes(t)[::-1], needs=needs)
     for key, values in first.items():
