@@ -71,9 +71,10 @@ def _parse_primes(text: str) -> tuple[int, ...]:
     return primes
 
 
-def _limits_for(f: TruthTable, override: bool) -> dict | None:
+def _limits_for(f: TruthTable, override: bool) -> dict:
+    """The ceilings ``--override-ceilings`` lifts to f's arity, else none."""
     if not override:
-        return None
+        return {}
     return {"bs": f.n, "C": f.n, "salt": f.n, "DT": f.n}
 
 
@@ -85,16 +86,15 @@ def _cmd_measures(args) -> int:
     f = _load_source(args.source)
     primes = _parse_primes(args.primes)
     at = None if args.at is None else parse_point(args.at, f.n)
-    subcubes = _LatticeMeasures(f, _limits_for(f, args.override_ceilings) or {})
+    limits = _limits_for(f, args.override_ceilings)
+    subcubes = _LatticeMeasures(f, limits)
     rep = _measure_report(subcubes, primes, witnesses=True)
     if at is not None:
         # pointwise values for the point-dependent measures, appended as extras;
         # C reads the report's subcube table
         rep.measures["s_at"] = sensitivity(f, at=at)
         try:
-            rep.measures["bs_at"] = block_sensitivity(
-                f, at=at, limit=f.n if args.override_ceilings else None
-            )
+            rep.measures["bs_at"] = block_sensitivity(f, at=at, limit=limits.get("bs"))
             rep.measures["C_at"] = subcubes.certificate(False, at)
         except ArityLimitError as e:
             rep.skipped.append({"measure": "pointwise", "reason": str(e)})
@@ -122,7 +122,7 @@ def _cmd_measures(args) -> int:
 
 def _cmd_transform(args) -> int:
     f = _load_source(args.source)
-    limit = f.n if args.override_ceilings else None
+    limit = _limits_for(f, args.override_ceilings).get("bs")
     if args.which == "bs2s":
         if args.at is None:
             raise FormatError("transform bs2s needs --at POINT")
@@ -207,11 +207,10 @@ def _cmd_check(args) -> int:
 def _cmd_comm(args) -> int:
     f = _load_source(args.source)
     primes = _parse_primes(args.primes)
-    limit = f.n if args.override_ceilings else None
     limits = _limits_for(f, args.override_ceilings)
     payload: dict = {}
     try:
-        cert = submatrix_witness(f, limit=limit, seed=args.seed)
+        cert = submatrix_witness(f, limit=limits.get("bs"), seed=args.seed)
         payload["certificate"] = cert.to_json_dict()
     except ArityLimitError as e:
         payload["certificate"] = {"skipped": str(e)}

@@ -13,6 +13,7 @@ encoding, which makes every output deterministic and diffable.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -515,24 +516,6 @@ def _dt_query(dt, s: int, free: list) -> int:
     raise AssertionError("decision-tree reconstruction failed")
 
 
-def _dt_witness(val, dt, s: int, free: list) -> dict:
-    """Optimal tree of the ternary state s of flat subcube tables, smallest
-    variable first: ``val`` and ``dt`` are memoryviews of a fold's ``val``
-    and of its sweeps' ``dt`` (``_depth_sweeps``), so each read is a plain
-    int; ``free`` lists the pairs (i, stride of i) of the free variables i of
-    s, ascending, and each query hands its children the rest."""
-    if dt[s] == 0:
-        return {"value": val[s]}
-    j = _dt_query(dt, s, free)
-    i, stride = free[j]
-    rest = free[:j] + free[j + 1 :]
-    return {
-        "var": i + 1,
-        "low": _dt_witness(val, dt, s - 2 * stride, rest),
-        "high": _dt_witness(val, dt, s - stride, rest),
-    }
-
-
 def _full_prefixes(coeffs: np.ndarray) -> memoryview:
     """Whether each prefix restriction x_1..x_d = a (d < n, a < 2**d) has
     full degree n - d, at index 2**d - 1 + a, from f's Moebius coefficients.
@@ -578,98 +561,45 @@ def _dt_slab(val: np.ndarray, d0: int) -> np.ndarray:
     return val.reshape(-1, 3**d0).take(_ternary(d0), axis=1).reshape(shape)
 
 
-def _dt_node(stack: list, memo: dict, vals, points: bytes, d: int, a: int, s: int) -> dict:
-    """The node of the prefix restriction x_1..x_d = a, at the ternary state
-    s of ``val``: the leaf ``memo[v]`` where it is constant at v; where it
-    has at most ``_DT_MEMO_FREE`` free variables, the node already made for
-    its table if there is one; else a new empty node, queued on ``stack``
-    to be filled (``_dt_fill``).
-
-    ``points`` holds f's values, one byte per input, so the restriction's
-    table is the slice from a in steps of 2**d.  Its length, 2**(n-d), sets
-    the depth, so one dict keys every depth.
-    """
-    v = vals[s]
-    if v != 2:
-        return memo[v]
-    if len(points) >> d <= 1 << _DT_MEMO_FREE:
-        key = points[a :: 1 << d]
-        node = memo.get(key)
-        if node is not None:
-            return node
-        node = memo[key] = {}
-    else:
-        node = {}
-    stack.append((node, d, a, s))
-    return node
-
-
-def _dt_fill(stack: list, memo: dict, vals, points: bytes, full, sweeps) -> list:
-    """Fill the prefix nodes queued on ``stack`` (``_dt_node``) and those
-    their queries queue, and return the holes left: all of them while
-    ``sweeps`` is None, else none.
-
-    A full-degree restriction queries x_{d+1}; any other is a hole, since
-    the constant ones are leaves.  ``sweeps`` is (d0, flat slab, its flat
-    ``dt``): a hole then takes the rule's variable from the slab, and
-    queries x_{d+1} as a full-degree node does, or another variable, below
-    which the states are no longer prefix restrictions and ``_dt_witness``
-    builds the subtrees.
-    """
-    n = len(points).bit_length() - 1
-    holes = []
-    if sweeps is not None:
-        d0, slab_vals, dt = sweeps
-        m, lead = 1 << d0, 3**d0
-        slab_free = [(i, m * 3 ** (i - d0)) for i in range(d0, n)]
-    while stack:
-        node, d, a, s = stack.pop()
-        if not (d < n and full[(1 << d) - 1 + a]):
-            if sweeps is None:
-                holes.append((node, d, a, s))
-                continue
-            t = (a & (m - 1)) + m * (s // lead)
-            free = slab_free[d - d0 :]
-            j = _dt_query(dt, t, free)
-            if j:
-                i, stride = free[j]
-                rest = free[:j] + free[j + 1 :]
-                node["var"] = i + 1
-                node["low"] = _dt_witness(slab_vals, dt, t - 2 * stride, rest)
-                node["high"] = _dt_witness(slab_vals, dt, t - stride, rest)
-                continue
-        stride = 3**d
-        node["var"] = d + 1
-        node["low"] = _dt_node(stack, memo, vals, points, d + 1, a, s - 2 * stride)
-        node["high"] = _dt_node(stack, memo, vals, points, d + 1, a | 1 << d, s - stride)
-    return holes
-
-
 def _dt_tree(val: np.ndarray, coeffs: np.ndarray) -> tuple[int, dict]:
-    """DT and the tree of ``_dt_witness``'s rule from the whole cube, built
-    top-down through the prefix restrictions x_1..x_d = a.
+    """DT and the tree the witness rule walks from the whole cube, built
+    top-down by one breadth-first walk: at each state that is not constant,
+    the rule queries the smallest free variable whose two halves reach its
+    depth (``_dt_query``).
 
-    A restriction with k free variables whose top Moebius coefficient is
-    nonzero (``_full_prefixes``) has degree k, so DT = k (deg <= DT <= k).
-    One of its halves on x_{d+1} then has full degree k - 1 (the top
-    coefficient is the difference of theirs), so x_{d+1}, its smallest free
-    variable, meets the rule's tie-break, and the node queries it with no
-    table read.  Any other restriction is a leaf where ``val`` says it is
-    constant, and otherwise a hole.  Holes lie below full-degree nodes, or
-    one sits at the root.  The sweeps (``_depth_sweeps``) run once, on the
-    slab of all 2**d0 restrictions at the shallowest hole depth d0
-    (``_dt_slab``), and each hole is filled from it (``_dt_fill``).  The
-    tree is the one the rule walks on the whole lattice, since it reads only
-    exact depths.
+    The walk's queue holds (node, d, a, s, free) entries, each a node to
+    fill.  With ``free`` None, the node is the prefix restriction x_1..x_d
+    = a, at the ternary state s of ``val``.  A restriction with k free
+    variables whose top Moebius coefficient is nonzero (``_full_prefixes``)
+    has degree k, so DT = k (deg <= DT <= k).  One of its halves on x_{d+1}
+    then has full degree k - 1 (the top coefficient is the difference of
+    theirs), so x_{d+1}, its smallest free variable, meets the rule's
+    tie-break, and the node queries it with no table read.  Any other
+    restriction that is not constant is a hole.  Holes lie below full-degree
+    nodes, or one sits at the root.  The queue is first-in first-out, so the
+    first hole popped lies at the shallowest hole depth d0: the sweeps
+    (``_depth_sweeps``) run then, once, on the slab of all 2**d0
+    restrictions at that depth (``_dt_slab``), and every hole takes the
+    rule's variable from them.  A hole that queries x_{d+1} has prefix
+    restrictions for children, as a full-degree node does; below any other
+    query the states are no longer prefix restrictions, and their entries
+    hold a slab state s and ``free``, the pairs (i, stride of i) of its free
+    variables i, ascending (their d and a are not read).  The tree is the
+    one the rule walks on the whole lattice, since it reads only exact
+    depths.  DT is n, unless the hole is at the root, where the sweeps are
+    those of the whole lattice and give it.
 
     The rule reads only a restriction's own subcubes, so two restrictions of
-    one depth with the same table have the same subtree.  Where a
-    restriction has at most ``_DT_MEMO_FREE`` free variables, its subtree is
-    built once per table (``_dt_node``), and every later restriction with
-    that table, reached from a full-degree node or from a hole that queries
-    its smallest free variable, gets the same object; the constant ones
-    share one leaf per value.  The tree is thus a DAG of shared nodes, and
-    read-only.  The walk is an explicit stack of module-level calls, so it
+    one depth with the same table have the same subtree.  ``points`` holds
+    f's values, one byte per input, so the table of x_1..x_d = a is the
+    slice from a in steps of 2**d; its length, 2**(n-d), sets the depth, so
+    one dict keys every depth.  Where a restriction has at most
+    ``_DT_MEMO_FREE`` free variables, its node is made once per table, and
+    every later restriction with that table, reached from a full-degree
+    node or from a hole that queries its smallest free variable, gets the
+    same object; every constant state, of a prefix or of the slab, is one
+    of two shared leaves.  The tree is thus a DAG of shared nodes, and
+    read-only.  The walk is one loop of plain reads, with no closure, so it
     makes no reference cycle, and the fold is freed when its caller drops
     it.
     """
@@ -678,16 +608,47 @@ def _dt_tree(val: np.ndarray, coeffs: np.ndarray) -> tuple[int, dict]:
     vals = val.reshape(-1).data
     points = val[(slice(0, 2),) * n].tobytes()
     memo: dict = {0: {"value": 0}, 1: {"value": 1}}
-    stack: list = []
-    tree = _dt_node(stack, memo, vals, points, 0, 0, 3**n - 1)
-    holes = _dt_fill(stack, memo, vals, points, full, None)
-    if not holes:
-        return (n if "var" in tree else 0), tree
-    d0 = min(d for _, d, _, _ in holes)
-    slab = _dt_slab(val, d0)
-    dt = _depth_sweeps(slab).reshape(-1).data
-    _dt_fill(holes, memo, vals, points, full, (d0, slab.reshape(-1).data, dt))
-    return (n if d0 else dt[-1]), tree
+    if vals[-1] != 2:
+        return 0, memo[vals[-1]]
+    tree: dict = {}
+    queue = deque([(tree, 0, 0, 3**n - 1, None)])
+    d0 = None
+    while queue:
+        node, d, a, s, free = queue.popleft()
+        if free is not None:
+            j = _dt_query(dt, s, free)
+        elif not full[(1 << d) - 1 + a]:
+            if d0 is None:
+                d0, m, lead = d, 1 << d, 3**d
+                slab = _dt_slab(val, d0)
+                slab_vals, dt = slab.reshape(-1).data, _depth_sweeps(slab).reshape(-1).data
+                slab_free = [(i, m * 3 ** (i - d0)) for i in range(d0, n)]
+            t, free = (a & (m - 1)) + m * (s // lead), slab_free[d - d0 :]
+            j = _dt_query(dt, t, free)
+            if j:
+                s = t
+            else:
+                free = None
+        if free is None:
+            i, stride, table, rest = d, 3**d, vals, None
+        else:
+            (i, stride), table, rest = free[j], slab_vals, free[:j] + free[j + 1 :]
+        node["var"] = i + 1
+        for side, b, c in (("low", a, s - 2 * stride), ("high", a | 1 << d, s - stride)):
+            v = table[c]
+            if v != 2:
+                child = memo[v]
+            elif rest is None and len(points) >> (d + 1) <= 1 << _DT_MEMO_FREE:
+                key = points[b :: 2 << d]
+                child = memo.get(key)
+                if child is None:
+                    child = memo[key] = {}
+                    queue.append((child, d + 1, b, c, None))
+            else:
+                child = {}
+                queue.append((child, d + 1, b, c, rest))
+            node[side] = child
+    return (dt[-1] if d0 == 0 else n), tree
 
 
 class _LatticeMeasures:
@@ -713,10 +674,11 @@ class _LatticeMeasures:
     by deg, deg_p or DT, and kept.  Without a witness, DT is at least deg
     and any lower bound the caller passes: at n it needs no table, since
     DT <= n, and otherwise the sweeps stop once the whole cube's entry
-    meets it.  A witness is built top-down from the prefix restrictions
-    (``_dt_tree``): those of full degree query their next variable with no
-    table read, and the sweeps run only on the slab below the shallowest
-    restriction of lower degree.
+    meets it.  A witness is built top-down by one breadth-first walk from
+    the prefix restrictions (``_dt_tree``): those of full degree query their
+    next variable with no table read, and the sweeps run once, on the slab
+    of the first restriction of lower degree that the walk meets, which is
+    at the shallowest depth; every state below it reads them.
 
     The unpointed bs search (``_best_first`` over the inputs, valued by
     ``_bs_point``) runs under min(u(x), C(f,x)), since bs(f,x) <= C(f,x),
@@ -867,15 +829,16 @@ def dt_depth(f: TruthTable, witness: bool = False, limit: int | None = None):
     The witness tree queries 1-based variables ('var', 'low', 'high' nodes,
     'value' leaves): at each subcube, from the whole cube down, it queries
     the smallest variable whose two halves reach the optimum, and it ends in
-    a leaf wherever the subcube is constant.  It is built top-down through
-    the prefix restrictions x_1..x_d = a (``_dt_tree``): one of full degree
-    queries x_{d+1} without reading a table, and the sweeps run once, on the
-    slab of restrictions at the depth of the shallowest one of lower degree
-    that is not constant.  Restrictions x_1..x_d = a with at most 6 free
-    variables and the same table share one subtree object, as do the
-    constant ones of one value, so the tree is a DAG: read it, serialize it
-    or validate it, but do not mutate it, as with the read-only pattern
-    tables.
+    a leaf wherever the subcube is constant.  It is built top-down by one
+    breadth-first walk from the prefix restrictions x_1..x_d = a
+    (``_dt_tree``): one of full degree queries x_{d+1} without reading a
+    table, and the sweeps run once, on the slab of restrictions at the depth
+    of the shallowest one of lower degree that is not constant; the states
+    below it read them.  Restrictions x_1..x_d = a with at most 6 free
+    variables and the same table share one subtree object, and every
+    constant subcube is one of two leaf objects, one per value, so the tree
+    is a DAG: read it, serialize it or validate it, but do not mutate it, as
+    with the read-only pattern tables.
     """
     return _LatticeMeasures(f, {"DT": limit}).dt_depth(witness)
 

@@ -159,8 +159,16 @@ def _degrees(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _sparsities(coeffs: np.ndarray) -> np.ndarray:
-    """Number of nonzero coefficients per column."""
-    return np.count_nonzero(coeffs, axis=0)
+    """Number of nonzero coefficients per column, as ``np.count_nonzero``
+    along the first axis gives it.
+
+    The nonzero mask is summed as bytes into the narrowest unsigned type
+    that holds the column length, which is faster than ``count_nonzero``
+    along an axis, and cast back to intp, so that ratios with the counts
+    stay float64.
+    """
+    nonzero = (coeffs != 0).view(np.uint8)
+    return np.add.reduce(nonzero, axis=0, dtype=np.min_scalar_type(coeffs.shape[0])).astype(np.intp)
 
 
 def moebius_coefficients(f: TruthTable) -> np.ndarray:

@@ -3,8 +3,10 @@
 Everything here works from single-point evaluation only (``TruthTable.value_at``),
 by direct enumeration over points, blocks, subsets, chains, or characters, so
 these oracles share no algorithmic path with the library code they check.
-Only usable at small arity.  The ``naive_*`` family definitions at the end
-state each named family one input at a time, tabulated by
+The one exception, ``rule_walk``, walks a given table of subcube depths
+with the decision-tree witness rule, reading its leaves one point at a
+time.  Only usable at small arity.  The ``naive_*`` family definitions at
+the end state each named family one input at a time, tabulated by
 ``TruthTable.from_callable``.
 """
 
@@ -264,6 +266,31 @@ def naive_subcube_dt(f):
 
 def naive_dt(f):
     return naive_subcube_dt(f)(0, 0)
+
+
+def rule_walk(f, depth):
+    """The tree the DT witness rule walks on ``depth``, the optimal depth of
+    every subcube of f flattened by its ternary state sum(t_i * 3**i), with
+    t_i = 2 where variable i is free: a leaf where the depth is 0, else a
+    query of the smallest free variable i with 1 + max(depth of the halves
+    t_i = 0 and t_i = 1) == depth, 1-based, as ``dt_depth`` writes it."""
+
+    def walk(state, point, free):
+        here = int(depth[state])
+        if here == 0:
+            return {"value": f.value_at(point)}
+        for i in free:
+            low, high = state - 2 * 3**i, state - 3**i
+            if 1 + max(int(depth[low]), int(depth[high])) == here:
+                rest = [j for j in free if j != i]
+                return {
+                    "var": i + 1,
+                    "low": walk(low, point, rest),
+                    "high": walk(high, point | 1 << i, rest),
+                }
+        raise AssertionError("no free variable reaches the depth")
+
+    return walk(3**f.n - 1, 0, list(range(f.n)))
 
 
 def table_matrix(n, ids):

@@ -38,6 +38,7 @@ from oracles import (
     naive_dt,
     naive_subcube_dt,
     random_table,
+    rule_walk,
 )
 
 
@@ -226,12 +227,10 @@ def test_dt_witness_sweeps_only_the_slab_below_the_shallowest_hole(monkeypatch):
 
 def _whole_lattice_walk(f):
     """DT and the tree the witness rule walks on the sweeps of the whole
-    lattice, with no prefix restriction, no slab and no shared node."""
-    n = f.n
-    val = _subcube_fold(f.to_array()[:, None])
-    dt = measures._depth_sweeps(val)
-    free = [(i, 3**i) for i in range(n)]
-    return dt.item(-1), measures._dt_witness(val.reshape(-1).data, dt.reshape(-1).data, 3**n - 1, free)
+    lattice (``rule_walk``), with no prefix restriction, no slab and no
+    shared node."""
+    dt = measures._depth_sweeps(_subcube_fold(f.to_array()[:, None])).reshape(-1)
+    return dt.item(-1), rule_walk(f, dt)
 
 
 def _assert_walk_of_the_whole_lattice(f):
@@ -262,26 +261,31 @@ def test_dt_witness_is_the_walk_of_the_whole_lattice_at_14():
 
 
 def _distinct_nodes(tree):
-    """(nodes, distinct node objects) of a tree, walked as a tree."""
-    seen, count, stack = set(), 0, [tree]
+    """(nodes, distinct node objects, distinct leaf objects) of a tree,
+    walked as a tree."""
+    seen, leaves, count, stack = set(), set(), 0, [tree]
     while stack:
         node = stack.pop()
         count += 1
         seen.add(id(node))
         if "var" in node:
             stack += [node["low"], node["high"]]
-    return count, len(seen)
+        else:
+            leaves.add(id(node))
+    return count, len(seen), len(leaves)
 
 
 def test_dt_witness_shares_the_subtrees_of_equal_restrictions():
     # every restriction of maj(13) with k free variables is a threshold
     # function of them, so few of its 2**14 - 1 nodes are distinct objects
-    nodes, distinct = _distinct_nodes(dt_depth(maj(13), witness=True, limit=13)[1])
+    nodes, distinct, _ = _distinct_nodes(dt_depth(maj(13), witness=True, limit=13)[1])
     assert nodes > 2**12 and distinct * 20 < nodes
-    # a random function shares some of its low subtrees
+    # a random function shares some of its low subtrees, and every constant
+    # subcube, above its holes or below them, is one of two leaf objects
     f = TruthTable(10, random_table(np.random.default_rng(49), 10))
-    nodes, distinct = _distinct_nodes(dt_depth(f, witness=True)[1])
-    assert distinct < nodes
+    assert _holes(_values(f), f.n)
+    nodes, distinct, leaves = _distinct_nodes(dt_depth(f, witness=True)[1])
+    assert distinct < nodes and leaves == 2
 
 
 @pytest.mark.parametrize("f", [

@@ -26,7 +26,14 @@ from boolfn._bulk import _tables, measure_arrays
 from boolfn.core import _xor
 from boolfn.families import and_, maj, parity
 from boolfn.measures import _lanes, _pointwise_sensitivity
-from boolfn.spectral import _moebius_rows, _residues, _subset_sum, _walsh_rows, is_prime
+from boolfn.spectral import (
+    _moebius_rows,
+    _residues,
+    _sparsities,
+    _subset_sum,
+    _walsh_rows,
+    is_prime,
+)
 
 from oracles import (
     naive_degree,
@@ -276,6 +283,27 @@ def test_int8_butterflies_equal_the_int64_kernels(n):
         narrow = kernel(t, np.int8)
         assert narrow.dtype == np.int8
         assert np.array_equal(narrow, kernel(t, np.int64)), kernel.__name__
+
+
+def test_sparsities_equal_count_nonzero_in_value_and_dtype():
+    # the counts are summed in a narrow unsigned type and cast back to
+    # count_nonzero's intp; NOR's 2**8 Moebius coefficients are all nonzero,
+    # one more than a uint8 accumulator holds
+    nor = _moebius_rows(TruthTable(8, 1).to_array(), np.int64)
+    assert np.count_nonzero(nor) == 256
+    t = _tables(4, 0, 2**16)
+    rng = np.random.default_rng(52)
+    cases = [nor, nor[:, None], _walsh_rows(t, np.int8), _moebius_rows(t, np.int8)]
+    cases += [
+        rng.integers(-2, 3, (2**k, 5)).astype(dtype)
+        for k in (1, 6, 9)
+        for dtype in (np.int8, np.int32, np.int64)
+    ]
+    cases.append(rng.integers(-1, 2, 2**9).astype(np.int32))
+    for coeffs in cases:
+        got, want = _sparsities(coeffs), np.count_nonzero(coeffs, axis=0)
+        assert got.dtype == want.dtype == np.intp
+        assert np.array_equal(got, want)
 
 
 def test_int32_holds_every_coefficient_up_to_max_arity():
