@@ -228,25 +228,27 @@ def _lex_min_family(cands: list[int], n: int, best) -> tuple[int, ...]:
     return tuple(chosen)
 
 
-def _bs_point(f: TruthTable, a: int, want_witness: bool) -> tuple[int, BlockFamily | None]:
-    """bs(f, a) by the memoized packer over the minimal sensitive blocks at a.
+def _bs_point(f: TruthTable, a: int, want_witness: bool):
+    """(bs(f, a), family) by the memoized packer over the minimal sensitive
+    blocks at a: the family is the lexicographically smallest maximum one,
+    a ``BlockFamily`` with ``want_witness``, else a function of no arguments
+    that packs it on call from this packer and its memo.
 
-    The witness is the lexicographically smallest maximum family.  Every
-    per-function caller sends one input at a time here, at every arity, and
-    the exhaustive scans' table of bs(p, 0) over every flip pattern p
-    (``_bulk._bs_table``) runs the same packer and family rule once per
-    distinct antichain of minimal blocks.
+    This is the one packing of every per-function caller, one input at a
+    time, at every arity: the unpointed search keeps the packing function
+    of its best input, so its witness reuses that packing.  The exhaustive
+    scans' table of bs(p, 0) over every flip pattern p (``_bulk._bs_table``)
+    runs the same packer and family rule once per distinct antichain of
+    minimal blocks.
     """
     sens = _sensitive_profile(f, a)
-    if not sens.any():
-        return 0, (BlockFamily(a, ()) if want_witness else None)
-    cands = np.flatnonzero(_minimal_blocks(sens)).tolist()
+    cands = np.flatnonzero(_minimal_blocks(sens)).tolist() if sens.any() else []
     best = _make_packer(cands)
-    val = best(table_size(f.n) - 1)
-    fam = None
-    if want_witness:
-        fam = BlockFamily(a, _lex_min_family(cands, f.n, best))
-    return val, fam
+
+    def pack():
+        return BlockFamily(a, _lex_min_family(cands, f.n, best))
+
+    return best(table_size(f.n) - 1), (pack() if want_witness else pack)
 
 
 def _sensitivity_bound(s: np.ndarray) -> np.ndarray:
@@ -300,10 +302,17 @@ def _best_first(bound, value, tighten=None, after=0) -> tuple[int, int, int]:
                 continue
         v = value(x, best, at)
         evaluated += 1
-        if v > best or (v == best and x < at):
+        if _beats(v, x, best, at):
             best, at = v, x
         pos += 1
     return best, at, evaluated
+
+
+def _beats(v, x: int, best, at: int) -> bool:
+    """``_best_first``'s rule: does value v at position x replace the best
+    so far, at position ``at``: a larger value, or an equal one at a smaller
+    position."""
+    return v > best or (v == best and x < at)
 
 
 def block_sensitivity(
@@ -355,8 +364,9 @@ def _table_bytes(n: int) -> int:
     ``val`` (``_subcube_fold``), one byte per state, stays alive under the
     work of its reader, the most of:
 
-    * C's counts (``_certificate_sizes``), one byte per state, and their
-      zeroing mask over a third of the states: 4/3 byte per state;
+    * C's counts (``_certificate_sizes``), one byte per state, and the
+      shifted counts that a pass multiplies in, over a third of the
+      states: 4/3 byte per state;
     * DT's sweeps (``_depth_sweeps``), ``dt`` one byte per state in 4-byte
       words and a work buffer over a third of the states: 4/3 likewise;
     * with a witness, the sweeps of a slab (``_dt_slab``), a copy of at
@@ -424,30 +434,38 @@ def _certificate_sizes(val: np.ndarray) -> np.ndarray:
     (``_subcube_fold``), as a (2**n, m) uint8 array indexed by point: n less
     the most free variables of a constant subcube through x.
 
-    The counts of free variables of each constant state, 0 on the others,
-    fold along the passes of ``val``, adding 1 per free axis and zeroed
-    where ``val`` is 2; n max-passes then push them from t_i = * down into
-    t_i = 0 and t_i = 1, to the points.
+    A count array holds 1 + the free variables of each constant state, 0 on
+    the others.  It starts as ``val != 2``, 1 on every constant state, and
+    folds along the passes of ``val``: a state with t_i = * still holds its
+    constancy when pass i reaches it, so one in-place multiply by the count
+    at t_i = 0, plus 1, sets it, with no mask built per pass.  n max-passes
+    then push the counts from t_i = * down into t_i = 0 and t_i = 1, to the
+    points.
     """
     n = val.ndim - 1
-    count = np.zeros(val.shape, dtype=np.uint8)
+    count = np.empty(val.shape, dtype=np.uint8)
+    np.not_equal(val, 2, out=count.view(np.bool_))
     for k in reversed(range(n)):
         lead = (slice(0, 2),) * k
         free = count[lead + (2,)]
-        np.add(count[lead + (0,)], 1, out=free)
-        free *= val[lead + (2,)] != 2
+        free *= count[lead + (0,)] + 1
     for k in range(n):
         lead = (slice(0, 2),) * k
         halves = count[lead + (slice(0, 2),)]
         np.maximum(halves, count[lead + (slice(2, 3),)], out=halves)
-    return (n - count[(slice(0, 2),) * n]).reshape(-1, val.shape[-1])
+    return (n + 1 - count[(slice(0, 2),) * n]).reshape(-1, val.shape[-1])
 
 
+@cache
 def _ternary(d: int) -> np.ndarray:
     """sum(3**i) over the set bits i of every mask b < 2**d: the ternary
-    state of the point b, in a fixed number of numpy calls."""
+    state of the point b, in a fixed number of numpy calls.  Read-only and
+    built once per arity, as ``_bit_reversal``: ``_certificate_set`` and
+    ``_dt_slab`` read it on every witness."""
     axes = np.arange(d)
-    return ((np.arange(1 << d)[:, None] >> axes) & 1) @ 3**axes
+    tern = ((np.arange(1 << d)[:, None] >> axes) & 1) @ 3**axes
+    tern.flags.writeable = False
+    return tern
 
 
 def _certificate_set(val: np.ndarray, x: int, size: int) -> int:
@@ -477,6 +495,11 @@ def _depth_sweeps(val: np.ndarray, lower: int = -1) -> np.ndarray:
     a few sweeps on most functions.  Given a lower bound on the whole cube's
     depth, they also stop once every table's entry meets it, which makes
     that entry exact, though not the other entries of ``dt``.
+
+    Each axis's relaxation reads four ``level_views``: the halves and the
+    free part of ``dt``, and a work buffer over a third of the states.  The
+    n tuples are built once per call and read by every sweep, since at the
+    report's arities the sweeps cost mostly such fixed numpy work.
     """
     n = val.ndim - 1
     # dt fills the front of a zeroed array of 4-byte words; its entries only
@@ -488,14 +511,16 @@ def _depth_sweeps(val: np.ndarray, lower: int = -1) -> np.ndarray:
     dt *= n
     full = dt[(2,) * n]  # the whole cube's entry of every table
     buf = np.empty(dt.size // 3, dtype=np.int8)
+    # the (low, high, free, out) views of each axis, built once for every sweep
+    axes = []
+    for k in range(n):
+        run = 3 ** (n - 1 - k) * full.size
+        axes.append((*level_views(dt, 3, run), *level_views(buf, 1, run)))
     total = None
     for sweep in range(1, n + 1):
         if full.max() <= lower:
             break
-        for k in range(n):
-            run = 3 ** (n - 1 - k) * full.size
-            low, high, free = level_views(dt, 3, run)
-            (out,) = level_views(buf, 1, run)
+        for low, high, free, out in axes:
             np.maximum(low, high, out=out, order="C")
             out += 1
             np.minimum(free, out, out=free, order="C")
@@ -685,8 +710,11 @@ class _LatticeMeasures:
     from its first input if the certificate sizes exist; otherwise under u
     alone until n inputs have not settled it, and then it builds them if
     the table fits the byte budget, whatever the C and DT ceilings say.
-    The search runs once: its value and smallest maximizer are kept, so a
-    later call with ``witness`` only packs the family at that input.
+    The search runs once.  It holds the packing function of its best input
+    so far (``_bs_point``), replaced under ``_best_first``'s own rule
+    (``_beats``), so at most one packer beyond the one being evaluated;
+    the value and that packing are kept, and a call with ``witness`` reads
+    the family off the packer's memo, with no second packing.
     """
 
     def __init__(self, f: TruthTable, limits: dict):
@@ -695,7 +723,7 @@ class _LatticeMeasures:
         self._s: np.ndarray | None = None
         self._val: np.ndarray | None = None
         self._sizes: np.ndarray | None = None
-        self._bs: tuple[int, int] | None = None
+        self._bs: tuple | None = None  # (bs, the function packing its family)
         self._coeffs: np.ndarray | None = None
 
     def _skip(self, measure: str) -> ArityLimitError | None:
@@ -762,10 +790,18 @@ class _LatticeMeasures:
             tighten = self._certificate_bound
             if self._sizes is not None:
                 bound, tighten = tighten(bound), None
-            search = _best_first(bound, lambda x, *_: _bs_point(f, x, False)[0], tighten, f.n)
-            self._bs = search[:2]
-        val, point = self._bs
-        return (val, _bs_point(f, point, True)[1]) if witness else val
+            kept = None  # the packing of the best input so far, alone
+
+            def value(x, best, at):
+                nonlocal kept
+                v, pack = _bs_point(f, x, False)
+                if _beats(v, x, best, at):
+                    kept = pack
+                return v
+
+            self._bs = _best_first(bound, value, tighten, f.n)[0], kept
+        val, pack = self._bs
+        return (val, pack()) if witness else val
 
     def certificate(self, witness: bool, at: int | None = None):
         if at is not None:
@@ -933,11 +969,14 @@ def alternation(f: TruthTable, witness: bool = False):
 
 # Arity from which the salt search tightens the parity floor by
 # ``_chain_bound`` after its first shift.  Below it the bound's fixed cost,
-# about 7n + 20 numpy calls, is more than it saves: mean per call over 20
-# random functions, best of 15, two runs on a 2-core VM, floor only against
-# floor and chain bound: 124-138 against 130-159 us at n = 5 (15.6 against
-# 1.9 shifts), 320-340 against 156-165 us at n = 6 (32 against 1.8).
-_BOUND_MIN_ARITY = 6
+# about 9n + 25 numpy calls (about 10 for the masks, 9 a step of the walk),
+# is more than it saves: mean per call over 20 random functions, best of 15
+# alternating rounds, on a 2-core VM, floor only against floor and chain
+# bound: 33 against 65 us at n = 4 (6.5 against 1.7 shifts), 100-110
+# against 82-91 us at n = 5 (16 against 2.0), 283-311 against 100-111 us
+# at n = 6 (32 against 1.8), 793-844 against 126-136 us at n = 7 (64
+# against 2.4).
+_BOUND_MIN_ARITY = 5
 
 
 def _level_sets(moves: list, full, b: int, cap: int):
@@ -1056,6 +1095,46 @@ def _bit_reversal(n: int) -> np.ndarray:
     return rev
 
 
+@cache
+def _byte_spread() -> np.ndarray:
+    """Read-only (8, 256) uint64: byte j of entry [i, b] is bit j of the
+    byte b, shifted left by i.  The OR of entries [i, b_i] over i < 8 is
+    the transpose of the 8 x 8 bit matrix of rows b_i."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    spread = bits.view("<u8")[:, 0] << np.arange(8, dtype=np.uint64)[:, None]
+    spread.flags.writeable = False
+    return spread
+
+
+def _direction_masks(f: TruthTable) -> np.ndarray:
+    """The mask of sensitive directions at every point x, bit i set where
+    f(x) != f(x XOR e_i), as (2**n,) intp.
+
+    Plane i, the packed table of f(x) XOR f(x XOR e_i), is a few Python int
+    operations (``xor_shift``).  Each group of 8 planes, as bytes, is
+    transposed into one byte of every point's mask by one gather from
+    ``_byte_spread`` and one OR-reduction: a fixed number of numpy calls
+    per 8 variables, not about 7 per variable, and no array above 8 bytes
+    per point.
+    """
+    n, bits = f.n, f.bits
+    size = table_size(n)
+    nbytes = max(1, size >> 3)
+    groups = -(-n // 8)
+    raw = bytearray(8 * groups * nbytes)
+    for i in range(n):
+        plane = bits ^ xor_shift(bits, n, i)
+        raw[i * nbytes : (i + 1) * nbytes] = plane.to_bytes(nbytes, "little")
+    planes = np.frombuffer(raw, dtype=np.uint8).reshape(groups, 8, nbytes)
+    width = 1 << max(0, groups - 1).bit_length()  # 1, 2 or 4 bytes a mask
+    masks = np.zeros((size, width), dtype=np.uint8)
+    rows = np.arange(8)[:, None]
+    for g in range(groups):
+        words = np.bitwise_or.reduce(_byte_spread()[rows, planes[g]], axis=0)
+        masks[:, g] = words.astype("<u8", copy=False).view(np.uint8)[:size]
+    return masks.view(f"<u{width}")[:, 0].astype(np.intp)
+
+
 def _chain_bound(f: TruthTable) -> np.ndarray:
     """A lower bound on alt(f XOR b) for every shift b < 2**(n-1).
 
@@ -1067,28 +1146,24 @@ def _chain_bound(f: TruthTable) -> np.ndarray:
     alt(f XOR b) == alt(f XOR ~b), from ~b, each with the directions taken
     smallest or largest first.  Every count has the parity of f(b) XOR
     f(~b), as every chain's does.  Largest first is smallest first with the
-    variables reversed (``_bit_reversal``), so all four walk at once, with
-    all shifts: n gathers from the per-point masks of sensitive directions
-    of f and of f reversed, stacked in one table.  Where all four count 0,
-    f(b) == f(~b) and no greedy step changes f; the bound is then 2 unless
-    f is constant, since some chain from b to ~b passes a point where f
-    differs from f(b) and must change back.
+    variables reversed (``_bit_reversal``), so the chains from every point,
+    the b and ~b of every shift, walk at once both ways: n gathers from the
+    per-point masks of sensitive directions (``_direction_masks``) of f and
+    of f reversed, stacked in one table.
+    The positions, the free directions and the table are intp, the type
+    numpy gathers with, so no gather converts its index.  Where all four
+    count 0, f(b) == f(~b) and no greedy step changes f; the bound is then
+    2 unless f is constant, since some chain from b to ~b passes a point
+    where f differs from f(b) and must change back.
     """
     n = f.n
     size = table_size(n)
-    t = f.to_array()
     rev = _bit_reversal(n)
-    sens = np.zeros(size, dtype=np.int32)
-    for i in range(n):
-        pairs = t.reshape(-1, 2, 1 << i)
-        flips = (pairs[:, 0] != pairs[:, 1]).astype(np.int32) << i
-        view = sens.reshape(-1, 2, 1 << i)
-        view[:, 0] |= flips
-        view[:, 1] |= flips
-    table = np.concatenate([sens, rev[sens[rev]]])
-    half = np.arange(size >> 1, dtype=np.int32)
-    # rows: b, ~b, and both reversed, which read the second half of the table
-    x = np.concatenate([half, half ^ (size - 1), rev[half] | size, rev[half ^ (size - 1)] | size])
+    sens = _direction_masks(f)
+    table = np.concatenate([sens, rev[sens[rev]]], dtype=np.intp)
+    # a chain from every point, then from every point reversed, which reads
+    # the second half of the table; the shifts b and ~b take the most of both
+    x = np.concatenate([np.arange(size), rev | size], dtype=np.intp)
     free = np.full_like(x, size - 1)
     count = np.zeros_like(x)
     for _ in range(n):
@@ -1099,7 +1174,8 @@ def _chain_bound(f: TruthTable) -> np.ndarray:
         step &= -step
         x ^= step
         free ^= step
-    bound = count.reshape(4, -1).max(axis=0)
+    most = count.reshape(2, -1).max(axis=0)
+    bound = np.maximum(most[: size >> 1], most[::-1][: size >> 1])
     if 0 < f.bits < table_mask(n):
         bound[bound == 0] = 2
     return bound
@@ -1282,25 +1358,41 @@ def _well_formed(tree, n: int, queries: int) -> bool:
     return ok(tree, queries)
 
 
-def _tree_eval(tree: dict, x: int) -> tuple[int, int]:
-    """(value, depth used) of a witness tree at x."""
-    if "value" in tree:
-        return tree["value"], 0
-    branch = tree["high"] if (x >> (tree["var"] - 1)) & 1 else tree["low"]
-    v, d = _tree_eval(branch, x)
-    return v, d + 1
-
-
 def validate_decision_tree(f: TruthTable, tree: dict, claimed_depth: int) -> bool:
-    if not _well_formed(tree, f.n, f.n):
+    """Does ``tree`` compute f, with a deepest path of ``claimed_depth``
+    queries.
+
+    After the structure check (``_well_formed``), the tree's distinct node
+    objects are numbered once, so a witness DAG is read once per node, not
+    per path, and every input steps down together: step k takes each input
+    at a query to the child of its bit, a leaf keeps it, and the first step
+    with no input at a query is the deepest path's length.  A well-formed
+    tree makes at most n queries on a path, so that is n + 1 vectorized
+    steps over the 2**n inputs; then each input's leaf must hold f's value.
+    """
+    n = f.n
+    if not _well_formed(tree, n, n):
         return False
-    worst = 0
-    for x in range(table_size(f.n)):
-        v, d = _tree_eval(tree, x)
-        if v != f.value_at(x):
-            return False
-        worst = max(worst, d)
-    return worst == claimed_depth
+    number, nodes = {id(tree): 0}, [tree]
+    for node in nodes:  # grows as it is read: breadth-first over the DAG
+        for side in ("low", "high") if "var" in node else ():
+            if id(node[side]) not in number:
+                number[id(node[side])] = len(nodes)
+                nodes.append(node[side])
+    # per node: its variable, 0-based; its children, low then high, where a
+    # leaf is its own; and its value, -1 at a query
+    var = np.array([node.get("var", 1) - 1 for node in nodes])
+    child = np.array([[number[id(node["low"])], number[id(node["high"])]] if "var" in node
+                      else [j, j] for j, node in enumerate(nodes)]).reshape(-1)
+    value = np.array([node.get("value", -1) for node in nodes])
+    query = value < 0
+    points = np.arange(table_size(n))
+    at = np.zeros_like(points)
+    for depth in range(n + 1):
+        if not query[at].any():
+            return depth == claimed_depth and bool((value[at] == f.to_array()).all())
+        at = child[2 * at + ((points >> var[at]) & 1)]
+    raise AssertionError("a well-formed tree makes at most n queries on a path")
 
 
 # ---------------------------------------------------------------------------
@@ -1390,8 +1482,8 @@ def _measure_report(subcubes: _LatticeMeasures, primes, witnesses: bool) -> Meas
     one place that decides to build the certificate sizes between s and bs.
     A caller passes its own table when it reads more after the report: the
     CLI's pointwise C, or the bs family of ``inequality_suite`` and of the
-    scan's cross-check, which the kept search packs without a second
-    search.
+    scan's cross-check, which the kept search's packing gives without a
+    second search or packing.
 
     deg, every deg_p and DT read the one int32 Moebius table that
     ``subcubes`` keeps, deg_p as its residues mod p (exact: see

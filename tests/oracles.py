@@ -170,6 +170,33 @@ def naive_salt(f):
     return best
 
 
+def naive_chain_bound(f):
+    """The most value changes of four greedy chains from b to ~b, for every
+    shift b < 2**(n-1), each walked one point at a time: from b and from
+    ~b, flipping at each step the first free direction, in ascending or in
+    descending order, whose flip changes f, else the first free one; 2
+    where all four count 0 and f is not constant."""
+    n, top = f.n, 2**f.n - 1
+
+    def greedy(x, order):
+        count, free = 0, list(order)
+        for _ in range(n):
+            changing = [i for i in free if f.value_at(x ^ 1 << i) != f.value_at(x)]
+            i = (changing or free)[0]
+            count += bool(changing)
+            x ^= 1 << i
+            free.remove(i)
+        return count
+
+    constant = len({f.value_at(x) for x in range(2**n)}) == 1
+    bounds = []
+    for b in range(2**n // 2):
+        most = max(greedy(start, order) for start in (b, b ^ top)
+                   for order in (range(n), range(n - 1, -1, -1)))
+        bounds.append(2 if most == 0 and not constant else most)
+    return bounds
+
+
 def naive_shift_alternations(f):
     """alt(x -> f(x XOR b)) for every shift b, by brute force over chains."""
     return [naive_alternation(_shifted(f, b)) for b in range(2**f.n)]
@@ -266,6 +293,21 @@ def naive_subcube_dt(f):
 
 def naive_dt(f):
     return naive_subcube_dt(f)(0, 0)
+
+
+def naive_tree_verdict(f, tree, claimed_depth):
+    """Does a well-formed decision tree compute f with a deepest path of
+    ``claimed_depth`` queries: walked from the root once per input."""
+    worst = 0
+    for x in range(2**f.n):
+        node, used = tree, 0
+        while "value" not in node:
+            node = node["high"] if (x >> (node["var"] - 1)) & 1 else node["low"]
+            used += 1
+        if node["value"] != f.value_at(x):
+            return False
+        worst = max(worst, used)
+    return worst == claimed_depth
 
 
 def rule_walk(f, depth):

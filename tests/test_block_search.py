@@ -21,9 +21,15 @@ from boolfn import _bulk, measures
 from boolfn._bulk import _tables, measure_arrays
 from boolfn.checks import inequality_suite
 from boolfn.families import gip, maj, parity, rubinstein, tree_function
-from boolfn.measures import _best_first, _lanes, _pointwise_sensitivity, _sensitivity_bound
+from boolfn.measures import (
+    _best_first,
+    _bs_point,
+    _lanes,
+    _pointwise_sensitivity,
+    _sensitivity_bound,
+)
 
-from oracles import naive_block_sensitivity, random_table, table_matrix
+from oracles import naive_block_sensitivity, naive_lex_min_family, random_table, table_matrix
 
 
 def _every_function(n):
@@ -162,14 +168,39 @@ def test_search_stops_at_first_unbeatable_point(monkeypatch):
     f = rubinstein(3, 3)
     assert _visits(monkeypatch, lambda: block_sensitivity(f)) <= f.n + 1
     assert _visits(monkeypatch, lambda: measure_report(f, witnesses=False)) == 1
-    # the suite takes bs from the report and keeps its search: one input
-    # searched, the family packed at it, and bs(f,0)
-    assert _visits(monkeypatch, lambda: inequality_suite(f)) == 3
+    # a witnessed report packs its family from the search's own packing
+    assert _visits(monkeypatch, lambda: measure_report(f)) == 1
+    # the suite takes bs and its family from the report's kept search, one
+    # input packed, and packs bs(f,0) once more
+    assert _visits(monkeypatch, lambda: inequality_suite(f)) == 2
     # with no byte budget for the table the search keeps u, with the same result
     want = block_sensitivity(f, witness=True)
     monkeypatch.setattr(measures, "_LATTICE_BUDGET", 0)
     assert _visits(monkeypatch, lambda: block_sensitivity(f)) == 2**f.n
     assert block_sensitivity(f, witness=True) == want
+
+
+def _check_kept_family(f):
+    """The report's bs family, packed from the search's kept packing, is the
+    oracle's smallest maximum family at its point, and a fresh packing's."""
+    fam = measure_report(f).witnesses["bs"]
+    assert fam.blocks == naive_lex_min_family(f, fam.point)
+    assert _bs_point(f, fam.point, True) == (len(fam.blocks), fam)
+
+
+def test_report_family_from_the_kept_packing_seeded():
+    # the oracle enumerates every disjoint family: about 1-2 s at n = 10
+    for f in _seeded(57, range(3, 10), 3) + _seeded(58, (10,), 1):
+        _check_kept_family(f)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [tree_function(3), rubinstein(3, 3), gip(3, 3), maj(11)],
+    ids=["tree3", "rubinstein33", "gip33", "maj11"],
+)
+def test_report_family_from_the_kept_packing_families(f):
+    _check_kept_family(f)
 
 
 def test_search_settled_under_u_builds_no_table(monkeypatch):

@@ -37,6 +37,7 @@ from oracles import (
     naive_salt,
     naive_sensitivity,
     naive_sparsity,
+    naive_tree_verdict,
     random_table,
 )
 
@@ -426,6 +427,52 @@ def _flip_first_leaf(tree):
     if "value" in tree:
         return {"value": 1 - tree["value"]}
     return {**tree, "low": _flip_first_leaf(tree["low"])}
+
+
+def _unshared(tree):
+    """A copy of a witness DAG with no shared node, so that changing one
+    node changes one path."""
+    if "value" in tree:
+        return dict(tree)
+    return {"var": tree["var"], "low": _unshared(tree["low"]), "high": _unshared(tree["high"])}
+
+
+def _mutants(tree, n):
+    """Copies of ``tree`` that differ at one node: a leaf flipped, a query's
+    variable renumbered, or a query's two subtrees swapped, at every node."""
+    tree = _unshared(tree)
+    nodes = [tree]
+    for node in nodes:
+        if "var" in node:
+            nodes += [node["low"], node["high"]]
+    for node in nodes:
+        saved = dict(node)
+        if "value" in node:
+            node["value"] ^= 1
+            yield _unshared(tree)
+        else:
+            for var in range(1, n + 1):
+                if var != saved["var"]:
+                    node["var"] = var
+                    yield _unshared(tree)
+            node.update(var=saved["var"], low=saved["high"], high=saved["low"])
+            yield _unshared(tree)
+        node.clear()
+        node.update(saved)
+
+
+def test_validate_decision_tree_matches_a_per_input_walk_on_mutants():
+    rng = np.random.default_rng(41)
+    cases = [TruthTable(n, random_table(rng, n)) for n in (3, 4, 5, 6) for _ in range(2)]
+    rejected = 0
+    for f in cases + [maj(5), tree_function(2), rubinstein(2, 3)]:
+        depth, tree = dt_depth(f, witness=True)
+        assert validate_decision_tree(f, tree, depth)
+        for mutant in _mutants(tree, f.n):
+            want = naive_tree_verdict(f, mutant, depth)
+            assert validate_decision_tree(f, mutant, depth) == want
+            rejected += not want
+    assert rejected > 1000
 
 
 def test_validate_decision_tree_rejects_a_wrong_leaf_or_depth():

@@ -18,7 +18,7 @@ from boolfn import (
 )
 from boolfn._bitops import table_mask
 from boolfn._bulk import _tables, measure_arrays
-from boolfn.families import and_, gip, maj, or_, parity, tree_function
+from boolfn.families import and_, gip, maj, or_, parity, rubinstein, tree_function
 from boolfn.measures import (
     _alternation_by_shift,
     _chain_bound,
@@ -30,6 +30,7 @@ from boolfn.measures import (
 
 from oracles import (
     _shifted,
+    naive_chain_bound,
     naive_path_maxima,
     naive_salt,
     naive_shift_alternations,
@@ -175,6 +176,14 @@ def test_chain_bound_below_alternation_seeded_and_families():
         _assert_chain_bound(f)
     for n in range(1, 13):
         _assert_chain_bound(and_(n))
+
+
+def test_chain_bound_equals_the_greedy_walk_oracle():
+    # an equal bound, not only a lower one, keeps salt's visiting order
+    rng = np.random.default_rng(41)
+    cases = [TruthTable(n, random_table(rng, n)) for n in range(6, 11) for _ in range(2)]
+    for f in cases + [tree_function(3), gip(3, 3), rubinstein(3, 3), and_(7), TruthTable(6, 0)]:
+        assert _chain_bound(f).tolist() == naive_chain_bound(f)
 
 
 def test_search_visits_one_shift_on_majority_and_and(monkeypatch):
