@@ -465,7 +465,11 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple, tally: dict) -> None:
     salt share the API's kernels (the bs table runs the API's packer), so
     their independent checks are the check of each alternation chain here
     against its alt value, and the tests of the arrays and the tables
-    against brute-force oracles.
+    against brute-force oracles.  The per-function transforms are the batch
+    kernels at one function, turned into plain values by the same rule
+    (``transforms._Batch.result``), so the transform cross-check compares
+    two outputs of one converter; the independent check of every map and
+    certificate field is the tests' comparison with the transform oracles.
     """
     # t holds one table per column, the table of id lo + r in column r
     t = _bulk._tables(n, lo, hi)

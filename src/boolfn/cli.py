@@ -28,6 +28,7 @@ from .commlb import VerificationError, and_matrix, bound_summary, submatrix_witn
 from .core import FormatError, TruthTable, parse_point, tt_parse, tt_serialize
 from .families import from_family_spec
 from .measures import (
+    DEFAULT_LIMITS,
     ArityLimitError,
     _LatticeMeasures,
     _measure_report,
@@ -75,7 +76,7 @@ def _limits_for(f: TruthTable, override: bool) -> dict:
     """The ceilings ``--override-ceilings`` lifts to f's arity, else none."""
     if not override:
         return {}
-    return {"bs": f.n, "C": f.n, "salt": f.n, "DT": f.n}
+    return dict.fromkeys(DEFAULT_LIMITS, f.n)
 
 
 def _emit(payload) -> None:

@@ -265,17 +265,20 @@ def _sensitivity_bound(s: np.ndarray) -> np.ndarray:
     return s + (n - s) // 2
 
 
-def _best_first(bound, value, tighten=None, after=0) -> tuple[int, int, int]:
-    """(best, argbest, evaluated): the maximum of ``value(x)`` over the
-    positions x of the int array ``bound``, its smallest maximizer, and the
-    positions evaluated.  ``bound[x]`` is an upper bound on ``value(x)``.
+def _best_first(bound, value, tighten=None, after=0) -> tuple[int, int, int, object]:
+    """(best, argbest, evaluated, payload): the maximum of the values over
+    the positions x of the int array ``bound``, its smallest maximizer, the
+    positions evaluated, and the payload of that maximizer.  ``bound[x]`` is
+    an upper bound on the value at x.
 
     Visits the positions by descending bound, then ascending x, and stops at
     the first that can neither beat the best value nor tie it at a smaller
     position.  The best is replaced on a larger value, or on an equal one at
     a smaller x, so the result is that of a scan of every position.
-    ``value(x, best, at)`` is handed the best so far and its position (-inf
-    before the first), so it may stop early once x cannot win.
+    ``value(x, best, at)`` returns (value, payload) at x, and is handed the
+    best so far and its position (-inf before the first), so it may stop
+    early once x cannot win.  Only the best's payload is kept (None if no
+    position is evaluated).
 
     Once ``after`` positions have been evaluated without settling the
     search, ``tighten(bound)`` is called once and may return a tighter
@@ -286,7 +289,7 @@ def _best_first(bound, value, tighten=None, after=0) -> tuple[int, int, int]:
     indexed one position at a time, since most searches stop after a few.
     """
     order = np.argsort(-bound, kind="stable")
-    best, at = -math.inf, 0
+    best, at, kept = -math.inf, 0, None
     pos = evaluated = 0
     while pos < len(order):
         x = order.item(pos)
@@ -300,19 +303,12 @@ def _best_first(bound, value, tighten=None, after=0) -> tuple[int, int, int]:
                 order = rest[np.argsort(-tighter[rest], kind="stable")]
                 bound, pos = tighter, 0
                 continue
-        v = value(x, best, at)
+        v, payload = value(x, best, at)
         evaluated += 1
-        if _beats(v, x, best, at):
-            best, at = v, x
+        if v > best or (v == best and x < at):
+            best, at, kept = v, x, payload
         pos += 1
-    return best, at, evaluated
-
-
-def _beats(v, x: int, best, at: int) -> bool:
-    """``_best_first``'s rule: does value v at position x replace the best
-    so far, at position ``at``: a larger value, or an equal one at a smaller
-    position."""
-    return v > best or (v == best and x < at)
+    return best, at, evaluated, kept
 
 
 def block_sensitivity(
@@ -711,10 +707,10 @@ class _LatticeMeasures:
     alone until n inputs have not settled it, and then it builds them if
     the table fits the byte budget, whatever the C and DT ceilings say.
     The search runs once.  It holds the packing function of its best input
-    so far (``_bs_point``), replaced under ``_best_first``'s own rule
-    (``_beats``), so at most one packer beyond the one being evaluated;
-    the value and that packing are kept, and a call with ``witness`` reads
-    the family off the packer's memo, with no second packing.
+    so far (``_bs_point``) as ``_best_first``'s payload, so at most one
+    packer beyond the one being evaluated; the value and that packing are
+    kept, and a call with ``witness`` reads the family off the packer's
+    memo, with no second packing.
     """
 
     def __init__(self, f: TruthTable, limits: dict):
@@ -790,16 +786,9 @@ class _LatticeMeasures:
             tighten = self._certificate_bound
             if self._sizes is not None:
                 bound, tighten = tighten(bound), None
-            kept = None  # the packing of the best input so far, alone
-
-            def value(x, best, at):
-                nonlocal kept
-                v, pack = _bs_point(f, x, False)
-                if _beats(v, x, best, at):
-                    kept = pack
-                return v
-
-            self._bs = _best_first(bound, value, tighten, f.n)[0], kept
+            bs, _, _, pack = _best_first(
+                bound, lambda x, best, at: _bs_point(f, x, False), tighten, f.n)
+            self._bs = bs, pack
         val, pack = self._bs
         return (val, pack()) if witness else val
 
@@ -1202,10 +1191,10 @@ def _salt_search(f: TruthTable) -> tuple[int, int, int]:
     neg_floor = odd - 2 * (0 < f.bits < table_mask(n))
 
     def alt(b, best, at):
-        return -_alternation_at_shift(moves, full, b, min(-best + (b < at), n))
+        return -_alternation_at_shift(moves, full, b, min(-best + (b < at), n)), None
 
     tighten = (lambda _: -_chain_bound(f)) if n >= _BOUND_MIN_ARITY else None
-    best, at, evaluated = _best_first(neg_floor, alt, tighten, 1)
+    best, at, evaluated, _ = _best_first(neg_floor, alt, tighten, 1)
     return -best, at, evaluated
 
 

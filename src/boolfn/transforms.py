@@ -15,6 +15,7 @@ construction guarantees:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +78,11 @@ class TransformResult:
 # ---------------------------------------------------------------------------
 # batch kernels: each transform built for every function of a (2**n, m)
 # table matrix, one table per column, and its lanes, packed once by the
-# caller (``measures._lanes``; None above n = 6), with the per-function
-# records (points, blocks, map columns, chains) one row each; the
-# per-function constructions below are their m = 1 case (``_one``)
+# caller (``measures._lanes``; None above n = 6).  Each certificate field is
+# one array with a row per function, or one value shared by all of them,
+# and ``_Batch.result`` turns row r of every field into plain values by one
+# rule, so a new field needs no converter; the per-function constructions
+# below are the m = 1 case (``_one``)
 
 
 @dataclass(frozen=True)
@@ -95,15 +98,38 @@ class _Batch:
     cert: dict
 
     def result(self, r: int, f: TruthTable) -> TransformResult:
-        """The construction for function r: row r of the records, column r of g."""
+        """The construction for function r: row r of the map, column r of g,
+        and row r of each certificate field as plain values.
+
+        A field shared by every function is kept as it is.  A per-function
+        scalar becomes its Python value, or None where a float is not
+        finite.  A row becomes a tuple of ints, cut to the family's
+        ``block_sensitivity`` where the certificate has one, and a bool row
+        becomes the list of its 1-based positions that are set.  bs2s adds
+        the ``substitution`` record of its map's columns, built here for
+        the one function, since the scan's bs2s batches never read it.
+        """
         n = f.n
-        amap = AffineMap(n, _ints(self.columns[r]), int(self.shifts[r]))
+        amap = AffineMap(n, tuple(self.columns[r].tolist()), self.shifts.item(r))
         g = TruthTable(n, pack(self.g[:, r]))
-        return TransformResult(self.kind, f, amap, g, _CERTIFICATE_ROW[self.kind](self, r))
+        k = self.cert["block_sensitivity"].item(r) if "block_sensitivity" in self.cert else None
+        cert = {key: _plain(value, r, k) for key, value in self.cert.items()}
+        if self.kind == "bs2s":
+            cert["substitution"] = _substitution_record(amap.columns, n)
+        return TransformResult(self.kind, f, amap, g, cert)
 
 
-def _ints(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+def _plain(value, r: int, k):
+    """Row r of one certificate field, by ``_Batch.result``'s rule."""
+    if not isinstance(value, np.ndarray):
+        return value
+    if value.ndim == 1:
+        v = value.item(r)
+        return v if math.isfinite(v) else None
+    row = value[r, :k].tolist()
+    if value.dtype == bool:
+        return [i + 1 for i, bit in enumerate(row) if bit]
+    return tuple(row)
 
 
 def _block_rows(n: int, blocks) -> np.ndarray:
@@ -195,20 +221,6 @@ def _substitution_record(columns, n: int) -> tuple:
     return tuple(sources)
 
 
-def _bs2s_certificate(batch: _Batch, r: int) -> dict:
-    c = batch.cert
-    k = int(c["block_sensitivity"][r])
-    return {
-        "point": int(c["point"][r]),
-        "block_sensitivity": k,
-        "s_g_at_zero": int(c["s_g_at_zero"][r]),
-        "equality_holds": bool(c["equality_holds"][r]),
-        "blocks": _ints(c["blocks"][r, :k]),
-        "placement": c["placement"],
-        "substitution": _substitution_record(_ints(batch.columns[r]), batch.columns.shape[1]),
-    }
-
-
 def _alt2s_rows(tables, lanes, alt, chains) -> _Batch:
     """``alt_to_s_linear`` for every function of a (2**n, m) table matrix,
     from its alt values, (m,), and maximum-alternation chains, (m, n + 1),
@@ -232,19 +244,6 @@ def _alt2s_rows(tables, lanes, alt, chains) -> _Batch:
         "chain": chains,
     }
     return _Batch("alt2s", chains[:, 1:], shifts, g, cert)
-
-
-def _alt2s_certificate(batch: _Batch, r: int) -> dict:
-    c = batch.cert
-    return {
-        "alt": int(c["alt"][r]),
-        "s_g_at_zero": int(c["s_g_at_zero"][r]),
-        "s_g": int(c["s_g"][r]),
-        "bound": int(c["bound"][r]),
-        "holds": bool(c["holds"][r]),
-        "invertible": bool(c["invertible"][r]),
-        "chain": _ints(c["chain"][r]),
-    }
 
 
 def _sherstov_rows(tables, lanes, z, blocks) -> _Batch:
@@ -275,30 +274,6 @@ def _sherstov_rows(tables, lanes, z, blocks) -> _Batch:
         "factor4_holds": 4 * sg * sg >= k,
     }
     return _Batch("sherstov", cols.T, shifts, g, cert)
-
-
-def _sherstov_certificate(batch: _Batch, r: int) -> dict:
-    c = batch.cert
-    k = int(c["block_sensitivity"][r])
-    sg = int(c["s_g"][r])
-    return {
-        "z": int(c["z"][r]),
-        "block_sensitivity": k,
-        "blocks": _ints(c["blocks"][r, :k]),
-        "a_sets": _ints(c["a_sets"][r, :k]),
-        "b_sets": _ints(c["b_sets"][r, :k]),
-        "split_blocks": [int(i) + 1 for i in np.flatnonzero(c["split_blocks"][r, :k])],
-        "s_g": sg,
-        "ratio_bs_over_s_g_sq": float(c["ratio_bs_over_s_g_sq"][r]) if sg else None,
-        "factor4_holds": bool(c["factor4_holds"][r]),
-    }
-
-
-_CERTIFICATE_ROW = {
-    "bs2s": _bs2s_certificate,
-    "alt2s": _alt2s_certificate,
-    "sherstov": _sherstov_certificate,
-}
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ by direct enumeration over points, blocks, subsets, chains, or characters, so
 these oracles share no algorithmic path with the library code they check.
 The one exception, ``rule_walk``, walks a given table of subcube depths
 with the decision-tree witness rule, reading its leaves one point at a
-time.  Only usable at small arity.  The ``naive_*`` family definitions at
+time.  The transform oracles build each map from its definition, on a
+given family or chain, and g from f one image point at a time.  Only
+usable at small arity.  The ``naive_*`` family definitions at
 the end state each named family one input at a time, tabulated by
 ``TruthTable.from_callable``.
 """
@@ -333,6 +335,97 @@ def rule_walk(f, depth):
         raise AssertionError("no free variable reaches the depth")
 
     return walk(3**f.n - 1, 0, list(range(f.n)))
+
+
+def _naive_transform(f, columns, shift):
+    """(columns, images, g) of the map x -> shift XOR (the sum of column i
+    over the set bits i of x): its image at every x, and g = f at each."""
+    images = []
+    for x in range(2**f.n):
+        y = shift
+        for i, col in enumerate(columns):
+            if (x >> i) & 1:
+                y ^= col
+        images.append(y)
+    return tuple(columns), images, TruthTable.from_callable(lambda x: f.value_at(images[x]), f.n)
+
+
+def _low_bit(mask):
+    return (mask & -mask).bit_length() - 1
+
+
+def naive_bs2s(f, a, blocks, placement):
+    """(columns, shift, g, certificate) of the block map at a: block j of
+    the family on column j (``block-index``) or on the column of its
+    smallest member (``min-in-block``), the rest zero, shifted by a."""
+    n, k = f.n, len(blocks)
+    columns = [0] * n
+    for j, block in enumerate(blocks):
+        columns[j if placement == "block-index" else _low_bit(block)] = block
+    columns, _, g = _naive_transform(f, columns, a)
+    sg0 = naive_sensitivity(g, 0)
+    # output coordinate t is read from the 1-based column that holds t
+    sources = tuple(next((j + 1 for j, col in enumerate(columns) if (col >> t) & 1), 0)
+                    for t in range(n))
+    return columns, a, g, {
+        "point": a,
+        "block_sensitivity": k,
+        "s_g_at_zero": sg0,
+        "equality_holds": sg0 == k,
+        "blocks": tuple(blocks),
+        "placement": placement,
+        "substitution": sources,
+    }
+
+
+def naive_alt2s(f, chain):
+    """(columns, shift, g, certificate) of the chain map: column i is the
+    chain's point i + 1, with no shift; alt counts the changes along the
+    chain, and the map is invertible iff its 2**n images are distinct."""
+    n = f.n
+    columns, images, g = _naive_transform(f, chain[1:], 0)
+    alt = sum(f.value_at(p) != f.value_at(q) for p, q in zip(chain, chain[1:]))
+    sg0 = naive_sensitivity(g, 0)
+    bound = 2 * sg0 + 1
+    return columns, 0, g, {
+        "alt": alt,
+        "s_g_at_zero": sg0,
+        "s_g": naive_sensitivity(g),
+        "bound": bound,
+        "holds": alt <= bound,
+        "invertible": len(set(images)) == 2**n,
+        "chain": tuple(chain),
+    }
+
+
+def naive_sherstov(f, z, blocks):
+    """(columns, shift, g, certificate) of Sherstov's split-block map: each
+    block splits into the members where z is 0 and those where z is 1, the
+    column of each part's smallest member holds that part, a variable in no
+    block keeps its own column, every other column is zero, no shift."""
+    n, k = f.n, len(blocks)
+    zeros = tuple(block & ~z for block in blocks)
+    ones = tuple(block & z for block in blocks)
+    covered = 0
+    for block in blocks:
+        covered |= block
+    columns = [0 if (covered >> i) & 1 else 1 << i for i in range(n)]
+    for part in zeros + ones:
+        if part:
+            columns[_low_bit(part)] = part
+    columns, _, g = _naive_transform(f, columns, 0)
+    sg = naive_sensitivity(g)
+    return columns, 0, g, {
+        "z": z,
+        "block_sensitivity": k,
+        "blocks": tuple(blocks),
+        "a_sets": zeros,
+        "b_sets": ones,
+        "split_blocks": [j + 1 for j in range(k) if zeros[j] and ones[j]],
+        "s_g": sg,
+        "ratio_bs_over_s_g_sq": k / (sg * sg) if sg else None,
+        "factor4_holds": 4 * sg * sg >= k,
+    }
 
 
 def table_matrix(n, ids):

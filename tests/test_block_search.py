@@ -47,8 +47,9 @@ def _u(f):
 
 def _best_first_logged(bound, values, tighten_to, after):
     """``_best_first`` on ``values``, checking the best that each value call
-    is handed; also the positions evaluated and the tighten calls, each as
-    the number of positions evaluated before it."""
+    is handed, each value's payload naming its position; also the positions
+    evaluated and the tighten calls, each as the number of positions
+    evaluated before it."""
     seen, calls = [], []
 
     def value(x, best, at):
@@ -58,7 +59,7 @@ def _best_first_logged(bound, values, tighten_to, after):
         else:
             assert best == -math.inf
         seen.append(x)
-        return values[x]
+        return values[x], ("payload of", x)
 
     def tighten(b):
         assert b is bound
@@ -80,9 +81,10 @@ def test_best_first_matches_brute_force():
         bound = [values, values + rng.integers(0, 4, size), np.full(size, values.max())][kind]
         tighten_to = [None, None, values, values + rng.integers(0, 2, size)][mode]
         after = int(rng.integers(0, size + 3)) if mode else None
-        (best, at, evaluated), seen, calls = _best_first_logged(
+        (best, at, evaluated, payload), seen, calls = _best_first_logged(
             bound, values.tolist(), tighten_to, after)
         assert (best, at) == (values.max(), int(np.argmax(values)))
+        assert payload == ("payload of", at)
         assert evaluated == len(seen) == len(set(seen)) <= size
         if after is None or evaluated < after:
             assert not calls

@@ -287,6 +287,12 @@ def test_usage_errors(capsys):
      "error: cannot test 3317044064679887385961981 for primality: the deterministic test "
      "is exact only below 3317044064679887385961981\n"),
     (["measures", "fam:maj:n=3,n=5"], "error: family parameter 'n' is given twice\n"),
+    (["transform", "bs2s", "fam:or:n=3", "--at", "0101"],
+     "error: assignment '0101' has 4 bits, expected 3\n"),
+    (["transform", "bs2s", "fam:or:n=3", "--at", "01x"], "error: not a bitstring: '01x'\n"),
+    (["transform", "sherstov", "tt:2:x"], "error: unrecognized function format: 'tt:2:x'\n"),
+    (["transform", "sherstov", "fam:tree:k=4"],
+     "error: bs skipped: arity 15 exceeds limit 14 (pass an explicit limit to override)\n"),
 ])
 def test_malformed_invocation_exits_2_with_empty_stdout(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", message)

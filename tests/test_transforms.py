@@ -17,7 +17,21 @@ from boolfn import (
 )
 from boolfn.families import and_, or_, parity, rubinstein, tree_function
 
-from oracles import random_table
+from oracles import (
+    naive_alt2s,
+    naive_and,
+    naive_best_chain,
+    naive_bs2s,
+    naive_gip,
+    naive_lex_min_family,
+    naive_maj,
+    naive_or,
+    naive_parity,
+    naive_rubinstein,
+    naive_sherstov,
+    naive_tree_function,
+    random_table,
+)
 
 
 def _random_cases(seed, arities=(1, 2, 3, 4), per=5):
@@ -249,3 +263,63 @@ def test_alternation_alt2s_interface_values():
     tr = alt_to_s_linear(f)
     assert tr.certificate["alt"] == 7
     assert tr.certificate["holds"]
+
+
+# --- every field against the oracles -----------------------------------------
+
+
+def _assert_transform(tr, want):
+    """The map, g and the certificate against an oracle's (columns, shift,
+    g, certificate): the same keys in the same order, and each field the
+    same value of the same type, element types included."""
+    columns, shift, g, cert = want
+    assert (tr.map.columns, tr.map.shift, tr.g) == (columns, shift, g)
+    assert list(tr.certificate) == list(cert)
+    for key, value in cert.items():
+        got = tr.certificate[key]
+        assert got == value and (type(got), repr(got)) == (type(value), repr(value)), key
+
+
+def _assert_oracle_transforms(f):
+    """bs2s at every point under both placements, alt2s and sherstov, each
+    on the oracle's lexicographically smallest family or chain; sherstov at
+    the smallest input of the largest family."""
+    fams = [naive_lex_min_family(f, x) for x in range(2**f.n)]
+    for a, fam in enumerate(fams):
+        for placement in ("block-index", "min-in-block"):
+            _assert_transform(bs_to_s_affine(f, a, placement), naive_bs2s(f, a, fam, placement))
+    _assert_transform(alt_to_s_linear(f), naive_alt2s(f, naive_best_chain(f)))
+    z = max(range(2**f.n), key=lambda x: len(fams[x]))
+    _assert_transform(sherstov_linear(f), naive_sherstov(f, z, fams[z]))
+
+
+def test_transforms_match_oracles_every_function_to_n3():
+    for n in range(4):
+        for bits in range(1 << (1 << n)):
+            _assert_oracle_transforms(TruthTable(n, bits))
+
+
+def test_transforms_match_oracles_seeded_and_families():
+    # const(1, 3) has s(g) = 0, so its ratio is None
+    cases = _random_cases(43, arities=(4, 5), per=20) + [
+        naive_tree_function(2), naive_rubinstein(2, 2), naive_gip(2, 2), naive_maj(5),
+        naive_parity(4), naive_and(4), naive_or(3), TruthTable(3, 0xFF),
+    ]
+    for f in cases:
+        _assert_oracle_transforms(f)
+
+
+def test_transforms_match_oracles_above_n6():
+    # above n = 6 g is gathered by index, not read off packed lanes; the
+    # families and chains are the library's own, every other field the oracle's
+    rng = np.random.default_rng(43)
+    cases = [TruthTable(n, random_table(rng, n)) for n in (7, 8, 9) for _ in range(2)]
+    for f in cases + [tree_function(3), rubinstein(3, 3)]:
+        _, fam0 = block_sensitivity(f, at=0, witness=True)
+        _, fam = block_sensitivity(f, witness=True)
+        for placement in ("block-index", "min-in-block"):
+            for point, blocks in ((0, fam0.blocks), (fam.point, fam.blocks)):
+                _assert_transform(bs_to_s_affine(f, point, placement),
+                                  naive_bs2s(f, point, blocks, placement))
+        _assert_transform(alt_to_s_linear(f), naive_alt2s(f, alternation(f, witness=True)[1].points))
+        _assert_transform(sherstov_linear(f), naive_sherstov(f, fam.point, fam.blocks))
