@@ -65,9 +65,12 @@ entry at p_0 and salt the min over the shifts b < 2**(n-1).  The kernels:
 
 The bs table runs the per-function packer.  A pattern's lexicographically
 smallest maximum family at 0 depends only on its antichain of minimal
-sensitive blocks (``measures._minimal_blocks``, batched over the columns),
-and n = 4 has only 167 of them: the Dedekind number M(4) = 168, less the
-antichain of the empty block, which flips nothing.  So each distinct
+sensitive blocks, and n = 4 has only 167 of them: the Dedekind number
+M(4) = 168, less the antichain of the empty block, which flips nothing.
+p(0) = 0, so the sensitive blocks of a pattern at 0 are its ones, and its
+lane is already their packed set: the antichains of a slice are the
+minimal blocks of its lanes (``measures._minimal_blocks``, the packed
+up-closure that ``measures._bs_point`` runs on one int).  So each distinct
 antichain is packed once per arity, by ``measures._make_packer`` and
 ``measures._lex_min_family`` as in ``measures._bs_point``, and every block
 family in the library comes from that one rule.
@@ -133,14 +136,14 @@ def _bs_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     lexicographically smallest maximum family, a row of n blocks,
     ascending and zero-padded; bs is the number of blocks in the family.
 
-    p(0) = 0, so the sensitive blocks of p at 0 are its ones.  Each slice
-    packs the mask of its minimal blocks into one lane per pattern, and
-    each distinct lane not met in an earlier slice is packed once."""
+    p(0) = 0, so the sensitive blocks of p at 0 are its ones, and the
+    minimal blocks of its lane are the key of its family.  Each distinct
+    key not met in an earlier slice is packed once."""
     size = table_size(n)
     families: dict[int, tuple[int, ...]] = {}
 
     def kernel(t: np.ndarray) -> np.ndarray:
-        keys, inverse = np.unique(_lanes(_minimal_blocks(t == 1)), return_inverse=True)
+        keys, inverse = np.unique(_minimal_blocks(_lanes(t), n), return_inverse=True)
         rows = np.zeros((keys.size, n), dtype=np.min_scalar_type(size - 1))
         for row, key in zip(rows, keys.tolist()):
             if key not in families:

@@ -802,6 +802,43 @@ def _canonical_key(n: int, bits: int) -> int:
     return min(int(keys.min()), int((keys ^ full).min()))
 
 
+def _exhaustive_values(n: int, row: _Statistic) -> np.ndarray:
+    """The row's value on every function of arity n <= 4, indexed by id,
+    -inf where undefined (``_statistic_array``)."""
+    parts = []
+    for lo, hi in _bulk._slices(n):
+        t = _bulk._tables(n, lo, hi)
+        lanes = _lanes(t)
+        a = _bulk.measure_arrays(t, lanes, needs=row.needs)
+        if "sherstov" in row.needs:
+            a["sherstov"] = _sherstov_rows(t, lanes, a["bs_argmax"], a["fam_argmax"]).cert
+        parts.append(_statistic_array(row, a))
+    return np.concatenate(parts)
+
+
+def _ranked(vals: np.ndarray):
+    """Yield (value, position) for the values of ``vals`` above -inf (NaN
+    is skipped), by descending value and ascending position within a tie:
+    the order of a stable argsort of -vals, read lazily.
+
+    A search reads about ``top`` of the 65,536 values at n = 4, so it walks
+    them level by level instead of sorting: the positions of the current
+    maximum, ascending, then those of the next, each level masked to -inf
+    in a copy once read.
+    """
+    left = np.where(vals > -np.inf, vals, -np.inf)
+    while True:
+        top = left.max(initial=-np.inf)
+        if top == -np.inf:
+            return
+        level = np.flatnonzero(left == top)
+        left[level] = -np.inf
+        # one position at a time: a level can hold thousands of ties, of
+        # which the search reads a few
+        for pos in level:
+            yield vals.item(pos), int(pos)
+
+
 def extremal_search(
     n: int,
     statistic: str,
@@ -823,18 +860,7 @@ def extremal_search(
         if value < 0:
             raise ValueError(f"{name} must be at least 0, got {value}")
     if n <= _bulk.MAX_BULK_ARITY:
-        row = _STATISTICS[statistic]
-        parts = []
-        for lo, hi in _bulk._slices(n):
-            t = _bulk._tables(n, lo, hi)
-            lanes = _lanes(t)
-            a = _bulk.measure_arrays(t, lanes, needs=row.needs)
-            if "sherstov" in row.needs:
-                a["sherstov"] = _sherstov_rows(t, lanes, a["bs_argmax"], a["fam_argmax"]).cert
-            parts.append(_statistic_array(row, a))
-        vals = np.concatenate(parts)
-        ranked = ((float(vals[pos]), int(pos)) for pos in np.argsort(-vals, kind="stable")
-                  if vals[pos] > -np.inf)
+        ranked = _ranked(_exhaustive_values(n, _STATISTICS[statistic]))
     else:
         _check_arity(n)  # before a draw: one draw at n = 25 is 32 MiB
         rng = np.random.default_rng(seed)

@@ -12,6 +12,7 @@ encoding, which makes every output deterministic and diffable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -20,7 +21,6 @@ from functools import cache
 import numpy as np
 
 from ._bitops import (
-    butterfly,
     level_views,
     low_half_mask,
     mask_indices,
@@ -28,7 +28,6 @@ from ._bitops import (
     popcounts,
     table_mask,
     table_size,
-    unpack,
     xor_shift,
     xor_shuffle,
 )
@@ -125,10 +124,63 @@ def _sensitive_mask(f: TruthTable, x: int) -> int:
     return sum(1 << i for i in range(f.n) if f.value_at(x ^ (1 << i)) != v)
 
 
+# The most plane bits that one unpack of ``_plane_sensitivity`` spreads to
+# bytes
+_UNPACK_BITS = 1 << 16
+
+
+def _direction_planes(table, n: int):
+    """Yield the direction planes d_i = f XOR (f o e_i), i < n, one at a
+    time: bit x of d_i says f(x) != f(x XOR e_i).  A Python int for one
+    packed table, an array for lanes (``_lanes``).  One-table sensitivity,
+    the level-set moves (``_shift_moves``) and the per-point direction
+    masks (``_direction_masks``) all read them."""
+    for i in range(n):
+        yield table ^ xor_shift(table, n, i)
+
+
+def _plane_sensitivity(bits: int, n: int) -> np.ndarray:
+    """s(f,x) at every input x of one packed table, as (2**n,) int8: bit x
+    summed over the direction planes (``_direction_planes``).
+
+    The planes are unpacked to bytes and added into the counts, in blocks
+    of at most ``_UNPACK_BITS`` bits: a group of whole planes up to n = 16,
+    so up to n = 12 all of them in one block (a block pays about 4 numpy
+    calls), and above n = 16 one plane in slices.  So the call holds the
+    counts, the packed plane and one block, and no array of the level
+    passes' size: a larger block runs slower from n = 16 on and holds more.
+    """
+    size = table_size(n)
+    nbytes = max(1, size >> 3)
+    group = max(1, _UNPACK_BITS >> n)  # planes a block
+    width = min(nbytes, _UNPACK_BITS >> 3)  # bytes of each plane a block
+    planes = _direction_planes(bits, n)
+    counts = np.zeros(size, dtype=np.int8)
+    for _ in range(0, n, group):
+        raw = b"".join(d.to_bytes(nbytes, "little") for d in itertools.islice(planes, group))
+        raw = np.frombuffer(raw, dtype=np.uint8).reshape(-1, nbytes)
+        for lo in range(0, nbytes, width):
+            part = counts[8 * lo : 8 * (lo + width)]
+            rows = np.unpackbits(raw[:, lo : lo + width], axis=1, count=part.size,
+                                 bitorder="little").view(np.int8)
+            part += rows[0] if len(rows) == 1 else rows.sum(axis=0, dtype=np.int8)
+    return counts
+
+
 def _pointwise_sensitivity(tables: np.ndarray) -> np.ndarray:
     """Sensitivity at every input, as int8 of the shape of ``tables``: one
     table of 2**n entries, or a (2**n, m) matrix with one table per column.
-    Each level's halves are ``level_views``, as in ``butterfly``."""
+
+    One table, or a one-column matrix, is packed and summed over its
+    direction planes (``_plane_sensitivity``).  Wider matrices run n level
+    passes, whose fixed cost the columns share: each level's halves are
+    ``level_views``, as in ``butterfly``, and a count rises where they
+    differ."""
+    if tables.ndim == 1 or tables.shape[1] == 1:
+        n = tables.shape[0].bit_length() - 1
+        # entries are 0 or 1, so packbits reads them with no masked copy
+        bits = int.from_bytes(np.packbits(tables, bitorder="little").tobytes(), "little")
+        return _plane_sensitivity(bits, n).reshape(tables.shape)
     width = tables[:1].size
     counts = np.zeros(tables.shape, dtype=np.int8)
     for i in range(tables.shape[0].bit_length() - 1):
@@ -157,26 +209,23 @@ def sensitivity(f: TruthTable, at: int | None = None, witness: bool = False):
 # block sensitivity
 
 
-def _sensitive_profile(f: TruthTable, a: int) -> np.ndarray:
-    """Boolean array over block masks B: does flipping B change f at a."""
-    ta = xor_shuffle(f.bits, f.n, a)
-    arr = unpack(ta, f.n)
-    sens = arr != arr[0]
-    sens[0] = False
-    return sens
+def _minimal_blocks(sens, n: int):
+    """The sensitive blocks with no sensitive proper subset, of a packed set
+    of blocks ``sens`` (bit B set where flipping block B changes f): a
+    Python int for one input, or an array of lanes (``_lanes``), one set
+    per lane.
 
-
-def _minimal_blocks(sens: np.ndarray) -> np.ndarray:
-    """The sensitive blocks with no sensitive proper subset, as a boolean
-    mask of the shape of ``sens``: one (2**n,) profile over block masks
-    (``_sensitive_profile``), or a (2**n, m) matrix with one profile per
-    column.
-
-    Subset sums count the sensitive subsets of every block, itself included,
-    so a sensitive block is minimal where its count is 1.
+    The result is sens & ~up, up being every strict superset of a
+    sensitive block: one pass per direction i moves the sets closed so far
+    one step up along i, into up and into the closure, with the
+    mask-and-shift passes of ``_level_sets``.
     """
-    below = butterfly(sens.astype(np.int32), _subset_sum)
-    return sens & (below == 1)
+    up, closed = sens & 0, sens
+    for i in range(n):
+        step = (closed & low_half_mask(n, i)) << (1 << i)
+        up |= step
+        closed |= step
+    return sens & ~up
 
 
 def _make_packer(cands: list[int]):
@@ -234,6 +283,11 @@ def _bs_point(f: TruthTable, a: int, want_witness: bool):
     a ``BlockFamily`` with ``want_witness``, else a function of no arguments
     that packs it on call from this packer and its memo.
 
+    The sensitive blocks at a are a packed set: the table shifted by a,
+    bit B holding f(a XOR B), complemented where f(a) = 1, so bit B is set
+    where flipping B changes f and bit 0 is clear.  The candidates are its
+    minimal blocks (``_minimal_blocks``), read off ascending.
+
     This is the one packing of every per-function caller, one input at a
     time, at every arity: the unpointed search keeps the packing function
     of its best input, so its witness reuses that packing.  The exhaustive
@@ -241,14 +295,21 @@ def _bs_point(f: TruthTable, a: int, want_witness: bool):
     runs the same packer and family rule once per distinct antichain of
     minimal blocks.
     """
-    sens = _sensitive_profile(f, a)
-    cands = np.flatnonzero(_minimal_blocks(sens)).tolist() if sens.any() else []
+    n = f.n
+    sens = xor_shuffle(f.bits, n, a)
+    if sens & 1:
+        sens ^= table_mask(n)
+    mins, cands = _minimal_blocks(sens, n), []
+    while mins:
+        low = mins & -mins
+        cands.append(low.bit_length() - 1)
+        mins ^= low
     best = _make_packer(cands)
 
     def pack():
-        return BlockFamily(a, _lex_min_family(cands, f.n, best))
+        return BlockFamily(a, _lex_min_family(cands, n, best))
 
-    return best(table_size(f.n) - 1), (pack() if want_witness else pack)
+    return best(table_size(n) - 1), (pack() if want_witness else pack)
 
 
 def _sensitivity_bound(s: np.ndarray) -> np.ndarray:
@@ -673,10 +734,11 @@ def _dt_tree(val: np.ndarray, coeffs: np.ndarray) -> tuple[int, dict]:
 
 
 class _LatticeMeasures:
-    """s, bs, C and DT of one function, from one pass of pointwise
+    """s, bs, C and DT of one function, from one count of pointwise
     sensitivity and at most one ternary subcube table.
 
-    The pointwise sensitivity is computed once, on first use by s or by the
+    The pointwise sensitivity is counted once, from the packed table's n
+    direction planes (``_plane_sensitivity``), on first use by s or by the
     bs search, and kept: s is its maximum, and u(x) its bound on bs(f,x)
     (``_sensitivity_bound``).
 
@@ -735,7 +797,7 @@ class _LatticeMeasures:
     def _sensitivities(self) -> np.ndarray:
         """s(f,x) at every input x: s reads its maximum, the bs search u."""
         if self._s is None:
-            self._s = _pointwise_sensitivity(self.f.to_array())
+            self._s = _plane_sensitivity(self.f.bits, self.f.n)
         return self._s
 
     def _folded(self) -> np.ndarray:
@@ -1065,9 +1127,8 @@ def _shift_moves(table, n: int) -> tuple[list, object]:
     if isinstance(table, np.ndarray) and table.ndim == 2:
         table = _lanes(table)
     moves = []
-    for i in range(n):
+    for i, d in enumerate(_direction_planes(table, n)):
         m = low_half_mask(n, i)
-        d = table ^ xor_shift(table, n, i)
         moves.append((1 << i, m, d & m, d ^ (d & m)))
     return moves, table | table_mask(n)
 
@@ -1100,7 +1161,7 @@ def _direction_masks(f: TruthTable) -> np.ndarray:
     f(x) != f(x XOR e_i), as (2**n,) intp.
 
     Plane i, the packed table of f(x) XOR f(x XOR e_i), is a few Python int
-    operations (``xor_shift``).  Each group of 8 planes, as bytes, is
+    operations (``_direction_planes``).  Each group of 8 planes, as bytes, is
     transposed into one byte of every point's mask by one gather from
     ``_byte_spread`` and one OR-reduction: a fixed number of numpy calls
     per 8 variables, not about 7 per variable, and no array above 8 bytes
@@ -1111,8 +1172,7 @@ def _direction_masks(f: TruthTable) -> np.ndarray:
     nbytes = max(1, size >> 3)
     groups = -(-n // 8)
     raw = bytearray(8 * groups * nbytes)
-    for i in range(n):
-        plane = bits ^ xor_shift(bits, n, i)
+    for i, plane in enumerate(_direction_planes(bits, n)):
         raw[i * nbytes : (i + 1) * nbytes] = plane.to_bytes(nbytes, "little")
     planes = np.frombuffer(raw, dtype=np.uint8).reshape(groups, 8, nbytes)
     width = 1 << max(0, groups - 1).bit_length()  # 1, 2 or 4 bytes a mask

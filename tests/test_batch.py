@@ -25,10 +25,10 @@ from boolfn.core import affine_images
 from boolfn.measures import (
     Chain,
     _best_chains,
+    _lane,
     _lanes,
     _minimal_blocks,
     _pointwise_sensitivity,
-    _sensitive_profile,
     validate_chain,
 )
 from boolfn.spectral import _degrees, _moebius_rows, _sparsities, _walsh_rows
@@ -125,19 +125,22 @@ def test_batched_kernels_match_per_function_columns(n, m):
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_minimal_blocks_of_a_matrix_match_its_columns(n):
-    # the sensitive profiles of random functions at random inputs, one per
-    # column; a block is minimal iff it is sensitive and no proper subset is
+    # the sensitive blocks of random functions at random inputs, one packed
+    # set per lane; a block is minimal iff it is sensitive and no proper
+    # subset is
     rng = np.random.default_rng(80 + n)
-    profiles = [_sensitive_profile(TruthTable(n, random_table(rng, n)), int(rng.integers(2**n)))
-                for _ in range(12)]
-    sens = np.stack(profiles, axis=1)
-    minimal = _minimal_blocks(sens)
-    assert minimal.shape == sens.shape and minimal.dtype == bool
+    profiles = []
+    for _ in range(12):
+        f, a = TruthTable(n, random_table(rng, n)), int(rng.integers(2**n))
+        profiles.append([b > 0 and f.value_at(a ^ b) != f.value_at(a) for b in range(2**n)])
+    sens = [sum(1 << b for b in range(2**n) if profile[b]) for profile in profiles]
+    minimal = _minimal_blocks(np.array(sens, dtype=_lane(n)), n)
+    assert minimal.shape == (12,) and minimal.dtype == _lane(n)
     for r, profile in enumerate(profiles):
-        assert np.array_equal(minimal[:, r], _minimal_blocks(profile))
+        assert int(minimal[r]) == _minimal_blocks(sens[r], n)
         want = [b for b in range(2**n) if profile[b]
                 and not any(profile[c] for c in range(1, b) if c & b == c)]
-        assert np.flatnonzero(minimal[:, r]).tolist() == want
+        assert [b for b in range(2**n) if int(minimal[r]) >> b & 1] == want
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])

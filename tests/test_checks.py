@@ -20,7 +20,7 @@ from boolfn import (
 )
 from boolfn import _bulk, checks, commlb, measures, transforms
 from boolfn._bulk import _tables, measure_arrays
-from boolfn.checks import STATISTICS, _raise_if_broken
+from boolfn.checks import _STATISTICS, STATISTICS, _exhaustive_values, _raise_if_broken, _ranked
 from boolfn.families import gip, maj, parity, rubinstein, tree_function
 from boolfn.measures import (
     ArityLimitError,
@@ -347,6 +347,32 @@ def test_exhaustive_scan_failure_report_independent_of_slices(monkeypatch):
         inequality_suite(maj(3))
     assert [(c.name, c.left, c.right) for c in exc.value.report.checks if c.verdict == "fails"] == [
         ("id_below_100", 0, 1)]
+
+
+def _argsort_ranking(vals):
+    return [(float(vals[pos]), int(pos)) for pos in np.argsort(-vals, kind="stable")
+            if vals[pos] > -np.inf]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_ranked_walk_is_the_stable_argsort_order_of_every_statistic(n):
+    # every value of every statistic, ties and undefined (-inf) ones included
+    for name, row in _STATISTICS.items():
+        vals = _exhaustive_values(n, row)
+        assert list(_ranked(vals)) == _argsort_ranking(vals), name
+
+
+def test_ranked_walk_skips_nan_and_minus_inf_and_keeps_ties_in_position_order():
+    rng = np.random.default_rng(45)
+    vals = rng.integers(-3, 4, 500).astype(float)
+    vals[rng.integers(0, 500, 40)] = -np.inf
+    vals[rng.integers(0, 500, 40)] = np.nan
+    vals[rng.integers(0, 500, 5)] = np.inf
+    vals[rng.integers(0, 500, 20)] = -0.0
+    got = list(_ranked(vals))
+    assert got == _argsort_ranking(vals)
+    assert [repr(v) for v, _ in got] == [repr(float(vals[pos])) for _, pos in got]
+    assert list(_ranked(np.full(4, -np.inf))) == list(_ranked(np.empty(0))) == []
 
 
 @pytest.mark.parametrize("n, size", [(3, 16), (4, 1000)])
