@@ -171,12 +171,13 @@ def _pointwise_sensitivity(tables: np.ndarray) -> np.ndarray:
     """Sensitivity at every input, as int8 of the shape of ``tables``: one
     table of 2**n entries, or a (2**n, m) matrix with one table per column.
 
-    One table, or a one-column matrix, is packed and summed over its
-    direction planes (``_plane_sensitivity``).  Wider matrices run n level
-    passes, whose fixed cost the columns share: each level's halves are
-    ``level_views``, as in ``butterfly``, and a count rises where they
+    A one-column matrix (the m = 1 transform kernels' s(g)) is packed and
+    summed over its direction planes (``_plane_sensitivity``, which one
+    table's measures call directly).  Wider matrices, and a 1-D table, run
+    n level passes, whose fixed cost the columns share: each level's halves
+    are ``level_views``, as in ``butterfly``, and a count rises where they
     differ."""
-    if tables.ndim == 1 or tables.shape[1] == 1:
+    if tables.shape[1:] == (1,):
         n = tables.shape[0].bit_length() - 1
         # entries are 0 or 1, so packbits reads them with no masked copy
         bits = int.from_bytes(np.packbits(tables, bitorder="little").tobytes(), "little")
@@ -224,7 +225,7 @@ def _minimal_blocks(sens, n: int):
     for i in range(n):
         step = (closed & low_half_mask(n, i)) << (1 << i)
         up |= step
-        closed |= step
+        closed = closed | step
     return sens & ~up
 
 

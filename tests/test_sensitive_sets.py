@@ -23,7 +23,7 @@ def _assert_sensitivity(f):
     counts = _plane_sensitivity(f.bits, f.n)
     assert counts.dtype == np.int8 and counts.shape == (2**f.n,)
     assert counts.tolist() == want
-    # a 1-D table and a one-column matrix take the same path
+    # a 1-D table runs the level passes, a one-column matrix the planes
     t = f.to_array()
     assert _pointwise_sensitivity(t).tolist() == want
     column = _pointwise_sensitivity(t[:, None])
@@ -126,4 +126,6 @@ def test_minimal_blocks_of_lanes(n):
     lanes = np.array(sets, dtype=_lane(n))
     minimal = _minimal_blocks(lanes, n)
     assert minimal.dtype == _lane(n) and minimal.shape == lanes.shape
+    # the input is left as it was
+    assert [int(s) for s in lanes] == sets
     assert [int(m) for m in minimal] == [_naive_minimal(s) for s in sets]
