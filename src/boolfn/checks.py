@@ -48,10 +48,9 @@ from .commlb import _check_submatrix_rows, _submatrix_from_family
 from .core import TruthTable, _check_arity, is_invertible, tt_parse, tt_serialize
 from .families import and_, gip, maj, or_compose, parity, rubinstein, rubinstein_row, tree_function
 from .measures import (
-    _LatticeMeasures,
+    _Measures,
     _best_chains,
     _lanes,
-    _measure_report,
     alternation,
     block_sensitivity,
     modp_degree,
@@ -304,13 +303,13 @@ def _rows(v: dict, primes, by_prime: bool):
             yield from (at(r, p) for p in primes for r in prime_rows)
 
 
-# each measure a statistic row may need, on one function
+# each measure a statistic row may need, read off one function's owner
 _FUNCTION_MEASURES = {
-    "s": sensitivity,
-    "bs": block_sensitivity,
-    "salt": shift_invariant_alternation,
-    "sparsity": sparsity,
-    "sherstov": lambda f: sherstov_linear(f).certificate,
+    "s": lambda owner: owner.sensitivity(False),
+    "bs": lambda owner: owner.block_sensitivity(False),
+    "salt": lambda owner: owner.shift_invariant_alternation(False),
+    "sparsity": lambda owner: owner.sparsity(False),
+    "sherstov": lambda owner: sherstov_linear(owner.f).certificate,
 }
 
 
@@ -320,7 +319,10 @@ def _statistic_value(row: _Statistic, v: dict):
 
 
 def _statistic_of(row: _Statistic, f: TruthTable):
-    return _statistic_value(row, {k: _FUNCTION_MEASURES[k](f) for k in row.needs})
+    """The row's value on f, its measures read off one owner: bs_over_salt2_s
+    reads s first, so the bs search's bound reuses s's counts."""
+    owner = _Measures(f, {})
+    return _statistic_value(row, {k: _FUNCTION_MEASURES[k](owner) for k in row.needs})
 
 
 # name -> the statistic of one function, None where it is undefined
@@ -342,23 +344,22 @@ def _function_record(f: TruthTable, primes, limits: dict):
     """One function's measure values, the reasons of its skips, its bs
     families and the constructions built from them.
 
-    The values are ``measure_report``'s plus bs(f,0).  One bs search, kept by
-    the report's subcubes, gives bs and the family at its maximizer; one
-    packing at the all-zero input gives bs(f,0) and the family there.  The
-    constructions, keyed by the names the rows of ``_INEQUALITIES`` read,
-    are the block maps at 0 (``"bs2s0"``) and at the maximizer
-    (``"bs2s"``), the Sherstov map at the maximizer (``"sherstov"``) and
-    the chain map (``"alt2s"``); a skipped bs skips all but the chain map,
-    for the reason it is skipped.
+    The values are ``measure_report``'s plus bs(f,0), all read off one owner
+    (``_Measures``).  One bs search, kept by the owner, gives bs and the
+    family at its maximizer; one packing at the all-zero input gives
+    bs(f,0) and the family there.  The constructions, keyed by the names
+    the rows of ``_INEQUALITIES`` read, are the block maps at 0
+    (``"bs2s0"``) and at the maximizer (``"bs2s"``), the Sherstov map at
+    the maximizer (``"sherstov"``) and the chain map (``"alt2s"``); a
+    skipped bs skips all but the chain map, for the reason it is skipped.
     """
-    subcubes = _LatticeMeasures(f, limits)
-    measured = _measure_report(subcubes, primes, witnesses=False)
+    owner = _Measures(f, limits)
+    measured = owner.report(primes, witnesses=False)
     vals, fams, built = measured.measures, {}, {}
     skips = {s["measure"]: s["reason"] for s in measured.skipped}
     if "bs" in vals:
-        _, fams["bs"] = subcubes.block_sensitivity(witness=True)
-        vals["bs0"], fams["bs0"] = block_sensitivity(f, at=0, witness=True,
-                                                     limit=limits.get("bs"))
+        _, fams["bs"] = owner.block_sensitivity(True)
+        vals["bs0"], fams["bs0"] = owner.block_sensitivity(True, 0)
         built = {"bs2s0": _bs2s_from_family(f, fams["bs0"]),
                  "bs2s": _bs2s_from_family(f, fams["bs"]),
                  "sherstov": _sherstov_from_family(f, fams["bs"])}

@@ -27,14 +27,7 @@ from .checks import (
 from .commlb import VerificationError, and_matrix, bound_summary, submatrix_witness
 from .core import FormatError, TruthTable, parse_point, tt_parse, tt_serialize
 from .families import from_family_spec
-from .measures import (
-    DEFAULT_LIMITS,
-    ArityLimitError,
-    _LatticeMeasures,
-    _measure_report,
-    block_sensitivity,
-    sensitivity,
-)
+from .measures import DEFAULT_LIMITS, ArityLimitError, _Measures
 from .transforms import alt_to_s_linear, bs_to_s_affine, sherstov_linear
 
 _MEASURE_CSV_ORDER = ("s", "bs", "C", "alt", "salt", "deg", "sparsity", "DT")
@@ -87,16 +80,15 @@ def _cmd_measures(args) -> int:
     f = _load_source(args.source)
     primes = _parse_primes(args.primes)
     at = None if args.at is None else parse_point(args.at, f.n)
-    limits = _limits_for(f, args.override_ceilings)
-    subcubes = _LatticeMeasures(f, limits)
-    rep = _measure_report(subcubes, primes, witnesses=True)
+    owner = _Measures(f, _limits_for(f, args.override_ceilings))
+    rep = owner.report(primes, witnesses=True)
     if at is not None:
-        # pointwise values for the point-dependent measures, appended as extras;
-        # C reads the report's subcube table
-        rep.measures["s_at"] = sensitivity(f, at=at)
+        # pointwise values for the point-dependent measures, appended as
+        # extras, read off the report's owner
+        rep.measures["s_at"] = owner.sensitivity(False, at)
         try:
-            rep.measures["bs_at"] = block_sensitivity(f, at=at, limit=limits.get("bs"))
-            rep.measures["C_at"] = subcubes.certificate(False, at)
+            rep.measures["bs_at"] = owner.block_sensitivity(False, at)
+            rep.measures["C_at"] = owner.certificate(False, at)
         except ArityLimitError as e:
             rep.skipped.append({"measure": "pointwise", "reason": str(e)})
     data = rep.to_json_dict()

@@ -20,11 +20,11 @@ from .core import TruthTable, tt_serialize
 from .measures import (
     ArityLimitError,
     BlockFamily,
-    _LatticeMeasures,
+    _Measures,
     block_sensitivity,
     dt_depth,
 )
-from .spectral import _check_primes, _degrees, _residues
+from .spectral import _check_primes
 from .transforms import _bs2s_from_family
 
 __all__ = [
@@ -261,15 +261,16 @@ def bound_summary(f: TruthTable, primes=(2, 3), limits: dict | None = None) -> d
     A table of degree gaps between prime pairs is included.  Everything
     asymptotic is labeled a certificate; nothing here is a protocol value.
 
-    s, deg, every deg_p and DT read the function's one ``_LatticeMeasures``:
-    deg and DT its int32 Moebius table, deg_p that table's residues mod p
+    bs(f,0), s, deg, every deg_p and DT read the function's one owner of its
+    measures (``measures._Measures``), under the caller's ``limits``: deg
+    and DT its int32 Moebius table, deg_p that table's residues mod p
     (exact: see ``spectral``).  Each prime is checked before anything is
     computed, so a bad prime raises ValueError with no work done.  DT's
     sweeps stop once they meet max(bs(f,0), deg), a lower bound on DT;
     where that bound is n, DT = n needs no subcube table.
     """
     _check_primes(primes)
-    limits = limits or {}
+    owner = _Measures(f, limits or {})
     n = f.n
     summary: dict = {
         "function": tt_serialize(f),
@@ -286,22 +287,20 @@ def bound_summary(f: TruthTable, primes=(2, 3), limits: dict | None = None) -> d
             skipped.append({"quantity": name, "reason": str(e)})
             return None
 
-    bs0 = attempt("bs_at_zero", lambda: block_sensitivity(f, at=0, limit=limits.get("bs")))
-    subcubes = _LatticeMeasures(f, {"DT": limits.get("DT")})
-    coeffs = subcubes._moebius()
-    deg = int(_degrees(coeffs))
+    bs0 = attempt("bs_at_zero", lambda: owner.block_sensitivity(False, 0))
+    deg = owner.degree(False)
     # DT >= bs(f) >= bs(f,0), and DT >= deg, so the sweeps may stop there
-    dt = attempt("DT", lambda: subcubes.dt_depth(False, -1 if bs0 is None else bs0))
+    dt = attempt("DT", lambda: owner.dt_depth(False, -1 if bs0 is None else bs0))
     summary["bs_at_zero"] = bs0
     summary["sqrt_bs_at_zero"] = math.sqrt(bs0) if bs0 is not None else None
     summary["DT"] = dt
     summary["comm_upper_2dt"] = 2 * dt if dt is not None else None
     summary["deg"] = deg
-    summary["s"] = subcubes.sensitivity(False)
+    summary["s"] = owner.sensitivity(False)
     per_prime = {}
     degs = {}
     for p in primes:
-        dp = int(_degrees(_residues(coeffs, p)))
+        dp = owner.degree(False, p)
         degs[p] = dp
         entry: dict = {"deg_p": dp}
         if dt is not None:

@@ -86,16 +86,6 @@ class ArityLimitError(ValueError):
         super().__init__(f"{measure} skipped: arity {arity} exceeds limit {limit} ({advice})")
 
 
-def _ceiling(measure: str, limit: int | None) -> int:
-    return DEFAULT_LIMITS[measure] if limit is None else limit
-
-
-def _ensure_limit(measure: str, arity: int, limit: int | None) -> None:
-    ceiling = _ceiling(measure, limit)
-    if arity > ceiling:
-        raise ArityLimitError(measure, arity, ceiling)
-
-
 @dataclass(frozen=True)
 class BlockFamily:
     """Pairwise-disjoint sensitive blocks at one input, each block a bitmask."""
@@ -132,9 +122,9 @@ _UNPACK_BITS = 1 << 16
 def _direction_planes(table, n: int):
     """Yield the direction planes d_i = f XOR (f o e_i), i < n, one at a
     time: bit x of d_i says f(x) != f(x XOR e_i).  A Python int for one
-    packed table, an array for lanes (``_lanes``).  One-table sensitivity,
-    the level-set moves (``_shift_moves``) and the per-point direction
-    masks (``_direction_masks``) all read them."""
+    packed table, an array for lanes (``_lanes``).  One-table sensitivity
+    and the level-set moves (``_shift_moves``) read them; the per-point
+    direction masks (``_direction_masks``) read them off salt's moves."""
     for i in range(n):
         yield table ^ xor_shift(table, n, i)
 
@@ -168,21 +158,21 @@ def _plane_sensitivity(bits: int, n: int) -> np.ndarray:
 
 
 def _pointwise_sensitivity(tables: np.ndarray) -> np.ndarray:
-    """Sensitivity at every input, as int8 of the shape of ``tables``: one
-    table of 2**n entries, or a (2**n, m) matrix with one table per column.
+    """Sensitivity at every input of every table of a (2**n, m) matrix, one
+    table per column, as int8 of its shape.
 
     A one-column matrix (the m = 1 transform kernels' s(g)) is packed and
     summed over its direction planes (``_plane_sensitivity``, which one
-    table's measures call directly).  Wider matrices, and a 1-D table, run
-    n level passes, whose fixed cost the columns share: each level's halves
-    are ``level_views``, as in ``butterfly``, and a count rises where they
+    table's measures call directly).  Wider matrices run n level passes,
+    whose fixed cost the columns share: each level's halves are
+    ``level_views``, as in ``butterfly``, and a count rises where they
     differ."""
-    if tables.shape[1:] == (1,):
+    width = tables.shape[1]
+    if width == 1:
         n = tables.shape[0].bit_length() - 1
         # entries are 0 or 1, so packbits reads them with no masked copy
         bits = int.from_bytes(np.packbits(tables, bitorder="little").tobytes(), "little")
         return _plane_sensitivity(bits, n).reshape(tables.shape)
-    width = tables[:1].size
     counts = np.zeros(tables.shape, dtype=np.int8)
     for i in range(tables.shape[0].bit_length() - 1):
         run = width << i
@@ -197,13 +187,7 @@ def sensitivity(f: TruthTable, at: int | None = None, witness: bool = False):
 
     Witness: (point, mask of sensitive coordinates).
     """
-    n = f.n
-    if at is not None:
-        _check_point(at, n)
-        mask = _sensitive_mask(f, at)
-        val = mask.bit_count()
-        return (val, (at, mask)) if witness else val
-    return _LatticeMeasures(f, {}).sensitivity(witness)
+    return _Measures(f, {}).sensitivity(witness, at)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +299,8 @@ def _bs_point(f: TruthTable, a: int, want_witness: bool):
 
 def _sensitivity_bound(s: np.ndarray) -> np.ndarray:
     """u(x) = s(f,x) + (n - s(f,x)) // 2, an upper bound on bs(f,x) at every x,
-    from the pointwise sensitivity ``s`` of one table or of a (2**n, m)
-    matrix (``_pointwise_sensitivity``).
+    from the pointwise sensitivity ``s`` of one table (``_plane_sensitivity``)
+    or of a (2**n, m) matrix (``_pointwise_sensitivity``).
 
     A maximum disjoint family of sensitive blocks stays one when each block
     shrinks to a minimal sensitive block.  The minimal singletons are the
@@ -382,7 +366,7 @@ def block_sensitivity(
     witness ``BlockFamily`` is the lexicographically smallest maximum family,
     at ``at`` or at the smallest maximizing input.  Each input runs the
     memoized packer of ``_bs_point``, at every arity.  Unpointed, it runs
-    the one search of ``_LatticeMeasures.block_sensitivity``: the inputs in
+    the one search of ``_Measures.block_sensitivity``: the inputs in
     order of the bound s(f,x) + (n - s(f,x)) // 2, stopping once no input
     left can beat the best (``_best_first``, the search that salt runs
     over its shifts too).  That settles most random functions at one to
@@ -396,12 +380,7 @@ def block_sensitivity(
     f(x ^ y) ^ f(x), built once per arity by this packer, run once per
     distinct antichain of minimal blocks (``_bulk._bs_table``).
     """
-    if at is None:
-        return _LatticeMeasures(f, {"bs": limit}).block_sensitivity(witness)
-    _ensure_limit("bs", f.n, limit)
-    _check_point(at, f.n)
-    val, fam = _bs_point(f, at, witness)
-    return (val, fam) if witness else val
+    return _Measures(f, {"bs": limit}).block_sensitivity(witness, at)
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +452,7 @@ def _subcube_fold(tables: np.ndarray) -> np.ndarray:
 
     C reads the sizes of its constant subcubes (``_certificate_sizes``), and
     DT's sweeps (``_depth_sweeps``) start from ``val`` alone.  Per-function
-    callers go through ``_LatticeMeasures``, which checks the byte budget
-    first.
+    callers go through ``_Measures``, which checks the byte budget first.
     """
     size, m = tables.shape
     n = size.bit_length() - 1
@@ -734,151 +712,6 @@ def _dt_tree(val: np.ndarray, coeffs: np.ndarray) -> tuple[int, dict]:
     return (dt[-1] if d0 == 0 else n), tree
 
 
-class _LatticeMeasures:
-    """s, bs, C and DT of one function, from one count of pointwise
-    sensitivity and at most one ternary subcube table.
-
-    The pointwise sensitivity is counted once, from the packed table's n
-    direction planes (``_plane_sensitivity``), on first use by s or by the
-    bs search, and kept: s is its maximum, and u(x) its bound on bs(f,x)
-    (``_sensitivity_bound``).
-
-    The table comes in parts, within the arity ceilings (``limits``, else
-    ``DEFAULT_LIMITS``) and one byte budget (``_table_bytes``).  The fold's
-    ``val`` (``_subcube_fold``: 3**n states, n passes) is built once, on
-    first use by C, by DT, or by the bs search, and kept.  C(f,x) at every
-    input (``_certificate_sizes``: n more passes and n max-passes, then
-    2**n bytes) is built once from it, on first use by C or by the bs
-    search, and kept; DT never builds it.  The DT sweeps
-    (``_depth_sweeps``: up to n**2 * 3**(n-1) entries of work) run on each
-    DT call, which every caller makes once, and only where the degree does
-    not settle DT.
-
-    The int32 Moebius table (2**n coefficients) is built once, on first use
-    by deg, deg_p or DT, and kept.  Without a witness, DT is at least deg
-    and any lower bound the caller passes: at n it needs no table, since
-    DT <= n, and otherwise the sweeps stop once the whole cube's entry
-    meets it.  A witness is built top-down by one breadth-first walk from
-    the prefix restrictions (``_dt_tree``): those of full degree query their
-    next variable with no table read, and the sweeps run once, on the slab
-    of the first restriction of lower degree that the walk meets, which is
-    at the shallowest depth; every state below it reads them.
-
-    The unpointed bs search (``_best_first`` over the inputs, valued by
-    ``_bs_point``) runs under min(u(x), C(f,x)), since bs(f,x) <= C(f,x),
-    from its first input if the certificate sizes exist; otherwise under u
-    alone until n inputs have not settled it, and then it builds them if
-    the table fits the byte budget, whatever the C and DT ceilings say.
-    The search runs once.  It holds the packing function of its best input
-    so far (``_bs_point``) as ``_best_first``'s payload, so at most one
-    packer beyond the one being evaluated; the value and that packing are
-    kept, and a call with ``witness`` reads the family off the packer's
-    memo, with no second packing.
-    """
-
-    def __init__(self, f: TruthTable, limits: dict):
-        self.f = f
-        self.limits = limits
-        self._s: np.ndarray | None = None
-        self._val: np.ndarray | None = None
-        self._sizes: np.ndarray | None = None
-        self._bs: tuple | None = None  # (bs, the function packing its family)
-        self._coeffs: np.ndarray | None = None
-
-    def _skip(self, measure: str) -> ArityLimitError | None:
-        """The skip that keeps ``measure`` off the table: ceiling, then budget."""
-        n = self.f.n
-        ceiling = _ceiling(measure, self.limits.get(measure))
-        if n > ceiling:
-            return ArityLimitError(measure, n, ceiling)
-        if _table_bytes(n) > _LATTICE_BUDGET:
-            return LatticeBudgetError(measure, n)
-        return None
-
-    def _sensitivities(self) -> np.ndarray:
-        """s(f,x) at every input x: s reads its maximum, the bs search u."""
-        if self._s is None:
-            self._s = _plane_sensitivity(self.f.bits, self.f.n)
-        return self._s
-
-    def _folded(self) -> np.ndarray:
-        """The fold's val, shaped (3,) * n + (1,)."""
-        if self._val is None:
-            self._val = _subcube_fold(self.f.to_array()[:, None])
-        return self._val
-
-    def _certificates(self) -> np.ndarray:
-        """C(f,x) at every input x, as uint8: C reads them, and the bs search
-        its bound."""
-        if self._sizes is None:
-            self._sizes = _certificate_sizes(self._folded())[:, 0]
-        return self._sizes
-
-    def _moebius(self) -> np.ndarray:
-        """f's int32 Moebius coefficients: deg, every deg_p and DT read them."""
-        if self._coeffs is None:
-            self._coeffs = _moebius_rows(self.f.to_array(), np.int32)
-        return self._coeffs
-
-    def _check(self, measure: str) -> None:
-        skip = self._skip(measure)
-        if skip is not None:
-            raise skip
-
-    def _certificate_bound(self, bound: np.ndarray) -> np.ndarray | None:
-        """min(bound, C(f,x)) at every input x; None where the subcube table
-        would exceed its byte budget."""
-        fits = self._sizes is not None or _table_bytes(self.f.n) <= _LATTICE_BUDGET
-        return np.minimum(bound, self._certificates()) if fits else None
-
-    def sensitivity(self, witness: bool):
-        """s, with its smallest maximizing input and the mask of the
-        coordinates sensitive there if ``witness``."""
-        counts = self._sensitivities()
-        val = int(counts.max())
-        if not witness:
-            return val
-        point = int(np.argmax(counts == val))
-        return val, (point, _sensitive_mask(self.f, point))
-
-    def block_sensitivity(self, witness: bool):
-        f = self.f
-        _ensure_limit("bs", f.n, self.limits.get("bs"))
-        if self._bs is None:
-            bound = _sensitivity_bound(self._sensitivities())
-            tighten = self._certificate_bound
-            if self._sizes is not None:
-                bound, tighten = tighten(bound), None
-            bs, _, _, pack = _best_first(
-                bound, lambda x, best, at: _bs_point(f, x, False), tighten, f.n)
-            self._bs = bs, pack
-        val, pack = self._bs
-        return (val, pack()) if witness else val
-
-    def certificate(self, witness: bool, at: int | None = None):
-        if at is not None:
-            _check_point(at, self.f.n)
-        self._check("C")
-        sizes = self._certificates()
-        point = int(np.argmax(sizes)) if at is None else at
-        val = int(sizes[point])
-        return (val, (point, _certificate_set(self._folded(), point, val))) if witness else val
-
-    def dt_depth(self, witness: bool, lower: int = -1):
-        """DT, with its tree if ``witness``; ``lower`` is a lower bound on DT,
-        besides deg, that a call without a witness may stop at."""
-        self._check("DT")
-        n = self.f.n
-        if witness:
-            return _dt_tree(self._folded(), self._moebius())
-        if lower < n:
-            # DT >= deg, which is n exactly when the top coefficient is nonzero
-            lower = max(lower, int(_degrees(self._moebius())))
-        if lower >= n:
-            return n
-        return _depth_sweeps(self._folded(), lower).item(-1)
-
-
 def certificate(
     f: TruthTable, at: int | None = None, witness: bool = False, limit: int | None = None
 ):
@@ -897,7 +730,7 @@ def certificate(
 
     Witness: (point, mask of the fixed set).
     """
-    return _LatticeMeasures(f, {"C": limit}).certificate(witness, at)
+    return _Measures(f, {"C": limit}).certificate(witness, at)
 
 
 def dt_depth(f: TruthTable, witness: bool = False, limit: int | None = None):
@@ -928,7 +761,7 @@ def dt_depth(f: TruthTable, witness: bool = False, limit: int | None = None):
     is a DAG: read it, serialize it or validate it, but do not mutate it, as
     with the read-only pattern tables.
     """
-    return _LatticeMeasures(f, {"DT": limit}).dt_depth(witness)
+    return _Measures(f, {"DT": limit}).dt_depth(witness)
 
 
 # ---------------------------------------------------------------------------
@@ -1012,11 +845,7 @@ def alternation(f: TruthTable, witness: bool = False):
     run down from 1^n (``_best_chains``), whose nonempty levels number alt
     too.
     """
-    n = f.n
-    if not witness:
-        return _alternation_at_shift(*_shift_moves(f.bits, n), 0, n)
-    alt, points = _best_chains(f.bits, n)
-    return alt, Chain(tuple(points))
+    return _Measures(f, {}).alternation(witness)
 
 
 # Arity from which the salt search tightens the parity floor by
@@ -1157,36 +986,36 @@ def _byte_spread() -> np.ndarray:
     return spread
 
 
-def _direction_masks(f: TruthTable) -> np.ndarray:
+def _direction_masks(planes: list[int], n: int) -> np.ndarray:
     """The mask of sensitive directions at every point x, bit i set where
-    f(x) != f(x XOR e_i), as (2**n,) intp.
+    f(x) != f(x XOR e_i), as (2**n,) intp, from f's n direction planes
+    (``_direction_planes``): plane i is the packed table of f(x) XOR
+    f(x XOR e_i).
 
-    Plane i, the packed table of f(x) XOR f(x XOR e_i), is a few Python int
-    operations (``_direction_planes``).  Each group of 8 planes, as bytes, is
-    transposed into one byte of every point's mask by one gather from
-    ``_byte_spread`` and one OR-reduction: a fixed number of numpy calls
-    per 8 variables, not about 7 per variable, and no array above 8 bytes
-    per point.
+    Each group of 8 planes, as bytes, is transposed into one byte of every
+    point's mask by one gather from ``_byte_spread`` and one OR-reduction:
+    a fixed number of numpy calls per 8 variables, not about 7 per
+    variable, and no array above 8 bytes per point.
     """
-    n, bits = f.n, f.bits
     size = table_size(n)
     nbytes = max(1, size >> 3)
     groups = -(-n // 8)
     raw = bytearray(8 * groups * nbytes)
-    for i, plane in enumerate(_direction_planes(bits, n)):
+    for i, plane in enumerate(planes):
         raw[i * nbytes : (i + 1) * nbytes] = plane.to_bytes(nbytes, "little")
-    planes = np.frombuffer(raw, dtype=np.uint8).reshape(groups, 8, nbytes)
+    grouped = np.frombuffer(raw, dtype=np.uint8).reshape(groups, 8, nbytes)
     width = 1 << max(0, groups - 1).bit_length()  # 1, 2 or 4 bytes a mask
     masks = np.zeros((size, width), dtype=np.uint8)
     rows = np.arange(8)[:, None]
     for g in range(groups):
-        words = np.bitwise_or.reduce(_byte_spread()[rows, planes[g]], axis=0)
+        words = np.bitwise_or.reduce(_byte_spread()[rows, grouped[g]], axis=0)
         masks[:, g] = words.astype("<u8", copy=False).view(np.uint8)[:size]
     return masks.view(f"<u{width}")[:, 0].astype(np.intp)
 
 
-def _chain_bound(f: TruthTable) -> np.ndarray:
-    """A lower bound on alt(f XOR b) for every shift b < 2**(n-1).
+def _chain_bound(f: TruthTable, planes: list[int]) -> np.ndarray:
+    """A lower bound on alt(f XOR b) for every shift b < 2**(n-1), given f's
+    n direction planes (``_direction_planes``).
 
     In the frame of f a maximal chain of x -> f(x XOR b) runs from b to
     ~b, flipping every direction once, and any one chain's value changes
@@ -1209,7 +1038,7 @@ def _chain_bound(f: TruthTable) -> np.ndarray:
     n = f.n
     size = table_size(n)
     rev = _bit_reversal(n)
-    sens = _direction_masks(f)
+    sens = _direction_masks(planes, n)
     table = np.concatenate([sens, rev[sens[rev]]], dtype=np.intp)
     # a chain from every point, then from every point reversed, which reads
     # the second half of the table; the shifts b and ~b take the most of both
@@ -1240,9 +1069,10 @@ def _salt_search(f: TruthTable) -> tuple[int, int, int]:
     (``_best_first``) maximizes -alt(f XOR b) under -floor(b), so it first
     evaluates the smallest shift of the least floor, and stops there if that
     shift meets its floor.  From ``_BOUND_MIN_ARITY`` on, the shifts left
-    are then ordered by ``_chain_bound``.  Each shift runs alone on packed
-    ints (``_alternation_at_shift``), its level sets only up to the best
-    value so far, or one more when it lies below the best shift.
+    are then ordered by ``_chain_bound``, on the direction planes that the
+    moves hold as their two halves.  Each shift runs alone on packed ints
+    (``_alternation_at_shift``), its level sets only up to the best value
+    so far, or one more when it lies below the best shift.
     """
     n = f.n
     half = max(1, table_size(n) >> 1)
@@ -1254,7 +1084,8 @@ def _salt_search(f: TruthTable) -> tuple[int, int, int]:
     def alt(b, best, at):
         return -_alternation_at_shift(moves, full, b, min(-best + (b < at), n)), None
 
-    tighten = (lambda _: -_chain_bound(f)) if n >= _BOUND_MIN_ARITY else None
+    tighten = ((lambda _: -_chain_bound(f, [lo | hi for _, _, lo, hi in moves]))
+               if n >= _BOUND_MIN_ARITY else None)
     best, at, evaluated, _ = _best_first(neg_floor, alt, tighten, 1)
     return -best, at, evaluated
 
@@ -1290,21 +1121,11 @@ def shift_invariant_alternation(
     over 2**n points, and on most functions a few dozen shifts, each run
     alone on packed ints.
     """
-    _ensure_limit("salt", f.n, limit)
-    best, best_shift, _ = _salt_search(f)
-    return (best, best_shift) if witness else best
+    return _Measures(f, {"salt": limit}).shift_invariant_alternation(witness)
 
 
 # ---------------------------------------------------------------------------
 # polynomial degrees and Fourier sparsity
-
-
-def _degree_of(coeffs: np.ndarray, witness: bool):
-    deg = int(_degrees(coeffs))
-    if not witness:
-        return deg
-    top = (coeffs != 0) & (popcounts(coeffs.size.bit_length() - 1) == deg)
-    return deg, int(np.argmax(top))
 
 
 def real_degree(f: TruthTable, witness: bool = False):
@@ -1313,13 +1134,13 @@ def real_degree(f: TruthTable, witness: bool = False):
     Computed from exact integer coefficients (int32, see ``spectral``); the
     witness is the smallest maximal-degree monomial mask.
     """
-    return _degree_of(_moebius_rows(f.to_array(), np.int32), witness)
+    return _Measures(f, {}).degree(witness)
 
 
 def modp_degree(f: TruthTable, p: int, witness: bool = False):
     """Degree of the multilinear polynomial for f over the p-element field."""
     _check_primes((p,))
-    return _degree_of(_residues(_moebius_rows(f.to_array(), np.int32), p), witness)
+    return _Measures(f, {}).degree(witness, p)
 
 
 def sparsity(f: TruthTable, witness: bool = False):
@@ -1328,9 +1149,7 @@ def sparsity(f: TruthTable, witness: bool = False):
     The witness is the full spectrum, with the int64 coefficients of
     ``spectrum(f, WALSH)``.
     """
-    coeffs = _walsh_rows(f.to_array(), np.int32)
-    val = int(_sparsities(coeffs))
-    return (val, SpectrumRep(WALSH, f.n, coeffs.astype(np.int64))) if witness else val
+    return _Measures(f, {}).sparsity(witness)
 
 
 # ---------------------------------------------------------------------------
@@ -1446,7 +1265,7 @@ def validate_decision_tree(f: TruthTable, tree: dict, claimed_depth: int) -> boo
 
 
 # ---------------------------------------------------------------------------
-# combined report
+# one function's measures and their report
 
 @dataclass
 class MeasureReport:
@@ -1502,6 +1321,247 @@ class MeasureReport:
         }
 
 
+class _Measures:
+    """Every measure of one function f, and its report: the one route by
+    which every per-function caller reads them.
+
+    The measures are s, bs and C, maximized or at one input ``at``; alt and
+    salt; deg and deg_p (``degree``); sparsity; and DT.  ``report`` lists
+    them all, in report order, with their skips.  The public functions are
+    thin calls on a fresh owner; a caller that reads several measures of
+    one f, or reads more after the report, builds one owner and reads them
+    all from it.  A measure with an arity ceiling (bs, C, salt, DT) checks
+    it first, by the one rule of ``_skip``.
+
+    The owner keeps five things, each built on first use:
+
+    * s(f,x) at every input, from the packed table's n direction planes
+      (``_plane_sensitivity``, which makes them one at a time): s reads
+      it, and the bs search its bound u(x) on bs(f,x)
+      (``_sensitivity_bound``);
+    * the fold's ``val`` (``_subcube_fold``: 3**n states, n passes), read by
+      C, by DT and by the bs search;
+    * C(f,x) at every input (``_certificate_sizes``: n more passes and n
+      max-passes, then 2**n bytes), built from the fold and read by C,
+      pointwise C and the bs search; DT never builds it;
+    * the bs search: its value and the packing of its best input;
+    * the int32 Moebius table (2**n coefficients), read by deg, by every
+      deg_p as its residues mod p (exact: see ``spectral``) and by DT.
+
+    alt, salt and sparsity keep nothing: each builds what it reads (the
+    level-set moves of ``_shift_moves``, the Walsh table) on each call,
+    which the report makes once.  The moves are not kept for salt to share
+    with alt: they hold the two halves of each of the n direction planes,
+    2n * 2**n bits, which would stay alive through deg, deg_p, sparsity and
+    DT.  Keeping alt's raised the maxrss of ``measures`` on the CI n = 24
+    table, where salt is skipped, from 392 to 497 MiB (2-core VM).
+
+    The DT sweeps (``_depth_sweeps``: up to n**2 * 3**(n-1) entries of
+    work) run on each DT call, which every caller makes once, and only
+    where the degree does not settle DT.  Without a witness, DT is at least
+    deg and any lower bound the caller passes: at n it needs no table,
+    since DT <= n, and otherwise the sweeps stop once the whole cube's
+    entry meets it.  A witness is built top-down by one breadth-first walk
+    from the prefix restrictions (``_dt_tree``): those of full degree query
+    their next variable with no table read, and the sweeps run once, on the
+    slab of the first restriction of lower degree that the walk meets,
+    which is at the shallowest depth; every state below it reads them.
+
+    The unpointed bs search (``_best_first`` over the inputs, valued by
+    ``_bs_point``) runs under min(u(x), C(f,x)), since bs(f,x) <= C(f,x),
+    from its first input if the certificate sizes exist; otherwise under u
+    alone until n inputs have not settled it, and then it builds them if
+    the table fits the byte budget, whatever the C and DT ceilings say.
+    The search runs once.  It holds the packing function of its best input
+    so far (``_bs_point``) as ``_best_first``'s payload, so at most one
+    packer beyond the one being evaluated; the value and that packing are
+    kept, and a call with ``witness`` reads the family off the packer's
+    memo, with no second packing.
+    """
+
+    def __init__(self, f: TruthTable, limits: dict):
+        self.f = f
+        self.limits = limits
+        self._s: np.ndarray | None = None
+        self._val: np.ndarray | None = None
+        self._sizes: np.ndarray | None = None
+        self._bs: tuple | None = None  # (bs, the function packing its family)
+        self._coeffs: np.ndarray | None = None
+
+    def _skip(self, measure: str) -> ArityLimitError | None:
+        """The skip that keeps ``measure`` from running: its ceiling,
+        ``limits[measure]`` or, where that is None, ``DEFAULT_LIMITS``; then,
+        for C and DT, the byte budget of the subcube table."""
+        n, ceiling = self.f.n, self.limits.get(measure)
+        if ceiling is None:
+            ceiling = DEFAULT_LIMITS[measure]
+        if n > ceiling:
+            return ArityLimitError(measure, n, ceiling)
+        if measure in ("C", "DT") and _table_bytes(n) > _LATTICE_BUDGET:
+            return LatticeBudgetError(measure, n)
+        return None
+
+    def _check(self, measure: str, at: int | None = None) -> None:
+        """Raise on a point out of range, then on ``measure``'s skip."""
+        if at is not None:
+            _check_point(at, self.f.n)
+        skip = self._skip(measure)
+        if skip is not None:
+            raise skip
+
+    def _sensitivities(self) -> np.ndarray:
+        if self._s is None:
+            self._s = _plane_sensitivity(self.f.bits, self.f.n)
+        return self._s
+
+    def _folded(self) -> np.ndarray:
+        """The fold's val, shaped (3,) * n + (1,)."""
+        if self._val is None:
+            self._val = _subcube_fold(self.f.to_array()[:, None])
+        return self._val
+
+    def _certificates(self) -> np.ndarray:
+        if self._sizes is None:
+            self._sizes = _certificate_sizes(self._folded())[:, 0]
+        return self._sizes
+
+    def _moebius(self) -> np.ndarray:
+        if self._coeffs is None:
+            self._coeffs = _moebius_rows(self.f.to_array(), np.int32)
+        return self._coeffs
+
+    def _certificate_bound(self, bound: np.ndarray) -> np.ndarray | None:
+        """min(bound, C(f,x)) at every input x; None where the subcube table
+        would exceed its byte budget."""
+        fits = self._sizes is not None or _table_bytes(self.f.n) <= _LATTICE_BUDGET
+        return np.minimum(bound, self._certificates()) if fits else None
+
+    def sensitivity(self, witness: bool, at: int | None = None):
+        """s, or s(f, at), with the point (the smallest maximizing input
+        unpointed) and the mask of the coordinates sensitive there if
+        ``witness``.  One input reads its n neighbours, not the counts."""
+        if at is None:
+            counts = self._sensitivities()
+            at = int(np.argmax(counts))
+            if not witness:
+                return int(counts[at])
+        else:
+            _check_point(at, self.f.n)
+        mask = _sensitive_mask(self.f, at)
+        return (mask.bit_count(), (at, mask)) if witness else mask.bit_count()
+
+    def block_sensitivity(self, witness: bool, at: int | None = None):
+        """bs, or bs(f, at), with its ``BlockFamily`` if ``witness``."""
+        f = self.f
+        self._check("bs", at)
+        if at is not None:
+            val, pack = _bs_point(f, at, False)
+        else:
+            if self._bs is None:
+                bound = _sensitivity_bound(self._sensitivities())
+                tighten = self._certificate_bound
+                if self._sizes is not None:
+                    bound, tighten = tighten(bound), None
+                bs, _, _, pack = _best_first(
+                    bound, lambda x, best, at: _bs_point(f, x, False), tighten, f.n)
+                self._bs = bs, pack
+            val, pack = self._bs
+        return (val, pack()) if witness else val
+
+    def certificate(self, witness: bool, at: int | None = None):
+        """C, or C(f, at), with (point, mask of the fixed set) if ``witness``."""
+        self._check("C", at)
+        sizes = self._certificates()
+        point = int(np.argmax(sizes)) if at is None else at
+        val = int(sizes[point])
+        return (val, (point, _certificate_set(self._folded(), point, val))) if witness else val
+
+    def alternation(self, witness: bool):
+        """alt, with its ``Chain`` if ``witness``."""
+        n = self.f.n
+        if not witness:
+            return _alternation_at_shift(*_shift_moves(self.f.bits, n), 0, n)
+        alt, points = _best_chains(self.f.bits, n)
+        return alt, Chain(tuple(points))
+
+    def shift_invariant_alternation(self, witness: bool):
+        """salt, with its smallest argmin shift if ``witness``."""
+        self._check("salt")
+        best, best_shift, _ = _salt_search(self.f)
+        return (best, best_shift) if witness else best
+
+    def degree(self, witness: bool, p: int | None = None):
+        """deg, or deg_p for a prime p, from the kept Moebius table, with the
+        smallest monomial mask of that degree if ``witness``."""
+        coeffs = self._moebius() if p is None else _residues(self._moebius(), p)
+        deg = int(_degrees(coeffs))
+        if not witness:
+            return deg
+        top = (coeffs != 0) & (popcounts(self.f.n) == deg)
+        return deg, int(np.argmax(top))
+
+    def sparsity(self, witness: bool):
+        """sparsity, with the full Walsh spectrum if ``witness``."""
+        coeffs = _walsh_rows(self.f.to_array(), np.int32)
+        val = int(_sparsities(coeffs))
+        return (val, SpectrumRep(WALSH, self.f.n, coeffs.astype(np.int64))) if witness else val
+
+    def dt_depth(self, witness: bool, lower: int = -1):
+        """DT, with its tree if ``witness``; ``lower`` is a lower bound on DT,
+        besides deg, that a call without a witness may stop at."""
+        self._check("DT")
+        n = self.f.n
+        if witness:
+            return _dt_tree(self._folded(), self._moebius())
+        if lower < n:
+            # DT >= deg, which is n exactly when the top coefficient is nonzero
+            lower = max(lower, self.degree(False))
+        if lower >= n:
+            return n
+        return _depth_sweeps(self._folded(), lower).item(-1)
+
+    def report(self, primes, witnesses: bool) -> MeasureReport:
+        """``measure_report`` of f, from this owner, which a caller may read
+        further: the CLI's pointwise s, bs and C, or the bs family of
+        ``inequality_suite`` and of the scan's cross-check, which the kept
+        search's packing gives without a second search or packing.
+
+        This is the one list of a function's measures, in report order, and
+        the one place that decides to build the certificate sizes between s
+        and bs.  Each prime is checked before anything is computed.
+        """
+        _check_primes(primes)
+        rep = MeasureReport(self.f, tuple(primes))
+
+        def run(name: str, fn, *args):
+            try:
+                out = fn(witnesses, *args)
+            except ArityLimitError as e:
+                rep.skipped.append(
+                    {"measure": name, "reason": str(e), "arity": e.arity, "limit": e.limit}
+                )
+                return
+            if witnesses:
+                rep.measures[name], rep.witnesses[name] = out
+            else:
+                rep.measures[name] = out
+
+        run("s", self.sensitivity)
+        if self._skip("C") is None or self._skip("DT") is None:
+            self._certificates()
+        run("bs", self.block_sensitivity)
+        run("C", self.certificate)
+        run("alt", self.alternation)
+        run("salt", self.shift_invariant_alternation)
+        run("deg", self.degree)
+        for p in primes:
+            run(f"deg_{p}", self.degree, p)
+        run("sparsity", self.sparsity)
+        # DT >= bs (Nisan); only a call without a witness stops there, or at deg
+        run("DT", self.dt_depth, rep.measures.get("bs", -1))
+        return rep
+
+
 def measure_report(
     f: TruthTable,
     primes=(2, 3),
@@ -1510,68 +1570,17 @@ def measure_report(
 ) -> MeasureReport:
     """Compute every measure that fits its arity ceiling; skips are explicit.
 
-    bs, C and DT share one ternary subcube table (``_LatticeMeasures``).
-    Its fold and certificate sizes are built before bs when C or DT fits
-    its ceiling, so the bs search runs under min(u(x), C(f,x)) from its
-    first input, which on most functions leaves one packing search.
-    Otherwise bs runs the switch of the public ``block_sensitivity``, with
-    the same value and witness.  DT comes last, reads deg's Moebius table
-    and the fold's ``val`` alone.  With ``witnesses`` it builds
-    the tree of ``dt_depth``, and sweeps only below the prefix restrictions
-    of full degree; without, the sweeps stop once they meet max(bs, deg), a
-    lower bound on DT (bs <= C <= DT, and deg <= DT), which makes the value
-    exact, and where that bound is n they do not run at all.
+    Reads one owner of f's measures (``_Measures.report``).  bs, C and DT
+    share its ternary subcube table.  Its fold and certificate sizes are
+    built before bs when C or DT fits its ceiling, so the bs search runs
+    under min(u(x), C(f,x)) from its first input, which on most functions
+    leaves one packing search.  Otherwise bs runs the switch of the public
+    ``block_sensitivity``, with the same value and witness.  deg, every
+    deg_p and DT read the owner's one int32 Moebius table.  DT comes last,
+    and reads that table and the fold's ``val`` alone.  With ``witnesses``
+    it builds the tree of ``dt_depth``, and sweeps only below the prefix
+    restrictions of full degree; without, the sweeps stop once they meet
+    max(bs, deg), a lower bound on DT (bs <= C <= DT, and deg <= DT), which
+    makes the value exact, and where that bound is n they do not run at all.
     """
-    return _measure_report(_LatticeMeasures(f, limits or {}), primes, witnesses)
-
-
-def _measure_report(subcubes: _LatticeMeasures, primes, witnesses: bool) -> MeasureReport:
-    """``measure_report`` on a caller's subcube table, which it may read further.
-
-    This is the one list of a function's measures, in report order, and the
-    one place that decides to build the certificate sizes between s and bs.
-    A caller passes its own table when it reads more after the report: the
-    CLI's pointwise C, or the bs family of ``inequality_suite`` and of the
-    scan's cross-check, which the kept search's packing gives without a
-    second search or packing.
-
-    deg, every deg_p and DT read the one int32 Moebius table that
-    ``subcubes`` keeps, deg_p as its residues mod p (exact: see
-    ``spectral``); each prime is checked before anything is computed.
-    """
-    _check_primes(primes)
-    f, limits = subcubes.f, subcubes.limits
-    rep = MeasureReport(f, tuple(primes))
-
-    def run(name: str, fn):
-        try:
-            out = fn()
-        except ArityLimitError as e:
-            rep.skipped.append(
-                {"measure": name, "reason": str(e), "arity": e.arity, "limit": e.limit}
-            )
-            return
-        if witnesses:
-            rep.measures[name], rep.witnesses[name] = out
-        else:
-            rep.measures[name] = out
-
-    w = witnesses
-    run("s", lambda: subcubes.sensitivity(w))
-    if subcubes._skip("C") is None or subcubes._skip("DT") is None:
-        subcubes._certificates()
-    run("bs", lambda: subcubes.block_sensitivity(w))
-    run("C", lambda: subcubes.certificate(w))
-    run("alt", lambda: alternation(f, witness=w))
-    run(
-        "salt",
-        lambda: shift_invariant_alternation(f, witness=w, limit=limits.get("salt")),
-    )
-    coeffs = subcubes._moebius()
-    run("deg", lambda: _degree_of(coeffs, w))
-    for p in primes:
-        run(f"deg_{p}", lambda p=p: _degree_of(_residues(coeffs, p), w))
-    run("sparsity", lambda: sparsity(f, witness=w))
-    # DT >= bs (Nisan); only a call without a witness stops there, or at deg
-    run("DT", lambda: subcubes.dt_depth(w, rep.measures.get("bs", -1)))
-    return rep
+    return _Measures(f, limits or {}).report(primes, witnesses)

@@ -21,15 +21,17 @@ absolute value, and every Walsh coefficient and every value its step
 passes through at most 2**n, so int32 is exact up to ``MAX_ARITY`` (24)
 and int8 up to n = 6.  ``_bulk`` runs both butterflies in int8 at arity
 <= 4, and so does the scan's sparsity of the chain maps' tables.  The
-measures (``real_degree``, ``modp_degree``, ``sparsity``) run in int32, and
-a report (``measures._measure_report``, ``commlb.bound_summary``) builds one
-int32 Moebius table per function: deg reads it, and every deg_p reads its
-residues mod p (``_residues``), which equal those of the integer
-coefficients.  The residues come from floor division, ``c - c // p * p``,
-which numpy runs by a precomputed multiply for a scalar divisor, where its
-``%`` divides every entry: on the 16 x 16,384 int16 Moebius matrix of an
-n = 4 slice (2-core Xeon VM, best of 30) ``%`` took 0.6-0.9 ms per prime
-and floor division 0.08-0.10 ms, and 0.04-0.06 ms in int8.  The public arrays
+measures (``real_degree``, ``modp_degree``, ``sparsity``) run in int32.
+The one owner of a function's measures (``measures._Measures``), which the
+report, ``commlb.bound_summary``, the CLI, the checks and the public
+measures all read, builds one int32 Moebius table per function: deg and DT
+read it, and every deg_p reads its residues mod p (``_residues``), which
+equal those of the integer coefficients.  The residues come from floor
+division, ``c - c // p * p``, which numpy runs by a precomputed multiply
+for a scalar divisor, where its ``%`` divides every entry: on the 16 x
+16,384 int16 Moebius matrix of an n = 4 slice (2-core Xeon VM, best of
+30) ``%`` took 0.6-0.9 ms per prime and floor division 0.08-0.10 ms, and
+0.04-0.06 ms in int8.  The public arrays
 (``moebius_coefficients``, ``walsh_coefficients``, ``spectrum`` and the
 sparsity witness's ``SpectrumRep``) stay int64.
 """

@@ -28,6 +28,7 @@ from boolfn.measures import (
     _lane,
     _lanes,
     _minimal_blocks,
+    _plane_sensitivity,
     _pointwise_sensitivity,
     validate_chain,
 )
@@ -111,7 +112,7 @@ def test_batched_kernels_match_per_function_columns(n, m):
     for r, bits in enumerate(ids):
         f = TruthTable(n, bits)
         one = f.to_array()
-        assert sens[:, r].tolist() == _pointwise_sensitivity(one).tolist()
+        assert sens[:, r].tolist() == _plane_sensitivity(bits, n).tolist()
         assert moebius[:, r].tolist() == _moebius_rows(one, np.int64).tolist()
         assert walsh[:, r].tolist() == _walsh_rows(one, np.int64).tolist()
         assert degrees[r] == _degrees(_moebius_rows(one, np.int64))

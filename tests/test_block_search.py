@@ -25,7 +25,7 @@ from boolfn.measures import (
     _best_first,
     _bs_point,
     _lanes,
-    _pointwise_sensitivity,
+    _plane_sensitivity,
     _sensitivity_bound,
 )
 
@@ -42,7 +42,7 @@ def _seeded(seed, arities, per):
 
 
 def _u(f):
-    return _sensitivity_bound(_pointwise_sensitivity(f.to_array()))
+    return _sensitivity_bound(_plane_sensitivity(f.bits, f.n))
 
 
 def _best_first_logged(bound, values, tighten_to, after):

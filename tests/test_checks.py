@@ -18,7 +18,7 @@ from boolfn import (
     revalidate_record,
     tt_parse,
 )
-from boolfn import _bulk, checks, commlb, measures, transforms
+from boolfn import _bulk, checks, measures
 from boolfn._bulk import _tables, measure_arrays
 from boolfn.checks import _STATISTICS, STATISTICS, _exhaustive_values, _raise_if_broken, _ranked
 from boolfn.families import gip, maj, parity, rubinstein, tree_function
@@ -271,15 +271,14 @@ def test_exhaustive_scan_crosscheck_runs_one_bs_search_per_sampled_function(monk
     # certificate; each unpointed bs search builds its bound u once
     searches, bound = [], measures._sensitivity_bound
     monkeypatch.setattr(measures, "_sensitivity_bound", lambda s: searches.append(1) or bound(s))
-    at_zero, pointed = [], measures.block_sensitivity
+    at_zero, pointed = [], measures._Measures.block_sensitivity
 
-    def counted(f, at=None, **kw):
+    def counted(owner, witness, at=None):
         if at == 0:
-            at_zero.append(f.bits)
-        return pointed(f, at, **kw)
+            at_zero.append(owner.f.bits)
+        return pointed(owner, witness, at)
 
-    for module in (checks, commlb, transforms):
-        monkeypatch.setattr(module, "block_sensitivity", counted)
+    monkeypatch.setattr(measures._Measures, "block_sensitivity", counted)
     rep = exhaustive_scan(3)
     assert rep.ok
     stride = 256 // checks._CROSSCHECK_SAMPLES

@@ -392,7 +392,7 @@ def test_measures_bad_point_exits_2_before_the_report(monkeypatch, capsys):
     def no_report(*args, **kwargs):
         raise AssertionError("the report ran before --at was parsed")
 
-    monkeypatch.setattr(cli, "_measure_report", no_report)
+    monkeypatch.setattr(measures._Measures, "report", no_report)
     code, out, err = run_cli(capsys, "measures", "tt:2:8", "--at", "1x")
     assert code == 2 and out == "" and "error:" in err
 
@@ -402,7 +402,7 @@ def test_non_prime_exits_2_before_the_moebius_table(monkeypatch, capsys, command
     def no_table(*args, **kwargs):
         raise AssertionError("the Moebius table was built before the primes were checked")
 
-    # both commands read the table that ``measures._LatticeMeasures`` keeps
+    # both commands read the table that ``measures._Measures`` keeps
     monkeypatch.setattr(measures, "_moebius_rows", no_table)
     code, out, err = run_cli(capsys, command, "fam:or:n=3", "--primes", "2,4")
     assert (code, out, err) == (2, "", "error: 4 is not prime\n")

@@ -24,7 +24,7 @@ from boolfn import (
 from boolfn import _bulk, commlb, measures
 from boolfn._bulk import _tables, measure_arrays
 from boolfn.measures import (
-    _LatticeMeasures,
+    _Measures,
     _certificate_sizes,
     _lanes,
     _subcube_fold,
@@ -404,7 +404,7 @@ def test_dt_lower_bound_stops_at_the_full_sweeps_value(monkeypatch):
         report = measures.measure_report(f, witnesses=False)
         assert report.measures["DT"] == want[0]
         for lower in range(-1, want[0] + 1):
-            subcubes = _LatticeMeasures(f, {})
+            subcubes = _Measures(f, {})
             passes.clear()
             assert subcubes.dt_depth(False, lower) == want[0]
             if lower < f.n and len(passes) < full:
@@ -417,9 +417,9 @@ def test_dt_lower_bound_stops_at_the_full_sweeps_value(monkeypatch):
 def test_dt_lower_bound_at_arity_builds_no_table(monkeypatch):
     # DT <= n, so a lower bound of n settles it; the ceiling still comes first
     monkeypatch.setattr(measures, "_subcube_fold", lambda t: 1 / 0)
-    assert _LatticeMeasures(parity(13), {}).dt_depth(False, 13) == 13
+    assert _Measures(parity(13), {}).dt_depth(False, 13) == 13
     with pytest.raises(ArityLimitError, match="exceeds limit 13"):
-        _LatticeMeasures(parity(14), {}).dt_depth(False, 14)
+        _Measures(parity(14), {}).dt_depth(False, 14)
 
 
 def test_dt_without_witness_reads_the_degree_first(monkeypatch):
@@ -478,7 +478,7 @@ def test_lattice_over_budget_skips_under_explicit_limit():
         assert isinstance(exc.value, ArityLimitError)
         assert exc.value.measure == measure and exc.value.limit == 16
         assert "budget of 268435456 bytes" in str(exc.value)
-        assert _LatticeMeasures(and_(16), {measure: 16})._skip(measure) is None
+        assert _Measures(and_(16), {measure: 16})._skip(measure) is None
     # the ceiling still comes first without a limit
     with pytest.raises(ArityLimitError, match="exceeds limit 12"):
         certificate(and_(16))

@@ -22,6 +22,7 @@ from boolfn.families import and_, gip, maj, or_, parity, rubinstein, tree_functi
 from boolfn.measures import (
     _alternation_by_shift,
     _chain_bound,
+    _direction_planes,
     _lanes,
     _level_sets,
     _salt_search,
@@ -150,12 +151,16 @@ def test_batched_kernel_matches_oracle(n):
         assert alts.shape == (m, shifts) and alts.tolist() == want_alts[-m:]
 
 
+def _planes(f):
+    return list(_direction_planes(f.bits, f.n))
+
+
 def _assert_chain_bound(f):
     """The greedy chain bound is at most alt(f XOR b) at every shift b below
     2**(n-1), and has the parity f(b) XOR f(~b) of alt(f XOR b)."""
     alts = alternation_under_shifts(f)
     top = 2**f.n - 1
-    bound = _chain_bound(f).tolist()
+    bound = _chain_bound(f, _planes(f)).tolist()
     assert len(bound) == 2**f.n // 2
     for b, low in enumerate(bound):
         assert low <= alts[b]
@@ -183,14 +188,14 @@ def test_chain_bound_equals_the_greedy_walk_oracle():
     rng = np.random.default_rng(41)
     cases = [TruthTable(n, random_table(rng, n)) for n in range(6, 11) for _ in range(2)]
     for f in cases + [tree_function(3), gip(3, 3), rubinstein(3, 3), and_(7), TruthTable(6, 0)]:
-        assert _chain_bound(f).tolist() == naive_chain_bound(f)
+        assert _chain_bound(f, _planes(f)).tolist() == naive_chain_bound(f)
 
 
 def test_search_visits_one_shift_on_majority_and_and(monkeypatch):
     # the least parity floor, 1, is at shift 0, where alt is 1: the search
     # returns it without building the bound, since every other shift has
     # f(b) == f(~b) and so a floor of 2
-    def no_bound(f):
+    def no_bound(f, planes):
         raise AssertionError("the chain bound was built")
 
     monkeypatch.setattr(measures, "_chain_bound", no_bound)
@@ -314,7 +319,7 @@ def test_salt_search_keeps_ties_below_best_shift():
         f = TruthTable(n, sum(1 << x for x in ones))
         alts = alternation_under_shifts(f)
         assert want == (int(alts.min()), int(alts.argmin()))
-        bound = _chain_bound(f).tolist()
+        bound = _chain_bound(f, _planes(f)).tolist()
         first = min((bound[b], b) for b in range(len(bound)) if alts[b] == want[0])[1]
         assert first > want[1]
         assert _salt_search(f)[:2] == want

@@ -23,12 +23,15 @@ def _assert_sensitivity(f):
     counts = _plane_sensitivity(f.bits, f.n)
     assert counts.dtype == np.int8 and counts.shape == (2**f.n,)
     assert counts.tolist() == want
-    # a 1-D table runs the level passes, a one-column matrix the planes
-    t = f.to_array()
-    assert _pointwise_sensitivity(t).tolist() == want
-    column = _pointwise_sensitivity(t[:, None])
+    # a one-column matrix runs the planes, and up to n = 8 a two-column one,
+    # the table twice, runs the level passes
+    t = f.to_array()[:, None]
+    column = _pointwise_sensitivity(t)
     assert column.dtype == np.int8 and column.shape == (2**f.n, 1)
     assert column[:, 0].tolist() == want
+    if f.n <= 8:
+        levels = _pointwise_sensitivity(np.concatenate([t, t], axis=1))
+        assert levels.dtype == np.int8 and levels.T.tolist() == [want, want]
 
 
 def test_plane_sensitivity_matches_oracle_on_every_function_to_n3():

@@ -25,7 +25,7 @@ from boolfn._bitops import MAX_ARITY, SHORT_RUN, butterfly, level_views, table_m
 from boolfn._bulk import _tables, measure_arrays
 from boolfn.core import _xor
 from boolfn.families import and_, maj, parity
-from boolfn.measures import _lanes, _pointwise_sensitivity
+from boolfn.measures import _lanes, _plane_sensitivity, _pointwise_sensitivity
 from boolfn.spectral import (
     _moebius_rows,
     _residues,
@@ -232,9 +232,13 @@ def test_butterfly_steps_match_oracles_on_both_sides_of_the_short_run_rule():
 
 def test_pointwise_sensitivity_matches_oracle_on_both_sides_of_the_short_run_rule():
     for t, fs in _short_run_cases():
+        expect = [[naive_sensitivity(f, x) for x in range(2**f.n)] for f in fs]
+        if t.ndim == 1:
+            # one table: its planes, and the level passes on it twice
+            assert [_plane_sensitivity(fs[0].bits, fs[0].n).tolist()] == expect
+            t, expect = np.stack([t, t], axis=1), expect * 2
         counts = _pointwise_sensitivity(t)
         assert counts.dtype == np.int8 and counts.shape == t.shape
-        expect = [[naive_sensitivity(f, x) for x in range(2**f.n)] for f in fs]
         assert _columns(counts) == expect
 
 
