@@ -4,23 +4,26 @@ The exhaustive verification suites need all measures of all 2**(2**n)
 functions for n <= 4.  Calling the per-function API that many times would
 dominate the runtime, so this module computes the same quantities with the
 function axis vectorized: tables become the columns of one (2**n, m)
-matrix (``_tables``), the function axis innermost and contiguous, and each
-measure is a kernel of a handful of numpy passes over whole rows of m
-entries, indexed by input.  This matrix is the one batch type: every
-batched kernel in ``measures``, ``spectral`` and ``transforms`` takes it,
-and so does ``measure_arrays``; a per-function call passes one table, or
-one column, through the same code.  Per-function records (block families,
-map columns, chains) stay one row per function, as ``measure_arrays``
-returns them.  Function ids live only in ``_tables`` and in the callers'
-reports: callers walk the ids in the fixed slices of ``_slices``
-(``_SLICE`` ids each: n <= 3 is one slice, n = 4 is four), build each
-slice's matrix once, pack it once into one lane per table
-(``measures._lanes``), and pass both to ``measure_arrays`` and the
-transform kernels, which bounds the memory of every kernel, the subcube
-table included.  A caller that reads only some measures names them in
-``needs``, and only the kernels they read run: ``extremal_search`` passes
-its statistic's, so ranking by salt/s runs the s kernel and reads the alt
-table alone, while the scan reads every measure.
+matrix, the function axis innermost and contiguous, and each measure is a
+kernel of a handful of numpy passes over whole rows of m entries, indexed
+by input.  This matrix is the one batch type: every batched kernel in
+``measures``, ``spectral`` and ``transforms`` takes it, and so does
+``measure_arrays``; a per-function call passes one table, or one column,
+through the same code.  Per-function records (block families, map columns,
+chains) stay one row per function, as ``measure_arrays`` returns them.
+
+A function id is its packed table, so the ids of a slice are already its
+lanes: one element of max(8, 2**n) bits per table (``measures._lane``), bit
+x holding the value at input x.  Function ids live only in ``_columns`` and
+in the callers' reports: the one column source, which walks the ids in
+fixed slices (``_SLICE`` ids each: n <= 3 is one slice, n = 4 is four) and
+yields each slice's lanes, the ids themselves, with the table matrix read
+off them.  Callers pass both to ``measure_arrays`` and the transform
+kernels, which bounds the memory of every kernel, the subcube table
+included.  A caller that reads only some measures names them in ``needs``,
+and only the kernels they read run: ``extremal_search`` passes its
+statistic's, so ranking by salt/s runs the s kernel and reads the alt table
+alone, while the scan reads every measure.
 
 bs, C and alt are read from tables over flip patterns.  A shift by x
 carries every pointwise measure at x to the input 0: with p_x(y) =
@@ -31,22 +34,21 @@ change.  Up to n = 4 there are only 2**(2**n - 1) patterns (32,768 at
 n = 4; at n = 5 there would be 2**31, and ``measure_arrays`` stops at
 ``MAX_BULK_ARITY``).  So each table, ``_bs_table``, ``_cert_table`` and
 ``_alt_table``, is built once per arity and process, on its first read,
-by the kernels below over the patterns of one slice of ``_slices`` at a
-time, and kept read-only: 224 KiB at n = 4, all three built in 15 to 21
-ms (2-core Xeon VM).  A slice finds the pattern of each column at each
-input (``_patterns``: n xor-shift doublings of its lanes) and reads the
-tables by gather: bs is the max over x of bs(p_x, 0), ``bs_argmax`` its
-smallest maximizer, and ``bs0`` and the families the entries at p_0 and
-at the maximizer's pattern; C is the max over x of C(p_x, 0); alt is the
-entry at p_0 and salt the min over the shifts b < 2**(n-1).  The kernels:
+by the kernels below over the even ids of each slice of ``_columns``, and
+kept read-only: 224 KiB at n = 4, all three built in 15 to 21 ms (2-core
+Xeon VM).  A slice finds the pattern of each column at each input
+(``_patterns``: n xor-shift doublings of its lanes) and reads the tables
+by gather: bs is the max over x of bs(p_x, 0), ``bs_argmax`` its smallest
+maximizer, and ``bs0`` and the families the entries at p_0 and at the
+maximizer's pattern; C is the max over x of C(p_x, 0); alt is the entry at
+p_0 and salt the min over the shifts b < 2**(n-1).  The kernels:
 
 * ``measures``: pointwise sensitivity; the minimal sensitive blocks and
   the packer behind the bs table (below); the packed level sets of
   alternation (``measures._alternation_at_shift``) at shift 0, behind the
-  alt table, which pack the matrix along its input axis into one lane of
-  max(8, 2**n) bits per table (``measures._lanes``, read by
-  ``measures._shift_moves``); and the ternary subcube table behind
-  certificate complexity and decision-tree depth, the one the
+  alt table, which run on the lanes (``measures._shift_moves``), so each
+  pass moves max(8, 2**n) bits per table; and the ternary subcube table
+  behind certificate complexity and decision-tree depth, the one the
   per-function API runs: the fold (``measures._subcube_fold``), whose
   certificate sizes (``measures._certificate_sizes``) at point 0 are the C
   table, and the DT sweeps (``measures._depth_sweeps``) on the fold alone,
@@ -88,7 +90,6 @@ from .measures import (
     _certificate_sizes,
     _depth_sweeps,
     _lane,
-    _lanes,
     _lex_min_family,
     _make_packer,
     _minimal_blocks,
@@ -102,30 +103,28 @@ MAX_BULK_ARITY = 4
 _SLICE = 16384  # function ids per slice
 
 
-def _slices(n: int) -> list[tuple[int, int]]:
-    """The [lo, hi) ranges of function ids, in order, that cover arity n."""
-    total = 1 << table_size(n)
-    return [(lo, min(lo + _SLICE, total)) for lo in range(0, total, _SLICE)]
-
-
-def _tables(n: int, lo: int, hi: int, step: int = 1) -> np.ndarray:
-    """The (2**n, m) table matrix of the function ids lo, lo + step, ...
-    below hi: row x holds every function's value at input x, column r the
-    table of id lo + r * step.  An id is its packed table, so it fits the
-    lane type (``measures._lane``), whose shifts are the cheapest."""
+def _columns(n: int, step: int = 1):
+    """Yield (t, lanes) for the function ids 0, step, 2 * step, ... of arity
+    n, one slice of ``_SLICE`` ids at a time, ascending.  An id is its
+    packed table, so ``lanes``, of the lane type (``measures._lane``), whose
+    shifts are the cheapest, is the slice's ids, and t is the (2**n, m)
+    table matrix read off them: row x holds every function's value at
+    input x, column r the table of id ``lanes[r]``."""
     lane = _lane(n)
-    ids = np.arange(lo, hi, step, dtype=lane)
-    points = np.arange(table_size(n), dtype=lane)
-    return ((ids >> points[:, None]) & 1).astype(np.uint8)
+    total = 1 << table_size(n)
+    points = np.arange(table_size(n), dtype=lane)[:, None]
+    for lo in range(0, total, _SLICE):
+        lanes = np.arange(lo, min(lo + _SLICE, total), step, dtype=lane)
+        yield ((lanes >> points) & 1).astype(np.uint8), lanes
 
 
 def _pattern_table(n: int, kernel) -> np.ndarray:
-    """``kernel`` on the flip patterns of arity n, read-only: its results on
-    the table matrix of the patterns in each slice of ``_slices``, joined
-    along their first axis.  Pattern r is the function whose table is 2r,
-    the even ids, whose value at 0 is 0; a chunk of a slice's even ids
-    keeps the kernels' arrays to half those of a slice."""
-    table = np.concatenate([kernel(_tables(n, lo, hi, 2)) for lo, hi in _slices(n)])
+    """``kernel(t, lanes)`` on the flip patterns of arity n, read-only: its
+    results on the columns of the patterns in each slice of ``_columns``,
+    joined along their first axis.  Pattern r is the function whose table
+    is 2r, the even ids, whose value at 0 is 0; a slice's even ids keep the
+    kernels' arrays to half those of a slice."""
+    table = np.concatenate([kernel(t, lanes) for t, lanes in _columns(n, 2)])
     table.flags.writeable = False
     return table
 
@@ -142,8 +141,8 @@ def _bs_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     size = table_size(n)
     families: dict[int, tuple[int, ...]] = {}
 
-    def kernel(t: np.ndarray) -> np.ndarray:
-        keys, inverse = np.unique(_minimal_blocks(_lanes(t), n), return_inverse=True)
+    def kernel(t: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        keys, inverse = np.unique(_minimal_blocks(lanes, n), return_inverse=True)
         rows = np.zeros((keys.size, n), dtype=np.min_scalar_type(size - 1))
         for row, key in zip(rows, keys.tolist()):
             if key not in families:
@@ -162,15 +161,16 @@ def _bs_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _cert_table(n: int) -> np.ndarray:
     """C(p, 0) of every flip pattern p of arity n, as uint8: the certificate
     sizes of the fold at point 0 (``measures._certificate_sizes``)."""
-    return _pattern_table(n, lambda t: _certificate_sizes(_subcube_fold(t))[0])
+    return _pattern_table(n, lambda t, lanes: _certificate_sizes(_subcube_fold(t))[0])
 
 
 @functools.cache
 def _alt_table(n: int) -> np.ndarray:
     """alt(p) of every flip pattern p of arity n, as uint8: the level sets at
-    shift 0 (``measures._alternation_at_shift``, an int at n = 0)."""
-    return _pattern_table(n, lambda t: np.broadcast_to(
-        _alternation_at_shift(*_shift_moves(t, n), 0, n), t.shape[1:]).astype(np.uint8))
+    shift 0 (``measures._alternation_at_shift``, an int at n = 0) on the
+    patterns' lanes."""
+    return _pattern_table(n, lambda t, lanes: np.broadcast_to(
+        _alternation_at_shift(*_shift_moves(lanes, n), 0, n), lanes.shape).astype(np.uint8))
 
 
 def _patterns(lanes: np.ndarray, n: int) -> np.ndarray:
@@ -191,12 +191,12 @@ def _patterns(lanes: np.ndarray, n: int) -> np.ndarray:
 
 def measure_arrays(t: np.ndarray, lanes: np.ndarray, primes=(2, 3), needs=None) -> dict:
     """Every scalar measure of each column of the (2**n, m) table matrix t,
-    as 1-D arrays of m entries; ``lanes`` is t packed by
-    ``measures._lanes``, which the caller passes on to the transform
-    kernels too.
+    as 1-D arrays of m entries; ``lanes`` holds the same tables, one
+    ``measures._lane(n)`` element each, bit x holding row x, which the
+    caller passes on to the transform kernels too.
 
-    All columns are measured at once, so callers pass the table matrix of
-    one slice of ``_slices``, or any other columns of at most that many.
+    All columns are measured at once, so callers pass one slice of
+    ``_columns``, or any other columns of at most that many.
 
     Also returns the smallest bs maximizer (``bs_argmax``) and the
     lexicographically smallest maximum block families at the all-zero input

@@ -50,7 +50,6 @@ from .families import and_, gip, maj, or_compose, parity, rubinstein, rubinstein
 from .measures import (
     _Measures,
     _best_chains,
-    _lanes,
     alternation,
     block_sensitivity,
     modp_degree,
@@ -433,9 +432,10 @@ _SUBMATRIX_MAX_ARITY = 3
 _MAX_FINDINGS = 20
 
 
-def _scan_slice(n: int, lo: int, hi: int, primes: tuple, tally: dict) -> None:
-    """Every check on the function ids [lo, hi) of arity n, one slice of
-    ``_bulk._slices``, added into the scan's running ``tally``.
+def _scan_slice(t: np.ndarray, lanes: np.ndarray, primes: tuple, tally: dict) -> None:
+    """Every check on one slice of ``_bulk._columns``: the (2**n, m) table
+    matrix t and its lanes, which are the function ids, added into the
+    scan's running ``tally``.
 
     The tally maps each check's name (``"checks"``) to its statement, its
     counts, its tightest (margin, id) and its smallest failing id, and each
@@ -445,10 +445,9 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple, tally: dict) -> None:
     So, tallied in id order, the slices give the report of one pass over
     all ids.
 
-    The slice's table matrix is packed once into lanes
-    (``measures._lanes``) and measured once (``_bulk.measure_arrays``),
-    and every transform of the slice is built at once by the batch kernels
-    of ``transforms``, whose tables g(x) = f(A(x)) are read off those
+    The slice is measured once (``_bulk.measure_arrays``), and every
+    transform of the slice is built at once by the batch kernels of
+    ``transforms``, whose tables g(x) = f(A(x)) are read off the slice's
     lanes (``transforms._gather``).  The alternation chains are walked on
     the same lanes (``measures._best_chains``, as for one function), and f
     is read along each chain off them, by elementwise shifts with no index
@@ -472,12 +471,11 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple, tally: dict) -> None:
     two outputs of one converter; the independent check of every map and
     certificate field is the tests' comparison with the transform oracles.
     """
-    # t holds one table per column, the table of id lo + r in column r
-    t = _bulk._tables(n, lo, hi)
-    lanes = _lanes(t)
+    n = t.shape[0].bit_length() - 1
     a = _bulk.measure_arrays(t, lanes, primes)
     a["n"] = n
-    a["ids"] = ids = np.arange(lo, hi, dtype=np.int64)
+    # int64, so that a row's arithmetic on the ids cannot wrap
+    a["ids"] = ids = lanes.astype(np.int64)
     m = ids.size
     checks, extremal = tally["checks"], tally["extremal"]
 
@@ -541,8 +539,8 @@ def _scan_slice(n: int, lo: int, hi: int, primes: tuple, tally: dict) -> None:
     # cross-check the batched rows against the per-function API on the ids
     # that are multiples of the stride
     stride = max(1, (1 << table_size(n)) // _CROSSCHECK_SAMPLES)
-    for fid in range(-(-lo // stride) * stride, hi, stride):
-        row = fid - lo
+    for row in np.flatnonzero(ids % stride == 0).tolist():
+        fid = int(ids[row])
         f = TruthTable(n, fid)
         expect, _, fams, built = _function_record(f, primes, {})
         for key, want in expect.items():
@@ -584,7 +582,7 @@ def exhaustive_scan(n: int, primes=(2, 3)) -> CheckReport:
     """Run every check on every function of arity n (n <= 4).
 
     One pass walks the function ids in the fixed slices of
-    ``_bulk._slices`` (n <= 3 is one slice), in id order, and
+    ``_bulk._columns`` (n <= 3 is one slice), in id order, and
     ``_scan_slice`` adds each slice into one running tally.  On each slice,
     measure values come from the array engine, and the transform
     constructions from their batch kernels, which build the map and
@@ -609,8 +607,8 @@ def exhaustive_scan(n: int, primes=(2, 3)) -> CheckReport:
         raise ValueError(f"exhaustive scan supports 0 <= n <= {_bulk.MAX_BULK_ARITY}")
     _check_primes(primes)
     tally: dict = {"checks": {}, "extremal": {}, "findings": []}
-    for lo, hi in _bulk._slices(n):
-        _scan_slice(n, lo, hi, tuple(primes), tally)
+    for t, lanes in _bulk._columns(n):
+        _scan_slice(t, lanes, tuple(primes), tally)
 
     def name_of(fid: int) -> str:
         return tt_serialize(TruthTable(n, fid))
@@ -807,9 +805,7 @@ def _exhaustive_values(n: int, row: _Statistic) -> np.ndarray:
     """The row's value on every function of arity n <= 4, indexed by id,
     -inf where undefined (``_statistic_array``)."""
     parts = []
-    for lo, hi in _bulk._slices(n):
-        t = _bulk._tables(n, lo, hi)
-        lanes = _lanes(t)
+    for t, lanes in _bulk._columns(n):
         a = _bulk.measure_arrays(t, lanes, needs=row.needs)
         if "sherstov" in row.needs:
             a["sherstov"] = _sherstov_rows(t, lanes, a["bs_argmax"], a["fam_argmax"]).cert

@@ -24,7 +24,7 @@ from .checks import (
     family_suite,
     inequality_suite,
 )
-from .commlb import VerificationError, and_matrix, bound_summary, submatrix_witness
+from .commlb import VerificationError, _bound_summary, _submatrix_from_family, and_matrix
 from .core import FormatError, TruthTable, parse_point, tt_parse, tt_serialize
 from .families import from_family_spec
 from .measures import DEFAULT_LIMITS, ArityLimitError, _Measures
@@ -200,15 +200,16 @@ def _cmd_check(args) -> int:
 def _cmd_comm(args) -> int:
     f = _load_source(args.source)
     primes = _parse_primes(args.primes)
-    limits = _limits_for(f, args.override_ceilings)
+    # the certificate and the summary read one owner, which packs bs(f,0) once
+    owner = _Measures(f, _limits_for(f, args.override_ceilings))
     payload: dict = {}
     try:
-        cert = submatrix_witness(f, limit=limits.get("bs"), seed=args.seed)
+        cert = _submatrix_from_family(f, owner.block_sensitivity(True, 0)[1], args.seed)
         payload["certificate"] = cert.to_json_dict()
     except ArityLimitError as e:
         payload["certificate"] = {"skipped": str(e)}
     # the summary's DT is det_upper_bound's, with the same skip
-    summary = bound_summary(f, primes=primes, limits=limits)
+    summary = _bound_summary(owner, primes)
     payload["det_upper_bound"] = summary["comm_upper_2dt"]
     dt_skips = [s["reason"] for s in summary["skipped"] if s["quantity"] == "DT"]
     if dt_skips:

@@ -269,9 +269,15 @@ def bound_summary(f: TruthTable, primes=(2, 3), limits: dict | None = None) -> d
     sweeps stop once they meet max(bs(f,0), deg), a lower bound on DT;
     where that bound is n, DT = n needs no subcube table.
     """
+    return _bound_summary(_Measures(f, limits or {}), primes)
+
+
+def _bound_summary(owner: _Measures, primes) -> dict:
+    """``bound_summary`` of the owner's function, read off that owner, so a
+    caller that has packed bs(f,0) on it, as ``cli comm`` has for the
+    certificate, packs it once."""
     _check_primes(primes)
-    owner = _Measures(f, limits or {})
-    n = f.n
+    f, n = owner.f, owner.f.n
     summary: dict = {
         "function": tt_serialize(f),
         "arity": n,

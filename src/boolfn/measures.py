@@ -122,9 +122,10 @@ _UNPACK_BITS = 1 << 16
 def _direction_planes(table, n: int):
     """Yield the direction planes d_i = f XOR (f o e_i), i < n, one at a
     time: bit x of d_i says f(x) != f(x XOR e_i).  A Python int for one
-    packed table, an array for lanes (``_lanes``).  One-table sensitivity
-    and the level-set moves (``_shift_moves``) read them; the per-point
-    direction masks (``_direction_masks``) read them off salt's moves."""
+    packed table, an array for lanes, one ``_lane(n)`` table each (the
+    function ids of ``_bulk._columns``).  One-table sensitivity and the
+    level-set moves (``_shift_moves``) read them; the per-point direction
+    masks (``_direction_masks``) read them off salt's moves."""
     for i in range(n):
         yield table ^ xor_shift(table, n, i)
 
@@ -197,7 +198,7 @@ def sensitivity(f: TruthTable, at: int | None = None, witness: bool = False):
 def _minimal_blocks(sens, n: int):
     """The sensitive blocks with no sensitive proper subset, of a packed set
     of blocks ``sens`` (bit B set where flipping block B changes f): a
-    Python int for one input, or an array of lanes (``_lanes``), one set
+    Python int for one input, or an array of ``_lane(n)`` lanes, one set
     per lane.
 
     The result is sens & ~up, up being every strict superset of a
@@ -771,10 +772,10 @@ def dt_depth(f: TruthTable, witness: bool = False, limit: int | None = None):
 def _best_chains(table, n: int):
     """alt and the lexicographically smallest maximum-alternation chain of
     one packed table, a Python int at any n, as (int, list of the n + 1
-    chain points), or of every table of a (2**n, m) table matrix (n <= 6),
-    given as its (m,) lanes (``_lanes``), as ((m,) int64, (m, n + 1)
-    uint8); the chains are the transpose of the step-major array the walk
-    fills, so row j of ``chains.T`` is step j of every chain, contiguous.
+    chain points), or of every table of (m,) ``_lane(n)`` lanes (n <= 6),
+    as ((m,) int64, (m, n + 1) uint8); the chains are the transpose of the
+    step-major array the walk fills, so row j of ``chains.T`` is step j of
+    every chain, contiguous.
 
     Reads the level sets run down from 1^n (``_level_sets`` at shift
     2**n - 1).  Level k is then {x : d[x] >= k}, with d[x] the most value
@@ -865,8 +866,8 @@ def _level_sets(moves: list, full, b: int, cap: int):
     point sets; alt(x -> f(x XOR b)) is the number of nonempty ones.
 
     ``moves`` and ``full`` come from ``_shift_moves``, of one function, a
-    Python int at any n, or of a table matrix, an array with one function
-    per lane of max(8, 2**n) bits (n <= 6); the point sets have that type.
+    Python int at any n, or of lanes, an array with one function per lane
+    of max(8, 2**n) bits (n <= 6); the point sets have that type.
     Works in the frame of f, so no table is shifted: a chain of the shifted
     function steps along direction i from x to x XOR e_i wherever bit i of
     x equals bit i of b.  Level k is the set of points that some chain from
@@ -905,8 +906,7 @@ def _alternation_at_shift(moves: list, full, b: int, cap: int):
 def _alternation_by_shift(table, n: int) -> np.ndarray:
     """alt(x -> f(x XOR b)) for the shifts b < 2**(n-1), along the last axis
     of an int16 array: (2**(n-1),) for one packed table, (m, 2**(n-1)) for
-    a (2**n, m) table matrix (see ``_level_sets``).  At n = 0 the one shift
-    0 is kept.
+    (m,) lanes (see ``_level_sets``).  At n = 0 the one shift 0 is kept.
 
     Each shift runs ``_alternation_at_shift`` without a cap.  The upper
     shifts are left out because alt(f XOR b) equals alt(f XOR b XOR 1^n):
@@ -924,29 +924,14 @@ def _lane(n: int) -> np.dtype:
     return np.dtype(f"<u{max(1, table_size(n) >> 3)}")
 
 
-def _lanes(tables: np.ndarray) -> np.ndarray:
-    """Each column of a (2**n, m) table matrix (n <= 6) as one ``_lane(n)``
-    element, bit x holding row x: an (m,) array.
-
-    The packing ORs the rows shifted into place, one pass over the matrix
-    in the lane type: on a 16,384-column slice at n = 4 (2-core Xeon VM,
-    best of 20) it takes 0.07 ms, where ``np.packbits`` along axis 0 and
-    the transpose into lanes take 0.8 ms.  Bit x of column r is then
-    ``(lanes[r] >> x) & 1``, which reads a table at any inputs with no
-    index arithmetic.
-    """
-    lane = _lane(tables.shape[0].bit_length() - 1)
-    rows = np.arange(tables.shape[0], dtype=lane)[:, None]
-    return np.bitwise_or.reduce(tables.astype(lane) << rows, axis=0)
-
-
 def _shift_moves(table, n: int) -> tuple[list, object]:
     """The moves of ``_level_sets`` and the mask of all 2**n points: Python
-    ints for one packed table, (m,) arrays of ``_lane(n)`` for a (2**n, m)
-    table matrix or for its (m,) lanes.
+    ints for one packed table, (m,) arrays of ``_lane(n)`` for (m,) lanes,
+    bit x of a lane holding its table's value at x.
 
-    A matrix is packed into ``_lanes``, so each pass of the level sets
-    moves max(8, 2**n) bits per table.  The masks are those of one table,
+    Each pass of the level sets moves max(8, 2**n) bits per table, and bit
+    x of lane r is ``(lanes[r] >> x) & 1``, which reads a table at any
+    inputs with no index arithmetic.  The masks are those of one table,
     since no move carries a bit past the 2**n points of its table.
 
     Per direction i the move is (1 << i, its low-half mask m, d & m, d ^
@@ -954,8 +939,6 @@ def _shift_moves(table, n: int) -> tuple[list, object]:
     along i lands in d & m and one up in the rest of d, so these halves
     also drop the bits that a shifted level carries across halves.
     """
-    if isinstance(table, np.ndarray) and table.ndim == 2:
-        table = _lanes(table)
     moves = []
     for i, d in enumerate(_direction_planes(table, n)):
         m = low_half_mask(n, i)
@@ -1344,7 +1327,8 @@ class _Measures:
     * C(f,x) at every input (``_certificate_sizes``: n more passes and n
       max-passes, then 2**n bytes), built from the fold and read by C,
       pointwise C and the bs search; DT never builds it;
-    * the bs search: its value and the packing of its best input;
+    * the bs search's value and best input, and the packing of each input
+      that bs has read (``_bs_point``), the search's best among them;
     * the int32 Moebius table (2**n coefficients), read by deg, by every
       deg_p as its residues mod p (exact: see ``spectral``) and by DT.
 
@@ -1374,9 +1358,11 @@ class _Measures:
     the table fits the byte budget, whatever the C and DT ceilings say.
     The search runs once.  It holds the packing function of its best input
     so far (``_bs_point``) as ``_best_first``'s payload, so at most one
-    packer beyond the one being evaluated; the value and that packing are
-    kept, and a call with ``witness`` reads the family off the packer's
-    memo, with no second packing.
+    packer beyond the one being evaluated; the value, the input and that
+    packing are kept.  A pointwise bs keeps its packing too, by input, so
+    a second read at an input, or a read at the search's best input, packs
+    nothing, and a call with ``witness`` reads the family off the packer's
+    memo.
     """
 
     def __init__(self, f: TruthTable, limits: dict):
@@ -1385,7 +1371,8 @@ class _Measures:
         self._s: np.ndarray | None = None
         self._val: np.ndarray | None = None
         self._sizes: np.ndarray | None = None
-        self._bs: tuple | None = None  # (bs, the function packing its family)
+        self._bs_argmax: int | None = None  # the bs search's best input
+        self._packs: dict = {}  # input -> (bs there, the function packing its family)
         self._coeffs: np.ndarray | None = None
 
     def _skip(self, measure: str) -> ArityLimitError | None:
@@ -1454,18 +1441,20 @@ class _Measures:
         """bs, or bs(f, at), with its ``BlockFamily`` if ``witness``."""
         f = self.f
         self._check("bs", at)
-        if at is not None:
-            val, pack = _bs_point(f, at, False)
-        else:
-            if self._bs is None:
+        if at is None:
+            if self._bs_argmax is None:
                 bound = _sensitivity_bound(self._sensitivities())
                 tighten = self._certificate_bound
                 if self._sizes is not None:
                     bound, tighten = tighten(bound), None
-                bs, _, _, pack = _best_first(
+                bs, x, _, pack = _best_first(
                     bound, lambda x, best, at: _bs_point(f, x, False), tighten, f.n)
-                self._bs = bs, pack
-            val, pack = self._bs
+                self._bs_argmax = x
+                self._packs.setdefault(x, (bs, pack))
+            at = self._bs_argmax
+        if at not in self._packs:
+            self._packs[at] = _bs_point(f, at, False)
+        val, pack = self._packs[at]
         return (val, pack()) if witness else val
 
     def certificate(self, witness: bool, at: int | None = None):

@@ -77,8 +77,9 @@ class TransformResult:
 
 # ---------------------------------------------------------------------------
 # batch kernels: each transform built for every function of a (2**n, m)
-# table matrix, one table per column, and its lanes, packed once by the
-# caller (``measures._lanes``; None above n = 6).  Each certificate field is
+# table matrix, one table per column, and its lanes, one ``measures._lane``
+# element per table (the ids of ``_bulk._columns``; None above n = 6),
+# which the caller passes in.  Each certificate field is
 # one array with a row per function, or one value shared by all of them,
 # and ``_Batch.result`` turns row r of every field into plain values by one
 # rule, so a new field needs no converter; the per-function constructions

@@ -20,13 +20,12 @@ from boolfn import (
     sherstov_linear,
     tree_function,
 )
-from boolfn._bulk import _tables, measure_arrays
+from boolfn._bulk import _columns, measure_arrays
 from boolfn.core import affine_images
 from boolfn.measures import (
     Chain,
     _best_chains,
     _lane,
-    _lanes,
     _minimal_blocks,
     _plane_sensitivity,
     _pointwise_sensitivity,
@@ -44,10 +43,10 @@ from oracles import (
 )
 
 
-def _batch_inputs(t):
+def _batch_inputs(t, lanes):
     """The smallest bs maximizer of each column of the table matrix t, and
     its block families at 0 and there, as ``measure_arrays`` reports them."""
-    a = measure_arrays(t, _lanes(t))
+    a = measure_arrays(t, lanes)
     return a["bs_argmax"], a["fam0"], a["fam_argmax"]
 
 
@@ -63,9 +62,9 @@ def _same(got, want):
 def _check_rows(n, ids):
     functions = [TruthTable(n, int(bits)) for bits in ids]
     t = np.stack([f.to_array() for f in functions], axis=1)
-    amax, fam0, fam_max = _batch_inputs(t)
+    lanes = np.asarray(ids, dtype=_lane(n))
+    amax, fam0, fam_max = _batch_inputs(t, lanes)
     zero = np.zeros(len(functions), dtype=np.int64)
-    lanes = _lanes(t)
     batches = (
         _bs2s_rows(t, lanes, zero, fam0, "block-index"),
         _bs2s_rows(t, lanes, amax, fam_max, "block-index"),
@@ -103,7 +102,7 @@ def test_batched_kernels_match_per_function_columns(n, m):
     moebius = _moebius_rows(t, np.int16)
     walsh = _walsh_rows(t, np.int32)
     degrees, sparsities = _degrees(moebius), _sparsities(walsh)
-    lanes = _lanes(t)
+    lanes = np.asarray(ids, dtype=_lane(n))
     img, g = _gather(t, lanes, cols, shifts)
     alt, chains = _best_chains(lanes, n)
     assert sens.shape == moebius.shape == walsh.shape == img.shape == g.shape == (2**n, m)
@@ -172,7 +171,7 @@ def test_batched_rows_match_per_function_sampled_above_bulk_arity(n):
     amax = np.array([fam.point for fam in fam_max])
     blocks0 = np.concatenate([_block_rows(n, fam.blocks) for fam in fam0])
     blocks_max = np.concatenate([_block_rows(n, fam.blocks) for fam in fam_max])
-    lanes = _lanes(t)
+    lanes = np.asarray([f.bits for f in functions], dtype=_lane(n))
     batches = (
         _bs2s_rows(t, lanes, zero, blocks0, "block-index"),
         _bs2s_rows(t, lanes, amax, blocks_max, "block-index"),
@@ -195,10 +194,9 @@ def test_batched_rows_match_per_function_sampled_above_bulk_arity(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_batched_block_transform_against_oracles(n):
-    t = _tables(n, 0, 1 << (1 << n))
-    amax, fam0, fam_max = _batch_inputs(t)
+    t, lanes = next(_columns(n))
+    amax, fam0, fam_max = _batch_inputs(t, lanes)
     zero = np.zeros(t.shape[1], dtype=np.int64)
-    lanes = _lanes(t)
     at_zero = _bs2s_rows(t, lanes, zero, fam0, "block-index")
     at_max = _bs2s_rows(t, lanes, amax, fam_max, "block-index")
     for r in range(t.shape[1]):
@@ -211,9 +209,9 @@ def test_batched_block_transform_against_oracles(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_batched_alternation_chains_against_oracle(n):
-    t = _tables(n, 0, 1 << (1 << n))
-    _, chains = _best_chains(_lanes(t), n)
-    for r in range(t.shape[1]):
+    _, lanes = next(_columns(n))
+    _, chains = _best_chains(lanes, n)
+    for r in range(lanes.size):
         assert tuple(int(p) for p in chains[r]) == naive_best_chain(TruthTable(n, r))
 
 
@@ -248,11 +246,10 @@ def test_chain_walk_matches_oracle_on_families(f):
     _check_chain_walk(f)
 
 
-def _check_batch_walk(t, ids):
-    """The batch walk of the table matrix t gives, column by column, alt and
-    the chain of the plain-int walk of each table in ``ids``."""
-    n = t.shape[0].bit_length() - 1
-    alt, chains = _best_chains(_lanes(t), n)
+def _check_batch_walk(n, ids):
+    """The batch walk of the lanes of the tables in ``ids`` gives, lane by
+    lane, alt and the chain of the plain-int walk of each table."""
+    alt, chains = _best_chains(np.asarray(ids, dtype=_lane(n)), n)
     assert alt.shape == (len(ids),) and chains.shape == (len(ids), n + 1)
     for r, bits in enumerate(ids):
         assert (int(alt[r]), chains[r].tolist()) == _best_chains(int(bits), n)
@@ -262,13 +259,13 @@ def _check_batch_walk(t, ids):
 def test_chain_paths_agree_on_matrices(n):
     rng = np.random.default_rng(90 + n)
     ids = [0, 2 ** (2**n) - 1] + [random_table(rng, n) for _ in range(198)]
-    _check_batch_walk(np.stack([TruthTable(n, bits).to_array() for bits in ids], axis=1), ids)
+    _check_batch_walk(n, ids)
 
 
 def test_batch_chain_walk_matches_single_tables_exhaustive_n4():
     # every function at n = 4, in the scan's slices of 16,384 columns
     for lo in range(0, 1 << 16, 1 << 14):
-        _check_batch_walk(_tables(4, lo, lo + (1 << 14)), range(lo, lo + (1 << 14)))
+        _check_batch_walk(4, range(lo, lo + (1 << 14)))
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 9, 12])

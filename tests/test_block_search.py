@@ -18,13 +18,13 @@ from boolfn import (
     validate_block_family,
 )
 from boolfn import _bulk, measures
-from boolfn._bulk import _tables, measure_arrays
+from boolfn._bulk import _columns, measure_arrays
 from boolfn.checks import inequality_suite
 from boolfn.families import gip, maj, parity, rubinstein, tree_function
 from boolfn.measures import (
     _best_first,
     _bs_point,
-    _lanes,
+    _lane,
     _plane_sensitivity,
     _sensitivity_bound,
 )
@@ -173,8 +173,8 @@ def test_search_stops_at_first_unbeatable_point(monkeypatch):
     # a witnessed report packs its family from the search's own packing
     assert _visits(monkeypatch, lambda: measure_report(f)) == 1
     # the suite takes bs and its family from the report's kept search, one
-    # input packed, and packs bs(f,0) once more
-    assert _visits(monkeypatch, lambda: inequality_suite(f)) == 2
+    # input packed; that input is 0, so bs(f,0) reads the same packing
+    assert _visits(monkeypatch, lambda: inequality_suite(f)) == 1
     # with no byte budget for the table the search keeps u, with the same result
     want = block_sensitivity(f, witness=True)
     monkeypatch.setattr(measures, "_LATTICE_BUDGET", 0)
@@ -284,9 +284,9 @@ def _check_against_api(a, functions, oracles=False):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_batched_search_every_function(n):
-    t = _tables(n, 0, 2 ** (2**n))
-    functions = [TruthTable(n, bits) for bits in range(t.shape[1])]
-    _check_against_api(measure_arrays(t, _lanes(t)), functions, oracles=True)
+    t, lanes = next(_columns(n))
+    functions = [TruthTable(n, bits) for bits in lanes.tolist()]
+    _check_against_api(measure_arrays(t, lanes), functions, oracles=True)
 
 
 def test_batched_search_columns_that_need_more_visits():
@@ -297,12 +297,11 @@ def test_batched_search_columns_that_need_more_visits():
     ids = _SEARCH_HARD_IDS + [int(x) for x in rng.integers(0, 1 << 16, 60)]
     ids = [int(x) for x in rng.permutation(ids + ids[:10])]
     functions = [parity(4), rubinstein(2, 2), gip(2, 2)] + [TruthTable(4, fid) for fid in ids]
-    t = table_matrix(4, [f.bits for f in functions])
-    a = measure_arrays(t, _lanes(t), needs=("sherstov",))
+    bits = [f.bits for f in functions]
+    a = measure_arrays(table_matrix(4, bits), np.asarray(bits, dtype=_lane(4)), needs=("sherstov",))
     _check_against_api(a, functions, oracles=True)
-    tables = {lo: _tables(4, lo, hi) for lo, hi in _bulk._slices(4)}
-    slices = {lo: measure_arrays(s, _lanes(s), needs=("bs",)) for lo, s in tables.items()}
+    slices = [measure_arrays(t, lanes, needs=("bs",)) for t, lanes in _columns(4)]
     for r, fid in enumerate(ids, start=3):
-        at = slices[fid - fid % _bulk._SLICE]
+        at = slices[fid // _bulk._SLICE]
         for key in ("bs", "bs0", "bs_argmax", "depends_on_all"):
             assert at[key][fid % _bulk._SLICE] == a[key][r], (fid, key)

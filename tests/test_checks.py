@@ -19,13 +19,13 @@ from boolfn import (
     tt_parse,
 )
 from boolfn import _bulk, checks, measures
-from boolfn._bulk import _tables, measure_arrays
+from boolfn._bulk import _columns, measure_arrays
 from boolfn.checks import _STATISTICS, STATISTICS, _exhaustive_values, _raise_if_broken, _ranked
 from boolfn.families import gip, maj, parity, rubinstein, tree_function
 from boolfn.measures import (
     ArityLimitError,
     _depth_sweeps,
-    _lanes,
+    _lane,
     _subcube_fold,
     alternation,
     block_sensitivity,
@@ -108,8 +108,7 @@ def _assert_column_matches_api(a, r, f):
 
 
 def test_bulk_arrays_match_api_exhaustively_n2():
-    t = _tables(2, 0, 16)
-    a = measure_arrays(t, _lanes(t))
+    a = measure_arrays(*next(_columns(2)))
     for bits in range(16):
         _assert_column_matches_api(a, bits, TruthTable(2, bits))
 
@@ -139,11 +138,10 @@ def test_measure_arrays_dt_sweeps_only_below_n_as_the_full_sweeps_do(needs):
     """The batch sweeps only the columns where max(bs, deg), or deg when bs
     does not run, is below n; on every column of every n = 4 slice it reads
     the DT of the sweeps over all columns, so a wrong lower bound shows."""
-    for lo, hi in _bulk._slices(4):
-        t = _tables(4, lo, hi)
+    for t, lanes in _columns(4):
         full = _depth_sweeps(_subcube_fold(t))[(2,) * 4]
-        dt = measure_arrays(t, _lanes(t), needs=needs)["DT"]
-        assert np.array_equal(dt, full), lo
+        dt = measure_arrays(t, lanes, needs=needs)["DT"]
+        assert np.array_equal(dt, full), int(lanes[0])
         assert (dt < 4).any() and (dt == 4).any()
 
 
@@ -152,10 +150,11 @@ def test_measure_arrays_dt_sweeps_only_below_n_as_the_full_sweeps_do(needs):
 def test_measure_arrays_needs_returns_the_full_values(n, lo, hi):
     """Naming a statistic's measures returns a subset of the full call, equal
     on every key, and enough to evaluate the statistic."""
-    t = _tables(n, lo, hi)
-    full = measure_arrays(t, _lanes(t))
+    t, lanes = next((t, lanes) for t, lanes in _columns(n) if lanes[0] == lo)
+    assert lanes[-1] == hi - 1
+    full = measure_arrays(t, lanes)
     for row in checks._STATISTICS.values():
-        part = measure_arrays(t, _lanes(t), needs=row.needs)
+        part = measure_arrays(t, lanes, needs=row.needs)
         assert set(part) < set(full)
         for key, values in part.items():
             assert np.array_equal(values, full[key]), (row.name, key)
@@ -167,14 +166,14 @@ def test_measure_arrays_needs_returns_the_full_values(n, lo, hi):
 
 
 def _id_range_columns(n, ids, needs):
-    """``measure_arrays`` on the id-range slices of ``_bulk._slices`` that
+    """``measure_arrays`` on the id-range slices of ``_bulk._columns`` that
     hold ids, read at ids, column for column."""
     at = {}
-    for lo, hi in _bulk._slices(n):
+    for t, lanes in _columns(n):
+        lo, hi = int(lanes[0]), int(lanes[-1]) + 1
         inside = [fid for fid in ids if lo <= fid < hi]
         if inside:
-            t = _tables(n, lo, hi)
-            a = measure_arrays(t, _lanes(t), needs=needs)
+            a = measure_arrays(t, lanes, needs=needs)
             for fid in inside:
                 at[fid] = {key: values[fid - lo] for key, values in a.items()}
     return {key: np.array([at[fid][key] for fid in ids]) for key in at[ids[0]]}
@@ -190,13 +189,13 @@ def test_measure_arrays_on_columns_that_are_not_an_id_range(n):
             4: [parity(4), rubinstein(2, 2), gip(2, 2)]}[n]
     drawn = [int(b) for b in rng.integers(0, 2 ** (2**n), 12)]
     ids = [f.bits for f in fams] + [int(b) for b in rng.permutation(drawn + drawn[:5])]
-    t = table_matrix(n, ids)
+    t, lanes = table_matrix(n, ids), np.asarray(ids, dtype=_lane(n))
     for needs in [None] + [row.needs for row in checks._STATISTICS.values()]:
-        got, want = measure_arrays(t, _lanes(t), needs=needs), _id_range_columns(n, ids, needs)
+        got, want = measure_arrays(t, lanes, needs=needs), _id_range_columns(n, ids, needs)
         assert set(got) == set(want)
         for key, values in got.items():
             assert np.array_equal(values, want[key]), (needs, key)
-    a = measure_arrays(t, _lanes(t))
+    a = measure_arrays(t, lanes)
     for r, f in enumerate(fams):
         _assert_column_matches_api(a, r, f)
 
@@ -309,7 +308,7 @@ def test_exhaustive_scan_independent_of_slices(monkeypatch, n, size):
     in every default slice, so the tie rule of the tally is exercised."""
     default = json.dumps(exhaustive_scan(n).to_json_dict())
     monkeypatch.setattr(_bulk, "_SLICE", size)
-    assert len(_bulk._slices(n)) > 2
+    assert len(list(_columns(n))) > 2
     assert json.dumps(exhaustive_scan(n).to_json_dict()) == default
 
 
@@ -381,7 +380,7 @@ def test_extremal_search_independent_of_slices(monkeypatch, n, size):
 
     default = records()
     monkeypatch.setattr(_bulk, "_SLICE", size)
-    assert len(_bulk._slices(n)) > 2
+    assert len(list(_columns(n))) > 2
     assert records() == default
 
 

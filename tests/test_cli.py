@@ -315,7 +315,7 @@ def test_comm_verification_failure_exits_1(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise commlb.VerificationError("f(u&y) != g(u&y)")
 
-    monkeypatch.setattr(cli, "submatrix_witness", broken)
+    monkeypatch.setattr(cli, "_submatrix_from_family", broken)
     code, out, err = run_cli(capsys, "comm", "fam:and:n=2")
     assert (code, out) == (1, "")
     assert err == "verification failure (implementation bug): f(u&y) != g(u&y)\n"
@@ -451,8 +451,7 @@ def test_prime_above_the_kernels_integer_type_is_valid_input(capsys, argv):
         assert row["left"] == row["right"] == 2
     else:
         assert data["ok"]
-        t = _bulk._tables(2, 0, 16)
-        a = _bulk.measure_arrays(t, measures._lanes(t), (p,))
+        a = _bulk.measure_arrays(*next(_bulk._columns(2)), (p,))
         assert a[f"deg_{p}"].tolist() == a["deg"].tolist()
 
 

@@ -15,9 +15,8 @@ from boolfn import (
     tt_parse,
 )
 from boolfn._bitops import pack
-from boolfn._bulk import _tables, measure_arrays
+from boolfn._bulk import _columns, measure_arrays
 from boolfn.families import and_, gip, maj, or_, parity, rubinstein
-from boolfn.measures import _lanes
 from boolfn.transforms import _bs2s_rows
 
 from oracles import naive_dt, random_table
@@ -144,8 +143,7 @@ def test_batched_submatrix_rows_match_submatrix_witness(n):
     certificate of ``submatrix_witness``; so the DP's ``fam0`` is also the
     packer's family at 0 on every function of arity <= 3."""
     m = 1 << (1 << n)
-    t = _tables(n, 0, m)
-    lanes = _lanes(t)
+    t, lanes = next(_columns(n))
     fam0 = measure_arrays(t, lanes)["fam0"]
     sub = _bs2s_rows(t, lanes, np.zeros(m, dtype=np.int64), fam0, "min-in-block")
     w = commlb._check_submatrix_rows(t, sub.g, fam0)

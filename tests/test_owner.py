@@ -2,6 +2,8 @@
 measure is the owner's entry in the report, the one ceiling rule, and the
 arrays the owner builds once."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from boolfn import (
     shift_invariant_alternation,
     sparsity,
 )
-from boolfn import commlb, measures
+from boolfn import checks, cli, commlb, measures
 from boolfn.families import and_, gip, maj, parity, rubinstein, tree_function
 from boolfn.measures import DEFAULT_LIMITS, LatticeBudgetError, _Measures
 
@@ -133,6 +135,39 @@ def test_bound_summary_builds_one_moebius_table(monkeypatch):
         summary = commlb.bound_summary(f, primes=(2, 3, 5))
         assert len(builds) == 1
         assert summary["deg"] == real_degree(f) and summary["DT"] == dt_depth(f)
+
+
+def _packed_inputs(monkeypatch):
+    """The input of every ``_bs_point`` packing from here on, in call order."""
+    calls, bs_point = [], measures._bs_point
+    monkeypatch.setattr(measures, "_bs_point", lambda f, a, w: calls.append(a) or bs_point(f, a, w))
+    return calls
+
+
+def test_an_owner_packs_each_input_once(monkeypatch):
+    f = rubinstein(3, 3)
+    want = {x: block_sensitivity(f, at=x, witness=True) for x in (0, 5)}
+    calls, owner = _packed_inputs(monkeypatch), _Measures(f, {})
+    for x in (5, 0, 5, 0):
+        assert owner.block_sensitivity(True, x) == want[x]
+    assert calls == [5, 0]
+
+
+def test_function_record_packs_bs_at_zero_once(monkeypatch):
+    # the search's best input on rubinstein(3,3) is 0, whose kept packing
+    # gives bs(f,0) and its family
+    calls = _packed_inputs(monkeypatch)
+    vals, _, fams, _ = checks._function_record(rubinstein(3, 3), PRIMES, {})
+    assert fams["bs"].point == 0 and fams["bs0"] == fams["bs"] and vals["bs0"] == vals["bs"]
+    assert calls.count(0) == 1
+
+
+def test_comm_packs_bs_at_zero_once(monkeypatch, capsys):
+    # the certificate and the bound summary read one owner
+    calls = _packed_inputs(monkeypatch)
+    assert cli.main(["comm", "fam:ip:n=6", "--primes", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["bound_summary"]["bs_at_zero"] == 6
+    assert calls == [0]
 
 
 def test_salt_builds_the_direction_planes_once(monkeypatch):

@@ -7,8 +7,8 @@ import pytest
 
 from boolfn import BlockFamily, TruthTable, validate_block_family
 from boolfn import _bulk
-from boolfn._bulk import _alt_table, _bs_table, _cert_table, _patterns, _tables, measure_arrays
-from boolfn.measures import _lanes
+from boolfn._bulk import _alt_table, _bs_table, _cert_table, _columns, _patterns, measure_arrays
+from boolfn.measures import _lane
 
 from oracles import (
     naive_alternation,
@@ -17,6 +17,7 @@ from oracles import (
     naive_lex_min_family,
     naive_shift_alternations,
     random_table,
+    table_matrix,
 )
 
 _BUILDERS = (_bs_table, _cert_table, _alt_table)
@@ -26,6 +27,28 @@ def _pattern_id(f, x):
     """The id of p_x(y) = f(x ^ y) ^ f(x), whose bit 0 is clear: bit y - 1
     of the id is p_x(y), read one input at a time."""
     return sum((f.value_at(x ^ y) ^ f.value_at(x)) << (y - 1) for y in range(1, 2**f.n))
+
+
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_columns_are_the_ids_and_their_tables(n, step):
+    # n <= 3 is one slice: its lanes are the ids 0, step, ... and its
+    # columns their tables, read one input at a time
+    (t, lanes), = _columns(n, step)
+    ids = list(range(0, 2 ** (2**n), step))
+    assert lanes.dtype == _lane(n) and lanes.tolist() == ids
+    assert t.dtype == np.uint8 and np.array_equal(t, table_matrix(n, ids))
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_columns_cover_every_id_once_in_order_n4(step):
+    rng, ids = np.random.default_rng(7), []
+    for t, lanes in _columns(4, step):
+        assert lanes.dtype == _lane(4) and t.shape == (16, _bulk._SLICE // step)
+        cols = rng.integers(0, lanes.size, 20)
+        assert np.array_equal(t[:, cols], table_matrix(4, lanes[cols]))
+        ids += lanes.tolist()
+    assert ids == list(range(0, 2**16, step))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -78,7 +101,7 @@ def test_seeded_functions_at_every_input_read_the_entry_of_their_pattern_n4():
     # a shift by x carries bs and C at x, and alt of the shift by x, to p_x
     rng = np.random.default_rng(90)
     functions = [TruthTable(4, random_table(rng, 4)) for _ in range(6)]
-    pat = _patterns(_lanes(np.stack([f.to_array() for f in functions], axis=1)), 4)
+    pat = _patterns(np.array([f.bits for f in functions], dtype=_lane(4)), 4)
     bs, _ = _bs_table(4)
     cert, alt = _cert_table(4), _alt_table(4)
     for r, f in enumerate(functions):
@@ -95,8 +118,8 @@ def test_each_table_is_built_once_per_arity_and_is_read_only(monkeypatch):
     for build in _BUILDERS:
         build.cache_clear()
     needs = ("sherstov", "C", "alt", "salt")
-    t = _tables(3, 0, 256)
-    first = measure_arrays(t, _lanes(t), needs=needs)
+    t, lanes = next(_columns(3))
+    first = measure_arrays(t, lanes, needs=needs)
 
     def rebuilt(*args):
         raise AssertionError("a pattern table was built again")
@@ -105,14 +128,13 @@ def test_each_table_is_built_once_per_arity_and_is_read_only(monkeypatch):
     for name in ("_minimal_blocks", "_make_packer", "_lex_min_family", "_subcube_fold",
                  "_certificate_sizes", "_shift_moves", "_alternation_at_shift"):
         monkeypatch.setattr(_bulk, name, rebuilt)
-    again = measure_arrays(t[:, ::-1], _lanes(t)[::-1], needs=needs)
+    again = measure_arrays(t[:, ::-1], lanes[::-1], needs=needs)
     for key, values in first.items():
         assert np.array_equal(again[key], values[::-1]), key
     assert [build.cache_info().misses for build in _BUILDERS] == [1, 1, 1]
     # another arity builds its own tables
     with pytest.raises(AssertionError, match="built again"):
-        t = _tables(2, 0, 16)
-        measure_arrays(t, _lanes(t), needs=("C",))
+        measure_arrays(*next(_columns(2)), needs=("C",))
     for table in (*_bs_table(3), _cert_table(3), _alt_table(3)):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1

@@ -17,13 +17,13 @@ from boolfn import (
     shift_invariant_alternation,
 )
 from boolfn._bitops import table_mask
-from boolfn._bulk import _tables, measure_arrays
+from boolfn._bulk import _columns, measure_arrays
 from boolfn.families import and_, gip, maj, or_, parity, rubinstein, tree_function
 from boolfn.measures import (
     _alternation_by_shift,
     _chain_bound,
     _direction_planes,
-    _lanes,
+    _lane,
     _level_sets,
     _salt_search,
     _shift_moves,
@@ -36,7 +36,6 @@ from oracles import (
     naive_salt,
     naive_shift_alternations,
     random_table,
-    table_matrix,
 )
 
 
@@ -82,8 +81,7 @@ def test_alternation_under_shifts_matches_shifted_alternation():
 
 def test_bulk_salt_matches_api_exhaustive():
     for n in range(4):
-        t = _tables(n, 0, 2 ** (2**n))
-        a = measure_arrays(t, _lanes(t))
+        a = measure_arrays(*next(_columns(n)))
         for f in _every_function(n):
             assert a["salt"][f.bits] == shift_invariant_alternation(f)
             assert a["alt"][f.bits] == alternation(f)
@@ -115,19 +113,19 @@ def test_alternation_under_shifts_matches_path_maxima_oracle():
 
 def _levels_from_top(table, n):
     """The level sets run down from 1^n, each as one 0/1 row per table:
-    (k, 2**n) for one packed table, (k, m, 2**n) for a table matrix."""
+    (k, 2**n) for one packed table, (k, m, 2**n) for (m,) lanes."""
     levels = _level_sets(*_shift_moves(table, n), 2**n - 1, n + 1)
     if isinstance(table, int):
         return np.array([[(level >> x) & 1 for x in range(2**n)] for level in levels])
     return np.array([(level[:, None] >> np.arange(2**n, dtype=level.dtype)) & 1
-                     for level in levels]).reshape(-1, table.shape[1], 2**n)
+                     for level in levels]).reshape(-1, table.size, 2**n)
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_batched_kernel_matches_oracle(n):
-    # 0 and all ones are constant; the top point alone is the last row of
-    # its table matrix, packed into the top bit of its lane of max(8, 2**n)
-    # bits, bit 63 at n = 6; the batches run from one column to all of them.
+    # 0 and all ones are constant; the top point alone is the top bit of its
+    # lane of max(8, 2**n) bits, bit 63 at n = 6; the batches run from one
+    # lane to all of them.
     # Run down from 1^n, level k is the set {x : d[x] >= k} of the path
     # maxima d, one level for each value of alt, which the chain walk reads
     rng = np.random.default_rng(50 + n)
@@ -143,7 +141,7 @@ def test_batched_kernel_matches_oracle(n):
         assert levels.tolist() == [(down >= k).tolist() for k in range(1, down.max() + 1)]
         assert _alternation_by_shift(bits, n).tolist() == want_alts[-1]
     for m in (1, 3, 7, 9, 17, len(ids)):
-        batch = table_matrix(n, ids[-m:])
+        batch = np.asarray(ids[-m:], dtype=_lane(n))
         down = np.array(want_down[-m:])
         levels = _levels_from_top(batch, n)
         alts = _alternation_by_shift(batch, n)

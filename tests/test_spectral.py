@@ -22,10 +22,10 @@ from boolfn import (
 )
 from boolfn import _bulk, measures
 from boolfn._bitops import MAX_ARITY, SHORT_RUN, butterfly, level_views, table_mask
-from boolfn._bulk import _tables, measure_arrays
+from boolfn._bulk import measure_arrays
 from boolfn.core import _xor
 from boolfn.families import and_, maj, parity
-from boolfn.measures import _lanes, _plane_sensitivity, _pointwise_sensitivity
+from boolfn.measures import _plane_sensitivity, _pointwise_sensitivity
 from boolfn.spectral import (
     _moebius_rows,
     _residues,
@@ -278,7 +278,7 @@ def test_int8_butterflies_equal_the_int64_kernels(n):
     # function at n = 4; above, seeded columns beside the constants, whose
     # Walsh coefficient is 2**n, and parity, whose top Moebius one is 2**(n-1)
     if n == 4:
-        t = _tables(4, 0, 2**16)
+        t = np.hstack([t for t, _ in _bulk._columns(4)])
     else:
         rng = np.random.default_rng(50 + n)
         t = np.stack([TruthTable(n, random_table(rng, n)).to_array() for _ in range(64)], axis=1)
@@ -295,7 +295,7 @@ def test_sparsities_equal_count_nonzero_in_value_and_dtype():
     # one more than a uint8 accumulator holds
     nor = _moebius_rows(TruthTable(8, 1).to_array(), np.int64)
     assert np.count_nonzero(nor) == 256
-    t = _tables(4, 0, 2**16)
+    t = np.hstack([t for t, _ in _bulk._columns(4)])
     rng = np.random.default_rng(52)
     cases = [nor, nor[:, None], _walsh_rows(t, np.int8), _moebius_rows(t, np.int8)]
     cases += [
@@ -353,8 +353,7 @@ def test_bulk_degrees_and_sparsity_match_oracles(bulk_n4_rows):
         assert a["sparsity"][f.bits] == naive_sparsity(f)
 
     for n in range(4):
-        t = _tables(n, 0, 2 ** (2**n))
-        a = measure_arrays(t, _lanes(t))
+        a = measure_arrays(*next(_bulk._columns(n)))
         for f in _every_function(n):
             check(a, f)
     rng = np.random.default_rng(43)
