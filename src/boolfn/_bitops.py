@@ -89,8 +89,9 @@ def level_views(a: np.ndarray, parts: int, run: int) -> tuple[np.ndarray, ...]:
     return tuple(view.transpose(1, 2, 0) if run < SHORT_RUN else view.swapaxes(0, 1))
 
 
-def butterfly(a: np.ndarray, step) -> np.ndarray:
-    """Run a subset butterfly in place over the first axis of ``a`` and return it.
+def butterfly(a: np.ndarray, step, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Run a subset butterfly in place over the first axis of ``a`` and return it:
+    levels ``start`` to ``stop`` - 1, every level by default.
 
     The first axis has 2**n entries indexed by subset masks; the trailing
     axes are a batch of independent tables, so a (2**n, m) matrix holds one
@@ -108,7 +109,9 @@ def butterfly(a: np.ndarray, step) -> np.ndarray:
     if not a.flags.c_contiguous:
         raise ValueError("butterfly needs a C-contiguous array")
     width = a[:1].size
-    for i in range(a.shape[0].bit_length() - 1):
+    if stop is None:
+        stop = a.shape[0].bit_length() - 1
+    for i in range(start, stop):
         step(*level_views(a, 2, width << i))
     return a
 

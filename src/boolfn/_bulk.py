@@ -58,12 +58,13 @@ p_0 and salt the min over the shifts b < 2**(n-1).  The kernels:
   stop rule: the per-function reports stop at max(bs, deg), but a slice
   would stop only once every column meets its bound, and on every n = 4
   slice some column needs all 4 sweeps;
-* ``spectral``: the Moebius and Walsh butterflies, run here in int8, which
-  is exact at arity <= 6 (the bounds in ``spectral``), and the degree and
-  sparsity kernels; ``deg`` and every ``deg_p`` are read from one Moebius
-  matrix.  On an n = 4 slice (2-core Xeon VM, best of 30) int8 took the
-  Moebius butterfly from 0.06 to 0.04 ms against int16, and Walsh with
-  its sparsity from 0.45-0.65 to 0.25-0.35 ms against int32.
+* ``spectral``: the Moebius and Walsh butterflies, which stay int8 here,
+  since by the type rule of ``spectral`` they widen only from level 6,
+  and the degree and sparsity kernels; ``deg`` and every ``deg_p`` are
+  read from one Moebius matrix.  On an n = 4 slice (2-core Xeon VM, best
+  of 30) int8 took the Moebius butterfly from 0.06 to 0.04 ms against
+  int16, and Walsh with its sparsity from 0.45-0.65 to 0.25-0.35 ms
+  against int32.
 
 The bs table runs the per-function packer.  A pattern's lexicographically
 smallest maximum family at 0 depends only on its antichain of minimal
@@ -257,16 +258,16 @@ def measure_arrays(t: np.ndarray, lanes: np.ndarray, primes=(2, 3), needs=None) 
         del pat
 
     if wants("deg", "deg_p", "DT"):
-        # |coefficients| <= 2**(n-1), so int8 holds them; the mod-p
+        # int8 at n <= 4 (the type rule of ``spectral``); the mod-p
         # coefficients are these reduced mod p
-        coeffs = _moebius_rows(t, np.int8)
+        coeffs = _moebius_rows(t)
         out["deg"] = _degrees(coeffs).astype(np.int64)
         for p in primes:
             out[f"deg_{p}"] = _degrees(_residues(coeffs, p)).astype(np.int64)
         del coeffs
 
     if wants("sparsity"):
-        out["sparsity"] = _sparsities(_walsh_rows(t, np.int8))
+        out["sparsity"] = _sparsities(_walsh_rows(t))
 
     if wants("DT"):
         # DT >= max(bs, deg) and DT <= n, so only the columns below n fold and sweep

@@ -54,18 +54,17 @@ from .measures import (
     block_sensitivity,
     modp_degree,
     sensitivity,
-    shift_invariant_alternation,
     sparsity,
 )
 from .spectral import _check_primes, _sparsities, _walsh_rows
 from .transforms import (
+    _alt2s_from_chain,
     _alt2s_rows,
     _bs2s_from_family,
     _bs2s_rows,
     _sherstov_from_family,
     _sherstov_rows,
     alt_to_s_linear,
-    sherstov_linear,
 )
 
 __all__ = [
@@ -308,7 +307,8 @@ _FUNCTION_MEASURES = {
     "bs": lambda owner: owner.block_sensitivity(False),
     "salt": lambda owner: owner.shift_invariant_alternation(False),
     "sparsity": lambda owner: owner.sparsity(False),
-    "sherstov": lambda owner: sherstov_linear(owner.f).certificate,
+    "sherstov": lambda owner: _sherstov_from_family(
+        owner.f, owner.block_sensitivity(True)[1]).certificate,
 }
 
 
@@ -319,7 +319,8 @@ def _statistic_value(row: _Statistic, v: dict):
 
 def _statistic_of(row: _Statistic, f: TruthTable):
     """The row's value on f, its measures read off one owner: bs_over_salt2_s
-    reads s first, so the bs search's bound reuses s's counts."""
+    reads s first, so the bs search's bound reuses s's counts, and the
+    Sherstov map is built on the owner's bs family."""
     owner = _Measures(f, {})
     return _statistic_value(row, {k: _FUNCTION_MEASURES[k](owner) for k in row.needs})
 
@@ -488,7 +489,7 @@ def _scan_slice(t: np.ndarray, lanes: np.ndarray, primes: tuple, tally: dict) ->
         "sherstov": _sherstov_rows(t, lanes, a["bs_argmax"], a["fam_argmax"]),
     }
     a.update({k: batch.cert for k, batch in batches.items()})
-    a["sparsity_g"] = _sparsities(_walsh_rows(batches["alt2s"].g, np.int8))
+    a["sparsity_g"] = _sparsities(_walsh_rows(batches["alt2s"].g))
     # each chain sets one new bit per step from 0, so it ends at 1^n, and
     # it changes value alt(f) times; row j holds step j of every chain, and
     # the values along it are read from the tables packed into lanes
@@ -674,30 +675,31 @@ def family_suite(include_long: bool = False, seed: int = 1) -> CheckReport:
     def holds(cond):
         return "holds" if cond else "fails"
 
-    trees = {k: tree_function(k) for k in (2, 3, 4)}
+    # one owner per tree function: its witnessed alternation gives alt and
+    # the chain of the chain map, whose s_g is s(g)
+    trees = {}
+    for k in (2, 3, 4):
+        owner = _Measures(tree_function(k), {})
+        alt, chain = owner.alternation(True)
+        trees[k] = owner, alt, owner.sparsity(False), _alt2s_from_chain(owner.f, alt, chain)
     # depth-k tree functions: alternation survives every shift
     for k, bound in ((2, 1), (3, 2)) + (((4, 4),) if include_long else ()):
-        f = trees[k]
-        salt = shift_invariant_alternation(f)
-        s = sensitivity(f)
+        owner = trees[k][0]
+        salt = owner.shift_invariant_alternation(False)
+        s = owner.sensitivity(False)
         add(Check(f"tree{k}_salt_floor", f"salt(tree_{k}) >= 2**(k-2)", "proven",
                   bound, salt, holds(salt >= bound)))
         add(Check(f"tree{k}_s_ceiling", f"s(tree_{k}) <= k", "proven",
                   s, k, holds(s <= k)))
 
     # tree functions: alternation against sparsity, exactly
-    for k, f in trees.items():
-        alt = alternation(f)
-        sp = sparsity(f)
+    for k, (_, alt, sp, _) in trees.items():
         add(Check(f"tree{k}_alt_vs_sparsity", "(alt+1)**2 >= sparsity", "proven",
                   sp, (alt + 1) ** 2, holds((alt + 1) ** 2 >= sp)))
 
     # chain transform pipeline on the tree functions
-    for k, f in trees.items():
-        tr = alt_to_s_linear(f)
-        g = tr.g
-        sg = sensitivity(g)
-        sp_f, sp_g = sparsity(f), sparsity(g)
+    for k, (_, _, sp_f, tr) in trees.items():
+        sg, sp_g = tr.certificate["s_g"], sparsity(tr.g)
         add(Check(f"tree{k}_pipeline_sparsity", "sparsity(g) == sparsity(f)", "proven",
                   sp_g, sp_f, holds(sp_g == sp_f and tr.certificate["invertible"]),
                   {"invertible": tr.certificate["invertible"]}))
@@ -717,10 +719,10 @@ def family_suite(include_long: bool = False, seed: int = 1) -> CheckReport:
     add(Check("rubinstein44_s", "s(f) <= n", "proven", s44, 4, holds(s44 <= 4)))
     add(Check("rubinstein44_bs_vs_s_alt", "4*bs(f,0) >= s*alt", "proven",
               s44 * alt44, 4 * bs0, holds(4 * bs0 >= s44 * alt44)))
-    f33 = rubinstein(3, 3)
-    bs33 = block_sensitivity(f33)
-    s33 = sensitivity(f33)
-    salt33 = shift_invariant_alternation(f33)
+    f33 = _Measures(rubinstein(3, 3), {})
+    bs33 = f33.block_sensitivity(False)
+    s33 = f33.sensitivity(False)
+    salt33 = f33.shift_invariant_alternation(False)
     add(Check("rubinstein33_bs_vs_s_salt", "4*bs >= s*salt", "proven",
               s33 * salt33, 4 * bs33, holds(4 * bs33 >= s33 * salt33),
               {"bs": bs33, "s": s33, "salt": salt33}))
@@ -761,8 +763,8 @@ def family_suite(include_long: bool = False, seed: int = 1) -> CheckReport:
         alt_maj = alternation(maj(nn))
         add(Check(f"maj{nn}_alt", "alt of a monotone nonconstant function == 1",
                   "proven", alt_maj, 1, holds(alt_maj == 1)))
-    p4 = parity(4)
-    profile = (sensitivity(p4), modp_degree(p4, 2), sparsity(p4))
+    p4 = _Measures(parity(4), {})
+    profile = (p4.sensitivity(False), p4.degree(False, 2), p4.sparsity(False))
     add(Check("parity4_profile", "s == n, deg_2 == 1, sparsity == 1", "proven",
               profile, (4, 1, 1), holds(profile == (4, 1, 1))))
     return _raise_if_broken(report)

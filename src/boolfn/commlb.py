@@ -263,7 +263,7 @@ def bound_summary(f: TruthTable, primes=(2, 3), limits: dict | None = None) -> d
 
     bs(f,0), s, deg, every deg_p and DT read the function's one owner of its
     measures (``measures._Measures``), under the caller's ``limits``: deg
-    and DT its int32 Moebius table, deg_p that table's residues mod p
+    and DT its one Moebius table, deg_p that table's residues mod p
     (exact: see ``spectral``).  Each prime is checked before anything is
     computed, so a bad prime raises ValueError with no work done.  DT's
     sweeps stop once they meet max(bs(f,0), deg), a lower bound on DT;

@@ -158,6 +158,32 @@ def _plane_sensitivity(bits: int, n: int) -> np.ndarray:
     return counts
 
 
+def _slice_sensitivity(bits: int, n: int) -> tuple[int, int]:
+    """s(f) and its smallest maximizing input, of one packed table, with no
+    per-point counts: bit j of s(f,x) at every x is one packed bit-slice.
+
+    Each direction plane (``_direction_planes``) is added into the slices
+    by a ripple carry that stops at the first slice it leaves no carry
+    from.  Then the inputs that can still reach the maximum are narrowed
+    from the top slice down: a slice with a set bit among them sets its bit
+    of s and keeps only those inputs, so the lowest input left is the
+    smallest maximizer."""
+    slices: list[int] = []
+    for carry in _direction_planes(bits, n):
+        for j, part in enumerate(slices):
+            slices[j], carry = part ^ carry, part & carry
+            if not carry:
+                break
+        else:
+            if carry:
+                slices.append(carry)
+    s, best = 0, table_mask(n)
+    for j in reversed(range(len(slices))):
+        if best & slices[j]:
+            s, best = s | 1 << j, best & slices[j]
+    return s, (best & -best).bit_length() - 1
+
+
 def _pointwise_sensitivity(tables: np.ndarray) -> np.ndarray:
     """Sensitivity at every input of every table of a (2**n, m) matrix, one
     table per column, as int8 of its shape.
@@ -1114,8 +1140,8 @@ def shift_invariant_alternation(
 def real_degree(f: TruthTable, witness: bool = False):
     """Degree of the multilinear polynomial for f over the rationals.
 
-    Computed from exact integer coefficients (int32, see ``spectral``); the
-    witness is the smallest maximal-degree monomial mask.
+    Computed from exact integer coefficients (int8 to int32 by arity, see
+    ``spectral``); the witness is the smallest maximal-degree monomial mask.
     """
     return _Measures(f, {}).degree(witness)
 
@@ -1319,9 +1345,10 @@ class _Measures:
     The owner keeps five things, each built on first use:
 
     * s(f,x) at every input, from the packed table's n direction planes
-      (``_plane_sensitivity``, which makes them one at a time): s reads
-      it, and the bs search its bound u(x) on bs(f,x)
-      (``_sensitivity_bound``);
+      (``_plane_sensitivity``, which makes them one at a time), built only
+      where bs runs: s reads it, and the bs search its bound u(x) on
+      bs(f,x) (``_sensitivity_bound``).  Where bs is skipped, s reads the
+      count's packed bit-slices (``_slice_sensitivity``) and keeps nothing;
     * the fold's ``val`` (``_subcube_fold``: 3**n states, n passes), read by
       C, by DT and by the bs search;
     * C(f,x) at every input (``_certificate_sizes``: n more passes and n
@@ -1329,8 +1356,9 @@ class _Measures:
       pointwise C and the bs search; DT never builds it;
     * the bs search's value and best input, and the packing of each input
       that bs has read (``_bs_point``), the search's best among them;
-    * the int32 Moebius table (2**n coefficients), read by deg, by every
-      deg_p as its residues mod p (exact: see ``spectral``) and by DT.
+    * the Moebius table (2**n coefficients, int8 to int32 by arity), read
+      by deg, by every deg_p as its residues mod p (exact: see
+      ``spectral``) and by DT.
 
     alt, salt and sparsity keep nothing: each builds what it reads (the
     level-set moves of ``_shift_moves``, the Walsh table) on each call,
@@ -1414,7 +1442,7 @@ class _Measures:
 
     def _moebius(self) -> np.ndarray:
         if self._coeffs is None:
-            self._coeffs = _moebius_rows(self.f.to_array(), np.int32)
+            self._coeffs = _moebius_rows(self.f)
         return self._coeffs
 
     def _certificate_bound(self, bound: np.ndarray) -> np.ndarray | None:
@@ -1426,12 +1454,18 @@ class _Measures:
     def sensitivity(self, witness: bool, at: int | None = None):
         """s, or s(f, at), with the point (the smallest maximizing input
         unpointed) and the mask of the coordinates sensitive there if
-        ``witness``.  One input reads its n neighbours, not the counts."""
+        ``witness``.  One input reads its n neighbours, not the counts.
+        Where bs is skipped, no caller reads the counts, and s and its
+        point come from the count's bit-slices (``_slice_sensitivity``)."""
         if at is None:
-            counts = self._sensitivities()
-            at = int(np.argmax(counts))
+            if self._s is None and self._skip("bs") is not None:
+                s, at = _slice_sensitivity(self.f.bits, self.f.n)
+            else:
+                counts = self._sensitivities()
+                at = int(np.argmax(counts))
+                s = int(counts[at])
             if not witness:
-                return int(counts[at])
+                return s
         else:
             _check_point(at, self.f.n)
         mask = _sensitive_mask(self.f, at)
@@ -1491,7 +1525,7 @@ class _Measures:
 
     def sparsity(self, witness: bool):
         """sparsity, with the full Walsh spectrum if ``witness``."""
-        coeffs = _walsh_rows(self.f.to_array(), np.int32)
+        coeffs = _walsh_rows(self.f)
         val = int(_sparsities(coeffs))
         return (val, SpectrumRep(WALSH, self.f.n, coeffs.astype(np.int64))) if witness else val
 
@@ -1565,7 +1599,7 @@ def measure_report(
     under min(u(x), C(f,x)) from its first input, which on most functions
     leaves one packing search.  Otherwise bs runs the switch of the public
     ``block_sensitivity``, with the same value and witness.  deg, every
-    deg_p and DT read the owner's one int32 Moebius table.  DT comes last,
+    deg_p and DT read the owner's one Moebius table.  DT comes last,
     and reads that table and the fold's ``val`` alone.  With ``witnesses``
     it builds the tree of ``dt_depth``, and sweeps only below the prefix
     restrictions of full degree; without, the sweeps stop once they meet

@@ -9,31 +9,51 @@ prod_{i in S} x_i for the multilinear bases, and the character
 Every transform is ``_bitops.butterfly`` with its own in-place step, whose
 ufuncs run with ``order="C"`` so that the butterfly's short-run levels loop
 down their long axis.  The kernels (``_moebius_rows``, ``_walsh_rows``) take
-one 0/1 table of 2**n entries, or a (2**n, m) matrix with one table per
-column, and a dtype.  ``_degrees`` and ``_sparsities`` reduce over the first
-axis to the degree and the number of nonzero coefficients of each table, a
-scalar for one table and an (m,) array for a matrix; ``measures``,
+one 0/1 table of 2**n entries, a (2**n, m) matrix with one table per
+column, or one ``TruthTable``.  ``_degrees`` and ``_sparsities`` reduce over
+the first axis to the degree and the number of nonzero coefficients of each
+table, a scalar for one table and an (m,) array for a matrix; ``measures``,
 ``SpectrumRep`` and ``_bulk`` all use them.
 
-The kernels run in a narrow exact dtype.  Every Moebius coefficient of a
-0/1 table, and every partial sum of its butterfly, is at most 2**(n-1) in
-absolute value, and every Walsh coefficient and every value its step
-passes through at most 2**n, so int32 is exact up to ``MAX_ARITY`` (24)
-and int8 up to n = 6.  ``_bulk`` runs both butterflies in int8 at arity
-<= 4, and so does the scan's sparsity of the chain maps' tables.  The
-measures (``real_degree``, ``modp_degree``, ``sparsity``) run in int32.
-The one owner of a function's measures (``measures._Measures``), which the
+The kernels have one type rule: each starts in int8 and widens, once to
+int16 and once to int32, before the first level whose values could outgrow
+the type.  After level i (from 0) every |value| of the Moebius butterfly of
+a 0/1 table is at most 2**i, and every |value| of the Walsh one, the step's
+doubled half included, at most 2**(i + 1).  So Moebius widens before
+levels 7 and 15, Walsh before levels 6 and 14, and a table comes back in
+the narrowest of the three types that holds 2**(n-1) (Moebius) or 2**n
+(Walsh): int32 is exact up to ``MAX_ARITY`` (24), and ``_bulk``'s n <= 4
+matrices and the scan's sparsity of the chain maps' tables stay int8.  A
+table that needs int32 runs its int8 and int16 levels in blocks of
+``_BLOCK_ROWS`` rows, each cast into the int32 table, since no level below
+15 crosses a block of 2**15 rows, so no whole int16 copy is held beside
+it.  One ``TruthTable`` of n >= 3 starts at level 3 from its packed bytes:
+a (256, 8) int8 lookup (``_byte_levels``) holds the first three levels of
+every byte's 8 entries, so the table is never unpacked.  At n = 24 the
+kernels then peak at 66.8 MiB (tracemalloc), against 80 for the int32
+kernels with the 0/1 table they unpacked.  On random tables (2-core Xeon
+VM, best of 3) Walsh went from 27.3 to 10.9 ms at n = 20 and from 717 to
+250 ms at n = 24, and Moebius from 8.8 to 5.8 ms and from 255 to 102 ms,
+against int32 throughout.  On the ``perfbench`` cli items, best of 72
+against the same kernels started from ``f.to_array()``, the lookup took
+``measures fam:ip:n=9`` from 13.0 to 11.7 ms, ``fam:maj:n=17`` from 4.1 to
+3.7 and ``fam:rubinstein:m=4,n=4`` from 3.0 to 2.6, and the whole pass from
+77.2 to 70.9 ms.  Matrices start from their 0/1 entries: on an n = 4 slice
+the lookup, with the packing and transpose it needs there, took 0.85 ms
+against 0.05 ms.
+
+The owner of a function's measures (``measures._Measures``), which the
 report, ``commlb.bound_summary``, the CLI, the checks and the public
-measures all read, builds one int32 Moebius table per function: deg and DT
-read it, and every deg_p reads its residues mod p (``_residues``), which
-equal those of the integer coefficients.  The residues come from floor
-division, ``c - c // p * p``, which numpy runs by a precomputed multiply
-for a scalar divisor, where its ``%`` divides every entry: on the 16 x
-16,384 int16 Moebius matrix of an n = 4 slice (2-core Xeon VM, best of
-30) ``%`` took 0.6-0.9 ms per prime and floor division 0.08-0.10 ms, and
-0.04-0.06 ms in int8.  The public arrays
+measures all read, builds one Moebius table per function: deg and DT read
+it, and every deg_p reads its residues mod p (``_residues``), which equal
+those of the integer coefficients.  Mod 2 they are ``c & 1``; otherwise
+they come from floor division, ``c - c // p * p``, which numpy runs by a
+precomputed multiply for a scalar divisor, where its ``%`` divides every
+entry: on the 16 x 16,384 int16 Moebius matrix of an n = 4 slice (2-core
+Xeon VM, best of 30) ``%`` took 0.6-0.9 ms per prime and floor division
+0.08-0.10 ms, and 0.04-0.06 ms in int8.  The public arrays
 (``moebius_coefficients``, ``walsh_coefficients``, ``spectrum`` and the
-sparsity witness's ``SpectrumRep``) stay int64.
+sparsity witness's ``SpectrumRep``) are the kernels' tables cast to int64.
 """
 
 from __future__ import annotations
@@ -127,30 +147,111 @@ def _walsh_step(lo: np.ndarray, hi: np.ndarray) -> None:
 
 def _residues(coeffs: np.ndarray, p: int) -> np.ndarray:
     """The integer coefficients mod the prime p, in [0, p), for their zero
-    tests: those of ``coeffs % p``, by floor division (module docstring).
+    tests: those of ``coeffs % p``, by a mask at p = 2 and otherwise by
+    floor division (module docstring).
 
-    ``coeffs // p * p`` may wrap around the dtype, but the difference is
-    exact all the same: the wraps cancel mod 2**bits, and the true residue
-    lies in [0, p), inside the dtype.  Where p exceeds the dtype's maximum,
-    that maximum bounds every |coefficient| below p, so no nonzero
-    coefficient is a multiple of p and the table comes back unchanged
-    (deg_p = deg); p would not fit into the dtype."""
+    ``c & 1`` is c mod 2 on two's complement integers, negative ones
+    included.  ``coeffs // p * p`` may wrap around the dtype, but the
+    difference is exact all the same: the wraps cancel mod 2**bits, and the
+    true residue lies in [0, p), inside the dtype.  Where p exceeds the
+    dtype's maximum, that maximum bounds every |coefficient| below p, so no
+    nonzero coefficient is a multiple of p and the table comes back
+    unchanged (deg_p = deg); p would not fit into the dtype."""
+    if p == 2:
+        return coeffs & 1
     if p > np.iinfo(coeffs.dtype).max:
         return coeffs
-    return coeffs - coeffs // p * p
+    # one temporary, reused: at n = 18 a fresh 1 MiB array per operation
+    # took the int32 residues from 0.16 to 0.81 ms
+    r = coeffs // p
+    r *= p
+    return np.subtract(coeffs, r, out=r)
 
 
-def _moebius_rows(t: np.ndarray, dtype) -> np.ndarray:
-    """Multilinear coefficients over the integers of every 0/1 table column."""
-    return butterfly(t.astype(dtype), _difference)
+def _zero_one(t: np.ndarray) -> np.ndarray:
+    return t.astype(np.int8)
 
 
-def _walsh_rows(t: np.ndarray, dtype) -> np.ndarray:
-    """Walsh-Hadamard coefficients of the +-1 view 1 - 2t of every 0/1 table column."""
-    a = t.astype(dtype)
+def _signs(t: np.ndarray) -> np.ndarray:
+    """The +-1 view 1 - 2t of a 0/1 table, as int8."""
+    a = t.astype(np.int8)
     a *= -2
     a += 1
-    return butterfly(a, _walsh_step)
+    return a
+
+
+def _byte_levels(first, step) -> np.ndarray:
+    """Levels 0-2 of a kernel on the 8 table entries of every byte, as a
+    read-only (256, 8) int8 table: row b holds ``first`` of the bits of b,
+    bit j as entry j (the packed table's order), after three levels of
+    ``step``."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[None, :], axis=0, bitorder="little")
+    table = np.ascontiguousarray(butterfly(first(bits), step).T)
+    table.flags.writeable = False
+    return table
+
+
+# the rows of one block of a large table's narrow levels (``_run``)
+_BLOCK_ROWS = 1 << 18
+
+
+def _narrow(a: np.ndarray, step, start: int, widen: int, stop: int) -> np.ndarray:
+    """Levels ``start`` to ``stop`` - 1 of a kernel on its int8 table ``a``,
+    in int16 from level ``widen``."""
+    if stop <= widen:
+        return butterfly(a, step, start, stop)
+    return butterfly(butterfly(a, step, start, widen).astype(np.int16), step, widen, stop)
+
+
+def _run(t, first, step, widens: tuple[int, int], lookup: np.ndarray) -> np.ndarray:
+    """One kernel on a 0/1 table of 2**n entries, a (2**n, m) matrix of
+    them, one per column, or one ``TruthTable``, by the type rule (module
+    docstring): ``first`` makes the int8 start from the 0/1 entries,
+    ``step`` runs a level, and the table widens to int16 and then to int32
+    before the levels of ``widens``.  A ``TruthTable`` of n >= 3 starts at
+    level 3, from its packed bytes through ``lookup``, the kernel's
+    ``_byte_levels``."""
+    if isinstance(t, TruthTable) and t.n >= 3:
+        raw = np.frombuffer(t.bits.to_bytes(1 << (t.n - 3), "little"), dtype=np.uint8)
+        shape, start = (1 << t.n,), 3
+
+        def begin(k: int, rows: int) -> np.ndarray:
+            return lookup.take(raw[k >> 3:(k + rows) >> 3], axis=0).reshape(-1)
+    else:
+        t = t.to_array() if isinstance(t, TruthTable) else t
+        shape, start = t.shape, 0
+
+        def begin(k: int, rows: int) -> np.ndarray:
+            return first(t[k:k + rows])
+    n = shape[0].bit_length() - 1
+    if n <= widens[1]:
+        return _narrow(begin(0, shape[0]), step, start, widens[0], n)
+    # every level below widens[1] stays inside blocks of 2**widens[1] rows,
+    # so a table that needs int32 runs them block by block into its int32
+    # table, and no whole int16 copy is held beside it
+    a = np.empty(shape, np.int32)
+    rows = max(1 << widens[1], _BLOCK_ROWS)
+    for k in range(0, shape[0], rows):
+        a[k:k + rows] = _narrow(begin(k, rows), step, start, *widens)
+    return butterfly(a, step, widens[1])
+
+
+_MOEBIUS_BYTES = _byte_levels(_zero_one, _difference)
+_WALSH_BYTES = _byte_levels(_signs, _walsh_step)
+
+
+def _moebius_rows(t) -> np.ndarray:
+    """Multilinear coefficients over the integers of every 0/1 table column,
+    or of one ``TruthTable``.  After level i every |value| is at most 2**i,
+    so the table widens before levels 7 and 15."""
+    return _run(t, _zero_one, _difference, (7, 15), _MOEBIUS_BYTES)
+
+
+def _walsh_rows(t) -> np.ndarray:
+    """Walsh-Hadamard coefficients of the +-1 view 1 - 2t of every 0/1
+    table column, or of one ``TruthTable``.  After level i every |value| is
+    at most 2**(i + 1), so the table widens before levels 6 and 14."""
+    return _run(t, _signs, _walsh_step, (6, 14), _WALSH_BYTES)
 
 
 def _degrees(coeffs: np.ndarray) -> np.ndarray:
@@ -175,7 +276,7 @@ def _sparsities(coeffs: np.ndarray) -> np.ndarray:
 
 def moebius_coefficients(f: TruthTable) -> np.ndarray:
     """Coefficients of the unique multilinear polynomial for f over the integers."""
-    return _moebius_rows(f.to_array(), np.int64)
+    return _moebius_rows(f).astype(np.int64)
 
 
 def moebius_coefficients_mod(f: TruthTable, p: int) -> np.ndarray:
@@ -187,7 +288,7 @@ def moebius_coefficients_mod(f: TruthTable, p: int) -> np.ndarray:
 
 def walsh_coefficients(f: TruthTable) -> np.ndarray:
     """Unnormalized Walsh-Hadamard coefficients of the +-1 view 1 - 2f."""
-    return _walsh_rows(f.to_array(), np.int64)
+    return _walsh_rows(f).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from ._bitops import mask_indices, pack, point_to_str, table_size
 from .core import AffineMap, TruthTable, affine_images, tt_serialize
 from .measures import (
     BlockFamily,
+    Chain,
     _lane,
     _pointwise_sensitivity,
     alternation,
@@ -318,7 +319,11 @@ def alt_to_s_linear(f: TruthTable) -> TransformResult:
     increase along it, which makes the map invertible; this is verified and
     recorded rather than assumed.
     """
-    alt, chain = alternation(f, witness=True)
+    return _alt2s_from_chain(f, *alternation(f, witness=True))
+
+
+def _alt2s_from_chain(f: TruthTable, alt: int, chain: Chain) -> TransformResult:
+    """``alt_to_s_linear`` on a maximum-alternation chain already found."""
     return _alt2s_rows(*_one(f), np.array([alt]), np.array([chain.points])).result(0, f)
 
 

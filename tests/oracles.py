@@ -219,20 +219,21 @@ def _shifted(f, b):
     return _PointFn(f.n, lambda x: f.value_at(x ^ b))
 
 
+def naive_moebius_at(f, s):
+    """The Moebius coefficient of f at the monomial mask s: the signed sum
+    of f over the subsets of s."""
+    acc = 0
+    sub = s
+    while True:
+        sign = -1 if ((s ^ sub).bit_count() & 1) else 1
+        acc += sign * f.value_at(sub)
+        if sub == 0:
+            return acc
+        sub = (sub - 1) & s
+
+
 def naive_moebius(f):
-    n = f.n
-    coeffs = []
-    for s in range(2**n):
-        acc = 0
-        sub = s
-        while True:
-            sign = -1 if ((s ^ sub).bit_count() & 1) else 1
-            acc += sign * f.value_at(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & s
-        coeffs.append(acc)
-    return coeffs
+    return [naive_moebius_at(f, s) for s in range(2**f.n)]
 
 
 def naive_degree(f):
@@ -245,17 +246,18 @@ def naive_modp_degree(f, p):
     )
 
 
+def naive_wht_at(f, s):
+    """The Walsh coefficient of the +-1 view of f at the character s."""
+    acc = 0
+    for x in range(2**f.n):
+        chi = 1 - 2 * f.value_at(x)
+        sign = -1 if ((s & x).bit_count() & 1) else 1
+        acc += sign * chi
+    return acc
+
+
 def naive_wht(f):
-    n = f.n
-    out = []
-    for s in range(2**n):
-        acc = 0
-        for x in range(2**n):
-            chi = 1 - 2 * f.value_at(x)
-            sign = -1 if ((s & x).bit_count() & 1) else 1
-            acc += sign * chi
-        out.append(acc)
-    return out
+    return [naive_wht_at(f, s) for s in range(2**f.n)]
 
 
 def naive_sparsity(f):

@@ -99,8 +99,8 @@ def test_batched_kernels_match_per_function_columns(n, m):
     cols = rng.integers(0, 2**n, (m, n))
     shifts = rng.integers(0, 2**n, m)
     sens = _pointwise_sensitivity(t)
-    moebius = _moebius_rows(t, np.int16)
-    walsh = _walsh_rows(t, np.int32)
+    moebius = _moebius_rows(t)
+    walsh = _walsh_rows(t)
     degrees, sparsities = _degrees(moebius), _sparsities(walsh)
     lanes = np.asarray(ids, dtype=_lane(n))
     img, g = _gather(t, lanes, cols, shifts)
@@ -112,10 +112,10 @@ def test_batched_kernels_match_per_function_columns(n, m):
         f = TruthTable(n, bits)
         one = f.to_array()
         assert sens[:, r].tolist() == _plane_sensitivity(bits, n).tolist()
-        assert moebius[:, r].tolist() == _moebius_rows(one, np.int64).tolist()
-        assert walsh[:, r].tolist() == _walsh_rows(one, np.int64).tolist()
-        assert degrees[r] == _degrees(_moebius_rows(one, np.int64))
-        assert sparsities[r] == _sparsities(_walsh_rows(one, np.int64))
+        assert moebius[:, r].tolist() == _moebius_rows(one).tolist()
+        assert walsh[:, r].tolist() == _walsh_rows(one).tolist()
+        assert degrees[r] == _degrees(_moebius_rows(one))
+        assert sparsities[r] == _sparsities(_walsh_rows(one))
         amap = AffineMap(n, tuple(int(c) for c in cols[r]), int(shifts[r]))
         assert img[:, r].tolist() == affine_images(n, amap.columns, amap.shift).tolist()
         assert img[:, r].tolist() == [amap.apply(x) for x in range(2**n)]

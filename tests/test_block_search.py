@@ -10,6 +10,7 @@ import pytest
 
 from boolfn import (
     STATISTICS,
+    ArityLimitError,
     TruthTable,
     block_sensitivity,
     certificate,
@@ -227,8 +228,10 @@ def test_search_settled_under_u_builds_no_table(monkeypatch):
 @pytest.mark.parametrize("f", [maj(15), tree_function(4)], ids=["maj15", "tree4"])
 def test_every_unpointed_caller_shares_one_search(monkeypatch, f):
     # the public call, the Sherstov map and its statistic take the same
-    # value and family from one route; the statistic takes no limit, so the
-    # default bs ceiling of 14 is raised to the arity here
+    # value and family from one route; the statistic takes no limit, so it
+    # stops at the default bs ceiling of 14, which is raised to the arity here
+    with pytest.raises(ArityLimitError, match="^bs skipped: arity 15 exceeds limit 14"):
+        STATISTICS["bs_over_sherstov_s2"](f)
     monkeypatch.setitem(measures.DEFAULT_LIMITS, "bs", 15)
     val, fam = block_sensitivity(f, witness=True, limit=15)
     cert = sherstov_linear(f, limit=15).certificate

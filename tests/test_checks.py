@@ -11,6 +11,7 @@ from boolfn import (
     ProvenCheckError,
     TruthTable,
     VerificationError,
+    alt_to_s_linear,
     exhaustive_scan,
     extremal_search,
     family_suite,
@@ -396,6 +397,35 @@ def test_family_suite_short():
     assert "tree3_salt_floor" in names
     assert "rubinstein33_bs_vs_s_salt" in names
     assert "or_compose_random" in names
+
+
+def test_family_suite_values_equal_fresh_public_calls():
+    # the suite reads each function off one owner and the chain map off its
+    # witnessed alternation; every value is what a fresh public call gives
+    checks_by_name = {c.name: c for c in family_suite().checks}
+
+    def values(name):
+        c = checks_by_name[name]
+        return c.left, c.right, c.witness
+
+    for k in (2, 3, 4):
+        f = tree_function(k)
+        tr = alt_to_s_linear(f)
+        sp_f, sp_g, s_g = sparsity(f), sparsity(tr.g), sensitivity(tr.g)
+        assert tr.certificate["s_g"] == s_g
+        assert values(f"tree{k}_alt_vs_sparsity") == (sp_f, (alternation(f) + 1) ** 2, None)
+        assert values(f"tree{k}_pipeline_sparsity") == (sp_g, sp_f, {"invertible": True})
+        assert values(f"tree{k}_pipeline_s_vs_sparsity") == (sp_g, 4 * (s_g + 1) ** 2,
+                                                              {"s_g": s_g})
+        if k < 4:
+            assert values(f"tree{k}_salt_floor")[1] == shift_invariant_alternation(f)
+            assert values(f"tree{k}_s_ceiling")[0] == sensitivity(f)
+    f33 = rubinstein(3, 3)
+    bs, s, salt = block_sensitivity(f33), sensitivity(f33), shift_invariant_alternation(f33)
+    assert values("rubinstein33_bs_vs_s_salt") == (s * salt, 4 * bs,
+                                                    {"bs": bs, "s": s, "salt": salt})
+    p4 = parity(4)
+    assert values("parity4_profile")[0] == (sensitivity(p4), modp_degree(p4, 2), sparsity(p4))
 
 
 def test_extremal_search_exhaustive_n3():

@@ -435,7 +435,7 @@ def test_repeated_prime_exits_2_before_any_work(monkeypatch, capsys, argv, prime
     ["check", "exhaustive:2", "--primes", "127"],
 ])
 def test_prime_above_the_kernels_integer_type_is_valid_input(capsys, argv):
-    # the Moebius tables are int32 (one function) and int8 (the scan); a
+    # every Moebius table here is int8 (n <= 7, the scan's included); a
     # prime above the type's maximum divides no nonzero coefficient and
     # leaves the table as it is, and 127, int8's maximum, is reduced in int8
     code, out, err = run_cli(capsys, *argv)

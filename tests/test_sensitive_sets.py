@@ -1,14 +1,24 @@
-"""The two sensitive-set kernels on packed bits against brute force: one
-table's pointwise sensitivity from its direction planes, and the minimal
-sensitive blocks of a packed set of blocks, as one int or as lanes."""
+"""The sensitive-set kernels on packed bits against brute force: one
+table's pointwise sensitivity from its direction planes, s and its point
+from the bit-slices of those counts, and the minimal sensitive blocks of a
+packed set of blocks, as one int or as lanes."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from boolfn import TruthTable, sensitivity
-from boolfn.measures import _lane, _minimal_blocks, _plane_sensitivity, _pointwise_sensitivity
+from boolfn import TruthTable, measures, sensitivity
+from boolfn._bitops import table_mask
+from boolfn.families import maj, parity
+from boolfn.measures import (
+    _lane,
+    _Measures,
+    _minimal_blocks,
+    _plane_sensitivity,
+    _pointwise_sensitivity,
+    _slice_sensitivity,
+)
 
 from oracles import naive_sensitivity, random_table
 
@@ -60,20 +70,63 @@ def test_plane_sensitivity_equals_the_level_passes_at_large_arity(n):
 
 
 def test_sensitivity_peak_memory_at_n20():
-    # the counts and one unpacked plane at a time; the first call builds the
+    # the counts and one unpacked plane at a time where bs runs, or the
+    # count's five bit-slices where it is skipped; the first call builds the
     # cached low-half masks of arity 20 (``_bitops.low_half_mask``), which
     # every packed kernel of that arity shares, so the second is traced
     n = 20
     f = _seeded_table(np.random.default_rng(20), n)
     want = sensitivity(f, witness=True)
-    tracemalloc.start()
-    try:
-        got = sensitivity(f, witness=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got == want
-    assert peak <= 3 * 2**n
+    for limits in ({}, {"bs": n}):
+        tracemalloc.start()
+        try:
+            got = _Measures(f, limits).sensitivity(True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak <= 3 * 2**n
+
+
+def _slice_cases(n, rng):
+    """Tables of arity n whose s ties at many inputs or few: the constants,
+    parity (s = n everywhere), majority (its middle layers), two inputs at
+    distance 2 near the top (s = n at both, neither of them 0) and a seeded
+    table."""
+    top = 2**n - 6
+    return [0, table_mask(n), parity(n).bits, maj(n).bits, (1 << top) | (1 << (top ^ 3)),
+            _seeded_table(rng, n).bits]
+
+
+@pytest.mark.parametrize("n", [15, 16, 17, 18])
+def test_slice_sensitivity_equals_the_counts(n):
+    for bits in _slice_cases(n, np.random.default_rng(480 + n)):
+        counts = _plane_sensitivity(bits, n)
+        at = int(np.argmax(counts))
+        assert _slice_sensitivity(bits, n) == (int(counts[at]), at)
+
+
+def test_slice_sensitivity_on_every_function_to_n3():
+    for n in range(4):
+        for bits in range(2 ** (2**n)):
+            counts = [naive_sensitivity(TruthTable(n, bits), x) for x in range(2**n)]
+            assert _slice_sensitivity(bits, n) == (max(counts), counts.index(max(counts)))
+
+
+def test_owner_reads_the_slices_only_where_bs_is_skipped(monkeypatch):
+    # at n = 15, above the bs ceiling, s and its witness come from the
+    # slices; under a bs limit of 15 the owner builds the counts, which the
+    # bs search reads, and both give the same value and point
+    n = 15
+    fs = [TruthTable(n, bits) for bits in _slice_cases(n, np.random.default_rng(495))]
+    counted = [_Measures(f, {"bs": n}).sensitivity(True) for f in fs]
+
+    def no_counts(*args):
+        raise AssertionError("the counts were built where bs is skipped")
+
+    monkeypatch.setattr(measures, "_plane_sensitivity", no_counts)
+    assert [sensitivity(f, witness=True) for f in fs] == counted
+    assert [sensitivity(f) for f in fs] == [value for value, _ in counted]
 
 
 def _naive_minimal(sens):

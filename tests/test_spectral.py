@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,18 +21,20 @@ from boolfn import (
     spectrum,
     walsh_coefficients,
 )
-from boolfn import _bulk, measures
-from boolfn._bitops import MAX_ARITY, SHORT_RUN, butterfly, level_views, table_mask
+from boolfn import _bulk, measures, spectral
+from boolfn._bitops import MAX_ARITY, SHORT_RUN, butterfly, level_views, pack, table_mask
 from boolfn._bulk import measure_arrays
 from boolfn.core import _xor
 from boolfn.families import and_, maj, parity
 from boolfn.measures import _plane_sensitivity, _pointwise_sensitivity
 from boolfn.spectral import (
+    _difference,
     _moebius_rows,
     _residues,
     _sparsities,
     _subset_sum,
     _walsh_rows,
+    _walsh_step,
     is_prime,
 )
 
@@ -39,9 +42,11 @@ from oracles import (
     naive_degree,
     naive_modp_degree,
     naive_moebius,
+    naive_moebius_at,
     naive_sensitivity,
     naive_sparsity,
     naive_wht,
+    naive_wht_at,
     random_table,
 )
 
@@ -221,9 +226,9 @@ def test_level_views_transpose_short_runs():
 def test_butterfly_steps_match_oracles_on_both_sides_of_the_short_run_rule():
     for t, fs in _short_run_cases():
         moebius = [naive_moebius(f) for f in fs]
-        coeffs = _moebius_rows(t, np.int32)
+        coeffs = _moebius_rows(t)
         assert _columns(coeffs) == moebius
-        assert _columns(_walsh_rows(t, np.int32)) == [naive_wht(f) for f in fs]
+        assert _columns(_walsh_rows(t)) == [naive_wht(f) for f in fs]
         # zeta undoes Moebius; the ANF is the Moebius table mod 2
         assert _columns(butterfly(coeffs, _subset_sum)) == _columns(t)
         anf = butterfly(t.copy(), _xor)
@@ -272,6 +277,13 @@ def test_residues_equal_python_mod_at_the_extremes(dtype):
             assert got.tolist() == [v % p for v in values.tolist()], p
 
 
+def _int64_kernels(t):
+    """Moebius and Walsh of a 0/1 table matrix in int64, by the bare
+    butterfly, where no |value| comes near the type's bound."""
+    wide = t.astype(np.int64)
+    return butterfly(wide.copy(), _difference), butterfly(1 - 2 * wide, _walsh_step)
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_int8_butterflies_equal_the_int64_kernels(n):
     # |Moebius| <= 2**(n-1) and |Walsh| <= 2**n fit int8 up to n = 6: every
@@ -283,21 +295,98 @@ def test_int8_butterflies_equal_the_int64_kernels(n):
         rng = np.random.default_rng(50 + n)
         t = np.stack([TruthTable(n, random_table(rng, n)).to_array() for _ in range(64)], axis=1)
         t[:, 0], t[:, 1], t[:, 2] = 0, 1, parity(n).to_array()
-    for kernel in (_moebius_rows, _walsh_rows):
-        narrow = kernel(t, np.int8)
+    for kernel, wide in zip((_moebius_rows, _walsh_rows), _int64_kernels(t)):
+        narrow = kernel(t)
         assert narrow.dtype == np.int8
-        assert np.array_equal(narrow, kernel(t, np.int64)), kernel.__name__
+        assert np.array_equal(narrow, wide), kernel.__name__
+
+
+def _narrowest(bound):
+    return next(d for d in (np.int8, np.int16, np.int32) if np.iinfo(d).max >= bound)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 13, 14, 15, 16])
+def test_butterflies_take_the_narrowest_type_that_holds_their_bound(n):
+    # |Moebius| <= 2**(n-1), reached by parity's top coefficient, and
+    # |Walsh| <= 2**n, reached by the constants' coefficient at 0; one
+    # table (from its packed bytes), its 0/1 vector and a matrix column all
+    # give the oracles' values in the narrowest type that holds the bound
+    rng = np.random.default_rng(70 + n)
+    fs = [TruthTable(n, 0), TruthTable(n, table_mask(n)), parity(n),
+          TruthTable(n, parity(n).bits ^ table_mask(n)),
+          TruthTable(n, pack(rng.integers(0, 2, 2**n, dtype=np.uint8)))]
+    t = np.stack([f.to_array() for f in fs], axis=1)
+    # up to n = 8 every coefficient; above, the two ends and two seeded masks
+    masks = range(2**n) if n <= 8 else [0, 2**n - 1, *rng.integers(1, 2**n - 1, 2).tolist()]
+    kernels = ((_moebius_rows, naive_moebius_at, 2 ** (n - 1)), (_walsh_rows, naive_wht_at, 2**n))
+    for (kernel, oracle, bound), wide in zip(kernels, _int64_kernels(t)):
+        matrix = kernel(t)
+        assert matrix.dtype == _narrowest(bound) and np.array_equal(matrix, wide)
+        assert np.abs(wide).max() == bound
+        for r, f in enumerate(fs):
+            one, vector = kernel(f), kernel(f.to_array())
+            assert one.dtype == vector.dtype == matrix.dtype
+            assert np.array_equal(one, matrix[:, r]) and np.array_equal(vector, matrix[:, r])
+            assert [one.item(s) for s in masks] == [oracle(f, s) for s in masks], kernel.__name__
+
+
+@pytest.mark.parametrize("n, block_rows", [(16, 1), (19, None)], ids=["smallest", "default"])
+def test_int32_butterflies_run_their_narrow_levels_block_by_block(monkeypatch, n, block_rows):
+    # levels below 15 (Moebius) and 14 (Walsh) stay inside blocks of 2**15
+    # rows: in the smallest blocks that allows (2 and 4 of them at n = 16)
+    # and in the default ones (2 each at n = 19), one table (from
+    # its packed bytes), its 0/1 vector and a matrix column equal the int64
+    # butterflies
+    if block_rows is not None:
+        monkeypatch.setattr(spectral, "_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(90 + n)
+    fs = [TruthTable(n, 0), parity(n), TruthTable(n, pack(rng.integers(0, 2, 2**n, dtype=np.uint8)))]
+    t = np.stack([f.to_array() for f in fs], axis=1)
+    for kernel, wide in zip((_moebius_rows, _walsh_rows), _int64_kernels(t)):
+        matrix = kernel(t)
+        assert matrix.dtype == np.int32 and np.array_equal(matrix, wide), kernel.__name__
+        for r, f in enumerate(fs):
+            for one in (kernel(f), kernel(f.to_array())):
+                assert one.dtype == np.int32 and np.array_equal(one, matrix[:, r]), kernel.__name__
+
+
+def test_int32_butterflies_hold_no_whole_int16_copy():
+    # at n = 20 the kernels hold their int32 table, one block's int8 and
+    # int16 levels (3 bytes a row) and the packed bytes, where a whole int16
+    # copy beside the int32 table would add 2 bytes an entry
+    n = 20
+    f = TruthTable(n, pack(np.random.default_rng(91).integers(0, 2, 2**n, dtype=np.uint8)))
+    vector = f.to_array()
+    for kernel in (_moebius_rows, _walsh_rows):
+        for t in (f, vector):
+            tracemalloc.start()
+            try:
+                kernel(t)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * 2**n + 4 * spectral._BLOCK_ROWS + 2**n // 8, kernel.__name__
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+def test_residues_mod_2_equal_floor_mod_on_negative_entries(dtype):
+    # c & 1 is c mod 2 on two's complement, the type's minimum included
+    info = np.iinfo(dtype)
+    values = np.array([info.min, info.min + 1, -128, -7, -2, -1, 0, 1, 2, info.max], dtype=dtype)
+    got = _residues(values, 2)
+    assert got.dtype == dtype
+    assert got.tolist() == [v % 2 for v in values.tolist()]
 
 
 def test_sparsities_equal_count_nonzero_in_value_and_dtype():
     # the counts are summed in a narrow unsigned type and cast back to
     # count_nonzero's intp; NOR's 2**8 Moebius coefficients are all nonzero,
     # one more than a uint8 accumulator holds
-    nor = _moebius_rows(TruthTable(8, 1).to_array(), np.int64)
+    nor = _moebius_rows(TruthTable(8, 1)).astype(np.int64)
     assert np.count_nonzero(nor) == 256
     t = np.hstack([t for t, _ in _bulk._columns(4)])
     rng = np.random.default_rng(52)
-    cases = [nor, nor[:, None], _walsh_rows(t, np.int8), _moebius_rows(t, np.int8)]
+    cases = [nor, nor[:, None], _walsh_rows(t), _moebius_rows(t)]
     cases += [
         rng.integers(-2, 3, (2**k, 5)).astype(dtype)
         for k in (1, 6, 9)
