@@ -43,9 +43,10 @@ maximizer, and ``bs0`` and the families the entries at p_0 and at the
 maximizer's pattern; C is the max over x of C(p_x, 0); alt is the entry at
 p_0 and salt the min over the shifts b < 2**(n-1).  The kernels:
 
-* ``measures``: pointwise sensitivity; the minimal sensitive blocks and
-  the packer behind the bs table (below); the packed level sets of
-  alternation (``measures._alternation_at_shift``) at shift 0, behind the
+* ``measures``: s per column (``measures._column_sensitivity``); the
+  minimal sensitive blocks and the packer behind the bs table (below);
+  the packed level sets of alternation
+  (``measures._alternation_at_shift``) at shift 0, behind the
   alt table, which run on the lanes (``measures._shift_moves``), so each
   pass moves max(8, 2**n) bits per table; and the ternary subcube table
   behind certificate complexity and decision-tree depth, the one the
@@ -89,12 +90,12 @@ from ._bitops import table_mask, table_size, xor_shift
 from .measures import (
     _alternation_at_shift,
     _certificate_sizes,
+    _column_sensitivity,
     _depth_sweeps,
     _lane,
     _lex_min_family,
     _make_packer,
     _minimal_blocks,
-    _pointwise_sensitivity,
     _shift_moves,
     _subcube_fold,
 )
@@ -228,7 +229,7 @@ def measure_arrays(t: np.ndarray, lanes: np.ndarray, primes=(2, 3), needs=None) 
     bs_group = wants("bs", "bs0", "depends_on_all", "bs_argmax", "sherstov")
 
     if wants("s"):
-        out["s"] = _pointwise_sensitivity(t).max(axis=0).astype(np.int64)
+        out["s"] = _column_sensitivity(t)[1]
     if bs_group or wants("C", "alt", "salt"):
         pat = _patterns(lanes, n)
         if bs_group:

@@ -12,7 +12,6 @@ encoding, which makes every output deterministic and diffable.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -114,11 +113,6 @@ def _sensitive_mask(f: TruthTable, x: int) -> int:
     return sum(1 << i for i in range(f.n) if f.value_at(x ^ (1 << i)) != v)
 
 
-# The most plane bits that one unpack of ``_plane_sensitivity`` spreads to
-# bytes
-_UNPACK_BITS = 1 << 16
-
-
 def _direction_planes(table, n: int):
     """Yield the direction planes d_i = f XOR (f o e_i), i < n, one at a
     time: bit x of d_i says f(x) != f(x XOR e_i).  A Python int for one
@@ -130,44 +124,13 @@ def _direction_planes(table, n: int):
         yield table ^ xor_shift(table, n, i)
 
 
-def _plane_sensitivity(bits: int, n: int) -> np.ndarray:
-    """s(f,x) at every input x of one packed table, as (2**n,) int8: bit x
-    summed over the direction planes (``_direction_planes``).
-
-    The planes are unpacked to bytes and added into the counts, in blocks
-    of at most ``_UNPACK_BITS`` bits: a group of whole planes up to n = 16,
-    so up to n = 12 all of them in one block (a block pays about 4 numpy
-    calls), and above n = 16 one plane in slices.  So the call holds the
-    counts, the packed plane and one block, and no array of the level
-    passes' size: a larger block runs slower from n = 16 on and holds more.
-    """
-    size = table_size(n)
-    nbytes = max(1, size >> 3)
-    group = max(1, _UNPACK_BITS >> n)  # planes a block
-    width = min(nbytes, _UNPACK_BITS >> 3)  # bytes of each plane a block
-    planes = _direction_planes(bits, n)
-    counts = np.zeros(size, dtype=np.int8)
-    for _ in range(0, n, group):
-        raw = b"".join(d.to_bytes(nbytes, "little") for d in itertools.islice(planes, group))
-        raw = np.frombuffer(raw, dtype=np.uint8).reshape(-1, nbytes)
-        for lo in range(0, nbytes, width):
-            part = counts[8 * lo : 8 * (lo + width)]
-            rows = np.unpackbits(raw[:, lo : lo + width], axis=1, count=part.size,
-                                 bitorder="little").view(np.int8)
-            part += rows[0] if len(rows) == 1 else rows.sum(axis=0, dtype=np.int8)
-    return counts
-
-
-def _slice_sensitivity(bits: int, n: int) -> tuple[int, int]:
-    """s(f) and its smallest maximizing input, of one packed table, with no
-    per-point counts: bit j of s(f,x) at every x is one packed bit-slice.
+def _sensitivity_slices(bits: int, n: int) -> list[int]:
+    """s(f,x) at every input x of one packed table, as packed bit-slices:
+    bit x of slice j is bit j of s(f,x).  One table's sensitivity kernel.
 
     Each direction plane (``_direction_planes``) is added into the slices
     by a ripple carry that stops at the first slice it leaves no carry
-    from.  Then the inputs that can still reach the maximum are narrowed
-    from the top slice down: a slice with a set bit among them sets its bit
-    of s and keeps only those inputs, so the lowest input left is the
-    smallest maximizer."""
+    from, so no per-point array is made."""
     slices: list[int] = []
     for carry in _direction_planes(bits, n):
         for j, part in enumerate(slices):
@@ -177,6 +140,15 @@ def _slice_sensitivity(bits: int, n: int) -> tuple[int, int]:
         else:
             if carry:
                 slices.append(carry)
+    return slices
+
+
+def _slice_max(slices: list[int], n: int) -> tuple[int, int]:
+    """s(f) and its smallest maximizing input, from the bit-slices
+    (``_sensitivity_slices``): the inputs that can still reach the maximum
+    are narrowed from the top slice down; a slice with a set bit among them
+    sets its bit of s and keeps only those inputs, so the lowest input left
+    is the smallest maximizer."""
     s, best = 0, table_mask(n)
     for j in reversed(range(len(slices))):
         if best & slices[j]:
@@ -184,22 +156,31 @@ def _slice_sensitivity(bits: int, n: int) -> tuple[int, int]:
     return s, (best & -best).bit_length() - 1
 
 
+def _slice_at_zero(slices: list[int]) -> int:
+    """s(f,0), from bit 0 of each bit-slice (``_sensitivity_slices``)."""
+    return sum((part & 1) << j for j, part in enumerate(slices))
+
+
+def _slice_counts(slices: list[int], n: int) -> np.ndarray:
+    """s(f,x) at every input x, as (2**n,) int8, from the bit-slices
+    (``_sensitivity_slices``), unpacked one slice at a time: the bs bound
+    u(x) (``_sensitivity_bound``) reads them."""
+    size = table_size(n)
+    counts = np.zeros(size, dtype=np.int8)
+    for j, part in enumerate(slices):
+        raw = np.frombuffer(part.to_bytes(max(1, size >> 3), "little"), dtype=np.uint8)
+        bits = np.unpackbits(raw, count=size, bitorder="little").view(np.int8)
+        counts |= np.left_shift(bits, j, out=bits)
+        del bits  # freed before the next slice unpacks
+    return counts
+
+
 def _pointwise_sensitivity(tables: np.ndarray) -> np.ndarray:
     """Sensitivity at every input of every table of a (2**n, m) matrix, one
-    table per column, as int8 of its shape.
-
-    A one-column matrix (the m = 1 transform kernels' s(g)) is packed and
-    summed over its direction planes (``_plane_sensitivity``, which one
-    table's measures call directly).  Wider matrices run n level passes,
-    whose fixed cost the columns share: each level's halves are
-    ``level_views``, as in ``butterfly``, and a count rises where they
-    differ."""
+    table per column, as int8 of its shape, by n level passes, whose fixed
+    cost the columns share: each level's halves are ``level_views``, as in
+    ``butterfly``, and a count rises where they differ."""
     width = tables.shape[1]
-    if width == 1:
-        n = tables.shape[0].bit_length() - 1
-        # entries are 0 or 1, so packbits reads them with no masked copy
-        bits = int.from_bytes(np.packbits(tables, bitorder="little").tobytes(), "little")
-        return _plane_sensitivity(bits, n).reshape(tables.shape)
     counts = np.zeros(tables.shape, dtype=np.int8)
     for i in range(tables.shape[0].bit_length() - 1):
         run = width << i
@@ -207,6 +188,21 @@ def _pointwise_sensitivity(tables: np.ndarray) -> np.ndarray:
         for half in level_views(counts, 2, run):
             np.add(half, diff, out=half, order="C")
     return counts
+
+
+def _column_sensitivity(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s(g,0), s(g)) of every table g of a (2**n, m) matrix, one per
+    column, as two (m,) int64 arrays: one column from its packed
+    bit-slices, more from the level passes (``_pointwise_sensitivity``)."""
+    if tables.shape[1] == 1:
+        n = tables.shape[0].bit_length() - 1
+        # entries are 0 or 1, so packbits reads them with no masked copy
+        bits = int.from_bytes(np.packbits(tables, bitorder="little").tobytes(), "little")
+        slices = _sensitivity_slices(bits, n)
+        return (np.array([_slice_at_zero(slices)], dtype=np.int64),
+                np.array([_slice_max(slices, n)[0]], dtype=np.int64))
+    counts = _pointwise_sensitivity(tables)
+    return counts[0].astype(np.int64), counts.max(axis=0).astype(np.int64)
 
 
 def sensitivity(f: TruthTable, at: int | None = None, witness: bool = False):
@@ -326,7 +322,7 @@ def _bs_point(f: TruthTable, a: int, want_witness: bool):
 
 def _sensitivity_bound(s: np.ndarray) -> np.ndarray:
     """u(x) = s(f,x) + (n - s(f,x)) // 2, an upper bound on bs(f,x) at every x,
-    from the pointwise sensitivity ``s`` of one table (``_plane_sensitivity``)
+    from the pointwise sensitivity ``s`` of one table (``_slice_counts``)
     or of a (2**n, m) matrix (``_pointwise_sensitivity``).
 
     A maximum disjoint family of sensitive blocks stays one when each block
@@ -1344,11 +1340,9 @@ class _Measures:
 
     The owner keeps five things, each built on first use:
 
-    * s(f,x) at every input, from the packed table's n direction planes
-      (``_plane_sensitivity``, which makes them one at a time), built only
-      where bs runs: s reads it, and the bs search its bound u(x) on
-      bs(f,x) (``_sensitivity_bound``).  Where bs is skipped, s reads the
-      count's packed bit-slices (``_slice_sensitivity``) and keeps nothing;
+    * the bit-slices of s(f,x) at every input (``_sensitivity_slices``):
+      s reads their maximum, and the bs search unpacks them once, into
+      its bound u(x) on bs(f,x) (``_sensitivity_bound``);
     * the fold's ``val`` (``_subcube_fold``: 3**n states, n passes), read by
       C, by DT and by the bs search;
     * C(f,x) at every input (``_certificate_sizes``: n more passes and n
@@ -1396,7 +1390,7 @@ class _Measures:
     def __init__(self, f: TruthTable, limits: dict):
         self.f = f
         self.limits = limits
-        self._s: np.ndarray | None = None
+        self._slices: list[int] | None = None
         self._val: np.ndarray | None = None
         self._sizes: np.ndarray | None = None
         self._bs_argmax: int | None = None  # the bs search's best input
@@ -1424,10 +1418,10 @@ class _Measures:
         if skip is not None:
             raise skip
 
-    def _sensitivities(self) -> np.ndarray:
-        if self._s is None:
-            self._s = _plane_sensitivity(self.f.bits, self.f.n)
-        return self._s
+    def _sliced(self) -> list[int]:
+        if self._slices is None:
+            self._slices = _sensitivity_slices(self.f.bits, self.f.n)
+        return self._slices
 
     def _folded(self) -> np.ndarray:
         """The fold's val, shaped (3,) * n + (1,)."""
@@ -1454,16 +1448,10 @@ class _Measures:
     def sensitivity(self, witness: bool, at: int | None = None):
         """s, or s(f, at), with the point (the smallest maximizing input
         unpointed) and the mask of the coordinates sensitive there if
-        ``witness``.  One input reads its n neighbours, not the counts.
-        Where bs is skipped, no caller reads the counts, and s and its
-        point come from the count's bit-slices (``_slice_sensitivity``)."""
+        ``witness``.  Unpointed, s and its point are read off the kept
+        bit-slices (``_slice_max``); one input reads its n neighbours."""
         if at is None:
-            if self._s is None and self._skip("bs") is not None:
-                s, at = _slice_sensitivity(self.f.bits, self.f.n)
-            else:
-                counts = self._sensitivities()
-                at = int(np.argmax(counts))
-                s = int(counts[at])
+            s, at = _slice_max(self._sliced(), self.f.n)
             if not witness:
                 return s
         else:
@@ -1477,7 +1465,7 @@ class _Measures:
         self._check("bs", at)
         if at is None:
             if self._bs_argmax is None:
-                bound = _sensitivity_bound(self._sensitivities())
+                bound = _sensitivity_bound(_slice_counts(self._sliced(), f.n))
                 tighten = self._certificate_bound
                 if self._sizes is not None:
                     bound, tighten = tighten(bound), None

@@ -25,8 +25,8 @@ from .core import AffineMap, TruthTable, affine_images, tt_serialize
 from .measures import (
     BlockFamily,
     Chain,
+    _column_sensitivity,
     _lane,
-    _pointwise_sensitivity,
     alternation,
     block_sensitivity,
 )
@@ -233,13 +233,12 @@ def _alt2s_rows(tables, lanes, alt, chains) -> _Batch:
     # a linear map is invertible iff its image table is a permutation, that
     # is iff no x != 0 maps to A(0): A(x) == A(y) iff A(x ^ y) == A(0)
     invertible = (img[1:] != img[0]).all(axis=0)
-    s_pt = _pointwise_sensitivity(g)
-    sg0 = s_pt[0].astype(np.int64)
+    sg0, sg = _column_sensitivity(g)
     bound = 2 * sg0 + 1
     cert = {
         "alt": alt,
         "s_g_at_zero": sg0,
-        "s_g": s_pt.max(axis=0),
+        "s_g": sg,
         "bound": bound,
         "holds": alt <= bound,
         "invertible": invertible,
@@ -261,7 +260,7 @@ def _sherstov_rows(tables, lanes, z, blocks) -> _Batch:
     _place_on_low_bit(cols, ones)
     shifts = np.zeros(m, dtype=np.int64)
     _, g = _gather(tables, lanes, cols.T, shifts)
-    sg = _pointwise_sensitivity(g).max(axis=0).astype(np.int64)
+    sg = _column_sensitivity(g)[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = k / (sg * sg)
     cert = {

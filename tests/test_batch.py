@@ -27,8 +27,9 @@ from boolfn.measures import (
     _best_chains,
     _lane,
     _minimal_blocks,
-    _plane_sensitivity,
     _pointwise_sensitivity,
+    _sensitivity_slices,
+    _slice_counts,
     validate_chain,
 )
 from boolfn.spectral import _degrees, _moebius_rows, _sparsities, _walsh_rows
@@ -111,7 +112,7 @@ def test_batched_kernels_match_per_function_columns(n, m):
     for r, bits in enumerate(ids):
         f = TruthTable(n, bits)
         one = f.to_array()
-        assert sens[:, r].tolist() == _plane_sensitivity(bits, n).tolist()
+        assert sens[:, r].tolist() == _slice_counts(_sensitivity_slices(bits, n), n).tolist()
         assert moebius[:, r].tolist() == _moebius_rows(one).tolist()
         assert walsh[:, r].tolist() == _walsh_rows(one).tolist()
         assert degrees[r] == _degrees(_moebius_rows(one))

@@ -26,8 +26,9 @@ from boolfn.measures import (
     _best_first,
     _bs_point,
     _lane,
-    _plane_sensitivity,
     _sensitivity_bound,
+    _sensitivity_slices,
+    _slice_counts,
 )
 
 from oracles import naive_block_sensitivity, naive_lex_min_family, random_table, table_matrix
@@ -43,7 +44,7 @@ def _seeded(seed, arities, per):
 
 
 def _u(f):
-    return _sensitivity_bound(_plane_sensitivity(f.bits, f.n))
+    return _sensitivity_bound(_slice_counts(_sensitivity_slices(f.bits, f.n), f.n))
 
 
 def _best_first_logged(bound, values, tighten_to, after):

@@ -1,7 +1,8 @@
 """The sensitive-set kernels on packed bits against brute force: one
-table's pointwise sensitivity from its direction planes, s and its point
-from the bit-slices of those counts, and the minimal sensitive blocks of a
-packed set of blocks, as one int or as lanes."""
+table's sensitivity as the bit-slices of its direction planes' sum, and
+their readers (s and its point, s at 0, the per-point counts); a matrix's
+(s(g,0), s(g)) per column; and the minimal sensitive blocks of a packed set
+of blocks, as one int or as lanes."""
 
 import tracemalloc
 
@@ -14,13 +15,16 @@ from boolfn.families import maj, parity
 from boolfn.measures import (
     _lane,
     _Measures,
+    _column_sensitivity,
     _minimal_blocks,
-    _plane_sensitivity,
     _pointwise_sensitivity,
-    _slice_sensitivity,
+    _sensitivity_slices,
+    _slice_at_zero,
+    _slice_counts,
+    _slice_max,
 )
 
-from oracles import naive_sensitivity, random_table
+from oracles import naive_block_sensitivity, naive_sensitivity, random_table
 
 
 def _seeded_table(rng, n):
@@ -30,15 +34,19 @@ def _seeded_table(rng, n):
 
 def _assert_sensitivity(f):
     want = [naive_sensitivity(f, x) for x in range(2**f.n)]
-    counts = _plane_sensitivity(f.bits, f.n)
+    slices = _sensitivity_slices(f.bits, f.n)
+    counts = _slice_counts(slices, f.n)
     assert counts.dtype == np.int8 and counts.shape == (2**f.n,)
     assert counts.tolist() == want
-    # a one-column matrix runs the planes, and up to n = 8 a two-column one,
-    # the table twice, runs the level passes
+    assert _slice_max(slices, f.n) == (max(want), want.index(max(want)))
+    assert _slice_at_zero(slices) == want[0]
+    # a one-column matrix reads the slices, a two-column one, the table
+    # twice, the level passes (up to n = 8 here)
     t = f.to_array()[:, None]
-    column = _pointwise_sensitivity(t)
-    assert column.dtype == np.int8 and column.shape == (2**f.n, 1)
-    assert column[:, 0].tolist() == want
+    for m in (1, 2) if f.n <= 8 else (1,):
+        at_zero, top = _column_sensitivity(np.concatenate([t] * m, axis=1))
+        assert at_zero.dtype == top.dtype == np.int64
+        assert (at_zero.tolist(), top.tolist()) == ([want[0]] * m, [max(want)] * m)
     if f.n <= 8:
         levels = _pointwise_sensitivity(np.concatenate([t, t], axis=1))
         assert levels.dtype == np.int8 and levels.T.tolist() == [want, want]
@@ -52,8 +60,7 @@ def test_plane_sensitivity_matches_oracle_on_every_function_to_n3():
 
 @pytest.mark.parametrize("n", range(4, 17))
 def test_plane_sensitivity_matches_oracle_on_seeded_tables(n):
-    # from n = 13 the planes unpack in groups of fewer than n, from n = 16
-    # one at a time
+    # these tables' counts take 2 bit-slices at n = 4, 3 or 4 above
     rng = np.random.default_rng(450 + n)
     for _ in range(3 if n <= 10 else 1):
         _assert_sensitivity(_seeded_table(rng, n))
@@ -65,26 +72,34 @@ def test_plane_sensitivity_equals_the_level_passes_at_large_arity(n):
     f = _seeded_table(np.random.default_rng(n), n)
     t = f.to_array()
     levels = _pointwise_sensitivity(np.stack([t, t], axis=1))
-    assert np.array_equal(_plane_sensitivity(f.bits, n), levels[:, 0])
+    slices = _sensitivity_slices(f.bits, n)
+    assert np.array_equal(_slice_counts(slices, n), levels[:, 0])
     assert np.array_equal(levels[:, 0], levels[:, 1])
+    top = int(levels[:, 0].max())
+    assert _slice_max(slices, n) == (top, int(np.argmax(levels[:, 0])))
+    assert _slice_at_zero(slices) == int(levels[0, 0])
+    assert [a.tolist() for a in _column_sensitivity(t[:, None])] == [[levels[0, 0]], [top]]
 
 
 def test_sensitivity_peak_memory_at_n20():
-    # the counts and one unpacked plane at a time where bs runs, or the
-    # count's five bit-slices where it is skipped; the first call builds the
-    # cached low-half masks of arity 20 (``_bitops.low_half_mask``), which
-    # every packed kernel of that arity shares, so the second is traced
+    # s reads the count's five bit-slices under any bs limit, and the bs
+    # bound unpacks them into the counts one slice at a time; the first call
+    # builds the cached low-half masks of arity 20 (``_bitops.low_half_mask``),
+    # which every packed kernel of that arity shares, so the second is traced
     n = 20
     f = _seeded_table(np.random.default_rng(20), n)
     want = sensitivity(f, witness=True)
     for limits in ({}, {"bs": n}):
+        owner = _Measures(f, limits)
         tracemalloc.start()
         try:
-            got = _Measures(f, limits).sensitivity(True)
+            got = owner.sensitivity(True)
+            counts = _slice_counts(owner._sliced(), n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert got == want
+        assert got[0] == counts.max() and got[1][0] == int(np.argmax(counts))
         assert peak <= 3 * 2**n
 
 
@@ -100,33 +115,60 @@ def _slice_cases(n, rng):
 
 @pytest.mark.parametrize("n", [15, 16, 17, 18])
 def test_slice_sensitivity_equals_the_counts(n):
+    # the narrowing and bit 0 of the slices against the level passes on the
+    # table twice, which share no code with the slices
     for bits in _slice_cases(n, np.random.default_rng(480 + n)):
-        counts = _plane_sensitivity(bits, n)
+        t = TruthTable(n, bits).to_array()
+        counts = _pointwise_sensitivity(np.stack([t, t], axis=1))[:, 0]
         at = int(np.argmax(counts))
-        assert _slice_sensitivity(bits, n) == (int(counts[at]), at)
+        slices = _sensitivity_slices(bits, n)
+        assert _slice_max(slices, n) == (int(counts[at]), at)
+        assert _slice_at_zero(slices) == int(counts[0])
+        assert np.array_equal(_slice_counts(slices, n), counts)
 
 
 def test_slice_sensitivity_on_every_function_to_n3():
     for n in range(4):
         for bits in range(2 ** (2**n)):
             counts = [naive_sensitivity(TruthTable(n, bits), x) for x in range(2**n)]
-            assert _slice_sensitivity(bits, n) == (max(counts), counts.index(max(counts)))
+            slices = _sensitivity_slices(bits, n)
+            assert _slice_max(slices, n) == (max(counts), counts.index(max(counts)))
+            assert _slice_at_zero(slices) == counts[0]
 
 
-def test_owner_reads_the_slices_only_where_bs_is_skipped(monkeypatch):
-    # at n = 15, above the bs ceiling, s and its witness come from the
-    # slices; under a bs limit of 15 the owner builds the counts, which the
-    # bs search reads, and both give the same value and point
+def test_owner_builds_the_counts_only_for_the_bs_search(monkeypatch):
+    # unpointed s, with and without its witness, reads the slices' maximum
+    # and unpacks no counts, under any bs limit; the bs search unpacks them
+    # once per owner, however often bs and s are read
     n = 15
     fs = [TruthTable(n, bits) for bits in _slice_cases(n, np.random.default_rng(495))]
-    counted = [_Measures(f, {"bs": n}).sensitivity(True) for f in fs]
+    want = []
+    for f in fs:
+        t = f.to_array()
+        counts = _pointwise_sensitivity(np.stack([t, t], axis=1))[:, 0]
+        at = int(np.argmax(counts))
+        want.append((int(counts[at]), (at, measures._sensitive_mask(f, at))))
+    unpacked, slice_counts = [], measures._slice_counts
 
-    def no_counts(*args):
-        raise AssertionError("the counts were built where bs is skipped")
+    def no_counts(slices, n):
+        raise AssertionError("s unpacked the per-point counts")
 
-    monkeypatch.setattr(measures, "_plane_sensitivity", no_counts)
-    assert [sensitivity(f, witness=True) for f in fs] == counted
-    assert [sensitivity(f) for f in fs] == [value for value, _ in counted]
+    monkeypatch.setattr(measures, "_slice_counts", no_counts)
+    assert [sensitivity(f, witness=True) for f in fs] == want
+    assert [sensitivity(f) for f in fs] == [value for value, _ in want]
+    for limits in ({}, {"bs": 4}, {"bs": n}):
+        for f, expect in zip(fs, want):
+            owner = _Measures(f, limits)
+            assert (owner.sensitivity(False), owner.sensitivity(True)) == (expect[0], expect)
+    monkeypatch.setattr(measures, "_slice_counts",
+                        lambda slices, n: unpacked.append(1) or slice_counts(slices, n))
+    for bits in _slice_cases(5, np.random.default_rng(496)):
+        f = TruthTable(5, bits)
+        owner, before = _Measures(f, {}), len(unpacked)
+        bs = owner.block_sensitivity(False)
+        assert owner.sensitivity(False) == naive_sensitivity(f)
+        assert owner.block_sensitivity(True)[0] == bs == naive_block_sensitivity(f)
+        assert len(unpacked) - before == 1
 
 
 def _naive_minimal(sens):

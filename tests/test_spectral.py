@@ -26,7 +26,7 @@ from boolfn._bitops import MAX_ARITY, SHORT_RUN, butterfly, level_views, pack, t
 from boolfn._bulk import measure_arrays
 from boolfn.core import _xor
 from boolfn.families import and_, maj, parity
-from boolfn.measures import _plane_sensitivity, _pointwise_sensitivity
+from boolfn.measures import _pointwise_sensitivity, _sensitivity_slices, _slice_counts
 from boolfn.spectral import (
     _difference,
     _moebius_rows,
@@ -239,8 +239,9 @@ def test_pointwise_sensitivity_matches_oracle_on_both_sides_of_the_short_run_rul
     for t, fs in _short_run_cases():
         expect = [[naive_sensitivity(f, x) for x in range(2**f.n)] for f in fs]
         if t.ndim == 1:
-            # one table: its planes, and the level passes on it twice
-            assert [_plane_sensitivity(fs[0].bits, fs[0].n).tolist()] == expect
+            # one table: its slices' counts, and the level passes on it twice
+            f = fs[0]
+            assert [_slice_counts(_sensitivity_slices(f.bits, f.n), f.n).tolist()] == expect
             t, expect = np.stack([t, t], axis=1), expect * 2
         counts = _pointwise_sensitivity(t)
         assert counts.dtype == np.int8 and counts.shape == t.shape

@@ -10,12 +10,20 @@ from boolfn import (
     block_sensitivity,
     bs_to_s_affine,
     is_invertible,
+    measures,
     sensitivity,
     sherstov_linear,
     sparsity,
     tt_parse,
 )
 from boolfn.families import and_, or_, parity, rubinstein, tree_function
+from boolfn.transforms import (
+    _alt2s_from_chain,
+    _alt2s_rows,
+    _block_rows,
+    _sherstov_from_family,
+    _sherstov_rows,
+)
 
 from oracles import (
     naive_alt2s,
@@ -323,3 +331,30 @@ def test_transforms_match_oracles_above_n6():
                                   naive_bs2s(f, point, blocks, placement))
         _assert_transform(alt_to_s_linear(f), naive_alt2s(f, alternation(f, witness=True)[1].points))
         _assert_transform(sherstov_linear(f), naive_sherstov(f, fam.point, fam.blocks))
+
+
+def test_one_column_transforms_read_s_off_the_slices(monkeypatch):
+    # a one-function transform reads s(g,0) and s(g) off g's bit-slices and
+    # builds no per-point counts; a two-column matrix holding f twice runs
+    # the level passes, and both give the same values
+    rng = np.random.default_rng(490)
+    fs = [TruthTable(n, random_table(rng, n)) for n in range(10, 17)] + [tree_function(4)]
+    cases = [(f, *alternation(f, witness=True), block_sensitivity(f, witness=True, limit=f.n)[1])
+             for f in fs]
+
+    def no_counts(*args):
+        raise AssertionError("a one-column transform built per-point counts")
+
+    for f, alt, chain, fam in cases:
+        t = np.concatenate([f.to_array()[:, None]] * 2, axis=1)
+        blocks = np.repeat(_block_rows(f.n, fam.blocks), 2, axis=0)
+        twice = [_alt2s_rows(t, None, np.array([alt] * 2), np.array([chain.points] * 2)).cert,
+                 _sherstov_rows(t, None, np.array([fam.point] * 2), blocks).cert]
+        with monkeypatch.context() as m:
+            m.setattr(measures, "_pointwise_sensitivity", no_counts)
+            m.setattr(measures, "_slice_counts", no_counts)
+            one = [_alt2s_from_chain(f, alt, chain).certificate,
+                   _sherstov_from_family(f, fam).certificate]
+        for key in ("s_g_at_zero", "s_g"):
+            assert [one[0][key]] * 2 == twice[0][key].tolist(), (f.n, key)
+        assert [one[1]["s_g"]] * 2 == twice[1]["s_g"].tolist(), f.n
