@@ -45,14 +45,19 @@ def xor_shift(table: int, n: int, i: int) -> int:
     return ((table & m0) << s) | ((table >> s) & m0)
 
 
+def set_bits(x: int):
+    """Yield the positions of the set bits of the int x >= 0, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def xor_shuffle(table: int, n: int, b: int) -> int:
     """Reindex a packed table by x -> x XOR b."""
-    t = table
-    while b:
-        i = (b & -b).bit_length() - 1
-        t = xor_shift(t, n, i)
-        b &= b - 1
-    return t
+    for i in set_bits(b):
+        table = xor_shift(table, n, i)
+    return table
 
 
 def unpack(table: int, n: int) -> np.ndarray:
@@ -140,11 +145,4 @@ def point_from_str(s: str) -> tuple[int, int]:
 
 def mask_indices(mask: int) -> tuple[int, ...]:
     """Bitmask -> sorted 1-based variable indices (for reports and JSON)."""
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    return tuple(i + 1 for i in set_bits(mask))

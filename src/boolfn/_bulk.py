@@ -3,27 +3,28 @@
 The exhaustive verification suites need all measures of all 2**(2**n)
 functions for n <= 4.  Calling the per-function API that many times would
 dominate the runtime, so this module computes the same quantities with the
-function axis vectorized: tables become the columns of one (2**n, m)
-matrix, the function axis innermost and contiguous, and each measure is a
-kernel of a handful of numpy passes over whole rows of m entries, indexed
-by input.  This matrix is the one batch type: every batched kernel in
-``measures``, ``spectral`` and ``transforms`` takes it, and so does
-``measure_arrays``; a per-function call passes one table, or one column,
-through the same code.  Per-function records (block families, map columns,
-chains) stay one row per function, as ``measure_arrays`` returns them.
+function axis vectorized.  A batch of functions is its lanes: one element
+of max(8, 2**n) bits per function (``measures._lane``), bit x holding the
+value at input x, which is the function's packed table and so its id.
+Every batch entry point, ``measure_arrays`` and, up to n = 6, the
+transform kernels of ``transforms``, takes the lanes alone.  A kernel that reads table entries
+by input gets the (2**n, m) table matrix from them (``_table_matrix``):
+row x holds every function's value at input x, the function axis
+innermost and contiguous, and each such kernel is a handful of numpy
+passes over whole rows of m entries.  ``measure_arrays`` builds that
+matrix once for all its kernels; a per-function call passes one table, or
+one column, through the same code.  Per-function records (block families,
+map columns, chains) stay one row per function, as ``measure_arrays``
+returns them.
 
-A function id is its packed table, so the ids of a slice are already its
-lanes: one element of max(8, 2**n) bits per table (``measures._lane``), bit
-x holding the value at input x.  Function ids live only in ``_columns`` and
-in the callers' reports: the one column source, which walks the ids in
-fixed slices (``_SLICE`` ids each: n <= 3 is one slice, n = 4 is four) and
-yields each slice's lanes, the ids themselves, with the table matrix read
-off them.  Callers pass both to ``measure_arrays`` and the transform
-kernels, which bounds the memory of every kernel, the subcube table
-included.  A caller that reads only some measures names them in ``needs``,
-and only the kernels they read run: ``extremal_search`` passes its
-statistic's, so ranking by salt/s runs the s kernel and reads the alt table
-alone, while the scan reads every measure.
+Function ids live only in ``_columns`` and in the callers' reports:
+the one column source, which walks the ids in fixed slices (``_SLICE``
+ids each: n <= 3 is one slice, n = 4 is four) and yields each slice's
+lanes, the ids themselves.  That bounds the memory of every kernel, the
+subcube table included.  A caller that reads only some measures names
+them in ``needs``, and only the kernels they read run: ``extremal_search``
+passes its statistic's, so ranking by salt/s runs the s kernel and reads
+the alt table alone, while the scan reads every measure.
 
 bs, C and alt are read from tables over flip patterns.  A shift by x
 carries every pointwise measure at x to the input 0: with p_x(y) =
@@ -86,7 +87,7 @@ import functools
 
 import numpy as np
 
-from ._bitops import table_mask, table_size, xor_shift
+from ._bitops import set_bits, table_mask, table_size, xor_shift
 from .measures import (
     _alternation_at_shift,
     _certificate_sizes,
@@ -106,27 +107,31 @@ _SLICE = 16384  # function ids per slice
 
 
 def _columns(n: int, step: int = 1):
-    """Yield (t, lanes) for the function ids 0, step, 2 * step, ... of arity
+    """Yield the lanes of the function ids 0, step, 2 * step, ... of arity
     n, one slice of ``_SLICE`` ids at a time, ascending.  An id is its
-    packed table, so ``lanes``, of the lane type (``measures._lane``), whose
-    shifts are the cheapest, is the slice's ids, and t is the (2**n, m)
-    table matrix read off them: row x holds every function's value at
-    input x, column r the table of id ``lanes[r]``."""
+    packed table, so a slice's lanes, of the lane type (``measures._lane``),
+    whose shifts are the cheapest, are its ids."""
     lane = _lane(n)
     total = 1 << table_size(n)
-    points = np.arange(table_size(n), dtype=lane)[:, None]
     for lo in range(0, total, _SLICE):
-        lanes = np.arange(lo, min(lo + _SLICE, total), step, dtype=lane)
-        yield ((lanes >> points) & 1).astype(np.uint8), lanes
+        yield np.arange(lo, min(lo + _SLICE, total), step, dtype=lane)
+
+
+def _table_matrix(lanes: np.ndarray, n: int) -> np.ndarray:
+    """The (2**n, m) uint8 table matrix of the (m,) lanes of arity n: row x
+    holds every function's value at input x, column r the table packed in
+    ``lanes[r]``."""
+    points = np.arange(table_size(n), dtype=lanes.dtype)[:, None]
+    return ((lanes >> points) & 1).astype(np.uint8)
 
 
 def _pattern_table(n: int, kernel) -> np.ndarray:
-    """``kernel(t, lanes)`` on the flip patterns of arity n, read-only: its
-    results on the columns of the patterns in each slice of ``_columns``,
+    """``kernel(lanes)`` on the flip patterns of arity n, read-only: its
+    results on the lanes of the patterns in each slice of ``_columns``,
     joined along their first axis.  Pattern r is the function whose table
     is 2r, the even ids, whose value at 0 is 0; a slice's even ids keep the
     kernels' arrays to half those of a slice."""
-    table = np.concatenate([kernel(t, lanes) for t, lanes in _columns(n, 2)])
+    table = np.concatenate([kernel(lanes) for lanes in _columns(n, 2)])
     table.flags.writeable = False
     return table
 
@@ -140,15 +145,14 @@ def _bs_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     p(0) = 0, so the sensitive blocks of p at 0 are its ones, and the
     minimal blocks of its lane are the key of its family.  Each distinct
     key not met in an earlier slice is packed once."""
-    size = table_size(n)
     families: dict[int, tuple[int, ...]] = {}
 
-    def kernel(t: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    def kernel(lanes: np.ndarray) -> np.ndarray:
         keys, inverse = np.unique(_minimal_blocks(lanes, n), return_inverse=True)
-        rows = np.zeros((keys.size, n), dtype=np.min_scalar_type(size - 1))
+        rows = np.zeros((keys.size, n), dtype=np.min_scalar_type(table_size(n) - 1))
         for row, key in zip(rows, keys.tolist()):
             if key not in families:
-                cands = [b for b in range(size) if key >> b & 1]
+                cands = list(set_bits(key))
                 families[key] = _lex_min_family(cands, n, _make_packer(cands))
             row[: len(families[key])] = families[key]
         return rows[inverse]
@@ -162,8 +166,10 @@ def _bs_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 @functools.cache
 def _cert_table(n: int) -> np.ndarray:
     """C(p, 0) of every flip pattern p of arity n, as uint8: the certificate
-    sizes of the fold at point 0 (``measures._certificate_sizes``)."""
-    return _pattern_table(n, lambda t, lanes: _certificate_sizes(_subcube_fold(t))[0])
+    sizes of the fold at point 0 (``measures._certificate_sizes``) of the
+    patterns' table matrix."""
+    return _pattern_table(
+        n, lambda lanes: _certificate_sizes(_subcube_fold(_table_matrix(lanes, n)))[0])
 
 
 @functools.cache
@@ -171,7 +177,7 @@ def _alt_table(n: int) -> np.ndarray:
     """alt(p) of every flip pattern p of arity n, as uint8: the level sets at
     shift 0 (``measures._alternation_at_shift``, an int at n = 0) on the
     patterns' lanes."""
-    return _pattern_table(n, lambda t, lanes: np.broadcast_to(
+    return _pattern_table(n, lambda lanes: np.broadcast_to(
         _alternation_at_shift(*_shift_moves(lanes, n), 0, n), lanes.shape).astype(np.uint8))
 
 
@@ -191,14 +197,16 @@ def _patterns(lanes: np.ndarray, n: int) -> np.ndarray:
     return ((rows ^ (rows & 1) * table_mask(n)) >> 1).astype(np.intp)
 
 
-def measure_arrays(t: np.ndarray, lanes: np.ndarray, primes=(2, 3), needs=None) -> dict:
-    """Every scalar measure of each column of the (2**n, m) table matrix t,
-    as 1-D arrays of m entries; ``lanes`` holds the same tables, one
-    ``measures._lane(n)`` element each, bit x holding row x, which the
-    caller passes on to the transform kernels too.
+def measure_arrays(lanes: np.ndarray, n: int, primes=(2, 3), needs=None) -> dict:
+    """Every scalar measure of each function of arity n packed in the (m,)
+    lanes, one ``measures._lane(n)`` element each, bit x holding its value
+    at input x, as 1-D arrays of m entries.
 
-    All columns are measured at once, so callers pass one slice of
-    ``_columns``, or any other columns of at most that many.
+    All functions are measured at once, so callers pass one slice of
+    ``_columns``, or any other lanes of at most that many.  The kernels
+    that read table entries (s, the degrees, sparsity and the DT fold)
+    share one (2**n, m) table matrix, built from the lanes once
+    (``_table_matrix``).
 
     Also returns the smallest bs maximizer (``bs_argmax``) and the
     lexicographically smallest maximum block families at the all-zero input
@@ -217,16 +225,16 @@ def measure_arrays(t: np.ndarray, lanes: np.ndarray, primes=(2, 3), needs=None) 
     their first read and read through the pattern ids (``_patterns``).
     ``None`` runs every group.  Each value returned is the full call's.
     """
-    n = t.shape[0].bit_length() - 1
     if n > MAX_BULK_ARITY:
         raise ValueError(f"bulk engine supports arity <= {MAX_BULK_ARITY}")
 
     def wants(*names) -> bool:
         return needs is None or any(name in needs for name in names)
 
-    size, m = t.shape
+    size, m = table_size(n), lanes.size
     out: dict = {}
     bs_group = wants("bs", "bs0", "depends_on_all", "bs_argmax", "sherstov")
+    t = _table_matrix(lanes, n)
 
     if wants("s"):
         out["s"] = _column_sensitivity(t)[1]

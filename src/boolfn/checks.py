@@ -44,7 +44,7 @@ import numpy as np
 
 from . import _bulk
 from ._bitops import pack, point_to_str, table_mask, table_size, unpack
-from .commlb import _check_submatrix_rows, _submatrix_from_family
+from .commlb import _check_submatrix_rows, _submatrix_from_family, _w_points
 from .core import TruthTable, _check_arity, is_invertible, tt_parse, tt_serialize
 from .families import and_, gip, maj, or_compose, parity, rubinstein, rubinstein_row, tree_function
 from .measures import (
@@ -433,10 +433,9 @@ _SUBMATRIX_MAX_ARITY = 3
 _MAX_FINDINGS = 20
 
 
-def _scan_slice(t: np.ndarray, lanes: np.ndarray, primes: tuple, tally: dict) -> None:
-    """Every check on one slice of ``_bulk._columns``: the (2**n, m) table
-    matrix t and its lanes, which are the function ids, added into the
-    scan's running ``tally``.
+def _scan_slice(lanes: np.ndarray, n: int, primes: tuple, tally: dict) -> None:
+    """Every check on one slice of ``_bulk._columns``: the lanes of arity n,
+    which are the function ids, added into the scan's running ``tally``.
 
     The tally maps each check's name (``"checks"``) to its statement, its
     counts, its tightest (margin, id) and its smallest failing id, and each
@@ -448,16 +447,18 @@ def _scan_slice(t: np.ndarray, lanes: np.ndarray, primes: tuple, tally: dict) ->
 
     The slice is measured once (``_bulk.measure_arrays``), and every
     transform of the slice is built at once by the batch kernels of
-    ``transforms``, whose tables g(x) = f(A(x)) are read off the slice's
-    lanes (``transforms._gather``).  The alternation chains are walked on
-    the same lanes (``measures._best_chains``, as for one function), and f
-    is read along each chain off them, by elementwise shifts with no index
-    arithmetic.  The sparsity kernel runs again, in int8, on the chain
+    ``transforms``, which take the same lanes and read the tables
+    g(x) = f(A(x)) off them (``transforms._gather``).  The alternation
+    chains are walked on the same lanes (``measures._best_chains``, as for
+    one function), and f is read along each chain off them, by elementwise
+    shifts with no index arithmetic.  The sparsity kernel runs again, in int8, on the chain
     maps' tables g.  The batch certificates join the measure arrays, and
     one loop over the rows of ``_INEQUALITIES`` checks them all; a row
     whose hypothesis holds on the whole slice reads its margins unmasked.
     At n <= 3 the kernel of ``commlb.submatrix_witness`` checks every
-    function's submatrix identity on its family at 0.
+    function's submatrix identity on all of W x W for its family at 0, on
+    the slice's table matrix (``_bulk._table_matrix``), the one place the
+    scan unpacks the lanes itself.
 
     On a deterministic subsample, the arrays, the transforms built from the
     families and the submatrix certificates are cross-checked against the
@@ -472,8 +473,7 @@ def _scan_slice(t: np.ndarray, lanes: np.ndarray, primes: tuple, tally: dict) ->
     two outputs of one converter; the independent check of every map and
     certificate field is the tests' comparison with the transform oracles.
     """
-    n = t.shape[0].bit_length() - 1
-    a = _bulk.measure_arrays(t, lanes, primes)
+    a = _bulk.measure_arrays(lanes, n, primes)
     a["n"] = n
     # int64, so that a row's arithmetic on the ids cannot wrap
     a["ids"] = ids = lanes.astype(np.int64)
@@ -483,10 +483,10 @@ def _scan_slice(t: np.ndarray, lanes: np.ndarray, primes: tuple, tally: dict) ->
     # the transform constructions, batched over the function axis
     zeros = np.zeros(m, dtype=np.int64)
     batches = {
-        "bs2s0": _bs2s_rows(t, lanes, zeros, a["fam0"], "block-index"),
-        "bs2s": _bs2s_rows(t, lanes, a["bs_argmax"], a["fam_argmax"], "block-index"),
-        "alt2s": _alt2s_rows(t, lanes, *_best_chains(lanes, n)),
-        "sherstov": _sherstov_rows(t, lanes, a["bs_argmax"], a["fam_argmax"]),
+        "bs2s0": _bs2s_rows(lanes, zeros, a["fam0"], "block-index"),
+        "bs2s": _bs2s_rows(lanes, a["bs_argmax"], a["fam_argmax"], "block-index"),
+        "alt2s": _alt2s_rows(lanes, *_best_chains(lanes, n)),
+        "sherstov": _sherstov_rows(lanes, a["bs_argmax"], a["fam_argmax"]),
     }
     a.update({k: batch.cert for k, batch in batches.items()})
     a["sparsity_g"] = _sparsities(_walsh_rows(batches["alt2s"].g))
@@ -533,8 +533,10 @@ def _scan_slice(t: np.ndarray, lanes: np.ndarray, primes: tuple, tally: dict) ->
         for r in np.flatnonzero(~c["factor4_holds"])[:_MAX_FINDINGS]]
     if n <= _SUBMATRIX_MAX_ARITY:
         # the certificate of submatrix_witness for every function at once
-        sub = _bs2s_rows(t, lanes, zeros, a["fam0"], "min-in-block")
-        w = _check_submatrix_rows(t, sub.g, a["fam0"])  # raises VerificationError on any mismatch
+        sub = _bs2s_rows(lanes, zeros, a["fam0"], "min-in-block")
+        w = _w_points(a["fam0"])
+        # raises VerificationError on any mismatch
+        _check_submatrix_rows(_bulk._table_matrix(lanes, n), sub.g, w[:, :, None], w[:, None, :])
         count("submatrix_identity", "f(u&y) == g(u&y) on W x W", m)
 
     # cross-check the batched rows against the per-function API on the ids
@@ -584,11 +586,12 @@ def exhaustive_scan(n: int, primes=(2, 3)) -> CheckReport:
 
     One pass walks the function ids in the fixed slices of
     ``_bulk._columns`` (n <= 3 is one slice), in id order, and
-    ``_scan_slice`` adds each slice into one running tally.  On each slice,
-    measure values come from the array engine, and the transform
-    constructions from their batch kernels, which build the map and
-    tabulate g for every single function; the rows of ``_INEQUALITIES``
-    check every bound and every construction's certificate on them.  At
+    ``_scan_slice`` adds each slice, given by its lanes alone, into one
+    running tally.  On each slice, measure values come from the array
+    engine, and the transform constructions from their batch kernels, which
+    build the map and tabulate g for every single function; the rows of
+    ``_INEQUALITIES`` check every bound and every construction's
+    certificate on them.  At
     n <= ``_SUBMATRIX_MAX_ARITY`` every function's submatrix identity is
     checked in one batched pass of the kernel behind
     ``submatrix_witness``, which raises its ``VerificationError`` for the
@@ -608,8 +611,8 @@ def exhaustive_scan(n: int, primes=(2, 3)) -> CheckReport:
         raise ValueError(f"exhaustive scan supports 0 <= n <= {_bulk.MAX_BULK_ARITY}")
     _check_primes(primes)
     tally: dict = {"checks": {}, "extremal": {}, "findings": []}
-    for t, lanes in _bulk._columns(n):
-        _scan_slice(t, lanes, tuple(primes), tally)
+    for lanes in _bulk._columns(n):
+        _scan_slice(lanes, n, tuple(primes), tally)
 
     def name_of(fid: int) -> str:
         return tt_serialize(TruthTable(n, fid))
@@ -739,8 +742,6 @@ def family_suite(include_long: bool = False, seed: int = 1) -> CheckReport:
     bad = 0
     for _ in range(_OR_TUPLES):
         fs = _random_zero_ended_tuple(rng)
-        if not fs:
-            continue
         lhs = alternation(or_compose(fs))
         rhs = sum(alternation(g) for g in fs)
         if lhs != rhs:
@@ -807,10 +808,10 @@ def _exhaustive_values(n: int, row: _Statistic) -> np.ndarray:
     """The row's value on every function of arity n <= 4, indexed by id,
     -inf where undefined (``_statistic_array``)."""
     parts = []
-    for t, lanes in _bulk._columns(n):
-        a = _bulk.measure_arrays(t, lanes, needs=row.needs)
+    for lanes in _bulk._columns(n):
+        a = _bulk.measure_arrays(lanes, n, needs=row.needs)
         if "sherstov" in row.needs:
-            a["sherstov"] = _sherstov_rows(t, lanes, a["bs_argmax"], a["fam_argmax"]).cert
+            a["sherstov"] = _sherstov_rows(lanes, a["bs_argmax"], a["fam_argmax"]).cert
         parts.append(_statistic_array(row, a))
     return np.concatenate(parts)
 

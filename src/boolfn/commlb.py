@@ -166,24 +166,28 @@ def _identity_error(f: TruthTable, g: TruthTable, u: int, y: int) -> Verificatio
     )
 
 
-def _check_submatrix_rows(tables: np.ndarray, g: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """The identity f(u AND y) = g(u AND y) on all of W x W, for every
-    function of a (2**n, m) table matrix, with the tables of g in the same
-    layout and the (m, k) block rows of ``_w_points``; returns W.
+def _check_submatrix_rows(tables: np.ndarray, g: np.ndarray, us: np.ndarray,
+                          ys: np.ndarray) -> None:
+    """The identity f(u AND y) = g(u AND y) at the given pairs (u, y), for
+    every function of a (2**n, m) table matrix, with the tables of g in the
+    same layout.  ``us`` and ``ys`` broadcast to one array whose first axis
+    is the m functions and whose other axes hold each function's pairs: all
+    of W x W (``_w_points``) as (m, |W|, 1) and (m, 1, |W|), or draws as
+    (m, draws).
 
     A failure raises ``VerificationError`` for the first failing column, at
-    its first failing (u, y) with u, then y, ascending.
+    its first failing pair in that array's order: u, then y, ascending on
+    W x W, or draw order.
     """
-    w = _w_points(blocks)
-    meet = w[:, :, None] & w[:, None, :]
-    cols = np.arange(w.shape[0])[:, None, None]
+    meet = us & ys
+    cols = np.arange(tables.shape[1]).reshape((-1,) + (1,) * (meet.ndim - 1))
     bad = np.argwhere(tables[meet, cols] != g[meet, cols])
     if bad.size:
-        r, i, j = bad[0]
+        at = tuple(bad[0])
         n = tables.shape[0].bit_length() - 1
-        f_r, g_r = (TruthTable(n, pack(a[:, r])) for a in (tables, g))
-        raise _identity_error(f_r, g_r, int(w[r, i]), int(w[r, j]))
-    return w
+        f_r, g_r = (TruthTable(n, pack(a[:, at[0]])) for a in (tables, g))
+        u, y = (int(np.broadcast_to(p, meet.shape)[at]) for p in (us, ys))
+        raise _identity_error(f_r, g_r, u, y)
 
 
 def submatrix_witness(
@@ -200,8 +204,9 @@ def submatrix_witness(
     when W x W has at most ``_FULL_PAIR_BUDGET`` pairs, at any arity, by
     seeded sampling otherwise); a failure is an implementation bug, not a
     finding, and raises ``VerificationError``.
-    The exhaustive check is ``_check_submatrix_rows`` on one function, the
-    kernel the exhaustive scan runs on every function of a slice at once.
+    Both modes are ``_check_submatrix_rows`` on one function, given its
+    pairs, the kernel the exhaustive scan runs on all of W x W for every
+    function of a slice at once.
     """
     _, fam = block_sensitivity(f, at=0, witness=True, limit=limit)
     return _submatrix_from_family(f, fam, seed)
@@ -214,32 +219,24 @@ def _submatrix_from_family(f: TruthTable, fam: BlockFamily, seed: int = 0) -> Lo
     blocks = transform.certificate["blocks"]
     k = transform.certificate["block_sensitivity"]
     g = transform.g
-    block_row = np.array(blocks, dtype=np.int64).reshape(1, k)
-
+    w = _w_points(np.array(blocks, dtype=np.int64).reshape(1, k))
     if 4**k <= _FULL_PAIR_BUDGET:
-        mode = "exhaustive"
-        w = _check_submatrix_rows(f.to_array()[:, None], g.to_array()[:, None], block_row)[0]
-        pairs = w.size * w.size
+        mode, us, ys = "exhaustive", w[:, :, None], w[:, None, :]
     else:
         mode = "sampled"
-        w = _w_points(block_row)[0]
         rng = np.random.default_rng(seed)
-        us = w[rng.integers(0, w.size, _SAMPLE_PAIRS)]
-        ys = w[rng.integers(0, w.size, _SAMPLE_PAIRS)]
-        meet = us & ys
-        bad = np.flatnonzero(f.to_array()[meet] != g.to_array()[meet])
-        if bad.size:
-            raise _identity_error(f, g, int(us[bad[0]]), int(ys[bad[0]]))
-        pairs = meet.size
+        us = w[:, rng.integers(0, w.size, _SAMPLE_PAIRS)]
+        ys = w[:, rng.integers(0, w.size, _SAMPLE_PAIRS)]
+    _check_submatrix_rows(f.to_array()[:, None], g.to_array()[:, None], us, ys)
     return LowerBoundCertificate(
         function=f,
         k=k,
         blocks=blocks,
-        w_points=tuple(w.tolist()),
+        w_points=tuple(w[0].tolist()),
         g=g,
         verified=True,
         verification_mode=mode,
-        pairs_checked=pairs,
+        pairs_checked=np.broadcast(us, ys).size,
     )
 
 

@@ -24,6 +24,7 @@ from ._bitops import (
     mask_indices,
     pack,
     point_from_str,
+    set_bits,
     table_mask,
     table_size,
     unpack,
@@ -141,11 +142,8 @@ class AffineMap:
 
     def apply_linear(self, x: int) -> int:
         y = 0
-        b = x
-        while b:
-            i = (b & -b).bit_length() - 1
+        for i in set_bits(x):
             y ^= self.columns[i]
-            b &= b - 1
         return y
 
     def apply(self, x: int) -> int:
@@ -343,10 +341,7 @@ def tt_serialize(f: TruthTable, form: str = "tt") -> str:
             poly = "0"
         else:
             terms = []
-            s = coeffs
-            while s:
-                mask = (s & -s).bit_length() - 1
-                s &= s - 1
+            for mask in set_bits(coeffs):
                 if mask == 0:
                     terms.append("1")
                 else:

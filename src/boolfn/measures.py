@@ -25,8 +25,10 @@ from ._bitops import (
     mask_indices,
     point_to_str,
     popcounts,
+    set_bits,
     table_mask,
     table_size,
+    unpack,
     xor_shift,
     xor_shuffle,
 )
@@ -165,11 +167,9 @@ def _slice_counts(slices: list[int], n: int) -> np.ndarray:
     """s(f,x) at every input x, as (2**n,) int8, from the bit-slices
     (``_sensitivity_slices``), unpacked one slice at a time: the bs bound
     u(x) (``_sensitivity_bound``) reads them."""
-    size = table_size(n)
-    counts = np.zeros(size, dtype=np.int8)
+    counts = np.zeros(table_size(n), dtype=np.int8)
     for j, part in enumerate(slices):
-        raw = np.frombuffer(part.to_bytes(max(1, size >> 3), "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, count=size, bitorder="little").view(np.int8)
+        bits = unpack(part, n).view(np.int8)
         counts |= np.left_shift(bits, j, out=bits)
         del bits  # freed before the next slice unpacks
     return counts
@@ -307,11 +307,7 @@ def _bs_point(f: TruthTable, a: int, want_witness: bool):
     sens = xor_shuffle(f.bits, n, a)
     if sens & 1:
         sens ^= table_mask(n)
-    mins, cands = _minimal_blocks(sens, n), []
-    while mins:
-        low = mins & -mins
-        cands.append(low.bit_length() - 1)
-        mins ^= low
+    cands = list(set_bits(_minimal_blocks(sens, n)))
     best = _make_packer(cands)
 
     def pack():
@@ -918,27 +914,11 @@ def _level_sets(moves: list, full, b: int, cap: int):
 
 def _alternation_at_shift(moves: list, full, b: int, cap: int):
     """min(alt(x -> f(x XOR b)), cap), by the level sets of ``_level_sets``:
-    an int for one function, an int array for a table matrix."""
+    an int for one function, an int array for lanes."""
     alt = 0
     for level in _level_sets(moves, full, b, cap):
         alt += level != 0
     return alt
-
-
-def _alternation_by_shift(table, n: int) -> np.ndarray:
-    """alt(x -> f(x XOR b)) for the shifts b < 2**(n-1), along the last axis
-    of an int16 array: (2**(n-1),) for one packed table, (m, 2**(n-1)) for
-    (m,) lanes (see ``_level_sets``).  At n = 0 the one shift 0 is kept.
-
-    Each shift runs ``_alternation_at_shift`` without a cap.  The upper
-    shifts are left out because alt(f XOR b) equals alt(f XOR b XOR 1^n):
-    complementing the shift walks every chain in reverse.
-    """
-    moves, full = _shift_moves(table, n)
-    out = np.empty(np.shape(full) + (max(1, table_size(n) >> 1),), dtype=np.int16)
-    for b in range(out.shape[-1]):
-        out[..., b] = _alternation_at_shift(moves, full, b, n)
-    return out
 
 
 def _lane(n: int) -> np.dtype:
@@ -1098,11 +1078,15 @@ def _salt_search(f: TruthTable) -> tuple[int, int, int]:
 def alternation_under_shifts(f: TruthTable) -> np.ndarray:
     """Alternation of every shifted function x -> f(x XOR b), indexed by b.
 
-    Needs every value, so it takes no bound and prunes nothing: the lower
-    half is ``_alternation_by_shift``, mirrored into the top half, since
-    alt(f XOR b) == alt(f XOR b XOR 1^n).
+    Needs every value, so it takes no bound and prunes nothing: each shift
+    b < 2**(n-1) runs ``_alternation_at_shift`` without a cap, as int16,
+    mirrored into the top half, since alt(f XOR b) == alt(f XOR b XOR 1^n):
+    complementing the shift walks every chain in reverse.  At n = 0 the one
+    shift 0 is kept.
     """
-    half = _alternation_by_shift(f.bits, f.n)
+    moves, full = _shift_moves(f.bits, f.n)
+    half = np.array([_alternation_at_shift(moves, full, b, f.n)
+                     for b in range(max(1, table_size(f.n) >> 1))], dtype=np.int16)
     return half if f.n == 0 else np.concatenate([half, half[::-1]])
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bitops import mask_indices, pack, point_to_str, table_size
+from ._bitops import mask_indices, pack, point_to_str, set_bits, table_size
 from .core import AffineMap, TruthTable, affine_images, tt_serialize
 from .measures import (
     BlockFamily,
@@ -77,14 +77,14 @@ class TransformResult:
 
 
 # ---------------------------------------------------------------------------
-# batch kernels: each transform built for every function of a (2**n, m)
-# table matrix, one table per column, and its lanes, one ``measures._lane``
-# element per table (the ids of ``_bulk._columns``; None above n = 6),
-# which the caller passes in.  Each certificate field is
-# one array with a row per function, or one value shared by all of them,
-# and ``_Batch.result`` turns row r of every field into plain values by one
-# rule, so a new field needs no converter; the per-function constructions
-# below are the m = 1 case (``_one``)
+# batch kernels: each transform built for every function of a batch, given
+# as its ``source``: up to n = 6 its lanes, one ``measures._lane`` element
+# per function holding its packed table (the ids of ``_bulk._columns``),
+# and above n = 6 the (2**n,) 0/1 table of the one function a call builds.
+# Each certificate field is one array with a row per function, or one value
+# shared by all of them, and ``_Batch.result`` turns row r of every field
+# into plain values by one rule, so a new field needs no converter; the
+# per-function constructions below are the m = 1 case (``_one``)
 
 
 @dataclass(frozen=True)
@@ -160,33 +160,31 @@ def _place_on_low_bit(cols: np.ndarray, parts: np.ndarray) -> None:
         cols |= ((part & -part) == unit) * part
 
 
-def _one(f: TruthTable) -> tuple[np.ndarray, np.ndarray | None]:
-    """The batch kernels' input for one function: its (2**n, 1) table
-    matrix and, up to n = 6, its lane, which is its packed table."""
-    lanes = np.array([f.bits], dtype=_lane(f.n)) if f.n <= 6 else None
-    return f.to_array()[:, None], lanes
+def _one(f: TruthTable) -> np.ndarray:
+    """The batch kernels' source for one function: up to n = 6 its lane,
+    which is its packed table, with nothing unpacked, and above n = 6 its
+    0/1 table."""
+    return np.array([f.bits], dtype=_lane(f.n)) if f.n <= 6 else f.to_array()
 
 
-def _gather(tables: np.ndarray, lanes, columns: np.ndarray,
-            shifts) -> tuple[np.ndarray, np.ndarray]:
-    """Image tables of the maps and the tables of g(x) = f(A(x)), (2**n, m).
+def _gather(source: np.ndarray, columns: np.ndarray, shifts) -> tuple[np.ndarray, np.ndarray]:
+    """Image tables of the maps and the uint8 tables of g(x) = f(A(x)), (2**n, m).
 
-    Up to n = 6 every table fits one lane, so entry (x, r) of g is
-    ``(lanes[r] >> A_r(x)) & 1``: one elementwise pass with no index
-    arithmetic.  On a 16,384-column slice at n = 4 (2-core Xeon VM, best of
-    30) that takes 0.10 ms, where ``np.take_along_axis`` takes 1.2-2.1 ms;
-    the caller packs the lanes once (0.07 ms) for all its gathers.  Above
-    n = 6 only per-function calls come here, with no lanes, and they take
-    the entries with ``take_along_axis``.
+    Up to n = 6 the source is the lanes, and every table fits one lane, so
+    entry (x, r) of g is ``(lanes[r] >> A_r(x)) & 1``: one elementwise pass
+    with no index arithmetic.  On a 16,384-column slice at n = 4 (2-core
+    Xeon VM, best of 30) that takes 0.10 ms, where ``np.take_along_axis``
+    on the table matrix takes 1.2-2.1 ms.  Above n = 6 only per-function
+    calls come here, and g indexes the one function's table by the images.
     """
     n = columns.shape[1]
     img = affine_images(n, columns, shifts)
     if n > 6:
-        return img, np.take_along_axis(tables, img, axis=0)
-    return img, (np.right_shift(lanes, img) & 1).astype(tables.dtype)
+        return img, source[img]
+    return img, (np.right_shift(source, img) & 1).astype(np.uint8)
 
 
-def _bs2s_rows(tables, lanes, points, blocks, placement: str) -> _Batch:
+def _bs2s_rows(source, points, blocks, placement: str) -> _Batch:
     n = blocks.shape[1]
     by_block = np.ascontiguousarray(blocks.T)  # row j: block j of every function
     if placement == "block-index":
@@ -196,7 +194,7 @@ def _bs2s_rows(tables, lanes, points, blocks, placement: str) -> _Batch:
         _place_on_low_bit(cols, by_block)
     else:
         raise ValueError(f"unknown placement {placement!r}")
-    _, g = _gather(tables, lanes, cols.T, points)
+    _, g = _gather(source, cols.T, points)
     k = np.count_nonzero(by_block, axis=0)
     # s(g, 0): the unit points where g differs from g(0)
     sg0 = (g[[1 << i for i in range(n)]] != g[0]).sum(axis=0)
@@ -215,21 +213,17 @@ def _substitution_record(columns, n: int) -> tuple:
     """Which input variable drives each output coordinate (0 = held constant)."""
     sources = [0] * n
     for j, col in enumerate(columns):
-        b = col
-        while b:
-            t = (b & -b).bit_length() - 1
-            sources[t] = j + 1
-            b &= b - 1
+        for i in set_bits(col):
+            sources[i] = j + 1
     return tuple(sources)
 
 
-def _alt2s_rows(tables, lanes, alt, chains) -> _Batch:
-    """``alt_to_s_linear`` for every function of a (2**n, m) table matrix,
-    from its alt values, (m,), and maximum-alternation chains, (m, n + 1),
-    as ``measures._best_chains`` gives them."""
-    m = tables.shape[1]
-    shifts = np.zeros(m, dtype=np.int64)
-    img, g = _gather(tables, lanes, chains[:, 1:], shifts)
+def _alt2s_rows(source, alt, chains) -> _Batch:
+    """``alt_to_s_linear`` for every function of a batch ``source``, from its
+    alt values, (m,), and maximum-alternation chains, (m, n + 1), as
+    ``measures._best_chains`` gives them."""
+    shifts = np.zeros(chains.shape[0], dtype=np.int64)
+    img, g = _gather(source, chains[:, 1:], shifts)
     # a linear map is invertible iff its image table is a permutation, that
     # is iff no x != 0 maps to A(0): A(x) == A(y) iff A(x ^ y) == A(0)
     invertible = (img[1:] != img[0]).all(axis=0)
@@ -247,7 +241,7 @@ def _alt2s_rows(tables, lanes, alt, chains) -> _Batch:
     return _Batch("alt2s", chains[:, 1:], shifts, g, cert)
 
 
-def _sherstov_rows(tables, lanes, z, blocks) -> _Batch:
+def _sherstov_rows(source, z, blocks) -> _Batch:
     m, n = blocks.shape
     # one function per column, so every pass below runs over whole rows
     by_block = np.ascontiguousarray(blocks.T)
@@ -259,7 +253,7 @@ def _sherstov_rows(tables, lanes, z, blocks) -> _Batch:
     _place_on_low_bit(cols, zeros)
     _place_on_low_bit(cols, ones)
     shifts = np.zeros(m, dtype=np.int64)
-    _, g = _gather(tables, lanes, cols.T, shifts)
+    _, g = _gather(source, cols.T, shifts)
     sg = _column_sensitivity(g)[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = k / (sg * sg)
@@ -307,7 +301,7 @@ def _bs2s_from_family(
 ) -> TransformResult:
     """``bs_to_s_affine`` at ``fam.point`` on a witness family already found."""
     blocks = _block_rows(f.n, fam.blocks)
-    return _bs2s_rows(*_one(f), np.array([fam.point]), blocks, placement).result(0, f)
+    return _bs2s_rows(_one(f), np.array([fam.point]), blocks, placement).result(0, f)
 
 
 def alt_to_s_linear(f: TruthTable) -> TransformResult:
@@ -323,7 +317,7 @@ def alt_to_s_linear(f: TruthTable) -> TransformResult:
 
 def _alt2s_from_chain(f: TruthTable, alt: int, chain: Chain) -> TransformResult:
     """``alt_to_s_linear`` on a maximum-alternation chain already found."""
-    return _alt2s_rows(*_one(f), np.array([alt]), np.array([chain.points])).result(0, f)
+    return _alt2s_rows(_one(f), np.array([alt]), np.array([chain.points])).result(0, f)
 
 
 def sherstov_linear(f: TruthTable, limit: int | None = None) -> TransformResult:
@@ -343,4 +337,4 @@ def sherstov_linear(f: TruthTable, limit: int | None = None) -> TransformResult:
 def _sherstov_from_family(f: TruthTable, fam: BlockFamily) -> TransformResult:
     """``sherstov_linear`` on a witness family already found by a bs search."""
     blocks = _block_rows(f.n, fam.blocks)
-    return _sherstov_rows(*_one(f), np.array([fam.point]), blocks).result(0, f)
+    return _sherstov_rows(_one(f), np.array([fam.point]), blocks).result(0, f)

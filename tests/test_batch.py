@@ -44,10 +44,11 @@ from oracles import (
 )
 
 
-def _batch_inputs(t, lanes):
-    """The smallest bs maximizer of each column of the table matrix t, and
-    its block families at 0 and there, as ``measure_arrays`` reports them."""
-    a = measure_arrays(t, lanes)
+def _batch_inputs(lanes, n):
+    """The smallest bs maximizer of each function of the lanes of arity n,
+    and its block families at 0 and there, as ``measure_arrays`` reports
+    them."""
+    a = measure_arrays(lanes, n)
     return a["bs_argmax"], a["fam0"], a["fam_argmax"]
 
 
@@ -62,16 +63,15 @@ def _same(got, want):
 
 def _check_rows(n, ids):
     functions = [TruthTable(n, int(bits)) for bits in ids]
-    t = np.stack([f.to_array() for f in functions], axis=1)
     lanes = np.asarray(ids, dtype=_lane(n))
-    amax, fam0, fam_max = _batch_inputs(t, lanes)
+    amax, fam0, fam_max = _batch_inputs(lanes, n)
     zero = np.zeros(len(functions), dtype=np.int64)
     batches = (
-        _bs2s_rows(t, lanes, zero, fam0, "block-index"),
-        _bs2s_rows(t, lanes, amax, fam_max, "block-index"),
-        _bs2s_rows(t, lanes, amax, fam_max, "min-in-block"),
-        _alt2s_rows(t, lanes, *_best_chains(lanes, n)),
-        _sherstov_rows(t, lanes, amax, fam_max),
+        _bs2s_rows(lanes, zero, fam0, "block-index"),
+        _bs2s_rows(lanes, amax, fam_max, "block-index"),
+        _bs2s_rows(lanes, amax, fam_max, "min-in-block"),
+        _alt2s_rows(lanes, *_best_chains(lanes, n)),
+        _sherstov_rows(lanes, amax, fam_max),
     )
     for r, f in enumerate(functions):
         a = int(amax[r])
@@ -104,7 +104,7 @@ def test_batched_kernels_match_per_function_columns(n, m):
     walsh = _walsh_rows(t)
     degrees, sparsities = _degrees(moebius), _sparsities(walsh)
     lanes = np.asarray(ids, dtype=_lane(n))
-    img, g = _gather(t, lanes, cols, shifts)
+    img, g = _gather(lanes, cols, shifts)
     alt, chains = _best_chains(lanes, n)
     assert sens.shape == moebius.shape == walsh.shape == img.shape == g.shape == (2**n, m)
     assert degrees.shape == sparsities.shape == alt.shape == (m,)
@@ -165,7 +165,6 @@ def test_batched_rows_match_per_function_sampled_above_bulk_arity(n):
     # its block of bits 2 and 4 at z = 4 into a zero part and a one part
     split = 0xC28B74EC if n == 5 else 0xC28B74EC_C28B74EC
     functions[:3] = [TruthTable(n, 0), maj(5) if n == 5 else rubinstein(2, 3), TruthTable(n, split)]
-    t = np.stack([f.to_array() for f in functions], axis=1)
     fam0 = [block_sensitivity(f, at=0, witness=True)[1] for f in functions]
     fam_max = [block_sensitivity(f, witness=True)[1] for f in functions]
     zero = np.zeros(len(functions), dtype=np.int64)
@@ -174,11 +173,11 @@ def test_batched_rows_match_per_function_sampled_above_bulk_arity(n):
     blocks_max = np.concatenate([_block_rows(n, fam.blocks) for fam in fam_max])
     lanes = np.asarray([f.bits for f in functions], dtype=_lane(n))
     batches = (
-        _bs2s_rows(t, lanes, zero, blocks0, "block-index"),
-        _bs2s_rows(t, lanes, amax, blocks_max, "block-index"),
-        _bs2s_rows(t, lanes, amax, blocks_max, "min-in-block"),
-        _alt2s_rows(t, lanes, *_best_chains(lanes, n)),
-        _sherstov_rows(t, lanes, amax, blocks_max),
+        _bs2s_rows(lanes, zero, blocks0, "block-index"),
+        _bs2s_rows(lanes, amax, blocks_max, "block-index"),
+        _bs2s_rows(lanes, amax, blocks_max, "min-in-block"),
+        _alt2s_rows(lanes, *_best_chains(lanes, n)),
+        _sherstov_rows(lanes, amax, blocks_max),
     )
     for r, f in enumerate(functions):
         a = int(amax[r])
@@ -195,12 +194,12 @@ def test_batched_rows_match_per_function_sampled_above_bulk_arity(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_batched_block_transform_against_oracles(n):
-    t, lanes = next(_columns(n))
-    amax, fam0, fam_max = _batch_inputs(t, lanes)
-    zero = np.zeros(t.shape[1], dtype=np.int64)
-    at_zero = _bs2s_rows(t, lanes, zero, fam0, "block-index")
-    at_max = _bs2s_rows(t, lanes, amax, fam_max, "block-index")
-    for r in range(t.shape[1]):
+    lanes = next(_columns(n))
+    amax, fam0, fam_max = _batch_inputs(lanes, n)
+    zero = np.zeros(lanes.size, dtype=np.int64)
+    at_zero = _bs2s_rows(lanes, zero, fam0, "block-index")
+    at_max = _bs2s_rows(lanes, amax, fam_max, "block-index")
+    for r in range(lanes.size):
         f = TruthTable(n, r)
         for batch, a in ((at_zero, 0), (at_max, int(amax[r]))):
             g = batch.result(r, f).g
@@ -210,7 +209,7 @@ def test_batched_block_transform_against_oracles(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_batched_alternation_chains_against_oracle(n):
-    _, lanes = next(_columns(n))
+    lanes = next(_columns(n))
     _, chains = _best_chains(lanes, n)
     for r in range(lanes.size):
         assert tuple(int(p) for p in chains[r]) == naive_best_chain(TruthTable(n, r))

@@ -31,7 +31,7 @@ from boolfn.measures import (
     _slice_counts,
 )
 
-from oracles import naive_block_sensitivity, naive_lex_min_family, random_table, table_matrix
+from oracles import naive_block_sensitivity, naive_lex_min_family, random_table
 
 
 def _every_function(n):
@@ -288,9 +288,9 @@ def _check_against_api(a, functions, oracles=False):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_batched_search_every_function(n):
-    t, lanes = next(_columns(n))
+    lanes = next(_columns(n))
     functions = [TruthTable(n, bits) for bits in lanes.tolist()]
-    _check_against_api(measure_arrays(t, lanes), functions, oracles=True)
+    _check_against_api(measure_arrays(lanes, n), functions, oracles=True)
 
 
 def test_batched_search_columns_that_need_more_visits():
@@ -302,9 +302,9 @@ def test_batched_search_columns_that_need_more_visits():
     ids = [int(x) for x in rng.permutation(ids + ids[:10])]
     functions = [parity(4), rubinstein(2, 2), gip(2, 2)] + [TruthTable(4, fid) for fid in ids]
     bits = [f.bits for f in functions]
-    a = measure_arrays(table_matrix(4, bits), np.asarray(bits, dtype=_lane(4)), needs=("sherstov",))
+    a = measure_arrays(np.asarray(bits, dtype=_lane(4)), 4, needs=("sherstov",))
     _check_against_api(a, functions, oracles=True)
-    slices = [measure_arrays(t, lanes, needs=("bs",)) for t, lanes in _columns(4)]
+    slices = [measure_arrays(lanes, 4, needs=("bs",)) for lanes in _columns(4)]
     for r, fid in enumerate(ids, start=3):
         at = slices[fid // _bulk._SLICE]
         for key in ("bs", "bs0", "bs_argmax", "depends_on_all"):

@@ -109,7 +109,7 @@ def _assert_column_matches_api(a, r, f):
 
 
 def test_bulk_arrays_match_api_exhaustively_n2():
-    a = measure_arrays(*next(_columns(2)))
+    a = measure_arrays(next(_columns(2)), 2)
     for bits in range(16):
         _assert_column_matches_api(a, bits, TruthTable(2, bits))
 
@@ -139,9 +139,9 @@ def test_measure_arrays_dt_sweeps_only_below_n_as_the_full_sweeps_do(needs):
     """The batch sweeps only the columns where max(bs, deg), or deg when bs
     does not run, is below n; on every column of every n = 4 slice it reads
     the DT of the sweeps over all columns, so a wrong lower bound shows."""
-    for t, lanes in _columns(4):
-        full = _depth_sweeps(_subcube_fold(t))[(2,) * 4]
-        dt = measure_arrays(t, lanes, needs=needs)["DT"]
+    for lanes in _columns(4):
+        full = _depth_sweeps(_subcube_fold(table_matrix(4, lanes)))[(2,) * 4]
+        dt = measure_arrays(lanes, 4, needs=needs)["DT"]
         assert np.array_equal(dt, full), int(lanes[0])
         assert (dt < 4).any() and (dt == 4).any()
 
@@ -151,11 +151,11 @@ def test_measure_arrays_dt_sweeps_only_below_n_as_the_full_sweeps_do(needs):
 def test_measure_arrays_needs_returns_the_full_values(n, lo, hi):
     """Naming a statistic's measures returns a subset of the full call, equal
     on every key, and enough to evaluate the statistic."""
-    t, lanes = next((t, lanes) for t, lanes in _columns(n) if lanes[0] == lo)
+    lanes = next(lanes for lanes in _columns(n) if lanes[0] == lo)
     assert lanes[-1] == hi - 1
-    full = measure_arrays(t, lanes)
+    full = measure_arrays(lanes, n)
     for row in checks._STATISTICS.values():
-        part = measure_arrays(t, lanes, needs=row.needs)
+        part = measure_arrays(lanes, n, needs=row.needs)
         assert set(part) < set(full)
         for key, values in part.items():
             assert np.array_equal(values, full[key]), (row.name, key)
@@ -170,11 +170,11 @@ def _id_range_columns(n, ids, needs):
     """``measure_arrays`` on the id-range slices of ``_bulk._columns`` that
     hold ids, read at ids, column for column."""
     at = {}
-    for t, lanes in _columns(n):
+    for lanes in _columns(n):
         lo, hi = int(lanes[0]), int(lanes[-1]) + 1
         inside = [fid for fid in ids if lo <= fid < hi]
         if inside:
-            a = measure_arrays(t, lanes, needs=needs)
+            a = measure_arrays(lanes, n, needs=needs)
             for fid in inside:
                 at[fid] = {key: values[fid - lo] for key, values in a.items()}
     return {key: np.array([at[fid][key] for fid in ids]) for key in at[ids[0]]}
@@ -182,21 +182,21 @@ def _id_range_columns(n, ids, needs):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_measure_arrays_on_columns_that_are_not_an_id_range(n):
-    """Any table matrix, here shuffled and repeated ids and named family
-    tables, measures as the id-range slices do, column for column, and the
-    families as the per-function API does."""
+    """Any lanes, here shuffled and repeated ids and named family tables,
+    measure as the id-range slices do, column for column, and the families
+    as the per-function API does."""
     rng = np.random.default_rng(80 + n)
     fams = {3: [maj(3), tree_function(2)],
             4: [parity(4), rubinstein(2, 2), gip(2, 2)]}[n]
     drawn = [int(b) for b in rng.integers(0, 2 ** (2**n), 12)]
     ids = [f.bits for f in fams] + [int(b) for b in rng.permutation(drawn + drawn[:5])]
-    t, lanes = table_matrix(n, ids), np.asarray(ids, dtype=_lane(n))
+    lanes = np.asarray(ids, dtype=_lane(n))
     for needs in [None] + [row.needs for row in checks._STATISTICS.values()]:
-        got, want = measure_arrays(t, lanes, needs=needs), _id_range_columns(n, ids, needs)
+        got, want = measure_arrays(lanes, n, needs=needs), _id_range_columns(n, ids, needs)
         assert set(got) == set(want)
         for key, values in got.items():
             assert np.array_equal(values, want[key]), (needs, key)
-    a = measure_arrays(t, lanes)
+    a = measure_arrays(lanes, n)
     for r, f in enumerate(fams):
         _assert_column_matches_api(a, r, f)
 
@@ -219,8 +219,8 @@ def test_exhaustive_scan_submatrix_mismatch_raises(monkeypatch):
     smallest failing id in the text ``submatrix_witness`` raises."""
     real = checks._bs2s_rows
 
-    def wrong_g(tables, lanes, points, blocks, placement):
-        batch = real(tables, lanes, points, blocks, placement)
+    def wrong_g(lanes, points, blocks, placement):
+        batch = real(lanes, points, blocks, placement)
         if placement != "min-in-block":
             return batch
         g = batch.g.copy()
@@ -241,8 +241,8 @@ def test_exhaustive_scan_crosscheck_catches_a_wrong_array(monkeypatch, key, mess
     """A wrong value at id 0, which the cross-check samples, raises."""
     real = _bulk.measure_arrays
 
-    def wrong(t, *args):
-        a = real(t, *args)
+    def wrong(*args):
+        a = real(*args)
         a[key][0] += 1
         return a
 

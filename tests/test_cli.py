@@ -451,7 +451,7 @@ def test_prime_above_the_kernels_integer_type_is_valid_input(capsys, argv):
         assert row["left"] == row["right"] == 2
     else:
         assert data["ok"]
-        a = _bulk.measure_arrays(*next(_bulk._columns(2)), (p,))
+        a = _bulk.measure_arrays(next(_bulk._columns(2)), 2, (p,))
         assert a[f"deg_{p}"].tolist() == a["deg"].tolist()
 
 

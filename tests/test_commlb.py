@@ -19,7 +19,7 @@ from boolfn._bulk import _columns, measure_arrays
 from boolfn.families import and_, gip, maj, or_, parity, rubinstein
 from boolfn.transforms import _bs2s_rows
 
-from oracles import naive_dt, random_table
+from oracles import naive_dt, random_table, table_matrix
 
 
 def test_and_matrix_and1():
@@ -143,11 +143,12 @@ def test_batched_submatrix_rows_match_submatrix_witness(n):
     certificate of ``submatrix_witness``; so the DP's ``fam0`` is also the
     packer's family at 0 on every function of arity <= 3."""
     m = 1 << (1 << n)
-    t, lanes = next(_columns(n))
-    fam0 = measure_arrays(t, lanes)["fam0"]
-    sub = _bs2s_rows(t, lanes, np.zeros(m, dtype=np.int64), fam0, "min-in-block")
-    w = commlb._check_submatrix_rows(t, sub.g, fam0)
+    lanes = next(_columns(n))
+    fam0 = measure_arrays(lanes, n)["fam0"]
+    sub = _bs2s_rows(lanes, np.zeros(m, dtype=np.int64), fam0, "min-in-block")
+    w = commlb._w_points(fam0)
     assert w.shape == (m, 2**n)
+    commlb._check_submatrix_rows(table_matrix(n, lanes), sub.g, w[:, :, None], w[:, None, :])
     for r in range(m):
         cert = submatrix_witness(TruthTable(n, r))
         blocks = tuple(int(b) for b in fam0[r] if b)
@@ -157,6 +158,33 @@ def test_batched_submatrix_rows_match_submatrix_witness(n):
         assert cert.g == TruthTable(n, pack(sub.g[:, r]))
         assert cert.pairs_checked == len(points) ** 2
         assert cert.verification_mode == "exhaustive"
+
+
+def test_submatrix_rows_report_the_first_failing_pair_in_the_given_order():
+    """The identity kernel checks the pairs it is given, and a failure names
+    the first failing column at its first failing pair: u, then y,
+    ascending on W x W, or the order of the draws."""
+    f = maj(3)
+    g = TruthTable(3, f.bits ^ 0b10000001)  # differs at 000 and 111
+    tables = np.stack([f.to_array(), f.to_array()], axis=1)
+    wrong = np.stack([f.to_array(), g.to_array()], axis=1)
+    w = np.array([[0, 3, 5, 6], [0, 3, 5, 6]])
+    grid = (w[:, :, None], w[:, None, :])
+    commlb._check_submatrix_rows(tables, tables, *grid)
+    # column 0 agrees; on W, column 1 differs where u & y = 000, which is
+    # where u or y is 000
+    with pytest.raises(commlb.VerificationError, match=r"tt:3:e8 at u=000 y=000: f=0 g=1"):
+        commlb._check_submatrix_rows(tables, wrong, *grid)
+    # the draws meet at 3 & 5 = 1, 6 & 3 = 2 and 5 & 6 = 4, where f and g
+    # agree, then at 3 & 4 = 0, printed x1 first as u=110 y=001
+    us, ys = np.array([[3, 6, 5, 3, 0]] * 2), np.array([[5, 3, 6, 4, 0]] * 2)
+    commlb._check_submatrix_rows(tables, wrong, us[:, :3], ys[:, :3])
+    with pytest.raises(commlb.VerificationError, match=r"at u=110 y=001: f=0 g=1"):
+        commlb._check_submatrix_rows(tables, wrong, us, ys)
+    # where both columns fail, the first is named
+    other = np.stack([g.to_array(), f.to_array()], axis=1)
+    with pytest.raises(commlb.VerificationError, match=r"tt:3:69 at u=000 y=000: f=1 g=0"):
+        commlb._check_submatrix_rows(other, wrong, *grid)
 
 
 def test_submatrix_sampled_mode(monkeypatch):

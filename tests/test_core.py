@@ -13,7 +13,7 @@ from boolfn import (
     tt_parse,
     tt_serialize,
 )
-from boolfn._bitops import point_to_str
+from boolfn._bitops import mask_indices, point_to_str, set_bits
 from boolfn.core import parse_point
 from boolfn.families import and_, maj, or_, parity
 
@@ -27,6 +27,17 @@ def test_evaluate_named_points():
     p3 = parity(3)
     assert p3.value_at(0b101) == 0  # x1=1, x2=0, x3=1
     assert maj(3).value_at(0b011) == 1  # x1=1, x2=1, x3=0
+
+
+def test_set_bits_walk_the_set_bits_ascending():
+    # against a scan of every bit position, and as the 1-based variables of
+    # a mask
+    rng = np.random.default_rng(3)
+    cases = [0, 1, 2**63, 2**64, 2**200 - 1] + [int(x) for x in rng.integers(0, 2**62, 20)]
+    for x in cases:
+        want = [i for i in range(x.bit_length()) if x >> i & 1]
+        assert list(set_bits(x)) == want
+        assert mask_indices(x) == tuple(i + 1 for i in want)
 
 
 def test_evaluate_range_check():

@@ -324,7 +324,7 @@ def test_dt_slab_take_matches_the_strided_view():
 
 def test_bulk_certificate_and_dt_match_oracles(bulk_n4_rows):
     for n in range(4):
-        a = measure_arrays(*next(_columns(n)))
+        a = measure_arrays(next(_columns(n)), n)
         for f in _every_function(n):
             assert a["C"][f.bits] == naive_certificate(f)
             assert a["DT"][f.bits] == naive_dt(f)
@@ -439,9 +439,9 @@ def test_dt_callers_build_no_certificate_sizes(monkeypatch):
     rng = np.random.default_rng(53)
     cases = [TruthTable(n, random_table(rng, n)) for n in (6, 9)]
     cases += [tree_function(3), rubinstein(3, 3), maj(9), ip(4)]
-    t, lanes = map(np.hstack, zip(*_columns(4, 64)))
+    lanes = np.hstack(list(_columns(4, 64)))
     want = ([(dt_depth(f), dt_depth(f, witness=True), commlb.bound_summary(f)) for f in cases],
-            measure_arrays(t, lanes, needs=("DT",))["DT"])
+            measure_arrays(lanes, 4, needs=("DT",))["DT"])
 
     def unread(val):
         raise AssertionError("a DT caller built the certificate sizes")
@@ -449,7 +449,7 @@ def test_dt_callers_build_no_certificate_sizes(monkeypatch):
     monkeypatch.setattr(measures, "_certificate_sizes", unread)
     monkeypatch.setattr(_bulk, "_certificate_sizes", unread)
     got = ([(dt_depth(f), dt_depth(f, witness=True), commlb.bound_summary(f)) for f in cases],
-           measure_arrays(t, lanes, needs=("DT",))["DT"])
+           measure_arrays(lanes, 4, needs=("DT",))["DT"])
     assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
 

@@ -1,13 +1,22 @@
 """The flip-pattern tables of ``_bulk``, from which ``measure_arrays`` reads
 bs, C and alt at n <= 4: every entry against the brute-force oracles, the
-pattern ids of a table matrix, and the tables' cache."""
+pattern ids of a table matrix, and the tables' cache; the slices of lanes
+that build them, and the table matrix read off lanes."""
 
 import numpy as np
 import pytest
 
 from boolfn import BlockFamily, TruthTable, validate_block_family
 from boolfn import _bulk
-from boolfn._bulk import _alt_table, _bs_table, _cert_table, _columns, _patterns, measure_arrays
+from boolfn._bulk import (
+    _alt_table,
+    _bs_table,
+    _cert_table,
+    _columns,
+    _patterns,
+    _table_matrix,
+    measure_arrays,
+)
 from boolfn.measures import _lane
 
 from oracles import (
@@ -32,18 +41,20 @@ def _pattern_id(f, x):
 @pytest.mark.parametrize("step", [1, 2])
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_columns_are_the_ids_and_their_tables(n, step):
-    # n <= 3 is one slice: its lanes are the ids 0, step, ... and its
-    # columns their tables, read one input at a time
-    (t, lanes), = _columns(n, step)
+    # n <= 3 is one slice: its lanes are the ids 0, step, ... and the
+    # columns of their table matrix their tables, read one input at a time
+    lanes, = _columns(n, step)
     ids = list(range(0, 2 ** (2**n), step))
     assert lanes.dtype == _lane(n) and lanes.tolist() == ids
+    t = _table_matrix(lanes, n)
     assert t.dtype == np.uint8 and np.array_equal(t, table_matrix(n, ids))
 
 
 @pytest.mark.parametrize("step", [1, 2])
 def test_columns_cover_every_id_once_in_order_n4(step):
     rng, ids = np.random.default_rng(7), []
-    for t, lanes in _columns(4, step):
+    for lanes in _columns(4, step):
+        t = _table_matrix(lanes, 4)
         assert lanes.dtype == _lane(4) and t.shape == (16, _bulk._SLICE // step)
         cols = rng.integers(0, lanes.size, 20)
         assert np.array_equal(t[:, cols], table_matrix(4, lanes[cols]))
@@ -118,8 +129,8 @@ def test_each_table_is_built_once_per_arity_and_is_read_only(monkeypatch):
     for build in _BUILDERS:
         build.cache_clear()
     needs = ("sherstov", "C", "alt", "salt")
-    t, lanes = next(_columns(3))
-    first = measure_arrays(t, lanes, needs=needs)
+    lanes = next(_columns(3))
+    first = measure_arrays(lanes, 3, needs=needs)
 
     def rebuilt(*args):
         raise AssertionError("a pattern table was built again")
@@ -128,13 +139,13 @@ def test_each_table_is_built_once_per_arity_and_is_read_only(monkeypatch):
     for name in ("_minimal_blocks", "_make_packer", "_lex_min_family", "_subcube_fold",
                  "_certificate_sizes", "_shift_moves", "_alternation_at_shift"):
         monkeypatch.setattr(_bulk, name, rebuilt)
-    again = measure_arrays(t[:, ::-1], lanes[::-1], needs=needs)
+    again = measure_arrays(lanes[::-1], 3, needs=needs)
     for key, values in first.items():
         assert np.array_equal(again[key], values[::-1]), key
     assert [build.cache_info().misses for build in _BUILDERS] == [1, 1, 1]
     # another arity builds its own tables
     with pytest.raises(AssertionError, match="built again"):
-        measure_arrays(*next(_columns(2)), needs=("C",))
+        measure_arrays(next(_columns(2)), 2, needs=("C",))
     for table in (*_bs_table(3), _cert_table(3), _alt_table(3)):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1

@@ -20,7 +20,7 @@ from boolfn._bitops import table_mask
 from boolfn._bulk import _columns, measure_arrays
 from boolfn.families import and_, gip, maj, or_, parity, rubinstein, tree_function
 from boolfn.measures import (
-    _alternation_by_shift,
+    _alternation_at_shift,
     _chain_bound,
     _direction_planes,
     _lane,
@@ -81,7 +81,7 @@ def test_alternation_under_shifts_matches_shifted_alternation():
 
 def test_bulk_salt_matches_api_exhaustive():
     for n in range(4):
-        a = measure_arrays(*next(_columns(n)))
+        a = measure_arrays(next(_columns(n)), n)
         for f in _every_function(n):
             assert a["salt"][f.bits] == shift_invariant_alternation(f)
             assert a["alt"][f.bits] == alternation(f)
@@ -139,12 +139,15 @@ def test_batched_kernel_matches_oracle(n):
         down = np.array(want_down[-1])
         levels = _levels_from_top(bits, n)
         assert levels.tolist() == [(down >= k).tolist() for k in range(1, down.max() + 1)]
-        assert _alternation_by_shift(bits, n).tolist() == want_alts[-1]
+        assert alternation_under_shifts(f)[:shifts].tolist() == want_alts[-1]
     for m in (1, 3, 7, 9, 17, len(ids)):
         batch = np.asarray(ids[-m:], dtype=_lane(n))
         down = np.array(want_down[-m:])
         levels = _levels_from_top(batch, n)
-        alts = _alternation_by_shift(batch, n)
+        moves, full = _shift_moves(batch, n)
+        alts = np.zeros((m, shifts), dtype=np.int64)
+        for b in range(shifts):
+            alts[:, b] = _alternation_at_shift(moves, full, b, n)
         assert levels.tolist() == [(down >= k).tolist() for k in range(1, down.max() + 1)]
         assert alts.shape == (m, shifts) and alts.tolist() == want_alts[-m:]
 

@@ -21,6 +21,7 @@ from boolfn.transforms import (
     _alt2s_from_chain,
     _alt2s_rows,
     _block_rows,
+    _bs2s_from_family,
     _sherstov_from_family,
     _sherstov_rows,
 )
@@ -333,10 +334,42 @@ def test_transforms_match_oracles_above_n6():
         _assert_transform(sherstov_linear(f), naive_sherstov(f, fam.point, fam.blocks))
 
 
+def test_one_function_transforms_unpack_no_table_up_to_n6(monkeypatch):
+    # up to n = 6 a one-function construction reads g off f's lane, its
+    # packed table, and never unpacks f; the results are the oracle's
+    rng = np.random.default_rng(48)
+    cases = [TruthTable(n, random_table(rng, n)) for n in range(7) for _ in range(2)]
+    cases += [naive_maj(5), naive_tree_function(2), naive_parity(6), TruthTable(6, 0)]
+    inputs, wants = [], []
+    for f in cases:
+        alt, chain = alternation(f, witness=True)
+        _, fam0 = block_sensitivity(f, at=0, witness=True)
+        _, fam = block_sensitivity(f, witness=True)
+        inputs.append((f, alt, chain, fam0, fam))
+        wants += [naive_bs2s(f, 0, fam0.blocks, "block-index"),
+                  naive_bs2s(f, 0, fam0.blocks, "min-in-block"),
+                  naive_bs2s(f, fam.point, fam.blocks, "block-index"),
+                  naive_alt2s(f, chain.points),
+                  naive_sherstov(f, fam.point, fam.blocks)]
+
+    def no_unpack(self):
+        raise AssertionError("a one-function transform unpacked f")
+
+    with monkeypatch.context() as m:
+        m.setattr(TruthTable, "to_array", no_unpack)
+        got = []
+        for f, alt, chain, fam0, fam in inputs:
+            got += [_bs2s_from_family(f, fam0), _bs2s_from_family(f, fam0, "min-in-block"),
+                    _bs2s_from_family(f, fam), _alt2s_from_chain(f, alt, chain),
+                    _sherstov_from_family(f, fam)]
+    for tr, want in zip(got, wants, strict=True):
+        _assert_transform(tr, want)
+
+
 def test_one_column_transforms_read_s_off_the_slices(monkeypatch):
     # a one-function transform reads s(g,0) and s(g) off g's bit-slices and
-    # builds no per-point counts; a two-column matrix holding f twice runs
-    # the level passes, and both give the same values
+    # builds no per-point counts; two maps of f, whose tables g make a
+    # two-column matrix, run the level passes, and both give the same values
     rng = np.random.default_rng(490)
     fs = [TruthTable(n, random_table(rng, n)) for n in range(10, 17)] + [tree_function(4)]
     cases = [(f, *alternation(f, witness=True), block_sensitivity(f, witness=True, limit=f.n)[1])
@@ -346,10 +379,10 @@ def test_one_column_transforms_read_s_off_the_slices(monkeypatch):
         raise AssertionError("a one-column transform built per-point counts")
 
     for f, alt, chain, fam in cases:
-        t = np.concatenate([f.to_array()[:, None]] * 2, axis=1)
+        t = f.to_array()
         blocks = np.repeat(_block_rows(f.n, fam.blocks), 2, axis=0)
-        twice = [_alt2s_rows(t, None, np.array([alt] * 2), np.array([chain.points] * 2)).cert,
-                 _sherstov_rows(t, None, np.array([fam.point] * 2), blocks).cert]
+        twice = [_alt2s_rows(t, np.array([alt] * 2), np.array([chain.points] * 2)).cert,
+                 _sherstov_rows(t, np.array([fam.point] * 2), blocks).cert]
         with monkeypatch.context() as m:
             m.setattr(measures, "_pointwise_sensitivity", no_counts)
             m.setattr(measures, "_slice_counts", no_counts)
