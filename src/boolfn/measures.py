@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -236,37 +236,44 @@ def _minimal_blocks(sens, n: int):
     return sens & ~up
 
 
-def _make_packer(cands: list[int]):
-    """Memoized maximum-disjoint-packing oracle over candidate blocks.
+def _packing(cands: list[int], memo: dict, avail: int) -> int:
+    """The most pairwise-disjoint blocks of ``cands`` inside the mask
+    ``avail``, memoized in ``memo`` on that mask.
 
     Branches on the lowest coordinate still covered by a usable candidate:
-    either no chosen block uses it, or one of the candidates containing it is
-    chosen.  Memoized on the available-coordinate mask.
+    either no chosen block uses it, or one of the candidates containing it
+    is chosen.
     """
-    memo: dict[int, int] = {}
+    got = memo.get(avail)
+    if got is not None:
+        return got
+    usable = [b for b in cands if not b & ~avail]
+    if not usable:
+        memo[avail] = 0
+        return 0
+    union = 0
+    for b in usable:
+        union |= b
+    c = union & -union
+    res = _packing(cands, memo, avail & ~c)
+    for b in usable:
+        if b & c:
+            r = 1 + _packing(cands, memo, avail & ~b)
+            if r > res:
+                res = r
+    memo[avail] = res
+    return res
 
-    def best(avail: int) -> int:
-        got = memo.get(avail)
-        if got is not None:
-            return got
-        usable = [b for b in cands if not b & ~avail]
-        if not usable:
-            memo[avail] = 0
-            return 0
-        union = 0
-        for b in usable:
-            union |= b
-        c = union & -union
-        res = best(avail & ~c)
-        for b in usable:
-            if b & c:
-                r = 1 + best(avail & ~b)
-                if r > res:
-                    res = r
-        memo[avail] = res
-        return res
 
-    return best
+def _make_packer(cands: list[int]):
+    """Memoized maximum-disjoint-packing oracle over candidate blocks: a
+    function of the available-coordinate mask (``_packing``).
+
+    It recurses by name at module level, not through its own closure, so a
+    dropped packer, its memo and its candidates are freed by reference
+    counting, with no cycle left for the collector.
+    """
+    return partial(_packing, cands, {})
 
 
 def _lex_min_family(cands: list[int], n: int, best) -> tuple[int, ...]:
@@ -1338,6 +1345,16 @@ class _Measures:
       by deg, by every deg_p as its residues mod p (exact: see
       ``spectral``) and by DT.
 
+    ``report`` drops two of them once no later measure of its list reads
+    them: the bit-slices right after s where bs skips, and the Moebius table
+    after the last deg_p where DT skips, before sparsity builds the Walsh
+    table.  A caller that reads s or a degree after such a report builds
+    the table again.  A skip holds no reference to any of them: ``_check``
+    leaves its exception in no local, so no reference cycle keeps the
+    owner alive after the skip is caught, and the packer (``_packing``) is
+    no cycle either; the owner and its tables are freed when the last
+    reference goes, without the collector.
+
     alt, salt and sparsity keep nothing: each builds what it reads (the
     level-set moves of ``_shift_moves``, the Walsh table) on each call,
     which the report makes once.  The moves are not kept for salt to share
@@ -1395,12 +1412,16 @@ class _Measures:
         return None
 
     def _check(self, measure: str, at: int | None = None) -> None:
-        """Raise on a point out of range, then on ``measure``'s skip."""
+        """Raise on a point out of range, then on ``measure``'s skip.
+
+        The skip is raised straight from the call that builds it: held in a
+        local, it would form a cycle with its traceback, which holds this
+        frame, and keep the frames above, with this owner and its tables,
+        alive until a full collection."""
         if at is not None:
             _check_point(at, self.f.n)
-        skip = self._skip(measure)
-        if skip is not None:
-            raise skip
+        if self._skip(measure) is not None:
+            raise self._skip(measure)
 
     def _sliced(self) -> list[int]:
         if self._slices is None:
@@ -1542,6 +1563,8 @@ class _Measures:
                 rep.measures[name] = out
 
         run("s", self.sensitivity)
+        if self._skip("bs") is not None:
+            self._slices = None  # read by s and the bs search alone
         if self._skip("C") is None or self._skip("DT") is None:
             self._certificates()
         run("bs", self.block_sensitivity)
@@ -1551,6 +1574,8 @@ class _Measures:
         run("deg", self.degree)
         for p in primes:
             run(f"deg_{p}", self.degree, p)
+        if self._skip("DT") is not None:
+            self._coeffs = None  # read by deg, the deg_p and DT alone
         run("sparsity", self.sparsity)
         # DT >= bs (Nisan); only a call without a witness stops there, or at deg
         run("DT", self.dt_depth, rep.measures.get("bs", -1))

@@ -296,6 +296,18 @@ def test_exhaustive_scan_n2():
     assert by_name["submatrix_identity"].witness["holds"] == 16
 
 
+def test_exhaustive_scan_n0():
+    # the two constant functions of no variables: every row holds
+    rep = exhaustive_scan(0)
+    assert rep.checks and {c.verdict for c in rep.checks} == {"holds"}
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_lane_is_the_narrowest_type_of_a_table(n):
+    # one byte up to n = 3, then one bit per input
+    assert _lane(n).itemsize == max(1, 2**n // 8)
+
+
 def test_exhaustive_scan_deterministic():
     one = exhaustive_scan(2).to_json_dict()
     two = exhaustive_scan(2).to_json_dict()
@@ -397,6 +409,45 @@ def test_family_suite_short():
     assert "tree3_salt_floor" in names
     assert "rubinstein33_bs_vs_s_salt" in names
     assert "or_compose_random" in names
+
+
+# family_suite()'s default output: each check's name, left, right, verdict
+# and witness (which carries the seed of its random OR compositions)
+FAMILY_SUITE = [
+    ("tree2_salt_floor", 1, 2, "holds", None),
+    ("tree2_s_ceiling", 2, 2, "holds", None),
+    ("tree3_salt_floor", 2, 4, "holds", None),
+    ("tree3_s_ceiling", 3, 3, "holds", None),
+    ("tree2_alt_vs_sparsity", 4, 16, "holds", None),
+    ("tree3_alt_vs_sparsity", 16, 64, "holds", None),
+    ("tree4_alt_vs_sparsity", 64, 256, "holds", None),
+    ("tree2_pipeline_sparsity", 4, 4, "holds", {"invertible": True}),
+    ("tree2_pipeline_s_vs_sparsity", 4, 36, "holds", {"s_g": 2}),
+    ("tree3_pipeline_sparsity", 16, 16, "holds", {"invertible": True}),
+    ("tree3_pipeline_s_vs_sparsity", 16, 196, "holds", {"s_g": 6}),
+    ("tree4_pipeline_sparsity", 64, 64, "holds", {"invertible": True}),
+    ("tree4_pipeline_s_vs_sparsity", 64, 900, "holds", {"s_g": 14}),
+    ("rubinstein44_alt", 8, 8, "holds", None),
+    ("rubinstein44_bs0", 8, 8, "holds", None),
+    ("rubinstein44_s", 4, 4, "holds", None),
+    ("rubinstein44_bs_vs_s_alt", 32, 32, "holds", None),
+    ("rubinstein33_bs_vs_s_salt", 3, 12, "holds", {"bs": 3, "s": 3, "salt": 1}),
+    ("row6_alt", 2, 2, "holds", None),
+    ("or_compose_rows", 4, 4, "holds", None),
+    ("or_compose_random", 0, 0, "holds", {"tuples": 20, "seed": 1}),
+    ("or_compose_hypothesis_violation", 1, 2, "holds", {"alt": 1}),
+    ("gip22_deg2", 2, 2, "holds", None),
+    ("gip32_deg2", 2, 2, "holds", None),
+    ("gip23_deg2", 3, 3, "holds", None),
+    ("maj3_alt", 1, 1, "holds", None),
+    ("maj5_alt", 1, 1, "holds", None),
+    ("parity4_profile", (4, 1, 1), (4, 1, 1), "holds", None),
+]
+
+
+def test_family_suite_default_output():
+    got = [(c.name, c.left, c.right, c.verdict, c.witness) for c in family_suite().checks]
+    assert got == FAMILY_SUITE
 
 
 def test_family_suite_values_equal_fresh_public_calls():

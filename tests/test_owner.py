@@ -137,6 +137,22 @@ def test_bound_summary_builds_one_moebius_table(monkeypatch):
         assert summary["deg"] == real_degree(f) and summary["DT"] == dt_depth(f)
 
 
+def test_the_report_drops_the_tables_no_later_measure_reads():
+    # at 15 variables bs and DT skip, so the report drops the bit-slices once
+    # s has read them and the Moebius table after the last deg_p; a later
+    # read builds it again
+    f = maj(15)
+    owner = _Measures(f, {})
+    rep = owner.report(PRIMES, witnesses=False)
+    assert {s["measure"] for s in rep.skipped} == {"bs", "C", "DT"}
+    assert owner._slices is None and owner._coeffs is None
+    assert owner.degree(False, 3) == rep.measures["deg_3"] == modp_degree(f, 3)
+    # where bs and DT run, both are kept for the caller's further reads
+    owner = _Measures(f, dict.fromkeys(DEFAULT_LIMITS, 15))
+    owner.report(PRIMES, witnesses=False)
+    assert owner._slices is not None and owner._coeffs is not None
+
+
 def _packed_inputs(monkeypatch):
     """The input of every ``_bs_point`` packing from here on, in call order."""
     calls, bs_point = [], measures._bs_point
