@@ -26,16 +26,24 @@ certificate, one array per field.  Such a row gives its own verdict,
 ``holds(v)``, in place of ``left`` <= ``right``, and the suite's witness,
 ``witness(v)``.
 
-A function's ints are the values of ``measure_report``, the one list of its
-measures, plus bs(f,0).  One helper, ``_function_record``, builds them with
-their skips, the bs families and the constructions built from those:
-``inequality_suite`` checks them, and the scan compares them with its arrays
-and batched constructions on its sampled functions.
+A function's ints are the values of ``measure_report``, whose measures are
+the rows of ``measures._MEASURES``, plus bs(f,0).  One helper,
+``_function_record``, builds them with their skips, the bs families and the
+constructions built from those: ``inequality_suite`` checks them, and the
+scan compares them with its arrays and batched constructions on its sampled
+functions.  A statistic reads each measure it needs by its row's method, on
+one owner of the function (``_function_value``).
+
+The family suite states each check's relation once, too: its left side,
+its right side and the relation between them, ``<=`` or ``==``
+(``_RELATIONS``), from which the verdict is computed, so the printed sides
+are the ones tested.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from typing import Callable
@@ -48,6 +56,7 @@ from .commlb import _check_submatrix_rows, _submatrix_from_family, _w_points
 from .core import TruthTable, _check_arity, is_invertible, tt_parse, tt_serialize
 from .families import and_, gip, maj, or_compose, parity, rubinstein, rubinstein_row, tree_function
 from .measures import (
+    _MEASURES,
     _Measures,
     _best_chains,
     alternation,
@@ -301,15 +310,13 @@ def _rows(v: dict, primes, by_prime: bool):
             yield from (at(r, p) for p in primes for r in prime_rows)
 
 
-# each measure a statistic row may need, read off one function's owner
-_FUNCTION_MEASURES = {
-    "s": lambda owner: owner.sensitivity(False),
-    "bs": lambda owner: owner.block_sensitivity(False),
-    "salt": lambda owner: owner.shift_invariant_alternation(False),
-    "sparsity": lambda owner: owner.sparsity(False),
-    "sherstov": lambda owner: _sherstov_from_family(
-        owner.f, owner.block_sensitivity(True)[1]).certificate,
-}
+def _function_value(owner: _Measures, key: str):
+    """A value a statistic row needs, read off one function's owner: a
+    measure by its row's method, or the certificate of the Sherstov map at
+    the smallest bs maximizer."""
+    if key == "sherstov":
+        return _sherstov_from_family(owner.f, owner.block_sensitivity(True)[1]).certificate
+    return _MEASURES[key].method(owner, False)
 
 
 def _statistic_value(row: _Statistic, v: dict):
@@ -322,7 +329,7 @@ def _statistic_of(row: _Statistic, f: TruthTable):
     reads s first, so the bs search's bound reuses s's counts, and the
     Sherstov map is built on the owner's bs family."""
     owner = _Measures(f, {})
-    return _statistic_value(row, {k: _FUNCTION_MEASURES[k](owner) for k in row.needs})
+    return _statistic_value(row, {k: _function_value(owner, k) for k in row.needs})
 
 
 # name -> the statistic of one function, None where it is undefined
@@ -652,6 +659,9 @@ def exhaustive_scan(n: int, primes=(2, 3)) -> CheckReport:
 # random OR-compositions checked for exact alternation additivity
 _OR_TUPLES = 20
 
+# the relations a family check may state between its left and right sides
+_RELATIONS = {"<=": operator.le, "==": operator.eq}
+
 
 def _random_zero_ended_tuple(rng: np.random.Generator, max_total: int = 12):
     """Random functions with f(0)=f(1^n)=0, disjointly composable under OR."""
@@ -671,12 +681,19 @@ def _random_zero_ended_tuple(rng: np.random.Generator, max_total: int = 12):
 
 
 def family_suite(include_long: bool = False, seed: int = 1) -> CheckReport:
-    """Checks specific to the named families, end to end."""
-    report = CheckReport("family", "families")
-    add = report.checks.append
+    """Checks specific to the named families, end to end.
 
-    def holds(cond):
-        return "holds" if cond else "fails"
+    Every check is proven.  ``add`` computes its verdict from the printed
+    left and right sides and the relation between them alone; the one
+    construction check, the chain map's sparsity, also needs the map to be
+    invertible, which it passes as ``given``.
+    """
+    report = CheckReport("family", "families")
+
+    def add(name, statement, left, relation, right, witness=None, given=True):
+        ok = given and _RELATIONS[relation](left, right)
+        report.checks.append(Check(name, statement, "proven", left, right,
+                                   "holds" if ok else "fails", witness))
 
     # one owner per tree function: its witnessed alternation gives alt and
     # the chain of the chain map, whose s_g is s(g)
@@ -688,56 +705,43 @@ def family_suite(include_long: bool = False, seed: int = 1) -> CheckReport:
     # depth-k tree functions: alternation survives every shift
     for k, bound in ((2, 1), (3, 2)) + (((4, 4),) if include_long else ()):
         owner = trees[k][0]
-        salt = owner.shift_invariant_alternation(False)
-        s = owner.sensitivity(False)
-        add(Check(f"tree{k}_salt_floor", f"salt(tree_{k}) >= 2**(k-2)", "proven",
-                  bound, salt, holds(salt >= bound)))
-        add(Check(f"tree{k}_s_ceiling", f"s(tree_{k}) <= k", "proven",
-                  s, k, holds(s <= k)))
+        add(f"tree{k}_salt_floor", f"salt(tree_{k}) >= 2**(k-2)",
+            bound, "<=", owner.shift_invariant_alternation(False))
+        add(f"tree{k}_s_ceiling", f"s(tree_{k}) <= k", owner.sensitivity(False), "<=", k)
 
     # tree functions: alternation against sparsity, exactly
     for k, (_, alt, sp, _) in trees.items():
-        add(Check(f"tree{k}_alt_vs_sparsity", "(alt+1)**2 >= sparsity", "proven",
-                  sp, (alt + 1) ** 2, holds((alt + 1) ** 2 >= sp)))
+        add(f"tree{k}_alt_vs_sparsity", "(alt+1)**2 >= sparsity", sp, "<=", (alt + 1) ** 2)
 
     # chain transform pipeline on the tree functions
     for k, (_, _, sp_f, tr) in trees.items():
-        sg, sp_g = tr.certificate["s_g"], sparsity(tr.g)
-        add(Check(f"tree{k}_pipeline_sparsity", "sparsity(g) == sparsity(f)", "proven",
-                  sp_g, sp_f, holds(sp_g == sp_f and tr.certificate["invertible"]),
-                  {"invertible": tr.certificate["invertible"]}))
-        add(Check(f"tree{k}_pipeline_s_vs_sparsity", "4*(s(g)+1)**2 >= sparsity(g)",
-                  "proven", sp_g, 4 * (sg + 1) ** 2, holds(4 * (sg + 1) ** 2 >= sp_g),
-                  {"s_g": sg}))
+        sg, sp_g, invertible = tr.certificate["s_g"], sparsity(tr.g), tr.certificate["invertible"]
+        add(f"tree{k}_pipeline_sparsity", "sparsity(g) == sparsity(f)", sp_g, "==", sp_f,
+            {"invertible": invertible}, given=invertible)
+        add(f"tree{k}_pipeline_s_vs_sparsity", "4*(s(g)+1)**2 >= sparsity(g)",
+            sp_g, "<=", 4 * (sg + 1) ** 2, {"s_g": sg})
 
     # grid-of-rows composition
     f44 = rubinstein(4, 4)
     alt44 = alternation(f44)
     bs0 = block_sensitivity(f44, at=0, limit=16)
     s44 = sensitivity(f44)
-    add(Check("rubinstein44_alt", "alt == 2n with n = 4 rows", "proven",
-              alt44, 8, holds(alt44 == 8)))
-    add(Check("rubinstein44_bs0", "bs(f,0) == n**2/2", "proven",
-              bs0, 8, holds(bs0 == 8)))
-    add(Check("rubinstein44_s", "s(f) <= n", "proven", s44, 4, holds(s44 <= 4)))
-    add(Check("rubinstein44_bs_vs_s_alt", "4*bs(f,0) >= s*alt", "proven",
-              s44 * alt44, 4 * bs0, holds(4 * bs0 >= s44 * alt44)))
+    add("rubinstein44_alt", "alt == 2n with n = 4 rows", alt44, "==", 8)
+    add("rubinstein44_bs0", "bs(f,0) == n**2/2", bs0, "==", 8)
+    add("rubinstein44_s", "s(f) <= n", s44, "<=", 4)
+    add("rubinstein44_bs_vs_s_alt", "4*bs(f,0) >= s*alt", s44 * alt44, "<=", 4 * bs0)
     f33 = _Measures(rubinstein(3, 3), {})
     bs33 = f33.block_sensitivity(False)
     s33 = f33.sensitivity(False)
     salt33 = f33.shift_invariant_alternation(False)
-    add(Check("rubinstein33_bs_vs_s_salt", "4*bs >= s*salt", "proven",
-              s33 * salt33, 4 * bs33, holds(4 * bs33 >= s33 * salt33),
-              {"bs": bs33, "s": s33, "salt": salt33}))
-    alt6 = alternation(rubinstein_row(6))
-    add(Check("row6_alt", "alt(row detector on 6) == 2", "proven",
-              alt6, 2, holds(alt6 == 2)))
+    add("rubinstein33_bs_vs_s_salt", "4*bs >= s*salt", s33 * salt33, "<=", 4 * bs33,
+        {"bs": bs33, "s": s33, "salt": salt33})
+    add("row6_alt", "alt(row detector on 6) == 2", alternation(rubinstein_row(6)), "==", 2)
 
     # OR composition: exact additivity when every piece vanishes at 0 and 1
     h3 = rubinstein_row(3)
-    alt_comp = alternation(or_compose([h3, h3]))
-    add(Check("or_compose_rows", "alt(OR of two row detectors) == 2+2", "proven",
-              alt_comp, 4, holds(alt_comp == 4)))
+    add("or_compose_rows", "alt(OR of two row detectors) == 2+2",
+        alternation(or_compose([h3, h3])), "==", 4)
     rng = np.random.default_rng(seed)
     bad = 0
     for _ in range(_OR_TUPLES):
@@ -746,28 +750,23 @@ def family_suite(include_long: bool = False, seed: int = 1) -> CheckReport:
         rhs = sum(alternation(g) for g in fs)
         if lhs != rhs:
             bad += 1
-    add(Check("or_compose_random", "alt(OR composition) == sum of alt", "proven",
-              bad, 0, holds(bad == 0), {"tuples": _OR_TUPLES, "seed": seed}))
+    add("or_compose_random", "alt(OR composition) == sum of alt", bad, "==", 0,
+        {"tuples": _OR_TUPLES, "seed": seed})
     and2 = and_(2)
     alt_viol = alternation(or_compose([and2, and2]))
-    add(Check("or_compose_hypothesis_violation",
-              "without the endpoint hypothesis only <= is promised", "proven",
-              alt_viol, 2 * alternation(and2), holds(alt_viol <= 2), {"alt": alt_viol}))
+    add("or_compose_hypothesis_violation", "without the endpoint hypothesis only <= is promised",
+        alt_viol, "<=", 2 * alternation(and2), {"alt": alt_viol})
 
     # inner XOR-of-ANDs and the simple families
     for nn, kk in ((2, 2), (3, 2), (2, 3)):
-        g = gip(nn, kk)
-        d2 = modp_degree(g, 2)
-        add(Check(f"gip{nn}{kk}_deg2", "deg_2 of XOR of k-ANDs == k", "proven",
-                  d2, kk, holds(d2 == kk)))
+        add(f"gip{nn}{kk}_deg2", "deg_2 of XOR of k-ANDs == k", modp_degree(gip(nn, kk), 2),
+            "==", kk)
     for nn in (3, 5):
-        alt_maj = alternation(maj(nn))
-        add(Check(f"maj{nn}_alt", "alt of a monotone nonconstant function == 1",
-                  "proven", alt_maj, 1, holds(alt_maj == 1)))
+        add(f"maj{nn}_alt", "alt of a monotone nonconstant function == 1",
+            alternation(maj(nn)), "==", 1)
     p4 = _Measures(parity(4), {})
     profile = (p4.sensitivity(False), p4.degree(False, 2), p4.sparsity(False))
-    add(Check("parity4_profile", "s == n, deg_2 == 1, sparsity == 1", "proven",
-              profile, (4, 1, 1), holds(profile == (4, 1, 1))))
+    add("parity4_profile", "s == n, deg_2 == 1, sparsity == 1", profile, "==", (4, 1, 1))
     return _raise_if_broken(report)
 
 

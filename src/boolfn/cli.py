@@ -27,10 +27,8 @@ from .checks import (
 from .commlb import VerificationError, _bound_summary, _submatrix_from_family, and_matrix
 from .core import FormatError, TruthTable, parse_point, tt_parse, tt_serialize
 from .families import from_family_spec
-from .measures import DEFAULT_LIMITS, ArityLimitError, _Measures
+from .measures import _MEASURES, DEFAULT_LIMITS, ArityLimitError, _Measures
 from .transforms import alt_to_s_linear, bs_to_s_affine, sherstov_linear
-
-_MEASURE_CSV_ORDER = ("s", "bs", "C", "alt", "salt", "deg", "sparsity", "DT")
 
 
 def _load_source(text: str, in_file: bool = False) -> TruthTable:
@@ -95,7 +93,7 @@ def _cmd_measures(args) -> int:
     if args.format == "json":
         _emit(data)
     elif args.format == "csv":
-        names = list(_MEASURE_CSV_ORDER) + [f"deg_{p}" for p in primes]
+        names = [*_MEASURES, *(f"deg_{p}" for p in primes)]
         if at is not None:
             names += ["s_at", "bs_at", "C_at"]
         header = ["function", "arity"] + names + ["skipped"]

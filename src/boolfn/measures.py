@@ -16,6 +16,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -68,11 +69,6 @@ __all__ = [
     "validate_chain",
     "validate_decision_tree",
 ]
-
-# Cost ceilings (arity) beyond which a measure refuses to run unless the
-# caller passes an explicit higher limit.
-DEFAULT_LIMITS = {"bs": 14, "C": 12, "salt": 15, "DT": 13}
-
 
 class ArityLimitError(ValueError):
     """A measure was asked to run above its arity ceiling: a default one of
@@ -1275,39 +1271,7 @@ class MeasureReport:
 
     def to_json_dict(self) -> dict:
         n = self.function.n
-        wit = {}
-        for name, w in self.witnesses.items():
-            if name == "s":
-                point, mask = w
-                wit[name] = {
-                    "point": point_to_str(point, n),
-                    "sensitive": list(mask_indices(mask)),
-                }
-            elif name == "bs":
-                wit[name] = {
-                    "point": point_to_str(w.point, n),
-                    "blocks": [list(ix) for ix in w.block_indices()],
-                }
-            elif name == "C":
-                point, mask = w
-                wit[name] = {
-                    "point": point_to_str(point, n),
-                    "set": list(mask_indices(mask)),
-                }
-            elif name == "alt":
-                wit[name] = {"chain": [point_to_str(p, n) for p in w.points]}
-            elif name == "salt":
-                wit[name] = {"shift": point_to_str(w, n)}
-            elif name.startswith("deg"):
-                wit[name] = {"monomial": list(mask_indices(w))}
-            elif name == "sparsity":
-                count = w.nonzero_count()
-                entry = {"support_size": count}
-                if count <= 64:
-                    entry["support"] = [list(mask_indices(s)) for s in w.support()]
-                wit[name] = entry
-            elif name == "DT":
-                wit[name] = {"tree": w}
+        wit = {name: _measure(name).witness_json(w, n) for name, w in self.witnesses.items()}
         return {
             "function": tt_serialize(self.function),
             "arity": n,
@@ -1322,12 +1286,16 @@ class _Measures:
     which every per-function caller reads them.
 
     The measures are s, bs and C, maximized or at one input ``at``; alt and
-    salt; deg and deg_p (``degree``); sparsity; and DT.  ``report`` lists
-    them all, in report order, with their skips.  The public functions are
-    thin calls on a fresh owner; a caller that reads several measures of
-    one f, or reads more after the report, builds one owner and reads them
-    all from it.  A measure with an arity ceiling (bs, C, salt, DT) checks
-    it first, by the one rule of ``_skip``.
+    salt; deg and deg_p (``degree``); sparsity; and DT.  Each is one row of
+    ``_MEASURES``: its name, its method here, its default arity ceiling and
+    its witness as JSON; ``DEFAULT_LIMITS``, the report's methods, its
+    witness JSON, the CLI's CSV columns and the statistics' inputs all read
+    the rows.  To add a measure, write its method here, add its row, and
+    ``run`` it in ``report`` at its place in the report order.  The public
+    functions are thin calls on a fresh owner; a caller that reads several
+    measures of one f, or reads more after the report, builds one owner and
+    reads them all from it.  A measure with an arity ceiling (bs, C, salt,
+    DT) checks it first, by the one rule of ``_skip``.
 
     The owner keeps five things, each built on first use:
 
@@ -1542,16 +1510,17 @@ class _Measures:
         ``inequality_suite`` and of the scan's cross-check, which the kept
         search's packing gives without a second search or packing.
 
-        This is the one list of a function's measures, in report order, and
-        the one place that decides to build the certificate sizes between s
-        and bs.  Each prime is checked before anything is computed.
+        Each measure runs its row's method; the order of the calls is the
+        report's order, and this is the one place that decides to build the
+        certificate sizes between s and bs, and to drop the tables no later
+        measure reads.  Each prime is checked before anything is computed.
         """
         _check_primes(primes)
         rep = MeasureReport(self.f, tuple(primes))
 
-        def run(name: str, fn, *args):
+        def run(name: str, *args):
             try:
-                out = fn(witnesses, *args)
+                out = _measure(name).method(self, witnesses, *args)
             except ArityLimitError as e:
                 rep.skipped.append(
                     {"measure": name, "reason": str(e), "arity": e.arity, "limit": e.limit}
@@ -1562,24 +1531,77 @@ class _Measures:
             else:
                 rep.measures[name] = out
 
-        run("s", self.sensitivity)
+        run("s")
         if self._skip("bs") is not None:
             self._slices = None  # read by s and the bs search alone
         if self._skip("C") is None or self._skip("DT") is None:
             self._certificates()
-        run("bs", self.block_sensitivity)
-        run("C", self.certificate)
-        run("alt", self.alternation)
-        run("salt", self.shift_invariant_alternation)
-        run("deg", self.degree)
+        run("bs")
+        run("C")
+        run("alt")
+        run("salt")
+        run("deg")
         for p in primes:
-            run(f"deg_{p}", self.degree, p)
+            run(f"deg_{p}", p)
         if self._skip("DT") is not None:
             self._coeffs = None  # read by deg, the deg_p and DT alone
-        run("sparsity", self.sparsity)
+        run("sparsity")
         # DT >= bs (Nisan); only a call without a witness stops there, or at deg
-        run("DT", self.dt_depth, rep.measures.get("bs", -1))
+        run("DT", rep.measures.get("bs", -1))
         return rep
+
+
+@dataclass(frozen=True)
+class _Measure:
+    """One measure of the report: its name, the owner's method that computes
+    it (``method(owner, witness, *args)``), its default arity ceiling (None
+    where it has none) and its witness as JSON (``witness_json(w, n)``)."""
+
+    name: str
+    method: Callable
+    ceiling: int | None
+    witness_json: Callable
+
+
+def _point_and(key: str) -> Callable:
+    """The JSON of a witness (point, mask): the point, and the mask's indices under ``key``."""
+    return lambda w, n: {"point": point_to_str(w[0], n), key: list(mask_indices(w[1]))}
+
+
+def _support_json(w: SpectrumRep, n: int) -> dict:
+    """The JSON of a Walsh spectrum: its support's size, and its support up to 64 sets."""
+    count = w.nonzero_count()
+    entry = {"support_size": count}
+    if count <= 64:
+        entry["support"] = [list(mask_indices(s)) for s in w.support()]
+    return entry
+
+
+# the report's measures, one row each, in report order; deg's row also
+# serves every deg_{p}, which the report puts after deg
+_MEASURES = {row.name: row for row in (
+    _Measure("s", _Measures.sensitivity, None, _point_and("sensitive")),
+    _Measure("bs", _Measures.block_sensitivity, 14,
+             lambda w, n: {"point": point_to_str(w.point, n),
+                           "blocks": [list(ix) for ix in w.block_indices()]}),
+    _Measure("C", _Measures.certificate, 12, _point_and("set")),
+    _Measure("alt", _Measures.alternation, None,
+             lambda w, n: {"chain": [point_to_str(p, n) for p in w.points]}),
+    _Measure("salt", _Measures.shift_invariant_alternation, 15,
+             lambda w, n: {"shift": point_to_str(w, n)}),
+    _Measure("deg", _Measures.degree, None, lambda w, n: {"monomial": list(mask_indices(w))}),
+    _Measure("sparsity", _Measures.sparsity, None, _support_json),
+    _Measure("DT", _Measures.dt_depth, 13, lambda w, n: {"tree": w}),
+)}
+
+# Cost ceilings (arity) beyond which a measure refuses to run unless the
+# caller passes an explicit higher limit: bs, C, salt and DT.
+DEFAULT_LIMITS = {name: row.ceiling for name, row in _MEASURES.items() if row.ceiling is not None}
+
+
+def _measure(name: str) -> _Measure:
+    """The row of a report key; deg_{p} is read by deg's row."""
+    return _MEASURES[name.partition("_")[0]]
 
 
 def measure_report(
